@@ -14,7 +14,7 @@ import (
 
 // startWorkers launches n in-process worker daemons (real TCP on loopback)
 // named w0..w{n-1} and returns them with their control addresses.
-func startWorkers(t *testing.T, n int) ([]*cluster.Worker, []string) {
+func startWorkers(t testing.TB, n int) ([]*cluster.Worker, []string) {
 	t.Helper()
 	workers := make([]*cluster.Worker, n)
 	addrs := make([]string, n)

@@ -1308,10 +1308,13 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 			return nil, fmt.Errorf("exec: Send %s without a rendezvous", n.Name())
 		}
 		key := RendezvousKey(info.sendKey, tag)
+		// An owned input keeps its flag: the sole reference moves into the
+		// rendezvous, which hands it to the receiver or recycles it once
+		// the bytes are on the wire. This executor never touches it again
+		// (Send is excluded from input recycling).
 		tok := Token{Dead: anyDeadData}
 		if !anyDeadData {
 			tok = inputs[0]
-			tok.Owned = false // the reference escapes to the rendezvous
 		}
 		if err := ex.cfg.Rendezvous.Send(key, tok); err != nil {
 			return nil, fmt.Errorf("exec: Send %s: %w", n.Name(), err)
@@ -1335,7 +1338,8 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 			}
 			return nil, fmt.Errorf("exec: Recv %s: %w", n.Name(), err)
 		}
-		tok.Owned = false // the sender's executor may hold a reference
+		// tok.Owned is the rendezvous's word that no reference survived on
+		// the sending side (a wire-decoded buffer, or a moved local one).
 		return []Token{tok}, nil
 	}
 

@@ -46,9 +46,11 @@ type Token struct {
 	// Owned marks a token whose tensor buffer has exactly one live
 	// reference (the holder). The executor sets it on fresh kernel
 	// outputs with a single consumer and clears it whenever a reference
-	// escapes (fan-out, fetches, loop constants, rendezvous); an owned
-	// buffer may be forwarded into a kernel's output or recycled into the
-	// tensor pool. See internal/exec/README.md for the ownership rule.
+	// escapes (fan-out, fetches, loop constants); an owned buffer may be
+	// forwarded into a kernel's output or recycled into the tensor pool.
+	// Across a Send/Recv pair ownership moves with the token: a rendezvous
+	// must deliver an Owned token only when no reference survives on the
+	// sending side. See internal/exec/README.md for the ownership rule.
 	Owned bool
 }
 

@@ -1,0 +1,354 @@
+package rendezvous
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/exec"
+	"repro/internal/ops"
+	"repro/internal/tensor"
+)
+
+// frameSeeds is one token per wire shape: every dtype, a dead token with no
+// payload, and an empty tensor.
+func frameSeeds() []exec.Token {
+	live := func(t *tensor.Tensor) exec.Token { return exec.Token{Val: ops.TensorVal(t)} }
+	return []exec.Token{
+		live(tensor.FromFloats([]float64{1.5, -2.25, math.Inf(1), math.Copysign(0, -1), 1e-310, 99}, 2, 3)),
+		live(tensor.FromInts([]int64{math.MinInt64, 0, 1 << 40}, 3)),
+		live(tensor.FromBools([]bool{true, false, false, true}, 2, 2)),
+		live(tensor.FromStrings([]string{"", "héllo", "wörld;dstw=fake"}, 3)),
+		live(tensor.Scalar(-7.75)),
+		live(tensor.New(tensor.Float, 0, 4)),
+		{Dead: true},
+		{Dead: true, Val: ops.TensorVal(tensor.Scalar(3))},
+	}
+}
+
+func mustFrame(t testing.TB, key string, tok exec.Token) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, key, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// decode reads one frame from b; a bad frame and a lost stream both come
+// back as the error.
+func decode(b []byte) (string, exec.Token, error) {
+	key, tok, bad, err := readFrame(bufio.NewReaderSize(bytes.NewReader(b), readBufSize))
+	return key, tok, errors.Join(bad, err)
+}
+
+// sameToken reports whether two tokens carry the same deadness and the same
+// tensor, bit for bit (tensor.Equal would call NaNs unequal).
+func sameToken(a, b exec.Token) bool {
+	if a.Dead != b.Dead || (a.Val.T == nil) != (b.Val.T == nil) {
+		return false
+	}
+	x, y := a.Val.T, b.Val.T
+	if x == nil || x.DType() != tensor.Float {
+		return x == nil || tensor.Equal(x, y)
+	}
+	if y.DType() != tensor.Float || !tensor.ShapeEq(x.ShapeRef(), y.ShapeRef()) {
+		return false
+	}
+	for i := range x.F {
+		if math.Float64bits(x.F[i]) != math.Float64bits(y.F[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	for i, tok := range frameSeeds() {
+		key := sendKey("wB", "t") + strings.Repeat("x", i)
+		gotKey, got, err := decode(mustFrame(t, key, tok))
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if gotKey != key || !sameToken(tok, got) {
+			t.Fatalf("seed %d: sent %q %+v, got %q %+v", i, key, tok, gotKey, got)
+		}
+		if got.Owned != (got.Val.T != nil) {
+			t.Fatalf("seed %d: a decoded tensor must arrive Owned, got Owned=%v", i, got.Owned)
+		}
+	}
+}
+
+// TestFrameMalformed: every way a frame can lie yields an error, never a
+// panic. A lie about the contents (the extent still adds up) is reported as
+// a bad frame and leaves the stream at the next one; a header that cannot
+// be trusted, or a short stream, ends the connection.
+func TestFrameMalformed(t *testing.T) {
+	const dimsAt, dtypeAt, rankAt, keyLenAt, payloadAt = headerLen, 2, 3, 4, 8
+	vec4 := func() []byte { return mustFrame(t, "k", netTokVec(1, 2, 3, 4)) }
+	next := mustFrame(t, "next", netTok(7))
+	cases := []struct {
+		name      string
+		frame     []byte
+		wantFrame bool // a bad frame; else the connection is lost
+	}{
+		{"shape [4], 1-element payload", func() []byte {
+			b := mustFrame(t, "k", netTok(1)) // rank 0, 8 payload bytes
+			b[rankAt] = 1
+			dim := le.AppendUint64(nil, 4)
+			return append(b[:dimsAt:dimsAt], append(dim, b[dimsAt:]...)...)
+		}(), true},
+		{"negative dim", func() []byte { b := vec4(); le.PutUint64(b[dimsAt:], ^uint64(0)); return b }(), true},
+		{"overflowing dims", func() []byte {
+			b := mustFrame(t, "k", exec.Token{Val: ops.TensorVal(tensor.New(tensor.Float, 2, 2))})
+			le.PutUint64(b[dimsAt:], 1<<62)
+			le.PutUint64(b[dimsAt+8:], 1<<62)
+			return b
+		}(), true},
+		{"unknown dtype", func() []byte { b := vec4(); b[dtypeAt] = 99; return b }(), true},
+		{"ragged payload", func() []byte { b := vec4(); le.PutUint64(b[payloadAt:], 31); return b[:len(b)-1] }(), true},
+		{"string overruns payload", func() []byte {
+			b := mustFrame(t, "k", exec.Token{Val: ops.TensorVal(tensor.FromStrings([]string{"abc"}, 1))})
+			le.PutUint32(b[len(b)-7:], 200)
+			return b
+		}(), true},
+		{"payload without a tensor", func() []byte { b := vec4(); b[1] &^= flagTensor; return b }(), true},
+		{"oversized key", func() []byte { b := vec4(); le.PutUint32(b[keyLenAt:], maxKeyLen+1); return b }(), false},
+		{"oversized rank", func() []byte { b := vec4(); b[rankAt] = maxRank + 1; return b }(), false},
+		{"oversized payload", func() []byte { b := vec4(); le.PutUint64(b[payloadAt:], maxPayloadLen+1); return b }(), false},
+		{"wrong version", func() []byte { b := vec4(); b[0] = frameVersion + 1; return b }(), false},
+		{"truncated header", vec4()[:headerLen-1], false},
+		{"truncated key", vec4()[:headerLen+8], false},
+		{"truncated payload", func() []byte { b := vec4(); return b[:len(b)-3] }(), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stream := c.frame
+			if c.wantFrame {
+				stream = append(stream, next...)
+			}
+			r := bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)
+			key, _, bad, err := readFrame(r)
+			if (bad != nil) != c.wantFrame || (err != nil) == c.wantFrame {
+				t.Fatalf("want a bad frame=%v, got bad=%v err=%v", c.wantFrame, bad, err)
+			}
+			if !c.wantFrame {
+				return
+			}
+			if key != "k" {
+				t.Fatalf("bad frame names key %q, want k", key)
+			}
+			if key, tok, bad, err := readFrame(r); bad != nil || err != nil || key != "next" || tok.Val.T.ScalarValue() != 7 {
+				t.Fatalf("stream out of sync after a bad frame: %q %+v %v %v", key, tok, bad, err)
+			}
+		})
+	}
+}
+
+func netTokVec(v ...float64) exec.Token {
+	return exec.Token{Val: ops.TensorVal(tensor.FromFloats(v, len(v)))}
+}
+
+// FuzzFrameDecode: arbitrary bytes never panic the decoder, whatever it
+// accepts fits the wire limits, and decode(encode(x)) == x.
+func FuzzFrameDecode(f *testing.F) {
+	for _, tok := range frameSeeds() {
+		f.Add(mustFrame(f, sendKey("wB", "t0"), tok))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tensor.ResetPoolWater()
+		key, tok, err := decode(data)
+		if peak := tensor.PoolPeakBytes(); peak > maxPayloadLen {
+			t.Fatalf("decoding allocated %d tensor bytes, over the frame cap", peak)
+		}
+		if err != nil {
+			return
+		}
+		if len(key) > maxKeyLen {
+			t.Fatalf("accepted a %d-byte key", len(key))
+		}
+		if v := tok.Val.T; v != nil && v.DType() != tensor.Str && v.NumBytes() > int64(len(data)) {
+			t.Fatalf("a %d-byte frame decoded into %d tensor bytes", len(data), v.NumBytes())
+		}
+		key2, tok2, err := decode(mustFrame(t, key, tok))
+		if err != nil || key2 != key || !sameToken(tok, tok2) {
+			t.Fatalf("re-encode changed the token: %q %+v -> %q %+v (%v)", key, tok, key2, tok2, err)
+		}
+	})
+}
+
+// TestBadPrefaceClosesConnection: a peer that opens with anything but the
+// preface (here: a well-formed frame, but no preface) is hung up on, and
+// no scope table ever sees its bytes.
+func TestBadPrefaceClosesConnection(t *testing.T) {
+	_, b := netPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(mustFrame(t, "s1|"+sendKey("wB", "t0"), netTok(1))); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("want the peer to close the connection, got %v", err)
+	}
+	if c := b.ScopeCount(); c != 0 {
+		t.Fatalf("a connection without the preface reached %d scope tables", c)
+	}
+}
+
+// TestUnreadableFrameClosesOnlyThatConnection: a frame whose header cannot
+// be trusted costs its connection, while the peer's other traffic flows on.
+func TestUnreadableFrameClosesOnlyThatConnection(t *testing.T) {
+	a, b := netPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bad := mustFrame(t, "s1|"+sendKey("wB", "t0"), netTok(1))
+	bad[3] = maxRank + 1
+	if _, err := conn.Write(append([]byte(preface), bad...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("want the peer to close the connection, got %v", err)
+	}
+	if err := a.Send(sendKey("wB", "ok"), netTok(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Recv(sendKey("wB", "ok"), nil); err != nil || got.Val.T.ScalarValue() != 2 {
+		t.Fatalf("healthy connection disturbed: %+v %v", got, err)
+	}
+}
+
+// hop128K is the benchmark's hop: a [64,256] float64 tensor.
+func hop128K() *tensor.Tensor {
+	t := tensor.Alloc(tensor.Float, 64, 256)
+	for i := range t.F {
+		t.F[i] = float64(i) * 0.5
+	}
+	return t
+}
+
+// TestNetPingPongOwned bounces one Owned 128 KB token between two peers.
+// Ownership moves with it — the sender's buffer is recycled once written,
+// the receiver's comes out of the pool — so a hop allocates nothing large
+// and the pool's live bytes end where they began.
+func TestNetPingPongOwned(t *testing.T) {
+	a, b := netPair(t)
+	keyAB, keyBA := sendKey("wB", "pp"), sendKey("wA", "pp")
+	live0 := tensor.PoolLiveBytes()
+	sent0, bytes0, recv0, errs0 := metricFramesSent.Value(), metricBytesSent.Value(), metricFramesRecv.Value(), metricDecodeErrors.Value()
+	tok := exec.Token{Val: ops.TensorVal(hop128K()), Owned: true}
+	want := tok.Val.T.Clone()
+	roundTrip := func() {
+		for _, leg := range []struct {
+			from, to *Net
+			key      string
+		}{{a, b, keyAB}, {b, a, keyBA}} {
+			if err := leg.from.Send(leg.key, tok); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if tok, err = leg.to.Recv(leg.key, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !tok.Owned {
+				t.Fatal("a wire-decoded token must arrive Owned")
+			}
+		}
+	}
+	roundTrip() // dial both directions, warm the pool
+	const trips = 500
+	perHop := testing.AllocsPerRun(trips, roundTrip) / 2
+	t.Logf("allocs per hop: %.1f", perHop)
+	if perHop > 6 {
+		t.Errorf("a 128 KB hop allocates %.1f objects, want <= 6", perHop)
+	}
+	if !tensor.Equal(tok.Val.T, want) {
+		t.Error("payload changed over 1000 hops")
+	}
+	tensor.Recycle(tok.Val.T)
+	if live := tensor.PoolLiveBytes(); live != live0 {
+		t.Errorf("pool live bytes %d after the ping-pong, started at %d", live, live0)
+	}
+	const hops = 2 * (trips + 2) // AllocsPerRun adds one warm-up call
+	frame := int64(len(mustFrame(t, keyAB, exec.Token{Val: ops.TensorVal(want)})))
+	if d := metricFramesSent.Value() - sent0; d != hops {
+		t.Errorf("rendezvous_frames_sent_total moved by %d, want %d", d, hops)
+	}
+	if d := metricFramesRecv.Value() - recv0; d != hops {
+		t.Errorf("rendezvous_frames_received_total moved by %d, want %d", d, hops)
+	}
+	if d := metricBytesSent.Value() - bytes0; d != hops*frame {
+		t.Errorf("rendezvous_bytes_sent_total moved by %d, want %d", d, hops*frame)
+	}
+	if d := metricDecodeErrors.Value() - errs0; d != 0 {
+		t.Errorf("rendezvous_decode_errors_total moved by %d", d)
+	}
+}
+
+// TestResendNonOwned: a caller that keeps its tensor (Owned unset) may send
+// it as often as it likes; Net must never recycle it.
+func TestResendNonOwned(t *testing.T) {
+	a, b := netPair(t)
+	src := hop128K()
+	want := src.Clone()
+	for i := 0; i < 100; i++ {
+		key := sendKey("wB", "re")
+		if err := a.Send(key, exec.Token{Val: ops.TensorVal(src)}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(got.Val.T, want) || !tensor.Equal(src, want) {
+			t.Fatalf("send %d: tensor damaged", i)
+		}
+		tensor.Recycle(got.Val.T)
+	}
+}
+
+func TestDstWorkerAllocFree(t *testing.T) {
+	key := "g1.s7|" + sendKey("wB", "/hops:3")
+	if n := testing.AllocsPerRun(100, func() {
+		if DstWorker(key) != "wB" {
+			t.Fatal("wrong worker")
+		}
+	}); n != 0 {
+		t.Fatalf("DstWorker allocates %.0f times per call", n)
+	}
+}
+
+func benchHop(b *testing.B, val *tensor.Tensor) {
+	x, y := netPair(b)
+	tok := exec.Token{Val: ops.TensorVal(val)}
+	key := sendKey("wB", "bench")
+	b.SetBytes(val.NumBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := x.Send(key, tok); err != nil {
+			b.Fatal(err)
+		}
+		got, err := y.Recv(key, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tensor.Recycle(got.Val.T)
+	}
+}
+
+func BenchmarkNetHop128K(b *testing.B)   { benchHop(b, hop128K()) }
+func BenchmarkNetHopScalar(b *testing.B) { benchHop(b, tensor.Scalar(1)) }

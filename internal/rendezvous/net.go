@@ -1,8 +1,9 @@
 package rendezvous
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -26,67 +27,13 @@ const (
 	dialTimeout  = time.Second
 )
 
-// wireMsg is the on-the-wire form of a token.
-type wireMsg struct {
-	Key   string
-	Dead  bool
-	HasT  bool
-	DType int
-	Shape []int
-	F     []float64
-	I     []int64
-	B     []bool
-	S     []string
-}
-
-func toWire(key string, t exec.Token) (*wireMsg, error) {
-	m := &wireMsg{Key: key, Dead: t.Dead}
-	if t.Val.R != nil {
-		return nil, fmt.Errorf("rendezvous: resource handles cannot cross workers (key %q)", key)
-	}
-	if t.Val.T != nil {
-		m.HasT = true
-		m.DType = int(t.Val.T.DType())
-		m.Shape = t.Val.T.Shape()
-		m.F = t.Val.T.F
-		m.I = t.Val.T.I
-		m.B = t.Val.T.B
-		m.S = t.Val.T.S
-	}
-	return m, nil
-}
-
-// fromWire decodes a wire message into a token. An unrecognized dtype is an
-// explicit error: silently producing a token with a nil tensor surfaces much
-// later as a confusing nil dereference inside a kernel.
-func fromWire(m *wireMsg) (exec.Token, error) {
-	tok := exec.Token{Dead: m.Dead}
-	if m.HasT {
-		var v *tensor.Tensor
-		switch tensor.DType(m.DType) {
-		case tensor.Float:
-			v = tensor.FromFloats(m.F, m.Shape...)
-		case tensor.Int:
-			v = tensor.FromInts(m.I, m.Shape...)
-		case tensor.Bool:
-			v = tensor.FromBools(m.B, m.Shape...)
-		case tensor.Str:
-			v = tensor.FromStrings(m.S, m.Shape...)
-		default:
-			return exec.Token{}, fmt.Errorf("rendezvous: key %q carries unknown dtype %d", m.Key, m.DType)
-		}
-		tok.Val.T = v
-	}
-	return tok, nil
-}
-
 // peerConn is the outbound connection to one peer worker. Each peer has its
 // own mutex so a dial or encode in flight to a slow peer never delays sends
 // to any other peer (Net.mu guards only the lookup tables).
 type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	buf  []byte // encode scratch, reused frame after frame
 }
 
 // Net is a TCP rendezvous for multi-process execution: each worker runs a
@@ -115,7 +62,7 @@ type Net struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	// filter, when set, decides whether an incoming wire message may be
+	// filter, when set, decides whether an incoming frame may be
 	// delivered to its scope. The cluster worker uses it to drop stragglers
 	// addressed to released steps instead of resurrecting their tables.
 	filter atomic.Value // func(scope string) bool
@@ -157,7 +104,7 @@ func (n *Net) Addr() string { return n.ln.Addr().String() }
 
 // AddPeer registers (or updates) a peer worker's address. When the address
 // changes (the peer restarted elsewhere), the established connection to the
-// previous incarnation is closed immediately: a gob encode onto a
+// previous incarnation is closed immediately: a write onto a
 // half-dead socket can succeed into the void, silently losing the first
 // sends of the next step, so the stale conn must not survive the update.
 func (n *Net) AddPeer(worker, addr string) {
@@ -170,7 +117,7 @@ func (n *Net) AddPeer(worker, addr string) {
 	}
 	n.mu.Unlock()
 	if stale != nil {
-		stale.Close() // the next send's encode fails, evicts, and redials
+		stale.Close() // the next send's write fails, evicts, and redials
 	}
 }
 
@@ -191,8 +138,8 @@ func (n *Net) SetFabric(latency time.Duration, bandwidth float64) {
 // router must survive: each outbound wire message is dropped with dropProb
 // (silent loss — the receiver's Recv waits until something aborts it,
 // modeling a partition that eats packets) and, independently, the
-// established connection is reset with resetProb before the encode (the
-// encode observes a dead socket and must take the evict-and-redial
+// established connection is reset with resetProb before the write (the
+// write observes a dead socket and must take the evict-and-redial
 // recovery path). Decisions come from a private RNG seeded with seed, so a
 // given (seed, probs) config yields the same drop/reset decision sequence
 // on every run — fleet tests assert router behavior against it without
@@ -241,14 +188,8 @@ func (n *Net) Close() {
 	for c := range n.accepted {
 		c.Close()
 	}
-	scopes := make([]*Local, 0, len(n.scopes))
-	for _, s := range n.scopes {
-		scopes = append(scopes, s)
-	}
 	n.mu.Unlock()
-	for _, s := range scopes {
-		s.Abort(fmt.Errorf("rendezvous: closed"))
-	}
+	n.Abort(fmt.Errorf("rendezvous: closed"))
 	n.wg.Wait()
 }
 
@@ -343,43 +284,47 @@ func (n *Net) serve() {
 				delete(n.accepted, conn)
 				n.mu.Unlock()
 			}()
-			dec := gob.NewDecoder(conn)
+			// No preface or an unreadable frame: hang up, touching no scope.
+			r := bufio.NewReaderSize(conn, readBufSize)
+			if b, err := r.Peek(len(preface)); err != nil || string(b) != preface {
+				return
+			}
+			r.Discard(len(preface))
 			for {
-				var m wireMsg
-				if err := dec.Decode(&m); err != nil {
+				key, tok, bad, err := readFrame(r)
+				if err != nil {
 					return
 				}
-				n.deliverWire(&m)
+				n.deliver(key, tok, bad)
 			}
 		}()
 	}
 }
 
-// deliverWire routes one received message into its scope's table (dropping
-// stragglers addressed to filter-retired scopes; see scopeTable).
-func (n *Net) deliverWire(m *wireMsg) {
-	tok, derr := fromWire(m)
-	s, ok := n.scopeTable(scopeOf(m.Key))
-	if !ok {
-		return // straggler for a released step
-	}
-	if derr != nil {
-		// A decode failure poisons only the affected scope: its receivers
-		// observe the error instead of a nil tensor.
-		s.Abort(derr)
+// deliver routes one received frame into its scope's table (dropping
+// stragglers addressed to filter-retired scopes; see scopeTable). A bad
+// frame poisons only that scope: its receivers observe the error instead of
+// a nil tensor. An undeliverable token, ours alone, goes back to the pool.
+func (n *Net) deliver(key string, tok exec.Token, bad error) {
+	metricFramesRecv.Inc()
+	s, ok := n.scopeTable(scopeOf(key))
+	switch {
+	case !ok: // straggler for a released step
+	case bad != nil:
+		s.Abort(bad)
+	case s.Send(key, tok) == nil:
 		return
 	}
-	_ = s.Send(m.Key, tok)
+	tensor.Recycle(tok.Val.T)
 }
 
 // DstWorker extracts the destination worker from a rendezvous key.
 func DstWorker(key string) string {
-	for _, part := range strings.Split(key, ";") {
+	for more := true; more; {
+		var part string
+		part, key, more = strings.Cut(key, ";")
 		if w, ok := strings.CutPrefix(part, "dstw="); ok {
-			// Strip any dynamic tag suffix.
-			if at := strings.IndexByte(w, '@'); at >= 0 {
-				w = w[:at]
-			}
+			w, _, _ = strings.Cut(w, "@") // strip any dynamic tag suffix
 			return w
 		}
 	}
@@ -401,15 +346,15 @@ func (n *Net) peerFor(dst string) (*peerConn, error) {
 	return pc, nil
 }
 
-// dialLocked establishes pc's connection (pc.mu held). Peers may come up in
-// any order, so it retries briefly — but the backoff respects Close and the
-// caller's cancel signal instead of sleeping blind.
-func (n *Net) dialLocked(pc *peerConn, dst string, cancel <-chan struct{}) error {
-	n.mu.Lock()
-	addr := n.peers[dst]
-	n.mu.Unlock()
+// dialLocked establishes pc's connection (pc.mu held) and opens it with the
+// wire preface. Peers may come up in any order, so a first dial retries
+// briefly — but the backoff respects Close and the caller's cancel signal
+// instead of sleeping blind. The recovery path after a failed write passes
+// attempts == 1: waiting out the boot-order backoff there would stall the
+// failing step for seconds.
+func (n *Net) dialLocked(pc *peerConn, dst string, attempts int, cancel <-chan struct{}) error {
 	var lastErr error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff.Jitter(dialBackoff)):
@@ -418,49 +363,31 @@ func (n *Net) dialLocked(pc *peerConn, dst string, cancel <-chan struct{}) error
 			case <-cancel:
 				return fmt.Errorf("rendezvous: dial %s: aborted", dst)
 			}
-			// The peer may have re-registered at a new address while we
-			// were backing off (worker restart).
-			n.mu.Lock()
-			addr = n.peers[dst]
-			n.mu.Unlock()
 		}
+		// Looked up per attempt: the peer may have re-registered at a new
+		// address while we were backing off (worker restart).
+		n.mu.Lock()
+		addr := n.peers[dst]
+		n.mu.Unlock()
 		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
-			pc.conn = conn
-			pc.enc = gob.NewEncoder(conn)
-			n.mu.Lock()
-			n.live[conn] = struct{}{}
-			n.raw[dst] = conn
-			n.mu.Unlock()
-			return nil
+			if _, err = io.WriteString(conn, preface); err == nil {
+				pc.conn = conn
+				n.mu.Lock()
+				n.live[conn] = struct{}{}
+				n.raw[dst] = conn
+				n.mu.Unlock()
+				return nil
+			}
+			conn.Close()
 		}
 		lastErr = err
 	}
 	return fmt.Errorf("rendezvous: dial %s: %w", dst, lastErr)
 }
 
-// redialLocked makes one immediate dial attempt (pc.mu held): the
-// post-encode-failure recovery path, where waiting out the boot-order
-// backoff would stall the failing step for seconds.
-func (n *Net) redialLocked(pc *peerConn, dst string) error {
-	n.mu.Lock()
-	addr := n.peers[dst]
-	n.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return fmt.Errorf("rendezvous: dial %s: %w", dst, err)
-	}
-	pc.conn = conn
-	pc.enc = gob.NewEncoder(conn)
-	n.mu.Lock()
-	n.live[conn] = struct{}{}
-	n.raw[dst] = conn
-	n.mu.Unlock()
-	return nil
-}
-
 // evictLocked drops pc's broken connection (pc.mu held) so the next send
-// redials instead of failing forever on a dead encoder.
+// redials instead of failing forever on a dead socket.
 func (n *Net) evictLocked(pc *peerConn, dst string) {
 	if pc.conn != nil {
 		pc.conn.Close()
@@ -472,10 +399,12 @@ func (n *Net) evictLocked(pc *peerConn, dst string) {
 		n.mu.Unlock()
 	}
 	pc.conn = nil
-	pc.enc = nil
 }
 
-// Send routes the token to the destination worker.
+// Send routes the token to the destination worker. A nil return consumes an
+// Owned token: a local destination receives it as is (the sole reference
+// moves), a remote one a copy, and the buffer is recycled once its bytes are
+// written. Callers may send a tensor without Owned any number of times.
 func (n *Net) Send(key string, t exec.Token) error {
 	return n.send(key, t, nil)
 }
@@ -489,9 +418,8 @@ func (n *Net) send(key string, t exec.Token, cancel <-chan struct{}) error {
 		}
 		return local.Send(key, t)
 	}
-	m, err := toWire(key, t)
-	if err != nil {
-		return err
+	if t.Val.R != nil {
+		return fmt.Errorf("rendezvous: resource handles cannot cross workers (key %q)", key)
 	}
 	pc, err := n.peerFor(dst)
 	if err != nil {
@@ -501,40 +429,55 @@ func (n *Net) send(key string, t exec.Token, cancel <-chan struct{}) error {
 	if drop {
 		// Injected silent loss: report success and deliver nothing, like a
 		// network that ate the segment after the local write succeeded.
+		consumed(t)
 		return nil
 	}
-	// Only this peer's lock is held across dial and encode: a stalled or
+	// Only this peer's lock is held across dial and write: a stalled or
 	// down peer blocks its own senders, never sends to other peers, and
 	// never Close.
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if reset && pc.conn != nil {
 		// Injected connection reset: kill the established socket so the
-		// encode below fails and exercises the evict-and-redial path.
+		// write below fails and exercises the evict-and-redial path.
 		pc.conn.Close()
 	}
-	if pc.enc == nil {
-		if err := n.dialLocked(pc, dst, cancel); err != nil {
+	if pc.conn == nil {
+		if err := n.dialLocked(pc, dst, dialAttempts, cancel); err != nil {
 			return err
 		}
 	}
-	err = pc.enc.Encode(m)
-	if err == nil {
-		return nil
+	frame, err := appendFrame(pc.buf[:0], key, t)
+	if err != nil {
+		return err
 	}
-	// The encoder is broken (its stream state is unrecoverable): evict the
-	// connection and redial once — the peer may have restarted — before
-	// failing the step. This is a single dial attempt, not the boot-order
-	// retry loop: a step with a dead peer must fail promptly.
-	n.evictLocked(pc, dst)
-	if derr := n.redialLocked(pc, dst); derr != nil {
-		return fmt.Errorf("rendezvous: send to %s: %w", dst, err)
+	if cap(frame) <= keepScratch {
+		pc.buf = frame
 	}
-	if err2 := pc.enc.Encode(m); err2 != nil {
+	// One Write per frame: control tokens are never held back for a batch.
+	if _, err = pc.conn.Write(frame); err != nil {
+		// The stream is broken mid-frame: evict the connection and redial
+		// once (the peer may have restarted; a dead one must fail promptly).
 		n.evictLocked(pc, dst)
-		return fmt.Errorf("rendezvous: send to %s: %w", dst, err2)
+		if n.dialLocked(pc, dst, 1, nil) != nil {
+			return fmt.Errorf("rendezvous: send to %s: %w", dst, err)
+		}
+		if _, err = pc.conn.Write(frame); err != nil {
+			n.evictLocked(pc, dst)
+			return fmt.Errorf("rendezvous: send to %s: %w", dst, err)
+		}
 	}
+	metricFramesSent.Inc()
+	metricBytesSent.Add(int64(len(frame)))
+	consumed(t)
 	return nil
+}
+
+// consumed recycles the buffer of a sent token that the sender alone held.
+func consumed(t exec.Token) {
+	if t.Owned {
+		tensor.Recycle(t.Val.T)
+	}
 }
 
 // Recv waits for a token on the local table of the key's scope.

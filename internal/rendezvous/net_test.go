@@ -1,7 +1,6 @@
 package rendezvous
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -201,8 +200,12 @@ func TestUnknownDTypeAbortsScope(t *testing.T) {
 		_, err := b.Recv(key, nil)
 		recvErr <- err
 	}()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(&wireMsg{Key: key, HasT: true, DType: 99}); err != nil {
+	frame, err := appendFrame([]byte(preface), key, netTok(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(preface)+2] = 99 // the header's dtype byte
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	select {

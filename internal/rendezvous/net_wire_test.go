@@ -15,7 +15,7 @@ import (
 // deadness must survive; resources must be rejected at the sender.
 
 // netPair returns two connected workers (closed via t.Cleanup).
-func netPair(t *testing.T) (*Net, *Net) {
+func netPair(t testing.TB) (*Net, *Net) {
 	t.Helper()
 	a, err := NewNet("wA", "127.0.0.1:0")
 	if err != nil {

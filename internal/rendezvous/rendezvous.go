@@ -8,6 +8,46 @@
 // Two transports are provided: Local (in-process, with optional simulated
 // network latency and bandwidth, used by the benchmarks for determinism)
 // and the TCP transport in net.go (real sockets between OS processes).
+//
+// # Buffer ownership
+//
+// Ownership of a tensor buffer moves through a rendezvous with the token
+// (exec.Token.Owned, see internal/exec/README.md). Local hands a token to
+// the receiver unchanged, so an Owned buffer's sole reference transfers.
+// Net recycles an Owned token's buffer into the tensor pool once its bytes
+// are written to the peer (or dropped by fault injection), and every token
+// it decodes from the wire arrives Owned, in a buffer drawn from the pool.
+// A token sent without Owned is never recycled: the caller keeps its tensor
+// and may send it again.
+//
+// # Wire format (net.go, frame.go)
+//
+// A connection is one-way: the dialer writes, the acceptor reads. It opens
+// with the 8-byte preface "dcfwire" + version byte (1); an acceptor that
+// reads anything else closes the connection before touching any scope.
+// Then come frames, one token each, written with a single Write, all
+// integers little-endian:
+//
+//	offset  size     field
+//	0       1        version (1)
+//	1       1        flags: bit 0 dead, bit 1 tensor present
+//	2       1        dtype (tensor.DType: 0 float, 1 int, 2 bool, 3 string)
+//	3       1        rank, at most 32
+//	4       4        key length in bytes, at most 32 KiB
+//	8       8        payload length in bytes, at most 1 GiB
+//	16      8*rank   dims, int64 each
+//	...     keylen   key ("<scope>|<static key>@<frame tag>")
+//	...     payload  float: IEEE-754 bits, 8 B each; int: 8 B each;
+//	                 bool: 1 B each; string: uint32 length + bytes, each
+//
+// The reader checks the header against these limits, the dims with
+// tensor.CheckShape, and dims x element size against the payload length
+// before it allocates anything. A frame that fails a limit (its lengths
+// cannot be trusted) costs its connection and nothing else; one whose
+// extent is readable but whose contents lie (unknown dtype, shape/payload
+// mismatch, malformed strings) is skipped and aborts only its key's scope.
+// Resource handles never cross workers; the control plane
+// (internal/cluster) is a separate gob stream.
 package rendezvous
 
 import (

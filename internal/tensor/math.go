@@ -114,6 +114,22 @@ func binaryFloatInto(name string, dst, a, b *Tensor, fn func(x, y float64) float
 		}
 		return out, nil
 	}
+	// One operand is a single element: the other then has the output's
+	// elements in the output's order, and no index arithmetic is needed.
+	if len(b.F) == 1 {
+		y := b.F[0]
+		for i, x := range a.F[:n] {
+			out.F[i] = fn(x, y)
+		}
+		return out, nil
+	}
+	if len(a.F) == 1 {
+		x := a.F[0]
+		for i, y := range b.F[:n] {
+			out.F[i] = fn(x, y)
+		}
+		return out, nil
+	}
 	ai := broadcastIndexer(a.shape, shape)
 	bi := broadcastIndexer(b.shape, shape)
 	for i := 0; i < n; i++ {

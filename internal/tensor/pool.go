@@ -60,7 +60,8 @@ func ResetPoolWater() {
 // Ownership rule: Recycle may only be called by a holder that is provably
 // the last reference to the tensor. In this repository that holder is the
 // executor, which derives exclusivity from plan consumer counts (see
-// internal/exec); kernels never call Recycle themselves.
+// internal/exec), or the rendezvous it moved an owned token into; kernels
+// never call Recycle themselves.
 
 // poolClasses bounds the largest pooled buffer at 2^(poolClasses-1)
 // elements (~1 GiB of float64); larger tensors fall through to the GC.

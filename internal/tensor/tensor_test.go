@@ -109,6 +109,35 @@ func TestBroadcastScalar(t *testing.T) {
 	}
 }
 
+// TestBroadcastSingleElement covers the straight loop for a one-element
+// operand: either side, any rank of the single element (which may raise the
+// output's rank), in place, and on non-commutative ops.
+func TestBroadcastSingleElement(t *testing.T) {
+	m := func() *Tensor { return FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3) }
+	one := FromFloats([]float64{2}, 1, 1, 1)
+	cases := []struct {
+		name string
+		got  func() (*Tensor, error)
+		want *Tensor
+	}{
+		{"matrix-scalar", func() (*Tensor, error) { return Sub(m(), Scalar(2)) }, FromFloats([]float64{-1, 0, 1, 2, 3, 4}, 2, 3)},
+		{"scalar-matrix", func() (*Tensor, error) { return Sub(Scalar(2), m()) }, FromFloats([]float64{1, 0, -1, -2, -3, -4}, 2, 3)},
+		{"matrix/[1,1,1]", func() (*Tensor, error) { return Div(m(), one) }, FromFloats([]float64{0.5, 1, 1.5, 2, 2.5, 3}, 1, 2, 3)},
+		{"[1,1,1]/scalar", func() (*Tensor, error) { return Div(one, Scalar(4)) }, FromFloats([]float64{0.5}, 1, 1, 1)},
+		{"empty*scalar", func() (*Tensor, error) { return Mul(Zeros(0, 3), Scalar(2)) }, Zeros(0, 3)},
+		{"in place", func() (*Tensor, error) { a := m(); return MulInto(a, a, Scalar(2)) }, FromFloats([]float64{2, 4, 6, 8, 10, 12}, 2, 3)},
+	}
+	for _, c := range cases {
+		got, err := c.got()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !ShapeEq(got.Shape(), c.want.Shape()) || (got.Size() > 0 && !Equal(got, c.want)) {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestBroadcastError(t *testing.T) {
 	a := Zeros(2, 3)
 	b := Zeros(2, 4)
