@@ -35,8 +35,7 @@
 // go tool pprof cpu.pprof.
 //
 // The executor knobs apply to every experiment: -workers N sizes the
-// kernel worker pool (-workers -1 restores the legacy goroutine-per-kernel
-// dispatch, the pool's A/B baseline), and -fuse compiles elementwise
+// kernel worker pool (0 = one worker per core), and -fuse compiles elementwise
 // chains into fused nodes before execution. -json writes the selected
 // experiments' rows plus elapsed/alloc counters as one JSON document (the
 // BENCH_*.json files tracking the perf trajectory across PRs).
@@ -70,7 +69,7 @@ func run1() int {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	jsonOut := flag.String("json", "", "write machine-readable results (rows, elapsed ns, allocs, steps/sec) to this file")
-	workers := flag.Int("workers", 0, "kernel worker pool size per step (0 = default, -1 = legacy goroutine-per-kernel)")
+	workers := flag.Int("workers", 0, "kernel worker pool size per step (0 = one per core)")
 	fuse := flag.Bool("fuse", false, "fuse elementwise chains in every experiment graph before execution")
 	traceOut := flag.String("trace", "", "tcpdist: trace one distributed step and write the merged Chrome trace JSON here")
 	flag.Parse()

@@ -16,7 +16,7 @@ import (
 // RunOptions.Trace, so a tracing hook that allocates when disabled shows
 // up here as a budget break.
 func TestCallableCallAllocBudget(t *testing.T) {
-	const budget = 66 // measured at the PR that added static verification
+	const budget = 27 // measured; node execution itself allocates nothing
 
 	sess, y, x := buildServingGraph(t)
 	callable, err := sess.MakeCallable(dcf.CallableSpec{Feeds: []string{"x"}, Fetches: []dcf.Tensor{y}})

@@ -170,3 +170,99 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 		t.Fatalf("observed pool high-water %d B exceeds static bound %d B", observed, bound)
 	}
 }
+
+// rnnTrainStep builds the repo benchmark's rnn_train step — SGD on a dynamic
+// LSTM, batch 16, in 32, units 64, T 12 — and returns a closure running one
+// step through a pre-compiled Callable.
+func rnnTrainStep(tb testing.TB) func() {
+	tb.Helper()
+	const steps, batch, in, units = 12, 16, 32, 64
+	g := dcf.NewGraph()
+	cell := nn.NewLSTMCell(g, "lstm", in, units, 7)
+	x := g.Placeholder("x")
+	y := g.Placeholder("y")
+	h0 := g.Const(dcf.Zeros(batch, units))
+	c0 := g.Const(dcf.Zeros(batch, units))
+	r := nn.DynamicRNN(g, cell, x, h0, c0, dcf.WhileOpts{})
+	loss := nn.MSE(r.FinalH, y)
+	step, err := nn.SGDStep(g, loss, &cell.Vars, 0.05, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := g.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	sess := dcf.NewSession(g)
+	tb.Cleanup(sess.Close)
+	if err := sess.InitVariables(); err != nil {
+		tb.Fatal(err)
+	}
+	call, err := sess.MakeCallable(dcf.CallableSpec{
+		Feeds: []string{"x", "y"}, Fetches: []dcf.Tensor{loss}, Targets: []dcf.Op{step},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	xv := dcf.RandNormal(1, 0, 1, steps, batch, in)
+	yv := dcf.RandNormal(2, 0, 0.3, batch, units)
+	ctx := context.Background()
+	return func() {
+		if _, err := call.Call(ctx, xv, yv); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestPoolGaugeNeverSinks: the live-bytes gauge only counts down what it
+// counted up. Every Fresh kernel's output comes from the pool, so recycling
+// one subtracts bytes an Alloc added, and the gauge never ends a step below
+// where the run began. (It may end above: buffers that leave the ownership
+// system — fan-out, fetches, values saved on stacks — are reclaimed by the GC
+// and stay counted, as tensor/pool.go documents.)
+func TestPoolGaugeNeverSinks(t *testing.T) {
+	// Two Transposes in a row: each output has one consumer, so the executor
+	// owns and recycles it. Built with New, each took its 32 760 bytes off the
+	// gauge on every call.
+	g := dcf.NewGraph()
+	x := g.Placeholder("x")
+	y := x.Transpose().Transpose().ReduceSum()
+	sess := dcf.NewSession(g)
+	defer sess.Close()
+	call, err := sess.MakeCallable(dcf.CallableSpec{Feeds: []string{"x"}, Fetches: []dcf.Tensor{y}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xv := dcf.RandNormal(1, 0, 1, 63, 65)
+	ctx := context.Background()
+	steps := map[string]func(){
+		"transpose chain": func() {
+			if _, err := call.Call(ctx, xv); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"rnn train step": rnnTrainStep(t),
+	}
+	for name, step := range steps {
+		step() // the first call compiles the plan
+		start := tensor.PoolLiveBytes()
+		for i := 0; i < 100; i++ {
+			step()
+			if live := tensor.PoolLiveBytes(); live < start {
+				t.Fatalf("%s: after call %d the pool's live bytes are %d below where they started: a kernel output was recycled that no Alloc counted", name, i, start-live)
+			}
+		}
+	}
+}
+
+// BenchmarkRNNTrainStep is one rnn_train-shaped SGD step (allocs/op is the
+// number to watch: kernels on the pool path shed their per-kernel garbage
+// along with the dispatcher's).
+func BenchmarkRNNTrainStep(b *testing.B) {
+	step := rnnTrainStep(b)
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

@@ -7,14 +7,9 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/trace"
 )
-
-// WorkersSpawn, as SessionOptions.Workers, selects the legacy
-// goroutine-per-kernel dispatch instead of the worker pool.
-const WorkersSpawn = exec.WorkersSpawn
 
 // Feeds supplies placeholder values by name for one Run.
 type Feeds = map[string]*Value
@@ -42,10 +37,8 @@ type SessionOptions struct {
 	Devices []DeviceConfig
 	// ParallelIterations overrides the default loop window (0 = 32).
 	ParallelIterations int
-	// Workers sizes each step's kernel worker pool: 0 picks
-	// min(GOMAXPROCS, plan kernel nodes), N > 0 fixes N workers, and
-	// WorkersSpawn restores the legacy goroutine-per-kernel dispatch
-	// (the pool's A/B baseline).
+	// Workers sizes each step's kernel worker pool: N > 0 fixes N
+	// workers, anything else picks min(GOMAXPROCS, plan kernel nodes).
 	Workers int
 	// Trace enables per-stream kernel timeline recording on the
 	// simulated devices.

@@ -22,8 +22,7 @@ import (
 // newSession/newSessionOpts (which apply both), so one flag A/Bs the worker
 // pool and elementwise fusion across every experiment.
 var (
-	// Workers sizes each step's kernel worker pool (0 = default;
-	// dcf.WorkersSpawn = legacy goroutine-per-kernel dispatch).
+	// Workers sizes each step's kernel worker pool (0 = default).
 	Workers int
 	// Fuse compiles elementwise chains into FusedElementwise nodes in
 	// every experiment graph before execution.

@@ -617,11 +617,8 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 		}()
 	}
 
-	var pool *exec.Pool
-	if g.workers != exec.WorkersSpawn {
-		pool = exec.NewPool(g.workers)
-		defer pool.Close()
-	}
+	pool := exec.NewPool(g.workers)
+	defer pool.Close()
 	stepRes := ops.NewResources()
 	type devResult struct {
 		dev  string

@@ -39,9 +39,8 @@ type Session struct {
 	// ParallelIterations is the default loop window (0 = executor
 	// default of 32).
 	ParallelIterations int
-	// Workers sizes each step's kernel worker pool (0 = min(GOMAXPROCS,
-	// plan kernel nodes); exec.WorkersSpawn = legacy goroutine-per-kernel
-	// dispatch).
+	// Workers sizes each step's kernel worker pool (<= 0 = min(GOMAXPROCS,
+	// plan kernel nodes)).
 	Workers int
 
 	// baseSeed and runSeq derive a private RNG stream per run, so

@@ -50,8 +50,7 @@ type Options struct {
 	// ParallelIterations overrides the loop window.
 	ParallelIterations int
 	// Workers sizes the per-step kernel worker pool shared by every
-	// partition (0 = GOMAXPROCS; exec.WorkersSpawn = legacy
-	// goroutine-per-kernel dispatch). One pool serves the whole step, so
+	// partition (<= 0 = GOMAXPROCS). One pool serves the whole step, so
 	// an 8-partition cluster draws from a single worker budget instead of
 	// oversubscribing the machine with 8 independent pools.
 	Workers int
@@ -182,11 +181,8 @@ func (c *Cluster) RunCtx(ctx context.Context, feeds map[string]*tensor.Tensor) (
 	// kernels draw from a shared budget instead of each executor sizing a
 	// private pool to the whole machine. Workers spawn lazily (an
 	// all-inline step never starts one) and drain with the step.
-	var pool *exec.Pool
-	if c.opts.Workers != exec.WorkersSpawn {
-		pool = exec.NewPool(c.opts.Workers)
-		defer pool.Close()
-	}
+	pool := exec.NewPool(c.opts.Workers)
+	defer pool.Close()
 
 	type devResult struct {
 		dev  string

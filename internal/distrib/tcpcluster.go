@@ -181,7 +181,7 @@ type TCPOptions struct {
 	// ParallelIterations overrides the loop window on every worker.
 	ParallelIterations int
 	// Workers sizes each worker daemon's per-step kernel pool
-	// (0 = GOMAXPROCS there; exec.WorkersSpawn = legacy spawn).
+	// (<= 0 = GOMAXPROCS there).
 	Workers int
 	// Latency/Bandwidth inject simulated fabric characteristics into every
 	// worker's rendezvous deliveries (benchmark sweeps on loopback).

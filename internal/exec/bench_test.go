@@ -170,14 +170,10 @@ func benchParallelBody(b *testing.B, workers int) {
 	b.ReportMetric(steps/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// BenchmarkParallelBody compares the worker pool against the legacy
-// goroutine-per-execution spawn on a wide loop body. With GOMAXPROCS >= 4
-// the pool's lower dispatch cost (persistent workers, batched completions)
-// is the difference between a dispatcher-bound and a compute-bound step.
-func BenchmarkParallelBody(b *testing.B) {
-	b.Run("pool", func(b *testing.B) { benchParallelBody(b, 0) })
-	b.Run("spawn", func(b *testing.B) { benchParallelBody(b, WorkersSpawn) })
-}
+// BenchmarkParallelBody runs the wide loop body on the worker pool: with
+// GOMAXPROCS >= 4 persistent workers and batched completions are the
+// difference between a dispatcher-bound and a compute-bound step.
+func BenchmarkParallelBody(b *testing.B) { benchParallelBody(b, 0) }
 
 // BenchmarkPlanReuse measures the fixed cost of one executor construction +
 // trivial run over a cached plan (the repeated-step fast path sessions take).

@@ -15,13 +15,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Executor-level metrics on the process registry: step and kernel volume,
-// the inline/spawn/pool dispatch split, and pool pressure. Per-step tallies
-// accumulate in plain Executor fields and flush once when Run returns, so
-// the per-node hot path pays no atomics for them.
+// Executor-level metrics on the process registry: step, kernel and loop
+// iteration volume, the inline/spawn/pool dispatch split (spawn counts the
+// blocking ops that run on their own goroutine), and pool pressure. Per-step
+// tallies accumulate in plain Executor fields and flush once when Run
+// returns, so the per-node hot path pays no atomics for them.
 var (
 	metricSteps     = metrics.Default().Counter("exec_steps_total")
 	metricKernels   = metrics.Default().Counter("exec_kernels_total")
+	metricIters     = metrics.Default().Counter("exec_iterations_total")
 	metricInline    = metrics.Default().Counter("exec_dispatch_inline_total")
 	metricSpawn     = metrics.Default().Counter("exec_dispatch_spawn_total")
 	metricPooled    = metrics.Default().Counter("exec_dispatch_pool_total")
@@ -78,10 +80,9 @@ type Config struct {
 	// ParallelIterations overrides the per-frame window for frames whose
 	// Enter ops do not carry their own (0 means DefaultParallelIterations).
 	ParallelIterations int
-	// Workers sizes the kernel worker pool: 0 picks min(GOMAXPROCS,
-	// kernel nodes in the plan), N > 0 fixes the pool at N workers, and
-	// WorkersSpawn (-1) restores the legacy goroutine-per-execution
-	// dispatch (the A/B baseline for the pool). Ignored when Pool is set.
+	// Workers sizes the kernel worker pool: N > 0 fixes the pool at N
+	// workers, anything else picks min(GOMAXPROCS, kernel nodes in the
+	// plan). Ignored when Pool is set.
 	Workers int
 	// Pool, if set, is a shared worker pool (see NewPool); the executor
 	// submits kernel work to it instead of owning workers. The distributed
@@ -97,10 +98,6 @@ type Config struct {
 	// Chrome trace), typically the partition's device; "" means "cpu".
 	TraceStream string
 }
-
-// WorkersSpawn selects the legacy goroutine-per-execution kernel dispatch
-// instead of the worker pool (the baseline the pool is benchmarked against).
-const WorkersSpawn = -1
 
 // opKind discriminates the ops whose semantics the executor implements
 // itself; every other op is kOther and runs through its registered kernel.
@@ -327,8 +324,8 @@ type Executor struct {
 
 	root *frameState
 
-	// events carries batched completions: workers (and the legacy spawned
-	// goroutines) deliver slices of doneMsg; the dispatcher drains each
+	// events carries batched completions: workers (and the goroutines of
+	// blocking ops) deliver slices of doneMsg; the dispatcher drains each
 	// batch through doneQ before blocking on the channel again.
 	events chan []doneMsg
 	quit   chan struct{}
@@ -343,8 +340,8 @@ type Executor struct {
 	doneHead int
 
 	// pool runs real kernels; nil until the first pooled execution (or
-	// forever, for all-inline steps and legacy spawn mode). ownPool marks
-	// a pool created by this executor, closed when Run returns.
+	// forever, for all-inline steps). ownPool marks a pool created by this
+	// executor, closed when Run returns.
 	pool    *Pool
 	ownPool bool
 	// aborted mirrors firstErr != nil for pool workers (which must not
@@ -356,6 +353,11 @@ type Executor struct {
 
 	// inlineQ holds dispatcher-inline executions (control primitives).
 	inlineQ []inlineItem
+	// scratch backs every dispatcher-inline runNode: the output tokens it
+	// returns stay valid until the dispatcher's next runNode, which is long
+	// enough because propagate copies tokens by value (into iteration
+	// arenas, constants, deferred, fetched) before the loop turns.
+	scratch nodeScratch
 
 	fetched []Token
 	fetchOK []bool
@@ -363,8 +365,9 @@ type Executor struct {
 	env *stepEnv
 
 	numKernels int
-	// Per-step dispatch tallies, flushed to the process metrics registry
-	// when Run returns (plain ints: no hot-path atomics).
+	// Per-step tallies, flushed to the process metrics registry when Run
+	// returns (plain ints: no hot-path atomics).
+	statIters  int // loop body passes: iterations past a frame's 0th retired by advanceFrontier
 	statInline int
 	statSpawn  int
 	statPooled int
@@ -389,13 +392,80 @@ type Executor struct {
 	iterGen  uint32
 }
 
-// doneMsg reports a finished node execution back to the dispatcher.
+// doneMsg reports a finished node execution back to the dispatcher. It
+// carries up to two output tokens by value, so a completion crossing from a
+// worker costs no allocation; wider nodes (Split, Unpack) spill to more.
 type doneMsg struct {
 	idx  int32
+	n    int32 // output count
 	fs   *frameState
 	iter int
-	outs []Token
+	out  [2]Token // the outputs when n <= 2
+	more []Token  // all n outputs when n > 2
 	err  error
+}
+
+// setOuts copies a runNode result out of the producer's scratch.
+func (m *doneMsg) setOuts(outs []Token) {
+	m.n = int32(len(outs))
+	if len(outs) > len(m.out) {
+		m.more = append([]Token(nil), outs...)
+		return
+	}
+	copy(m.out[:], outs)
+}
+
+func (m *doneMsg) outs() []Token {
+	if m.more != nil {
+		return m.more
+	}
+	return m.out[:m.n]
+}
+
+// nodeScratch is the storage one node execution borrows from its caller,
+// so that running a node allocates nothing of its own. Every runNode caller
+// supplies one: the dispatcher the executor's, a pool worker its own, the
+// goroutine of a blocking op a fresh one.
+//
+// Lifetimes: the tokens runNode returns alias outs and are valid until the
+// same scratch's next runNode; kctx, kctx.In and the slice a kernel returns
+// are valid for that kernel call only (runNode copies the values into outs
+// and resets the context before it returns, so nothing pins a tensor).
+type nodeScratch struct {
+	outs []Token
+	kctx ops.KernelContext
+	// outBuf and inBuf are the first backing of outs and kctx.In, so nodes
+	// with up to two outputs and four inputs never make the scratch grow.
+	outBuf [2]Token
+	inBuf  [4]ops.Value
+}
+
+// tokens returns the scratch output vector resized to n.
+func (sc *nodeScratch) tokens(n int) []Token {
+	if cap(sc.outs) < n {
+		if n <= len(sc.outBuf) {
+			sc.outs = sc.outBuf[:]
+		} else {
+			sc.outs = make([]Token, n)
+		}
+	}
+	return sc.outs[:n]
+}
+
+// one returns tok as a single-output result.
+func (sc *nodeScratch) one(tok Token) []Token {
+	outs := sc.tokens(1)
+	outs[0] = tok
+	return outs
+}
+
+// dead returns an all-dead output vector of length n.
+func (sc *nodeScratch) dead(n int32) []Token {
+	outs := sc.tokens(int(n))
+	for i := range outs {
+		outs[i] = Token{Dead: true}
+	}
+	return outs
 }
 
 // childKey identifies a child frame instance: which loop (by dense frame
@@ -653,6 +723,7 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 		}
 		metricSteps.Inc()
 		metricKernels.Add(int64(ex.numKernels))
+		metricIters.Add(int64(ex.statIters))
 		metricInline.Add(int64(ex.statInline))
 		metricSpawn.Add(int64(ex.statSpawn))
 		metricPooled.Add(int64(ex.statPooled))
@@ -672,26 +743,27 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 		// pool (or, for ops that may block — Send, Recv, custom device
 		// runners — their own goroutines) so compute keeps its
 		// parallelism; their completions arrive in batches.
-		var msg doneMsg
 		if k := len(ex.inlineQ); k > 0 {
 			item := ex.inlineQ[k-1]
 			ex.inlineQ = ex.inlineQ[:k-1]
+			var outs []Token
+			var err error
 			if ex.firstErr != nil {
 				// The step already failed (error or cancel): account
 				// for the queued execution without running it.
-				msg = doneMsg{idx: item.idx, fs: item.fs, iter: item.iter}
 			} else if ex.tracer == nil {
-				outs, err := ex.runNode(item.idx, item.inputs, item.tag, item.deadCtl)
-				msg = doneMsg{idx: item.idx, fs: item.fs, iter: item.iter, outs: outs, err: err}
+				outs, err = ex.runNode(&ex.scratch, item.idx, item.inputs, item.tag, item.deadCtl)
 			} else {
 				start := time.Now()
-				outs, err := ex.runNode(item.idx, item.inputs, item.tag, item.deadCtl)
+				outs, err = ex.runNode(&ex.scratch, item.idx, item.inputs, item.tag, item.deadCtl)
 				ex.recordSpan(item.idx, item.fs, item.iter, item.tag, trace.WorkerInline, ex.streamInline, item.enq, start, time.Now())
-				msg = doneMsg{idx: item.idx, fs: item.fs, iter: item.iter, outs: outs, err: err}
 			}
+			ex.complete(item.idx, item.fs, item.iter, outs, err)
 		} else if ex.doneHead < len(ex.doneQ) {
-			msg = ex.doneQ[ex.doneHead]
-			ex.doneQ[ex.doneHead] = doneMsg{}
+			// complete never appends to doneQ, so msg stays addressable.
+			msg := &ex.doneQ[ex.doneHead]
+			ex.complete(msg.idx, msg.fs, msg.iter, msg.outs(), msg.err)
+			*msg = doneMsg{}
 			ex.doneHead++
 			if ex.doneHead == len(ex.doneQ) {
 				ex.doneQ = ex.doneQ[:0]
@@ -701,39 +773,15 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 			select {
 			case batch := <-ex.events:
 				ex.doneQ = append(ex.doneQ, batch...)
-				for i := range batch {
-					batch[i] = doneMsg{}
-				}
+				clear(batch)
 				batchPool.Put(batch[:0])
-				continue
 			case <-ex.done:
 				// done is nil unless a cancelable context was given, and
 				// is nilled once it fires, so this arm triggers at most
 				// once (a nil channel blocks forever).
 				ex.cancelStep()
-				continue
 			}
 		}
-		if msg.err != nil {
-			// fail also flips the aborted flag so pool workers skip the
-			// kernels of the already-failed step.
-			ex.fail(msg.err)
-		}
-		if msg.err == nil && ex.firstErr == nil {
-			ex.propagate(msg.idx, msg.fs, msg.iter, msg.outs)
-		}
-		// Retire the execution after propagation so counts never dip
-		// to zero while successors are being scheduled. Frontier
-		// advance runs before the activity decrement so deferred
-		// iterations are released before the frame can finalize.
-		ex.outstanding--
-		if mit := lookupIter(msg.fs, msg.iter); mit != nil {
-			mit.outstanding--
-		}
-		if ex.firstErr == nil {
-			ex.advanceFrontier(msg.fs)
-		}
-		ex.frameActivityDown(msg.fs)
 	}
 	if ex.firstErr != nil {
 		return nil, ex.firstErr
@@ -751,6 +799,32 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 		out[i] = t.Val
 	}
 	return out, nil
+}
+
+// complete retires one finished node execution: it fails the step on err,
+// otherwise propagates outs (which may alias the producer's scratch — every
+// token is copied by value on delivery), then settles the accounting.
+func (ex *Executor) complete(idx int32, fs *frameState, iter int, outs []Token, err error) {
+	if err != nil {
+		// fail also flips the aborted flag so pool workers skip the
+		// kernels of the already-failed step.
+		ex.fail(err)
+	}
+	if ex.firstErr == nil {
+		ex.propagate(idx, fs, iter, outs)
+	}
+	// Retire the execution after propagation so counts never dip
+	// to zero while successors are being scheduled. Frontier
+	// advance runs before the activity decrement so deferred
+	// iterations are released before the frame can finalize.
+	ex.outstanding--
+	if mit := lookupIter(fs, iter); mit != nil {
+		mit.outstanding--
+	}
+	if ex.firstErr == nil {
+		ex.advanceFrontier(fs)
+	}
+	ex.frameActivityDown(fs)
 }
 
 // NumKernels reports how many node executions ran (for tests/stats).
@@ -1027,8 +1101,9 @@ func (ex *Executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 	ex.schedule(idx, fs, it)
 }
 
-// schedule queues a node execution on its own goroutine (or the dispatcher
-// inline queue for control primitives and dead skips).
+// schedule queues a node execution: on the dispatcher's inline queue
+// (control primitives, dead skips, cheap kernels), on its own goroutine (ops
+// that may block), or on the worker pool (every other kernel).
 func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	info := &ex.plan.infos[idx]
 	ns := ex.nstate(it, idx)
@@ -1066,24 +1141,21 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	// Ops that may block — Send and Recv (network), kernels on custom
 	// device runners or device memory (simulated streams, swaps) — never
 	// enter the pool: a blocked worker would starve every queued kernel
-	// behind it. They keep their own goroutines, as does everything in
-	// legacy spawn mode (Workers == WorkersSpawn, the pool's A/B baseline).
-	mayBlock := info.kind != kOther ||
-		(ex.runners != nil && ex.runners[idx] != nil) ||
-		(ex.mems != nil && ex.mems[idx] != nil)
-	if mayBlock || (ex.cfg.Pool == nil && ex.cfg.Workers == WorkersSpawn) {
+	// behind it. They keep their own goroutines.
+	if info.kind != kOther || ex.runner(idx) != nil || (ex.mems != nil && ex.mems[idx] != nil) {
 		ex.statSpawn++
 		go func() {
 			var start time.Time
 			if ex.tracer != nil {
 				start = time.Now()
 			}
-			outs, err := ex.runNode(idx, inputs, tag, deadCtl)
+			var sc nodeScratch
+			outs, err := ex.runNode(&sc, idx, inputs, tag, deadCtl)
 			if ex.tracer != nil {
 				ex.recordSpan(idx, fs, iter, tag, trace.WorkerSpawn, ex.streamSpawn, enq, start, time.Now())
 			}
-			batch := batchPool.Get().([]doneMsg)[:0]
-			batch = append(batch, doneMsg{idx: idx, fs: fs, iter: iter, outs: outs, err: err})
+			batch := append(batchPool.Get().([]doneMsg)[:0], doneMsg{idx: idx, fs: fs, iter: iter, err: err})
+			batch[0].setOuts(outs)
 			ex.events <- batch
 		}()
 		return
@@ -1148,10 +1220,7 @@ func (ex *Executor) cheapInline(idx int32, info *nodeInfo, inputs []Token) bool 
 	if info.kind != kOther || info.def == nil || info.def.Kernel == nil || info.expanding {
 		return false
 	}
-	if ex.runners != nil && ex.runners[idx] != nil {
-		return false
-	}
-	if ex.mems != nil && ex.mems[idx] != nil {
+	if ex.runner(idx) != nil || (ex.mems != nil && ex.mems[idx] != nil) {
 		return false
 	}
 	if info.metadata {
@@ -1187,13 +1256,13 @@ type inlineItem struct {
 	enq     time.Time // enqueue instant; zero unless the step is traced
 }
 
-// makeDead builds an all-dead output vector.
-func makeDead(n int) []Token {
-	out := make([]Token, n)
-	for i := range out {
-		out[i] = Token{Dead: true}
+// runner returns the custom device runner attached to plan node idx, or nil
+// when the node runs plainly on the calling goroutine.
+func (ex *Executor) runner(idx int32) Runner {
+	if ex.runners == nil {
+		return nil
 	}
-	return out
+	return ex.runners[idx]
 }
 
 // tensorInTokens reports whether t is aliased by any token in outs.
@@ -1206,18 +1275,20 @@ func tensorInTokens(t *tensor.Tensor, outs []Token) bool {
 	return false
 }
 
-// runNode evaluates one node instance per the Figure 5 rules. Kernel
-// panics (malformed shapes, bad dtypes) surface as step errors rather than
-// crashing the process.
-func (ex *Executor) runNode(idx int32, inputs []Token, tag string, deadCtl bool) (outs []Token, err error) {
+// runNode evaluates one node instance per the Figure 5 rules. The returned
+// tokens alias sc and are valid until sc's next runNode. Kernel panics
+// (malformed shapes, bad dtypes) surface as step errors rather than crashing
+// the process.
+func (ex *Executor) runNode(sc *nodeScratch, idx int32, inputs []Token, tag string, deadCtl bool) (outs []Token, err error) {
 	info := &ex.plan.infos[idx]
 	defer func() {
 		if r := recover(); r != nil {
+			sc.kctx.Reset() // a panicking kernel skipped the reset after the call
 			outs = nil
 			err = fmt.Errorf("exec: %s (%s) panicked: %v", info.node.Name(), info.node.Op(), r)
 		}
 	}()
-	outs, err = ex.runNodeInner(idx, info, inputs, tag, deadCtl)
+	outs, err = ex.runNodeInner(sc, idx, info, inputs, tag, deadCtl)
 	if err == nil {
 		ex.recycleInputs(info, inputs, outs, deadCtl)
 	}
@@ -1253,7 +1324,7 @@ func (ex *Executor) recycleInputs(info *nodeInfo, inputs []Token, outs []Token, 
 	}
 }
 
-func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag string, deadCtl bool) ([]Token, error) {
+func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inputs []Token, tag string, deadCtl bool) ([]Token, error) {
 	anyDeadData := false
 	allDeadData := len(inputs) > 0
 	for i := range inputs {
@@ -1268,18 +1339,18 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 	switch info.kind {
 	case kMerge:
 		if allDeadData {
-			return makeDead(int(info.numOut)), nil
+			return sc.dead(info.numOut), nil
 		}
-		for _, t := range inputs {
-			if !t.Dead && (t.Val.T != nil || t.Val.R != nil) {
-				return []Token{t}, nil
+		for i := range inputs {
+			if t := &inputs[i]; !t.Dead && (t.Val.T != nil || t.Val.R != nil) {
+				return sc.one(*t), nil
 			}
 		}
 		return nil, fmt.Errorf("exec: Merge %s fired without a live input", n.Name())
 
 	case kSwitch:
 		if anyDeadData || deadCtl {
-			return makeDead(int(info.numOut)), nil
+			return sc.dead(info.numOut), nil
 		}
 		p, err := inputs[1].Val.Tensor()
 		if err != nil {
@@ -1288,17 +1359,19 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 		if p.DType() != tensor.Bool || p.Size() != 1 {
 			return nil, fmt.Errorf("exec: Switch %s predicate must be a scalar bool, got %s", n.Name(), p)
 		}
-		d := inputs[0]
+		outs := sc.dead(2)
 		if p.ScalarBoolValue() {
-			return []Token{{Dead: true}, d}, nil
+			outs[1] = inputs[0]
+		} else {
+			outs[0] = inputs[0]
 		}
-		return []Token{d, {Dead: true}}, nil
+		return outs, nil
 
 	case kEnter, kExit, kNextIteration:
 		if deadCtl || anyDeadData {
-			return makeDead(int(info.numOut)), nil
+			return sc.dead(info.numOut), nil
 		}
-		return []Token{inputs[0]}, nil
+		return sc.one(inputs[0]), nil
 
 	case kSend:
 		if deadCtl {
@@ -1323,7 +1396,7 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 
 	case kRecv:
 		if deadCtl {
-			return makeDead(int(info.numOut)), nil
+			return sc.dead(info.numOut), nil
 		}
 		if ex.cfg.Rendezvous == nil {
 			return nil, fmt.Errorf("exec: Recv %s without a rendezvous", n.Name())
@@ -1333,24 +1406,25 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 		if err != nil {
 			select {
 			case <-ex.quit: // aborted elsewhere; stand down quietly
-				return makeDead(int(info.numOut)), nil
+				return sc.dead(info.numOut), nil
 			default:
 			}
 			return nil, fmt.Errorf("exec: Recv %s: %w", n.Name(), err)
 		}
 		// tok.Owned is the rendezvous's word that no reference survived on
 		// the sending side (a wire-decoded buffer, or a moved local one).
-		return []Token{tok}, nil
+		return sc.one(tok), nil
 	}
 
 	// Ordinary op: deadness propagation (last rule of Fig. 5).
 	if anyDeadData || deadCtl {
-		return makeDead(int(info.numOut)), nil
+		return sc.dead(info.numOut), nil
 	}
 	// Pure pass-throughs skip the kernel machinery (and keep buffer
 	// ownership flowing) unless a device runner wants to observe them.
-	if info.pass && (ex.runners == nil || ex.runners[idx] == nil) {
-		return []Token{inputs[0]}, nil
+	runner := ex.runner(idx)
+	if info.pass && runner == nil {
+		return sc.one(inputs[0]), nil
 	}
 	def := info.def
 	if def == nil {
@@ -1369,36 +1443,41 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 			fwd |= 1 << uint(i)
 		}
 	}
-	kctx := &ops.KernelContext{
-		OpName:   n.Op(),
-		NodeName: n.Name(),
-		Attrs:    n.AttrsMap(),
-		In:       valuesOf(inputs),
-		FwdMask:  fwd,
-		Env:      ex.env,
+	// The context is the scratch's, rebuilt for this call and reset before
+	// returning: vals may alias it (ctx.One/Two), so the values are copied
+	// into tokens first.
+	kctx := &sc.kctx
+	kctx.OpName, kctx.NodeName, kctx.Attrs = n.Op(), n.Name(), n.AttrsMap()
+	if kctx.In == nil {
+		kctx.In = sc.inBuf[:0]
 	}
+	for i := range inputs {
+		kctx.In = append(kctx.In, inputs[i].Val)
+	}
+	kctx.FwdMask, kctx.Env = fwd, ex.env
 	if ex.mems != nil {
 		kctx.Mem = ex.mems[idx]
 	}
-	runner := Runner(inlineRunner{})
-	if ex.runners != nil && ex.runners[idx] != nil {
-		runner = ex.runners[idx]
-	}
 	var vals []ops.Value
 	var kerr error
-	runner.RunKernel(n.Name(), n.Op(), func() {
+	if runner != nil {
+		vals, kerr = runOn(runner, n, def.Kernel, kctx)
+	} else {
 		vals, kerr = def.Kernel(kctx)
-	})
+	}
 	if kerr != nil {
+		kctx.Reset()
 		return nil, fmt.Errorf("exec: %s (%s): %w", n.Name(), n.Op(), kerr)
 	}
 	if len(vals) != int(info.numOut) {
+		kctx.Reset()
 		return nil, fmt.Errorf("exec: %s (%s): kernel returned %d outputs, node declares %d", n.Name(), n.Op(), len(vals), info.numOut)
 	}
-	outs := make([]Token, len(vals))
+	outs := sc.tokens(len(vals))
 	for i, v := range vals {
 		outs[i] = Token{Val: v, Owned: info.fresh && v.T != nil}
 	}
+	kctx.Reset()
 	if info.pass && len(outs) == 1 && len(inputs) > 0 && outs[0].Val.T != nil &&
 		outs[0].Val.T == inputs[0].Val.T {
 		// A pass-through kernel that did run (device runner attached)
@@ -1408,12 +1487,12 @@ func (ex *Executor) runNodeInner(idx int32, info *nodeInfo, inputs []Token, tag 
 	return outs, nil
 }
 
-func valuesOf(ts []Token) []ops.Value {
-	out := make([]ops.Value, len(ts))
-	for i := range ts {
-		out[i] = ts[i].Val
-	}
-	return out
+// runOn runs the kernel through a custom device runner. It is a function of
+// its own so that the closure (and the two results it captures) is built
+// only for nodes that have such a runner attached.
+func runOn(r Runner, n *graph.Node, kernel ops.Kernel, kctx *ops.KernelContext) (vals []ops.Value, err error) {
+	r.RunKernel(n.Name(), n.Op(), func() { vals, err = kernel(kctx) })
+	return vals, err
 }
 
 // propagate delivers a finished node's outputs per the frame rules: Enter
@@ -1586,6 +1665,11 @@ func (ex *Executor) advanceFrontier(fs *frameState) {
 			fs.ring[fs.doneFrontier%fs.parallel] = nil
 			ex.iterFree = append(ex.iterFree, cur)
 			fs.doneFrontier++
+			if cur.iter > 0 {
+				// Started by the previous iteration's NextIteration: one
+				// completed pass through the loop body.
+				ex.statIters++
+			}
 			progress = true
 		}
 		if !progress {

@@ -68,9 +68,9 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-func TestInlineDispatchMatchesGoroutineDispatch(t *testing.T) {
-	// Control primitives run inline on the dispatcher; results must be
-	// identical to a computation driven through kernels only.
+func TestInlineControlPrimitivesCounterLoop(t *testing.T) {
+	// Control primitives run inline on the dispatcher, two loop variables
+	// wide at a window of 8.
 	b := newTB(t)
 	exit := buildCounterLoop(b, 50, 2, 8)
 	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exit}})

@@ -187,6 +187,9 @@ func (p *Pool) worker(self int) {
 	defer p.wg.Done()
 	var batch []doneMsg
 	var batchEx *Executor
+	// sc is this worker's node scratch: each result is copied into its
+	// doneMsg and the scratch tokens dropped before the next item runs.
+	var sc nodeScratch
 	flush := func() {
 		if len(batch) == 0 {
 			return
@@ -243,13 +246,15 @@ func (p *Pool) worker(self int) {
 			// After a step fails the dispatcher only counts completions,
 			// so skip the kernel (mirroring the inline-queue skip).
 			if tr := it.ex.tracer; tr == nil {
-				outs, err = it.ex.runNode(it.idx, it.inputs, it.tag, it.deadCtl)
+				outs, err = it.ex.runNode(&sc, it.idx, it.inputs, it.tag, it.deadCtl)
 			} else {
 				start := time.Now()
-				outs, err = it.ex.runNode(it.idx, it.inputs, it.tag, it.deadCtl)
+				outs, err = it.ex.runNode(&sc, it.idx, it.inputs, it.tag, it.deadCtl)
 				it.ex.recordSpan(it.idx, it.fs, it.iter, it.tag, self, it.ex.poolSpanStream(self), it.enq, start, time.Now())
 			}
 		}
-		batch = append(batch, doneMsg{idx: it.idx, fs: it.fs, iter: it.iter, outs: outs, err: err})
+		batch = append(batch, doneMsg{idx: it.idx, fs: it.fs, iter: it.iter, err: err})
+		batch[len(batch)-1].setOuts(outs)
+		clear(outs) // an idle worker must not pin the last kernel's tensors
 	}
 }

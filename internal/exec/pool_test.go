@@ -174,12 +174,12 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestLegacySpawnMode keeps the goroutine-per-kernel baseline working (it
-// is the A/B reference for the pool benchmarks).
-func TestLegacySpawnMode(t *testing.T) {
+// TestNegativeWorkersMeansDefault: a negative Workers (once the selector of
+// a goroutine-per-kernel mode) sizes the pool like zero does.
+func TestNegativeWorkersMeansDefault(t *testing.T) {
 	b := newTB(t)
 	fetches := buildWideBody(b, 8, 3)
-	ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: WorkersSpawn})
+	ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func TestLegacySpawnMode(t *testing.T) {
 	if got := out[0].T.F[0]; got != 4 {
 		t.Fatalf("got %v want 4", got)
 	}
-	if ex.pool != nil {
-		t.Fatal("legacy spawn mode must not create a pool")
+	if want := min(runtime.GOMAXPROCS(0), ex.plan.kernelNodes); ex.pool == nil || ex.pool.Size() != want {
+		t.Fatalf("Workers -1 must size the pool like 0 does (%d workers), got %v", want, ex.pool)
 	}
 }
 

@@ -15,13 +15,19 @@
 // frame's parallel-iterations window (default 32, the value the paper
 // reports works well).
 //
-// The steady-state path is dense and allocation-free: plans give every
-// node a compact index into one flat metadata table, iteration state lives
-// in recycled flat slices addressed by that index (a ring buffer of
-// iterations per frame, exact because the window bounds liveness), and
-// tensor buffers whose sole reference the executor can prove are forwarded
-// into kernel outputs or recycled through the tensor pool. See README.md
-// in this directory for the design and the buffer-ownership rule.
+// The steady-state path is dense: plans give every node a compact index
+// into one flat metadata table, iteration state lives in recycled flat
+// slices addressed by that index (a ring buffer of iterations per frame,
+// exact because the window bounds liveness), and tensor buffers whose sole
+// reference the executor can prove are forwarded into kernel outputs or
+// recycled through the tensor pool. Executing a node allocates nothing of
+// its own: output tokens, the kernel context and the kernel's result slice
+// all live in scratch the caller supplies (valid until that caller's next
+// node; a kernel must not retain its context). What a loop iteration still
+// allocates is tensor storage for tokens with fan-out, which are never
+// exclusively owned and so never return to the pool. See README.md in this
+// directory for the design, the scratch lifetimes and the buffer-ownership
+// rule.
 package exec
 
 import (

@@ -12,7 +12,7 @@ func init() {
 		if v == nil {
 			return nil, fmt.Errorf("ops: Const(%s) has no value", ctx.NodeName)
 		}
-		return one(TensorVal(v)), nil
+		return ctx.One(TensorVal(v)), nil
 	}})
 
 	Register(&OpDef{Name: "Placeholder", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -20,17 +20,17 @@ func init() {
 		if !ok {
 			return nil, fmt.Errorf("ops: placeholder %q was not fed", ctx.NodeName)
 		}
-		return one(TensorVal(t)), nil
+		return ctx.One(TensorVal(t)), nil
 	}})
 
 	Register(&OpDef{Name: "Identity", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		return one(ctx.In[0]), nil
+		return ctx.One(ctx.In[0]), nil
 	}})
 
 	// StopGradient is an identity through which autodiff does not
 	// propagate (e.g. Q-learning target networks).
 	Register(&OpDef{Name: "StopGradient", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		return one(ctx.In[0]), nil
+		return ctx.One(ctx.In[0]), nil
 	}})
 
 	Register(&OpDef{Name: "NoOp", NumOutputs: 0, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -42,21 +42,21 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(tensor.ShapeTensor(x))), nil
+		return ctx.One(TensorVal(tensor.ShapeTensor(x))), nil
 	}})
 	Register(&OpDef{Name: "Size", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(tensor.SizeTensor(x))), nil
+		return ctx.One(TensorVal(tensor.SizeTensor(x))), nil
 	}})
 	Register(&OpDef{Name: "Rank", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(tensor.RankTensor(x))), nil
+		return ctx.One(TensorVal(tensor.RankTensor(x))), nil
 	}})
 
 	Register(&OpDef{Name: "Reshape", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -80,7 +80,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Fill", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -96,7 +96,7 @@ func init() {
 		for _, d := range shapeT.I {
 			shape = append(shape, int(d))
 		}
-		return one(TensorVal(tensor.Full(v.ScalarValue(), shape...))), nil
+		return ctx.One(TensorVal(tensor.Full(v.ScalarValue(), shape...))), nil
 	}})
 
 	Register(&OpDef{Name: "BroadcastTo", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -116,7 +116,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "UnbroadcastTo", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -136,7 +136,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Concat", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -152,7 +152,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{
@@ -193,7 +193,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{
@@ -237,7 +237,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "SliceRows", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -253,7 +253,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "ExpandDims", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -265,7 +265,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Squeeze", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -277,7 +277,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Tile", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -289,7 +289,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "OneHot", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -301,13 +301,13 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "RandomUniform", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		return one(TensorVal(tensor.RandUniform(ctx.Env.RNG(), 0, 1, ctx.AttrInts("shape")...))), nil
+		return ctx.One(TensorVal(tensor.RandUniform(ctx.Env.RNG(), 0, 1, ctx.AttrInts("shape")...))), nil
 	}})
 	Register(&OpDef{Name: "RandomNormal", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		return one(TensorVal(tensor.RandNormal(ctx.Env.RNG(), 0, 1, ctx.AttrInts("shape")...))), nil
+		return ctx.One(TensorVal(tensor.RandNormal(ctx.Env.RNG(), 0, 1, ctx.AttrInts("shape")...))), nil
 	}})
 }

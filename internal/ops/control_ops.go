@@ -21,7 +21,7 @@ func init() {
 	Register(&OpDef{Name: "Exit", NumOutputs: 1})
 	Register(&OpDef{Name: "NextIteration", NumOutputs: 1})
 	Register(&OpDef{Name: "LoopCond", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		return one(ctx.In[0]), nil
+		return ctx.One(ctx.In[0]), nil
 	}})
 	Register(&OpDef{Name: "Send", NumOutputs: 0, Stateful: true})
 	Register(&OpDef{Name: "Recv", NumOutputs: 1, Stateful: true})

@@ -1,0 +1,133 @@
+package ops
+
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// freshSample is one invocation of a Fresh op: tensors for its inputs (a
+// func, so every run gets its own) and the node attributes.
+type freshSample struct {
+	attrs map[string]any
+	ins   func() []*tensor.Tensor
+}
+
+func mat(vals ...float64) *tensor.Tensor { return tensor.FromFloats(vals, 2, len(vals)/2) }
+
+func same(ts ...*tensor.Tensor) func() []*tensor.Tensor {
+	return func() []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(ts))
+		for i, t := range ts {
+			out[i] = t.Clone()
+		}
+		return out
+	}
+}
+
+// freshSamples covers every op registered Fresh; TestFreshOutputsComeFromPool
+// fails for a Fresh op without an entry, so a new one cannot skip the check.
+func freshSamples() map[string][]freshSample {
+	a, b := mat(1, 2, 3, 4, 5, 6), mat(6, 5, 4, 3, 2, 1)
+	pos := mat(.5, 1, 1.5, 2, 2.5, 3)
+	ints := tensor.FromInts([]int64{1, 2, 3, 4, 5, 6}, 2, 3)
+	bools := tensor.FromBools([]bool{true, false, true, false, true, false}, 2, 3)
+	// Int operands take the kernels' cast-to-float-and-back paths, whose
+	// intermediates must go back to the pool too.
+	bin := []freshSample{{ins: same(a, b)}, {ins: same(a, tensor.Scalar(2))},
+		{ins: same(ints, ints)}, {ins: same(ints, tensor.ScalarInt(2))}}
+	un := []freshSample{{ins: same(pos)}, {ins: same(ints)}}
+	logical := []freshSample{{ins: same(bools, bools)}}
+	reduce := []freshSample{
+		{attrs: map[string]any{"axes": []int{0}}, ins: same(a)},
+		{attrs: map[string]any{"axes": []int{1}, "keep_dims": true}, ins: same(a)},
+		{ins: same(a)},
+		{attrs: map[string]any{"axes": []int{1}}, ins: same(ints)},
+	}
+	m := map[string][]freshSample{
+		"MatMul":     {{ins: same(a, tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2))}},
+		"LogicalAnd": logical, "LogicalOr": logical,
+		"LogicalNot": {{ins: same(bools)}},
+		"ZerosLike":  {{ins: same(a)}, {ins: same(ints)}, {ins: same(bools)}},
+		"OnesLike":   {{ins: same(a)}, {ins: same(ints)}, {ins: same(bools)}},
+		"AddN":       {{ins: same(a)}, {ins: same(a, b, pos)}, {ins: same(ints, ints)}},
+		"Select":     {{ins: same(bools, a, b)}},
+		"Sum":        reduce, "Mean": reduce, "Max": reduce, "Min": reduce,
+		"ArgMax": {{attrs: map[string]any{"axis": 1}, ins: same(a)}},
+		"Transpose": {
+			{ins: same(a)},
+			{attrs: map[string]any{"perm": []int{1, 0}}, ins: same(ints)},
+		},
+		"Cast": {
+			{attrs: map[string]any{"to": tensor.Int}, ins: same(a)},
+			{attrs: map[string]any{"to": tensor.Float}, ins: same(ints)},
+			{attrs: map[string]any{"to": tensor.Float}, ins: same(a)},
+			{attrs: map[string]any{"to": tensor.Bool}, ins: same(a)},
+		},
+		"FusedElementwise": {{
+			attrs: map[string]any{FusedStepsAttr: []FusedStep{
+				{Op: "Mul", A: 0, B: 1}, {Op: "Add", A: FusedRunning, B: 2}, {Op: "Tanh", A: FusedRunning, B: FusedNone},
+			}},
+			ins: same(a, b, tensor.Scalar(1)),
+		}},
+	}
+	for _, op := range []string{"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod",
+		"Greater", "GreaterEqual", "Less", "LessEqual", "Equal", "NotEqual"} {
+		m[op] = bin
+	}
+	for _, op := range []string{"Neg", "Abs", "Exp", "Log", "Sqrt", "Square", "Sigmoid", "Tanh", "Relu", "Sign"} {
+		m[op] = un
+	}
+	m["Softmax"], m["LogSoftmax"] = un[:1], un[:1] // float only
+	return m
+}
+
+// TestFreshOutputsComeFromPool runs every registered Fresh op and then does
+// what the executor does with the result — recycles owned inputs the kernel
+// did not forward, and later the output — and requires the pool's live-byte
+// gauge to be back exactly where it started. An output built with New or
+// Clone instead of Alloc/NewFromPool makes Recycle subtract bytes no Alloc
+// added, and the gauge (and the peak derived from it) drifts low.
+func TestFreshOutputsComeFromPool(t *testing.T) {
+	samples := freshSamples()
+	for _, name := range Names() {
+		def := MustGet(name)
+		if !def.Fresh {
+			continue
+		}
+		if len(samples[name]) == 0 {
+			t.Errorf("%s is registered Fresh but has no entry in freshSamples", name)
+			continue
+		}
+		for si, s := range samples[name] {
+			// Once with borrowed inputs (nothing forwardable), once with
+			// pool-allocated inputs the kernel may take as its output.
+			for _, owned := range []bool{false, true} {
+				start := tensor.PoolLiveBytes()
+				ctx := &KernelContext{OpName: name, NodeName: name, Attrs: s.attrs, Env: newFakeEnv()}
+				for i, in := range s.ins() {
+					if owned {
+						in, _ = tensor.Cast(in, in.DType()) // a pool-backed copy
+						ctx.FwdMask |= 1 << uint(i)
+					}
+					ctx.In = append(ctx.In, TensorVal(in))
+				}
+				out, err := def.Kernel(ctx)
+				if err != nil || len(out) != 1 || out[0].T == nil {
+					t.Fatalf("%s sample %d: out %v, err %v", name, si, out, err)
+				}
+				if owned {
+					for _, in := range ctx.In {
+						if in.T != out[0].T {
+							tensor.Recycle(in.T)
+						}
+					}
+				}
+				tensor.Recycle(out[0].T)
+				if got := tensor.PoolLiveBytes(); got != start {
+					t.Errorf("%s sample %d (owned inputs %v): pool live bytes moved by %d", name, si, owned, got-start)
+				}
+			}
+		}
+	}
+}

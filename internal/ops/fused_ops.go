@@ -186,7 +186,7 @@ func fusedKernel(ctx *KernelContext) ([]Value, error) {
 		curOwned = true
 		curIsInput = r == dst && dst != nil && dstAliasesInput(ctx, dst)
 	}
-	return one(TensorVal(cur)), nil
+	return ctx.One(TensorVal(cur)), nil
 }
 
 // dstAliasesInput reports whether t is one of the kernel's input tensors.

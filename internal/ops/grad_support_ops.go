@@ -64,7 +64,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	// GatherGrad(indices, g, shape) scatters g rows into a zero tensor of
@@ -107,7 +107,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	// ShapeDim(x) attr axis: one dimension of x's shape as an int scalar.
@@ -123,7 +123,7 @@ func init() {
 		if a < 0 || a >= x.Rank() {
 			return nil, fmt.Errorf("ops: ShapeDim axis %d out of range for %v", a, x.Shape())
 		}
-		return one(TensorVal(tensor.ScalarInt(int64(x.Dim(a))))), nil
+		return ctx.One(TensorVal(tensor.ScalarInt(int64(x.Dim(a))))), nil
 	}})
 
 	// SliceAxis(x, begin, size) attr axis: a contiguous slab along one
@@ -155,7 +155,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return one(TensorVal(r)), nil
+			return ctx.One(TensorVal(r)), nil
 		}
 		// Transpose axis to the front, slice, transpose back.
 		perm := make([]int, x.Rank())
@@ -183,7 +183,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	// SliceAxisGrad(g, x, begin) attr axis: zeros like x with the slab
@@ -236,7 +236,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	// SliceRowsGrad(g, x, begin): zeros like x with rows [begin,
@@ -258,7 +258,7 @@ func init() {
 		out := tensor.ZerosLike(x)
 		inner := x.Size() / x.Dim(0)
 		copy(out.F[begin*inner:], g.F)
-		return one(TensorVal(out)), nil
+		return ctx.One(TensorVal(out)), nil
 	}})
 
 	// TileGrad(g, x) attr reps: sums the reps copies (gradient of Tile
@@ -283,6 +283,6 @@ func init() {
 				out.F[i] += g.F[r*n+i]
 			}
 		}
-		return one(TensorVal(out)), nil
+		return ctx.One(TensorVal(out)), nil
 	}})
 }

@@ -18,7 +18,7 @@ func unary(name string, fn func(*tensor.Tensor) (*tensor.Tensor, error)) {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }
 
@@ -35,7 +35,7 @@ func unaryFwd(name string, into func(dst, t *tensor.Tensor) (*tensor.Tensor, err
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }
 
@@ -55,7 +55,7 @@ func binary(name string, fn func(a, b *tensor.Tensor) (*tensor.Tensor, error)) {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }
 
@@ -80,7 +80,7 @@ func binaryFwd(name string, into func(dst, a, b *tensor.Tensor) (*tensor.Tensor,
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }
 
@@ -116,7 +116,9 @@ func init() {
 	unary("LogicalNot", tensor.LogicalNot)
 	unary("Softmax", tensor.Softmax)
 	unary("LogSoftmax", tensor.LogSoftmax)
-	unary("ZerosLike", func(t *tensor.Tensor) (*tensor.Tensor, error) { return tensor.ZerosLike(t), nil })
+	unary("ZerosLike", func(t *tensor.Tensor) (*tensor.Tensor, error) {
+		return tensor.NewFromPool(t.DType(), t.ShapeRef()...), nil
+	})
 	unary("OnesLike", func(t *tensor.Tensor) (*tensor.Tensor, error) { return tensor.OnesLike(t), nil })
 
 	Register(&OpDef{Name: "AddN", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -144,14 +146,14 @@ func init() {
 						return nil, err
 					}
 				}
-				return one(TensorVal(dst)), nil
+				return ctx.One(TensorVal(dst)), nil
 			}
 		}
 		r, err := tensor.AddN(ts...)
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Select", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -171,7 +173,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	reduceOp("Sum", tensor.ReduceSum)
@@ -188,7 +190,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Transpose", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -200,7 +202,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 
 	Register(&OpDef{Name: "Cast", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -216,7 +218,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }
 
@@ -237,6 +239,6 @@ func reduceOp(name string, fn func(t *tensor.Tensor, axes []int, keep bool) (*te
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(r)), nil
+		return ctx.One(TensorVal(r)), nil
 	}})
 }

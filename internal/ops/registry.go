@@ -99,6 +99,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// one wraps a single tensor output.
-func one(t Value) []Value { return []Value{t} }

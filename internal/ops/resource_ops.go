@@ -77,7 +77,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(v)), nil
+		return ctx.One(TensorVal(v)), nil
 	}})
 	Register(&OpDef{Name: "Assign", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
@@ -85,7 +85,7 @@ func init() {
 			return nil, err
 		}
 		lookupVar(ctx).Set(t)
-		return one(TensorVal(t)), nil
+		return ctx.One(TensorVal(t)), nil
 	}})
 	Register(&OpDef{Name: "AssignAdd", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
@@ -96,7 +96,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(nv)), nil
+		return ctx.One(TensorVal(nv)), nil
 	}})
 	Register(&OpDef{Name: "AssignSub", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
@@ -107,7 +107,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(nv)), nil
+		return ctx.One(TensorVal(nv)), nil
 	}})
 	// ApplyGradientDescent: var -= lr * grad, the atomic SGD update.
 	Register(&OpDef{Name: "ApplyGradientDescent", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
@@ -123,7 +123,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return one(TensorVal(nv)), nil
+		return ctx.One(TensorVal(nv)), nil
 	}})
 	// ScatterUpdateVar replaces variable rows at indices with update rows
 	// (the in-graph replay-database write of §6.5).
@@ -152,7 +152,7 @@ func init() {
 			copy(nv.F[int(r)*inner:(int(r)+1)*inner], up.F[i*inner:(i+1)*inner])
 		}
 		v.val = nv
-		return one(TensorVal(nv)), nil
+		return ctx.One(TensorVal(nv)), nil
 	}})
 
 	// ScatterAddVar adds update rows into the variable at indices.
@@ -176,6 +176,6 @@ func init() {
 			return nil, err
 		}
 		v.val = nv
-		return one(TensorVal(nv)), nil
+		return ctx.One(TensorVal(nv)), nil
 	}})
 }

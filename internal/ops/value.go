@@ -140,6 +140,12 @@ type Env interface {
 }
 
 // KernelContext carries one execution's inputs and environment.
+//
+// A context, its In slice and the slice a kernel returns through One or Two
+// are valid for the duration of that kernel call only: the executor reuses
+// all three for the next node it runs. Kernels must not retain ctx, ctx.In
+// or the returned slice (in a resource, a goroutine, a closure that outlives
+// the call); the Values inside them are plain data and may be kept.
 type KernelContext struct {
 	// OpName and NodeName identify the executing node.
 	OpName   string
@@ -159,6 +165,31 @@ type KernelContext struct {
 	// Mem is the executing device's memory system (may be nil for
 	// plain CPU execution with no accounting).
 	Mem DeviceMem
+
+	// out backs the result slices One and Two hand back, so a kernel's
+	// return value costs no allocation; the caller copies the values out
+	// before the context is reused.
+	out [2]Value
+}
+
+// One returns v as a single-output kernel result backed by the context.
+func (c *KernelContext) One(v Value) []Value {
+	c.out[0] = v
+	return c.out[:1]
+}
+
+// Two returns (a, b) as a two-output kernel result backed by the context.
+func (c *KernelContext) Two(a, b Value) []Value {
+	c.out[0], c.out[1] = a, b
+	return c.out[:2]
+}
+
+// Reset zeroes the context for reuse by another kernel call, keeping only
+// In's capacity. Clearing In's elements and the One/Two backing store drops
+// every tensor reference the finished call left behind.
+func (c *KernelContext) Reset() {
+	clear(c.In)
+	*c = KernelContext{In: c.In[:0]}
 }
 
 // ForwardableInput returns the tensor of input i when the executor has

@@ -149,7 +149,7 @@ func init() {
 		res := ctx.Env.StepRes().LookupOrCreate("stack/"+ctx.NodeName, func() ops.Resource {
 			return New(ctx.NodeName, ctx.AttrBool("swap"))
 		})
-		return []ops.Value{ops.ResourceVal(res)}, nil
+		return ctx.One(ops.ResourceVal(res)), nil
 	}})
 
 	// StackPush(handle, value, token) -> (value, token). The token input
@@ -166,7 +166,7 @@ func init() {
 		if err := st.Push(ctx.In[1], ctx.Mem); err != nil {
 			return nil, err
 		}
-		return []ops.Value{ctx.In[1], ops.TensorVal(tensor.ScalarInt(0))}, nil
+		return ctx.Two(ctx.In[1], ops.TensorVal(tensor.ScalarInt(0))), nil
 	}})
 
 	// StackPop(handle, token) -> (value, token).
@@ -183,6 +183,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return []ops.Value{v, ops.TensorVal(tensor.ScalarInt(0))}, nil
+		return ctx.Two(v, ops.TensorVal(tensor.ScalarInt(0))), nil
 	}})
 }

@@ -204,7 +204,7 @@ func init() {
 		res := ctx.Env.StepRes().LookupOrCreate("ta/"+ctx.NodeName, func() ops.Resource {
 			return New(ctx.NodeName, size, false)
 		})
-		return []ops.Value{ops.ResourceVal(res), flowOut()}, nil
+		return ctx.Two(ops.ResourceVal(res), flowOut()), nil
 	}})
 
 	// TensorArrayWrite(handle, index, value, flow) -> flow.
@@ -224,7 +224,7 @@ func init() {
 		if err := ta.Write(int(ixT.ScalarIntValue()), v, ctx.Mem); err != nil {
 			return nil, err
 		}
-		return []ops.Value{flowOut()}, nil
+		return ctx.One(flowOut()), nil
 	}})
 
 	// TensorArrayRead(handle, index, flow) -> value.
@@ -241,7 +241,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return []ops.Value{ops.TensorVal(v)}, nil
+		return ctx.One(ops.TensorVal(v)), nil
 	}})
 
 	// TensorArrayStack(handle, flow) -> value.
@@ -254,7 +254,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return []ops.Value{ops.TensorVal(v)}, nil
+		return ctx.One(ops.TensorVal(v)), nil
 	}})
 
 	// TensorArrayUnstack(handle, value, flow) -> flow.
@@ -270,7 +270,7 @@ func init() {
 		if err := ta.UnstackFrom(v, ctx.Mem); err != nil {
 			return nil, err
 		}
-		return []ops.Value{flowOut()}, nil
+		return ctx.One(flowOut()), nil
 	}})
 
 	// TensorArraySize(handle, flow) -> size.
@@ -279,7 +279,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return []ops.Value{ops.TensorVal(tensor.ScalarInt(int64(ta.Size())))}, nil
+		return ctx.One(ops.TensorVal(tensor.ScalarInt(int64(ta.Size())))), nil
 	}})
 
 	// TensorArrayGrad(handle, flow) -> (grad handle, flow). The "source"
@@ -291,6 +291,6 @@ func init() {
 			return nil, err
 		}
 		g := ta.Grad(ctx.AttrString("source"))
-		return []ops.Value{ops.ResourceVal(g), flowOut()}, nil
+		return ctx.Two(ops.ResourceVal(g), flowOut()), nil
 	}})
 }

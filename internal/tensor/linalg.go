@@ -73,7 +73,7 @@ func Transpose(t *Tensor, perm ...int) (*Tensor, error) {
 		seen[p] = true
 		newShape[i] = t.shape[p]
 	}
-	out := New(t.dtype, newShape...)
+	out := Alloc(t.dtype, newShape...) // every element is written below
 	oldSt := strides(t.shape)
 	newSt := strides(newShape)
 	n := t.Size()

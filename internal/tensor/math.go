@@ -88,13 +88,22 @@ func binaryFloatInto(name string, dst, a, b *Tensor, fn func(x, y float64) float
 		// Integer fast path: operate in float space but emit ints for
 		// closed operations. Callers needing true int semantics use
 		// the *Int helpers below.
+		// The float copies are this call's own: the result is written
+		// into af when the shapes allow, and all of them go back to the
+		// pool once the int result exists.
 		af, _ := Cast(a, Float)
 		bf, _ := Cast(b, Float)
-		r, err := binaryFloat(name, af, bf, fn)
+		r, err := binaryFloatInto(name, af, af, bf, fn)
+		Recycle(bf)
+		if r != af {
+			Recycle(af)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return Cast(r, Int)
+		out, err := Cast(r, Int)
+		Recycle(r)
+		return out, err
 	}
 	if a.dtype != Float || b.dtype != Float {
 		return nil, fmt.Errorf("tensor: %s requires float operands, got %v and %v", name, a.dtype, b.dtype)
@@ -237,11 +246,13 @@ func unaryFloat(name string, t *Tensor, fn func(float64) float64) (*Tensor, erro
 func unaryFloatInto(name string, dst, t *Tensor, fn func(float64) float64) (*Tensor, error) {
 	if t.dtype == Int {
 		f, _ := Cast(t, Float)
-		r, err := unaryFloat(name, f, fn)
+		r, err := unaryFloatInto(name, f, f, fn) // in place: f is ours
 		if err != nil {
 			return nil, err
 		}
-		return Cast(r, Int)
+		out, err := Cast(r, Int)
+		Recycle(r)
+		return out, err
 	}
 	if t.dtype != Float {
 		return nil, fmt.Errorf("tensor: %s requires a float tensor, got %v", name, t.dtype)
@@ -354,6 +365,12 @@ func compare(name string, a, b *Tensor, fn func(x, y float64) bool) (*Tensor, er
 	for i := range out.B {
 		out.B[i] = fn(af.F[ai(i)], bf.F[bi(i)])
 	}
+	if af != a {
+		Recycle(af)
+	}
+	if bf != b {
+		Recycle(bf)
+	}
 	return out, nil
 }
 
@@ -436,7 +453,7 @@ func Select(cond, a, b *Tensor) (*Tensor, error) {
 	if !SameShape(a, b) || a.dtype != b.dtype {
 		return nil, fmt.Errorf("tensor: Select branches must match: %v vs %v", a, b)
 	}
-	out := ZerosLike(a)
+	out := Alloc(a.dtype, a.shape...) // every element is written below
 	n := a.Size()
 	pick := func(i int) bool {
 		if cond.Size() == n {
@@ -477,14 +494,16 @@ func AddN(ts ...*Tensor) (*Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("tensor: AddN of nothing")
 	}
-	out := ts[0].Clone()
-	if out.dtype != Float && out.dtype != Int {
+	if dt := ts[0].dtype; dt != Float && dt != Int {
 		return nil, fmt.Errorf("tensor: AddN requires numeric tensors")
 	}
 	for _, t := range ts[1:] {
-		if !SameShape(out, t) || t.dtype != out.dtype {
-			return nil, fmt.Errorf("tensor: AddN shape/dtype mismatch: %v vs %v", out, t)
+		if !SameShape(ts[0], t) || t.dtype != ts[0].dtype {
+			return nil, fmt.Errorf("tensor: AddN shape/dtype mismatch: %v vs %v", ts[0], t)
 		}
+	}
+	out := pooledCopy(ts[0])
+	for _, t := range ts[1:] {
 		switch out.dtype {
 		case Float:
 			for i := range out.F {

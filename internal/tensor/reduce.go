@@ -43,10 +43,13 @@ func reduce(t *Tensor, axes []int, keepDims bool, init float64, fn func(acc, v f
 		if t.dtype == Int {
 			f, _ := Cast(t, Float)
 			r, err := reduce(f, axes, keepDims, init, fn)
+			Recycle(f)
 			if err != nil {
 				return nil, err
 			}
-			return Cast(r, Int)
+			out, err := Cast(r, Int)
+			Recycle(r)
+			return out, err
 		}
 		return nil, fmt.Errorf("tensor: reduce requires numeric tensor, got %v", t.dtype)
 	}
@@ -110,7 +113,13 @@ func ReduceMean(t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
 	if count == 0 {
 		count = 1
 	}
-	return unaryFloat("ReduceMean", s, func(x float64) float64 { return x / float64(count) })
+	// s is this call's own buffer: divide in place (an int sum comes back
+	// as a new tensor, so s is returned to the pool).
+	out, err := unaryFloatInto("ReduceMean", s, s, func(x float64) float64 { return x / float64(count) })
+	if out != s {
+		Recycle(s)
+	}
+	return out, err
 }
 
 // ArgMax returns the int64 index of the max along axis.
@@ -130,7 +139,7 @@ func ArgMax(t *Tensor, axis int) (*Tensor, error) {
 			outShape = append(outShape, d)
 		}
 	}
-	out := New(Int, outShape...)
+	out := NewFromPool(Int, outShape...)
 	best := make([]float64, out.Size())
 	for i := range best {
 		best[i] = math.Inf(-1)
@@ -190,5 +199,5 @@ func LogSoftmax(t *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return unaryFloat("LogSoftmax", sm, math.Log)
+	return unaryFloatInto("LogSoftmax", sm, sm, math.Log) // in place: sm is ours
 }

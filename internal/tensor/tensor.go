@@ -194,7 +194,7 @@ func ZerosLike(t *Tensor) *Tensor { return New(t.dtype, t.shape...) }
 // OnesLike returns a one-filled tensor with t's dtype and shape (true for
 // bool). Strings are unsupported and panic.
 func OnesLike(t *Tensor) *Tensor {
-	out := New(t.dtype, t.shape...)
+	out := Alloc(t.dtype, t.shape...)
 	switch t.dtype {
 	case Float:
 		for i := range out.F {
@@ -271,6 +271,14 @@ func (t *Tensor) NumBytes() int64 {
 		return b
 	}
 	return 0
+}
+
+// pooledCopy is Clone with pool-backed storage, for results that kernels
+// hand to the executor as exclusively owned (and so recyclable) outputs.
+func pooledCopy(t *Tensor) *Tensor {
+	out := Alloc(t.dtype, t.shape...)
+	copyElems(out, 0, t, 0, t.Size())
+	return out
 }
 
 // Clone returns a deep copy.
@@ -497,13 +505,17 @@ func (t *Tensor) String() string {
 }
 
 // Cast converts t to the given dtype. Bool↔numeric uses 0/1; Str casts are
-// unsupported except Str→Str.
+// unsupported except Str→Str. The result's storage comes from the buffer
+// pool (every element is written).
 func Cast(t *Tensor, to DType) (*Tensor, error) {
 	if t.dtype == to {
-		return t.Clone(), nil
+		return pooledCopy(t), nil
 	}
-	out := New(to, t.shape...)
 	n := t.Size()
+	if n > 0 && (t.dtype == Str || to == Str) {
+		return nil, fmt.Errorf("tensor: cannot cast %v tensor to %v", t.dtype, to)
+	}
+	out := Alloc(to, t.shape...)
 	for i := 0; i < n; i++ {
 		var f float64
 		switch t.dtype {
@@ -515,8 +527,6 @@ func Cast(t *Tensor, to DType) (*Tensor, error) {
 			if t.B[i] {
 				f = 1
 			}
-		case Str:
-			return nil, fmt.Errorf("tensor: cannot cast string tensor to %v", to)
 		}
 		switch to {
 		case Float:
@@ -525,8 +535,6 @@ func Cast(t *Tensor, to DType) (*Tensor, error) {
 			out.I[i] = int64(f)
 		case Bool:
 			out.B[i] = f != 0
-		case Str:
-			return nil, fmt.Errorf("tensor: cannot cast %v tensor to string", t.dtype)
 		}
 	}
 	return out, nil

@@ -25,7 +25,7 @@ import (
 // worker record where they ran instead.
 const (
 	WorkerInline = -1 // executed inline on the executor's own goroutine
-	WorkerSpawn  = -2 // executed on a spawned (mayBlock / legacy) goroutine
+	WorkerSpawn  = -2 // executed on the own goroutine of an op that may block
 )
 
 // Event is one execution span on one stream. Plain kernel events (Record)
