@@ -14,11 +14,13 @@
 //
 //	POST /predict   {"x": [d floats]}  or  {"instances": [[d floats], ...]}
 //	                → {"scores": [...]} / {"scores": [[...], ...]}
-//	                (at most -batch instances per request; more is a 400)
+//	                (see "The /predict contract" below)
 //	GET  /healthz   liveness (200 once serving; 503 + Retry-After while
 //	                draining or when no replica is available)
 //	GET  /metrics   Prometheus text exposition: process-wide families
-//	                (exec_*, tensor_pool_*) plus the mode's own — the
+//	                (exec_*, tensor_pool_*, and the handler's own
+//	                dcfserve_predict_{read,decode,wait,encode}_ns and
+//	                dcfserve_predict_body_bytes) plus the mode's own — the
 //	                batcher's serve_* in single-process mode, the router's
 //	                fleet_* in fleet mode
 //	GET  /debug/vars    expvar JSON including the "serving" batcher snapshot
@@ -30,6 +32,34 @@
 //	                replica daemons' own /debug/trace instead
 //	GET  /fleetz    fleet mode only: the router's full status — per-replica
 //	                breaker state, occupancy, and routing counters
+//
+// # The /predict contract
+//
+// The body is one JSON object, read whole (at most 64 KiB + 32 bytes per
+// float of a full -batch × -dim request; more is a 413) and parsed in one
+// pass straight into the step's feed tensor. Key "x" holds one instance,
+// an array of exactly -dim numbers, and is answered {"scores": [...]};
+// key "instances" holds 1 to -batch such arrays and is answered
+// {"scores": [[...], ...]}, one row per instance. Everything else is as
+// encoding/json would have it for struct{X []float64; Instances
+// [][]float64}, which is what the handler used to decode with and what the
+// tests still pin it to, bit for bit: keys match case-insensitively
+// (escapes honoured), other keys are skipped whatever they hold, a later
+// duplicate of a key replaces the earlier, null unsets a key, instances
+// wins when both are set, numbers are any JSON number a float64 can hold
+// (correctly rounded; 1e999 is refused), nesting stops at 10000, and
+// nothing after the object's closing brace is looked at. The one named
+// divergence: a null where a number belongs is a 400, where encoding/json
+// quietly read it as 0 (or, under a duplicate key, as whatever the earlier
+// value had there).
+//
+// Scores are written as encoding/json writes float64s, byte for byte, with
+// Content-Length set. Status codes: 200; 400 for a body that is malformed
+// or the wrong shape (a width other than -dim, no or too many instances);
+// 405 for anything but POST; 413 for an oversized body; 429 when the
+// batching queue is full; 503 + Retry-After while draining, closing, or
+// (fleet mode) out of healthy replicas or retry budget; 500 if the step
+// fails or a score is NaN or infinite. Both modes share the one handler.
 //
 // In single-process mode every predict request rides the shared
 // dcf.Server: concurrent requests coalesce into one batched executor step
@@ -60,7 +90,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -93,10 +122,6 @@ type model struct {
 	// traced probe steps through the same subgraph Predict serves.
 	scores dcf.Tensor
 	dim    int
-	// maxBody bounds /predict request bodies: the largest legitimate
-	// payload is one MaxBatchSize×dim instances list (~25 JSON bytes per
-	// float), plus slack. Timeouts bound time; this bounds bytes.
-	maxBody int64
 }
 
 // buildModel constructs score = softmax(tanh(x@W1 + b1)@W2) over a typed
@@ -123,13 +148,7 @@ func buildModel(dim, classes int, opts dcf.BatchOptions, workers int) (*model, e
 	if err != nil {
 		return nil, err
 	}
-	return &model{
-		sess:    sess,
-		srv:     srv,
-		scores:  scores,
-		dim:     dim,
-		maxBody: 1<<16 + int64(opts.MaxBatchSize)*int64(dim)*32,
-	}, nil
+	return &model{sess: sess, srv: srv, scores: scores, dim: dim}, nil
 }
 
 // handleDebugTrace runs N traced probe steps (zero-filled single-row
@@ -213,145 +232,10 @@ func detWeights(rows, cols int) *tensor.Tensor {
 	return w
 }
 
-// predictRequest accepts one instance ("x") or a row-batch ("instances").
-type predictRequest struct {
-	X         []float64   `json:"x"`
-	Instances [][]float64 `json:"instances"`
-}
-
-// decodeRows parses /predict's request body into validated rows, writing
-// the HTTP error itself on failure (ok=false). Shared by both serving
-// modes.
-func decodeRows(w http.ResponseWriter, r *http.Request, dim int, maxBody int64) (rows [][]float64, single, ok bool) {
-	var req predictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return nil, false, false
-	}
-	rows = req.Instances
-	if rows == nil {
-		if req.X == nil {
-			http.Error(w, fmt.Sprintf(`want {"x": [%d floats]} or {"instances": [[%d floats], ...]}`, dim, dim), http.StatusBadRequest)
-			return nil, false, false
-		}
-		rows, single = [][]float64{req.X}, true
-	}
-	if len(rows) == 0 {
-		http.Error(w, "no instances", http.StatusBadRequest)
-		return nil, false, false
-	}
-	for i, row := range rows {
-		if len(row) != dim {
-			http.Error(w, fmt.Sprintf("instance %d has %d values, want %d", i, len(row), dim), http.StatusBadRequest)
-			return nil, false, false
-		}
-	}
-	return rows, single, true
-}
-
-// writeScores replies with the request's own rows of the scores tensor.
-func writeScores(w http.ResponseWriter, scores *tensor.Tensor, single bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if single {
-		json.NewEncoder(w).Encode(map[string]any{"scores": scores.F})
-		return
-	}
-	nested := make([][]float64, scores.Dim(0))
-	width := scores.Dim(1)
-	for i := range nested {
-		nested[i] = scores.F[i*width : (i+1)*width]
-	}
-	json.NewEncoder(w).Encode(map[string]any{"scores": nested})
-}
-
-// handlePredict decodes the request, rides the batcher under the client's
-// context, and replies with the request's own rows of the scores.
-func (m *model) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	rows, single, ok := decodeRows(w, r, m.dim, m.maxBody)
-	if !ok {
-		return
-	}
-	flat := make([]float64, 0, len(rows)*m.dim)
-	for _, row := range rows {
-		flat = append(flat, row...)
-	}
-	out, err := m.srv.Predict(r.Context(), dcf.FromFloats(flat, len(rows), m.dim))
-	switch {
-	case err == nil:
-	case r.Context().Err() != nil:
-		// Client went away; the batcher already dropped the request.
-		return
-	case errors.Is(err, dcf.ErrQueueFull):
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, dcf.ErrServerClosed):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, dcf.ErrInvalidRequest):
-		// Enqueue-time validation failures (shape/dtype/rows) are client
-		// bugs, rejected before the request could join a batch.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeScores(w, out[0], single)
-}
-
 // fleetModel fronts a fleetserve.Router with the same HTTP contract as the
 // single-process model.
 type fleetModel struct {
-	router  *fleetserve.Router
-	dim     int
-	maxBody int64
-}
-
-// handlePredict routes the request over the replica pool. The error
-// taxonomy mirrors single-process mode, with the router's retriable
-// routing failures surfacing as 503 + Retry-After so clients and load
-// balancers know to re-send rather than give up.
-func (m *fleetModel) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	rows, single, ok := decodeRows(w, r, m.dim, m.maxBody)
-	if !ok {
-		return
-	}
-	flat := make([]float64, 0, len(rows)*m.dim)
-	for _, row := range rows {
-		flat = append(flat, row...)
-	}
-	out, err := m.router.Predict(r.Context(), tensor.FromFloats(flat, len(rows), m.dim))
-	switch {
-	case err == nil:
-	case r.Context().Err() != nil:
-		return
-	case errors.Is(err, serve.ErrQueueFull):
-		// Every eligible replica's queue pushed back: shed load.
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, serve.ErrInvalidRequest):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case errors.Is(err, fleetserve.ErrUnavailable), errors.Is(err, fleetserve.ErrClosed):
-		// Retriable: the pool is (momentarily) out of healthy replicas or
-		// the retry budget ran dry mid-outage.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeScores(w, out[0], single)
+	router *fleetserve.Router
 }
 
 // handleFleetz reports the router's full status: per-replica breaker
@@ -393,6 +277,9 @@ func main() {
 	hedge := flag.Bool("hedge", false, "fleet mode: hedge slow requests on a second replica after the observed p99 latency")
 	stepTimeout := flag.Duration("step-timeout", 10*time.Second, "fleet mode: per-batched-step deadline (hung steps become retriable failures)")
 	flag.Parse()
+	if *batch <= 0 {
+		*batch = 32 // the batcher's own default; the request decoder needs the number too
+	}
 
 	bopts := dcf.BatchOptions{
 		MaxBatchSize:      *batch,
@@ -444,24 +331,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("join replicas: %v", err)
 		}
-		fm := &fleetModel{
-			router:  router,
-			dim:     *dim,
-			maxBody: 1<<16 + int64(*batch)*int64(*dim)*32,
-		}
+		fm := &fleetModel{router: router}
 		expvar.Publish("fleet", expvar.Func(func() any { return router.Snapshot() }))
 		mux.Handle("/metrics", metrics.Handler(metrics.Default(), router.Metrics()))
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "step tracing is per-process: hit /debug/trace on a replica daemon's health address instead", http.StatusNotImplemented)
 		})
-		mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-			if draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			fm.handlePredict(w, r)
-		})
+		mux.Handle("/predict", newPredictor(router.Predict, false, *dim, *batch, &draining))
 		mux.HandleFunc("/fleetz", fm.handleFleetz)
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			if draining.Load() {
@@ -529,14 +405,7 @@ func main() {
 				"uptime_ns":          int64(s.Uptime),
 			}
 		}))
-		mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-			if draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			m.handlePredict(w, r)
-		})
+		mux.Handle("/predict", newPredictor(m.srv.Predict, true, *dim, *batch, &draining))
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			if draining.Load() {
 				w.Header().Set("Retry-After", "1")

@@ -18,11 +18,14 @@ type BatchOptions struct {
 	// MaxBatchSize caps one micro-batch's stacked rows; a bucket flushes
 	// as soon as it reaches this many.
 	MaxBatchSize int
-	// MaxQueueDelay bounds the time a request waits for batch-mates: an
-	// under-full bucket flushes this long after its oldest request
-	// arrived. This is the knob trading tail latency for occupancy.
+	// MaxQueueDelay bounds the time a request waits for batch-mates while
+	// every execution slot is busy: an under-full bucket flushes this
+	// long after its oldest request arrived. This is the knob trading
+	// tail latency for occupancy.
 	MaxQueueDelay time.Duration
-	// MaxInFlight bounds concurrently executing batched steps.
+	// MaxInFlight is the number of execution slots: how many batched
+	// steps run at once. A request waits (and shares a batch) only while
+	// all of them are busy.
 	MaxInFlight int
 	// MaxQueuedRequests bounds requests waiting in buckets; beyond it
 	// Predict fails fast with serve.ErrQueueFull (backpressure to the

@@ -22,10 +22,10 @@
 // surfaced as dcf.NewServer / Session.MakeBatchedCallable): concurrent
 // single-request Predict calls are coalesced into one batched executor
 // step — feeds stacked along axis 0, fetches sliced back per request —
-// under an adaptive policy (flush immediately when idle; grow batches
-// with load; MaxBatchSize/MaxQueueDelay bounds; shape-keyed buckets so
-// ragged sequence lengths batch with their own kind and never pay
-// padding). Requests are validated at enqueue against declared
+// under an adaptive policy (flush at once while an execution slot is
+// free; grow batches with load once all are busy; MaxBatchSize and
+// MaxQueueDelay bounds; shape-keyed buckets so ragged sequence lengths
+// batch with their own kind and never pay padding). Requests are validated at enqueue against declared
 // placeholder specs (dcf.Graph.PlaceholderTyped) and a canceled request
 // is dropped from its micro-batch without disturbing its neighbors.
 //

@@ -10,15 +10,17 @@
 // stacks the feeds along axis 0, runs ONE batched call, and slices the
 // fetched tensors back per request.
 //
-// Batch formation is driven by executor availability, not timers: a
-// request arriving at an idle batcher flushes immediately (batching buys
-// nothing then — delaying would only add latency), so under light load
-// every request runs alone at minimal latency. Once batches are
-// executing, arrivals queue behind them and each completion immediately
-// cuts the accumulated queue as the next batch (double-buffering) —
-// occupancy grows with load automatically. MaxBatchSize caps one batch's
-// rows; MaxQueueDelay is the backstop bounding how long a queued request
-// can wait for batch-mates while the executor is saturated.
+// Batch formation is driven by executor availability, not timers, by one
+// rule: a request waits only while every execution slot (MaxInFlight) is
+// busy. With a slot free it flushes at once (after a scheduler yield that
+// lets already-runnable callers join), so up to MaxInFlight callers each
+// run their own batch at minimal latency — batching buys nothing while a
+// slot would otherwise idle. Once every slot is busy, arrivals accumulate
+// and each completion immediately cuts the accumulated queue as the next
+// batch (double-buffering) — occupancy grows with load automatically.
+// MaxBatchSize caps one batch's rows; MaxQueueDelay is the backstop
+// bounding how long a queued request can wait while the executor is
+// saturated.
 //
 // Failure isolation: requests are validated at enqueue (arity, dtype,
 // rank), so a malformed request is rejected before it can join — and
@@ -57,15 +59,16 @@ type Options struct {
 	// MaxBatchSize caps the rows of one micro-batch; a bucket flushes as
 	// soon as its queued rows reach it. Default 32.
 	MaxBatchSize int
-	// MaxQueueDelay bounds how long a queued request waits for
-	// batch-mates while the batcher is busy (batches formed or
-	// executing): a bucket is cut into a batch at most this long after
-	// its oldest request arrived, even if under-full. A request arriving
-	// at a fully idle batcher flushes after a scheduler yield and never
-	// sees this delay. Default 2ms.
+	// MaxQueueDelay bounds how long a queued request waits while every
+	// execution slot is busy: a bucket is cut into a batch at most this
+	// long after its oldest request arrived, even if under-full. A request
+	// arriving while a slot is free flushes after a scheduler yield and
+	// never sees this delay. Default 2ms.
 	MaxQueueDelay time.Duration
-	// MaxInFlight bounds concurrently executing batches; formed batches
-	// beyond it queue for an execution slot. Default 2.
+	// MaxInFlight is the number of execution slots: how many batches may
+	// run at once, and so how many callers are served without waiting for
+	// one another; arrivals accumulate into shared batches only once all
+	// slots are busy. Default 2.
 	MaxInFlight int
 	// MaxQueuedRequests bounds requests waiting in buckets (backpressure:
 	// Do fails fast with ErrQueueFull instead of growing without bound).
@@ -150,8 +153,8 @@ type bucket struct {
 	// pending set was already cut by a size flush or completion cut) and
 	// must not touch the bucket.
 	timerGen uint64
-	// lingering marks an idle-flush goroutine already racing toward this
-	// bucket (see lingerFlush).
+	// lingering marks a free-slot flush goroutine already racing toward
+	// this bucket (see lingerFlush).
 	lingering bool
 }
 
@@ -164,12 +167,8 @@ type Batcher struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	queued  int // requests across all buckets (backpressure)
-	// formed counts micro-batches cut but not yet finished executing.
-	// While formed is zero the batcher is idle, so enqueue flushes
-	// eagerly (adaptive batching: no request waits on a timer while the
-	// executor sits idle); once batches are executing, arrivals queue
-	// behind them and each completion cuts the accumulated queue as the
-	// next batch — batches grow with load, without a fixed timer tax.
+	// formed counts micro-batches cut but not yet finished executing;
+	// while it is below MaxInFlight an execution slot is free (see enqueue).
 	formed int
 	// timerSeq issues bucket timer generations (see bucket.timerGen).
 	timerSeq uint64
@@ -342,15 +341,15 @@ func (b *Batcher) enqueue(ctx context.Context, args []*tensor.Tensor) (*request,
 	switch {
 	case bk.rows >= b.opts.MaxBatchSize:
 		b.flushLocked(key, bk)
-	case b.formed == 0 && !bk.lingering:
-		// Idle batcher: flush after a scheduler yield, not a timer. The
+	case b.formed < b.opts.MaxInFlight && !bk.lingering:
+		// A slot is free: flush after a scheduler yield, not a timer. The
 		// yield lets goroutines that are already runnable (concurrent
 		// callers mid-enqueue — on a small GOMAXPROCS they may not have
-		// had a single cycle yet) join the batch, while a genuinely idle
-		// server pays only microseconds of added latency. Once batches
-		// are executing, later arrivals queue behind them and each
-		// completion cuts the accumulated queue as the next batch —
-		// occupancy grows with load without a fixed timer tax.
+		// had a single cycle yet) join the batch, while an unsaturated
+		// server pays only microseconds of added latency. With every slot
+		// busy the request waits instead (next case) for a completion to
+		// cut the accumulated queue — batches grow with load, without a
+		// fixed timer tax.
 		bk.lingering = true
 		go b.lingerFlush(key)
 	case bk.timer == nil:
@@ -371,7 +370,7 @@ func (b *Batcher) armTimerLocked(key string, bk *bucket, wait time.Duration) {
 }
 
 // lingerFlush yields the processor a few times, then flushes the bucket:
-// the idle-path batch formation of enqueue.
+// the free-slot batch formation of enqueue.
 func (b *Batcher) lingerFlush(key string) {
 	for i := 0; i < 4; i++ {
 		runtime.Gosched()

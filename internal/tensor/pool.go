@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/metrics"
@@ -151,6 +152,22 @@ func NewFromPool(dtype DType, shape ...int) *Tensor {
 		clear(t.B)
 	}
 	return t
+}
+
+// ShrinkRows narrows the leading dimension of a float tensor from Alloc to
+// rows (at most Dim(0)) in place, for a decoder that must size its
+// destination before it knows how many rows will arrive. The storage keeps
+// its capacity, so Recycle still returns it to the class it came from; the
+// live gauge gives up the rows dropped here, so Alloc → ShrinkRows →
+// Recycle balances.
+func ShrinkRows(t *Tensor, rows int) {
+	if t.dtype != Float || rows < 0 || rows > t.shape[0] {
+		panic(fmt.Sprintf("tensor: ShrinkRows(%d) on %v tensor of shape %v", rows, t.dtype, t.shape))
+	}
+	n := len(t.F) / max(t.shape[0], 1) * rows
+	metricPoolLive.Add(-int64(len(t.F)-n) * elemBytes(Float))
+	t.shape[0] = rows
+	t.F = t.F[:n]
 }
 
 // Recycle returns t (struct, shape, and storage) to the buffer pool for a
