@@ -396,8 +396,9 @@ type OptimizeOptions struct {
 }
 
 // Optimize runs the whole-program optimizations of §3 — constant folding
-// and common-subexpression elimination — over the graph, in place. Call
-// after construction (including Gradients) and before creating sessions.
+// and common-subexpression elimination, then folding of matrix transposes
+// into the MatMul that reads them — over the graph, in place. Call after
+// construction (including Gradients) and before creating sessions.
 func (g *Graph) Optimize() (OptimizeStats, error) {
 	return g.OptimizeOpts(OptimizeOptions{})
 }

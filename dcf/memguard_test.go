@@ -9,12 +9,16 @@ package dcf_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/dcf"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/ops"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -171,10 +175,14 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 	}
 }
 
-// rnnTrainStep builds the repo benchmark's rnn_train step — SGD on a dynamic
-// LSTM, batch 16, in 32, units 64, T 12 — and returns a closure running one
-// step through a pre-compiled Callable.
-func rnnTrainStep(tb testing.TB) func() {
+// rnnTrainer is the repo benchmark's rnn_train step — SGD on a dynamic LSTM,
+// batch 16, in 32, units 64, T 12.
+type rnnTrainer struct {
+	step   func() float64       // one step through a pre-compiled Callable; the loss
+	traced func() *trace.Tracer // one step with a span recorded per node execution
+}
+
+func rnnTrainStep(tb testing.TB) rnnTrainer {
 	tb.Helper()
 	const steps, batch, in, units = 12, 16, 32, 64
 	g := dcf.NewGraph()
@@ -206,9 +214,50 @@ func rnnTrainStep(tb testing.TB) func() {
 	xv := dcf.RandNormal(1, 0, 1, steps, batch, in)
 	yv := dcf.RandNormal(2, 0, 0.3, batch, units)
 	ctx := context.Background()
-	return func() {
-		if _, err := call.Call(ctx, xv, yv); err != nil {
-			tb.Fatal(err)
+	return rnnTrainer{
+		step: func() float64 {
+			out, err := call.Call(ctx, xv, yv)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return out[0].ScalarValue()
+		},
+		traced: func() *trace.Tracer {
+			_, md, err := sess.RunCtx(ctx, dcf.RunOptions{
+				Feeds: dcf.Feeds{"x": xv, "y": yv}, Fetches: []dcf.Tensor{loss}, Targets: []dcf.Op{step}, Trace: true,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return md.StepTrace
+		},
+	}
+}
+
+// rnnTrainLosses are the first 20 losses of rnnTrainStep as the commit before
+// the kernel rewrite (5fe4eed) computed them. The rewrite changed how
+// kernels find their operands and nothing about what they compute — same
+// arithmetic on the same operands in the same order, through a backward pass
+// whose MatMuls now read transposed operands in place — so the sequence is
+// the same to the last bit wherever the compiler fuses no multiply-add (the
+// default amd64 build); elsewhere it agrees to rounding.
+var rnnTrainLosses = [20]uint64{
+	0x3fbd7de3fcfd0baa, 0x3fbd75eb78957cec, 0x3fbd6df653110d42, 0x3fbd66048b7fb5cf,
+	0x3fbd5e1620f14d21, 0x3fbd562b1275875b, 0x3fbd4e435f1bf62d, 0x3fbd465f05f4096f,
+	0x3fbd3e7e060d0ef1, 0x3fbd36a05e7632fc, 0x3fbd2ec60e3e7fec, 0x3fbd26ef1474dea2,
+	0x3fbd1f1b7028166a, 0x3fbd174b2066cc9d, 0x3fbd0f7e243f8517, 0x3fbd07b47ac0a1ad,
+	0x3fbcffee22f86231, 0x3fbcf82b1bf4e43b, 0x3fbcf06b64c422f7, 0x3fbce8aefc73f6d3,
+}
+
+func TestRNNTrainLossesBitIdenticalToRecorded(t *testing.T) {
+	rnn := rnnTrainStep(t)
+	for i, bits := range rnnTrainLosses {
+		got, want := rnn.step(), math.Float64frombits(bits)
+		switch {
+		case runtime.GOARCH == "amd64" && math.Float64bits(got) != bits:
+			t.Fatalf("step %d: loss %v (%#x), recorded %v (%#x)", i, got, math.Float64bits(got), want, bits)
+		case math.Abs(got-want) > 1e-12*want:
+			t.Fatalf("step %d: loss %v, recorded %v", i, got, want)
 		}
 	}
 }
@@ -234,13 +283,14 @@ func TestPoolGaugeNeverSinks(t *testing.T) {
 	}
 	xv := dcf.RandNormal(1, 0, 1, 63, 65)
 	ctx := context.Background()
+	rnn := rnnTrainStep(t)
 	steps := map[string]func(){
 		"transpose chain": func() {
 			if _, err := call.Call(ctx, xv); err != nil {
 				t.Fatal(err)
 			}
 		},
-		"rnn train step": rnnTrainStep(t),
+		"rnn train step": func() { rnn.step() },
 	}
 	for name, step := range steps {
 		step() // the first call compiles the plan
@@ -254,15 +304,35 @@ func TestPoolGaugeNeverSinks(t *testing.T) {
 	}
 }
 
-// BenchmarkRNNTrainStep is one rnn_train-shaped SGD step (allocs/op is the
-// number to watch: kernels on the pool path shed their per-kernel garbage
-// along with the dispatcher's).
+// BenchmarkRNNTrainStep is one rnn_train-shaped SGD step. After the timed
+// loop one more step runs traced, and its span time is reported by kind of
+// kernel, so a run says where a step's time is and not only how long it is.
 func BenchmarkRNNTrainStep(b *testing.B) {
-	step := rnnTrainStep(b)
-	step()
+	rnn := rnnTrainStep(b)
+	rnn.step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		step()
+		rnn.step()
+	}
+	b.StopTimer()
+	us := map[string]float64{}
+	for _, row := range rnn.traced().ByOp() {
+		kind := "other"
+		switch op := row.Op; {
+		case op == "MatMul":
+			kind = "matmul"
+		case op == "Transpose":
+			kind = "transpose"
+		case op == "Sum" || op == "Mean" || op == "Max" || op == "Min" || op == "UnbroadcastTo":
+			kind = "reduce"
+		case ops.FusableUnary(op) || ops.FusableBinary(op) || op == "FusedElementwise" || op == "AddN":
+			kind = "elementwise"
+		}
+		us[kind] += float64(row.Total.Microseconds())
+		us["kernel"] += float64(row.Total.Microseconds())
+	}
+	for _, kind := range []string{"matmul", "transpose", "elementwise", "reduce", "kernel"} {
+		b.ReportMetric(us[kind], kind+"_us/step")
 	}
 }

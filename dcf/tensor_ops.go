@@ -38,7 +38,12 @@ func (t Tensor) Maximum(u Tensor) Tensor { return t.bin("Maximum", u) }
 // Minimum returns the elementwise min.
 func (t Tensor) Minimum(u Tensor) Tensor { return t.bin("Minimum", u) }
 
-// MatMul returns the matrix product t @ u.
+// MatMul returns the matrix product t @ u of two matrices, or of two rank-3
+// batches of matrices with the same leading dimension. The MatMul node reads
+// an operand transposed over its last two axes when its transpose_a /
+// transpose_b attribute is set: the gradient sets them instead of building
+// Transpose nodes, and Optimize folds t.Transpose().MatMul(u) and
+// t.MatMul(u.Transpose()) into them, so neither copies a matrix.
 func (t Tensor) MatMul(u Tensor) Tensor { return t.bin("MatMul", u) }
 
 // Greater returns t>u elementwise (bool).

@@ -163,13 +163,33 @@ func init() {
 		return []graph.Output{b.Mul(og[0], mask)}
 	})
 
+	// MatMul: C = op(A)·op(B), each op a transpose over the last two axes
+	// when the node's transpose_a / transpose_b says so. Both gradients
+	// are MatMuls that read their operands where they lie — no Transpose
+	// node is built, so a backward loop iteration does not re-materialise
+	// a (often loop-invariant) weight's transpose in front of each product:
+	//
+	//	C = A·B     dA = G·Bᵀ     dB = Aᵀ·G
+	//	C = A·Bᵀ    dA = G·B      dB = Gᵀ·A
+	//	C = Aᵀ·B    dA = B·Gᵀ     dB = A·G
+	//	C = Aᵀ·Bᵀ   dA = Bᵀ·Gᵀ    dB = Gᵀ·Aᵀ
 	RegisterGrad("MatMul", func(gc *GradCtx, og []graph.Output) []graph.Output {
 		b := gc.B()
 		g := og[0]
-		a, bb := gc.In(0), gc.In(1)
-		ga := b.MatMul(g, b.Transpose(bb))
-		gb := b.MatMul(b.Transpose(a), g)
-		return []graph.Output{ga, gb}
+		x, y := gc.In(0), gc.In(1)
+		mm := func(p, q graph.Output, tp, tq bool) graph.Output {
+			return b.Op("MatMul", map[string]any{"transpose_a": tp, "transpose_b": tq}, p, q)
+		}
+		ta, tb := gc.Node.AttrBool("transpose_a"), gc.Node.AttrBool("transpose_b")
+		switch {
+		case !ta && !tb:
+			return []graph.Output{mm(g, y, false, true), mm(x, g, true, false)}
+		case !ta:
+			return []graph.Output{mm(g, y, false, false), mm(g, x, true, false)}
+		case !tb:
+			return []graph.Output{mm(y, g, false, true), mm(x, g, false, false)}
+		}
+		return []graph.Output{mm(y, g, true, true), mm(g, x, true, true)}
 	})
 
 	RegisterGrad("Transpose", func(gc *GradCtx, og []graph.Output) []graph.Output {

@@ -64,6 +64,11 @@ type Device struct {
 	mu   sync.Mutex
 	used int64
 	peak int64
+	// swapsOut counts device-to-host transfers in flight: memory that is
+	// still reserved but about to be released. freed is signalled whenever
+	// bytes are released or such a transfer lands.
+	swapsOut int
+	freed    *sync.Cond
 
 	compute *stream
 	h2d     *stream
@@ -73,6 +78,7 @@ type Device struct {
 // New creates a device and starts its streams.
 func New(cfg Config) *Device {
 	d := &Device{cfg: cfg}
+	d.freed = sync.NewCond(&d.mu)
 	d.compute = newStream(cfg.Name+"/compute", cfg.Tracer)
 	d.h2d = newStream(cfg.Name+"/memcpyHtoD", cfg.Tracer)
 	d.d2h = newStream(cfg.Name+"/memcpyDtoH", cfg.Tracer)
@@ -94,12 +100,20 @@ func (d *Device) Name() string { return d.cfg.Name }
 // MemName implements ops.DeviceMem.
 func (d *Device) MemName() string { return d.cfg.Name }
 
-// Allocate reserves bytes, failing with OOM past capacity.
+// Allocate reserves bytes. A request that does not fit waits while a
+// swap-out is in flight — its bytes are on their way out — and retries as
+// memory is released; it fails with OOM only when nothing is in flight that
+// could make room (the allocator-retry rule). Whether a step runs out of
+// memory therefore depends on what it holds, not on how fast its kernels
+// push against the copy stream.
 func (d *Device) Allocate(bytes int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.MemoryBytes > 0 && d.used+bytes > d.cfg.MemoryBytes {
-		return &OOMError{Device: d.cfg.Name, Requested: bytes, Used: d.used, Capacity: d.cfg.MemoryBytes}
+	for d.cfg.MemoryBytes > 0 && d.used+bytes > d.cfg.MemoryBytes {
+		if d.swapsOut == 0 {
+			return &OOMError{Device: d.cfg.Name, Requested: bytes, Used: d.used, Capacity: d.cfg.MemoryBytes}
+		}
+		d.freed.Wait()
 	}
 	d.used += bytes
 	if d.used > d.peak {
@@ -123,6 +137,7 @@ func (d *Device) Release(bytes int64) {
 	if d.used < 0 {
 		d.used = 0
 	}
+	d.freed.Broadcast()
 }
 
 // UsedBytes reports current usage.
@@ -136,9 +151,21 @@ func (d *Device) UsedBytes() int64 {
 func (d *Device) CapacityBytes() int64 { return d.cfg.MemoryBytes }
 
 // SwapOut schedules a device-to-host transfer on the D2H stream; done runs
-// after the simulated transfer completes.
+// after the simulated transfer completes (and releases the bytes, which a
+// waiting Allocate then takes).
 func (d *Device) SwapOut(bytes int64, done func()) {
-	d.d2h.enqueue("swap_out", d.transferTime(bytes), done)
+	d.mu.Lock()
+	d.swapsOut++
+	d.mu.Unlock()
+	d.d2h.enqueue("swap_out", d.transferTime(bytes), func() {
+		if done != nil {
+			done()
+		}
+		d.mu.Lock()
+		d.swapsOut--
+		d.mu.Unlock()
+		d.freed.Broadcast()
+	})
 }
 
 // SwapIn schedules a host-to-device transfer on the H2D stream.

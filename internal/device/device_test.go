@@ -35,6 +35,62 @@ func TestAllocateReleaseAndOOM(t *testing.T) {
 	}
 }
 
+// TestAllocateWaitsForSwapOutInFlight is the allocator-retry rule, both
+// outcomes: a request that does not fit waits for a swap-out in flight and
+// takes the bytes it releases; with nothing in flight — or once what was in
+// flight has landed without making room — it is an OOM. Neither outcome
+// depends on how long the transfer takes.
+func TestAllocateWaitsForSwapOutInFlight(t *testing.T) {
+	d := New(Config{Name: "gpu:0", MemoryBytes: 100, CopyBandwidth: 2000}) // 40 bytes take 20 ms
+	defer d.Close()
+	if err := d.Allocate(60); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Allocate(40); err != nil {
+		t.Fatal(err)
+	}
+	landed := make(chan struct{})
+	d.SwapOut(40, func() { close(landed); d.Release(40) })
+	if err := d.Allocate(30); err != nil {
+		t.Fatalf("a swap-out that frees enough was in flight, yet: %v", err)
+	}
+	select {
+	case <-landed:
+	default:
+		t.Fatal("Allocate returned before the swap-out released its bytes")
+	}
+	if got := d.UsedBytes(); got != 90 {
+		t.Fatalf("used %d bytes, want 90", got)
+	}
+	// In flight, but not enough: OOM once it has landed, not before.
+	landed = make(chan struct{})
+	d.SwapOut(20, func() { close(landed); d.Release(20) })
+	var oom *OOMError
+	if err := d.Allocate(50); !errors.As(err, &oom) || oom.Used != 70 {
+		t.Fatalf("want an OOM with 70 bytes in use, got %v", err)
+	}
+	<-landed
+	// Nothing in flight: OOM at once (Table 1's swap-disabled column).
+	if err := d.Allocate(50); !errors.As(err, &oom) {
+		t.Fatalf("want an OOM, got %v", err)
+	}
+	// Several waiters, several transfers: every request is served.
+	var wg sync.WaitGroup
+	for i := 0; i < 7; i++ {
+		d.SwapOut(10, func() { d.Release(10) })
+	}
+	for i := 0; i < 7; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := d.Allocate(10); err != nil {
+				t.Errorf("waiter: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestUnlimitedDevice(t *testing.T) {
 	d := New(Config{Name: "gpu:0"})
 	defer d.Close()

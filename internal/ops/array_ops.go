@@ -6,6 +6,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// shapeInput reads input i, an int tensor, as a shape, stored in buf when it
+// is large enough.
+func shapeInput(ctx *KernelContext, i int, buf []int) ([]int, error) {
+	t, err := ctx.Input(i)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range t.I {
+		buf = append(buf, int(d))
+	}
+	return buf, nil
+}
+
 func init() {
 	Register(&OpDef{Name: "Const", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		v := ctx.AttrTensor("value")
@@ -59,24 +72,22 @@ func init() {
 		return ctx.One(TensorVal(tensor.RankTensor(x))), nil
 	}})
 
-	Register(&OpDef{Name: "Reshape", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	// Reshape and UnbroadcastTo change no element when the shapes allow:
+	// an input buffer the executor grants is re-shaped in place or handed
+	// on as it is, and only a shared one is copied (from the pool).
+	Register(&OpDef{Name: "Reshape", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		var shape []int
+		shape := ctx.AttrInts("shape")
+		var sbuf [8]int
 		if len(ctx.In) > 1 { // dynamic shape input
-			st, err := ctx.Input(1)
-			if err != nil {
+			if shape, err = shapeInput(ctx, 1, sbuf[:0]); err != nil {
 				return nil, err
 			}
-			for _, d := range st.I {
-				shape = append(shape, int(d))
-			}
-		} else {
-			shape = ctx.AttrInts("shape")
 		}
-		r, err := x.Reshape(shape...)
+		r, err := tensor.ReshapeInto(ctx.ForwardableInput(0), x, shape)
 		if err != nil {
 			return nil, err
 		}
@@ -84,17 +95,14 @@ func init() {
 	}})
 
 	Register(&OpDef{Name: "Fill", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		shapeT, err := ctx.Input(0)
+		var sbuf [8]int
+		shape, err := shapeInput(ctx, 0, sbuf[:0])
 		if err != nil {
 			return nil, err
 		}
 		v, err := ctx.Input(1)
 		if err != nil {
 			return nil, err
-		}
-		var shape []int
-		for _, d := range shapeT.I {
-			shape = append(shape, int(d))
 		}
 		return ctx.One(TensorVal(tensor.Full(v.ScalarValue(), shape...))), nil
 	}})
@@ -104,13 +112,10 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		shapeT, err := ctx.Input(1)
+		var sbuf [8]int
+		shape, err := shapeInput(ctx, 1, sbuf[:0])
 		if err != nil {
 			return nil, err
-		}
-		var shape []int
-		for _, d := range shapeT.I {
-			shape = append(shape, int(d))
 		}
 		r, err := tensor.BroadcastTo(x, shape)
 		if err != nil {
@@ -119,20 +124,17 @@ func init() {
 		return ctx.One(TensorVal(r)), nil
 	}})
 
-	Register(&OpDef{Name: "UnbroadcastTo", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "UnbroadcastTo", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		g, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		shapeT, err := ctx.Input(1)
+		var sbuf [8]int
+		shape, err := shapeInput(ctx, 1, sbuf[:0])
 		if err != nil {
 			return nil, err
 		}
-		var shape []int
-		for _, d := range shapeT.I {
-			shape = append(shape, int(d))
-		}
-		r, err := tensor.UnbroadcastTo(g, shape)
+		r, err := tensor.UnbroadcastInto(ctx.ForwardableInput(0), g, shape)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +258,8 @@ func init() {
 		return ctx.One(TensorVal(r)), nil
 	}})
 
-	Register(&OpDef{Name: "ExpandDims", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	// ExpandDims and Squeeze return re-shaped copies from the pool.
+	Register(&OpDef{Name: "ExpandDims", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -268,7 +271,7 @@ func init() {
 		return ctx.One(TensorVal(r)), nil
 	}})
 
-	Register(&OpDef{Name: "Squeeze", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "Squeeze", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err

@@ -45,7 +45,28 @@ func freshSamples() map[string][]freshSample {
 		{attrs: map[string]any{"axes": []int{1}}, ins: same(ints)},
 	}
 	m := map[string][]freshSample{
-		"MatMul":     {{ins: same(a, tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2))}},
+		"MatMul": {
+			{ins: same(a, tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2))},
+			{attrs: map[string]any{"transpose_a": true}, ins: same(a, b)},
+			{attrs: map[string]any{"transpose_b": true}, ins: same(a, b)},
+			// Both: the kernel's transposed scratch must go back too.
+			{attrs: map[string]any{"transpose_a": true, "transpose_b": true}, ins: same(a, tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2))},
+		},
+		// Forwarded (owned input: handed on or re-shaped in place) and
+		// copied (borrowed input), same shape and not.
+		"UnbroadcastTo": {
+			{ins: same(a, tensor.FromInts([]int64{2, 3}, 2))},
+			{ins: same(a, tensor.FromInts([]int64{3}, 1))},
+			{ins: same(a, tensor.FromInts([]int64{2, 1}, 2))},
+			{ins: same(ints, tensor.FromInts([]int64{1, 3}, 2))},
+		},
+		"Reshape": {
+			{attrs: map[string]any{"shape": []int{3, 2}}, ins: same(a)},
+			{attrs: map[string]any{"shape": []int{-1}}, ins: same(bools)},
+			{ins: same(ints, tensor.FromInts([]int64{6, 1}, 2))},
+		},
+		"ExpandDims": {{attrs: map[string]any{"axis": 1}, ins: same(a)}},
+		"Squeeze":    {{ins: same(tensor.FromFloats([]float64{1, 2, 3}, 1, 3, 1))}},
 		"LogicalAnd": logical, "LogicalOr": logical,
 		"LogicalNot": {{ins: same(bools)}},
 		"ZerosLike":  {{ins: same(a)}, {ins: same(ints)}, {ins: same(bools)}},

@@ -18,13 +18,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		shapeT, err := ctx.Input(1)
+		shape, err := shapeInput(ctx, 1, nil)
 		if err != nil {
 			return nil, err
-		}
-		var shape []int
-		for _, d := range shapeT.I {
-			shape = append(shape, int(d))
 		}
 		axes := ctx.AttrInts("axes")
 		keep := ctx.AttrBool("keep_dims")
@@ -61,6 +57,9 @@ func init() {
 			}
 		}
 		r, err := tensor.BroadcastTo(gk, shape)
+		if gk != g {
+			tensor.Recycle(gk) // the re-shaped copy was this call's own
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -78,36 +77,20 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		shapeT, err := ctx.Input(2)
+		shape, err := shapeInput(ctx, 2, nil)
 		if err != nil {
 			return nil, err
 		}
-		var shape []int
-		for _, d := range shapeT.I {
-			shape = append(shape, int(d))
+		if len(shape) == 0 {
+			return nil, fmt.Errorf("ops: GatherGrad(%s) into a scalar", ctx.NodeName)
 		}
+		// ScatterAddRows reads indices and updates in flat order, row by
+		// row of out, whatever their ranks: no re-shaped copies needed.
 		out := tensor.Zeros(shape...)
-		flatIx := ix
-		if ix.Rank() > 1 {
-			flatIx = ix.MustReshape(ix.Size())
-		}
-		gm := g
-		if g.Rank() != 2 && out.Rank() > 0 {
-			inner := out.Size() / out.Dim(0)
-			gm = g.MustReshape(flatIx.Size(), inner)
-		}
-		outM := out
-		if out.Rank() != 2 && out.Rank() > 0 {
-			outM = out.MustReshape(out.Dim(0), out.Size()/out.Dim(0))
-		}
-		if err := tensor.ScatterAddRows(outM, flatIx, gm); err != nil {
+		if err := tensor.ScatterAddRows(out, ix, g); err != nil {
 			return nil, err
 		}
-		r, err := outM.Reshape(shape...)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(r)), nil
+		return ctx.One(TensorVal(out)), nil
 	}})
 
 	// ShapeDim(x) attr axis: one dimension of x's shape as an int scalar.

@@ -93,7 +93,25 @@ func init() {
 	binaryFwd("Maximum", tensor.MaximumInto)
 	binaryFwd("Minimum", tensor.MinimumInto)
 	binaryFwd("Mod", tensor.ModInto)
-	binary("MatMul", matMulKernel)
+	// MatMul reads either operand transposed over its last two axes when
+	// the node says so (transpose_a / transpose_b, set by the MatMul
+	// gradient and by optimize's transpose folding), so no Transpose node
+	// has to materialise what the kernel can read in place.
+	Register(&OpDef{Name: "MatMul", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+		a, err := ctx.Input(0)
+		if err != nil {
+			return nil, err
+		}
+		b, err := ctx.Input(1)
+		if err != nil {
+			return nil, err
+		}
+		r, err := tensor.MatMulT(a, b, ctx.AttrBool("transpose_a"), ctx.AttrBool("transpose_b"))
+		if err != nil {
+			return nil, err
+		}
+		return ctx.One(TensorVal(r)), nil
+	}})
 	binary("Greater", tensor.Greater)
 	binary("GreaterEqual", tensor.GreaterEqual)
 	binary("Less", tensor.Less)
@@ -221,11 +239,6 @@ func init() {
 		return ctx.One(TensorVal(r)), nil
 	}})
 }
-
-// matMulKernel honors transpose_a/transpose_b attrs via the plain kernel
-// wrapper path; attr handling lives in a dedicated registration below when
-// needed, so here we just multiply.
-func matMulKernel(a, b *tensor.Tensor) (*tensor.Tensor, error) { return tensor.MatMul(a, b) }
 
 // reduceOp kernels return fresh outputs, so the executor can recycle their
 // (often much larger) owned input buffers into the pool.

@@ -294,3 +294,92 @@ func TestRandomKernelsRespectShape(t *testing.T) {
 		}
 	}
 }
+
+// matMulKernel is the MatMul op's old kernel, which multiplied its operands
+// as stored whatever the node's attrs said; with explicit transposes in front
+// it is the reference for the attr-honouring kernel.
+func matMulKernel(a, b *tensor.Tensor) (*tensor.Tensor, error) { return tensor.MatMul(a, b) }
+
+func TestMatMulHonoursTransposeAttrs(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	for _, batch := range [][]int{nil, {2}} {
+		a := tensor.RandNormal(rng, 0, 1, append(append([]int(nil), batch...), 3, 5)...)
+		b := tensor.RandNormal(rng, 0, 1, append(append([]int(nil), batch...), 5, 4)...)
+		want, err := matMulKernel(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := []int{1, 0}
+		if batch != nil {
+			perm = []int{0, 2, 1}
+		}
+		at, _ := tensor.Transpose(a, perm...)
+		bt, _ := tensor.Transpose(b, perm...)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				x, y := a, b
+				if ta {
+					x = at
+				}
+				if tb {
+					y = bt
+				}
+				out := runKernel(t, "MatMul", map[string]any{"transpose_a": ta, "transpose_b": tb}, TV(x), TV(y))
+				if !tensor.AllClose(out[0].T, want, 1e-12) {
+					t.Errorf("MatMul %v x %v (transpose_a %v, transpose_b %v) = %v, want %v",
+						x.Shape(), y.Shape(), ta, tb, out[0].T, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReshapeAndUnbroadcastForward: a granted input buffer is the output —
+// handed on as it is or re-shaped in place — and a borrowed one is copied and
+// left alone.
+func TestReshapeAndUnbroadcastForward(t *testing.T) {
+	cases := []struct {
+		op    string
+		attrs map[string]any
+		extra *tensor.Tensor // second input, if any
+		want  []int
+	}{
+		{"Reshape", map[string]any{"shape": []int{3, -1}}, nil, []int{3, 2}},
+		{"Reshape", nil, tensor.FromInts([]int64{6}, 1), []int{6}},
+		{"UnbroadcastTo", nil, tensor.FromInts([]int64{2, 3}, 2), []int{2, 3}},
+	}
+	for _, c := range cases {
+		for _, owned := range []bool{false, true} {
+			x := tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+			ctx := &KernelContext{OpName: c.op, NodeName: c.op, Attrs: c.attrs, In: []Value{TV(x)}, Env: newFakeEnv()}
+			if c.extra != nil {
+				ctx.In = append(ctx.In, TV(c.extra))
+			}
+			if owned {
+				ctx.FwdMask = 1
+			}
+			out, err := MustGet(c.op).Kernel(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+			got := out[0].T
+			if (got == x) != owned {
+				t.Errorf("%s owned %v: output is the input tensor: %v", c.op, owned, got == x)
+			}
+			if !tensor.ShapeEq(got.ShapeRef(), c.want) || !tensor.Equal(got.MustReshape(6), tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 6)) {
+				t.Errorf("%s owned %v: got %v, want shape %v", c.op, owned, got, c.want)
+			}
+			if !owned && !tensor.ShapeEq(x.ShapeRef(), []int{2, 3}) {
+				t.Errorf("%s re-shaped a borrowed input to %v", c.op, x.ShapeRef())
+			}
+		}
+	}
+	// A sum cannot be forwarded: the owned input stays the executor's to
+	// recycle and the result is a tensor of its own.
+	x := tensor.Ones(2, 3)
+	ctx := &KernelContext{OpName: "UnbroadcastTo", In: []Value{TV(x), TV(tensor.FromInts([]int64{3}, 1))}, FwdMask: 1, Env: newFakeEnv()}
+	out, err := MustGet("UnbroadcastTo").Kernel(ctx)
+	if err != nil || out[0].T == x || !tensor.Equal(out[0].T, tensor.FromFloats([]float64{2, 2, 2}, 3)) {
+		t.Errorf("UnbroadcastTo [2,3] -> [3]: %v, %v", out, err)
+	}
+}

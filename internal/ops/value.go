@@ -109,8 +109,9 @@ func (r *Resources) Names() []string {
 type DeviceMem interface {
 	// MemName identifies the device for error messages.
 	MemName() string
-	// Allocate reserves bytes, failing with an OOM error when the
-	// device capacity would be exceeded.
+	// Allocate reserves bytes. A request that does not fit waits while
+	// a SwapOut is in flight and fails with an OOM error only when
+	// nothing is on its way out that could make room.
 	Allocate(bytes int64) error
 	// Release returns bytes to the device.
 	Release(bytes int64)

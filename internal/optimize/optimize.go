@@ -1,8 +1,9 @@
 // Package optimize implements the whole-program graph optimizations the
 // paper's §3 attributes to the runtime: constant folding (constant
-// propagation) and common-subexpression elimination. Both are possible
-// precisely because the in-graph approach exposes a single unified dataflow
-// graph before execution — the advantage §1 argues for.
+// propagation) and common-subexpression elimination, plus folding of matrix
+// transposes into the MatMul that reads them. All are possible precisely
+// because the in-graph approach exposes a single unified dataflow graph
+// before execution — the advantage §1 argues for.
 //
 // The passes are conservative around dynamic control flow: stateful ops are
 // never folded or deduplicated, control-flow primitives are left intact,
@@ -24,9 +25,10 @@ import (
 
 // Stats reports what a pass did.
 type Stats struct {
-	Folded int // nodes replaced by constants
-	CSE    int // nodes deduplicated
-	Fused  int // elementwise nodes absorbed into fused chains
+	Folded     int // nodes replaced by constants
+	CSE        int // nodes deduplicated
+	Fused      int // elementwise nodes absorbed into fused chains
+	Transposes int // Transpose operands folded into MatMul attrs
 }
 
 // controlFlowOps never participate in folding or CSE.
@@ -223,7 +225,44 @@ func signature(n *graph.Node) string {
 	return sb.String()
 }
 
-// Optimize runs constant folding then CSE.
+// foldTransposes rewrites MatMul(Transpose(x), y) and MatMul(x, Transpose(y))
+// to read x or y in place: the MatMul's transpose_a / transpose_b attr is
+// toggled and the operand rewired past the Transpose, whose kernel would
+// otherwise copy the whole matrix in front of every product. Only the plain
+// matrix transpose folds (no perm, or perm [1 0], which only a rank-2 operand
+// accepts), and only within one device and control-flow context — rewiring
+// across a frame boundary would change where the value is read. A transpose
+// of an already-transposed operand toggles the attr back off. The Transpose
+// node stays in the graph like a CSE victim: other consumers and fetches
+// naming it still work, and session pruning drops it once nothing does. It
+// returns the number of operands folded.
+func foldTransposes(g *graph.Graph) int {
+	folded := 0
+	attrs := [2]string{"transpose_a", "transpose_b"}
+	for _, n := range g.Nodes() {
+		if n.Op() != "MatMul" || n.NumInputs() != 2 {
+			continue
+		}
+		for i, attr := range attrs {
+			// A chain of transposes folds one link at a time.
+			for {
+				tr := n.Input(i).Node
+				perm, _ := tr.Attr("perm").([]int)
+				plain := len(perm) == 0 || (len(perm) == 2 && perm[0] == 1 && perm[1] == 0)
+				if tr.Op() != "Transpose" || !plain || tr.Ctx != n.Ctx || tr.Device() != n.Device() ||
+					tr.NumControlInputs() > 0 {
+					break
+				}
+				n.ReplaceInput(i, tr.Input(0))
+				n.SetAttr(attr, !n.AttrBool(attr))
+				folded++
+			}
+		}
+	}
+	return folded
+}
+
+// Optimize runs constant folding, then CSE, then transpose folding.
 func Optimize(g *graph.Graph) (Stats, error) {
 	f, err := FoldConstants(g)
 	if err != nil {
@@ -231,7 +270,11 @@ func Optimize(g *graph.Graph) (Stats, error) {
 	}
 	c, err := CSE(g)
 	f.CSE = c.CSE
-	return f, err
+	if err != nil {
+		return f, err
+	}
+	f.Transposes = foldTransposes(g)
+	return f, nil
 }
 
 // FuseElementwise compiles chains of elementwise ops into single

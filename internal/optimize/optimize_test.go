@@ -202,3 +202,129 @@ func TestOptimizeWholeLSTMGraphStaysCorrect(t *testing.T) {
 		t.Fatalf("optimize changed loop results (stats %+v): %v vs %v", st, v1, v2)
 	}
 }
+
+func opCount(b *core.Builder, fetch graph.Output, op string) int {
+	// Count the nodes of one op type a fetch of `fetch` would execute.
+	seen, n := map[int]bool{}, 0
+	var visit func(*graph.Node)
+	visit = func(nd *graph.Node) {
+		if seen[nd.ID()] {
+			return
+		}
+		seen[nd.ID()] = true
+		if nd.Op() == op {
+			n++
+		}
+		for _, in := range nd.InputsRef() {
+			visit(in.Node)
+		}
+	}
+	visit(fetch.Node)
+	return n
+}
+
+func TestOptimizeFoldsTransposesIntoMatMul(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	feeds := map[string]*tensor.Tensor{
+		"x": tensor.RandNormal(rng, 0, 1, 3, 2), // stored transposed: used as [2,3]
+		"y": tensor.RandNormal(rng, 0, 1, 4, 3), // stored transposed: used as [3,4]
+		"z": tensor.RandNormal(rng, 0, 1, 2, 3),
+	}
+	b := core.NewBuilder()
+	x, y, z := b.Placeholder("x"), b.Placeholder("y"), b.Placeholder("z")
+	xt, yt := b.Transpose(x), b.Transpose(y, 1, 0)
+	both := b.MatMul(xt, yt)                           // aᵀ·bᵀ
+	twice := b.MatMul(b.Transpose(b.Transpose(z)), yt) // a transpose of a transpose cancels
+	shared := b.MatMul(xt, x)                          // xt has more consumers below
+	keep := b.ReduceSum(xt, nil, false)
+	outs := []graph.Output{both, twice, shared, keep, xt}
+
+	sess := core.NewSession(b)
+	var before []*tensor.Tensor
+	for _, o := range outs {
+		v, err := sess.Run1(feeds, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, v)
+	}
+	st, err := Optimize(b.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// both: 2, twice: 2 + 1, shared: 1.
+	if st.Transposes != 6 {
+		t.Errorf("Stats.Transposes = %d, want 6", st.Transposes)
+	}
+	for i, o := range outs[:3] {
+		if n := opCount(b, o, "Transpose"); n != 0 {
+			t.Errorf("output %d still executes %d Transpose nodes", i, n)
+		}
+	}
+	if !both.Node.AttrBool("transpose_a") || !both.Node.AttrBool("transpose_b") {
+		t.Errorf("MatMul(xᵀ, yᵀ) attrs: %v", both.Node.AttrsMap())
+	}
+	if twice.Node.AttrBool("transpose_a") || twice.Node.Input(0) != z {
+		t.Errorf("MatMul((zᵀ)ᵀ, ·) should read z untransposed: attrs %v, input %v", twice.Node.AttrsMap(), twice.Node.Input(0))
+	}
+	// The Transpose with a second consumer, and a fetch naming it, still work.
+	if n := opCount(b, keep, "Transpose"); n != 1 {
+		t.Errorf("the Transpose's other consumer executes %d Transpose nodes, want 1", n)
+	}
+	sess = core.NewSession(b)
+	for i, o := range outs {
+		v, err := sess.Run1(feeds, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(v, before[i]) {
+			t.Errorf("output %d changed: %v, was %v", i, v, before[i])
+		}
+	}
+	if st2, _ := Optimize(b.G); st2.Transposes != 0 {
+		t.Errorf("a second Optimize folded %d more transposes", st2.Transposes)
+	}
+}
+
+func TestFoldTransposesLeavesWhatItCannotRead(t *testing.T) {
+	b := core.NewBuilder()
+	x, w := b.Placeholder("x"), b.Placeholder("w")
+	// A batched swap of the last two axes is not the plain matrix transpose.
+	batched := b.MatMul(b.Transpose(x, 0, 2, 1), x)
+	// A transpose outside a loop feeding a MatMul inside it reaches the
+	// MatMul through an Enter: a different context, not folded.
+	wt := b.Transpose(w)
+	outs := b.While(
+		[]graph.Output{b.Scalar(0), b.Placeholder("h")},
+		func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(2)) },
+		func(v []graph.Output) []graph.Output {
+			// One inside the body is in the MatMul's own context: folded.
+			return []graph.Output{b.Add(v[0], b.Scalar(1)), b.MatMul(b.MatMul(v[1], wt), b.Transpose(v[1]))}
+		},
+		core.WhileOpts{},
+	)
+	if b.Err() != nil {
+		t.Fatal(b.Err())
+	}
+	feeds := map[string]*tensor.Tensor{
+		"x": tensor.Ones(2, 3, 3), "w": tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2),
+		"h": tensor.FromFloats([]float64{.1, .2, .3, .4}, 2, 2),
+	}
+	want, err := core.NewSession(b).Run1(feeds, outs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := foldTransposes(b.G); n != 1 {
+		t.Errorf("folded %d transposes, want 1 (the one inside the loop body)", n)
+	}
+	if batched.Node.Input(0).Node.Op() != "Transpose" {
+		t.Error("a perm (0,2,1) Transpose was folded")
+	}
+	got, err := core.NewSession(b).Run1(feeds, outs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(got, want) {
+		t.Errorf("loop result changed: %v, was %v", got, want)
+	}
+}

@@ -1,0 +1,699 @@
+package tensor
+
+// Differential suite: every kernel rebuilt on the strided walker or given a
+// typed loop is compared with the kernel it replaced (reference_test.go) on
+// seeded random cases — ranks 0–4, extents 0 and 1 included, lengths that
+// are multiples of no unroll width — bit for bit. A tolerance would hide the
+// one thing the rewrite promises: same arithmetic, same operands, same
+// order; only the address computation changed.
+//
+// The bits are the same wherever the compiler fuses no multiply-add, which
+// is the default amd64 build (GOAMD64=v1). Only MatMul has a multiply feeding
+// an add, so only its comparison relaxes — to 1e-12 relative — elsewhere.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// bitExact reports whether MatMul results are expected to match the
+// reference bit for bit on this build.
+var bitExact = runtime.GOARCH == "amd64"
+
+// sameBits fails t unless got and want agree in dtype, shape and the exact
+// bits of every element.
+func sameBits(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	if got.dtype != want.dtype || !ShapeEq(got.shape, want.shape) {
+		t.Fatalf("%s: got %v%v, want %v%v", what, got.dtype, got.shape, want.dtype, want.shape)
+	}
+	for i := range want.F {
+		if math.Float64bits(got.F[i]) != math.Float64bits(want.F[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i,
+				got.F[i], math.Float64bits(got.F[i]), want.F[i], math.Float64bits(want.F[i]))
+		}
+	}
+	if !Equal(got, want) && want.dtype != Float {
+		t.Fatalf("%s: got %v, reference %v", what, got, want)
+	}
+}
+
+// sameProduct is sameBits for MatMul results: exact where bitExact, 1e-12
+// relative otherwise.
+func sameProduct(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	if bitExact {
+		sameBits(t, what, got, want)
+		return
+	}
+	if !ShapeEq(got.shape, want.shape) {
+		t.Fatalf("%s: got shape %v, want %v", what, got.shape, want.shape)
+	}
+	for i, w := range want.F {
+		if d := math.Abs(got.F[i] - w); d > 1e-12*math.Max(1, math.Abs(w)) {
+			t.Fatalf("%s: element %d is %v, reference %v", what, i, got.F[i], w)
+		}
+	}
+}
+
+// leveled runs f and requires the pool's live-byte gauge to end where it
+// began: every buffer a kernel took it either returned or handed to the
+// caller, who recycles it inside f.
+func leveled(t *testing.T, f func()) {
+	t.Helper()
+	start := PoolLiveBytes()
+	f()
+	if got := PoolLiveBytes(); got != start {
+		t.Fatalf("pool live bytes moved by %d: a kernel left a buffer checked out", got-start)
+	}
+}
+
+var extents = []int{0, 1, 1, 2, 3, 3, 5, 7}
+
+func randShape(r *rand.Rand, rank int) []int {
+	s := make([]int, rank)
+	for i := range s {
+		s[i] = extents[r.Intn(len(extents))]
+	}
+	return s
+}
+
+// interesting values: zeros of both signs, ones, and ordinary numbers, so a
+// sum can cancel and a skipped zero would show.
+func randFloats(r *rand.Rand, shape ...int) *Tensor {
+	t := New(Float, shape...)
+	for i := range t.F {
+		switch r.Intn(8) {
+		case 0:
+			t.F[i] = 0
+		case 1:
+			t.F[i] = math.Copysign(0, -1)
+		case 2:
+			t.F[i] = float64(r.Intn(5) - 2)
+		default:
+			t.F[i] = r.NormFloat64()
+		}
+	}
+	return t
+}
+
+func randOf(r *rand.Rand, dt DType, shape ...int) *Tensor {
+	t := New(dt, shape...)
+	for i := 0; i < t.Size(); i++ {
+		switch dt {
+		case Float:
+			t.F[i] = r.NormFloat64()
+		case Int:
+			t.I[i] = int64(r.Intn(9) - 4)
+		case Bool:
+			t.B[i] = r.Intn(2) == 0
+		case Str:
+			t.S[i] = fmt.Sprint("s", r.Intn(100))
+		}
+	}
+	return t
+}
+
+// operandShapes draws an output shape and two operand shapes that broadcast
+// to it: each operand may lack leading axes and hold any axis at 1.
+func operandShapes(r *rand.Rand) (a, b []int) {
+	out := randShape(r, r.Intn(5))
+	derive := func() []int {
+		s := append([]int(nil), out[r.Intn(len(out)+1):]...)
+		for i := range s {
+			if r.Intn(3) == 0 {
+				s[i] = 1
+			}
+		}
+		return s
+	}
+	switch r.Intn(4) {
+	case 0:
+		return out, derive()
+	case 1:
+		return derive(), out
+	case 2:
+		return append([]int(nil), out...), append([]int(nil), out...)
+	}
+	return derive(), derive()
+}
+
+func TestWalkerMergesAxes(t *testing.T) {
+	runs := func(shape, sa, sb []int) (n, run int) {
+		var buf [walkInline]walkAxis
+		w := newWalker(buf[:0], shape, sa, sb)
+		for w.next() {
+			n++
+		}
+		return n, w.run
+	}
+	var abuf, bbuf [walkInline]int
+	out := []int{16, 256}
+	if n, run := runs(out, broadcastStrides(abuf[:0], []int{16, 256}, out), broadcastStrides(bbuf[:0], []int{256}, out)); n != 16 || run != 256 {
+		t.Errorf("[16,256]+[256]: %d runs of %d, want 16 of 256", n, run)
+	}
+	if n, run := runs(out, keptStrides(abuf[:0], out, nil), keptStrides(bbuf[:0], out, nil)); n != 1 || run != 16*256 {
+		t.Errorf("same shape: %d runs of %d, want one of %d", n, run, 16*256)
+	}
+	// The rnn gate split: [16,4,64] read as (1,0,2) is 64 contiguous rows.
+	if n, run := runs([]int{4, 16, 64}, []int{64, 256, 1}, nil); n != 64 || run != 64 {
+		t.Errorf("perm (1,0,2): %d runs of %d, want 64 of 64", n, run)
+	}
+	if n, _ := runs([]int{3, 0, 2}, []int{0, 2, 1}, nil); n != 0 {
+		t.Errorf("empty shape: %d runs, want none", n)
+	}
+	if n, run := runs(nil, nil, nil); n != 1 || run != 1 {
+		t.Errorf("scalar: %d runs of %d, want one of one", n, run)
+	}
+}
+
+func TestDifferentialBinary(t *testing.T) {
+	type op struct {
+		name string
+		into func(dst, a, b *Tensor) (*Tensor, error)
+		fn   func(x, y float64) float64
+	}
+	opsUnderTest := []op{
+		{"Add", AddInto, func(x, y float64) float64 { return x + y }},
+		{"Sub", SubInto, func(x, y float64) float64 { return x - y }},
+		{"Mul", MulInto, func(x, y float64) float64 { return x * y }},
+		{"Div", DivInto, func(x, y float64) float64 { return x / y }},
+		{"Pow", PowInto, math.Pow},
+		{"Maximum", MaximumInto, math.Max},
+		{"Minimum", MinimumInto, math.Min},
+		{"Mod", ModInto, math.Mod},
+	}
+	r := rand.New(rand.NewSource(18))
+	for c := 0; c < 400; c++ {
+		as, bs := operandShapes(r)
+		a, b := randFloats(r, as...), randFloats(r, bs...)
+		for _, o := range opsUnderTest {
+			want, err := refBinary(a, b, o.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, which := range []string{"nil", "a", "b"} {
+				what := fmt.Sprintf("%s %v,%v dst=%s", o.name, as, bs, which)
+				leveled(t, func() {
+					// Operands the kernel may overwrite are pooled copies.
+					x, y := pooledCopy(a), pooledCopy(b)
+					dst := map[string]*Tensor{"a": x, "b": y}[which]
+					got, err := o.into(dst, x, y)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					sameBits(t, what, got, want)
+					if fits := dst != nil && ShapeEq(dst.shape, want.shape); fits != (got == dst) {
+						t.Fatalf("%s: dst fits %v but result is dst %v", what, fits, got == dst)
+					}
+					if got != x {
+						Recycle(x)
+					}
+					if got != y {
+						Recycle(y)
+					}
+					Recycle(got)
+				})
+			}
+		}
+	}
+}
+
+func TestDifferentialBinaryInt(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for c := 0; c < 100; c++ {
+		as, bs := operandShapes(r)
+		a, b := randOf(r, Int, as...), randOf(r, Int, bs...)
+		af, _ := Cast(a, Float)
+		bf, _ := Cast(b, Float)
+		wantF, err := refBinary(af, bf, func(x, y float64) float64 { return x * y })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Cast(wantF, Int)
+		shape, _ := refBroadcastShapes(as, bs)
+		wantAdd := New(Int, shape...)
+		refZip(wantAdd.I, a.I, b.I, shape, as, bs, func(x, y int64) int64 { return x + y })
+		Recycle(af)
+		Recycle(bf)
+		leveled(t, func() {
+			got, err := Mul(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("int Mul %v,%v", as, bs), got, want)
+			Recycle(got)
+			got, err = AddInt(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("AddInt %v,%v", as, bs), got, wantAdd)
+			Recycle(got)
+		})
+		Recycle(want)
+	}
+}
+
+func TestDifferentialCompareAndLogical(t *testing.T) {
+	compares := []struct {
+		name string
+		op   func(a, b *Tensor) (*Tensor, error)
+		fn   func(x, y float64) bool
+	}{
+		{"Greater", Greater, func(x, y float64) bool { return x > y }},
+		{"GreaterEqual", GreaterEqual, func(x, y float64) bool { return x >= y }},
+		{"Less", Less, func(x, y float64) bool { return x < y }},
+		{"LessEqual", LessEqual, func(x, y float64) bool { return x <= y }},
+		{"Equal", EqualElems, func(x, y float64) bool { return x == y }},
+		{"NotEqual", NotEqual, func(x, y float64) bool { return x != y }},
+	}
+	logicals := []struct {
+		name string
+		op   func(a, b *Tensor) (*Tensor, error)
+		fn   func(x, y bool) bool
+	}{
+		{"LogicalAnd", LogicalAnd, func(x, y bool) bool { return x && y }},
+		{"LogicalOr", LogicalOr, func(x, y bool) bool { return x || y }},
+	}
+	r := rand.New(rand.NewSource(20))
+	for c := 0; c < 300; c++ {
+		as, bs := operandShapes(r)
+		shape, err := refBroadcastShapes(as, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := randFloats(r, as...), randFloats(r, bs...)
+		for _, o := range compares {
+			want := New(Bool, shape...)
+			refZip(want.B, a.F, b.F, shape, as, bs, o.fn)
+			leveled(t, func() {
+				got, err := o.op(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%s %v,%v", o.name, as, bs), got, want)
+				Recycle(got)
+			})
+		}
+		p, q := randOf(r, Bool, as...), randOf(r, Bool, bs...)
+		for _, o := range logicals {
+			want := New(Bool, shape...)
+			refZip(want.B, p.B, q.B, shape, as, bs, o.fn)
+			leveled(t, func() {
+				got, err := o.op(p, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%s %v,%v", o.name, as, bs), got, want)
+				Recycle(got)
+			})
+		}
+	}
+}
+
+func TestDifferentialUnary(t *testing.T) {
+	unaries := []struct {
+		name string
+		into func(dst, t *Tensor) (*Tensor, error)
+		fn   func(float64) float64
+	}{
+		{"Neg", NegInto, func(x float64) float64 { return -x }},
+		{"Square", SquareInto, func(x float64) float64 { return x * x }},
+		{"Relu", ReluInto, func(x float64) float64 {
+			if x > 0 {
+				return x
+			}
+			return 0
+		}},
+		{"Tanh", TanhInto, math.Tanh},
+		{"Sigmoid", SigmoidInto, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+		{"Exp", ExpInto, math.Exp},
+	}
+	r := rand.New(rand.NewSource(21))
+	for c := 0; c < 100; c++ {
+		x := randFloats(r, randShape(r, r.Intn(5))...)
+		x.F = append(x.F[:0:0], x.F...)
+		if len(x.F) > 0 {
+			x.F[0] = math.NaN()
+		}
+		for _, o := range unaries {
+			want := New(Float, x.shape...)
+			for i, v := range x.F {
+				want.F[i] = o.fn(v)
+			}
+			for _, inPlace := range []bool{false, true} {
+				leveled(t, func() {
+					in := pooledCopy(x)
+					var dst *Tensor
+					if inPlace {
+						dst = in
+					}
+					got, err := o.into(dst, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, fmt.Sprintf("%s %v in place %v", o.name, x.shape, inPlace), got, want)
+					if (got == in) != inPlace {
+						t.Fatalf("%s: in place %v but result aliases input %v", o.name, inPlace, got == in)
+					}
+					if got != in {
+						Recycle(in)
+					}
+					Recycle(got)
+				})
+			}
+		}
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+func TestDifferentialTranspose(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for rank := 0; rank <= 4; rank++ {
+		for _, perm := range permutations(rank) {
+			for _, dt := range []DType{Float, Int, Bool, Str} {
+				for c := 0; c < 6; c++ {
+					shape := randShape(r, rank)
+					if c == 0 && rank >= 2 { // one case wider than a transpose tile
+						shape[0], shape[rank-1] = 2*transposeBlock+3, transposeBlock+5
+					}
+					x := randOf(r, dt, shape...)
+					want, err := refTranspose(x, perm...)
+					if rank == 0 {
+						// No perm means "the matrix transpose": an error at
+						// rank 0, then as now.
+						if _, gotErr := Transpose(x, perm...); err == nil || gotErr == nil {
+							t.Fatalf("rank-0 Transpose: reference error %v, got %v", err, gotErr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					leveled(t, func() {
+						got, err := Transpose(x, perm...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, fmt.Sprintf("Transpose %v %v perm %v", dt, shape, perm), got, want)
+						Recycle(got)
+					})
+				}
+			}
+		}
+	}
+	x := randOf(r, Float, 5, 7)
+	want, _ := refTranspose(x)
+	got, err := Transpose(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "default Transpose", got, want)
+	for _, bad := range [][]int{{0, 0}, {0, 2}, {-1, 0}, {0}, {0, 1, 2}} {
+		if _, err := Transpose(x, bad...); err == nil {
+			t.Errorf("Transpose perm %v: no error", bad)
+		}
+	}
+}
+
+// axisSubsets returns every subset of 0..rank-1, the empty one (meaning "all
+// axes") included, some spelled with negative or repeated axes.
+func axisSubsets(rank int) [][]int {
+	var out [][]int
+	for mask := 0; mask < 1<<uint(rank); mask++ {
+		var ax []int
+		for i := rank - 1; i >= 0; i-- { // descending: the kernel must sort
+			if mask&(1<<uint(i)) != 0 {
+				ax = append(ax, i)
+			}
+		}
+		out = append(out, ax)
+		if len(ax) > 0 {
+			out = append(out, append([]int{ax[0] - rank, ax[0]}, ax...))
+		}
+	}
+	return out
+}
+
+func TestDifferentialReduce(t *testing.T) {
+	reductions := []struct {
+		name string
+		op   func(t *Tensor, axes []int, keep bool) (*Tensor, error)
+		ref  func(t *Tensor, axes []int, keep bool) (*Tensor, error)
+	}{
+		{"Sum", ReduceSum, refReduceSum},
+		{"Max", ReduceMax, func(t *Tensor, axes []int, keep bool) (*Tensor, error) {
+			return refReduce(t, axes, keep, math.Inf(-1), math.Max)
+		}},
+		{"Min", ReduceMin, func(t *Tensor, axes []int, keep bool) (*Tensor, error) {
+			return refReduce(t, axes, keep, math.Inf(1), math.Min)
+		}},
+		{"Mean", ReduceMean, refReduceMean},
+	}
+	r := rand.New(rand.NewSource(23))
+	for rank := 0; rank <= 4; rank++ {
+		for c := 0; c < 8; c++ {
+			x := randFloats(r, randShape(r, rank)...)
+			for _, axes := range axisSubsets(rank) {
+				for _, keep := range []bool{false, true} {
+					for _, o := range reductions {
+						want, err := o.ref(x, axes, keep)
+						if err != nil {
+							t.Fatal(err)
+						}
+						leveled(t, func() {
+							got, err := o.op(x, axes, keep)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameBits(t, fmt.Sprintf("%s %v axes %v keep %v", o.name, x.shape, axes, keep), got, want)
+							Recycle(got)
+						})
+					}
+				}
+			}
+			for axis := -rank; axis < rank; axis++ {
+				want, err := refArgMax(x, axis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leveled(t, func() {
+					got, err := ArgMax(x, axis)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, fmt.Sprintf("ArgMax %v axis %d", x.shape, axis), got, want)
+					Recycle(got)
+				})
+			}
+		}
+	}
+	if _, err := ReduceSum(New(Float, 2, 3), []int{2}, false); err == nil {
+		t.Error("axis out of range: no error")
+	}
+}
+
+func TestDifferentialBroadcastRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	for c := 0; c < 400; c++ {
+		small, big := operandShapes(r)
+		full, err := refBroadcastShapes(small, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dt := range []DType{Float, Int, Bool, Str} {
+			x := randOf(r, dt, small...)
+			want, err := refBroadcastTo(x, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BroadcastTo(x, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("BroadcastTo %v %v -> %v", dt, small, full), got, want)
+		}
+		// And back: the gradient of the broadcast sums g down to small, one
+		// axis at a time, in the reference's order.
+		g := randFloats(r, full...)
+		want, err := refUnbroadcastTo(g, small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, forward := range []bool{false, true} {
+			what := fmt.Sprintf("UnbroadcastTo %v -> %v forwarded %v", full, small, forward)
+			leveled(t, func() {
+				in := pooledCopy(g)
+				var dst *Tensor
+				if forward {
+					dst = in
+				}
+				got, err := UnbroadcastInto(dst, in, small)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameBits(t, what, got, want)
+				if (got == in) != (forward && ShapeEq(full, small)) {
+					t.Fatalf("%s: result aliases its input: %v", what, got == in)
+				}
+				if got != in {
+					Recycle(in)
+				}
+				Recycle(got)
+			})
+		}
+	}
+	if _, err := UnbroadcastTo(New(Float, 3), []int{4}); err == nil {
+		t.Error("UnbroadcastTo [3] -> [4]: no error")
+	}
+	if _, err := BroadcastTo(New(Float, 3), []int{4}); err == nil {
+		t.Error("BroadcastTo [3] -> [4]: no error")
+	}
+}
+
+func TestReshapeForwardsOrCopiesFromPool(t *testing.T) {
+	x := FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	leveled(t, func() {
+		got, err := x.Reshape(3, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == x || !ShapeEq(got.shape, []int{3, 2}) || &got.F[0] == &x.F[0] {
+			t.Fatalf("Reshape must copy: got %v", got)
+		}
+		sameBits(t, "Reshape copy", got, FromFloats(x.F, 3, 2))
+		// In place: same tensor, same storage, new shape; a pooled tensor's
+		// accounting is by element count, so it still balances.
+		again, err := ReshapeInto(got, got, []int{-1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != got || !ShapeEq(again.shape, []int{6}) {
+			t.Fatalf("ReshapeInto(dst == t) must re-shape in place: got %v", again)
+		}
+		Recycle(again)
+	})
+	for _, bad := range [][]int{{4}, {-1, -1}, {-1, 4}, {-2, -3}, {0, -1}} {
+		if _, err := x.Reshape(bad...); err == nil {
+			t.Errorf("Reshape %v: no error", bad)
+		}
+	}
+	if !ShapeEq(x.shape, []int{2, 3}) {
+		t.Fatalf("failed reshapes changed the receiver's shape to %v", x.shape)
+	}
+	empty := New(Float, 0, 3)
+	if got, err := empty.Reshape(3, 0, 5); err != nil || got.Size() != 0 {
+		t.Errorf("Reshape of an empty tensor: %v, %v", got, err)
+	}
+}
+
+var matDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 17}
+
+func TestDifferentialMatMul(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for c := 0; c < 300; c++ {
+		m, k, n := matDims[r.Intn(len(matDims))], matDims[r.Intn(len(matDims))], matDims[r.Intn(len(matDims))]
+		batch := []int{}
+		if c%2 == 1 {
+			batch = []int{r.Intn(4)}
+		}
+		last := len(batch)
+		a := randFloats(r, append(append([]int(nil), batch...), m, k)...)
+		b := randFloats(r, append(append([]int(nil), batch...), k, n)...)
+		want, err := refMatMul(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Store each operand the way the attrs say it is stored, by the
+		// reference transpose.
+		swap := make([]int, last+2)
+		for i := range swap {
+			swap[i] = i
+		}
+		swap[last], swap[last+1] = last+1, last
+		at, _ := refTranspose(a, swap...)
+		bt, _ := refTranspose(b, swap...)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				x, y := a, b
+				if ta {
+					x = at
+				}
+				if tb {
+					y = bt
+				}
+				leveled(t, func() {
+					got, err := MatMulT(x, y, ta, tb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameProduct(t, fmt.Sprintf("MatMul %v x %v transpose_a %v transpose_b %v", x.shape, y.shape, ta, tb), got, want)
+					Recycle(got)
+				})
+			}
+		}
+	}
+	a, b := New(Float, 2, 3), New(Float, 4, 5)
+	for _, ta := range []bool{false, true} {
+		for _, tb := range []bool{false, true} {
+			if _, err := MatMulT(a, b, ta, tb); err == nil {
+				t.Errorf("MatMul [2,3] x [4,5] (%v, %v): no error", ta, tb)
+			}
+		}
+	}
+	if _, err := MatMul(New(Float, 2, 3, 4), New(Float, 3, 4, 5)); err == nil {
+		t.Error("batched MatMul with different batches: no error")
+	}
+	if _, err := MatMul(New(Float, 2, 3), New(Float, 1, 3, 4)); err == nil {
+		t.Error("MatMul of rank 2 by rank 3: no error")
+	}
+}
+
+// TestMatMulZeroTimesInfIsNaN pins the one intended divergence from the old
+// kernel, whose `if av == 0 { continue }` turned 0·Inf and 0·NaN into 0 and so
+// hid a poisoned weight from the loss.
+func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
+	zero := FromFloats([]float64{0}, 1, 1)
+	for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		bad := FromFloats([]float64{poison}, 1, 1)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				got, err := MatMulT(zero, bad, ta, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !math.IsNaN(got.F[0]) {
+					t.Errorf("MatMul([[0]], [[%v]]) transpose_a %v transpose_b %v = %v, want NaN", poison, ta, tb, got.F[0])
+				}
+			}
+		}
+	}
+	// In a longer row too, in every position of an unrolled block.
+	for k := 1; k <= 9; k++ {
+		for at := 0; at < k; at++ {
+			a, b := Ones(2, k), Ones(k, 3)
+			a.F[at], b.F[at*3+1] = 0, math.Inf(1)
+			got, _ := MatMul(a, b)
+			if !math.IsNaN(got.F[1]) || math.IsNaN(got.F[0]) {
+				t.Errorf("k=%d, zero at %d: row 0 of the product is %v, want [%d NaN %d]", k, at, got.F[:3], k, k)
+			}
+		}
+	}
+}

@@ -7,74 +7,108 @@ import (
 
 // BroadcastShapes computes the NumPy-style broadcast shape of a and b, or an
 // error if they are incompatible.
-func BroadcastShapes(a, b []int) ([]int, error) {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
+func BroadcastShapes(a, b []int) ([]int, error) { return broadcastShape(nil, a, b) }
+
+// broadcastShape is BroadcastShapes storing its result in buf when it is
+// large enough, so kernels can keep the shape on their stack.
+func broadcastShape(buf, a, b []int) ([]int, error) {
+	if len(a) < len(b) {
+		a, b = b, a
 	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		da, db := 1, 1
-		if i >= n-len(a) {
-			da = a[i-(n-len(a))]
-		}
-		if i >= n-len(b) {
-			db = b[i-(n-len(b))]
-		}
-		switch {
-		case da == db:
-			out[i] = da
+	out := append(buf[:0], a...)
+	for i, j := len(a)-1, len(b)-1; j >= 0; i, j = i-1, j-1 {
+		switch da, db := a[i], b[j]; {
+		case da == db || db == 1:
 		case da == 1:
 			out[i] = db
-		case db == 1:
-			out[i] = da
 		default:
-			return nil, fmt.Errorf("tensor: cannot broadcast shapes %v and %v", a, b)
+			return nil, fmt.Errorf("tensor: cannot broadcast shapes %v and %v", cloneShape(a), cloneShape(b))
 		}
 	}
 	return out, nil
 }
 
-// strides returns row-major strides for shape.
-func strides(shape []int) []int {
-	st := make([]int, len(shape))
-	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= shape[i]
-	}
-	return st
+// broadcastWalker walks shape, the broadcast of the operand shapes a and b.
+func broadcastWalker(buf []walkAxis, shape, a, b []int) walker {
+	var abuf, bbuf [walkInline]int
+	return newWalker(buf, shape, broadcastStrides(abuf[:0], a, shape), broadcastStrides(bbuf[:0], b, shape))
 }
 
-// broadcastIndexer returns a function mapping a flat index in the broadcast
-// output shape to the flat index in a tensor of shape `from`.
-func broadcastIndexer(from, to []int) func(int) int {
-	if ShapeEq(from, to) {
-		return func(i int) int { return i }
+// zipBroadcast writes out = fn(a, b) elementwise, out having the broadcast
+// shape of the two operand shapes.
+func zipBroadcast[A, O any](out []O, a, b []A, shape, ashape, bshape []int, fn func(x, y A) O) {
+	if ShapeEq(ashape, bshape) { // one run; scalars in a loop condition pay no set-up
+		zipRun(out, a, b, 1, 1, fn)
+		return
 	}
-	fromSt := strides(from)
-	toSt := strides(to)
-	offset := len(to) - len(from)
-	return func(flat int) int {
-		src := 0
-		for i, st := range toSt {
-			ix := flat / st % to[i]
-			j := i - offset
-			if j < 0 {
-				continue
-			}
-			if from[j] == 1 {
-				continue
-			}
-			src += ix * fromSt[j]
+	var wbuf [walkInline]walkAxis
+	w := broadcastWalker(wbuf[:0], shape, ashape, bshape)
+	for pos := 0; w.next(); pos += w.run {
+		zipRun(out[pos:pos+w.run], a[w.a:], b[w.b:], w.ia, w.ib, fn)
+	}
+}
+
+// elemOp selects an elementwise kernel's inner loop, once per call. The
+// arithmetic the hardware does in a cycle gets a loop of its own; an op whose
+// cost is a math-library call (Tanh, Exp, Pow, ...) is opFn and keeps the
+// function value.
+type elemOp uint8
+
+const (
+	opFn elemOp = iota
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opNeg
+	opSquare
+	opRelu
+)
+
+// typedBinary holds the binary ops with a loop of their own as functions, for
+// the runs those loops do not cover (an operand broadcast along the run).
+var typedBinary = [...]func(x, y float64) float64{
+	opAdd: func(x, y float64) float64 { return x + y },
+	opSub: func(x, y float64) float64 { return x - y },
+	opMul: func(x, y float64) float64 { return x * y },
+	opDiv: func(x, y float64) float64 { return x / y },
+}
+
+// binaryRun computes one run of a broadcasting binary op: each operand is
+// contiguous (stride 1) or one repeated element (stride 0). fn is the op
+// when it is opFn.
+func binaryRun(op elemOp, fn func(x, y float64) float64, out, a, b []float64, ia, ib int) {
+	if op != opFn && (ia == 0 || ib == 0) {
+		op, fn = opFn, typedBinary[op]
+	}
+	if op == opFn {
+		zipRun(out, a, b, ia, ib, fn)
+		return
+	}
+	a, b = a[:len(out)], b[:len(out)]
+	switch op {
+	case opAdd:
+		for i := range out {
+			out[i] = a[i] + b[i]
 		}
-		return src
+	case opSub:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case opMul:
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	case opDiv:
+		for i := range out {
+			out[i] = a[i] / b[i]
+		}
 	}
 }
 
-// binaryFloat applies fn elementwise with broadcasting over float tensors.
-func binaryFloat(name string, a, b *Tensor, fn func(x, y float64) float64) (*Tensor, error) {
-	return binaryFloatInto(name, nil, a, b, fn)
+// binaryFloat applies a broadcasting binary op to float tensors.
+func binaryFloat(name string, a, b *Tensor, op elemOp, fn func(x, y float64) float64) (*Tensor, error) {
+	return binaryFloatInto(name, nil, a, b, op, fn)
 }
 
 // binaryFloatInto is binaryFloat writing into dst when dst can legally hold
@@ -83,7 +117,7 @@ func binaryFloat(name string, a, b *Tensor, fn func(x, y float64) float64) (*Ten
 // shape. Any mismatch falls back to a pooled allocation. Aliasing is safe
 // because every output element is written exactly once from the same (or
 // another tensor's) index before being read again.
-func binaryFloatInto(name string, dst, a, b *Tensor, fn func(x, y float64) float64) (*Tensor, error) {
+func binaryFloatInto(name string, dst, a, b *Tensor, op elemOp, fn func(x, y float64) float64) (*Tensor, error) {
 	if a.dtype == Int && b.dtype == Int {
 		// Integer fast path: operate in float space but emit ints for
 		// closed operations. Callers needing true int semantics use
@@ -93,7 +127,7 @@ func binaryFloatInto(name string, dst, a, b *Tensor, fn func(x, y float64) float
 		// pool once the int result exists.
 		af, _ := Cast(a, Float)
 		bf, _ := Cast(b, Float)
-		r, err := binaryFloatInto(name, af, af, bf, fn)
+		r, err := binaryFloatInto(name, af, af, bf, op, fn)
 		Recycle(bf)
 		if r != af {
 			Recycle(af)
@@ -108,145 +142,163 @@ func binaryFloatInto(name string, dst, a, b *Tensor, fn func(x, y float64) float
 	if a.dtype != Float || b.dtype != Float {
 		return nil, fmt.Errorf("tensor: %s requires float operands, got %v and %v", name, a.dtype, b.dtype)
 	}
-	shape, err := BroadcastShapes(a.shape, b.shape)
+	result := func(shape []int) *Tensor {
+		if dst != nil && (dst == a || dst == b) && ShapeEq(dst.shape, shape) {
+			return dst
+		}
+		return Alloc(Float, shape...)
+	}
+	// Two same-shaped operands, or one with a single element under a shape
+	// that is already the result's, are one run: no shape arithmetic.
+	switch {
+	case SameShape(a, b):
+		out := result(a.shape)
+		binaryRun(op, fn, out.F, a.F, b.F, 1, 1)
+		return out, nil
+	case len(b.F) == 1 && len(b.shape) <= len(a.shape):
+		out := result(a.shape)
+		binaryRun(op, fn, out.F, a.F, b.F, 1, 0)
+		return out, nil
+	case len(a.F) == 1 && len(a.shape) <= len(b.shape):
+		out := result(b.shape)
+		binaryRun(op, fn, out.F, a.F, b.F, 0, 1)
+		return out, nil
+	}
+	var sbuf [walkInline]int
+	shape, err := broadcastShape(sbuf[:0], a.shape, b.shape)
 	if err != nil {
 		return nil, fmt.Errorf("tensor: %s: %w", name, err)
 	}
-	out := dst
-	if out == nil || (out != a && out != b) || out.dtype != Float || !ShapeEq(out.shape, shape) {
-		out = Alloc(Float, shape...)
-	}
-	n := out.Size()
-	if ShapeEq(a.shape, shape) && ShapeEq(b.shape, shape) {
-		for i := 0; i < n; i++ {
-			out.F[i] = fn(a.F[i], b.F[i])
-		}
-		return out, nil
-	}
-	// One operand is a single element: the other then has the output's
-	// elements in the output's order, and no index arithmetic is needed.
-	if len(b.F) == 1 {
-		y := b.F[0]
-		for i, x := range a.F[:n] {
-			out.F[i] = fn(x, y)
-		}
-		return out, nil
-	}
-	if len(a.F) == 1 {
-		x := a.F[0]
-		for i, y := range b.F[:n] {
-			out.F[i] = fn(x, y)
-		}
-		return out, nil
-	}
-	ai := broadcastIndexer(a.shape, shape)
-	bi := broadcastIndexer(b.shape, shape)
-	for i := 0; i < n; i++ {
-		out.F[i] = fn(a.F[ai(i)], b.F[bi(i)])
+	out := result(shape)
+	var wbuf [walkInline]walkAxis
+	w := broadcastWalker(wbuf[:0], shape, a.shape, b.shape)
+	for pos := 0; w.next(); pos += w.run {
+		binaryRun(op, fn, out.F[pos:pos+w.run], a.F[w.a:], b.F[w.b:], w.ia, w.ib)
 	}
 	return out, nil
 }
 
-// Elementwise kernels, named so the *Into forwarding variants share them.
-var (
-	addFn  = func(x, y float64) float64 { return x + y }
-	subFn  = func(x, y float64) float64 { return x - y }
-	mulFn  = func(x, y float64) float64 { return x * y }
-	divFn  = func(x, y float64) float64 { return x / y }
-	negFn  = func(x float64) float64 { return -x }
-	sqFn   = func(x float64) float64 { return x * x }
-	sigFn  = func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-	reluFn = func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	}
-)
+func sigFn(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Add returns a+b with broadcasting.
-func Add(a, b *Tensor) (*Tensor, error) { return binaryFloat("Add", a, b, addFn) }
+func Add(a, b *Tensor) (*Tensor, error) { return binaryFloat("Add", a, b, opAdd, nil) }
 
 // AddInto is Add writing into dst when permitted (see binaryFloatInto);
 // dst may be nil or alias a or b.
-func AddInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Add", dst, a, b, addFn) }
+func AddInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Add", dst, a, b, opAdd, nil)
+}
 
 // Sub returns a-b with broadcasting.
-func Sub(a, b *Tensor) (*Tensor, error) { return binaryFloat("Sub", a, b, subFn) }
+func Sub(a, b *Tensor) (*Tensor, error) { return binaryFloat("Sub", a, b, opSub, nil) }
 
 // SubInto is Sub writing into dst when permitted.
-func SubInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Sub", dst, a, b, subFn) }
+func SubInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Sub", dst, a, b, opSub, nil)
+}
 
 // Mul returns a*b elementwise with broadcasting.
-func Mul(a, b *Tensor) (*Tensor, error) { return binaryFloat("Mul", a, b, mulFn) }
+func Mul(a, b *Tensor) (*Tensor, error) { return binaryFloat("Mul", a, b, opMul, nil) }
 
 // MulInto is Mul writing into dst when permitted.
-func MulInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Mul", dst, a, b, mulFn) }
+func MulInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Mul", dst, a, b, opMul, nil)
+}
 
 // Div returns a/b elementwise with broadcasting.
-func Div(a, b *Tensor) (*Tensor, error) { return binaryFloat("Div", a, b, divFn) }
+func Div(a, b *Tensor) (*Tensor, error) { return binaryFloat("Div", a, b, opDiv, nil) }
 
 // DivInto is Div writing into dst when permitted.
-func DivInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Div", dst, a, b, divFn) }
+func DivInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Div", dst, a, b, opDiv, nil)
+}
 
 // Pow returns a**b elementwise with broadcasting.
-func Pow(a, b *Tensor) (*Tensor, error) { return binaryFloat("Pow", a, b, math.Pow) }
+func Pow(a, b *Tensor) (*Tensor, error) { return binaryFloat("Pow", a, b, opFn, math.Pow) }
 
 // PowInto is Pow writing into dst when permitted.
-func PowInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Pow", dst, a, b, math.Pow) }
+func PowInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Pow", dst, a, b, opFn, math.Pow)
+}
 
 // Maximum returns elementwise max with broadcasting.
-func Maximum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Maximum", a, b, math.Max) }
+func Maximum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Maximum", a, b, opFn, math.Max) }
 
 // MaximumInto is Maximum writing into dst when permitted.
 func MaximumInto(dst, a, b *Tensor) (*Tensor, error) {
-	return binaryFloatInto("Maximum", dst, a, b, math.Max)
+	return binaryFloatInto("Maximum", dst, a, b, opFn, math.Max)
 }
 
 // Minimum returns elementwise min with broadcasting.
-func Minimum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Minimum", a, b, math.Min) }
+func Minimum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Minimum", a, b, opFn, math.Min) }
 
 // MinimumInto is Minimum writing into dst when permitted.
 func MinimumInto(dst, a, b *Tensor) (*Tensor, error) {
-	return binaryFloatInto("Minimum", dst, a, b, math.Min)
+	return binaryFloatInto("Minimum", dst, a, b, opFn, math.Min)
 }
 
 // Mod returns elementwise floating-point remainder with broadcasting.
-func Mod(a, b *Tensor) (*Tensor, error) { return binaryFloat("Mod", a, b, math.Mod) }
+func Mod(a, b *Tensor) (*Tensor, error) { return binaryFloat("Mod", a, b, opFn, math.Mod) }
 
 // ModInto is Mod writing into dst when permitted.
-func ModInto(dst, a, b *Tensor) (*Tensor, error) { return binaryFloatInto("Mod", dst, a, b, math.Mod) }
+func ModInto(dst, a, b *Tensor) (*Tensor, error) {
+	return binaryFloatInto("Mod", dst, a, b, opFn, math.Mod)
+}
 
 // AddInt adds int tensors with broadcasting, staying in int64.
 func AddInt(a, b *Tensor) (*Tensor, error) {
 	if a.dtype != Int || b.dtype != Int {
 		return nil, fmt.Errorf("tensor: AddInt requires int operands")
 	}
-	shape, err := BroadcastShapes(a.shape, b.shape)
+	var sbuf [walkInline]int
+	shape, err := broadcastShape(sbuf[:0], a.shape, b.shape)
 	if err != nil {
 		return nil, err
 	}
 	out := Alloc(Int, shape...)
-	ai := broadcastIndexer(a.shape, shape)
-	bi := broadcastIndexer(b.shape, shape)
-	for i := range out.I {
-		out.I[i] = a.I[ai(i)] + b.I[bi(i)]
-	}
+	zipBroadcast(out.I, a.I, b.I, shape, a.shape, b.shape, func(x, y int64) int64 { return x + y })
 	return out, nil
 }
 
-// unaryFloat applies fn elementwise to a float tensor.
-func unaryFloat(name string, t *Tensor, fn func(float64) float64) (*Tensor, error) {
-	return unaryFloatInto(name, nil, t, fn)
+// unaryRun computes one elementwise unary op over in.
+func unaryRun(op elemOp, fn func(float64) float64, out, in []float64) {
+	in = in[:len(out)]
+	switch op {
+	case opNeg:
+		for i, v := range in {
+			out[i] = -v
+		}
+	case opSquare:
+		for i, v := range in {
+			out[i] = v * v
+		}
+	case opRelu:
+		for i, v := range in {
+			if v > 0 {
+				out[i] = v
+			} else {
+				out[i] = 0
+			}
+		}
+	default:
+		for i, v := range in {
+			out[i] = fn(v)
+		}
+	}
+}
+
+// unaryFloat applies an elementwise unary op to a float tensor.
+func unaryFloat(name string, t *Tensor, op elemOp, fn func(float64) float64) (*Tensor, error) {
+	return unaryFloatInto(name, nil, t, op, fn)
 }
 
 // unaryFloatInto is unaryFloat writing into dst when dst aliases t (the
 // forwarding contract) and t is float; otherwise it allocates from the
 // buffer pool.
-func unaryFloatInto(name string, dst, t *Tensor, fn func(float64) float64) (*Tensor, error) {
+func unaryFloatInto(name string, dst, t *Tensor, op elemOp, fn func(float64) float64) (*Tensor, error) {
 	if t.dtype == Int {
 		f, _ := Cast(t, Float)
-		r, err := unaryFloatInto(name, f, f, fn) // in place: f is ours
+		r, err := unaryFloatInto(name, f, f, op, fn) // in place: f is ours
 		if err != nil {
 			return nil, err
 		}
@@ -261,9 +313,7 @@ func unaryFloatInto(name string, dst, t *Tensor, fn func(float64) float64) (*Ten
 	if out != t || out == nil {
 		out = Alloc(Float, t.shape...)
 	}
-	for i, v := range t.F {
-		out.F[i] = fn(v)
-	}
+	unaryRun(op, fn, out.F, t.F)
 	return out, nil
 }
 
@@ -278,64 +328,72 @@ func signFn(x float64) float64 {
 }
 
 // Neg returns -t.
-func Neg(t *Tensor) (*Tensor, error) { return unaryFloat("Neg", t, negFn) }
+func Neg(t *Tensor) (*Tensor, error) { return unaryFloat("Neg", t, opNeg, nil) }
 
 // NegInto is Neg writing into dst when permitted (dst may alias t).
-func NegInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Neg", dst, t, negFn) }
+func NegInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Neg", dst, t, opNeg, nil) }
 
 // Abs returns |t|.
-func Abs(t *Tensor) (*Tensor, error) { return unaryFloat("Abs", t, math.Abs) }
+func Abs(t *Tensor) (*Tensor, error) { return unaryFloat("Abs", t, opFn, math.Abs) }
 
 // AbsInto is Abs writing into dst when permitted.
-func AbsInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Abs", dst, t, math.Abs) }
+func AbsInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Abs", dst, t, opFn, math.Abs) }
 
 // Exp returns e**t elementwise.
-func Exp(t *Tensor) (*Tensor, error) { return unaryFloat("Exp", t, math.Exp) }
+func Exp(t *Tensor) (*Tensor, error) { return unaryFloat("Exp", t, opFn, math.Exp) }
 
 // ExpInto is Exp writing into dst when permitted.
-func ExpInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Exp", dst, t, math.Exp) }
+func ExpInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Exp", dst, t, opFn, math.Exp) }
 
 // Log returns ln(t) elementwise.
-func Log(t *Tensor) (*Tensor, error) { return unaryFloat("Log", t, math.Log) }
+func Log(t *Tensor) (*Tensor, error) { return unaryFloat("Log", t, opFn, math.Log) }
 
 // LogInto is Log writing into dst when permitted.
-func LogInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Log", dst, t, math.Log) }
+func LogInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Log", dst, t, opFn, math.Log) }
 
 // Sqrt returns sqrt(t) elementwise.
-func Sqrt(t *Tensor) (*Tensor, error) { return unaryFloat("Sqrt", t, math.Sqrt) }
+func Sqrt(t *Tensor) (*Tensor, error) { return unaryFloat("Sqrt", t, opFn, math.Sqrt) }
 
 // SqrtInto is Sqrt writing into dst when permitted.
-func SqrtInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Sqrt", dst, t, math.Sqrt) }
+func SqrtInto(dst, t *Tensor) (*Tensor, error) {
+	return unaryFloatInto("Sqrt", dst, t, opFn, math.Sqrt)
+}
 
 // Square returns t*t elementwise.
-func Square(t *Tensor) (*Tensor, error) { return unaryFloat("Square", t, sqFn) }
+func Square(t *Tensor) (*Tensor, error) { return unaryFloat("Square", t, opSquare, nil) }
 
 // SquareInto is Square writing into dst when permitted.
-func SquareInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Square", dst, t, sqFn) }
+func SquareInto(dst, t *Tensor) (*Tensor, error) {
+	return unaryFloatInto("Square", dst, t, opSquare, nil)
+}
 
 // Sigmoid returns 1/(1+e^-t) elementwise.
-func Sigmoid(t *Tensor) (*Tensor, error) { return unaryFloat("Sigmoid", t, sigFn) }
+func Sigmoid(t *Tensor) (*Tensor, error) { return unaryFloat("Sigmoid", t, opFn, sigFn) }
 
 // SigmoidInto is Sigmoid writing into dst when permitted.
-func SigmoidInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Sigmoid", dst, t, sigFn) }
+func SigmoidInto(dst, t *Tensor) (*Tensor, error) {
+	return unaryFloatInto("Sigmoid", dst, t, opFn, sigFn)
+}
 
 // Tanh returns tanh(t) elementwise.
-func Tanh(t *Tensor) (*Tensor, error) { return unaryFloat("Tanh", t, math.Tanh) }
+func Tanh(t *Tensor) (*Tensor, error) { return unaryFloat("Tanh", t, opFn, math.Tanh) }
 
 // TanhInto is Tanh writing into dst when permitted.
-func TanhInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Tanh", dst, t, math.Tanh) }
+func TanhInto(dst, t *Tensor) (*Tensor, error) {
+	return unaryFloatInto("Tanh", dst, t, opFn, math.Tanh)
+}
 
 // Relu returns max(t, 0) elementwise.
-func Relu(t *Tensor) (*Tensor, error) { return unaryFloat("Relu", t, reluFn) }
+func Relu(t *Tensor) (*Tensor, error) { return unaryFloat("Relu", t, opRelu, nil) }
 
 // ReluInto is Relu writing into dst when permitted.
-func ReluInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Relu", dst, t, reluFn) }
+func ReluInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Relu", dst, t, opRelu, nil) }
 
 // Sign returns -1, 0, or 1 elementwise.
-func Sign(t *Tensor) (*Tensor, error) { return unaryFloat("Sign", t, signFn) }
+func Sign(t *Tensor) (*Tensor, error) { return unaryFloat("Sign", t, opFn, signFn) }
 
 // SignInto is Sign writing into dst when permitted.
-func SignInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Sign", dst, t, signFn) }
+func SignInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Sign", dst, t, opFn, signFn) }
 
 // compare applies a predicate elementwise with broadcasting, yielding Bool.
 func compare(name string, a, b *Tensor, fn func(x, y float64) bool) (*Tensor, error) {
@@ -355,16 +413,13 @@ func compare(name string, a, b *Tensor, fn func(x, y float64) bool) (*Tensor, er
 	if af.dtype != Float || bf.dtype != Float {
 		return nil, fmt.Errorf("tensor: %s requires numeric operands, got %v and %v", name, a.dtype, b.dtype)
 	}
-	shape, err := BroadcastShapes(af.shape, bf.shape)
+	var sbuf [walkInline]int
+	shape, err := broadcastShape(sbuf[:0], af.shape, bf.shape)
 	if err != nil {
 		return nil, fmt.Errorf("tensor: %s: %w", name, err)
 	}
 	out := Alloc(Bool, shape...)
-	ai := broadcastIndexer(af.shape, shape)
-	bi := broadcastIndexer(bf.shape, shape)
-	for i := range out.B {
-		out.B[i] = fn(af.F[ai(i)], bf.F[bi(i)])
-	}
+	zipBroadcast(out.B, af.F, bf.F, shape, af.shape, bf.shape, fn)
 	if af != a {
 		Recycle(af)
 	}
@@ -418,16 +473,13 @@ func logical(name string, a, b *Tensor, fn func(x, y bool) bool) (*Tensor, error
 	if a.dtype != Bool || b.dtype != Bool {
 		return nil, fmt.Errorf("tensor: %s requires bool operands, got %v and %v", name, a.dtype, b.dtype)
 	}
-	shape, err := BroadcastShapes(a.shape, b.shape)
+	var sbuf [walkInline]int
+	shape, err := broadcastShape(sbuf[:0], a.shape, b.shape)
 	if err != nil {
 		return nil, fmt.Errorf("tensor: %s: %w", name, err)
 	}
 	out := Alloc(Bool, shape...)
-	ai := broadcastIndexer(a.shape, shape)
-	bi := broadcastIndexer(b.shape, shape)
-	for i := range out.B {
-		out.B[i] = fn(a.B[ai(i)], b.B[bi(i)])
-	}
+	zipBroadcast(out.B, a.B, b.B, shape, a.shape, b.shape, fn)
 	return out, nil
 }
 

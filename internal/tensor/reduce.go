@@ -6,17 +6,16 @@ import (
 )
 
 // normalizeAxes converts possibly-negative axes to canonical form, sorted and
-// deduplicated. Empty axes means all axes.
-func normalizeAxes(rank int, axes []int) ([]int, error) {
+// deduplicated, stored in buf when it is large enough. Empty axes means all
+// axes.
+func normalizeAxes(buf []int, rank int, axes []int) ([]int, error) {
+	out := buf[:0]
 	if len(axes) == 0 {
-		out := make([]int, rank)
-		for i := range out {
-			out[i] = i
+		for i := 0; i < rank; i++ {
+			out = append(out, i)
 		}
 		return out, nil
 	}
-	seen := make(map[int]bool)
-	var out []int
 	for _, a := range axes {
 		if a < 0 {
 			a += rank
@@ -24,20 +23,24 @@ func normalizeAxes(rank int, axes []int) ([]int, error) {
 		if a < 0 || a >= rank {
 			return nil, fmt.Errorf("tensor: axis %d out of range for rank %d", a, rank)
 		}
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+		// Insert in order, unless already present.
+		j := len(out)
+		for j > 0 && out[j-1] > a {
+			j--
 		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		if j > 0 && out[j-1] == a {
+			continue
 		}
+		out = append(out, 0)
+		copy(out[j+1:], out[j:])
+		out[j] = a
 	}
 	return out, nil
 }
 
-// reduce applies a fold over the given axes.
+// reduce folds t over the given axes: every output element starts at init
+// and takes its inputs in the order they lie in t, so a sum adds in the same
+// order whatever the axes. A nil fn is addition, with a loop of its own.
 func reduce(t *Tensor, axes []int, keepDims bool, init float64, fn func(acc, v float64) float64) (*Tensor, error) {
 	if t.dtype != Float {
 		if t.dtype == Int {
@@ -53,40 +56,58 @@ func reduce(t *Tensor, axes []int, keepDims bool, init float64, fn func(acc, v f
 		}
 		return nil, fmt.Errorf("tensor: reduce requires numeric tensor, got %v", t.dtype)
 	}
-	ax, err := normalizeAxes(t.Rank(), axes)
+	var abuf [walkInline]int
+	ax, err := normalizeAxes(abuf[:0], t.Rank(), axes)
 	if err != nil {
 		return nil, err
 	}
-	reduced := make([]bool, t.Rank())
-	for _, a := range ax {
-		reduced[a] = true
-	}
-	var outShape, fullShape []int
+	// outSt is how a step along each axis of t moves through the output:
+	// its row-major stride where the axis is kept, 0 where it is reduced.
+	var obuf, sbuf [walkInline]int
+	outSt, outShape := keptStrides(sbuf[:0], t.shape, ax), obuf[:0]
 	for i, d := range t.shape {
-		if reduced[i] {
-			fullShape = append(fullShape, 1)
-			if keepDims {
-				outShape = append(outShape, 1)
+		if len(ax) > 0 && ax[0] == i {
+			ax = ax[1:]
+			if !keepDims {
+				continue
 			}
-		} else {
-			fullShape = append(fullShape, d)
-			outShape = append(outShape, d)
+			d = 1
 		}
+		outShape = append(outShape, d)
 	}
 	out := Alloc(Float, outShape...)
 	for i := range out.F {
 		out.F[i] = init
 	}
-	idx := broadcastIndexer(fullShape, t.shape)
-	for i, v := range t.F {
-		out.F[idx(i)] = fn(out.F[idx(i)], v)
+	var wbuf [walkInline]walkAxis
+	w := newWalker(wbuf[:0], t.shape, outSt, nil)
+	for pos := 0; w.next(); pos += w.run {
+		in, dst := t.F[pos:pos+w.run], out.F[w.a:]
+		switch {
+		case w.ia == 0 && fn == nil: // the run folds into one output element
+			for _, v := range in {
+				dst[0] += v
+			}
+		case w.ia == 0:
+			for _, v := range in {
+				dst[0] = fn(dst[0], v)
+			}
+		case fn == nil:
+			for i, v := range in {
+				dst[i] += v
+			}
+		default:
+			for i, v := range in {
+				dst[i] = fn(dst[i], v)
+			}
+		}
 	}
 	return out, nil
 }
 
 // ReduceSum sums over axes (all axes if none given).
 func ReduceSum(t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
-	return reduce(t, axes, keepDims, 0, func(a, v float64) float64 { return a + v })
+	return reduce(t, axes, keepDims, 0, nil)
 }
 
 // ReduceMax takes the max over axes.
@@ -105,7 +126,8 @@ func ReduceMean(t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ax, _ := normalizeAxes(t.Rank(), axes)
+	var abuf [walkInline]int
+	ax, _ := normalizeAxes(abuf[:0], t.Rank(), axes)
 	count := 1
 	for _, a := range ax {
 		count *= t.shape[a]
@@ -115,7 +137,7 @@ func ReduceMean(t *Tensor, axes []int, keepDims bool) (*Tensor, error) {
 	}
 	// s is this call's own buffer: divide in place (an int sum comes back
 	// as a new tensor, so s is returned to the pool).
-	out, err := unaryFloatInto("ReduceMean", s, s, func(x float64) float64 { return x / float64(count) })
+	out, err := unaryFloatInto("ReduceMean", s, s, opFn, func(x float64) float64 { return x / float64(count) })
 	if out != s {
 		Recycle(s)
 	}
@@ -133,35 +155,31 @@ func ArgMax(t *Tensor, axis int) (*Tensor, error) {
 	if axis < 0 || axis >= t.Rank() {
 		return nil, fmt.Errorf("tensor: ArgMax axis %d out of range for shape %v", axis, t.shape)
 	}
-	outShape := make([]int, 0, t.Rank()-1)
-	for i, d := range t.shape {
-		if i != axis {
-			outShape = append(outShape, d)
-		}
-	}
+	// Walking t in flat order, the first operand is the output position
+	// (stride 0 along axis) and the second the coordinate on axis itself
+	// (stride 1 along it, 0 elsewhere).
+	var obuf, abuf, bbuf [walkInline]int
+	outSt, axSt := keptStrides(abuf[:0], t.shape, []int{axis}), append(bbuf[:0], t.shape...)
+	clear(axSt)
+	axSt[axis] = 1
+	outShape := append(append(obuf[:0], t.shape[:axis]...), t.shape[axis+1:]...)
 	out := NewFromPool(Int, outShape...)
-	best := make([]float64, out.Size())
-	for i := range best {
-		best[i] = math.Inf(-1)
+	best := Alloc(Float, outShape...)
+	for i := range best.F {
+		best.F[i] = math.Inf(-1)
 	}
-	st := strides(t.shape)
-	for flat, v := range t.F {
-		// Compute the output flat index by dropping the axis coordinate.
-		o := 0
-		axIx := 0
-		for i, s := range st {
-			ix := flat / s % t.shape[i]
-			if i == axis {
-				axIx = ix
-				continue
+	var wbuf [walkInline]walkAxis
+	w := newWalker(wbuf[:0], t.shape, outSt, axSt)
+	for pos := 0; w.next(); pos += w.run {
+		o, at := w.a, w.b
+		for _, v := range t.F[pos : pos+w.run] {
+			if v > best.F[o] {
+				best.F[o], out.I[o] = v, int64(at)
 			}
-			o = o*t.shape[i] + ix
-		}
-		if v > best[o] {
-			best[o] = v
-			out.I[o] = int64(axIx)
+			o, at = o+w.ia, at+w.ib
 		}
 	}
+	Recycle(best)
 	return out, nil
 }
 
@@ -199,5 +217,5 @@ func LogSoftmax(t *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return unaryFloatInto("LogSoftmax", sm, sm, math.Log) // in place: sm is ours
+	return unaryFloatInto("LogSoftmax", sm, sm, opFn, math.Log) // in place: sm is ours
 }

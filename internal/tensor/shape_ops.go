@@ -48,13 +48,6 @@ func Concat(axis int, ts ...*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func copyElems(dst *Tensor, dstOff int, src *Tensor, srcOff, n int) {
 	switch dst.dtype {
 	case Float:
@@ -243,7 +236,9 @@ func Tile(t *Tensor, reps int) (*Tensor, error) {
 	}
 	if t.Rank() == 0 {
 		e, _ := t.Reshape(1)
-		return Tile(e, reps)
+		out, err := Tile(e, reps)
+		Recycle(e)
+		return out, err
 	}
 	outShape := t.Shape()
 	outShape[0] *= reps
@@ -288,55 +283,63 @@ func RankTensor(t *Tensor) *Tensor { return ScalarInt(int64(t.Rank())) }
 
 // BroadcastTo explicitly broadcasts t to shape.
 func BroadcastTo(t *Tensor, shape []int) (*Tensor, error) {
-	bshape, err := BroadcastShapes(t.shape, shape)
+	var sbuf [walkInline]int
+	bshape, err := broadcastShape(sbuf[:0], t.shape, shape)
 	if err != nil || !ShapeEq(bshape, shape) {
-		return nil, fmt.Errorf("tensor: cannot broadcast %v to %v", t.shape, shape)
+		return nil, fmt.Errorf("tensor: cannot broadcast %v to %v", t.shape, cloneShape(shape))
 	}
 	out := New(t.dtype, shape...)
-	idx := broadcastIndexer(t.shape, shape)
-	n := out.Size()
-	for i := 0; i < n; i++ {
-		src := idx(i)
-		switch t.dtype {
-		case Float:
-			out.F[i] = t.F[src]
-		case Int:
-			out.I[i] = t.I[src]
-		case Bool:
-			out.B[i] = t.B[src]
-		case Str:
-			out.S[i] = t.S[src]
-		}
-	}
+	var wbuf [walkInline]walkAxis
+	w := newWalker(wbuf[:0], shape, broadcastStrides(sbuf[:0], t.shape, shape), nil)
+	gather(out, t, &w)
 	return out, nil
 }
 
 // UnbroadcastTo reduces (sums) g down to shape, inverting an implicit
 // broadcast — the standard gradient helper for broadcasting binary ops.
 func UnbroadcastTo(g *Tensor, shape []int) (*Tensor, error) {
+	return UnbroadcastInto(nil, g, shape)
+}
+
+// UnbroadcastInto is UnbroadcastTo handing g itself back when nothing has to
+// be summed and dst is g (the buffer-forwarding contract: the caller owns g
+// exclusively); otherwise the result is a pooled tensor of its own. The axes
+// g has beyond shape are summed outermost first, then each axis shape holds
+// at 1, one reduction per axis.
+func UnbroadcastInto(dst, g *Tensor, shape []int) (*Tensor, error) {
 	if ShapeEq(g.shape, shape) {
-		return g.Clone(), nil
+		if dst == g {
+			return g, nil
+		}
+		return pooledCopy(g), nil
 	}
-	// Sum leading extra axes.
 	cur := g
-	var err error
+	sum := func(axis int, keep bool) error {
+		next, err := ReduceSum(cur, []int{axis}, keep)
+		if cur != g {
+			Recycle(cur) // an intermediate of this call
+		}
+		cur = next
+		return err
+	}
 	for cur.Rank() > len(shape) {
-		cur, err = ReduceSum(cur, []int{0}, false)
-		if err != nil {
+		if err := sum(0, false); err != nil {
 			return nil, err
 		}
 	}
-	// Sum axes where target dim is 1.
 	for i := 0; i < cur.Rank(); i++ {
 		if shape[i] == 1 && cur.shape[i] != 1 {
-			cur, err = ReduceSum(cur, []int{i}, true)
-			if err != nil {
+			if err := sum(i, true); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if !ShapeEq(cur.shape, shape) {
-		return nil, fmt.Errorf("tensor: UnbroadcastTo %v -> %v failed (got %v)", g.shape, shape, cur.shape)
+		got := cur.Shape()
+		if cur != g {
+			Recycle(cur)
+		}
+		return nil, fmt.Errorf("tensor: UnbroadcastTo %v -> %v failed (got %v)", g.shape, cloneShape(shape), got)
 	}
 	return cur, nil
 }

@@ -6,7 +6,43 @@
 //
 // All operations return new tensors; tensors are treated as immutable by the
 // runtime once produced (mutation helpers exist for construction and for
-// in-place accumulation inside resources that own their buffers).
+// in-place accumulation inside resources that own their buffers, and the
+// *Into variants write over an operand the caller owns exclusively).
+//
+// # How the kernels address memory
+//
+// No kernel copies what it can read in place, and none computes an index per
+// element. Kernels that pair elements of differently laid-out tensors — the
+// broadcasting binaries, comparisons and logicals, BroadcastTo, Transpose,
+// the reductions, ArgMax — describe each operand by one stride per axis of
+// the shape they walk (0 where the operand is broadcast, a permuted stride
+// for a transpose) and hand that to the one strided walker (walk.go), which
+// drops size-1 axes, merges axes the operands cross contiguously, and visits
+// the shape in flat order as contiguous innermost runs. The kernel is a typed
+// loop over a run: Add, Sub, Mul, Div, Neg, Square and Relu have loops of
+// their own, selected once per call; ops whose cost is a math-library call
+// keep a function value; a run that is contiguous on both sides of a
+// Transpose is a copy, and the plain matrix transpose is tiled. Same-shaped
+// operands and single-element operands skip the shape arithmetic altogether.
+//
+// MatMul reads either operand transposed over its last two axes (MatMulT)
+// through three kernels — a·b, a·bᵀ, aᵀ·b; aᵀ·bᵀ transposes b into scratch —
+// so a gradient or a user's x.Transpose().MatMul(y) costs no transpose.
+//
+// # Bit-identity
+//
+// These kernels replaced per-element-indexed ones under one rule: the same
+// arithmetic on the same operands in the same order, so that only the address
+// computation changed and every result has the same bits as before. A
+// reduction folds its input in the input's flat order; UnbroadcastTo sums one
+// axis per pass, outermost first; the MatMul kernels add each output
+// element's products in increasing inner index starting from +0, with the
+// unrolled additions kept left to right. reference_test.go keeps the old
+// kernels and differential_test.go compares bits, not tolerances. The rule
+// holds wherever the compiler fuses no multiply-add (the default amd64
+// build). Its one intended exception: the old matmul skipped zero elements of
+// its left operand, which turned 0·Inf and 0·NaN into 0 and hid a poisoned
+// weight; MatMul now propagates the NaN.
 package tensor
 
 import (
@@ -79,7 +115,9 @@ func NumElements(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// The message gets a copy: formatting shape itself would make
+			// every caller's shape — Alloc's variadic one included — escape.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, cloneShape(shape)))
 		}
 		n *= d
 	}
@@ -297,33 +335,43 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Reshape returns a view-copy with a new shape of equal element count. A
-// single -1 dimension is inferred.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	shape = cloneShape(shape)
-	infer := -1
-	known := 1
+// Reshape returns a copy of t (pool-backed, like every kernel result) with a
+// new shape of equal element count. A single -1 dimension is inferred.
+func (t *Tensor) Reshape(shape ...int) (*Tensor, error) { return ReshapeInto(nil, t, shape) }
+
+// ReshapeInto is Reshape re-shaping t in place when dst is t (the
+// buffer-forwarding contract: the caller owns t exclusively); otherwise the
+// result is a pooled copy.
+func ReshapeInto(dst, t *Tensor, shape []int) (*Tensor, error) {
+	infer, known := -1, 1
 	for i, d := range shape {
-		if d == -1 {
-			if infer >= 0 {
-				return nil, fmt.Errorf("tensor: multiple -1 dims in reshape %v", shape)
-			}
-			infer = i
-		} else {
+		switch {
+		case d >= 0:
 			known *= d
+		case d == -1 && infer < 0:
+			infer = i
+		case d == -1:
+			return nil, fmt.Errorf("tensor: multiple -1 dims in reshape %v", cloneShape(shape))
+		default:
+			return nil, fmt.Errorf("tensor: negative dimension %d in reshape %v", d, cloneShape(shape))
 		}
 	}
+	size := t.Size()
+	switch {
+	case infer >= 0 && (known == 0 || size%known != 0):
+		return nil, fmt.Errorf("tensor: cannot infer dim for reshape of %v to %v", t.shape, cloneShape(shape))
+	case infer < 0 && known != size:
+		return nil, fmt.Errorf("tensor: reshape %v -> %v changes element count", t.shape, cloneShape(shape))
+	}
+	out := dst
+	if out != t || out == nil {
+		out = Alloc(t.dtype, t.shape...)
+		copyElems(out, 0, t, 0, size)
+	}
+	out.shape = append(out.shape[:0], shape...)
 	if infer >= 0 {
-		if known == 0 || t.Size()%known != 0 {
-			return nil, fmt.Errorf("tensor: cannot infer dim for reshape of %v to %v", t.shape, shape)
-		}
-		shape[infer] = t.Size() / known
+		out.shape[infer] = size / known
 	}
-	if NumElements(shape) != t.Size() {
-		return nil, fmt.Errorf("tensor: reshape %v -> %v changes element count", t.shape, shape)
-	}
-	out := t.Clone()
-	out.shape = shape
 	return out, nil
 }
 

@@ -130,6 +130,39 @@ func (t *Tracer) BusyTime() map[string]time.Duration {
 	return out
 }
 
+// OpTime is one row of ByOp: what a step spent in one graph op type.
+type OpTime struct {
+	Op    string        // Event.Op; "" gathers plain kernel events (Record)
+	Count int           // executions
+	Total time.Duration // summed span time
+}
+
+// ByOp sums span time and executions per Event.Op — where a step's time
+// went, by op type — sorted by descending total (ties by name). Spans on
+// different workers overlap in wall-clock time, so the totals add up to busy
+// time, not to the step's duration.
+func (t *Tracer) ByOp() []OpTime {
+	at := map[string]int{}
+	var out []OpTime
+	for _, e := range t.snapshot() {
+		i, ok := at[e.Op]
+		if !ok {
+			i = len(out)
+			at[e.Op] = i
+			out = append(out, OpTime{Op: e.Op})
+		}
+		out[i].Count++
+		out[i].Total += e.End - e.Start
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Op < out[j].Op
+	})
+	return out
+}
+
 // interval is a half-open busy span used by the overlap sweep.
 type interval struct{ lo, hi time.Duration }
 

@@ -271,17 +271,41 @@ func (c *checker) inferNode(n *graph.Node) {
 		} else if b.dtOK {
 			out.dt, out.dtOK = b.dt, true
 		}
-		if a.rankOK && len(a.shape) != 2 {
-			c.addf(n, 0, "matmul-rank", "operand %s has rank %d; MatMul requires matrices", inName(n, 0), len(a.shape))
-		}
-		if b.rankOK && len(b.shape) != 2 {
-			c.addf(n, 1, "matmul-rank", "operand %s has rank %d; MatMul requires matrices", inName(n, 1), len(b.shape))
-		}
-		if a.rankOK && b.rankOK && len(a.shape) == 2 && len(b.shape) == 2 {
-			if a.shape[1] >= 0 && b.shape[0] >= 0 && a.shape[1] != b.shape[0] {
-				c.addf(n, 1, "matmul-inner", "inner dimensions disagree: %v x %v", a.shape, b.shape)
+		// Matrices, or batches of them (rank 3, leading axis shared); the
+		// node's transpose_a / transpose_b say how each operand's last
+		// two axes are stored.
+		for i, t := range []typeInfo{a, b} {
+			if t.rankOK && len(t.shape) != 2 && len(t.shape) != 3 {
+				c.addf(n, i, "matmul-rank", "operand %s has rank %d; MatMul requires matrices or rank-3 batches of them", inName(n, i), len(t.shape))
 			}
-			out.shape, out.rankOK = []int{a.shape[0], b.shape[1]}, true
+		}
+		if r := len(a.shape); a.rankOK && b.rankOK && (r == 2 || r == 3) {
+			if len(b.shape) != r {
+				c.addf(n, 1, "matmul-rank", "operands have ranks %d and %d; MatMul requires equal ranks", r, len(b.shape))
+			} else {
+				m, k := a.shape[r-2], a.shape[r-1]
+				if n.AttrBool("transpose_a") {
+					m, k = k, m
+				}
+				k2, cols := b.shape[r-2], b.shape[r-1]
+				if n.AttrBool("transpose_b") {
+					k2, cols = cols, k2
+				}
+				if k >= 0 && k2 >= 0 && k != k2 {
+					c.addf(n, 1, "matmul-inner", "inner dimensions disagree: %v x %v (transpose_a %t, transpose_b %t)",
+						a.shape, b.shape, n.AttrBool("transpose_a"), n.AttrBool("transpose_b"))
+				}
+				out.shape, out.rankOK = []int{m, cols}, true
+				if r == 3 {
+					batch := a.shape[0]
+					if batch >= 0 && b.shape[0] >= 0 && batch != b.shape[0] {
+						c.addf(n, 1, "matmul-inner", "batch dimensions disagree: %v x %v", a.shape, b.shape)
+					} else if batch < 0 {
+						batch = b.shape[0]
+					}
+					out.shape = []int{batch, m, cols}
+				}
+			}
 		}
 		c.set(n, 0, out)
 	case op == "Select":
