@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/dcf"
@@ -305,8 +306,11 @@ func TestPoolGaugeNeverSinks(t *testing.T) {
 }
 
 // BenchmarkRNNTrainStep is one rnn_train-shaped SGD step. After the timed
-// loop one more step runs traced, and its span time is reported by kind of
-// kernel, so a run says where a step's time is and not only how long it is.
+// loop seven more steps run traced, and the median of their span time is
+// reported by kind of kernel, so a run says where a step's time is and not
+// only how long it is. The median, because one traced step on a shared host
+// reads anything from 1× to 4× the next one's and could not be compared
+// across commits.
 func BenchmarkRNNTrainStep(b *testing.B) {
 	rnn := rnnTrainStep(b)
 	rnn.step()
@@ -316,23 +320,37 @@ func BenchmarkRNNTrainStep(b *testing.B) {
 		rnn.step()
 	}
 	b.StopTimer()
-	us := map[string]float64{}
-	for _, row := range rnn.traced().ByOp() {
-		kind := "other"
-		switch op := row.Op; {
-		case op == "MatMul":
-			kind = "matmul"
-		case op == "Transpose":
-			kind = "transpose"
-		case op == "Sum" || op == "Mean" || op == "Max" || op == "Min" || op == "UnbroadcastTo":
-			kind = "reduce"
-		case ops.FusableUnary(op) || ops.FusableBinary(op) || op == "FusedElementwise" || op == "AddN":
-			kind = "elementwise"
+	kinds := []string{"matmul", "transpose", "elementwise", "reduce", "kernel"}
+	const tracedSteps = 7
+	samples := map[string][]float64{}
+	for s := 0; s < tracedSteps; s++ {
+		us := map[string]float64{}
+		for _, row := range rnn.traced().ByOp() {
+			us[kernelKind(row.Op)] += float64(row.Total.Microseconds())
+			us["kernel"] += float64(row.Total.Microseconds())
 		}
-		us[kind] += float64(row.Total.Microseconds())
-		us["kernel"] += float64(row.Total.Microseconds())
+		for _, kind := range kinds {
+			samples[kind] = append(samples[kind], us[kind])
+		}
 	}
-	for _, kind := range []string{"matmul", "transpose", "elementwise", "reduce", "kernel"} {
-		b.ReportMetric(us[kind], kind+"_us/step")
+	for _, kind := range kinds {
+		sort.Float64s(samples[kind])
+		b.ReportMetric(samples[kind][tracedSteps/2], kind+"_us/step")
 	}
+}
+
+// kernelKind is the line of BenchmarkRNNTrainStep's breakdown an op's span
+// time is added to.
+func kernelKind(op string) string {
+	switch {
+	case op == "MatMul":
+		return "matmul"
+	case op == "Transpose":
+		return "transpose"
+	case op == "Sum" || op == "Mean" || op == "Max" || op == "Min" || op == "UnbroadcastTo":
+		return "reduce"
+	case ops.FusableUnary(op) || ops.FusableBinary(op) || op == "FusedElementwise" || op == "AddN":
+		return "elementwise"
+	}
+	return "other"
 }

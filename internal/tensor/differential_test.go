@@ -5,7 +5,8 @@ package tensor
 // seeded random cases — ranks 0–4, extents 0 and 1 included, lengths that
 // are multiples of no unroll width — bit for bit. A tolerance would hide the
 // one thing the rewrite promises: same arithmetic, same operands, same
-// order; only the address computation changed.
+// order; only the address computation changed. MatMul has two sets of kernels
+// under the same promise, and every case of its runs on both.
 //
 // The bits are the same wherever the compiler fuses no multiply-add, which
 // is the default amd64 build (GOAMD64=v1). Only MatMul has a multiply feeding
@@ -42,21 +43,42 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 }
 
 // sameProduct is sameBits for MatMul results: exact where bitExact, 1e-12
-// relative otherwise.
-func sameProduct(t *testing.T, what string, got, want *Tensor) {
+// relative otherwise. The NaN rule: NaN-ness must agree everywhere, and a
+// NaN's payload bits too, except at the elements marked in twoNaNs — those
+// where two NaNs met in one instruction, both factors of a product or a NaN
+// sum and a NaN product. There x86 returns its first source, and which
+// operand that is the compiler decides loop by loop (the Go kernels and the
+// reference already differ); no kernel promises it.
+func sameProduct(t *testing.T, what string, got, want *Tensor, twoNaNs []bool) {
 	t.Helper()
-	if bitExact {
-		sameBits(t, what, got, want)
-		return
-	}
 	if !ShapeEq(got.shape, want.shape) {
 		t.Fatalf("%s: got shape %v, want %v", what, got.shape, want.shape)
 	}
 	for i, w := range want.F {
-		if d := math.Abs(got.F[i] - w); d > 1e-12*math.Max(1, math.Abs(w)) {
-			t.Fatalf("%s: element %d is %v, reference %v", what, i, got.F[i], w)
+		g := got.F[i]
+		ok := math.Float64bits(g) == math.Float64bits(w)
+		switch {
+		case math.IsNaN(g) || math.IsNaN(w):
+			ok = ok || math.IsNaN(g) && math.IsNaN(w) && (!bitExact || twoNaNs[i])
+		case !bitExact:
+			ok = g == w || math.Abs(g-w) <= 1e-12*math.Max(1, math.Abs(w))
+		}
+		if !ok {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
+}
+
+// onEachMatMulPath runs f with MatMulT on each set of kernels this host has:
+// the assembly, if package init selected it, and the portable Go loops.
+func onEachMatMulPath(f func(path string)) {
+	nn, nt := kernNN, kernNT
+	defer func() { kernNN, kernNT = nn, nt }()
+	if metricMatMulAVX2.Value() == 1 {
+		f("avx2")
+	}
+	kernNN, kernNT = matmulNN, matmulNT
+	f("portable")
 }
 
 // leveled runs f and requires the pool's live-byte gauge to end where it
@@ -604,22 +626,73 @@ func TestReshapeForwardsOrCopiesFromPool(t *testing.T) {
 	}
 }
 
-var matDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 17}
+// matDims straddle the edges the kernels have: the unroll of four products,
+// the 4- and 8-column tiles and their overlapped last tile, the four-row
+// block, and the workloads' own extents.
+var matDims = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 17, 31, 32, 33, 64, 96, 100, 256}
+
+// specials are the values arithmetic treats differently: infinities, NaNs of
+// several payloads (one signaling), subnormals, and magnitudes whose products
+// overflow to an infinity that a later product can cancel into a NaN.
+var specials = []float64{
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000abc),
+	math.Float64frombits(0x7ff0000000000007), 5e-324, -5e-324, 1e-310, 1e200, -1e200,
+}
+
+// randSpecials is randFloats with about one element in rate drawn from
+// specials. With zeros false it holds no zero: refMatMul skips the zeros of
+// its left operand, so a zero there may only meet finite values (the one
+// divergence, pinned by TestMatMulZeroTimesInfIsNaN).
+func randSpecials(r *rand.Rand, rate int, zeros bool, shape ...int) *Tensor {
+	t := randFloats(r, shape...)
+	for i, v := range t.F {
+		switch {
+		case r.Intn(rate) == 0:
+			t.F[i] = specials[r.Intn(len(specials))]
+		case v == 0 && !zeros:
+			t.F[i] = 0.5
+		}
+	}
+	return t
+}
 
 func TestDifferentialMatMul(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
-	for c := 0; c < 300; c++ {
+	for c := 0; c < 400; c++ {
 		m, k, n := matDims[r.Intn(len(matDims))], matDims[r.Intn(len(matDims))], matDims[r.Intn(len(matDims))]
 		batch := []int{}
 		if c%2 == 1 {
+			// Odd extents put every batch after the first at an offset that
+			// is no multiple of 32 bytes.
 			batch = []int{r.Intn(4)}
 		}
 		last := len(batch)
-		a := randFloats(r, append(append([]int(nil), batch...), m, k)...)
-		b := randFloats(r, append(append([]int(nil), batch...), k, n)...)
+		as, bs := append(append([]int(nil), batch...), m, k), append(append([]int(nil), batch...), k, n)
+		a, b := randFloats(r, as...), randFloats(r, bs...)
+		if c%4 >= 2 {
+			rate := []int{4, 40, 400}[r.Intn(3)]
+			a, b = randSpecials(r, rate, false, as...), randSpecials(r, rate, true, bs...)
+			if len(a.F) > 0 && n > 0 {
+				// Row i of a positive and column j of b all −0: every product
+				// of out[i,j] is −0, and summed from +0 that is +0.
+				i, j := r.Intn(m), r.Intn(n)
+				for p := 0; p < k; p++ {
+					a.F[i*k+p], b.F[p*n+j] = 1.5, math.Copysign(0, -1)
+				}
+			}
+		}
 		want, err := refMatMul(a, b)
 		if err != nil {
 			t.Fatal(err)
+		}
+		twoNaNs := make([]bool, len(want.F))
+		for i := range twoNaNs {
+			row, col, sum := i/n*k, i/(m*n)*k*n+i%n, 0.0
+			for p := 0; p < k && !twoNaNs[i]; p++ {
+				x, y := a.F[row+p], b.F[col+p*n]
+				twoNaNs[i] = math.IsNaN(x) && math.IsNaN(y) || math.IsNaN(sum) && math.IsNaN(x*y)
+				sum += x * y
+			}
 		}
 		// Store each operand the way the attrs say it is stored, by the
 		// reference transpose.
@@ -640,12 +713,21 @@ func TestDifferentialMatMul(t *testing.T) {
 					y = bt
 				}
 				leveled(t, func() {
-					got, err := MatMulT(x, y, ta, tb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameProduct(t, fmt.Sprintf("MatMul %v x %v transpose_a %v transpose_b %v", x.shape, y.shape, ta, tb), got, want)
-					Recycle(got)
+					var first *Tensor // the first path's product, for the second to match
+					onEachMatMulPath(func(path string) {
+						what := fmt.Sprintf("%s MatMul %v x %v transpose_a %v transpose_b %v", path, x.shape, y.shape, ta, tb)
+						got, err := MatMulT(x, y, ta, tb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameProduct(t, what, got, want, twoNaNs)
+						if first != nil {
+							sameProduct(t, what+", against the other path", got, first, twoNaNs)
+							Recycle(first)
+						}
+						first = got
+					})
+					Recycle(first)
 				})
 			}
 		}
@@ -670,30 +752,55 @@ func TestDifferentialMatMul(t *testing.T) {
 // kernel, whose `if av == 0 { continue }` turned 0·Inf and 0·NaN into 0 and so
 // hid a poisoned weight from the loss.
 func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
-	zero := FromFloats([]float64{0}, 1, 1)
-	for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		bad := FromFloats([]float64{poison}, 1, 1)
-		for _, ta := range []bool{false, true} {
-			for _, tb := range []bool{false, true} {
-				got, err := MatMulT(zero, bad, ta, tb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !math.IsNaN(got.F[0]) {
-					t.Errorf("MatMul([[0]], [[%v]]) transpose_a %v transpose_b %v = %v, want NaN", poison, ta, tb, got.F[0])
+	onEachMatMulPath(func(path string) {
+		zero := FromFloats([]float64{0}, 1, 1)
+		for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			bad := FromFloats([]float64{poison}, 1, 1)
+			for _, ta := range []bool{false, true} {
+				for _, tb := range []bool{false, true} {
+					got, err := MatMulT(zero, bad, ta, tb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !math.IsNaN(got.F[0]) {
+						t.Errorf("%s MatMul([[0]], [[%v]]) transpose_a %v transpose_b %v = %v, want NaN", path, poison, ta, tb, got.F[0])
+					}
 				}
 			}
 		}
-	}
-	// In a longer row too, in every position of an unrolled block.
-	for k := 1; k <= 9; k++ {
-		for at := 0; at < k; at++ {
-			a, b := Ones(2, k), Ones(k, 3)
-			a.F[at], b.F[at*3+1] = 0, math.Inf(1)
-			got, _ := MatMul(a, b)
-			if !math.IsNaN(got.F[1]) || math.IsNaN(got.F[0]) {
-				t.Errorf("k=%d, zero at %d: row 0 of the product is %v, want [%d NaN %d]", k, at, got.F[:3], k, k)
+		// In a longer row too, in every position of an unrolled block, and in
+		// a product wide enough for the assembly's tiles: column 1 is in the
+		// first tile of either kernel, column 8 in an overlapped last one.
+		const n = 9
+		for k := 1; k <= 9; k++ {
+			for at := 0; at < k; at++ {
+				a, b := Ones(2, k), Ones(k, n)
+				a.F[at], b.F[at*n+1], b.F[at*n+8] = 0, math.Inf(1), math.Inf(-1)
+				aT, _ := Transpose(a)
+				bT, _ := Transpose(b)
+				for _, ta := range []bool{false, true} {
+					for _, tb := range []bool{false, true} {
+						x, y := a, b
+						if ta {
+							x = aT
+						}
+						if tb {
+							y = bT
+						}
+						got, err := MatMulT(x, y, ta, tb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j, v := range got.F[:n] {
+							if poisoned := j == 1 || j == 8; math.IsNaN(v) != poisoned || !poisoned && v != float64(k-1) {
+								t.Errorf("%s k=%d, zero at %d, transpose_a %v transpose_b %v: row 0 of the product is %v, want %d with NaN at 1 and 8",
+									path, k, at, ta, tb, got.F[:n], k-1)
+								break
+							}
+						}
+					}
+				}
 			}
 		}
-	}
+	})
 }

@@ -15,6 +15,12 @@ func benchRand(shape ...int) *Tensor { return RandNormal(NewRNG(1), 0, 1, shape.
 func benchKernel(b *testing.B, fn func() (*Tensor, error)) {
 	b.Helper()
 	b.ReportAllocs()
+	// One call outside the timer: it takes the pool miss, the page faults
+	// and the CPU's wake-up of its 256-bit units, which at -benchtime=300x
+	// would otherwise be a visible share of the first case's time.
+	if out, err := fn(); err == nil {
+		Recycle(out)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := fn()
@@ -25,12 +31,15 @@ func benchKernel(b *testing.B, fn func() (*Tensor, error)) {
 	}
 }
 
-// BenchmarkMatMul runs the three kernels at the training shape
-// ([16,96]·[96,256], the LSTM's gate product) and the inference shape
-// ([32,256]·[256,256], a dcfserve batch); the operands of NT and TN are
-// stored transposed, so every variant computes the same m×k×n product.
+// BenchmarkMatMul runs the three kernels on each path this host has, AVX2 and
+// portable side by side, at the training shape ([16,96]·[96,256], the LSTM's
+// gate product), the inference shapes ([32,256]·[256,256] and ·[256,16], a
+// dcfserve batch through both layers), a k that is no multiple of four, and an
+// n below the assembly's tile width, where both paths run the Go loop. The
+// operands of NT and TN are stored transposed, so every variant computes the
+// same m×k×n product.
 func BenchmarkMatMul(b *testing.B) {
-	for _, s := range [][3]int{{16, 96, 256}, {32, 256, 256}} {
+	for _, s := range [][3]int{{16, 96, 256}, {32, 256, 256}, {32, 256, 16}, {16, 97, 256}, {16, 96, 3}} {
 		m, k, n := s[0], s[1], s[2]
 		for _, v := range []struct {
 			name   string
@@ -44,9 +53,11 @@ func BenchmarkMatMul(b *testing.B) {
 				bs = []int{n, k}
 			}
 			x, y := benchRand(as...), benchRand(bs...)
-			b.Run(fmt.Sprintf("%s_%dx%dx%d", v.name, m, k, n), func(b *testing.B) {
-				benchKernel(b, func() (*Tensor, error) { return MatMulT(x, y, v.ta, v.tb) })
-				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			onEachMatMulPath(func(path string) {
+				b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", v.name, m, k, n, path), func(b *testing.B) {
+					benchKernel(b, func() (*Tensor, error) { return MatMulT(x, y, v.ta, v.tb) })
+					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
 			})
 		}
 	}

@@ -1,6 +1,19 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/metrics"
+)
+
+// kernNN and kernNT are the kernels MatMulT runs: the Go loops below, or on
+// an amd64 CPU with AVX2 the assembly behind matmul_amd64.go, chosen once at
+// package init. The gauge says which, so a /metrics reader can tell what
+// produced a number: 1 for the assembly, 0 for the Go loops.
+var (
+	kernNN, kernNT   = matmulNN, matmulNT
+	metricMatMulAVX2 = metrics.Default().Gauge("tensor_matmul_avx2_count")
+)
 
 // MatMul multiplies two rank-2 float tensors: [m,k] x [k,n] -> [m,n].
 // It also accepts batched rank-3 inputs [b,m,k] x [b,k,n] -> [b,m,n].
@@ -41,18 +54,18 @@ func MatMulT(a, b *Tensor, transA, transB bool) (*Tensor, error) {
 		o, x, y := out.F[i*m*n:(i+1)*m*n], a.F[i*m*k:(i+1)*m*k], b.F[i*k*n:(i+1)*k*n]
 		switch {
 		case !transB && !transA:
-			matmulNN(o, x, y, m, k, n, k, 1)
+			kernNN(o, x, y, m, k, n, k, 1)
 		case !transB:
-			matmulNN(o, x, y, m, k, n, 1, m)
+			kernNN(o, x, y, m, k, n, 1, m)
 		case !transA:
-			matmulNT(o, x, y, m, k, n)
+			kernNT(o, x, y, m, k, n)
 		default:
 			// aᵀ·bᵀ has no kernel of its own (nothing in the runtime
 			// produces it but a gradient of itself): transpose b into
 			// scratch and run aᵀ·b.
 			yt := Alloc(Float, k, n)
 			transpose2D(yt.F, y, n, k)
-			matmulNN(o, x, yt.F, m, k, n, 1, m)
+			kernNN(o, x, yt.F, m, k, n, 1, m)
 			Recycle(yt)
 		}
 	}

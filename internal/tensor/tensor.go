@@ -31,18 +31,44 @@
 //
 // # Bit-identity
 //
-// These kernels replaced per-element-indexed ones under one rule: the same
-// arithmetic on the same operands in the same order, so that only the address
-// computation changed and every result has the same bits as before. A
-// reduction folds its input in the input's flat order; UnbroadcastTo sums one
-// axis per pass, outermost first; the MatMul kernels add each output
-// element's products in increasing inner index starting from +0, with the
-// unrolled additions kept left to right. reference_test.go keeps the old
-// kernels and differential_test.go compares bits, not tolerances. The rule
-// holds wherever the compiler fuses no multiply-add (the default amd64
-// build). Its one intended exception: the old matmul skipped zero elements of
-// its left operand, which turned 0·Inf and 0·NaN into 0 and hid a poisoned
-// weight; MatMul now propagates the NaN.
+// Every kernel here replaced a slower one under one rule: the same arithmetic
+// on the same operands in the same order, so that only the address
+// computation — or the width of the instruction — changed and every result
+// has the same bits as before. A reduction folds its input in the input's flat
+// order; UnbroadcastTo sums one axis per pass, outermost first; a MatMul
+// output element is its products added in increasing inner index starting
+// from +0. reference_test.go keeps the old kernels and differential_test.go
+// compares bits, not tolerances.
+//
+// MatMul has two sets of kernels and the rule is what lets it. matmulNN and
+// matmulNT in linalg.go are Go loops at the two-scalar-flops-a-cycle limit of
+// compiled code. On an amd64 CPU with AVX2, package init swaps in the
+// assembly of matmul_amd64.s (stubs and row blocking in matmul_amd64.go),
+// about three times faster and bit-identical by construction rather than by
+// tolerance: an output element is an independent left-to-right chain over the
+// inner index, so four neighbouring output columns ride the four lanes of a
+// YMM register and each lane executes exactly the scalar chain — one multiply
+// (VMULPD), then one add of the product to the running sum (VADDPD), never a
+// fused multiply-add, which rounds once where the scalar code rounds twice.
+// Blocking changes which elements are computed together, never the order
+// within one: sums stay in registers over the whole inner dimension, a tile
+// that would overrun the matrix is moved back inside it and recomputes what it
+// overlaps, a·bᵀ transposes 4×4 blocks of b in registers to put four columns'
+// operands in one register. The Go kernels stay as what runs on every other
+// CPU and GOARCH, as the loop for products too small for a tile, and as the
+// reference the assembly is compared against (TestDifferentialMatMul runs
+// every case on both). Nothing selects between them but the CPU and the size
+// of the product: there is no flag and no build tag, and the gauge
+// tensor_matmul_avx2_count says which set a process runs.
+//
+// The rule holds wherever the compiler fuses no multiply-add in the Go kernels
+// (the default amd64 build; arm64 fuses, and the tests relax MatMul to 1e-12
+// off amd64). Two things it does not promise. The old matmul skipped zero
+// elements of its left operand, which turned 0·Inf and 0·NaN into 0 and hid
+// a poisoned weight; MatMul now propagates the NaN. And where two NaNs
+// meet in one multiply or add the hardware returns its first source, an
+// operand order no compiler promises, so which NaN's payload survives is
+// unspecified; that a result is NaN is not.
 package tensor
 
 import (
