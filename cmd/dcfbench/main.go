@@ -1,54 +1,30 @@
-// Command dcfbench regenerates the tables and figures of the paper's
-// evaluation (§6). Run all experiments or one by id:
+// Command dcfbench prints the paper figures (§6) that internal/bench still
+// drives: Figure 11, Figure 12, Table 1 with Figure 13, and Figure 14. Run
+// all of them or one by id:
 //
 //	dcfbench                  # everything, full sweeps
-//	dcfbench -exp fig11       # one experiment
 //	dcfbench -quick           # reduced sweeps (CI scale)
-//	dcfbench -exp fig13 -out fig13_timeline.txt
+//	dcfbench -exp fig11       # one experiment
+//	dcfbench -exp fig13 -out fig13_timeline
 //	dcfbench -exp fig12 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	dcfbench -exp serving -concurrency 16
-//	dcfbench -quick -json BENCH.json       # machine-readable results
-//	dcfbench -exp fig11 -workers 4 -fuse   # A/B the executor knobs
 //
-// Experiment ids: fig11, fig12, table1, fig13, fig14, fig15, dqn,
-// ablations, serving, batchserve, tcpdist, chaos, fleetserve. The
-// fleetserve experiment sweeps the replicated serving router
-// (internal/fleetserve) over replica counts {1,2,4} in closed and open
-// loop, with and without one replica daemon killed and restarted mid-run,
-// reporting before/during/after-kill throughput and the recovery time to
-// readmission. The tcpdist experiment brings
-// worker daemons up on loopback TCP, registers a partitioned while-loop
-// through the multi-process cluster runtime (distrib.Dial/TCPCluster), and
-// sweeps steps/sec against worker count and injected one-way fabric
-// latency. The serving experiment drives a shared
-// pre-compiled Callable from -concurrency goroutines and reports aggregate
-// steps/sec per concurrency level (the paper's §3 multi-tenant server
-// shape). The batchserve experiment puts the adaptive request batcher
-// (dcf.Server) on top and sweeps the latency/throughput frontier against
-// that unbatched baseline; -batch caps micro-batch rows and -delay bounds
-// each request's wait for batch-mates:
+// Experiment ids: fig11, fig12, table1, fig13, fig14. Figure 11 brings one
+// worker daemon per machine up on loopback TCP and runs the distributed
+// while-loop through distrib.Fleet, the only runner there is. -out writes
+// Figure 13's timeline as <prefix>.txt and its Chrome trace as
+// <prefix>.json. -cpuprofile/-memprofile write pprof profiles covering the
+// selected experiments (go tool pprof cpu.pprof).
 //
-//	dcfbench -exp batchserve -batch 32 -delay 1ms -concurrency 32
-//
-// The -cpuprofile/-memprofile flags write pprof profiles covering the
-// selected experiments, so perf work on the figures needs no code edits:
-// go tool pprof cpu.pprof.
-//
-// The executor knobs apply to every experiment: -workers N sizes the
-// kernel worker pool (0 = one worker per core), and -fuse compiles elementwise
-// chains into fused nodes before execution. -json writes the selected
-// experiments' rows plus elapsed/alloc counters as one JSON document (the
-// BENCH_*.json files tracking the perf trajectory across PRs).
+// The numbers printed here gate nothing: timings that decide a PR come from
+// the repo benchmark (bash benchmark/run.sh).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -60,22 +36,12 @@ func main() {
 // run1 is main's body; returning the exit code (instead of calling os.Exit
 // inline) lets the deferred profile writers run on failure paths too.
 func run1() int {
-	exp := flag.String("exp", "all", "experiment id (fig11|fig12|table1|fig13|fig14|fig15|dqn|ablations|serving|batchserve|tcpdist|chaos|fleetserve|all)")
+	exp := flag.String("exp", "all", "experiment id (fig11|fig12|table1|fig13|fig14|all)")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	concurrency := flag.Int("concurrency", runtime.GOMAXPROCS(0)*2, "top of the serving/batchserve experiments' goroutine sweep")
-	batch := flag.Int("batch", 32, "batchserve: max rows per micro-batch")
-	delay := flag.Duration("delay", time.Millisecond, "batchserve: max time a request waits for batch-mates")
-	out := flag.String("out", "", "also write figure artifacts (fig13 timeline / chrome trace) to this path prefix")
+	out := flag.String("out", "", "fig13: also write the timeline to <out>.txt and the Chrome trace to <out>.json")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
-	jsonOut := flag.String("json", "", "write machine-readable results (rows, elapsed ns, allocs, steps/sec) to this file")
-	workers := flag.Int("workers", 0, "kernel worker pool size per step (0 = one per core)")
-	fuse := flag.Bool("fuse", false, "fuse elementwise chains in every experiment graph before execution")
-	traceOut := flag.String("trace", "", "tcpdist: trace one distributed step and write the merged Chrome trace JSON here")
 	flag.Parse()
-	bench.Workers = *workers
-	bench.Fuse = *fuse
-	bench.TraceOut = *traceOut
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -105,114 +71,53 @@ func run1() int {
 		}()
 	}
 
-	run := func(id string) (any, error) {
+	run := func(id string) error {
 		switch id {
 		case "fig11":
-			return bench.Fig11(bench.DefaultFig11(*quick), os.Stdout)
+			_, err := bench.Fig11(bench.DefaultFig11(*quick), os.Stdout)
+			return err
 		case "fig12":
-			return bench.Fig12(bench.DefaultFig12(*quick), os.Stdout)
+			_, err := bench.Fig12(bench.DefaultFig12(*quick), os.Stdout)
+			return err
 		case "table1":
-			return bench.Table1(bench.DefaultTable1(*quick), os.Stdout)
+			_, err := bench.Table1(bench.DefaultTable1(*quick), os.Stdout)
+			return err
 		case "fig13":
-			cfg := bench.DefaultTable1(*quick)
 			seq := 400
 			if *quick {
 				seq = 80
 			}
-			res, err := bench.Fig13(cfg, seq, os.Stdout)
-			if err != nil {
-				return nil, err
+			res, err := bench.Fig13(bench.DefaultTable1(*quick), seq, os.Stdout)
+			if err != nil || *out == "" {
+				return err
 			}
-			if *out != "" {
-				if err := os.WriteFile(*out+".txt", []byte(res.Timeline), 0o644); err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*out+".json", res.ChromeJSON, 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s.txt and %s.json\n", *out, *out)
+			if err := os.WriteFile(*out+".txt", []byte(res.Timeline), 0o644); err != nil {
+				return err
 			}
-			return nil, nil
+			if err := os.WriteFile(*out+".json", res.ChromeJSON, 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s.txt and %s.json\n", *out, *out)
+			return nil
 		case "fig14":
-			return bench.Fig14(bench.DefaultFig14(*quick), os.Stdout)
-		case "fig15":
-			return bench.Fig15(bench.DefaultFig15(*quick), os.Stdout)
-		case "dqn":
-			return bench.DQN(bench.DefaultDQN(*quick), os.Stdout)
-		case "serving":
-			return bench.Serving(context.Background(), bench.DefaultServing(*quick, *concurrency), os.Stdout)
-		case "batchserve":
-			return bench.BatchServe(context.Background(), bench.DefaultBatchServe(*quick, *concurrency, *batch, *delay), os.Stdout)
-		case "tcpdist":
-			return bench.TCPDist(bench.DefaultTCPDist(*quick), os.Stdout)
-		case "chaos":
-			dir, err := os.MkdirTemp("", "dcf-chaos-ck-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			return bench.Chaos(context.Background(), bench.DefaultChaos(*quick), dir, os.Stdout)
-		case "fleetserve":
-			return bench.FleetServe(context.Background(), bench.DefaultFleetServe(*quick, *concurrency), os.Stdout)
-		case "ablations":
-			res := map[string]float64{}
-			for _, n := range []int{16, 256} {
-				us, err := bench.AblationDeadness(n, 50, os.Stdout)
-				if err != nil {
-					return nil, err
-				}
-				res[fmt.Sprintf("deadness_%d_us_per_step", n)] = us
-			}
-			ns, err := bench.AblationTagOverhead(256, 50, os.Stdout)
-			if err != nil {
-				return nil, err
-			}
-			res["tag_overhead_ns_per_op"] = ns
-			off, on, err := bench.AblationStackSwap(40, 64, os.Stdout)
-			if err != nil {
-				return nil, err
-			}
-			res["stack_swap_off_sec"] = off
-			res["stack_swap_on_sec"] = on
-			return res, nil
+			_, err := bench.Fig14(bench.DefaultFig14(*quick), os.Stdout)
+			return err
 		default:
-			return nil, fmt.Errorf("unknown experiment %q", id)
+			return fmt.Errorf("unknown experiment %q", id)
 		}
 	}
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"fig11", "fig12", "table1", "fig13", "fig14", "fig15", "dqn", "ablations", "serving", "batchserve", "tcpdist", "chaos", "fleetserve"}
+		ids = []string{"fig11", "fig12", "table1", "fig13", "fig14"}
 	}
-	report := bench.NewReport(*quick, runtime.GOMAXPROCS(0))
 	for _, id := range ids {
 		fmt.Printf("==== %s ====\n", id)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		rows, err := run(id)
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
+		if err := run(id); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			return 1
 		}
-		res := &bench.ExperimentResult{
-			ElapsedNs:    elapsed.Nanoseconds(),
-			AllocObjects: m1.Mallocs - m0.Mallocs,
-			AllocBytes:   m1.TotalAlloc - m0.TotalAlloc,
-			Rows:         rows,
-		}
-		bench.Summarize(rows, res)
-		report.Experiments[id] = res
 		fmt.Println()
-	}
-	if *jsonOut != "" {
-		if err := report.WriteJSON(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 	return 0
 }

@@ -32,8 +32,7 @@
 //   - Run / Run1 / RunTargets: the scripting path. Feeds by name, plan
 //     cached per (fetches, targets, graph-version) signature.
 //   - RunCtx: Run under a context.Context (deadline / client disconnect
-//     cancels the step promptly) returning per-run RunMetadata instead of
-//     mutating session-global Stats.
+//     cancels the step promptly), also returning the run's RunMetadata.
 //   - MakeCallable + Call: the serving hot path. The pruned plan is
 //     compiled once; each Call binds args positionally — no pruning, no
 //     signature hashing, no feed-map allocation per request. Use one

@@ -6,6 +6,7 @@ package dcf_test
 // strictly fewer node executions.
 
 import (
+	"context"
 	"testing"
 
 	"repro/dcf"
@@ -42,11 +43,11 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 		// One step runs fetches and targets together, so the execution
 		// count covers the whole train-step schedule (forward, backward,
 		// and update) and the fetched values are pre-update in both runs.
-		vals, err := sess.Run(feeds, fetches, targets...)
+		vals, md, err := sess.RunCtx(context.Background(), dcf.RunOptions{Feeds: feeds, Fetches: fetches, Targets: targets})
 		if err != nil {
 			t.Fatalf("%s (fuse=%v): %v", name, fuse, err)
 		}
-		return result{vals: vals, executed: sess.Stats().NodesExecuted, fused: fused}
+		return result{vals: vals, executed: md.Stats.NodesExecuted, fused: fused}
 	}
 	plain := runOne(false)
 	fused := runOne(true)

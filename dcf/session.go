@@ -140,8 +140,7 @@ func (s *Session) RestoreVariables(path string) error {
 type RunStats = core.RunStats
 
 // RunMetadata is per-run result metadata, returned by RunCtx and
-// Callable.CallCtx. Unlike Stats it is never shared between concurrent
-// runs.
+// Callable.CallCtx and private to that call.
 type RunMetadata = core.RunMetadata
 
 // RunOptions names the inputs of one RunCtx call.
@@ -233,12 +232,6 @@ func (s *Session) RunTargets(feeds Feeds, targets ...Op) error {
 	_, err := s.Run(feeds, nil, targets...)
 	return err
 }
-
-// Stats reports the executor activity of the most recent Run (a
-// session-global counter that concurrent Runs overwrite). Prefer the
-// RunMetadata returned by RunCtx or Callable.CallCtx, which is private to
-// each call.
-func (s *Session) Stats() RunStats { return s.s.LastRunStats() }
 
 // CallableSpec fixes one run signature for MakeCallable.
 type CallableSpec struct {

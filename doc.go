@@ -4,9 +4,9 @@
 // differentiation through control flow, multi-device execution with memory
 // swapping, and a distributed runtime.
 //
-// The public API is package repro/dcf; DESIGN.md maps the paper's systems
-// and experiments to modules, and bench_test.go regenerates every table and
-// figure of the paper's evaluation.
+// The public API is package repro/dcf. cmd/dcfbench prints the paper figures
+// that internal/bench still drives (Figures 11, 12, 14, Table 1 with
+// Figure 13); benchmark/ is the repo benchmark whose numbers gate a PR.
 //
 // # Serving
 //
@@ -31,9 +31,8 @@
 //
 // See examples/serving for an HTTP model server over the batched path,
 // cmd/dcfserve for the production server (JSON predict API, checkpoint
-// restore, /healthz, Prometheus /metrics, graceful drain), `cmd/dcfbench
-// -exp serving` for the unbatched concurrency sweep, and `cmd/dcfbench
-// -exp batchserve` for the batched latency/throughput frontier.
+// restore, /healthz, Prometheus /metrics, graceful drain), and the repo
+// benchmark's serve_http workload for what a request costs through it.
 //
 // # Replicated serving
 //
@@ -56,10 +55,8 @@
 // `dcfserve -replicas addr1,addr2,...` serves the same HTTP API over a
 // replica fleet (plus /fleetz for per-replica breaker state and routing
 // counters); retriable routing failures map to 503 + Retry-After and
-// queue backpressure to 429. `cmd/dcfbench -exp fleetserve` sweeps
-// replica counts {1,2,4} in closed and open loop with one replica killed
-// and restarted mid-run, and the fleet-chaos CI job replays the same
-// scenario across real OS processes under sustained HTTP load. Shared
+// queue backpressure to 429. The fleet-chaos CI job kills and restarts a
+// replica daemon across real OS processes under sustained HTTP load. Shared
 // retry hygiene lives in internal/backoff (Jitter, Exp) and is enforced
 // by the dcfvet backoffjitter analyzer: no fixed-duration sleeps in retry
 // loops.
@@ -69,27 +66,29 @@
 // Dynamic control flow runs distributed (§3, §4.4): partitions on
 // different workers make independent progress, coordinating only through
 // Send/Recv — the driver participates at step start and completion, never
-// per iteration. Two transports implement this contract:
-//
-//   - In-process: distrib.NewCluster runs one executor per device over a
-//     shared rendezvous with configurable simulated latency/bandwidth (the
-//     benchmarks' deterministic fabric stand-in).
-//   - Multi-process: distrib.Dial connects to generic worker daemons
-//     (internal/cluster.Worker, the cmd/dcfworker CLI) over TCP;
-//     Fleet.NewCluster partitions the graph by worker, ships each daemon
-//     its gob-encoded subgraph once (plans compile at registration), and
-//     TCPCluster.RunCtx runs steps against the cached plans. Every step
-//     executes in a private rendezvous key scope, so an aborted step can
-//     never leak tokens into the next; driver-side ctx cancellation fans
-//     out as an abort control message that drains blocked Recvs on every
-//     worker. Killing a daemon mid-step fails only that step with a
-//     wrapped error naming the worker; after a restart the driver
-//     redials, re-registers, and the next step succeeds.
+// per iteration. There is one runner: distrib.Dial connects to generic
+// worker daemons (internal/cluster.Worker, the cmd/dcfworker CLI) over
+// TCP; Fleet.NewCluster places, prunes, partitions and verifies the graph
+// (Send/Recv pairing and rendezvous cycles across all partitions, before
+// any worker is contacted), ships each daemon its gob-encoded subgraph once
+// (plans compile at registration), and TCPCluster.RunCtx runs steps against
+// the cached plans. TCPOptions.WorkerOf decides which daemon hosts which
+// device: devices on one worker hand tokens over in process and share step
+// and session resources, devices on different workers exchange frames over
+// TCP, and both layouts compute the same bits — a single loopback worker
+// hosting every device is all "in-process multi-device" means. Every step
+// executes in a private rendezvous key scope, so an aborted step can never
+// leak tokens into the next; driver-side ctx cancellation fans out as an
+// abort control message that drains blocked Recvs on every worker. Killing
+// a daemon mid-step fails only that step with a wrapped error naming the
+// worker; after a restart the driver redials, re-registers, and the next
+// step succeeds. Resource handles (stacks, TensorArrays) never cross
+// workers: a step that would send one fails saying so.
 //
 // See internal/cluster/README.md for the wire protocol, step scoping, and
-// failure model; examples/tcpcluster for an end-to-end demo; and
-// `cmd/dcfbench -exp tcpdist` for the steps/sec sweep against worker
-// count and injected fabric latency.
+// failure model; examples/tcpcluster for an end-to-end demo; `cmd/dcfbench
+// -exp fig11` for the paper's iteration-rate sweep over loopback daemons;
+// and the repo benchmark's cluster_loop workload for what a step costs.
 //
 // # Fault tolerance
 //
@@ -121,8 +120,7 @@
 //
 // The chaos CI job exercises the whole stack: a 1000-step two-daemon run
 // with one daemon kill -9'd and restarted mid-run must produce exactly the
-// fetch sequence of an undisturbed run. `cmd/dcfbench -exp chaos` measures
-// the same scenario's recovery latency (steps/sec before, during, after).
+// fetch sequence of an undisturbed run.
 //
 // # Static verification
 //
@@ -196,9 +194,7 @@
 // and /debug/trace?steps=N (arm tracing for the next N live steps and get
 // their merged trace); the driver's -trace flag writes a fleet-wide
 // traced step to a file; dcfserve serves /metrics, /debug/vars,
-// /debug/pprof, and /debug/trace?steps=N (traced probe steps);
-// `dcfbench -exp tcpdist -trace out.json` captures a traced distributed
-// step from the benchmark fleet.
+// /debug/pprof, and /debug/trace?steps=N (traced probe steps).
 //
 // # Runtime performance knobs
 //

@@ -3,8 +3,6 @@
 // environment transition, a conditional write to an in-graph replay
 // database, Q-learning on a sampled batch, and a conditional target-network
 // sync — fused into a single dataflow graph, invoked once per interaction.
-// The benchmark variant (cmd/dcfbench -exp dqn) compares this against the
-// client-driven out-of-graph implementation.
 package main
 
 import (

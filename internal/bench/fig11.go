@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/dcf"
+	"repro/internal/cluster"
 	"repro/internal/distrib"
 	"repro/internal/graph"
 )
@@ -14,33 +14,26 @@ import (
 // while-loop with a trivial per-machine body, with and without a barrier
 // (AllReduce) at the end of each iteration.
 type Fig11Row struct {
-	Machines       int
-	NoBarrierIPS   float64 // iterations per second
-	BarrierIPS     float64
-	NoBarrierUsPer float64 // microseconds per iteration
-	BarrierUsPer   float64
+	Machines     int
+	NoBarrierIPS float64 // iterations per second
+	BarrierIPS   float64
 }
 
 // Fig11Config parameterizes the microbenchmark.
 type Fig11Config struct {
 	Machines   []int
-	Iterations int           // loop trip count per measured run
-	Latency    time.Duration // simulated one-way network latency
-	MatrixDim  int           // per-machine matmul size (paper: "very small")
+	Iterations int // loop trip count per measured run
+	MatrixDim  int // per-machine matmul size (paper: "very small")
 }
 
-// DefaultFig11 mirrors the paper's sweep (1–64 machines). Latency defaults
-// to zero: each "machine" is a separate executor, and the per-hop cost is
-// the real cross-executor coordination cost (rendezvous synchronization and
-// scheduling), which reproduces the paper's shape cleanly. Injected
-// micro-sleep latencies are supported but unreliable on single-core hosts
-// (Go timer granularity dominates); see the TestFig11LatencySweepDebug
-// sweep.
+// DefaultFig11 mirrors the paper's sweep (1–64 machines). Each machine is a
+// worker daemon on loopback TCP (cluster.Worker, what cmd/dcfworker runs),
+// so a hop costs a real socket write, frame decode and executor wake-up;
+// no fabric latency is injected on top.
 func DefaultFig11(quick bool) Fig11Config {
 	cfg := Fig11Config{
 		Machines:   []int{1, 2, 4, 8, 16, 32, 64},
 		Iterations: 400,
-		Latency:    0,
 		MatrixDim:  4,
 	}
 	if quick {
@@ -107,9 +100,11 @@ func buildFig11Graph(machines, iterations, dim int, barrier bool) (*dcf.Graph, [
 	return g, outs
 }
 
-// runFig11Case measures one (machines, barrier) cell.
-func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier bool) (float64, error) {
-	g, outs := buildFig11Graph(machines, iterations, dim, barrier)
+// runFig11Case measures one (machines, barrier) cell: one loopback worker
+// daemon per machine, the loop registered across them, a warm-up step and
+// one timed step.
+func runFig11Case(machines int, cfg Fig11Config, barrier bool) (float64, error) {
+	g, outs := buildFig11Graph(machines, cfg.Iterations, cfg.MatrixDim, barrier)
 	if err := g.Err(); err != nil {
 		return 0, err
 	}
@@ -117,19 +112,27 @@ func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier 
 	for i, o := range outs {
 		fetches[i] = o.Output()
 	}
-	if err := maybeFuse(g); err != nil {
-		return 0, err
+	addrs := make([]string, machines)
+	for m := range addrs {
+		// Named as distrib.DeviceWorker maps buildFig11Graph's devices.
+		d, err := cluster.NewWorker(fmt.Sprintf("m%d", m), "127.0.0.1:0", "127.0.0.1:0")
+		if err != nil {
+			return 0, err
+		}
+		defer d.Close()
+		addrs[m] = d.Addr()
 	}
-	c, err := distrib.NewCluster(g.Builder(), fetches, nil, distrib.Options{
-		DefaultDevice: "m0",
-		Latency:       latency,
-		Workers:       Workers,
-	})
+	fleet, err := distrib.Dial(addrs...)
 	if err != nil {
 		return 0, err
 	}
-	// Warm-up step, then the measured step.
-	if _, err := c.Run(nil); err != nil {
+	defer fleet.Close()
+	c, err := fleet.NewCluster(g.Builder(), fetches, nil, distrib.TCPOptions{DefaultDevice: "m0"})
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	if _, err := c.Run(nil); err != nil { // warm-up: dials the data plane
 		return 0, err
 	}
 	d, err := timeIt(func() error {
@@ -139,31 +142,24 @@ func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier 
 	if err != nil {
 		return 0, err
 	}
-	return float64(iterations) / d.Seconds(), nil
+	return float64(cfg.Iterations) / d.Seconds(), nil
 }
 
 // Fig11 runs the sweep and returns the series of Figure 11.
 func Fig11(cfg Fig11Config, w io.Writer) ([]Fig11Row, error) {
-	fprintf(w, "Figure 11: distributed while-loop iteration rate (latency=%v)\n", cfg.Latency)
+	fprintf(w, "Figure 11: distributed while-loop iteration rate, one loopback worker daemon per machine\n")
 	fprintf(w, "%10s %18s %18s\n", "machines", "no-barrier it/s", "barrier it/s")
 	var rows []Fig11Row
 	for _, m := range cfg.Machines {
-		nb, err := runFig11Case(m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, false)
+		nb, err := runFig11Case(m, cfg, false)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 machines=%d no-barrier: %w", m, err)
 		}
-		bar, err := runFig11Case(m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, true)
+		bar, err := runFig11Case(m, cfg, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 machines=%d barrier: %w", m, err)
 		}
-		row := Fig11Row{
-			Machines:       m,
-			NoBarrierIPS:   nb,
-			BarrierIPS:     bar,
-			NoBarrierUsPer: 1e6 / nb,
-			BarrierUsPer:   1e6 / bar,
-		}
-		rows = append(rows, row)
+		rows = append(rows, Fig11Row{Machines: m, NoBarrierIPS: nb, BarrierIPS: bar})
 		fprintf(w, "%10d %18.0f %18.0f\n", m, nb, bar)
 	}
 	return rows, nil

@@ -111,13 +111,10 @@ func Fig12(cfg Fig12Config, w io.Writer) ([]Fig12Row, error) {
 				},
 			})
 		}
-		sess, err := newSessionOpts(g, dcf.SessionOptions{
+		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
 			Devices:            devs,
 			ParallelIterations: p,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("fig12 p=%d: %w", p, err)
-		}
 		if _, err := sess.Run(nil, fetches); err != nil { // warm-up
 			sess.Close()
 			return nil, fmt.Errorf("fig12 p=%d: %w", p, err)

@@ -72,10 +72,7 @@ func fig14Measure(cfg Fig14Config, batch int, dynamic bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sess, err := newSession(g)
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSession(g)
 	if err := sess.InitVariables(); err != nil {
 		return 0, err
 	}

@@ -83,12 +83,9 @@ func calibrateCapacity(cfg Table1Config) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sess, err := newSessionOpts(g, dcf.SessionOptions{
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
 		Devices: []dcf.DeviceConfig{{Name: "gpu:0"}},
 	})
-	if err != nil {
-		return 0, err
-	}
 	defer sess.Close()
 	if err := sess.InitVariables(); err != nil {
 		return 0, err
@@ -111,16 +108,13 @@ func runTable1Cell(cfg Table1Config, capacity int64, seqLen int, swap bool) (flo
 	if err != nil {
 		return 0, false, err
 	}
-	sess, err := newSessionOpts(g, dcf.SessionOptions{
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
 		Devices: []dcf.DeviceConfig{{
 			Name:          "gpu:0",
 			MemoryBytes:   capacity,
 			CopyBandwidth: cfg.Bandwidth,
 		}},
 	})
-	if err != nil {
-		return 0, false, err
-	}
 	defer sess.Close()
 	if err := sess.InitVariables(); err != nil {
 		return 0, false, err
@@ -189,13 +183,10 @@ func Fig13(cfg Table1Config, seqLen int, w io.Writer) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := newSessionOpts(g, dcf.SessionOptions{
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
 		Devices: []dcf.DeviceConfig{{Name: "gpu:0", CopyBandwidth: cfg.Bandwidth / 100}},
 		Trace:   true,
 	})
-	if err != nil {
-		return nil, err
-	}
 	defer sess.Close()
 	if err := sess.InitVariables(); err != nil {
 		return nil, err

@@ -38,7 +38,8 @@ type RegisterGraph struct {
 	Parts   []WirePartition
 	// Peers maps every participating worker to its rendezvous address.
 	Peers map[string]string
-	// ParallelIterations / Workers mirror distrib.Options.
+	// ParallelIterations / Workers carry distrib.TCPOptions' fields of the
+	// same names: the loop window and the per-step kernel pool size.
 	ParallelIterations int
 	Workers            int
 	// Latency/Bandwidth inject simulated fabric characteristics into the

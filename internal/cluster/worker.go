@@ -576,10 +576,10 @@ func (w *Worker) abortGraphSteps(gid uint64, g *workerGraph, cause error) {
 	}
 }
 
-// runStep executes one step across the worker's device partitions, exactly
-// like the in-process distrib.Cluster: one executor per device, one shared
-// kernel pool, coordination only through the (step-scoped) rendezvous. The
-// first partition failure aborts the scope so sibling partitions drain.
+// runStep executes one step across the worker's device partitions: one
+// executor per device, one kernel pool and one set of step resources shared
+// by all of them, coordination only through the (step-scoped) rendezvous.
+// The first partition failure aborts the scope so sibling partitions drain.
 func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *StepResp {
 	stepStart := time.Now()
 	defer func() {

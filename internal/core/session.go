@@ -66,9 +66,6 @@ type Session struct {
 	verifiedSet     bool
 	verifiedVersion uint64
 	verifiedErr     error
-
-	statsMu   sync.Mutex
-	lastStats RunStats
 }
 
 // RunStats reports executor activity for one run.
@@ -78,10 +75,7 @@ type RunStats struct {
 }
 
 // RunMetadata is the per-run result metadata returned by RunCtx and
-// Callable.CallCtx; unlike the legacy LastRunStats it is never shared
-// between concurrent runs. It stays a comparable struct (Run checks
-// md != (RunMetadata{}) to detect planning-stage failures), which is why
-// StepTrace is a pointer.
+// Callable.CallCtx, private to the call that returned it.
 type RunMetadata struct {
 	Stats RunStats
 	// StepTrace holds the step's per-node execution spans when
@@ -126,17 +120,10 @@ func (s *Session) InitVariables() error {
 }
 
 // Run executes the subgraph needed for fetches and targets with the given
-// feeds, returning the fetched tensors in order. It is a thin shim over
-// RunCtx that additionally records LastRunStats for legacy callers.
+// feeds, returning the fetched tensors in order: RunCtx under the
+// background context, without the metadata.
 func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches []graph.Output, targets []*graph.Node) ([]*tensor.Tensor, error) {
-	vals, md, err := s.RunCtx(context.Background(), RunOptions{Feeds: feeds, Fetches: fetches, Targets: targets})
-	// Planning-stage failures never reached an executor; keep the last
-	// completed run's stats rather than zeroing them.
-	if err == nil || md != (RunMetadata{}) {
-		s.statsMu.Lock()
-		s.lastStats = md.Stats
-		s.statsMu.Unlock()
-	}
+	vals, _, err := s.RunCtx(context.Background(), RunOptions{Feeds: feeds, Fetches: fetches, Targets: targets})
 	return vals, err
 }
 
@@ -201,15 +188,6 @@ func (s *Session) runPlan(ctx context.Context, plan *exec.Plan, feeds map[string
 		out[i] = t
 	}
 	return out, md, nil
-}
-
-// LastRunStats reports the executor activity recorded by the most recent
-// legacy Run call. Runs through RunCtx and Callables do not touch it —
-// concurrent callers should use the RunMetadata their own call returned.
-func (s *Session) LastRunStats() RunStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.lastStats
 }
 
 // verifyGraph runs the static dataflow verifier (internal/verify) over the

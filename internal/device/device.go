@@ -8,7 +8,7 @@
 // copy "kernels" charge a simulated transfer time of bytes/bandwidth. This
 // reproduces the behaviours the paper's claims rest on: bounded device
 // memory, sequential execution within a stream, and compute/copy overlap
-// across streams. See DESIGN.md §1 for the substitution rationale.
+// across streams.
 package device
 
 import (

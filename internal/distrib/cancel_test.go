@@ -9,19 +9,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/tensor"
 )
 
 // TestClusterRunCtxCancel cancels a cross-device while loop far too long to
 // finish: every partition must stop promptly (the loop driver via the
-// dispatcher's cancel poll, the body partition via the rendezvous abort)
-// and no executor goroutines may leak.
+// dispatcher's cancel poll, the body partition via the rendezvous abort),
+// the step must report the context's error, and no goroutine the step
+// started — executors, pool workers, the driver's response forwarders — may
+// outlive it, whether the partitions share a worker or meet over TCP.
 func TestClusterRunCtxCancel(t *testing.T) {
+	t.Run("oneWorker", func(t *testing.T) { cancelMidStep(t, false) })
+	t.Run("workerPerDevice", func(t *testing.T) { cancelMidStep(t, true) })
+}
+
+func cancelMidStep(t *testing.T, perDevice bool) {
 	b := core.NewBuilder()
 	var outs []graph.Output
 	b.WithDevice("dev:0", func() {
+		limit := b.Placeholder("limit")
 		outs = b.While(
 			[]graph.Output{b.Scalar(0)},
-			func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(1e12)) },
+			func(v []graph.Output) graph.Output { return b.Less(v[0], limit) },
 			func(v []graph.Output) []graph.Output {
 				var r graph.Output
 				b.WithDevice("dev:1", func() {
@@ -32,15 +41,20 @@ func TestClusterRunCtxCancel(t *testing.T) {
 			core.WhileOpts{},
 		)
 	})
-	c, err := NewCluster(b, []graph.Output{outs[0]}, nil, Options{})
+	c, err := newTestCluster(t, perDevice, b, outs[:1], nil, TCPOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A short step first: it dials the data plane, whose connections
+	// and readers stay for the cluster's life and belong in the baseline.
+	if _, err := c.Run(map[string]*tensor.Tensor{"limit": tensor.Scalar(3)}); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.RunCtx(ctx, nil)
+		_, err := c.RunCtx(ctx, map[string]*tensor.Tensor{"limit": tensor.Scalar(1e12)})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // dcfvet:allow testsleep=stage the step mid-flight before cancel

@@ -51,53 +51,40 @@ func hopFeeds(iters int, s float64) map[string]*tensor.Tensor {
 	return map[string]*tensor.Tensor{"limit": tensor.Scalar(float64(iters)), "s": tensor.Scalar(s)}
 }
 
+// newTensorHopTCP runs the hop loop on workers wA and wB, one device each.
 func newTensorHopTCP(t testing.TB, x *tensor.Tensor) *TCPCluster {
-	_, addrs := startWorkers(t, 2)
-	fleet, err := Dial(addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fleet.Close)
+	t.Helper()
 	b, fetches := buildTensorHopLoop([]string{"wA", "wB"}, x)
-	tc, err := fleet.NewCluster(b, fetches, nil, TCPOptions{})
+	tc, err := newTestCluster(t, true, b, fetches, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tc.Close() })
 	return tc
 }
 
-// TestOwnershipMoveLocalVsNetBitIdentical: the same partitioned loop over
-// the in-process rendezvous.Local (the buffer itself changes hands) and
-// over rendezvous.Net (encoded, recycled, decoded into a pool buffer) must
-// fetch the same bits, step after step. It runs in the race matrix at
+// TestOwnershipMoveLocalVsNetBitIdentical: the same partitioned loop with
+// both devices on one worker (the hand-off stays in the worker's local
+// rendezvous tables and the buffer itself changes hands) and with a worker
+// per device (rendezvous.Net: encoded, recycled, decoded into a pool buffer)
+// must fetch the same bits, step after step. It runs in the race matrix at
 // GOMAXPROCS 1/2/4: a buffer recycled while a reference survived would
 // show as a race or as a wrong value here.
 func TestOwnershipMoveLocalVsNetBitIdentical(t *testing.T) {
 	x := hopInput(32, 48)
-	b, fetches := buildTensorHopLoop([]string{"wA", "wB"}, x)
-	local, err := NewCluster(b, fetches, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
+	steps := make([]map[string]*tensor.Tensor, 20)
+	for i := range steps {
+		steps[i] = hopFeeds(1+i%6, 0.5+0.1*float64(i))
 	}
-	tcp := newTensorHopTCP(t, x)
-	for step := 0; step < 20; step++ {
-		feeds := hopFeeds(1+step%6, 0.5+0.1*float64(step))
-		want, err := local.Run(feeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tcp.Run(feeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want[0].ScalarValue() != float64(1+step%6) {
-			t.Fatalf("step %d: loop ran %v iterations", step, want[0].ScalarValue())
-		}
-		for i := range want[1].F {
-			if math.Float64bits(want[1].F[i]) != math.Float64bits(got[1].F[i]) {
-				t.Fatalf("step %d element %d: Local %v, Net %v", step, i, want[1].F[i], got[1].F[i])
-			}
+	out := runBothLayouts(t, scenario{
+		build: func() (*core.Builder, []graph.Output, []*graph.Node) {
+			b, fetches := buildTensorHopLoop([]string{"wA", "wB"}, x)
+			return b, fetches, nil
+		},
+		steps: steps,
+	})
+	for i := range out {
+		if out[i][0].ScalarValue() != float64(1+i%6) {
+			t.Fatalf("step %d: loop ran %v iterations", i, out[i][0].ScalarValue())
 		}
 	}
 }

@@ -1,3 +1,22 @@
+// Package distrib is the driver side of the distributed runtime (§3, §4.4).
+// Fleet.NewCluster is the one place a multi-device graph is placed, pruned,
+// partitioned and verified; the partitions then run on worker daemons
+// (internal/cluster.Worker, the cmd/dcfworker CLI), one executor per device,
+// which make progress independently and meet only at Send/Recv. The driver
+// (the Run caller) acts only at step start and at completion or failure, as
+// in the paper — never per iteration.
+//
+// Dial connects to the daemons; Fleet.NewCluster registers each worker's
+// partitions once (gob-encoded subgraph, plans compiled and cached at
+// registration); TCPCluster.RunCtx executes steps whose rendezvous keys are
+// scoped per step, and driver-side cancellation and worker failures fan out
+// as abort control messages so every partition's blocked Recvs drain.
+// TCPOptions.WorkerOf decides which daemon hosts a device: devices that
+// share a worker exchange tokens through its in-process rendezvous tables
+// and share step and session resources, devices on different workers
+// exchange frames over TCP — so "in-process multi-device" is a fleet of one
+// loopback worker hosting every device, not a second runner. See
+// internal/cluster/README.md.
 package distrib
 
 import (
@@ -15,12 +34,13 @@ import (
 	"repro/internal/partition"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // Fleet is a set of dialed worker daemons (cmd/dcfworker processes, or
-// in-process cluster.Workers in tests and benchmarks). One fleet can host
-// any number of TCPClusters; workers are addressed by the names they
-// self-report in the hello handshake. A worker whose control connection
+// cluster.Workers started inside the calling process on loopback). One
+// fleet can host any number of TCPClusters; workers are addressed by the
+// names they self-report in the hello handshake. A worker whose control connection
 // dies is redialed lazily on the next step that needs it — the restart
 // path that makes "kill a worker, restart it, keep stepping" work.
 type Fleet struct {
@@ -184,7 +204,7 @@ type TCPOptions struct {
 	// (<= 0 = GOMAXPROCS there).
 	Workers int
 	// Latency/Bandwidth inject simulated fabric characteristics into every
-	// worker's rendezvous deliveries (benchmark sweeps on loopback).
+	// worker's rendezvous deliveries (loopback has neither).
 	Latency   time.Duration
 	Bandwidth float64
 	// FaultSeed/FaultResetProb/FaultDropProb arm seeded conn-reset and
@@ -212,10 +232,11 @@ func DeviceWorker(dev string) string {
 	return dev
 }
 
-// TCPCluster executes a partitioned graph across worker daemons: the same
-// contract as the in-process Cluster (fetches fixed at construction, each
-// Run one step, reassembly in caller order) but with every partition on a
-// remote worker. The driver is a pure coordinator: it broadcasts the step,
+// TCPCluster executes a partitioned graph across worker daemons. Like
+// TensorFlow, a cluster is specialized to one run signature: the fetches and
+// targets are fixed at construction (the graph is pruned to them before
+// partitioning), each Run executes one step, and the fetches come back in
+// caller order. The driver is a pure coordinator: it broadcasts the step,
 // waits for completions, and fans a cancellation or first failure out to
 // the other workers so their blocked Recvs drain (§3's failure model: the
 // step dies, the cluster survives).
@@ -277,6 +298,15 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 	}
 	if err := partition.Validate(res); err != nil {
 		return nil, err
+	}
+	// Send/Recv key pairing and the cross-partition rendezvous-cycle check
+	// need every partition in view, and only the driver has that: a worker
+	// verifies its own slice at registration and cannot tell that a Recv's
+	// Send is missing everywhere. Checked before any worker is contacted —
+	// an unpaired Recv would otherwise block its step until the caller's
+	// deadline.
+	if ds := verify.CheckPartitions(b.G, res.Parts); len(ds) != 0 {
+		return nil, fmt.Errorf("distrib: partitioned graph failed verification: %w", ds.Err())
 	}
 	byWorker, workerOrder := partition.ByWorker(res, opts.WorkerOf)
 

@@ -2,6 +2,8 @@ package distrib
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,13 +15,24 @@ import (
 )
 
 // startWorkers launches n in-process worker daemons (real TCP on loopback)
-// named w0..w{n-1} and returns them with their control addresses.
+// named wA, wB, ... and returns them with their control addresses.
 func startWorkers(t testing.TB, n int) ([]*cluster.Worker, []string) {
 	t.Helper()
-	workers := make([]*cluster.Worker, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := cluster.NewWorker(workerName(i), "127.0.0.1:0", "127.0.0.1:0")
+	names := make([]string, n)
+	for i := range names {
+		names[i] = workerName(i)
+	}
+	return startNamedWorkers(t, names...)
+}
+
+func workerName(i int) string { return "w" + string(rune('A'+i)) }
+
+func startNamedWorkers(t testing.TB, names ...string) ([]*cluster.Worker, []string) {
+	t.Helper()
+	workers := make([]*cluster.Worker, len(names))
+	addrs := make([]string, len(names))
+	for i, name := range names {
+		w, err := cluster.NewWorker(name, "127.0.0.1:0", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +47,92 @@ func startWorkers(t testing.TB, n int) ([]*cluster.Worker, []string) {
 	return workers, addrs
 }
 
-func workerName(i int) string { return "w" + string(rune('A'+i)) }
+// newTestCluster builds a cluster over fresh loopback workers in one of the
+// two layouts a multi-device graph can run in. perDevice starts one worker
+// per device, named as DeviceWorker names it, so every cross-device edge is
+// a TCP hop; otherwise a single worker hosts every device and the edges stay
+// in its in-process rendezvous tables. An unplaced node must default to a
+// device some other node names explicitly.
+func newTestCluster(t testing.TB, perDevice bool, b *core.Builder, fetches []graph.Output, targets []*graph.Node, opts TCPOptions) (*TCPCluster, error) {
+	t.Helper()
+	names := []string{"w"}
+	if perDevice {
+		names = nil
+		seen := map[string]bool{"": true}
+		for _, n := range b.G.Nodes() {
+			if !seen[n.Device()] {
+				seen[n.Device()] = true
+				names = append(names, DeviceWorker(n.Device()))
+			}
+		}
+	} else {
+		opts.WorkerOf = func(string) string { return "w" }
+	}
+	_, addrs := startNamedWorkers(t, names...)
+	fleet, err := Dial(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	tc, err := fleet.NewCluster(b, fetches, targets, opts)
+	if err == nil {
+		t.Cleanup(tc.Close)
+	}
+	return tc, err
+}
+
+// sameBits fails unless two fetches agree in dtype, shape and every bit.
+func sameBits(t testing.TB, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if got.DType() != want.DType() || !tensor.SameShape(got, want) || (want.DType() != tensor.Float && !tensor.Equal(got, want)) {
+		t.Fatalf("%s: got %v, want %v", what, got, want)
+	}
+	for i := range want.F {
+		if math.Float64bits(got.F[i]) != math.Float64bits(want.F[i]) {
+			t.Fatalf("%s element %d: got %v, want %v", what, i, got.F[i], want.F[i])
+		}
+	}
+}
+
+// scenario is one multi-device graph and the steps to run on it. build is
+// called once per cluster because partitioning rewrites the builder's graph.
+type scenario struct {
+	build func() (*core.Builder, []graph.Output, []*graph.Node)
+	state map[string]*tensor.Tensor   // session variables to seed, if any
+	steps []map[string]*tensor.Tensor // feeds of each step
+}
+
+// runBothLayouts runs the scenario with every device on one worker and
+// with one worker per device, requires the same bits from both — where the
+// partitions meet is a deployment choice, not part of the function — and
+// returns the fetches step by step.
+func runBothLayouts(t *testing.T, sc scenario) [][]*tensor.Tensor {
+	t.Helper()
+	run := func(perDevice bool) [][]*tensor.Tensor {
+		b, fetches, targets := sc.build()
+		tc, err := newTestCluster(t, perDevice, b, fetches, targets, TCPOptions{})
+		if err != nil {
+			t.Fatalf("perDevice=%v: %v", perDevice, err)
+		}
+		if err := tc.RestoreState(sc.state); err != nil {
+			t.Fatalf("perDevice=%v: %v", perDevice, err)
+		}
+		out := make([][]*tensor.Tensor, len(sc.steps))
+		for i, feeds := range sc.steps {
+			if out[i], err = tc.Run(feeds); err != nil {
+				t.Fatalf("perDevice=%v step %d: %v", perDevice, i, err)
+			}
+		}
+		return out
+	}
+	one, per := run(false), run(true)
+	for i := range one {
+		for j := range one[i] {
+			sameBits(t, fmt.Sprintf("step %d fetch %d, worker per device vs one worker", i, j), per[i][j], one[i][j])
+		}
+	}
+	return one
+}
 
 // TestTCPCluster100Steps is the core acceptance scenario: a driver plus two
 // worker daemons run a partitioned while-loop for 100+ consecutive steps,

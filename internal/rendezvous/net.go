@@ -272,7 +272,17 @@ func (n *Net) serve() {
 		if err != nil {
 			return
 		}
+		// Close marks closed before it sweeps accepted under n.mu, so a
+		// connection accepted around that sweep is closed by one side or
+		// the other — never left open with a reader Close then waits on.
 		n.mu.Lock()
+		select {
+		case <-n.closed:
+			n.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		n.accepted[conn] = struct{}{}
 		n.mu.Unlock()
 		n.wg.Add(1)

@@ -284,3 +284,29 @@ func TestScopeFilterDropsStragglers(t *testing.T) {
 		t.Fatalf("local op resurrected a retired scope: %d live tables", c)
 	}
 }
+
+// TestCloseRacingAccept: a peer that connects while Close runs may be
+// accepted just after Close swept the accepted connections. That
+// connection has to be closed all the same, or its reader blocks on a peer
+// that is not hanging up and Close waits for the reader for good (two
+// workers closed in turn, each holding a connection to the other, did).
+func TestCloseRacingAccept(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		n, err := NewNet("w", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { n.Close(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close waits on a connection it never closed", round)
+		}
+		conn.Close()
+	}
+}

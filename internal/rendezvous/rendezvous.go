@@ -5,9 +5,10 @@
 // signals travel with the payload so deadness propagates across devices
 // (§4.4).
 //
-// Two transports are provided: Local (in-process, with optional simulated
-// network latency and bandwidth, used by the benchmarks for determinism)
-// and the TCP transport in net.go (real sockets between OS processes).
+// Net (net.go) is the transport every worker runs: real sockets between
+// workers, and one Local per step scope holding what has arrived and what
+// a sender on the same worker published. Local is that in-process key
+// table, with optional simulated latency and bandwidth.
 //
 // # Buffer ownership
 //
@@ -173,23 +174,4 @@ func (l *Local) Abort(err error) {
 	}
 	l.err = err
 	close(l.abort)
-}
-
-// Scoped returns a view of the rendezvous whose keys are prefixed, giving
-// each step a private key space over a shared transport.
-func Scoped(base exec.Rendezvous, prefix string) exec.Rendezvous {
-	return &scoped{base: base, prefix: prefix}
-}
-
-type scoped struct {
-	base   exec.Rendezvous
-	prefix string
-}
-
-func (s *scoped) Send(key string, t exec.Token) error {
-	return s.base.Send(s.prefix+"|"+key, t)
-}
-
-func (s *scoped) Recv(key string, cancel <-chan struct{}) (exec.Token, error) {
-	return s.base.Recv(s.prefix+"|"+key, cancel)
 }

@@ -128,22 +128,6 @@ func TestLocalLatency(t *testing.T) {
 	}
 }
 
-func TestScopedKeysIsolateSteps(t *testing.T) {
-	base := NewLocal(0, 0)
-	s1 := Scoped(base, "step1")
-	s2 := Scoped(base, "step2")
-	if err := s1.Send("k", tok(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Send("k", tok(2)); err != nil {
-		t.Fatal(err) // no duplicate: scoped
-	}
-	got, _ := s2.Recv("k", nil)
-	if got.Val.T.ScalarValue() != 2 {
-		t.Fatalf("scope leak: %v", got.Val)
-	}
-}
-
 func TestDstWorkerParsing(t *testing.T) {
 	if w := DstWorker("e=x:0;dstd=gpu:1;dstw=w3@/while:4"); w != "w3" {
 		t.Fatalf("got %q", w)
