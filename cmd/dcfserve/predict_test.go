@@ -397,18 +397,20 @@ func replay(t testing.TB, h http.Handler, body []byte) func() {
 
 // TestPredictHandlerAllocBudget pins what one benchmark-shaped request
 // (16 rows × 256 floats, ≈ 80 KB of JSON) costs in heap objects from the
-// handler down. Measured: 62 — the executor step ≈ 48 (plan instance,
-// worker pool, frames, pool misses for what is fetched), the batcher's
-// request bookkeeping 8, and the handler's own 6 (MaxBytesReader, two
-// header values, the feed's shape); body, feed and answer bytes come from
-// their pools. The decoder this one replaced took 168 objects and 327 KB
-// for the same body before the batcher saw it.
+// handler down. Measured: 40 — the executor step ≈ 26 (plan instance,
+// frames, the dispatcher's queues, pool misses for what is fetched; the
+// model is a chain of kernels, so the dispatcher keeps every one and the
+// step builds neither a worker pool nor a completion channel, which were 15
+// more), the batcher's request bookkeeping 8, and the handler's own 6
+// (MaxBytesReader, two header values, the feed's shape); body, feed and
+// answer bytes come from their pools. The decoder this one replaced took
+// 168 objects and 327 KB for the same body before the batcher saw it.
 func TestPredictHandlerAllocBudget(t *testing.T) {
 	s := newServed(t, 256, 16)
 	once := replay(t, s, benchBody(16, 256, 1))
 	once() // pools warm
-	if got := testing.AllocsPerRun(50, once); got > 68 {
-		t.Fatalf("one /predict request allocates %.0f objects, budget 68", got)
+	if got := testing.AllocsPerRun(50, once); got > 46 {
+		t.Fatalf("one /predict request allocates %.0f objects, budget 46", got)
 	}
 }
 

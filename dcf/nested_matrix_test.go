@@ -6,12 +6,15 @@ import (
 	"testing"
 
 	"repro/dcf"
+	"repro/internal/metrics"
 )
 
 // nestedControlFlow builds an outer While whose body holds a Cond and an
-// inner While, over a matrix state large enough (40x40 = 1600 elements) that
-// its kernels leave the dispatcher for the worker pool while the counters
-// and predicates stay inline:
+// inner While, over a matrix state large enough (128x128: a MatMul or a Tanh
+// of it costs over 100 us, three hand-offs' worth) that where the graph
+// forks — the two products of a MatMul's gradient, the backward loops beside
+// the sums — its dear kernels leave the dispatcher for the worker pool, while
+// the counters, the predicates and the chains stay on it:
 //
 //	i, m, s = 0, x, 0
 //	while i < 5:
@@ -21,11 +24,13 @@ import (
 //	    i, s = i+1, s + sum(m)
 //
 // The gradient of s with respect to w adds the stacks and the backward loops.
+const nestedDim = 128
+
 func nestedControlFlow(t *testing.T, window int) (*dcf.Graph, []dcf.Tensor) {
 	t.Helper()
 	g := dcf.NewGraph()
 	x := g.Placeholder("x")
-	w := g.Variable("w", dcf.RandNormal(7, 0, 0.1, 40, 40))
+	w := g.Variable("w", dcf.RandNormal(7, 0, 0.05, nestedDim, nestedDim))
 	opts := func(name string) dcf.WhileOpts {
 		return dcf.WhileOpts{Name: name, ParallelIterations: window}
 	}
@@ -64,9 +69,11 @@ func nestedControlFlow(t *testing.T, window int) (*dcf.Graph, []dcf.Tensor) {
 // outputs pass through may change a value. CI runs it under -race at
 // GOMAXPROCS 1, 2 and 4.
 func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
-	x := dcf.RandNormal(3, 0, 1, 40, 40)
+	x := dcf.RandNormal(3, 0, 1, nestedDim, nestedDim)
 	var ref []*dcf.Value
 	var refName string
+	pooled := metrics.Default().Counter("exec_dispatch_pool_total")
+	pooledBefore := pooled.Value()
 	for _, window := range []int{1, 4, 32} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			name := fmt.Sprintf("parallel_iterations=%d workers=%d", window, workers)
@@ -76,7 +83,9 @@ func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out []*dcf.Value
-			for rep := 0; rep < 3; rep++ { // later runs draw recycled buffers
+			// The first run times every kernel on the dispatcher; the later
+			// ones dispatch by those times and draw recycled buffers.
+			for rep := 0; rep < 3; rep++ {
 				var err error
 				if out, err = sess.Run(dcf.Feeds{"x": x}, fetches); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -93,5 +102,8 @@ func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+	if pooled.Value() == pooledBefore {
+		t.Fatal("exec_dispatch_pool_total did not move: no run of the matrix reached the worker pool, so the pool-width axis compared nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -8,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-func benchNode(b *testing.B, g *graph.Graph, op string, attrs map[string]any, ins ...graph.Output) *graph.Node {
+func benchNode(b testing.TB, g *graph.Graph, op string, attrs map[string]any, ins ...graph.Output) *graph.Node {
 	b.Helper()
 	arity, err := ops.OutputArity(op, attrs)
 	if err != nil {
@@ -97,83 +98,58 @@ func BenchmarkLoopTokenOverheadWindow1(b *testing.B) {
 	}
 }
 
-// buildParallelBody builds a while-loop whose body holds `width`
-// independent above-inline elementwise kernels per iteration (the wide-body
-// shape whose intra-step parallelism the worker pool exists for): a counter
-// branch drives `iters` iterations, and each of the `width` vector states
-// is advanced by one real Add kernel per iteration.
-func buildParallelBody(b *testing.B, g *graph.Graph, iters, width, elems int) []graph.Output {
-	vec := func(v float64) graph.Output {
-		t := tensor.Alloc(tensor.Float, elems)
-		for i := range t.F {
-			t.F[i] = v
+// buildTwoChains builds two independent chains of `depth` n x n MatMuls over
+// one input, joined by an Add: the smallest graph with parallelism worth
+// having. Generic over testing.TB so the tier-1 test and the benchmark share
+// it.
+func buildTwoChains(tb testing.TB, g *graph.Graph, n, depth int) graph.Output {
+	tb.Helper()
+	// Entries of at most 5/(4n) keep eight products finite and non-zero.
+	x := tensor.New(tensor.Float, n, n)
+	for i := range x.F {
+		x.F[i] = float64((i*7+3)%11-5) / float64(4*n)
+	}
+	in := benchNode(tb, g, "Const", map[string]any{"value": x}).Out(0)
+	var tails [2]graph.Output
+	for c := range tails {
+		cur := in
+		for d := 0; d < depth; d++ {
+			cur = benchNode(tb, g, "MatMul", nil, cur, in).Out(0)
 		}
-		return benchNode(b, g, "Const", map[string]any{"value": t}).Out(0)
+		tails[c] = cur
 	}
-	scalar := func(v float64) graph.Output {
-		return benchNode(b, g, "Const", map[string]any{"value": tensor.Scalar(v)}).Out(0)
-	}
-	frame := map[string]any{"frame_name": "wide", "parallel_iterations": 1}
-	frameConst := map[string]any{"frame_name": "wide", "parallel_iterations": 1, "is_constant": true}
-	enterI := benchNode(b, g, "Enter", frame, scalar(0))
-	limE := benchNode(b, g, "Enter", frameConst, scalar(float64(iters)))
-	oneE := benchNode(b, g, "Enter", frameConst, scalar(1))
-	merge := benchNode(b, g, "Merge", nil, enterI.Out(0), enterI.Out(0))
-	less := benchNode(b, g, "Less", nil, merge.Out(0), limE.Out(0))
-	cond := benchNode(b, g, "LoopCond", nil, less.Out(0))
-	sw := benchNode(b, g, "Switch", nil, merge.Out(0), cond.Out(0))
-	add := benchNode(b, g, "Add", nil, sw.Out(1), oneE.Out(0))
-	ni := benchNode(b, g, "NextIteration", nil, add.Out(0))
-	merge.ReplaceInput(1, ni.Out(0))
-	fetches := []graph.Output{benchNode(b, g, "Exit", nil, sw.Out(0)).Out(0)}
-
-	vecOneE := benchNode(b, g, "Enter", frameConst, vec(1))
-	for w := 0; w < width; w++ {
-		enterV := benchNode(b, g, "Enter", frame, vec(0))
-		mergeV := benchNode(b, g, "Merge", nil, enterV.Out(0), enterV.Out(0))
-		swV := benchNode(b, g, "Switch", nil, mergeV.Out(0), cond.Out(0))
-		addV := benchNode(b, g, "Add", nil, swV.Out(1), vecOneE.Out(0))
-		niV := benchNode(b, g, "NextIteration", nil, addV.Out(0))
-		mergeV.ReplaceInput(1, niV.Out(0))
-		fetches = append(fetches, benchNode(b, g, "Exit", nil, swV.Out(0)).Out(0))
-	}
-	return fetches
+	return benchNode(tb, g, "Add", nil, tails[0], tails[1]).Out(0)
 }
 
-// benchParallelBody runs b.N steps of the wide-body loop with the given
-// worker setting; ns/op is per step (iters x width real kernels each).
-func benchParallelBody(b *testing.B, workers int) {
-	const iters, width, elems = 8, 16, 600
-	g := graph.New()
-	fetches := buildParallelBody(b, g, iters, width, elems)
-	plan, err := NewPlan(g, nil, fetches)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkTwoChains is the parallel side of dispatch-by-cost: two chains of
+// eight n x n MatMuls, a kernel of about 3 / 8 / 17 / 57 / 135 us at n = 32 /
+// 48 / 64 / 96 / 128. Up to n = 64 every kernel is cheaper than a hand-off and
+// runs on the dispatcher; from n = 96 the dispatcher keeps one kernel and
+// hands the rest to the pool (pooled/step says which happened), so -cpu 2
+// against -cpu 1 shows what the hand-off buys. The sizes are handoffCost's
+// sweep. ns/op is per step.
+func BenchmarkTwoChains(b *testing.B) {
+	for _, n := range []int{32, 48, 64, 96, 128} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			g := graph.New()
+			plan, err := NewPlan(g, nil, []graph.Output{buildTwoChains(b, g, n, 8)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				callPlan(b, plan) // the first step times every kernel on the dispatcher
+			}
+			pooled := metricPooled.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				callPlan(b, plan)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(metricPooled.Value()-pooled)/float64(b.N), "pooled/step")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex, err := NewFromPlan(plan, Config{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := ex.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := out[1].T.F[0]; got != float64(iters) {
-			b.Fatalf("state %v, want %v", got, iters)
-		}
-	}
-	b.StopTimer()
-	steps := float64(b.N) * float64(iters)
-	b.ReportMetric(steps/b.Elapsed().Seconds(), "steps/sec")
 }
-
-// BenchmarkParallelBody runs the wide loop body on the worker pool: with
-// GOMAXPROCS >= 4 persistent workers and batched completions are the
-// difference between a dispatcher-bound and a compute-bound step.
-func BenchmarkParallelBody(b *testing.B) { benchParallelBody(b, 0) }
 
 // BenchmarkPlanReuse measures the fixed cost of one executor construction +
 // trivial run over a cached plan (the repeated-step fast path sessions take).

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -105,6 +106,35 @@ func TestCancelFailsPendingRecv(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return: pending Recv was not released by cancel")
 	}
+}
+
+// TestCancelInsideKeptKernel: a serial chain of dear kernels never leaves the
+// dispatcher (it keeps each link), so nothing but the dispatcher's own poll
+// can notice the deadline, and it passes while the dispatcher is inside a
+// kernel: 400 MatMuls of 140 us against 2 ms. The kernel finishes, the step
+// fails with an error wrapping ctx.Err(), and no goroutine was ever started.
+func TestCancelInsideKeptKernel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := newTB(t)
+	x := b.constT(filled(0, 128, 128)) // zeros: 400 products stay finite
+	cur := x
+	for i := 0; i < 400; i++ {
+		cur = b.node("MatMul", nil, cur, x).Out(0)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	ex := newDear(t, Config{Graph: b.g, Fetches: []graph.Output{cur}, Ctx: ctx})
+	_, err := ex.Run()
+	if !errors.Is(err, ctx.Err()) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want an error wrapping %v, got %v", ctx.Err(), err)
+	}
+	if ex.pool != nil || ex.events != nil {
+		t.Fatalf("the chain left the dispatcher (pool %v, channel %v): the deadline did not pass inside a kept kernel", ex.pool, ex.events)
+	}
+	if ran := ex.NumKernels(); ran >= 401 {
+		t.Fatalf("all %d nodes were scheduled: the deadline never stopped the step", ran)
+	}
+	awaitGoroutines(t, before)
 }
 
 // blockingRendezvous never produces a value; Recv honors only the cancel

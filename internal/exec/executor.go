@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -144,13 +145,11 @@ type consumerEdge struct {
 // hashing maps: op kind, arities, consumer edge lists, fetch slots, frame
 // attributes, and the static rendezvous key, all precomputed at plan build.
 type nodeInfo struct {
-	node      *graph.Node
-	kind      opKind
-	inline    bool // control primitive: runs on the dispatcher
-	pass      bool // kernel is a pure pass-through (Identity, LoopCond, ...)
-	fresh     bool // kernel returns exclusively-owned outputs (OpDef.Fresh)
-	expanding bool // output size unbounded by input size: never inlined
-	metadata  bool // reads only input shapes: always inline-cheap
+	node   *graph.Node
+	kind   opKind
+	inline bool // control primitive: runs on the dispatcher
+	pass   bool // kernel is a pure pass-through (Identity, LoopCond, ...)
+	fresh  bool // kernel returns exclusively-owned outputs (OpDef.Fresh)
 	// recycle permits the executor to return owned input buffers to the
 	// tensor pool after the node runs (fresh kernels and the control
 	// primitives, which retain nothing; Send publishes its input and is
@@ -190,6 +189,7 @@ type frameMeta struct {
 // in one flat []nodeInfo indexed by it, so propagation and scheduling never
 // hash. Sessions cache plans per run signature (like TensorFlow's
 // per-signature executor cache) so repeated Runs skip this construction.
+// Everything but the kernel-cost estimates is immutable after NewPlan.
 type Plan struct {
 	graph   *graph.Graph
 	nodes   []*graph.Node
@@ -203,6 +203,16 @@ type Plan struct {
 	// kernelNodes counts the plan's real-kernel nodes (not control
 	// primitives or pass-throughs): the upper bound on useful pool width.
 	kernelNodes int
+
+	// cost[i] is the measured kernel time of plan node i in ns — 0 until its
+	// first execution, which is always timed — and untilSample counts the
+	// kernel executions left before the next timed one. They are the plan's
+	// only mutable state, atomics because concurrent executors share a plan,
+	// and they live here rather than on the single-use Executor so that a
+	// six-kernel serving plan is re-sampled too: no one call of it ever
+	// counts to sampleEvery.
+	cost        []atomic.Int64
+	untilSample atomic.Int64
 }
 
 // NewPlan validates and precomputes the static execution structures for a
@@ -220,6 +230,8 @@ func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan
 		p.planIdx[i] = -1
 	}
 	p.infos = make([]nodeInfo, len(nodes))
+	p.cost = make([]atomic.Int64, len(nodes))
+	p.untilSample.Store(sampleEvery)
 	for i, n := range nodes {
 		p.planIdx[n.ID()] = int32(i)
 	}
@@ -232,8 +244,6 @@ func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan
 		info.kind = kindOf(op)
 		info.inline = inlineOps[op]
 		info.pass = passOps[op]
-		info.expanding = outputExpandingOps[op]
-		info.metadata = metadataOps[op]
 		info.numIn = int32(n.NumInputs())
 		info.numCtl = int32(n.NumControlInputs())
 		info.numOut = int32(n.NumOutputs())
@@ -326,9 +336,13 @@ type Executor struct {
 
 	// events carries batched completions: workers (and the goroutines of
 	// blocking ops) deliver slices of doneMsg; the dispatcher drains each
-	// batch through doneQ before blocking on the channel again.
-	events chan []doneMsg
-	quit   chan struct{}
+	// batch through doneQ before blocking on the channel again. It is nil
+	// until the first execution leaves the dispatcher (goOff), so a step
+	// that never hands off allocates no channel; inFlight counts the
+	// executions currently off the dispatcher, pooled or spawned.
+	events   chan []doneMsg
+	inFlight int
+	quit     chan struct{}
 	// done is the step's cancellation signal (nil when cfg.Ctx is nil);
 	// the dispatcher nils it after it fires so a closed channel is
 	// observed exactly once.
@@ -351,8 +365,17 @@ type Executor struct {
 	outstanding int
 	firstErr    error
 
-	// inlineQ holds dispatcher-inline executions (control primitives).
-	inlineQ []inlineItem
+	// The dispatcher's own work, in the order a turn takes it (see Run):
+	// inlineQ holds control primitives and dead skips, cheapQ the kernels
+	// estimated below handoffCost, kept the one dear kernel the dispatcher
+	// runs itself rather than wait for (kept.ex is nil when the slot is
+	// free). Both queues are LIFO: the newest item's inputs are warm.
+	inlineQ []workItem
+	cheapQ  []workItem
+	kept    workItem
+	// untilSample is this step's copy of the plan's sample pacing, written
+	// back when Run returns.
+	untilSample int64
 	// scratch backs every dispatcher-inline runNode: the output tokens it
 	// returns stay valid until the dispatcher's next runNode, which is long
 	// enough because propagate copies tokens by value (into iteration
@@ -583,40 +606,11 @@ func NewFromPlan(plan *Plan, cfg Config) (*Executor, error) {
 	cfg.Graph = plan.graph
 	cfg.Nodes = plan.nodes
 	cfg.Fetches = plan.fetches
-	par := cfg.ParallelIterations
-	if par <= 0 {
-		par = DefaultParallelIterations
-	}
-	// Size the completion buffer from the plan's actual live-frame bound:
-	// each frame's window is what its Enter ops declare (falling back to
-	// the config default only for frames that declare nothing), so a
-	// window-1 loop is provisioned at one slot per node, not the default
-	// 32. Acyclic plans execute each node exactly once.
-	window := 0
-	for i := range plan.frames {
-		w := plan.frames[i].parallel
-		if w <= 0 {
-			w = par
-		}
-		if w > window {
-			window = w
-		}
-	}
-	evBuf := len(plan.nodes)
-	if window > 0 {
-		evBuf = len(plan.nodes) * window
-	}
-	if evBuf > maxEventsBuffer {
-		evBuf = maxEventsBuffer
-	}
-	if evBuf < 1 {
-		evBuf = 1
-	}
 	ex := &Executor{
-		cfg:    cfg,
-		plan:   plan,
-		events: make(chan []doneMsg, evBuf),
-		quit:   make(chan struct{}),
+		cfg:         cfg,
+		plan:        plan,
+		quit:        make(chan struct{}),
+		untilSample: plan.untilSample.Load(),
 	}
 	// ex.done stays nil when the step is uncancellable: either no context
 	// was supplied, or the context is Background/TODO (whose Done() is also
@@ -671,6 +665,39 @@ func NewFromPlan(plan *Plan, cfg Config) (*Executor, error) {
 	return ex, nil
 }
 
+// eventsCap sizes the completion buffer from the plan's actual live-frame
+// bound: each frame's window is what its Enter ops declare (falling back to
+// the config default only for frames that declare nothing), so a window-1
+// loop is provisioned at one slot per node, not the default 32. Acyclic plans
+// execute each node exactly once.
+func (ex *Executor) eventsCap() int {
+	par := ex.cfg.ParallelIterations
+	if par <= 0 {
+		par = DefaultParallelIterations
+	}
+	window := 1
+	for i := range ex.plan.frames {
+		w := ex.plan.frames[i].parallel
+		if w <= 0 {
+			w = par
+		}
+		window = max(window, w)
+	}
+	return min(max(len(ex.plan.nodes)*window, 1), maxEventsBuffer)
+}
+
+// goOff accounts for one execution leaving the dispatcher, creating the
+// completion channel on the first. The write happens before the `go` or the
+// pool submit that lets another goroutine read ex.events, and the dispatcher
+// only blocks on the channel with something in flight, so it never selects
+// on the nil one with nothing else to wake it.
+func (ex *Executor) goOff() {
+	if ex.events == nil {
+		ex.events = make(chan []doneMsg, ex.eventsCap())
+	}
+	ex.inFlight++
+}
+
 func newFrame(name string, frameID int32, parent *frameState, parentIter, parallel int) *frameState {
 	// children and liveExits stay nil until first use: most frames have
 	// neither, and serving-shaped acyclic steps build one frame per call.
@@ -721,6 +748,7 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 		if ex.ownPool && ex.pool != nil {
 			ex.pool.Close()
 		}
+		ex.plan.untilSample.Store(ex.untilSample)
 		metricSteps.Inc()
 		metricKernels.Add(int64(ex.numKernels))
 		metricIters.Add(int64(ex.statIters))
@@ -735,33 +763,23 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 	for _, idx := range ex.plan.sources {
 		ex.schedule(idx, ex.root, it)
 	}
+	// The dispatcher is the only goroutine that advances control flow, so
+	// whatever it runs itself delays every Send, Recv and loop-control token
+	// that was ready. A turn therefore takes communication before compute:
+	// control primitives and dead skips (pure token bookkeeping), then
+	// completions already received, then one non-blocking look at the
+	// channel, and only then a kernel — a cheap one first, the kept dear one
+	// last, since by then every hand-off this turn could make is made and
+	// the pool works while the dispatcher computes.
 	for ex.outstanding > 0 {
 		ex.pollCancel()
-		// Inline-eligible executions (control-flow primitives: pure
-		// token bookkeeping) run on the dispatcher itself, skipping a
-		// goroutine round trip per token. Real kernels run on the worker
-		// pool (or, for ops that may block — Send, Recv, custom device
-		// runners — their own goroutines) so compute keeps its
-		// parallelism; their completions arrive in batches.
-		if k := len(ex.inlineQ); k > 0 {
-			item := ex.inlineQ[k-1]
-			ex.inlineQ = ex.inlineQ[:k-1]
-			var outs []Token
-			var err error
-			if ex.firstErr != nil {
-				// The step already failed (error or cancel): account
-				// for the queued execution without running it.
-			} else if ex.tracer == nil {
-				outs, err = ex.runNode(&ex.scratch, item.idx, item.inputs, item.tag, item.deadCtl)
-			} else {
-				start := time.Now()
-				outs, err = ex.runNode(&ex.scratch, item.idx, item.inputs, item.tag, item.deadCtl)
-				ex.recordSpan(item.idx, item.fs, item.iter, item.tag, trace.WorkerInline, ex.streamInline, item.enq, start, time.Now())
-			}
-			ex.complete(item.idx, item.fs, item.iter, outs, err)
-		} else if ex.doneHead < len(ex.doneQ) {
+		switch {
+		case len(ex.inlineQ) > 0:
+			ex.runHere(popItem(&ex.inlineQ))
+		case ex.doneHead < len(ex.doneQ):
 			// complete never appends to doneQ, so msg stays addressable.
 			msg := &ex.doneQ[ex.doneHead]
+			ex.inFlight--
 			ex.complete(msg.idx, msg.fs, msg.iter, msg.outs(), msg.err)
 			*msg = doneMsg{}
 			ex.doneHead++
@@ -769,12 +787,18 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 				ex.doneQ = ex.doneQ[:0]
 				ex.doneHead = 0
 			}
-		} else {
+		case ex.inFlight > 0 && ex.pollEvents():
+		case len(ex.cheapQ) > 0:
+			ex.runHere(popItem(&ex.cheapQ))
+		case ex.kept.ex != nil:
+			item := ex.kept
+			ex.kept.ex = nil
+			ex.runHere(&item)
+		default:
+			// Everything outstanding is in flight, so events is non-nil.
 			select {
 			case batch := <-ex.events:
-				ex.doneQ = append(ex.doneQ, batch...)
-				clear(batch)
-				batchPool.Put(batch[:0])
+				ex.receive(batch)
 			case <-ex.done:
 				// done is nil unless a cancelable context was given, and
 				// is nilled once it fires, so this arm triggers at most
@@ -799,6 +823,74 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 		out[i] = t.Val
 	}
 	return out, nil
+}
+
+// popItem takes the newest item off a dispatcher queue. The vacated slot
+// stays valid until the next push, which is how long runHere needs it.
+func popItem(q *[]workItem) *workItem {
+	k := len(*q) - 1
+	item := &(*q)[k]
+	*q = (*q)[:k]
+	return item
+}
+
+// runHere executes one of the dispatcher's own items and retires it. After
+// the step has failed (error or cancel) the queued execution is accounted
+// for without running. item may point into a dispatcher queue: it is not
+// read once complete, which can push onto that queue, has begun.
+func (ex *Executor) runHere(item *workItem) {
+	idx, fs, iter := item.idx, item.fs, item.it.iter
+	var outs []Token
+	var err error
+	if ex.firstErr == nil {
+		outs, err = ex.runItem(&ex.scratch, item, trace.WorkerInline)
+	}
+	ex.complete(idx, fs, iter, outs, err)
+}
+
+// runItem runs one queued execution on the calling goroutine (the
+// dispatcher, a pool worker, the goroutine of a blocking op) with that
+// caller's scratch. It reads the clock only for an execution picked as a
+// cost sample or under a tracer.
+func (ex *Executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Token, error) {
+	info := &ex.plan.infos[item.idx]
+	end := info.inOff + info.numIn
+	inputs := item.it.arena[info.inOff:end:end]
+	var tag string
+	if info.kind == kSend || info.kind == kRecv {
+		tag = item.it.tag
+	}
+	if !item.timed && ex.tracer == nil {
+		return ex.runNode(sc, item.idx, inputs, tag, item.deadCtl)
+	}
+	start := time.Now()
+	outs, err := ex.runNode(sc, item.idx, inputs, tag, item.deadCtl)
+	done := time.Now()
+	if item.timed {
+		ex.plan.observe(item.idx, done.Sub(start))
+	}
+	if ex.tracer != nil {
+		ex.recordSpan(item, tag, worker, start, done)
+	}
+	return outs, err
+}
+
+// receive moves one batch of completions into doneQ and recycles the batch.
+func (ex *Executor) receive(batch []doneMsg) {
+	ex.doneQ = append(ex.doneQ, batch...)
+	clear(batch)
+	batchPool.Put(batch[:0])
+}
+
+// pollEvents takes one batch off the completion channel if one is waiting.
+func (ex *Executor) pollEvents() bool {
+	select {
+	case batch := <-ex.events:
+		ex.receive(batch)
+		return true
+	default:
+		return false
+	}
 }
 
 // complete retires one finished node execution: it fails the step on err,
@@ -833,31 +925,31 @@ func (ex *Executor) NumKernels() int { return ex.numKernels }
 // recordSpan emits one node-execution span to the step tracer. Callers
 // guarantee ex.tracer != nil; everything here may allocate freely because
 // the tracing-off path never reaches it.
-func (ex *Executor) recordSpan(idx int32, fs *frameState, iter int, tag string, worker int, stream string, enq, start, end time.Time) {
-	info := &ex.plan.infos[idx]
+func (ex *Executor) recordSpan(item *workItem, tag string, worker int, start, end time.Time) {
+	info := &ex.plan.infos[item.idx]
 	ev := trace.Event{
-		Stream: stream,
 		Name:   info.node.Name(),
 		Op:     info.node.Op(),
-		Frame:  fs.tag(iter),
-		Iter:   iter,
+		Frame:  item.fs.tag(item.it.iter),
+		Iter:   item.it.iter,
 		Worker: worker,
+		Queue:  start.Sub(item.enq),
 	}
-	if !enq.IsZero() {
-		ev.Queue = start.Sub(enq)
+	switch worker {
+	case trace.WorkerInline:
+		ev.Stream = ex.streamInline
+	case trace.WorkerSpawn:
+		ev.Stream = ex.streamSpawn
+	default:
+		ev.Stream = ex.streamBase + "/pool-" + strconv.Itoa(worker)
 	}
-	if (info.kind == kSend || info.kind == kRecv) && tag != "" {
+	if tag != "" {
 		// Both sides of a hop derive the same id from (static key, frame
 		// tag), so merged traces link Send→Recv without coordination.
 		ev.Flow = trace.FlowID(info.sendKey, tag)
 		ev.IsSend = info.kind == kSend
 	}
 	ex.tracer.RecordSpan(ev, start, end)
-}
-
-// poolSpanStream names a pool worker's span stream ("<base>/pool-<id>").
-func (ex *Executor) poolSpanStream(worker int) string {
-	return ex.streamBase + "/pool-" + strconv.Itoa(worker)
 }
 
 // pollCancel notices cancellation without blocking; the dispatcher calls it
@@ -1101,9 +1193,10 @@ func (ex *Executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 	ex.schedule(idx, fs, it)
 }
 
-// schedule queues a node execution: on the dispatcher's inline queue
-// (control primitives, dead skips, cheap kernels), on its own goroutine (ops
-// that may block), or on the worker pool (every other kernel).
+// schedule queues a node execution: with the dispatcher (control primitives,
+// dead skips, kernels cheaper than a hand-off, one dear kernel when nothing
+// else is in flight), on its own goroutine (ops that may block), or on the
+// worker pool (every other kernel).
 func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	info := &ex.plan.infos[idx]
 	ns := ex.nstate(it, idx)
@@ -1112,30 +1205,22 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	it.outstanding++
 	ex.frameActivityUp(fs)
 	ex.numKernels++
-	iter := it.iter
-	// The arena span is frozen once scheduled (deliveries check
-	// ns.scheduled) and the iteration cannot be recycled while this
-	// execution is outstanding, so kernels may read it without a copy.
-	end := info.inOff + info.numIn
-	inputs := it.arena[info.inOff:end:end]
-	deadCtl := ns.deadCtl > 0
-	var tag string
+	item := workItem{ex: ex, fs: fs, it: it, idx: idx, deadCtl: ns.deadCtl > 0}
 	if info.kind == kSend || info.kind == kRecv {
-		tag = ex.iterTag(fs, it)
+		ex.iterTag(fs, it) // memoized on the iteration before its goroutine starts
 	}
-	// Dead executions skip their kernels entirely (Fig. 5's propagation
-	// rule), so they are inline-eligible for every op except Send, whose
-	// dead-signal publication may touch the network.
 	// enq timestamps feed the spans' queue-wait attribution; taking them
 	// only when tracing keeps the off path free of clock reads.
-	var enq time.Time
 	if ex.tracer != nil {
-		enq = time.Now()
+		item.enq = time.Now()
 	}
-	dead := deadCtl || (ns.deadData > 0 && info.kind != kMerge)
-	if info.inline || (dead && info.kind != kSend) || ex.cheapInline(idx, info, inputs) {
+	// Dead executions skip their kernels entirely (Fig. 5's propagation
+	// rule), so they stay with the dispatcher for every op except Send,
+	// whose dead-signal publication may touch the network.
+	dead := item.deadCtl || (ns.deadData > 0 && info.kind != kMerge)
+	if info.inline || (dead && info.kind != kSend) {
 		ex.statInline++
-		ex.inlineQ = append(ex.inlineQ, inlineItem{idx: idx, fs: fs, iter: iter, inputs: inputs, tag: tag, deadCtl: deadCtl, enq: enq})
+		ex.inlineQ = append(ex.inlineQ, item)
 		return
 	}
 	// Ops that may block — Send and Recv (network), kernels on custom
@@ -1144,42 +1229,127 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	// behind it. They keep their own goroutines.
 	if info.kind != kOther || ex.runner(idx) != nil || (ex.mems != nil && ex.mems[idx] != nil) {
 		ex.statSpawn++
-		go func() {
-			var start time.Time
-			if ex.tracer != nil {
-				start = time.Now()
-			}
-			var sc nodeScratch
-			outs, err := ex.runNode(&sc, idx, inputs, tag, deadCtl)
-			if ex.tracer != nil {
-				ex.recordSpan(idx, fs, iter, tag, trace.WorkerSpawn, ex.streamSpawn, enq, start, time.Now())
-			}
-			batch := append(batchPool.Get().([]doneMsg)[:0], doneMsg{idx: idx, fs: fs, iter: iter, err: err})
-			batch[0].setOuts(outs)
-			ex.events <- batch
-		}()
+		ex.goOff()
+		go ex.runSpawned(item)
 		return
 	}
-	if ex.pool == nil {
-		if ex.cfg.Pool != nil {
-			ex.pool = ex.cfg.Pool
-		} else {
-			// Plan-sized private pool, created lazily so all-inline
-			// steps never pay for it: no wider than the machine and no
-			// wider than the plan's kernel nodes.
-			n := ex.cfg.Workers
-			if n <= 0 {
-				n = runtime.GOMAXPROCS(0)
-			}
-			if k := ex.plan.kernelNodes; k > 0 && k < n {
-				n = k
-			}
-			ex.pool = NewPool(n)
-			ex.ownPool = true
-		}
+	// An ordinary kernel goes where its measured cost says. The decision
+	// reads one atomic and no clock. A first execution (no estimate yet) is
+	// timed and stays here; after that about one execution in sampleEvery is
+	// timed wherever it runs, the gap drawn afresh each time so that a plan
+	// whose kernel count shares a factor with the period still has every
+	// node re-sampled.
+	cost := ex.plan.cost[idx].Load()
+	item.timed = cost == 0
+	if ex.untilSample--; ex.untilSample <= 0 {
+		item.timed = true
+		ex.untilSample = sampleEvery/2 + rand.Int64N(sampleEvery)
 	}
-	ex.statPooled++
-	ex.pool.submit(poolItem{ex: ex, idx: idx, fs: fs, iter: iter, inputs: inputs, tag: tag, deadCtl: deadCtl, enq: enq})
+	switch {
+	case cost < int64(handoffCost):
+		ex.statInline++
+		ex.cheapQ = append(ex.cheapQ, item)
+	case ex.inFlight == 0 && ex.kept.ex == nil:
+		// Nothing is off the dispatcher, so it would push this kernel, wake
+		// a worker and sleep until that very kernel came back: it runs it
+		// itself. A serial chain of any size thus makes no hand-off and
+		// builds no pool; a fork hands off all but one branch; a partition
+		// with a Recv pending hands off everything, staying free to answer
+		// it.
+		ex.statInline++
+		ex.kept = item
+	default:
+		if ex.pool == nil {
+			if ex.cfg.Pool != nil {
+				ex.pool = ex.cfg.Pool
+			} else {
+				// Plan-sized private pool, created lazily so steps that hand
+				// nothing off never pay for it: no wider than the machine
+				// and no wider than the plan's kernel nodes.
+				n := ex.cfg.Workers
+				if n <= 0 {
+					n = runtime.GOMAXPROCS(0)
+				}
+				if k := ex.plan.kernelNodes; k > 0 && k < n {
+					n = k
+				}
+				ex.pool = NewPool(n)
+				ex.ownPool = true
+			}
+		}
+		ex.statPooled++
+		ex.goOff()
+		ex.pool.submit(item)
+	}
+}
+
+// runSpawned is the goroutine of one op that may block. The item arrives by
+// value so that schedule's copy never escapes to the heap.
+func (ex *Executor) runSpawned(item workItem) {
+	var sc nodeScratch
+	outs, err := ex.runItem(&sc, &item, trace.WorkerSpawn)
+	batch := append(batchPool.Get().([]doneMsg)[:0], doneMsg{idx: item.idx, fs: item.fs, iter: item.it.iter, err: err})
+	batch[0].setOuts(outs)
+	ex.events <- batch
+}
+
+// handoffCost is what handing a kernel to the pool costs the step: a queue
+// push, a futex wake of a parked worker, the kernel's buffers crossing to
+// another P and a batched completion coming back. A kernel measured below it
+// runs on the dispatcher.
+//
+// The sweep, on 2 vCPUs whose speed drifts by a quarter (three rounds per
+// cell, so read ranges): the constant against BenchmarkRNNTrainStep -cpu 2
+// (ms per step; kernels handed off per warmed step) and BenchmarkTwoChains
+// -cpu 2 (us per call of 16 MatMuls; a kernel of n = 48 / 64 / 96 / 128 costs
+// about 8 / 17 / 57 / 135 us; "d" both chains on the dispatcher, "h" handed
+// off).
+//
+//	constant  rnn step     handed  n=48      n=64      n=96       n=128
+//	   5 us   5.3-6.1 ms   128     154-185h  237-497h  648-1170h  1239-2484h
+//	  10 us   5.5-6.1       55     122-141d  230-345h  650-997h   1240-1770h
+//	  20 us   5.5-6.0       22     126-145d  264-297d  638-695h   1162-1351h
+//	  50 us   5.3-5.7        0     126-128d  265-294d  679-882*   1243-1343h
+//	 100 us   5.3-5.7        0     121-141d  273-293d  895-1016d  1122-1387h
+//	 200 us   5.2-5.8        0     136-145d  291-312d  924-1025d  2121-2194d
+//	(parent)  6.6-7.2      974
+//
+//	second session, rnn step only: 20 us 5.6-6.3 (22 handed), 30 us 5.5-6.0
+//	(2), 40 us 5.4-5.8 (1), 50 us 5.3-5.7 (0)
+//
+// * at 50 us the estimate of the 57 us kernel sits on the constant and the
+// chains flap between the two modes. With an idle worker for a partner and
+// nothing else to do, handing off breaks even near 17 us (n=64), loses below
+// it (n=48: 128 -> 170 us) and wins 1.4x at 57 us. In the training step, whose
+// forks are kernels of 5 to 25 us between loop-control tokens, a constant of
+// 20 us still hands off 22 kernels a step and costs 0.2 to 0.3 ms against 40
+// or 50. 40 us is clear of the smallest kernel measured to gain (57 us) and
+// of every fork kernel of that step (its dearest MatMul reads 23 us) on a
+// host running half as fast again.
+const handoffCost = 40 * time.Microsecond
+
+// sampleEvery is the mean number of kernel executions between two timed ones
+// (the gap is uniform on [sampleEvery/2, 3*sampleEvery/2)): two clock reads
+// per 64 kernels are under 1 ns per node.
+const sampleEvery = 64
+
+// observe folds one timed execution of node idx into its cost estimate: a
+// running mean that falls fast and rises slowly. Timing noise is one-sided —
+// a cold cache, a preemption or a collector assist only ever lengthens a
+// kernel — so a lower sample is believed at once (half the gap; a first
+// sample 100x too high is under the constant in seven more) while a higher
+// one raises the estimate by at most an eighth, which a single outlier of
+// any size cannot turn into a hand-off for a node below 8/9 of handoffCost.
+// Concurrent executors may interleave the load and the store; a lost sample
+// is harmless.
+func (p *Plan) observe(idx int32, d time.Duration) {
+	s := max(int64(d), 1) // 0 means "never timed"
+	if old := p.cost[idx].Load(); old > s {
+		s = old - (old-s)/2
+	} else if old > 0 {
+		s = old + min(s-old, old)/8
+	}
+	p.cost[idx].Store(s)
 }
 
 // inlineOps never block and carry no real computation: the dispatcher
@@ -1189,55 +1359,6 @@ var inlineOps = map[string]bool{
 	"NextIteration": true, "LoopCond": true, "Identity": true, "NoOp": true,
 }
 
-// smallKernelMaxElems bounds the total input elements of a kernel the
-// dispatcher will run inline instead of paying a goroutine round trip
-// (TensorFlow's inexpensive-kernel inlining). Kernels above the bound, on
-// custom runners, with device memory attached, or that may block (Send,
-// Recv) keep their own goroutines so compute retains its parallelism.
-const smallKernelMaxElems = 1024
-
-// outputExpandingOps can materialize outputs much larger than their inputs
-// (shape/scalar in, tensor out), so input size says nothing about their
-// cost; they are never dispatcher-inlined.
-var outputExpandingOps = map[string]bool{
-	"RandomUniform": true, "RandomNormal": true, "Fill": true,
-	"BroadcastTo": true, "Tile": true, "OneHot": true,
-	"TensorArrayStack": true, "StackPop": true, "VarRead": true,
-	"GatherGrad": true, "SliceAxisGrad": true, "SliceRowsGrad": true,
-	"SumGrad": true, "TileGrad": true,
-}
-
-// metadataOps are O(rank) regardless of tensor size (they read only the
-// shape), so they inline even when their inputs are huge.
-var metadataOps = map[string]bool{
-	"Shape": true, "Size": true, "Rank": true, "ShapeDim": true,
-	"TensorArraySize": true,
-}
-
-// cheapInline reports whether this execution is an inexpensive ordinary
-// kernel the dispatcher should run itself.
-func (ex *Executor) cheapInline(idx int32, info *nodeInfo, inputs []Token) bool {
-	if info.kind != kOther || info.def == nil || info.def.Kernel == nil || info.expanding {
-		return false
-	}
-	if ex.runner(idx) != nil || (ex.mems != nil && ex.mems[idx] != nil) {
-		return false
-	}
-	if info.metadata {
-		return true
-	}
-	n := 0
-	for i := range inputs {
-		if t := inputs[i].Val.T; t != nil {
-			n += t.Size()
-			if n > smallKernelMaxElems {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // passOps have kernels that return input 0 unchanged; the executor
 // short-circuits them (preserving buffer ownership) when no custom device
 // runner is attached to the node.
@@ -1245,14 +1366,21 @@ var passOps = map[string]bool{
 	"Identity": true, "LoopCond": true, "StopGradient": true,
 }
 
-// inlineItem is one queued dispatcher-inline execution.
-type inlineItem struct {
-	idx     int32
+// workItem is one ready node execution, queued with the dispatcher or in the
+// pool. It carries its executor so one pool can serve many concurrent
+// executors (the shared-budget distrib case), and it is kept small — every
+// node execution copies one into a queue — by naming the iteration rather
+// than holding what can be read off it: the node's input span of the arena
+// (frozen once scheduled; the iteration cannot be recycled while this
+// execution is outstanding, so whoever runs it reads the span in place), the
+// iteration number and, for Send and Recv, the frame tag.
+type workItem struct {
+	ex      *Executor
 	fs      *frameState
-	iter    int
-	inputs  []Token
-	tag     string
+	it      *iterState
+	idx     int32
 	deadCtl bool
+	timed   bool      // fold this execution's duration into the plan's cost estimate
 	enq     time.Time // enqueue instant; zero unless the step is traced
 }
 

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The worker pool replaces the per-execution `go func()` spawn on the kernel
@@ -23,19 +22,6 @@ import (
 // pool (a blocked worker would starve every other queued kernel); they keep
 // their own goroutines.
 
-// poolItem is one ready node execution. It carries its executor so one pool
-// can serve many concurrent executors (the shared-budget distrib case).
-type poolItem struct {
-	ex      *Executor
-	idx     int32
-	fs      *frameState
-	iter    int
-	inputs  []Token
-	tag     string
-	deadCtl bool
-	enq     time.Time // enqueue instant; zero unless the step is traced
-}
-
 // completionQuantum bounds how many finished executions a worker buffers
 // before flushing them to the owning executor's events channel.
 const completionQuantum = 32
@@ -52,10 +38,10 @@ var batchPool = sync.Pool{
 type workq struct {
 	mu    sync.Mutex
 	head  int
-	items []poolItem
+	items []workItem
 }
 
-func (q *workq) push(it poolItem) {
+func (q *workq) push(it workItem) {
 	q.mu.Lock()
 	q.items = append(q.items, it)
 	q.mu.Unlock()
@@ -68,15 +54,15 @@ func (q *workq) reset() {
 	q.head = 0
 }
 
-func (q *workq) popTail() (poolItem, bool) {
+func (q *workq) popTail() (workItem, bool) {
 	q.mu.Lock()
 	n := len(q.items)
 	if n == q.head {
 		q.mu.Unlock()
-		return poolItem{}, false
+		return workItem{}, false
 	}
 	it := q.items[n-1]
-	q.items[n-1] = poolItem{} // do not pin the popped item's tokens
+	q.items[n-1] = workItem{} // do not pin the popped item's tokens
 	q.items = q.items[:n-1]
 	if len(q.items) == q.head {
 		q.reset()
@@ -85,14 +71,14 @@ func (q *workq) popTail() (poolItem, bool) {
 	return it, true
 }
 
-func (q *workq) popHead() (poolItem, bool) {
+func (q *workq) popHead() (workItem, bool) {
 	q.mu.Lock()
 	if q.head == len(q.items) {
 		q.mu.Unlock()
-		return poolItem{}, false
+		return workItem{}, false
 	}
 	it := q.items[q.head]
-	q.items[q.head] = poolItem{} // do not pin the stolen item's tokens
+	q.items[q.head] = workItem{} // do not pin the stolen item's tokens
 	q.head++
 	if q.head == len(q.items) {
 		q.reset()
@@ -135,7 +121,7 @@ func NewPool(n int) *Pool {
 func (p *Pool) Size() int { return len(p.queues) }
 
 // submit queues one execution, starting the workers on first use.
-func (p *Pool) submit(it poolItem) {
+func (p *Pool) submit(it workItem) {
 	w := int(p.submitSeq.Add(1)) % len(p.queues)
 	p.queues[w].push(it)
 	p.mu.Lock()
@@ -167,7 +153,7 @@ func (p *Pool) Close() {
 
 // take claims one queued item for worker self: its own tail first, then a
 // stealing sweep over the other workers' heads.
-func (p *Pool) take(self int) (poolItem, bool) {
+func (p *Pool) take(self int) (workItem, bool) {
 	if it, ok := p.queues[self].popTail(); ok {
 		return it, true
 	}
@@ -177,7 +163,7 @@ func (p *Pool) take(self int) (poolItem, bool) {
 			return it, true
 		}
 	}
-	return poolItem{}, false
+	return workItem{}, false
 }
 
 // worker is the run loop: claim items, execute kernels, batch completions
@@ -244,16 +230,10 @@ func (p *Pool) worker(self int) {
 		var err error
 		if !it.ex.aborted.Load() {
 			// After a step fails the dispatcher only counts completions,
-			// so skip the kernel (mirroring the inline-queue skip).
-			if tr := it.ex.tracer; tr == nil {
-				outs, err = it.ex.runNode(&sc, it.idx, it.inputs, it.tag, it.deadCtl)
-			} else {
-				start := time.Now()
-				outs, err = it.ex.runNode(&sc, it.idx, it.inputs, it.tag, it.deadCtl)
-				it.ex.recordSpan(it.idx, it.fs, it.iter, it.tag, self, it.ex.poolSpanStream(self), it.enq, start, time.Now())
-			}
+			// so skip the kernel (mirroring the dispatcher's own skip).
+			outs, err = it.ex.runItem(&sc, &it, self)
 		}
-		batch = append(batch, doneMsg{idx: it.idx, fs: it.fs, iter: it.iter, err: err})
+		batch = append(batch, doneMsg{idx: it.idx, fs: it.fs, iter: it.it.iter, err: err})
 		batch[len(batch)-1].setOuts(outs)
 		clear(outs) // an idle worker must not pin the last kernel's tensors
 	}

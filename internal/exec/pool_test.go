@@ -9,12 +9,43 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
-// poolVecElems is big enough that a binary kernel's inputs exceed the
-// dispatcher-inline bound, forcing the pool path.
-const poolVecElems = smallKernelMaxElems
+// poolVecElems is the length of the vectors the pool tests add: a kernel of
+// about a microsecond, which only reaches the pool because runDear says it
+// costs a second.
+const poolVecElems = 1024
+
+// newDear returns an executor over cfg whose plan already estimates every
+// node at a second, far above handoffCost: each kernel is handed to the pool
+// unless the dispatcher keeps it, whatever it really costs. (One execution in
+// sampleEvery halves an estimate; none gets near the constant in a test.)
+func newDear(t *testing.T, cfg Config) *Executor {
+	t.Helper()
+	ex, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ex.plan.cost {
+		ex.plan.cost[i].Store(int64(time.Second))
+	}
+	return ex
+}
+
+// runPooled runs ex and fails the test unless the step handed kernels to the
+// pool: a pool test that passes with exec_dispatch_pool_total standing still
+// tested the dispatcher.
+func runPooled(t *testing.T, ex *Executor) ([]ops.Value, error) {
+	t.Helper()
+	before := metricPooled.Value()
+	out, err := ex.Run()
+	if metricPooled.Value() == before {
+		t.Fatal("exec_dispatch_pool_total did not move: no kernel of this step reached the pool")
+	}
+	return out, err
+}
 
 func vecConst(b *tb, n int, v float64) graph.Output {
 	t := tensor.Alloc(tensor.Float, n)
@@ -24,8 +55,8 @@ func vecConst(b *tb, n int, v float64) graph.Output {
 	return b.constT(t)
 }
 
-// buildWideBody builds `width` independent chains of `depth` above-inline
-// Add kernels over one shared input, fetching each chain's tail: a
+// buildWideBody builds `width` independent chains of `depth` Add kernels over
+// one shared input, fetching each chain's tail: a
 // steal-heavy workload (one dispatcher floods the queues; idle workers must
 // steal to help).
 func buildWideBody(b *tb, width, depth int) []graph.Output {
@@ -46,11 +77,7 @@ func TestPoolStealHeavyWideBody(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		b := newTB(t)
 		fetches := buildWideBody(b, 16, 4)
-		ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ex.Run()
+		out, err := runPooled(t, newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +97,7 @@ func TestPoolSharedAcrossExecutors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b := newTB(t)
 		fetches := buildWideBody(b, 8, 3)
-		ex, err := New(Config{Graph: b.g, Fetches: fetches, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ex.Run()
+		out, err := runPooled(t, newDear(t, Config{Graph: b.g, Fetches: fetches, Pool: pool}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,15 +114,13 @@ func TestPoolDrainOnFailure(t *testing.T) {
 	before := runtime.NumGoroutine()
 	b := newTB(t)
 	fetches := buildWideBody(b, 16, 4)
-	// A shape-mismatched Add fails inside its kernel (above the inline
-	// bound, so it fails on a pool worker).
+	// A shape-mismatched Add fails inside its kernel — on a pool worker,
+	// unless it is the one kernel the dispatcher keeps — with the chains
+	// queued behind it.
 	bad := b.node("Add", nil, vecConst(b, poolVecElems, 1), vecConst(b, poolVecElems-1, 1))
 	fetches = append(fetches, bad.Out(0))
-	ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err == nil || !strings.Contains(err.Error(), "Add") {
+	ex := newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: 4})
+	if _, err := runPooled(t, ex); err == nil || !strings.Contains(err.Error(), "Add") {
 		t.Fatalf("want Add kernel error, got %v", err)
 	}
 	awaitGoroutines(t, before)
@@ -138,10 +159,8 @@ func TestPoolCancelMidSteal(t *testing.T) {
 	exit := b.node("Exit", nil, sw.Out(0))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exit.Out(0)}, Ctx: ctx, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newDear(t, Config{Graph: b.g, Fetches: []graph.Output{exit.Out(0)}, Ctx: ctx, Workers: 2})
+	pooledBefore := metricPooled.Value()
 	errc := make(chan error, 1)
 	go func() {
 		_, err := ex.Run()
@@ -156,6 +175,9 @@ func TestPoolCancelMidSteal(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after cancel")
+	}
+	if metricPooled.Value() == pooledBefore {
+		t.Fatal("exec_dispatch_pool_total did not move: the canceled step never used the pool")
 	}
 	awaitGoroutines(t, before)
 }
@@ -179,11 +201,8 @@ func awaitGoroutines(t *testing.T, baseline int) {
 func TestNegativeWorkersMeansDefault(t *testing.T) {
 	b := newTB(t)
 	fetches := buildWideBody(b, 8, 3)
-	ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ex.Run()
+	ex := newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: -1})
+	out, err := runPooled(t, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +214,10 @@ func TestNegativeWorkersMeansDefault(t *testing.T) {
 	}
 }
 
-// TestAllInlineStepSpawnsNoPool: steps whose kernels all run on the
-// dispatcher never pay for pool construction.
+// TestAllInlineStepSpawnsNoPool: a step that hands nothing off pays for
+// neither a pool nor a completion channel. Two ways to be one: every kernel is
+// cheaper than a hand-off (a scalar counter loop), or the kernels are dear but
+// form a serial chain, which the dispatcher keeps link by link.
 func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 50, 1, 0)
@@ -207,20 +228,43 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	if _, err := ex.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ex.pool != nil {
-		t.Fatal("all-inline step created a pool")
+	if ex.pool != nil || ex.events != nil {
+		t.Fatalf("all-inline step created pool %v, completion channel %v", ex.pool, ex.events)
+	}
+
+	c := newTB(t)
+	cur := vecConst(c, poolVecElems, 1)
+	for i := 0; i < 7; i++ {
+		cur = c.node("Neg", nil, cur).Out(0)
+	}
+	chain := newDear(t, Config{Graph: c.g, Fetches: []graph.Output{cur}})
+	pooled, spawned := metricPooled.Value(), metricSpawn.Value()
+	out, err := chain.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[0].T.F[0]; got != -1 {
+		t.Fatalf("chain: got %v want -1", got)
+	}
+	if chain.pool != nil || chain.events != nil || metricPooled.Value() != pooled || metricSpawn.Value() != spawned {
+		t.Fatalf("serial chain of dear kernels left the dispatcher: pool %v, channel %v, %d pooled, %d spawned",
+			chain.pool, chain.events, metricPooled.Value()-pooled, metricSpawn.Value()-spawned)
 	}
 }
 
 // TestEventsBufferUsesFrameWindow is the regression test for the
 // events-channel sizing fallback: a cyclic plan whose only frame declares
 // parallel_iterations=1 must be provisioned at one slot per node, not
-// nodes x the 32-wide default window.
+// nodes x the 32-wide default window. The channel is made on the first
+// hand-off, so the steps run with every kernel dear.
 func TestEventsBufferUsesFrameWindow(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 10, 1, 1) // window 1
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exit}})
-	if err != nil {
+	ex := newDear(t, Config{Graph: b.g, Fetches: []graph.Output{exit}})
+	if ex.events != nil {
+		t.Fatal("completion channel exists before anything was handed off")
+	}
+	if _, err := runPooled(t, ex); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cap(ex.events), b.g.NumNodes(); got != want {
@@ -229,17 +273,11 @@ func TestEventsBufferUsesFrameWindow(t *testing.T) {
 	// An undeclared window still provisions the config default.
 	b2 := newTB(t)
 	exit2 := buildCounterLoop(b2, 10, 1, 0)
-	ex2, err := New(Config{Graph: b2.g, Fetches: []graph.Output{exit2}})
-	if err != nil {
+	ex2 := newDear(t, Config{Graph: b2.g, Fetches: []graph.Output{exit2}})
+	if _, err := runPooled(t, ex2); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cap(ex2.events), b2.g.NumNodes()*DefaultParallelIterations; got != want {
 		t.Fatalf("default-window events buffer %d, want %d", got, want)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex2.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

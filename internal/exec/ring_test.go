@@ -143,8 +143,8 @@ func TestEventsChannelSizedFromPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := b.g.NumNodes(); cap(ex.events) != want {
-		t.Fatalf("acyclic events buffer %d, want one per node = %d", cap(ex.events), want)
+	if want := b.g.NumNodes(); ex.eventsCap() != want {
+		t.Fatalf("acyclic events buffer %d, want one per node = %d", ex.eventsCap(), want)
 	}
 	if _, err := ex.Run(); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestEventsChannelSizedFromPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := lb.g.NumNodes() * DefaultParallelIterations; cap(lex.events) != want {
-		t.Fatalf("loop events buffer %d, want nodes*window = %d", cap(lex.events), want)
+	if want := lb.g.NumNodes() * DefaultParallelIterations; lex.eventsCap() != want {
+		t.Fatalf("loop events buffer %d, want nodes*window = %d", lex.eventsCap(), want)
 	}
 	if _, err := lex.Run(); err != nil {
 		t.Fatal(err)

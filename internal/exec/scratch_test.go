@@ -94,9 +94,10 @@ func TestIterationsCounter(t *testing.T) {
 // The scratch-aliasing tests below build graphs in which a node's output
 // tokens sit in the dispatcher's (or a worker's) scratch while other nodes
 // run, and check that every consumer still sees the right value. Each graph
-// runs at a size the dispatcher inlines and at one above smallKernelMaxElems
-// (the pool path, completions crossing in doneMsg), at the default pool
-// width and at Workers: 1, and the results must be identical.
+// runs with its kernels on the dispatcher (fresh estimates) and with every
+// kernel estimated dear (the pool path, completions crossing in doneMsg), at
+// the default pool width and at Workers: 1, and the results must be
+// identical.
 
 // filled returns a [rows, cols] float tensor with element k = base + k.
 func filled(base float64, rows, cols int) *tensor.Tensor {
@@ -119,18 +120,25 @@ func delayChain(b *tb, n int) *graph.Node {
 }
 
 // runBothWidths runs the graph at the default pool width and at one worker
-// and requires bit-identical fetches; it returns them.
-func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, cfg Config) []ops.Value {
+// and requires bit-identical fetches; it returns them. With dear set the
+// kernels are estimated far above handoffCost and the runs must reach the
+// pool.
+func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, cfg Config, dear bool) []ops.Value {
 	t.Helper()
 	var outs [2][]ops.Value
 	for k, workers := range []int{0, 1} {
 		c := cfg
 		c.Graph, c.Fetches, c.Workers = b.g, fetches, workers
-		ex, err := New(c)
-		if err != nil {
-			t.Fatal(err)
+		var err error
+		if dear {
+			outs[k], err = runPooled(t, newDear(t, c))
+		} else {
+			var ex *Executor
+			if ex, err = New(c); err == nil {
+				outs[k], err = ex.Run()
+			}
 		}
-		if outs[k], err = ex.Run(); err != nil {
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 	}
@@ -142,14 +150,13 @@ func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, cfg Config) []op
 	return outs[0]
 }
 
-// scratchSizes: columns of a 4-row input; 4x8 is inlined, 4x400 (1600
-// elements) exceeds the inline bound.
-var scratchSizes = []int{8, 400}
+// scratchCols is the width of the scratch tests' 4-row inputs.
+const scratchCols = 8
 
 func TestScratchMultiOutputKernels(t *testing.T) {
-	for _, cols := range scratchSizes {
+	for _, dear := range []bool{false, true} {
 		b := newTB(t)
-		x := filled(1, 4, cols)
+		x := filled(1, 4, scratchCols)
 		late := delayChain(b, 5)
 		// Unpack: four outputs (beyond doneMsg's two inline slots), each
 		// consumed only after the delay chain has run.
@@ -160,29 +167,29 @@ func TestScratchMultiOutputKernels(t *testing.T) {
 		sp := b.node("Split", map[string]any{"num": 2, "axis": 0}, b.constT(x))
 		diff := b.node("Sub", nil, sp.Out(1), sp.Out(0))
 		diff.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, Config{})
+		out := runBothWidths(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, Config{}, dear)
+		const cols = scratchCols
 		for j := 0; j < cols; j++ {
 			want := x.F[j] + x.F[cols+j] + x.F[2*cols+j] + x.F[3*cols+j]
 			if got := out[0].T.F[j]; got != want {
-				t.Fatalf("cols=%d: Unpack sum[%d] = %v, want %v", cols, j, got, want)
+				t.Fatalf("dear=%v: Unpack sum[%d] = %v, want %v", dear, j, got, want)
 			}
 		}
 		for k, got := range out[1].T.F {
 			if want := x.F[2*cols+k] - x.F[k]; got != want {
-				t.Fatalf("cols=%d: Split diff[%d] = %v, want %v", cols, k, got, want)
+				t.Fatalf("dear=%v: Split diff[%d] = %v, want %v", dear, k, got, want)
 			}
 		}
 	}
 }
 
 func TestScratchTwoOutputStackOps(t *testing.T) {
-	for _, cols := range scratchSizes {
+	for _, dear := range []bool{false, true} {
 		b := newTB(t)
-		x := filled(3, 4, cols)
+		x := filled(3, 4, scratchCols)
 		late := delayChain(b, 5)
 		// StackPush returns its input value (ctx.In[1]) and a token through
-		// ctx.Two; StackPop (never inlined) returns the popped value and a
-		// token. Both value outputs are consumed after the delay chain.
+		// ctx.Two; StackPop returns the popped value and a token. Both value outputs are consumed after the delay chain.
 		st := b.node("Stack", nil)
 		push := b.node("StackPush", nil, st.Out(0), b.constT(x), b.scalar(0))
 		pop := b.node("StackPop", nil, st.Out(0), push.Out(1))
@@ -190,21 +197,21 @@ func TestScratchTwoOutputStackOps(t *testing.T) {
 		neg.AddControlInput(late)
 		sum := b.node("Add", nil, pop.Out(0), pop.Out(0))
 		sum.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, Config{})
+		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, Config{}, dear)
 		for k := range x.F {
 			if out[0].T.F[k] != -x.F[k] || out[1].T.F[k] != 2*x.F[k] {
-				t.Fatalf("cols=%d elem %d: pushed %v popped-twice %v, want %v and %v",
-					cols, k, out[0].T.F[k], out[1].T.F[k], -x.F[k], 2*x.F[k])
+				t.Fatalf("dear=%v elem %d: pushed %v popped-twice %v, want %v and %v",
+					dear, k, out[0].T.F[k], out[1].T.F[k], -x.F[k], 2*x.F[k])
 			}
 		}
 	}
 }
 
 func TestScratchSwitchBothOutputsConsumed(t *testing.T) {
-	for _, cols := range scratchSizes {
+	for _, dear := range []bool{false, true} {
 		for _, pred := range []bool{true, false} {
 			b := newTB(t)
-			x := filled(2, 4, cols)
+			x := filled(2, 4, scratchCols)
 			late := delayChain(b, 5)
 			sw := b.node("Switch", nil, b.constT(x), b.constT(tensor.ScalarBool(pred)))
 			// Each side has two consumers, so the live token fans out and
@@ -218,15 +225,15 @@ func TestScratchSwitchBothOutputsConsumed(t *testing.T) {
 			}
 			m1 := b.node("Merge", nil, onTrue.Out(0), onFalse.Out(0))
 			m2 := b.node("Merge", nil, onTrue2.Out(0), onFalse2.Out(0))
-			out := runBothWidths(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, Config{})
+			out := runBothWidths(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, Config{}, dear)
 			for k, v := range x.F {
 				want1 := v // Abs on the false side (inputs are positive)
 				if pred {
 					want1 = -v
 				}
 				if out[0].T.F[k] != want1 || out[1].T.F[k] != v*v {
-					t.Fatalf("cols=%d pred=%v elem %d: got %v and %v, want %v and %v",
-						cols, pred, k, out[0].T.F[k], out[1].T.F[k], want1, v*v)
+					t.Fatalf("dear=%v pred=%v elem %d: got %v and %v, want %v and %v",
+						dear, pred, k, out[0].T.F[k], out[1].T.F[k], want1, v*v)
 				}
 			}
 		}
@@ -240,9 +247,9 @@ func TestScratchKernelReturnsItsInput(t *testing.T) {
 		}
 		return nil
 	}
-	for _, cols := range scratchSizes {
+	for _, dear := range []bool{false, true} {
 		b := newTB(t)
-		x := filled(5, 4, cols)
+		x := filled(5, 4, scratchCols)
 		late := delayChain(b, 5)
 		// Identity with a device runner attached does run its kernel, which
 		// returns ctx.In[0] through ctx.One; the context is reset right
@@ -255,10 +262,10 @@ func TestScratchKernelReturnsItsInput(t *testing.T) {
 		neg.AddControlInput(late)
 		sq := b.node("Square", nil, id.Out(0))
 		sq.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, Config{Runner: onDev})
+		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, Config{Runner: onDev}, dear)
 		for k, v := range x.F {
 			if out[0].T.F[k] != -v || out[1].T.F[k] != v*v || out[2].T.F[k] != v {
-				t.Fatalf("cols=%d elem %d: got %v, %v, %v from input %v", cols, k, out[0].T.F[k], out[1].T.F[k], out[2].T.F[k], v)
+				t.Fatalf("dear=%v elem %d: got %v, %v, %v from input %v", dear, k, out[0].T.F[k], out[1].T.F[k], out[2].T.F[k], v)
 			}
 		}
 	}
