@@ -23,9 +23,8 @@
 //	                dcfserve_predict_body_bytes) plus the mode's own — the
 //	                batcher's serve_* in single-process mode, the router's
 //	                fleet_* in fleet mode
-//	GET  /debug/vars    expvar JSON including the "serving" batcher snapshot
-//	                    (batches, occupancy, queue delay, exec latency)
-//	GET  /debug/pprof/  standard Go profiling endpoints
+//	GET  /debug/pprof/  standard Go profiling endpoints (heap numbers
+//	                    come from /debug/pprof/heap)
 //	GET  /debug/trace?steps=N   single-process mode: run N traced probe
 //	                steps and return one Chrome trace-event JSON document
 //	                (load in Perfetto); fleet mode answers 501 — trace the
@@ -90,7 +89,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -295,10 +293,8 @@ func main() {
 	var draining atomic.Bool
 
 	mux := http.NewServeMux()
-	// The expvar page lives at its conventional path; /metrics is the
-	// Prometheus text exposition, registered per serving mode below so it
-	// includes the mode's own instrument registry.
-	mux.Handle("/debug/vars", expvar.Handler())
+	// /metrics is the Prometheus text exposition, registered per serving
+	// mode below so it includes the mode's own instrument registry.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -332,7 +328,6 @@ func main() {
 			log.Fatalf("join replicas: %v", err)
 		}
 		fm := &fleetModel{router: router}
-		expvar.Publish("fleet", expvar.Func(func() any { return router.Snapshot() }))
 		mux.Handle("/metrics", metrics.Handler(metrics.Default(), router.Metrics()))
 		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "step tracing is per-process: hit /debug/trace on a replica daemon's health address instead", http.StatusNotImplemented)
@@ -381,30 +376,6 @@ func main() {
 
 		mux.Handle("/metrics", metrics.Handler(metrics.Default(), m.srv.Metrics()))
 		mux.HandleFunc("/debug/trace", m.handleDebugTrace)
-		// The batcher snapshot also rides the expvar page at /debug/vars,
-		// next to cmdline/memstats: occupancy, queue delay, and steps/sec
-		// per scrape.
-		expvar.Publish("serving", expvar.Func(func() any {
-			s := m.srv.Stats()
-			return map[string]any{
-				"batches":            s.Batches,
-				"rows":               s.Rows,
-				"batched_requests":   s.BatchedRequests,
-				"rejected":           s.Rejected,
-				"canceled":           s.Canceled,
-				"dropped_canceled":   s.DroppedCanceled,
-				"errors":             s.Errors,
-				"max_batch_rows":     s.MaxBatchRows,
-				"avg_batch_rows":     s.AvgBatchRows(),
-				"avg_queue_delay_ns": int64(s.AvgQueueDelay()),
-				"max_queue_delay_ns": int64(s.QueueDelayMax),
-				"exec_total_ns":      int64(s.ExecTotal),
-				"exec_max_ns":        int64(s.ExecMax),
-				"steps_per_sec":      s.StepsPerSec(),
-				"requests_per_sec":   s.RequestsPerSec(),
-				"uptime_ns":          int64(s.Uptime),
-			}
-		}))
 		mux.Handle("/predict", newPredictor(m.srv.Predict, true, *dim, *batch, &draining))
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			if draining.Load() {

@@ -397,7 +397,7 @@ func replay(t testing.TB, h http.Handler, body []byte) func() {
 
 // TestPredictHandlerAllocBudget pins what one benchmark-shaped request
 // (16 rows × 256 floats, ≈ 80 KB of JSON) costs in heap objects from the
-// handler down. Measured: 40 — the executor step ≈ 26 (plan instance,
+// handler down. Measured: 39 — the executor step ≈ 25 (plan instance,
 // frames, the dispatcher's queues, pool misses for what is fetched; the
 // model is a chain of kernels, so the dispatcher keeps every one and the
 // step builds neither a worker pool nor a completion channel, which were 15
@@ -409,8 +409,8 @@ func TestPredictHandlerAllocBudget(t *testing.T) {
 	s := newServed(t, 256, 16)
 	once := replay(t, s, benchBody(16, 256, 1))
 	once() // pools warm
-	if got := testing.AllocsPerRun(50, once); got > 46 {
-		t.Fatalf("one /predict request allocates %.0f objects, budget 46", got)
+	if got := testing.AllocsPerRun(50, once); got > 45 {
+		t.Fatalf("one /predict request allocates %.0f objects, budget 45", got)
 	}
 }
 

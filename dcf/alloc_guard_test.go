@@ -16,9 +16,9 @@ import (
 // RunOptions.Trace, so a tracing hook that allocates when disabled shows
 // up here as a budget break.
 func TestCallableCallAllocBudget(t *testing.T) {
-	// Measured 23: node execution itself allocates nothing, and a chain of
+	// Measured 22: node execution itself allocates nothing, and a chain of
 	// kernels builds neither a worker pool nor a completion channel.
-	const budget = 25
+	const budget = 24
 
 	sess, y, x := buildServingGraph(t)
 	callable, err := sess.MakeCallable(dcf.CallableSpec{Feeds: []string{"x"}, Fetches: []dcf.Tensor{y}})

@@ -210,7 +210,7 @@ func (s *Session) sleepOverhead(ctx context.Context) error {
 
 // Run executes the subgraph needed for the fetches and targets, returning
 // fetched values in order: a thin shim over the RunCtx path with a
-// background context, additionally recording Stats for legacy callers.
+// background context.
 func (s *Session) Run(feeds Feeds, fetches []Tensor, targets ...Op) ([]*Value, error) {
 	if err := s.sleepOverhead(context.Background()); err != nil {
 		return nil, err

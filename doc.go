@@ -176,7 +176,7 @@
 //     batcher, cluster worker, and fleet router all register named
 //     instruments (exec_*, tensor_pool_*, serve_*, cluster_*, fleet_*);
 //     metrics.Handler serves any set of registries as Prometheus text
-//     exposition or expvar-style JSON. Instrument names are vet-enforced
+//     exposition. Instrument names are vet-enforced
 //     (the metricname analyzer): snake_case with a unit suffix, counters
 //     ending in _total.
 //   - Per-step tracing: dcf.RunOptions{Trace: true} records one span per
@@ -193,8 +193,8 @@
 // Surfaces: dcfworker's -health address serves /metrics, /debug/pprof,
 // and /debug/trace?steps=N (arm tracing for the next N live steps and get
 // their merged trace); the driver's -trace flag writes a fleet-wide
-// traced step to a file; dcfserve serves /metrics, /debug/vars,
-// /debug/pprof, and /debug/trace?steps=N (traced probe steps).
+// traced step to a file; dcfserve serves /metrics, /debug/pprof, and
+// /debug/trace?steps=N (traced probe steps).
 //
 // # Runtime performance knobs
 //
@@ -204,8 +204,8 @@
 //   - SessionOptions.ParallelIterations (dcf) / per-loop
 //     parallel_iterations: the while-loop window, which also sizes each
 //     frame's iteration ring (default 32).
-//   - exec.DefaultParallelIterations, exec.Config.ParallelIterations: the
-//     same knob at the executor layer.
+//   - exec.DefaultParallelIterations, exec.PlanOptions.ParallelIterations:
+//     the same knob at the executor layer, fixed when a plan is compiled.
 //   - tensor.Alloc / tensor.Recycle / tensor.NewFromPool: the size-classed
 //     tensor buffer pool backing kernel outputs and executor recycling.
 //   - cmd/dcfbench -cpuprofile/-memprofile: pprof profiles over any figure

@@ -14,7 +14,7 @@
 // be: header/write timeouts against slowloris clients, and signal-driven
 // graceful shutdown that drains in-flight requests and then the batcher.
 // (cmd/dcfserve is the full production server — checkpoint restore,
-// /healthz, expvar metrics; this example keeps the whole loop self-driving
+// /healthz, /metrics; this example keeps the whole loop self-driving
 // and small.)
 package main
 

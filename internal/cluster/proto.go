@@ -3,7 +3,6 @@ package cluster
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -42,17 +41,6 @@ type RegisterGraph struct {
 	// same names: the loop window and the per-step kernel pool size.
 	ParallelIterations int
 	Workers            int
-	// Latency/Bandwidth inject simulated fabric characteristics into the
-	// worker's rendezvous deliveries (benchmark sweeps).
-	Latency   time.Duration
-	Bandwidth float64
-	// FaultSeed/FaultResetProb/FaultDropProb arm seeded probabilistic
-	// fault injection on the worker's rendezvous send path (conn resets
-	// and silent message drops; see rendezvous.Net.SetFaults) — how fleet
-	// tests exercise retry and hedging without real process kills.
-	FaultSeed      int64
-	FaultResetProb float64
-	FaultDropProb  float64
 }
 
 // RegResp acknowledges a registration.

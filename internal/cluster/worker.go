@@ -72,11 +72,10 @@ type tracedStep struct {
 // plan per hosted device, and the per-step bookkeeping that cancellation and
 // scope release need.
 type workerGraph struct {
-	g        *graph.Graph
-	parts    []WirePartition
-	plans    map[string]*exec.Plan
-	parallel int
-	workers  int
+	g       *graph.Graph
+	parts   []WirePartition
+	plans   map[string]*exec.Plan
+	workers int
 	// sessRes persists across the graph's steps (session-lifetime
 	// resources); it is lost if the worker restarts — the coarse-grained
 	// checkpoint failure model of §3.
@@ -129,6 +128,11 @@ func (w *Worker) DataAddr() string { return w.rv.Addr() }
 
 // ScopeCount exposes the live rendezvous scope tables (leak tests).
 func (w *Worker) ScopeCount() int { return w.rv.ScopeCount() }
+
+// Rendezvous returns the worker's data plane, for a test holding the worker
+// to shape or fault-inject its fabric (Net.SetFabric, Net.SetFaults):
+// nothing a client can send reaches those.
+func (w *Worker) Rendezvous() *rendezvous.Net { return w.rv }
 
 // ServeHealth starts an HTTP readiness endpoint on addr and returns the
 // address it actually listens on ("127.0.0.1:0" picks a port). GET
@@ -482,7 +486,12 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 		if ds := verify.Check(g, verify.Options{Nodes: nodes}); len(ds) != 0 {
 			return fmt.Errorf("cluster: partition %q failed verification: %w", part.Device, ds.Err())
 		}
-		p, err := exec.NewPlan(g, nodes, fetches)
+		p, err := exec.NewPlan(g, exec.PlanOptions{
+			Nodes:              nodes,
+			Fetches:            fetches,
+			ParallelIterations: rg.ParallelIterations,
+			TraceStream:        part.Device,
+		})
 		if err != nil {
 			return fmt.Errorf("cluster: partition %q: %w", part.Device, err)
 		}
@@ -493,21 +502,15 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 			w.rv.AddPeer(peer, addr)
 		}
 	}
-	// Unconditional: a zero-latency registration must clear any fabric
-	// injection a previous registration configured on this daemon. Same
-	// for fault injection: zero probs disarm it.
-	w.rv.SetFabric(rg.Latency, rg.Bandwidth)
-	w.rv.SetFaults(rg.FaultSeed, rg.FaultResetProb, rg.FaultDropProb)
 	wg := &workerGraph{
-		g:        g,
-		parts:    rg.Parts,
-		plans:    plans,
-		parallel: rg.ParallelIterations,
-		workers:  rg.Workers,
-		sessRes:  ops.NewResources(),
-		owner:    owner,
-		steps:    map[uint64]context.CancelFunc{},
-		traces:   map[uint64]*trace.Tracer{},
+		g:       g,
+		parts:   rg.Parts,
+		plans:   plans,
+		workers: rg.Workers,
+		sessRes: ops.NewResources(),
+		owner:   owner,
+		steps:   map[uint64]context.CancelFunc{},
+		traces:  map[uint64]*trace.Tracer{},
 	}
 	w.mu.Lock()
 	old := w.graphs[rg.GraphID]
@@ -628,9 +631,9 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 	results := make(chan devResult, len(g.parts))
 	for _, part := range g.parts {
 		go func(dev string) {
-			ex, err := exec.NewFromPlan(g.plans[dev], exec.Config{
+			vals, _, err := g.plans[dev].Run(exec.Binding{
 				Ctx:        ctx,
-				Feeds:      feeds,
+				Feeder:     exec.MapFeeder(feeds),
 				StepRes:    stepRes,
 				SessionRes: g.sessRes,
 				// The RNG stream is a pure function of the step number —
@@ -638,19 +641,11 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 				// resumed or rebuilt job re-registers. A job replayed from a
 				// checkpoint therefore draws identical random numbers and
 				// reproduces an uninterrupted run bit for bit.
-				RNG:                tensor.NewRNG(req.Step*1000003 + 17),
-				Rendezvous:         rv,
-				ParallelIterations: g.parallel,
-				Workers:            g.workers,
-				Pool:               pool,
-				Trace:              tracer,
-				TraceStream:        dev,
+				RNG:        tensor.NewRNG(req.Step*1000003 + 17),
+				Rendezvous: rv,
+				Pool:       pool,
+				Trace:      tracer,
 			})
-			if err != nil {
-				results <- devResult{dev: dev, err: err}
-				return
-			}
-			vals, err := ex.Run()
 			results <- devResult{dev: dev, vals: vals, err: err}
 		}(part.Device)
 	}

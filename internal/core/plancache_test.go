@@ -18,7 +18,7 @@ func TestPlanCacheReusedAcrossRuns(t *testing.T) {
 	fetches := []graph.Output{y}
 
 	s := NewSession(b)
-	p1, n1, err := s.planFor(fetches, nil)
+	p1, err := s.planFor(fetches, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,22 +31,19 @@ func TestPlanCacheReusedAcrossRuns(t *testing.T) {
 			t.Fatalf("run %v: got %v", i, out[0])
 		}
 	}
-	p2, n2, err := s.planFor(fetches, nil)
+	p2, err := s.planFor(fetches, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Fatal("repeated Runs with one signature must reuse one cached Plan")
 	}
-	if n1 != n2 {
-		t.Fatalf("pruned node count changed across runs: %d vs %d", n1, n2)
-	}
 	if len(s.plans) != 1 {
 		t.Fatalf("plan cache holds %d entries, want 1", len(s.plans))
 	}
 
 	// A different signature builds (and caches) a second plan.
-	if _, _, err := s.planFor([]graph.Output{z}, nil); err != nil {
+	if _, err := s.planFor([]graph.Output{z}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.plans) != 2 {
@@ -64,7 +61,7 @@ func TestPlanCacheEvictsStaleGenerations(t *testing.T) {
 	z := b.Neg(x)
 	s := NewSession(b)
 	for _, f := range []graph.Output{y, z} {
-		if _, _, err := s.planFor([]graph.Output{f}, nil); err != nil {
+		if _, err := s.planFor([]graph.Output{f}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +69,7 @@ func TestPlanCacheEvictsStaleGenerations(t *testing.T) {
 		t.Fatalf("plan cache holds %d entries, want 2", len(s.plans))
 	}
 	w := b.Square(y) // mutate: bumps the graph version
-	if _, _, err := s.planFor([]graph.Output{w}, nil); err != nil {
+	if _, err := s.planFor([]graph.Output{w}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.plans) != 1 {
@@ -87,12 +84,12 @@ func TestPlanCacheInvalidatedByGraphGrowth(t *testing.T) {
 	x := b.Const(tensor.Scalar(2))
 	y := b.Square(x)
 	s := NewSession(b)
-	p1, _, err := s.planFor([]graph.Output{y}, nil)
+	p1, err := s.planFor([]graph.Output{y}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Neg(x) // grow the graph
-	p2, _, err := s.planFor([]graph.Output{y}, nil)
+	p2, err := s.planFor([]graph.Output{y}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

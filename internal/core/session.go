@@ -32,6 +32,10 @@ type Session struct {
 
 	// SessRes holds variables across runs.
 	SessRes *ops.Resources
+	// The four fields below are read when a run signature is compiled (the
+	// first Run of the signature, or MakeCallable) and fixed in its plan: set
+	// them before the session runs anything.
+	//
 	// Mem and Runner configure per-device memory systems and kernel
 	// runners (both may be nil).
 	Mem    func(device string) ops.DeviceMem
@@ -142,40 +146,29 @@ func (s *Session) RunCtx(ctx context.Context, opts RunOptions) ([]*tensor.Tensor
 			return nil, md, err
 		}
 	}
-	plan, nodeCount, err := s.planFor(opts.Fetches, opts.Targets)
+	plan, err := s.planFor(opts.Fetches, opts.Targets)
 	if err != nil {
 		return nil, md, err
 	}
-	return s.runPlan(ctx, plan, opts.Feeds, nil, nodeCount, opts.Trace)
+	return s.runPlan(ctx, plan, exec.MapFeeder(opts.Feeds), opts.Trace)
 }
 
 // runPlan is the shared executor-driving tail of RunCtx and
-// Callable.CallCtx: build one step's executor over a compiled plan, run
-// it, and convert the fetched values. Exactly one of feeds/feeder is set.
-func (s *Session) runPlan(ctx context.Context, plan *exec.Plan, feeds map[string]*tensor.Tensor, feeder exec.Feeder, nodeCount int, traced bool) ([]*tensor.Tensor, RunMetadata, error) {
+// Callable.CallCtx: run one step of a compiled plan and convert the fetched
+// values.
+func (s *Session) runPlan(ctx context.Context, plan *exec.Plan, feeder exec.Feeder, traced bool) ([]*tensor.Tensor, RunMetadata, error) {
 	var md RunMetadata
-	var tracer *trace.Tracer
 	if traced {
-		tracer = trace.New()
-		md.StepTrace = tracer
+		md.StepTrace = trace.New()
 	}
-	ex, err := exec.NewFromPlan(plan, exec.Config{
-		Ctx:                ctx,
-		Feeds:              feeds,
-		Feeder:             feeder,
-		SessionRes:         s.SessRes,
-		RNG:                s.stepRNG(),
-		Mem:                s.Mem,
-		Runner:             s.Runner,
-		ParallelIterations: s.ParallelIterations,
-		Workers:            s.Workers,
-		Trace:              tracer,
+	vals, executed, err := plan.Run(exec.Binding{
+		Ctx:        ctx,
+		Feeder:     feeder,
+		SessionRes: s.SessRes,
+		RNG:        s.stepRNG(),
+		Trace:      md.StepTrace,
 	})
-	if err != nil {
-		return nil, md, err
-	}
-	vals, err := ex.Run()
-	md.Stats = RunStats{NodesExecuted: ex.NumKernels(), NodesInRun: nodeCount}
+	md.Stats = RunStats{NodesExecuted: executed, NodesInRun: len(plan.Nodes())}
 	if err != nil {
 		return nil, md, err
 	}
@@ -216,7 +209,7 @@ func (s *Session) verifyGraph() error {
 // planFor returns (building and caching on first use) the executor plan
 // for a run signature. The fast path takes only a read lock, so concurrent
 // steady-state runs do not serialize on the cache.
-func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, int, error) {
+func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, error) {
 	var sig strings.Builder
 	for _, f := range fetches {
 		fmt.Fprintf(&sig, "f:%d:%d;", f.Node.ID(), f.Index)
@@ -235,14 +228,14 @@ func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.
 	p, ok := s.plans[key]
 	s.mu.RUnlock()
 	if ok {
-		return p, len(p.Nodes()), nil
+		return p, nil
 	}
 
 	// First compile at this signature (or graph version): verify before
 	// planning, so structural bugs surface as diagnostics here rather
 	// than executor hangs at step time.
 	if err := s.verifyGraph(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	s.mu.Lock()
@@ -256,15 +249,27 @@ func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.
 		s.plansVersion = v
 	}
 	if p, ok := s.plans[key]; ok {
-		return p, len(p.Nodes()), nil
+		return p, nil
 	}
-	nodes := Prune(s.B.G, fetches, targets)
-	p, err := exec.NewPlan(s.B.G, nodes, fetches)
+	p, err := s.compile(fetches, targets)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	s.plans[key] = p
-	return p, len(nodes), nil
+	return p, nil
+}
+
+// compile prunes the graph to a run signature and builds its plan, fixing
+// the session's executor options in it.
+func (s *Session) compile(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, error) {
+	return exec.NewPlan(s.B.G, exec.PlanOptions{
+		Nodes:              Prune(s.B.G, fetches, targets),
+		Fetches:            fetches,
+		ParallelIterations: s.ParallelIterations,
+		Workers:            s.Workers,
+		Mem:                s.Mem,
+		Runner:             s.Runner,
+	})
 }
 
 // Run1 fetches a single output.
@@ -299,7 +304,6 @@ type Callable struct {
 	// compile time so each Call validates args (dtype/shape, when the
 	// placeholder declares them) without graph lookups.
 	feedNodes []*graph.Node
-	nodeCount int
 	// version is the graph version the plan was compiled against; Call
 	// fails fast if the graph has mutated since, rather than silently
 	// serving a stale plan.
@@ -316,7 +320,6 @@ func (s *Session) MakeCallable(spec CallableSpec) (*Callable, error) {
 	if err := s.verifyGraph(); err != nil {
 		return nil, err
 	}
-	nodes := Prune(s.B.G, spec.Fetches, spec.Targets)
 	// Feeds outside the pruned subgraph are legal (ignored), as in
 	// Session.Run, but a name that is not a placeholder — or appears
 	// twice, which would silently drop all but the first bound arg — is
@@ -334,7 +337,7 @@ func (s *Session) MakeCallable(spec CallableSpec) (*Callable, error) {
 		seen[name] = true
 		feedNodes[i] = n
 	}
-	plan, err := exec.NewPlan(s.B.G, nodes, spec.Fetches)
+	plan, err := s.compile(spec.Fetches, spec.Targets)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +346,6 @@ func (s *Session) MakeCallable(spec CallableSpec) (*Callable, error) {
 		plan:      plan,
 		feedNames: append([]string(nil), spec.Feeds...),
 		feedNodes: feedNodes,
-		nodeCount: len(nodes),
 		version:   s.B.G.Version(),
 	}, nil
 }
@@ -399,7 +401,7 @@ func (c *Callable) CallCtx(ctx context.Context, args ...*tensor.Tensor) ([]*tens
 		return nil, RunMetadata{}, fmt.Errorf("core: callable is stale: graph mutated since MakeCallable (version %d, now %d)",
 			c.version, v)
 	}
-	return c.s.runPlan(ctx, c.plan, nil, &positionalFeeder{names: c.feedNames, vals: args}, c.nodeCount, false)
+	return c.s.runPlan(ctx, c.plan, &positionalFeeder{names: c.feedNames, vals: args}, false)
 }
 
 // Prune returns the nodes transitively required by fetches and targets

@@ -76,14 +76,12 @@ func TestTCPDistributedLoop(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		ex, err := exec.New(exec.Config{
-			Graph: b.G, Nodes: nodesFor("wA"), Fetches: outs, Rendezvous: rvA,
-		})
+		plan, err := exec.NewPlan(b.G, exec.PlanOptions{Nodes: nodesFor("wA"), Fetches: outs})
 		if err != nil {
 			errA = err
 			return
 		}
-		vals, err := ex.Run()
+		vals, _, err := plan.Run(exec.Binding{Rendezvous: rvA})
 		if err != nil {
 			errA = err
 			return
@@ -92,14 +90,12 @@ func TestTCPDistributedLoop(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ex, err := exec.New(exec.Config{
-			Graph: b.G, Nodes: nodesFor("wB"), Rendezvous: rvB,
-		})
+		plan, err := exec.NewPlan(b.G, exec.PlanOptions{Nodes: nodesFor("wB")})
 		if err != nil {
 			errB = err
 			return
 		}
-		_, errB = ex.Run()
+		_, _, errB = plan.Run(exec.Binding{Rendezvous: rvB})
 	}()
 	wg.Wait()
 	if errA != nil || errB != nil {

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -203,16 +202,6 @@ type TCPOptions struct {
 	// Workers sizes each worker daemon's per-step kernel pool
 	// (<= 0 = GOMAXPROCS there).
 	Workers int
-	// Latency/Bandwidth inject simulated fabric characteristics into every
-	// worker's rendezvous deliveries (loopback has neither).
-	Latency   time.Duration
-	Bandwidth float64
-	// FaultSeed/FaultResetProb/FaultDropProb arm seeded conn-reset and
-	// send-drop injection on every worker's rendezvous send path
-	// (rendezvous.Net.SetFaults): deterministic chaos for fleet tests.
-	FaultSeed      int64
-	FaultResetProb float64
-	FaultDropProb  float64
 	// CheckpointDir, when set, is where distributed checkpoints of this
 	// cluster's session variables are written (see internal/checkpoint's
 	// manifest layout). Required for Checkpoint/Resume.
@@ -381,11 +370,6 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 			Peers:              nil, // filled by registerAll
 			ParallelIterations: opts.ParallelIterations,
 			Workers:            opts.Workers,
-			Latency:            opts.Latency,
-			Bandwidth:          opts.Bandwidth,
-			FaultSeed:          opts.FaultSeed,
-			FaultResetProb:     opts.FaultResetProb,
-			FaultDropProb:      opts.FaultDropProb,
 		}
 	}
 	// Map each worker's session variables (nodes carrying a "var" attr in

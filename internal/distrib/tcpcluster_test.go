@@ -378,14 +378,17 @@ func TestTCPClusterMultiDevicePerWorker(t *testing.T) {
 // with 2ms one-way latency every cross-worker hop pays it, so a 5-iteration
 // two-hop loop takes at least ~10ms.
 func TestTCPClusterInjectedLatency(t *testing.T) {
-	_, addrs := startWorkers(t, 2)
+	ws, addrs := startWorkers(t, 2)
+	for _, w := range ws {
+		w.Rendezvous().SetFabric(2*time.Millisecond, 0)
+	}
 	fleet, err := Dial(addrs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
 	b, outs := cluster.BuildHopLoop([]string{"wA", "wB"})
-	tc, err := fleet.NewCluster(b, outs, nil, TCPOptions{Latency: 2 * time.Millisecond})
+	tc, err := fleet.NewCluster(b, outs, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,17 +52,13 @@ func buildBenchLoop(b *testing.B, g *graph.Graph, limit float64, par int) graph.
 func BenchmarkLoopTokenOverhead(b *testing.B) {
 	g := graph.New()
 	exit := buildBenchLoop(b, g, float64(b.N), DefaultParallelIterations)
-	plan, err := NewPlan(g, nil, []graph.Output{exit})
+	plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{exit}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	ex, err := NewFromPlan(plan, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	out, err := ex.Run()
+	out, _, err := plan.Run(Binding{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,17 +74,13 @@ func BenchmarkLoopTokenOverhead(b *testing.B) {
 func BenchmarkLoopTokenOverheadWindow1(b *testing.B) {
 	g := graph.New()
 	exit := buildBenchLoop(b, g, float64(b.N), 1)
-	plan, err := NewPlan(g, nil, []graph.Output{exit})
+	plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{exit}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	ex, err := NewFromPlan(plan, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	out, err := ex.Run()
+	out, _, err := plan.Run(Binding{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +124,7 @@ func BenchmarkTwoChains(b *testing.B) {
 	for _, n := range []int{32, 48, 64, 96, 128} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
 			g := graph.New()
-			plan, err := NewPlan(g, nil, []graph.Output{buildTwoChains(b, g, n, 8)})
+			plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{buildTwoChains(b, g, n, 8)}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -151,24 +143,20 @@ func BenchmarkTwoChains(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanReuse measures the fixed cost of one executor construction +
-// trivial run over a cached plan (the repeated-step fast path sessions take).
+// BenchmarkPlanReuse measures the fixed cost of one trivial step of a cached
+// plan (the repeated-step fast path sessions take).
 func BenchmarkPlanReuse(b *testing.B) {
 	g := graph.New()
 	c := benchNode(b, g, "Const", map[string]any{"value": tensor.Scalar(3)})
 	sq := benchNode(b, g, "Square", nil, c.Out(0))
-	plan, err := NewPlan(g, nil, []graph.Output{sq.Out(0)})
+	plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{sq.Out(0)}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := NewFromPlan(plan, Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ex.Run(); err != nil {
+		if _, _, err := plan.Run(Binding{}); err != nil {
 			b.Fatal(err)
 		}
 	}

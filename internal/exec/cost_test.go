@@ -23,12 +23,9 @@ func buildServingPlan(t *testing.T) (*Plan, int32) {
 	w2 := b.constT(filled(-0.1, 16, 4))
 	tanh := b.node("Tanh", nil, b.node("MatMul", nil, x, w1).Out(0))
 	y := b.node("MatMul", nil, tanh.Out(0), w2)
-	plan, err := NewPlan(b.g, nil, []graph.Output{y.Out(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.kernelNodes != 6 {
-		t.Fatalf("serving plan has %d kernel nodes, want 6", plan.kernelNodes)
+	plan := b.plan(PlanOptions{Fetches: []graph.Output{y.Out(0)}})
+	if len(plan.infos) != 6 {
+		t.Fatalf("serving plan has %d nodes, want 6, every one a kernel", len(plan.infos))
 	}
 	return plan, plan.planIdx[tanh.ID()]
 }
@@ -36,12 +33,7 @@ func buildServingPlan(t *testing.T) (*Plan, int32) {
 // callPlan runs one step of the plan. It reports failure with Error, not
 // Fatal, so that goroutines other than the test's may call it.
 func callPlan(t testing.TB, plan *Plan) {
-	ex, err := NewFromPlan(plan, Config{})
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	if _, err := ex.Run(); err != nil {
+	if _, _, err := plan.Run(Binding{}); err != nil {
 		t.Error(err)
 	}
 }
@@ -93,10 +85,7 @@ func TestCostOutlierDoesNotMoveDispatch(t *testing.T) {
 	x := vecConst(b, 16, 0.5)
 	l, r := b.node("Tanh", nil, x), b.node("Sigmoid", nil, x)
 	sum := b.node("Add", nil, l.Out(0), r.Out(0))
-	plan, err := NewPlan(b.g, nil, []graph.Output{sum.Out(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := b.plan(PlanOptions{Fetches: []graph.Output{sum.Out(0)}})
 	warm := int64(handoffCost) / 2
 	for i := range plan.cost {
 		plan.cost[i].Store(warm)
@@ -146,9 +135,10 @@ func TestCostConcurrentCallers(t *testing.T) {
 // the plan has estimates the dispatcher keeps one kernel and hands the other
 // chain to the pool, so a traced step has spans on the dispatcher's stream and
 // on a pool worker's that overlap in time, and the fetch is bit-equal at one
-// worker, at the default width and with nothing handed off. No wall-clock ratio is asserted; on a loaded host a worker
-// may wake too late to overlap the one kept kernel, so a few steps may be
-// needed to see it.
+// worker, at the default width and with nothing handed off (a plan's first
+// step: every kernel timed, on the dispatcher). No wall-clock ratio is
+// asserted; on a loaded host a worker may wake too late to overlap the one
+// kept kernel, so a few steps may be needed to see it.
 func TestTwoChainsOverlapOnPool(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// One P never runs the dispatcher and a worker at once.
@@ -156,25 +146,26 @@ func TestTwoChainsOverlapOnPool(t *testing.T) {
 	}
 	b := newTB(t)
 	fetches := []graph.Output{buildTwoChains(t, b.g, 128, 8)}
-	plan, err := NewPlan(b.g, nil, fetches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(cfg Config) *tensor.Tensor {
-		ex, err := NewFromPlan(plan, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ex.Run()
+	run := func(plan *Plan, tr *trace.Tracer) *tensor.Tensor {
+		out, _, err := plan.Run(Binding{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out[0].T
 	}
-	want := run(Config{}) // the first step: every kernel timed, on the dispatcher
+	var plan *Plan
+	var want *tensor.Tensor
 	for _, workers := range []int{1, 0} {
+		plan = b.plan(PlanOptions{Fetches: fetches, Workers: workers})
 		pooled := metricPooled.Value()
-		if got := run(Config{Workers: workers}); !tensor.Equal(got, want) {
+		first := run(plan, nil)
+		if metricPooled.Value() != pooled {
+			t.Fatalf("Workers: %d: a first execution was handed to the pool", workers)
+		}
+		if want == nil {
+			want = first
+		}
+		if got := run(plan, nil); !tensor.Equal(first, want) || !tensor.Equal(got, want) {
 			t.Fatalf("Workers: %d: fetch differs from the all-dispatcher first step", workers)
 		}
 		if metricPooled.Value() == pooled {
@@ -183,7 +174,7 @@ func TestTwoChainsOverlapOnPool(t *testing.T) {
 	}
 	for attempt := 1; ; attempt++ {
 		tr := trace.New()
-		if got := run(Config{Trace: tr}); !tensor.Equal(got, want) {
+		if got := run(plan, tr); !tensor.Equal(got, want) {
 			t.Fatal("traced fetch differs from the all-dispatcher first step")
 		}
 		var overlap time.Duration

@@ -118,11 +118,7 @@ func TestStatefulOpsInsideLoopRunPerIteration(t *testing.T) {
 		v.Set(tensor.Scalar(0))
 		return v
 	})
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exit.Out(0)}, SessionRes: sess})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
+	if _, _, err := b.plan(PlanOptions{Fetches: []graph.Output{exit.Out(0)}}).Run(Binding{SessionRes: sess}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := sess.Lookup("var/hits")

@@ -19,7 +19,7 @@ import (
 // Executor-level metrics on the process registry: step, kernel and loop
 // iteration volume, the inline/spawn/pool dispatch split (spawn counts the
 // blocking ops that run on their own goroutine), and pool pressure. Per-step
-// tallies accumulate in plain Executor fields and flush once when Run
+// tallies accumulate in plain executor fields and flush once when the step
 // returns, so the per-node hot path pays no atomics for them.
 var (
 	metricSteps     = metrics.Default().Counter("exec_steps_total")
@@ -42,26 +42,46 @@ const DefaultParallelIterations = 32
 // and huge partitions do not stall kernel goroutines on a full channel.
 const maxEventsBuffer = 1 << 16
 
-// Config describes one execution (one "step") over a set of nodes.
-type Config struct {
-	// Graph is the graph the nodes belong to.
-	Graph *graph.Graph
+// PlanOptions is what every step of a plan has in common besides the graph.
+// NewPlan reads each field once and resolves it into the plan; nothing here
+// can be bound again per step.
+type PlanOptions struct {
 	// Nodes is the subset to execute (a device partition); nil means all
 	// nodes in the graph.
 	Nodes []*graph.Node
-	// Feeds supplies placeholder values by node name.
-	Feeds map[string]*tensor.Tensor
-	// Feeder, if set, resolves placeholder feeds instead of Feeds.
-	// Pre-compiled callables use a positional feeder so the steady-state
-	// serving path allocates no map per step.
-	Feeder Feeder
+	// Fetches are the outputs whose root-frame values a step returns.
+	Fetches []graph.Output
+	// ParallelIterations is the window of the frames whose Enter ops declare
+	// none (0 means the default, 32). A frame whose Enters declare
+	// parallel_iterations runs at what they declare.
+	ParallelIterations int
+	// Workers is the width of the private kernel pool a step creates when it
+	// hands kernels off and its Binding shares no Pool: N > 0 asks for N
+	// workers, anything else for GOMAXPROCS, and no plan gets more workers
+	// than it has kernel nodes.
+	Workers int
+	// Mem returns the memory system for a device name (may return nil).
+	// Called once per plan node, by NewPlan.
+	Mem func(device string) ops.DeviceMem
+	// Runner returns the kernel runner for a device name; a node whose device
+	// has none (nil) runs on the calling goroutine. Called once per plan node,
+	// by NewPlan.
+	Runner func(device string) Runner
+	// TraceStream prefixes the span stream names of the plan's steps (tid in
+	// the Chrome trace), typically the partition's device; "" means "cpu".
+	TraceStream string
+}
+
+// Binding is what one step binds to a plan: Plan.Run reads each field once.
+type Binding struct {
 	// Ctx carries step cancellation. When it is canceled the dispatcher
 	// stops launching work, fails pending rendezvous operations, drains
 	// in-flight kernels, and Run returns an error wrapping ctx.Err().
 	// Nil means the step cannot be canceled.
 	Ctx context.Context
-	// Fetches are the outputs whose root-frame values to return.
-	Fetches []graph.Output
+	// Feeder resolves placeholder feeds by node name (see MapFeeder); nil
+	// feeds nothing.
+	Feeder Feeder
 	// StepRes is the per-step resource container (stacks, TensorArrays);
 	// if nil a fresh one is created.
 	StepRes *ops.Resources
@@ -70,34 +90,19 @@ type Config struct {
 	SessionRes *ops.Resources
 	// RNG seeds random ops; if nil a default-seeded one is created.
 	RNG *tensor.RNG
-	// Mem returns the memory system for a device name (may return nil).
-	Mem func(device string) ops.DeviceMem
-	// Runner returns the kernel runner for a device name (nil entries
-	// fall back to the inline runner).
-	Runner func(device string) Runner
 	// Rendezvous connects Send/Recv ops; required only if the partition
 	// contains them.
 	Rendezvous Rendezvous
-	// ParallelIterations overrides the per-frame window for frames whose
-	// Enter ops do not carry their own (0 means DefaultParallelIterations).
-	ParallelIterations int
-	// Workers sizes the kernel worker pool: N > 0 fixes the pool at N
-	// workers, anything else picks min(GOMAXPROCS, kernel nodes in the
-	// plan). Ignored when Pool is set.
-	Workers int
-	// Pool, if set, is a shared worker pool (see NewPool); the executor
-	// submits kernel work to it instead of owning workers. The distributed
-	// runtime shares one pool across a step's partitions so they draw from
-	// a single worker budget. The caller owns the pool's lifecycle.
+	// Pool, if set, is a shared worker pool (see NewPool) the step submits
+	// kernel work to in place of a private one. The distributed runtime
+	// shares one pool across a step's partitions so they draw from a single
+	// worker budget. The caller owns the pool's lifecycle.
 	Pool *Pool
 	// Trace, if set, receives one span per node execution (node, op,
 	// frame/iteration, queue-wait vs run time, worker id, Send/Recv flow
 	// ids). Off (nil) by default; the tracing-off path is zero-alloc and
 	// guarded by the alloc-budget test in dcf.
 	Trace *trace.Tracer
-	// TraceStream prefixes this executor's span stream names (tid in the
-	// Chrome trace), typically the partition's device; "" means "cpu".
-	TraceStream string
 }
 
 // opKind discriminates the ops whose semantics the executor implements
@@ -167,7 +172,6 @@ type nodeInfo struct {
 
 	frameID      int32 // Enter: dense id of the target frame; else -1
 	isConstEnter bool
-	parallel     int    // Enter: parallel_iterations attribute
 	sendKey      string // Send/Recv: static rendezvous key
 
 	def *ops.OpDef // nil for ops unknown at plan time (errors at run time)
@@ -177,10 +181,9 @@ type nodeInfo struct {
 type frameMeta struct {
 	name       string
 	enterCount int
-	// parallel is the largest parallel_iterations attribute any of the
-	// frame's Enter ops declares (0 when none do, meaning the config
-	// default applies). Event-buffer sizing reads it so a window-1 loop
-	// is not provisioned as if it ran the default 32-wide window.
+	// parallel is the frame's window: the largest parallel_iterations any of
+	// its Enter ops declares, else the plan's ParallelIterations option, else
+	// the default. What an Enter declares wins over the option.
 	parallel int
 }
 
@@ -189,9 +192,9 @@ type frameMeta struct {
 // in one flat []nodeInfo indexed by it, so propagation and scheduling never
 // hash. Sessions cache plans per run signature (like TensorFlow's
 // per-signature executor cache) so repeated Runs skip this construction.
-// Everything but the kernel-cost estimates is immutable after NewPlan.
+// Everything but the kernel-cost estimates is immutable after NewPlan,
+// the resolved device bindings included.
 type Plan struct {
-	graph   *graph.Graph
 	nodes   []*graph.Node
 	fetches []graph.Output
 
@@ -200,15 +203,31 @@ type Plan struct {
 	frames   []frameMeta
 	sources  []int32
 	arenaLen int32 // total data-input slots across all nodes
-	// kernelNodes counts the plan's real-kernel nodes (not control
-	// primitives or pass-throughs): the upper bound on useful pool width.
-	kernelNodes int
+
+	// poolWidth is the worker count of a step's private pool: the Workers
+	// option (GOMAXPROCS when unset), capped at the plan's real-kernel nodes
+	// (not control primitives or pass-throughs), which bound the useful width.
+	poolWidth int
+	// eventsCap sizes a step's completion channel from the plan's live-frame
+	// bound, nodes x the widest frame window (acyclic plans execute each node
+	// exactly once), so a window-1 loop is provisioned at one slot per node
+	// and a huge partition stops at maxEventsBuffer.
+	eventsCap int
+	// runners/mems are the per-plan-index device bindings (nil slices when
+	// the options have no provider).
+	runners []Runner
+	mems    []ops.DeviceMem
+	// The span stream names of a traced step: the dispatcher's, the blocking
+	// ops', and the prefix a pool worker's id is appended to.
+	streamInline string
+	streamSpawn  string
+	streamPool   string
 
 	// cost[i] is the measured kernel time of plan node i in ns — 0 until its
 	// first execution, which is always timed — and untilSample counts the
 	// kernel executions left before the next timed one. They are the plan's
 	// only mutable state, atomics because concurrent executors share a plan,
-	// and they live here rather than on the single-use Executor so that a
+	// and they live here rather than on the single-use executor so that a
 	// six-kernel serving plan is re-sampled too: no one call of it ever
 	// counts to sampleEvery.
 	cost        []atomic.Int64
@@ -216,15 +235,16 @@ type Plan struct {
 }
 
 // NewPlan validates and precomputes the static execution structures for a
-// (nodes, fetches) signature.
-func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan, error) {
+// (nodes, fetches) signature, and resolves every other option into them.
+func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("exec: nil graph")
 	}
+	nodes, fetches := opts.Nodes, opts.Fetches
 	if nodes == nil {
 		nodes = g.Nodes()
 	}
-	p := &Plan{graph: g, nodes: nodes, fetches: fetches}
+	p := &Plan{nodes: nodes, fetches: fetches}
 	p.planIdx = make([]int32, g.NumNodes())
 	for i := range p.planIdx {
 		p.planIdx[i] = -1
@@ -237,6 +257,7 @@ func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan
 	}
 	frameIDs := map[string]int32{}
 	var arena int32
+	kernelNodes := 0
 	for i, n := range nodes {
 		info := &p.infos[i]
 		op := n.Op()
@@ -269,15 +290,12 @@ func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan
 			p.frames[id].enterCount++
 			info.frameID = id
 			info.isConstEnter = n.AttrBool("is_constant")
-			info.parallel = n.AttrInt("parallel_iterations")
-			if info.parallel > p.frames[id].parallel {
-				p.frames[id].parallel = info.parallel
-			}
+			p.frames[id].parallel = max(p.frames[id].parallel, n.AttrInt("parallel_iterations"))
 		case kSend, kRecv:
 			info.sendKey = n.AttrString(SendKeyAttr)
 		}
 		if info.kind == kOther && !info.inline && !info.pass {
-			p.kernelNodes++
+			kernelNodes++
 		}
 		if info.numIn == 0 && info.numCtl == 0 {
 			p.sources = append(p.sources, int32(i))
@@ -318,19 +336,75 @@ func NewPlan(g *graph.Graph, nodes []*graph.Node, fetches []graph.Output) (*Plan
 		}
 		info.fetchSlot[f.Index] = int32(i)
 	}
+
+	defWindow := opts.ParallelIterations
+	if defWindow <= 0 {
+		defWindow = DefaultParallelIterations
+	}
+	window := 1
+	for i := range p.frames {
+		if p.frames[i].parallel <= 0 {
+			p.frames[i].parallel = defWindow
+		}
+		window = max(window, p.frames[i].parallel)
+	}
+	p.eventsCap = min(max(len(nodes)*window, 1), maxEventsBuffer)
+	p.poolWidth = opts.Workers
+	if p.poolWidth <= 0 {
+		p.poolWidth = runtime.GOMAXPROCS(0)
+	}
+	if kernelNodes > 0 {
+		p.poolWidth = min(p.poolWidth, kernelNodes)
+	}
+	if opts.Runner != nil {
+		p.runners = make([]Runner, len(nodes))
+		for i, n := range nodes {
+			p.runners[i] = opts.Runner(n.Device())
+		}
+	}
+	if opts.Mem != nil {
+		p.mems = make([]ops.DeviceMem, len(nodes))
+		for i, n := range nodes {
+			p.mems[i] = opts.Mem(n.Device())
+		}
+	}
+	stream := opts.TraceStream
+	if stream == "" {
+		stream = "cpu"
+	}
+	p.streamInline, p.streamSpawn, p.streamPool = stream+"/inline", stream+"/spawn", stream+"/pool-"
 	return p, nil
 }
 
 // Nodes returns the plan's node set.
 func (p *Plan) Nodes() []*graph.Node { return p.nodes }
 
-// Executor runs one step. It is single-use: construct, Run, discard.
+// Run executes one step of the plan to completion and returns the fetched
+// values and how many node executions the step scheduled (dead skips
+// included). If the binding's context is canceled mid-step, no further
+// kernels launch, pending rendezvous operations fail, in-flight kernels
+// drain, and Run returns an error wrapping the context's error. Concurrent
+// Runs of one plan are independent.
+func (p *Plan) Run(b Binding) ([]ops.Value, int, error) {
+	ex := p.newExecutor(b)
+	vals, err := ex.run()
+	return vals, ex.numKernels, err
+}
+
+// executor runs one step. It is single-use: construct, run, discard.
 // All frame/iteration state is owned by the dispatcher goroutine (the one
-// that calls Run); kernels execute on their own goroutines and report back
+// that calls run); kernels execute on their own goroutines and report back
 // over a channel, so no locks guard the scheduling state.
-type Executor struct {
-	cfg  Config
+type executor struct {
 	plan *Plan
+
+	// What the step bound: ctx is nil when the step cannot be canceled,
+	// rendezvous when the partition has no Send/Recv, tracer when the step is
+	// not traced; env is what kernels see of the binding.
+	ctx        context.Context
+	rendezvous Rendezvous
+	tracer     *trace.Tracer
+	env        stepEnv
 
 	root *frameState
 
@@ -343,7 +417,7 @@ type Executor struct {
 	events   chan []doneMsg
 	inFlight int
 	quit     chan struct{}
-	// done is the step's cancellation signal (nil when cfg.Ctx is nil);
+	// done is the step's cancellation signal (nil when ctx is nil);
 	// the dispatcher nils it after it fires so a closed channel is
 	// observed exactly once.
 	done <-chan struct{}
@@ -353,9 +427,9 @@ type Executor struct {
 	doneQ    []doneMsg
 	doneHead int
 
-	// pool runs real kernels; nil until the first pooled execution (or
-	// forever, for all-inline steps). ownPool marks a pool created by this
-	// executor, closed when Run returns.
+	// pool runs real kernels: the binding's shared pool, else nil until the
+	// first pooled execution (or forever, for all-inline steps). ownPool
+	// marks a pool created by this executor, closed when run returns.
 	pool    *Pool
 	ownPool bool
 	// aborted mirrors firstErr != nil for pool workers (which must not
@@ -385,8 +459,6 @@ type Executor struct {
 	fetched []Token
 	fetchOK []bool
 
-	env *stepEnv
-
 	numKernels int
 	// Per-step tallies, flushed to the process metrics registry when Run
 	// returns (plain ints: no hot-path atomics).
@@ -394,19 +466,6 @@ type Executor struct {
 	statInline int
 	statSpawn  int
 	statPooled int
-
-	// tracer mirrors cfg.Trace; streamInline/streamSpawn are the
-	// precomputed span stream names (built once so the traced path doesn't
-	// concatenate per span for the common dispatch modes).
-	tracer       *trace.Tracer
-	streamBase   string
-	streamInline string
-	streamSpawn  string
-
-	// runners/mems are per-plan-index device bindings resolved once at
-	// construction (nil slices when the config has no custom providers).
-	runners []Runner
-	mems    []ops.DeviceMem
 
 	// iterFree recycles iteration state: a retired iteration's dense node
 	// slice and input arena go back here and are reused (reset lazily via
@@ -591,26 +650,20 @@ func (f *frameState) tag(iter int) string {
 	return f.tagPrefix + "/" + f.name + ":" + strconv.Itoa(iter)
 }
 
-// New prepares an executor for the configuration, building a fresh plan.
-func New(cfg Config) (*Executor, error) {
-	plan, err := NewPlan(cfg.Graph, cfg.Nodes, cfg.Fetches)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromPlan(plan, cfg)
-}
-
-// NewFromPlan prepares an executor reusing a cached plan; cfg.Nodes and
-// cfg.Fetches are taken from the plan.
-func NewFromPlan(plan *Plan, cfg Config) (*Executor, error) {
-	cfg.Graph = plan.graph
-	cfg.Nodes = plan.nodes
-	cfg.Fetches = plan.fetches
-	ex := &Executor{
-		cfg:         cfg,
-		plan:        plan,
+// newExecutor binds one step to the plan. This is the one place a binding's
+// defaults are applied.
+func (p *Plan) newExecutor(b Binding) *executor {
+	ex := &executor{
+		plan:        p,
+		ctx:         b.Ctx,
+		rendezvous:  b.Rendezvous,
+		tracer:      b.Trace,
+		pool:        b.Pool,
 		quit:        make(chan struct{}),
-		untilSample: plan.untilSample.Load(),
+		untilSample: p.untilSample.Load(),
+		fetched:     make([]Token, len(p.fetches)),
+		fetchOK:     make([]bool, len(p.fetches)),
+		root:        newFrame("root", -1, nil, 0, 1),
 	}
 	// ex.done stays nil when the step is uncancellable: either no context
 	// was supplied, or the context is Background/TODO (whose Done() is also
@@ -618,72 +671,23 @@ func NewFromPlan(plan *Plan, cfg Config) (*Executor, error) {
 	// uncancellable path costs nothing per event — it is a deliberate mode,
 	// not a missing feature: cluster steps are cancelled via Abort on the
 	// worker, which cancels the per-step context it derives itself.
-	if cfg.Ctx != nil {
-		ex.done = cfg.Ctx.Done()
+	if b.Ctx != nil {
+		ex.done = b.Ctx.Done()
 	}
-	if cfg.Trace != nil {
-		ex.tracer = cfg.Trace
-		ex.streamBase = cfg.TraceStream
-		if ex.streamBase == "" {
-			ex.streamBase = "cpu"
-		}
-		ex.streamInline = ex.streamBase + "/inline"
-		ex.streamSpawn = ex.streamBase + "/spawn"
+	ex.env = stepEnv{feeder: b.Feeder, step: b.StepRes, sess: b.SessionRes, rng: b.RNG}
+	if ex.env.feeder == nil {
+		ex.env.feeder = MapFeeder(nil)
 	}
-	ex.fetched = make([]Token, len(cfg.Fetches))
-	ex.fetchOK = make([]bool, len(cfg.Fetches))
-	ex.root = newFrame("root", -1, nil, 0, 1)
-	if cfg.Runner != nil {
-		ex.runners = make([]Runner, len(plan.infos))
-		for i := range plan.infos {
-			ex.runners[i] = cfg.Runner(plan.infos[i].node.Device())
-		}
+	if ex.env.step == nil {
+		ex.env.step = ops.NewResources()
 	}
-	if cfg.Mem != nil {
-		ex.mems = make([]ops.DeviceMem, len(plan.infos))
-		for i := range plan.infos {
-			ex.mems[i] = cfg.Mem(plan.infos[i].node.Device())
-		}
+	if ex.env.sess == nil {
+		ex.env.sess = ops.NewResources()
 	}
-	step := cfg.StepRes
-	if step == nil {
-		step = ops.NewResources()
+	if ex.env.rng == nil {
+		ex.env.rng = tensor.NewRNG(1)
 	}
-	sess := cfg.SessionRes
-	if sess == nil {
-		sess = ops.NewResources()
-	}
-	rng := cfg.RNG
-	if rng == nil {
-		rng = tensor.NewRNG(1)
-	}
-	feeder := cfg.Feeder
-	if feeder == nil && cfg.Feeds != nil {
-		feeder = mapFeeder(cfg.Feeds)
-	}
-	ex.env = &stepEnv{feeder: feeder, step: step, sess: sess, rng: rng}
-	return ex, nil
-}
-
-// eventsCap sizes the completion buffer from the plan's actual live-frame
-// bound: each frame's window is what its Enter ops declare (falling back to
-// the config default only for frames that declare nothing), so a window-1
-// loop is provisioned at one slot per node, not the default 32. Acyclic plans
-// execute each node exactly once.
-func (ex *Executor) eventsCap() int {
-	par := ex.cfg.ParallelIterations
-	if par <= 0 {
-		par = DefaultParallelIterations
-	}
-	window := 1
-	for i := range ex.plan.frames {
-		w := ex.plan.frames[i].parallel
-		if w <= 0 {
-			w = par
-		}
-		window = max(window, w)
-	}
-	return min(max(len(ex.plan.nodes)*window, 1), maxEventsBuffer)
+	return ex
 }
 
 // goOff accounts for one execution leaving the dispatcher, creating the
@@ -691,9 +695,9 @@ func (ex *Executor) eventsCap() int {
 // pool submit that lets another goroutine read ex.events, and the dispatcher
 // only blocks on the channel with something in flight, so it never selects
 // on the nil one with nothing else to wake it.
-func (ex *Executor) goOff() {
+func (ex *executor) goOff() {
 	if ex.events == nil {
-		ex.events = make(chan []doneMsg, ex.eventsCap())
+		ex.events = make(chan []doneMsg, ex.plan.eventsCap)
 	}
 	ex.inFlight++
 }
@@ -723,23 +727,15 @@ type stepEnv struct {
 	rng    *tensor.RNG
 }
 
-func (e *stepEnv) Feed(name string) (*tensor.Tensor, bool) {
-	if e.feeder == nil {
-		return nil, false
-	}
-	return e.feeder.Feed(name)
-}
-func (e *stepEnv) StepRes() *ops.Resources    { return e.step }
-func (e *stepEnv) SessionRes() *ops.Resources { return e.sess }
-func (e *stepEnv) RNG() *tensor.RNG           { return e.rng }
+func (e *stepEnv) Feed(name string) (*tensor.Tensor, bool) { return e.feeder.Feed(name) }
+func (e *stepEnv) StepRes() *ops.Resources                 { return e.step }
+func (e *stepEnv) SessionRes() *ops.Resources              { return e.sess }
+func (e *stepEnv) RNG() *tensor.RNG                        { return e.rng }
 
-// Run executes the partition to completion and returns the fetched values.
-// If the config's context is canceled mid-step, no further kernels launch,
-// pending rendezvous operations fail, in-flight kernels drain, and Run
-// returns an error wrapping the context's error.
-func (ex *Executor) Run() ([]ops.Value, error) {
-	if ex.cfg.Ctx != nil && ex.cfg.Ctx.Err() != nil {
-		return nil, fmt.Errorf("exec: step canceled: %w", context.Cause(ex.cfg.Ctx))
+// run is the dispatcher loop of the step (see Plan.Run).
+func (ex *executor) run() ([]ops.Value, error) {
+	if ex.ctx != nil && ex.ctx.Err() != nil {
+		return nil, fmt.Errorf("exec: step canceled: %w", context.Cause(ex.ctx))
 	}
 	defer func() {
 		// A pool this executor created drains with the step (outstanding
@@ -810,7 +806,7 @@ func (ex *Executor) Run() ([]ops.Value, error) {
 	if ex.firstErr != nil {
 		return nil, ex.firstErr
 	}
-	for i, f := range ex.cfg.Fetches {
+	for i, f := range ex.plan.fetches {
 		if !ex.fetchOK[i] {
 			return nil, &FetchError{Output: f, Reason: "never produced (node unreachable from the executed subgraph)"}
 		}
@@ -838,7 +834,7 @@ func popItem(q *[]workItem) *workItem {
 // the step has failed (error or cancel) the queued execution is accounted
 // for without running. item may point into a dispatcher queue: it is not
 // read once complete, which can push onto that queue, has begun.
-func (ex *Executor) runHere(item *workItem) {
+func (ex *executor) runHere(item *workItem) {
 	idx, fs, iter := item.idx, item.fs, item.it.iter
 	var outs []Token
 	var err error
@@ -852,7 +848,7 @@ func (ex *Executor) runHere(item *workItem) {
 // dispatcher, a pool worker, the goroutine of a blocking op) with that
 // caller's scratch. It reads the clock only for an execution picked as a
 // cost sample or under a tracer.
-func (ex *Executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Token, error) {
+func (ex *executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Token, error) {
 	info := &ex.plan.infos[item.idx]
 	end := info.inOff + info.numIn
 	inputs := item.it.arena[info.inOff:end:end]
@@ -876,14 +872,14 @@ func (ex *Executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Toke
 }
 
 // receive moves one batch of completions into doneQ and recycles the batch.
-func (ex *Executor) receive(batch []doneMsg) {
+func (ex *executor) receive(batch []doneMsg) {
 	ex.doneQ = append(ex.doneQ, batch...)
 	clear(batch)
 	batchPool.Put(batch[:0])
 }
 
 // pollEvents takes one batch off the completion channel if one is waiting.
-func (ex *Executor) pollEvents() bool {
+func (ex *executor) pollEvents() bool {
 	select {
 	case batch := <-ex.events:
 		ex.receive(batch)
@@ -896,7 +892,7 @@ func (ex *Executor) pollEvents() bool {
 // complete retires one finished node execution: it fails the step on err,
 // otherwise propagates outs (which may alias the producer's scratch — every
 // token is copied by value on delivery), then settles the accounting.
-func (ex *Executor) complete(idx int32, fs *frameState, iter int, outs []Token, err error) {
+func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, err error) {
 	if err != nil {
 		// fail also flips the aborted flag so pool workers skip the
 		// kernels of the already-failed step.
@@ -919,13 +915,10 @@ func (ex *Executor) complete(idx int32, fs *frameState, iter int, outs []Token, 
 	ex.frameActivityDown(fs)
 }
 
-// NumKernels reports how many node executions ran (for tests/stats).
-func (ex *Executor) NumKernels() int { return ex.numKernels }
-
 // recordSpan emits one node-execution span to the step tracer. Callers
 // guarantee ex.tracer != nil; everything here may allocate freely because
 // the tracing-off path never reaches it.
-func (ex *Executor) recordSpan(item *workItem, tag string, worker int, start, end time.Time) {
+func (ex *executor) recordSpan(item *workItem, tag string, worker int, start, end time.Time) {
 	info := &ex.plan.infos[item.idx]
 	ev := trace.Event{
 		Name:   info.node.Name(),
@@ -937,11 +930,11 @@ func (ex *Executor) recordSpan(item *workItem, tag string, worker int, start, en
 	}
 	switch worker {
 	case trace.WorkerInline:
-		ev.Stream = ex.streamInline
+		ev.Stream = ex.plan.streamInline
 	case trace.WorkerSpawn:
-		ev.Stream = ex.streamSpawn
+		ev.Stream = ex.plan.streamSpawn
 	default:
-		ev.Stream = ex.streamBase + "/pool-" + strconv.Itoa(worker)
+		ev.Stream = ex.plan.streamPool + strconv.Itoa(worker)
 	}
 	if tag != "" {
 		// Both sides of a hop derive the same id from (static key, frame
@@ -955,7 +948,7 @@ func (ex *Executor) recordSpan(item *workItem, tag string, worker int, start, en
 // pollCancel notices cancellation without blocking; the dispatcher calls it
 // every turn because it can stay in the inline queue for a long time (loop
 // bookkeeping is all inline) without ever touching the events channel.
-func (ex *Executor) pollCancel() {
+func (ex *executor) pollCancel() {
 	if ex.done == nil {
 		return
 	}
@@ -968,8 +961,8 @@ func (ex *Executor) pollCancel() {
 
 // cancelStep fails the step with the context's cancellation cause. Closing
 // quit (via fail) wakes rendezvous Recvs so blocked partitions drain.
-func (ex *Executor) cancelStep() {
-	ex.fail(fmt.Errorf("exec: step canceled: %w", context.Cause(ex.cfg.Ctx)))
+func (ex *executor) cancelStep() {
+	ex.fail(fmt.Errorf("exec: step canceled: %w", context.Cause(ex.ctx)))
 	ex.done = nil
 }
 
@@ -985,7 +978,7 @@ func lookupIter(f *frameState, i int) *iterState {
 // newIterState takes an iteration shell from the free list (or allocates
 // the first few) and stamps a fresh generation so all recycled per-node
 // state reads as untouched.
-func (ex *Executor) newIterState(i int) *iterState {
+func (ex *executor) newIterState(i int) *iterState {
 	ex.iterGen++
 	var it *iterState
 	if k := len(ex.iterFree); k > 0 {
@@ -1009,7 +1002,7 @@ func (ex *Executor) newIterState(i int) *iterState {
 // loop constants into it. A ring collision — a token targeting a retired
 // or out-of-window iteration — fails the step and returns nil; callers
 // must tolerate a nil iteration on the abort path.
-func (ex *Executor) iteration(f *frameState, i int) *iterState {
+func (ex *executor) iteration(f *frameState, i int) *iterState {
 	slot := i % len(f.ring)
 	if it := f.ring[slot]; it != nil {
 		if it.iter == i {
@@ -1036,7 +1029,7 @@ func (ex *Executor) iteration(f *frameState, i int) *iterState {
 
 // iterTag returns the memoized dynamic tag of an iteration (built once per
 // iteration instead of per delivery).
-func (ex *Executor) iterTag(fs *frameState, it *iterState) string {
+func (ex *executor) iterTag(fs *frameState, it *iterState) string {
 	if it.tag == "" {
 		it.tag = fs.tag(it.iter)
 	}
@@ -1044,19 +1037,13 @@ func (ex *Executor) iterTag(fs *frameState, it *iterState) string {
 }
 
 // childFrame returns (creating if needed) the child frame an Enter targets.
-func (ex *Executor) childFrame(f *frameState, info *nodeInfo, iter int) *frameState {
+func (ex *executor) childFrame(f *frameState, info *nodeInfo, iter int) *frameState {
 	key := childKey{frameID: info.frameID, iter: int32(iter)}
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	par := info.parallel
-	if par <= 0 {
-		par = ex.cfg.ParallelIterations
-	}
-	if par <= 0 {
-		par = DefaultParallelIterations
-	}
-	c := newFrame(ex.plan.frames[info.frameID].name, info.frameID, f, iter, par)
+	meta := &ex.plan.frames[info.frameID]
+	c := newFrame(meta.name, info.frameID, f, iter, meta.parallel)
 	if f.children == nil {
 		f.children = map[childKey]*frameState{}
 	}
@@ -1066,7 +1053,7 @@ func (ex *Executor) childFrame(f *frameState, info *nodeInfo, iter int) *frameSt
 
 // nstate returns node idx's state in the iteration, lazily resetting state
 // left over from a previous occupant of the recycled slot.
-func (ex *Executor) nstate(it *iterState, idx int32) *nodeState {
+func (ex *executor) nstate(it *iterState, idx int32) *nodeState {
 	ns := &it.nodes[idx]
 	if ns.gen != it.gen {
 		*ns = nodeState{gen: it.gen}
@@ -1082,7 +1069,7 @@ func (ex *Executor) nstate(it *iterState, idx int32) *nodeState {
 // frameActivityUp/Down maintain the frame activity counters; a frame with
 // activity counts as an active child of its parent's iteration, blocking
 // that iteration's retirement until inner loops drain.
-func (ex *Executor) frameActivityUp(fs *frameState) {
+func (ex *executor) frameActivityUp(fs *frameState) {
 	fs.activity++
 	if fs.activity == 1 && fs.parent != nil {
 		// A parent iteration below the frontier has already retired; it
@@ -1096,7 +1083,7 @@ func (ex *Executor) frameActivityUp(fs *frameState) {
 	}
 }
 
-func (ex *Executor) frameActivityDown(fs *frameState) {
+func (ex *executor) frameActivityDown(fs *frameState) {
 	fs.activity--
 	if fs.activity != 0 || fs.parent == nil {
 		return
@@ -1124,7 +1111,7 @@ func (ex *Executor) frameActivityDown(fs *frameState) {
 
 // deliverData records a data token arrival and schedules the consumer if
 // ready.
-func (ex *Executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok Token) {
+func (ex *executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok Token) {
 	it := ex.iteration(fs, iter)
 	if it == nil {
 		// Step already failed; drop the token (recycling its buffer if
@@ -1156,7 +1143,7 @@ func (ex *Executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok T
 }
 
 // deliverControl records a control-edge arrival.
-func (ex *Executor) deliverControl(idx int32, fs *frameState, iter int, dead bool) {
+func (ex *executor) deliverControl(idx int32, fs *frameState, iter int, dead bool) {
 	it := ex.iteration(fs, iter)
 	if it == nil {
 		return // step already failed
@@ -1174,7 +1161,7 @@ func (ex *Executor) deliverControl(idx int32, fs *frameState, iter int, dead boo
 
 // maybeSchedule applies the readiness rules: Merge is ready on its first
 // live data input (or all-dead); every other op waits for all inputs.
-func (ex *Executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
+func (ex *executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 	ns := ex.nstate(it, idx)
 	if ns.scheduled {
 		return
@@ -1197,7 +1184,7 @@ func (ex *Executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 // dead skips, kernels cheaper than a hand-off, one dear kernel when nothing
 // else is in flight), on its own goroutine (ops that may block), or on the
 // worker pool (every other kernel).
-func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
+func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 	info := &ex.plan.infos[idx]
 	ns := ex.nstate(it, idx)
 	ns.scheduled = true
@@ -1227,7 +1214,7 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	// device runners or device memory (simulated streams, swaps) — never
 	// enter the pool: a blocked worker would starve every queued kernel
 	// behind it. They keep their own goroutines.
-	if info.kind != kOther || ex.runner(idx) != nil || (ex.mems != nil && ex.mems[idx] != nil) {
+	if info.kind != kOther || ex.plan.runner(idx) != nil || (ex.plan.mems != nil && ex.plan.mems[idx] != nil) {
 		ex.statSpawn++
 		ex.goOff()
 		go ex.runSpawned(item)
@@ -1260,22 +1247,10 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 		ex.kept = item
 	default:
 		if ex.pool == nil {
-			if ex.cfg.Pool != nil {
-				ex.pool = ex.cfg.Pool
-			} else {
-				// Plan-sized private pool, created lazily so steps that hand
-				// nothing off never pay for it: no wider than the machine
-				// and no wider than the plan's kernel nodes.
-				n := ex.cfg.Workers
-				if n <= 0 {
-					n = runtime.GOMAXPROCS(0)
-				}
-				if k := ex.plan.kernelNodes; k > 0 && k < n {
-					n = k
-				}
-				ex.pool = NewPool(n)
-				ex.ownPool = true
-			}
+			// Plan-sized private pool, created lazily so steps that hand
+			// nothing off never pay for it.
+			ex.pool = NewPool(ex.plan.poolWidth)
+			ex.ownPool = true
 		}
 		ex.statPooled++
 		ex.goOff()
@@ -1285,7 +1260,7 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 
 // runSpawned is the goroutine of one op that may block. The item arrives by
 // value so that schedule's copy never escapes to the heap.
-func (ex *Executor) runSpawned(item workItem) {
+func (ex *executor) runSpawned(item workItem) {
 	var sc nodeScratch
 	outs, err := ex.runItem(&sc, &item, trace.WorkerSpawn)
 	batch := append(batchPool.Get().([]doneMsg)[:0], doneMsg{idx: item.idx, fs: item.fs, iter: item.it.iter, err: err})
@@ -1375,7 +1350,7 @@ var passOps = map[string]bool{
 // execution is outstanding, so whoever runs it reads the span in place), the
 // iteration number and, for Send and Recv, the frame tag.
 type workItem struct {
-	ex      *Executor
+	ex      *executor
 	fs      *frameState
 	it      *iterState
 	idx     int32
@@ -1386,11 +1361,11 @@ type workItem struct {
 
 // runner returns the custom device runner attached to plan node idx, or nil
 // when the node runs plainly on the calling goroutine.
-func (ex *Executor) runner(idx int32) Runner {
-	if ex.runners == nil {
+func (p *Plan) runner(idx int32) Runner {
+	if p.runners == nil {
 		return nil
 	}
-	return ex.runners[idx]
+	return p.runners[idx]
 }
 
 // tensorInTokens reports whether t is aliased by any token in outs.
@@ -1407,7 +1382,7 @@ func tensorInTokens(t *tensor.Tensor, outs []Token) bool {
 // tokens alias sc and are valid until sc's next runNode. Kernel panics
 // (malformed shapes, bad dtypes) surface as step errors rather than crashing
 // the process.
-func (ex *Executor) runNode(sc *nodeScratch, idx int32, inputs []Token, tag string, deadCtl bool) (outs []Token, err error) {
+func (ex *executor) runNode(sc *nodeScratch, idx int32, inputs []Token, tag string, deadCtl bool) (outs []Token, err error) {
 	info := &ex.plan.infos[idx]
 	defer func() {
 		if r := recover(); r != nil {
@@ -1430,7 +1405,7 @@ func (ex *Executor) runNode(sc *nodeScratch, idx int32, inputs []Token, tag stri
 // only place tokens die — the executor, which knows consumer counts from
 // the plan, is the sole owner-of-record (per-op reference counting stays
 // trivial).
-func (ex *Executor) recycleInputs(info *nodeInfo, inputs []Token, outs []Token, deadCtl bool) {
+func (ex *executor) recycleInputs(info *nodeInfo, inputs []Token, outs []Token, deadCtl bool) {
 	dead := deadCtl
 	if !dead {
 		for i := range inputs {
@@ -1452,7 +1427,7 @@ func (ex *Executor) recycleInputs(info *nodeInfo, inputs []Token, outs []Token, 
 	}
 }
 
-func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inputs []Token, tag string, deadCtl bool) ([]Token, error) {
+func (ex *executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inputs []Token, tag string, deadCtl bool) ([]Token, error) {
 	anyDeadData := false
 	allDeadData := len(inputs) > 0
 	for i := range inputs {
@@ -1505,7 +1480,7 @@ func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 		if deadCtl {
 			return nil, nil // peer's control loop mirrors the suppression
 		}
-		if ex.cfg.Rendezvous == nil {
+		if ex.rendezvous == nil {
 			return nil, fmt.Errorf("exec: Send %s without a rendezvous", n.Name())
 		}
 		key := RendezvousKey(info.sendKey, tag)
@@ -1517,7 +1492,7 @@ func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 		if !anyDeadData {
 			tok = inputs[0]
 		}
-		if err := ex.cfg.Rendezvous.Send(key, tok); err != nil {
+		if err := ex.rendezvous.Send(key, tok); err != nil {
 			return nil, fmt.Errorf("exec: Send %s: %w", n.Name(), err)
 		}
 		return nil, nil
@@ -1526,11 +1501,11 @@ func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 		if deadCtl {
 			return sc.dead(info.numOut), nil
 		}
-		if ex.cfg.Rendezvous == nil {
+		if ex.rendezvous == nil {
 			return nil, fmt.Errorf("exec: Recv %s without a rendezvous", n.Name())
 		}
 		key := RendezvousKey(info.sendKey, tag)
-		tok, err := ex.cfg.Rendezvous.Recv(key, ex.quit)
+		tok, err := ex.rendezvous.Recv(key, ex.quit)
 		if err != nil {
 			select {
 			case <-ex.quit: // aborted elsewhere; stand down quietly
@@ -1550,7 +1525,7 @@ func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 	}
 	// Pure pass-throughs skip the kernel machinery (and keep buffer
 	// ownership flowing) unless a device runner wants to observe them.
-	runner := ex.runner(idx)
+	runner := ex.plan.runner(idx)
 	if info.pass && runner == nil {
 		return sc.one(inputs[0]), nil
 	}
@@ -1582,9 +1557,9 @@ func (ex *Executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 	for i := range inputs {
 		kctx.In = append(kctx.In, inputs[i].Val)
 	}
-	kctx.FwdMask, kctx.Env = fwd, ex.env
-	if ex.mems != nil {
-		kctx.Mem = ex.mems[idx]
+	kctx.FwdMask, kctx.Env = fwd, &ex.env
+	if ex.plan.mems != nil {
+		kctx.Mem = ex.plan.mems[idx]
 	}
 	var vals []ops.Value
 	var kerr error
@@ -1627,7 +1602,7 @@ func runOn(r Runner, n *graph.Node, kernel ops.Kernel, kctx *ops.KernelContext) 
 // into the child frame's iteration 0 (or as a loop constant), Exit into the
 // parent frame, NextIteration into the next iteration (deferred if beyond
 // the parallel window), everything else within the same (frame, iteration).
-func (ex *Executor) propagate(idx int32, fs *frameState, iter int, outs []Token) {
+func (ex *executor) propagate(idx int32, fs *frameState, iter int, outs []Token) {
 	info := &ex.plan.infos[idx]
 	switch info.kind {
 	case kEnter:
@@ -1693,7 +1668,7 @@ func (fs *frameState) addDeferred(iter int, d deferredDelivery) {
 	fs.deferred = append(fs.deferred, deferredBucket{iter: iter, items: []deferredDelivery{d}})
 }
 
-func (ex *Executor) fail(err error) {
+func (ex *executor) fail(err error) {
 	if ex.firstErr == nil {
 		ex.firstErr = err
 		ex.aborted.Store(true)
@@ -1703,7 +1678,7 @@ func (ex *Executor) fail(err error) {
 
 // deliverOutputs fans tokens out to data and control consumers within one
 // (frame, iteration).
-func (ex *Executor) deliverOutputs(idx int32, fs *frameState, iter int, outs []Token) {
+func (ex *executor) deliverOutputs(idx int32, fs *frameState, iter int, outs []Token) {
 	info := &ex.plan.infos[idx]
 	dead := len(outs) > 0
 	for i := range outs {
@@ -1722,7 +1697,7 @@ func (ex *Executor) deliverOutputs(idx int32, fs *frameState, iter int, outs []T
 
 // deliverSingle is deliverOutputs for a single-output node, avoiding the
 // slice for the replay/deferred/dead-exit paths.
-func (ex *Executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token) {
+func (ex *executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token) {
 	info := &ex.plan.infos[idx]
 	ex.deliverPort(info, 0, fs, iter, tok)
 	for _, c := range info.ctlConsumers {
@@ -1734,7 +1709,7 @@ func (ex *Executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token
 // buffer ownership: a token stays owned only when exactly one consumer will
 // receive it and no fetch can observe it. Ports nobody consumes release
 // their buffer immediately.
-func (ex *Executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter int, tok Token) {
+func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter int, tok Token) {
 	fetched := info.fetchSlot != nil && info.fetchSlot[port] >= 0
 	if fetched {
 		tok.Owned = false
@@ -1765,7 +1740,7 @@ func (ex *Executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter i
 // advanceFrontier retires drained iterations in order and releases deferred
 // NextIteration tokens as the parallel window slides forward. The root
 // frame is never retired (it ends with the whole execution).
-func (ex *Executor) advanceFrontier(fs *frameState) {
+func (ex *executor) advanceFrontier(fs *frameState) {
 	if fs.parent == nil {
 		return
 	}
@@ -1810,7 +1785,7 @@ func (ex *Executor) advanceFrontier(fs *frameState) {
 // Enter nodes have delivered their tokens. Later iterations receive tokens
 // only from the previous (already retired, hence fully drained) iteration,
 // so a drained non-zero iteration is always safe to retire.
-func (ex *Executor) retirable(fs *frameState, it *iterState) bool {
+func (ex *executor) retirable(fs *frameState, it *iterState) bool {
 	if it.iter == 0 && fs.frameID >= 0 && fs.entersDone < ex.plan.frames[fs.frameID].enterCount {
 		return false
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,13 +38,46 @@ func (b *tb) constT(v *tensor.Tensor) graph.Output {
 
 func (b *tb) scalar(v float64) graph.Output { return b.constT(tensor.Scalar(v)) }
 
-func (b *tb) run(fetches []graph.Output, feeds map[string]*tensor.Tensor) ([]ops.Value, error) {
+// plan compiles the whole graph with opts (Fetches included).
+func (b *tb) plan(opts PlanOptions) *Plan {
 	b.t.Helper()
-	ex, err := New(Config{Graph: b.g, Fetches: fetches, Feeds: feeds})
+	p, err := NewPlan(b.g, opts)
 	if err != nil {
 		b.t.Fatal(err)
 	}
-	return ex.Run()
+	return p
+}
+
+// run compiles the whole graph for fetches and runs one step of the plan.
+func (b *tb) run(fetches []graph.Output, feeds map[string]*tensor.Tensor) ([]ops.Value, error) {
+	b.t.Helper()
+	out, _, err := b.plan(PlanOptions{Fetches: fetches}).Run(Binding{Feeder: MapFeeder(feeds)})
+	return out, err
+}
+
+// TestHook is an op only these tests register: it calls the func() error in
+// its "hook" attr and, unless that fails, passes its input through. It is an
+// ordinary kernel to the executor, so a test learns from it that a step is
+// inside a kernel, and can cancel or fail the step from there.
+func init() {
+	ops.Register(&ops.OpDef{Name: "TestHook", NumOutputs: 1, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+		if err := ctx.Attrs["hook"].(func() error)(); err != nil {
+			return nil, err
+		}
+		return ctx.One(ctx.In[0]), nil
+	}})
+}
+
+func (b *tb) hook(fn func() error, in graph.Output) *graph.Node {
+	return b.node("TestHook", map[string]any{"hook": fn}, in)
+}
+
+// signalOnce returns a hook that closes the channel the first time its kernel
+// runs.
+func signalOnce() (func() error, <-chan struct{}) {
+	var once sync.Once
+	ch := make(chan struct{})
+	return func() error { once.Do(func() { close(ch) }); return nil }, ch
 }
 
 func (b *tb) runOK(fetches []graph.Output, feeds map[string]*tensor.Tensor) []ops.Value {
@@ -160,23 +194,34 @@ func TestDeadnessSkipsKernels(t *testing.T) {
 	}
 }
 
-// buildCounterLoop hand-builds: i = 0; while i < limit { i += step }; also
-// returning the graph pieces needed by variants. parallel sets the window.
+// buildCounterLoop hand-builds: i = 0; while i < limit { i += step } and
+// returns its exit. parallel sets the window.
 func buildCounterLoop(b *tb, limit, step float64, parallel int) graph.Output {
+	return buildCounterLoopBody(b, limit, step, parallel, nil)
+}
+
+// buildCounterLoopBody is buildCounterLoop with more in the body: the
+// incremented counter reaches NextIteration through body (nil: directly),
+// which may add nodes to the frame; constant brings a loop invariant into it.
+func buildCounterLoopBody(b *tb, limit, step float64, parallel int,
+	body func(next graph.Output, constant func(graph.Output) graph.Output) graph.Output) graph.Output {
 	frame := map[string]any{"frame_name": "w", "parallel_iterations": parallel}
 	frameConst := map[string]any{"frame_name": "w", "parallel_iterations": parallel, "is_constant": true}
+	constant := func(v graph.Output) graph.Output { return b.node("Enter", frameConst, v).Out(0) }
 
 	i0 := b.scalar(0)
 	enterI := b.node("Enter", frame, i0)
-	limEnter := b.node("Enter", frameConst, b.scalar(limit))
-	stepEnter := b.node("Enter", frameConst, b.scalar(step))
+	limEnter, stepEnter := constant(b.scalar(limit)), constant(b.scalar(step))
 
 	merge := b.node("Merge", nil, enterI.Out(0), enterI.Out(0))
-	less := b.node("Less", nil, merge.Out(0), limEnter.Out(0))
+	less := b.node("Less", nil, merge.Out(0), limEnter)
 	cond := b.node("LoopCond", nil, less.Out(0))
 	sw := b.node("Switch", nil, merge.Out(0), cond.Out(0))
-	add := b.node("Add", nil, sw.Out(1), stepEnter.Out(0))
-	ni := b.node("NextIteration", nil, add.Out(0))
+	next := b.node("Add", nil, sw.Out(1), stepEnter).Out(0)
+	if body != nil {
+		next = body(next, constant)
+	}
+	ni := b.node("NextIteration", nil, next)
 	merge.ReplaceInput(1, ni.Out(0))
 	exit := b.node("Exit", nil, sw.Out(0))
 	return exit.Out(0)
@@ -332,19 +377,16 @@ func TestKernelCountsReflectDeadSkips(t *testing.T) {
 	b := newTB(t)
 	p := b.node("Placeholder", nil)
 	m, _, _ := buildCond(b, p.Out(0))
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{m.Out(0)},
-		Feeds: map[string]*tensor.Tensor{p.Name(): tensor.ScalarBool(true)}})
+	_, executed, err := b.plan(PlanOptions{Fetches: []graph.Output{m.Out(0)}}).Run(Binding{
+		Feeder: MapFeeder{p.Name(): tensor.ScalarBool(true)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
 	// Nodes: placeholder, const, switch, neg, square(dead), merge = 6
-	// executions (dead ones still count as executions, not kernels, but
-	// NumKernels counts scheduled node executions).
-	if ex.NumKernels() != 6 {
-		t.Fatalf("executions = %d, want 6", ex.NumKernels())
+	// executions (Run counts scheduled node executions, dead skips
+	// included, not kernels).
+	if executed != 6 {
+		t.Fatalf("executions = %d, want 6", executed)
 	}
 }
 
@@ -367,13 +409,12 @@ func TestFetchUnreachableErrors(t *testing.T) {
 func TestRandomOpsUseSeededRNG(t *testing.T) {
 	b := newTB(t)
 	r := b.node("RandomUniform", map[string]any{"shape": []int{4}})
-	ex1, _ := New(Config{Graph: b.g, Fetches: []graph.Output{r.Out(0)}, RNG: tensor.NewRNG(9)})
-	out1, err := ex1.Run()
+	plan := b.plan(PlanOptions{Fetches: []graph.Output{r.Out(0)}})
+	out1, _, err := plan.Run(Binding{RNG: tensor.NewRNG(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex2, _ := New(Config{Graph: b.g, Fetches: []graph.Output{r.Out(0)}, RNG: tensor.NewRNG(9)})
-	out2, err := ex2.Run()
+	out2, _, err := plan.Run(Binding{RNG: tensor.NewRNG(9)})
 	if err != nil {
 		t.Fatal(err)
 	}

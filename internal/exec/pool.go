@@ -88,7 +88,7 @@ func (q *workq) popHead() (workItem, bool) {
 }
 
 // Pool is a persistent worker pool executing kernel items for one or more
-// executors. Construct with NewPool, share via Config.Pool, and Close when
+// executors. Construct with NewPool, share via Binding.Pool, and Close when
 // every executor using it has finished its step.
 type Pool struct {
 	queues    []*workq
@@ -172,7 +172,7 @@ func (p *Pool) take(self int) (workItem, bool) {
 func (p *Pool) worker(self int) {
 	defer p.wg.Done()
 	var batch []doneMsg
-	var batchEx *Executor
+	var batchEx *executor
 	// sc is this worker's node scratch: each result is copied into its
 	// doneMsg and the scratch tokens dropped before the next item runs.
 	var sc nodeScratch

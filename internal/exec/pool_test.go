@@ -18,29 +18,26 @@ import (
 // costs a second.
 const poolVecElems = 1024
 
-// newDear returns an executor over cfg whose plan already estimates every
-// node at a second, far above handoffCost: each kernel is handed to the pool
-// unless the dispatcher keeps it, whatever it really costs. (One execution in
+// newDear compiles b's graph into a plan that already estimates every node at
+// a second, far above handoffCost: each kernel is handed to the pool unless
+// the dispatcher keeps it, whatever it really costs. (One execution in
 // sampleEvery halves an estimate; none gets near the constant in a test.)
-func newDear(t *testing.T, cfg Config) *Executor {
-	t.Helper()
-	ex, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+func newDear(b *tb, opts PlanOptions) *Plan {
+	b.t.Helper()
+	plan := b.plan(opts)
+	for i := range plan.cost {
+		plan.cost[i].Store(int64(time.Second))
 	}
-	for i := range ex.plan.cost {
-		ex.plan.cost[i].Store(int64(time.Second))
-	}
-	return ex
+	return plan
 }
 
-// runPooled runs ex and fails the test unless the step handed kernels to the
+// runPooled runs one step and fails the test unless it handed kernels to the
 // pool: a pool test that passes with exec_dispatch_pool_total standing still
 // tested the dispatcher.
-func runPooled(t *testing.T, ex *Executor) ([]ops.Value, error) {
+func runPooled(t *testing.T, plan *Plan, bind Binding) ([]ops.Value, error) {
 	t.Helper()
 	before := metricPooled.Value()
-	out, err := ex.Run()
+	out, _, err := plan.Run(bind)
 	if metricPooled.Value() == before {
 		t.Fatal("exec_dispatch_pool_total did not move: no kernel of this step reached the pool")
 	}
@@ -77,7 +74,7 @@ func TestPoolStealHeavyWideBody(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		b := newTB(t)
 		fetches := buildWideBody(b, 16, 4)
-		out, err := runPooled(t, newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: workers}))
+		out, err := runPooled(t, newDear(b, PlanOptions{Fetches: fetches, Workers: workers}), Binding{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +94,7 @@ func TestPoolSharedAcrossExecutors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b := newTB(t)
 		fetches := buildWideBody(b, 8, 3)
-		out, err := runPooled(t, newDear(t, Config{Graph: b.g, Fetches: fetches, Pool: pool}))
+		out, err := runPooled(t, newDear(b, PlanOptions{Fetches: fetches}), Binding{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +116,8 @@ func TestPoolDrainOnFailure(t *testing.T) {
 	// queued behind it.
 	bad := b.node("Add", nil, vecConst(b, poolVecElems, 1), vecConst(b, poolVecElems-1, 1))
 	fetches = append(fetches, bad.Out(0))
-	ex := newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: 4})
-	if _, err := runPooled(t, ex); err == nil || !strings.Contains(err.Error(), "Add") {
+	plan := newDear(b, PlanOptions{Fetches: fetches, Workers: 4})
+	if _, err := runPooled(t, plan, Binding{}); err == nil || !strings.Contains(err.Error(), "Add") {
 		t.Fatalf("want Add kernel error, got %v", err)
 	}
 	awaitGoroutines(t, before)
@@ -133,40 +130,29 @@ func TestPoolCancelMidSteal(t *testing.T) {
 	before := runtime.NumGoroutine()
 	b := newTB(t)
 	// A long loop whose body holds enough parallel kernel work to keep
-	// queues populated while the cancel lands.
-	frame := map[string]any{"frame_name": "w", "parallel_iterations": 1}
-	frameConst := map[string]any{"frame_name": "w", "parallel_iterations": 1, "is_constant": true}
-	enterI := b.node("Enter", frame, b.scalar(0))
-	limE := b.node("Enter", frameConst, b.scalar(1e9))
-	oneE := b.node("Enter", frameConst, b.scalar(1))
-	vecE := b.node("Enter", frameConst, vecConst(b, poolVecElems, 1))
-	merge := b.node("Merge", nil, enterI.Out(0), enterI.Out(0))
-	less := b.node("Less", nil, merge.Out(0), limE.Out(0))
-	cond := b.node("LoopCond", nil, less.Out(0))
-	sw := b.node("Switch", nil, merge.Out(0), cond.Out(0))
-	add := b.node("Add", nil, sw.Out(1), oneE.Out(0))
-	// Per-iteration real kernel work rides on the counter via control
-	// dependencies so every iteration pushes pool items.
-	var body []*graph.Node
-	for i := 0; i < 4; i++ {
-		body = append(body, b.node("Add", nil, vecE.Out(0), vecE.Out(0)))
-	}
-	ni := b.node("NextIteration", nil, add.Out(0))
-	for _, n := range body {
-		ni.AddControlInput(n)
-	}
-	merge.ReplaceInput(1, ni.Out(0))
-	exit := b.node("Exit", nil, sw.Out(0))
+	// queues populated while the cancel lands: per-iteration real kernels
+	// ride on the counter via control dependencies, so every iteration
+	// pushes pool items. The hook runs after an iteration's four, so the
+	// pool has been used by the time it fires.
+	fired, started := signalOnce()
+	exit := buildCounterLoopBody(b, 1e9, 1, 1, func(next graph.Output, constant func(graph.Output) graph.Output) graph.Output {
+		vec := constant(vecConst(b, poolVecElems, 1))
+		gate := b.hook(fired, next)
+		for i := 0; i < 4; i++ {
+			gate.AddControlInput(b.node("Add", nil, vec, vec))
+		}
+		return gate.Out(0)
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ex := newDear(t, Config{Graph: b.g, Fetches: []graph.Output{exit.Out(0)}, Ctx: ctx, Workers: 2})
+	plan := newDear(b, PlanOptions{Fetches: []graph.Output{exit}, Workers: 2})
 	pooledBefore := metricPooled.Value()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.Run()
+		_, _, err := plan.Run(Binding{Ctx: ctx})
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // dcfvet:allow testsleep=stage the run mid-flight before cancel
+	<-started
 	cancel()
 	select {
 	case err := <-errc:
@@ -197,20 +183,26 @@ func awaitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestNegativeWorkersMeansDefault: a negative Workers (once the selector of
-// a goroutine-per-kernel mode) sizes the pool like zero does.
+// a goroutine-per-kernel mode) sizes the pool like zero does, and the step's
+// pool is that wide.
 func TestNegativeWorkersMeansDefault(t *testing.T) {
 	b := newTB(t)
 	fetches := buildWideBody(b, 8, 3)
-	ex := newDear(t, Config{Graph: b.g, Fetches: fetches, Workers: -1})
-	out, err := runPooled(t, ex)
+	plan := newDear(b, PlanOptions{Fetches: fetches, Workers: -1})
+	// Every node of this graph is a kernel node.
+	if want := min(runtime.GOMAXPROCS(0), len(plan.infos)); plan.poolWidth != want || b.plan(PlanOptions{Fetches: fetches}).poolWidth != want {
+		t.Fatalf("Workers -1 must size the pool like 0 does (%d workers), got %d", want, plan.poolWidth)
+	}
+	ex := plan.newExecutor(Binding{})
+	out, err := ex.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out[0].T.F[0]; got != 4 {
 		t.Fatalf("got %v want 4", got)
 	}
-	if want := min(runtime.GOMAXPROCS(0), ex.plan.kernelNodes); ex.pool == nil || ex.pool.Size() != want {
-		t.Fatalf("Workers -1 must size the pool like 0 does (%d workers), got %v", want, ex.pool)
+	if ex.pool == nil || ex.pool.Size() != plan.poolWidth {
+		t.Fatalf("the step's pool is %v, want %d workers", ex.pool, plan.poolWidth)
 	}
 }
 
@@ -221,11 +213,8 @@ func TestNegativeWorkersMeansDefault(t *testing.T) {
 func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 50, 1, 0)
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exit}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
+	ex := b.plan(PlanOptions{Fetches: []graph.Output{exit}}).newExecutor(Binding{})
+	if _, err := ex.run(); err != nil {
 		t.Fatal(err)
 	}
 	if ex.pool != nil || ex.events != nil {
@@ -237,9 +226,9 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		cur = c.node("Neg", nil, cur).Out(0)
 	}
-	chain := newDear(t, Config{Graph: c.g, Fetches: []graph.Output{cur}})
+	chain := newDear(c, PlanOptions{Fetches: []graph.Output{cur}}).newExecutor(Binding{})
 	pooled, spawned := metricPooled.Value(), metricSpawn.Value()
-	out, err := chain.Run()
+	out, err := chain.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,21 +249,22 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 func TestEventsBufferUsesFrameWindow(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 10, 1, 1) // window 1
-	ex := newDear(t, Config{Graph: b.g, Fetches: []graph.Output{exit}})
+	// The plan option is not the frame's window: the Enter's declaration wins.
+	ex := newDear(b, PlanOptions{Fetches: []graph.Output{exit}, ParallelIterations: 16}).newExecutor(Binding{})
 	if ex.events != nil {
 		t.Fatal("completion channel exists before anything was handed off")
 	}
-	if _, err := runPooled(t, ex); err != nil {
+	if _, err := ex.run(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cap(ex.events), b.g.NumNodes(); got != want {
 		t.Fatalf("window-1 events buffer %d, want %d (one per node)", got, want)
 	}
-	// An undeclared window still provisions the config default.
+	// An undeclared window still provisions the default.
 	b2 := newTB(t)
 	exit2 := buildCounterLoop(b2, 10, 1, 0)
-	ex2 := newDear(t, Config{Graph: b2.g, Fetches: []graph.Output{exit2}})
-	if _, err := runPooled(t, ex2); err != nil {
+	ex2 := newDear(b2, PlanOptions{Fetches: []graph.Output{exit2}}).newExecutor(Binding{})
+	if _, err := ex2.run(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cap(ex2.events), b2.g.NumNodes()*DefaultParallelIterations; got != want {

@@ -100,11 +100,8 @@ func TestDeferredNextIterationRingRecycle(t *testing.T) {
 	mS.ReplaceInput(1, niS.Out(0))
 	exitS := b.node("Exit", nil, swS.Out(0))
 
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{exitS.Out(0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ex.Run()
+	ex := b.plan(PlanOptions{Fetches: []graph.Output{exitS.Out(0)}}).newExecutor(Binding{})
+	out, err := ex.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,28 +136,18 @@ func TestRingStateIsolationAcrossIterations(t *testing.T) {
 func TestEventsChannelSizedFromPlan(t *testing.T) {
 	b := newTB(t)
 	sq := b.node("Square", nil, b.scalar(2))
-	ex, err := New(Config{Graph: b.g, Fetches: []graph.Output{sq.Out(0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := b.g.NumNodes(); ex.eventsCap() != want {
-		t.Fatalf("acyclic events buffer %d, want one per node = %d", ex.eventsCap(), want)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
+	if got, want := b.plan(PlanOptions{Fetches: []graph.Output{sq.Out(0)}}).eventsCap, b.g.NumNodes(); got != want {
+		t.Fatalf("acyclic events buffer %d, want one per node = %d", got, want)
 	}
 
 	lb := newTB(t)
-	exit := buildCounterLoop(lb, 5, 1, 0)
-	lex, err := New(Config{Graph: lb.g, Fetches: []graph.Output{exit}})
-	if err != nil {
-		t.Fatal(err)
+	exit := []graph.Output{buildCounterLoop(lb, 5, 1, 0)}
+	if got, want := lb.plan(PlanOptions{Fetches: exit}).eventsCap, lb.g.NumNodes()*DefaultParallelIterations; got != want {
+		t.Fatalf("loop events buffer %d, want nodes*window = %d", got, want)
 	}
-	if want := lb.g.NumNodes() * DefaultParallelIterations; lex.eventsCap() != want {
-		t.Fatalf("loop events buffer %d, want nodes*window = %d", lex.eventsCap(), want)
-	}
-	if _, err := lex.Run(); err != nil {
-		t.Fatal(err)
+	// The window option moves the frames that declare none.
+	if got, want := lb.plan(PlanOptions{Fetches: exit, ParallelIterations: 3}).eventsCap, lb.g.NumNodes()*3; got != want {
+		t.Fatalf("loop events buffer at ParallelIterations 3: %d, want %d", got, want)
 	}
 }
 
@@ -174,19 +161,14 @@ func TestOwnedBufferNeverAliasesFetch(t *testing.T) {
 	n1 := b.node("Neg", nil, p.Out(0))
 	n2 := b.node("Neg", nil, n1.Out(0))
 	n3 := b.node("Exp", nil, n2.Out(0))
-	plan, err := NewPlan(b.g, nil, []graph.Output{n3.Out(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := b.plan(PlanOptions{Fetches: []graph.Output{n3.Out(0)}})
 	feed := tensor.FromFloats([]float64{0, 1}, 2)
-	ex1, _ := NewFromPlan(plan, Config{Feeds: map[string]*tensor.Tensor{p.Name(): feed}})
-	out1, err := ex1.Run()
+	out1, _, err := plan.Run(Binding{Feeder: MapFeeder{p.Name(): feed}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second run reuses the pool; it must not clobber out1.
-	ex2, _ := NewFromPlan(plan, Config{Feeds: map[string]*tensor.Tensor{p.Name(): tensor.FromFloats([]float64{5, 5}, 2)}})
-	if _, err := ex2.Run(); err != nil {
+	if _, _, err := plan.Run(Binding{Feeder: MapFeeder{p.Name(): tensor.FromFloats([]float64{5, 5}, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if out1[0].T.F[0] != 1 { // exp(0)
@@ -201,7 +183,7 @@ func TestOwnedBufferNeverAliasesFetch(t *testing.T) {
 func TestPlanRejectsUnknownFetchIndex(t *testing.T) {
 	b := newTB(t)
 	sq := b.node("Square", nil, b.scalar(2))
-	if _, err := NewPlan(b.g, nil, []graph.Output{{Node: sq, Index: 3}}); err == nil ||
+	if _, err := NewPlan(b.g, PlanOptions{Fetches: []graph.Output{{Node: sq, Index: 3}}}); err == nil ||
 		!strings.Contains(err.Error(), "invalid fetch") {
 		t.Fatalf("want invalid fetch error, got %v", err)
 	}

@@ -45,16 +45,9 @@ func TestLoopIterationAllocBudget(t *testing.T) {
 	const budget = 6.0
 	perRun := func(iters float64) float64 {
 		b := newTB(t)
-		plan, err := NewPlan(b.g, nil, buildAffineLoop(b, iters))
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := b.plan(PlanOptions{Fetches: buildAffineLoop(b, iters)})
 		return testing.AllocsPerRun(5, func() {
-			ex, err := NewFromPlan(plan, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := ex.Run()
+			out, _, err := plan.Run(Binding{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,20 +116,16 @@ func delayChain(b *tb, n int) *graph.Node {
 // and requires bit-identical fetches; it returns them. With dear set the
 // kernels are estimated far above handoffCost and the runs must reach the
 // pool.
-func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, cfg Config, dear bool) []ops.Value {
+func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, runner func(string) Runner, dear bool) []ops.Value {
 	t.Helper()
 	var outs [2][]ops.Value
 	for k, workers := range []int{0, 1} {
-		c := cfg
-		c.Graph, c.Fetches, c.Workers = b.g, fetches, workers
+		opts := PlanOptions{Fetches: fetches, Workers: workers, Runner: runner}
 		var err error
 		if dear {
-			outs[k], err = runPooled(t, newDear(t, c))
+			outs[k], err = runPooled(t, newDear(b, opts), Binding{})
 		} else {
-			var ex *Executor
-			if ex, err = New(c); err == nil {
-				outs[k], err = ex.Run()
-			}
+			outs[k], _, err = b.plan(opts).Run(Binding{})
 		}
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -167,7 +156,7 @@ func TestScratchMultiOutputKernels(t *testing.T) {
 		sp := b.node("Split", map[string]any{"num": 2, "axis": 0}, b.constT(x))
 		diff := b.node("Sub", nil, sp.Out(1), sp.Out(0))
 		diff.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, Config{}, dear)
+		out := runBothWidths(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, nil, dear)
 		const cols = scratchCols
 		for j := 0; j < cols; j++ {
 			want := x.F[j] + x.F[cols+j] + x.F[2*cols+j] + x.F[3*cols+j]
@@ -197,7 +186,7 @@ func TestScratchTwoOutputStackOps(t *testing.T) {
 		neg.AddControlInput(late)
 		sum := b.node("Add", nil, pop.Out(0), pop.Out(0))
 		sum.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, Config{}, dear)
+		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, nil, dear)
 		for k := range x.F {
 			if out[0].T.F[k] != -x.F[k] || out[1].T.F[k] != 2*x.F[k] {
 				t.Fatalf("dear=%v elem %d: pushed %v popped-twice %v, want %v and %v",
@@ -225,7 +214,7 @@ func TestScratchSwitchBothOutputsConsumed(t *testing.T) {
 			}
 			m1 := b.node("Merge", nil, onTrue.Out(0), onFalse.Out(0))
 			m2 := b.node("Merge", nil, onTrue2.Out(0), onFalse2.Out(0))
-			out := runBothWidths(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, Config{}, dear)
+			out := runBothWidths(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, nil, dear)
 			for k, v := range x.F {
 				want1 := v // Abs on the false side (inputs are positive)
 				if pred {
@@ -240,10 +229,15 @@ func TestScratchSwitchBothOutputsConsumed(t *testing.T) {
 	}
 }
 
+// directRunner is a device runner that runs the kernel where it is called.
+type directRunner struct{}
+
+func (directRunner) RunKernel(node, op string, fn func()) { fn() }
+
 func TestScratchKernelReturnsItsInput(t *testing.T) {
 	onDev := func(dev string) Runner {
 		if dev == "dev0" {
-			return InlineRunner()
+			return directRunner{}
 		}
 		return nil
 	}
@@ -262,7 +256,7 @@ func TestScratchKernelReturnsItsInput(t *testing.T) {
 		neg.AddControlInput(late)
 		sq := b.node("Square", nil, id.Out(0))
 		sq.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, Config{Runner: onDev}, dear)
+		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, onDev, dear)
 		for k, v := range x.F {
 			if out[0].T.F[k] != -v || out[1].T.F[k] != v*v || out[2].T.F[k] != v {
 				t.Fatalf("dear=%v elem %d: got %v, %v, %v from input %v", dear, k, out[0].T.F[k], out[1].T.F[k], out[2].T.F[k], v)

@@ -60,18 +60,20 @@ type Token struct {
 	Owned bool
 }
 
-// Feeder resolves placeholder feeds by node name. The executor wraps plain
-// feed maps in one; pre-compiled callables supply a positional implementation
-// so the steady-state serving path performs no map construction or hashing.
+// Feeder resolves placeholder feeds by node name: the one way a step is fed.
+// Pre-compiled callables supply a positional implementation so the
+// steady-state serving path performs no map construction or hashing; a feed
+// map converts with MapFeeder.
 type Feeder interface {
 	// Feed returns the value fed for the named placeholder, if any.
 	Feed(name string) (*tensor.Tensor, bool)
 }
 
-// mapFeeder adapts a Config.Feeds map to the Feeder interface.
-type mapFeeder map[string]*tensor.Tensor
+// MapFeeder is a feed map as a Feeder (a conversion: MapFeeder(m)). A nil map
+// feeds nothing.
+type MapFeeder map[string]*tensor.Tensor
 
-func (m mapFeeder) Feed(name string) (*tensor.Tensor, bool) {
+func (m MapFeeder) Feed(name string) (*tensor.Tensor, bool) {
 	t, ok := m[name]
 	return t, ok
 }
@@ -89,21 +91,11 @@ type Rendezvous interface {
 
 // Runner executes kernels for a device. Implementations may serialize
 // kernels (modeling an accelerator's compute stream) and record timelines.
-// The CPU runner invokes fn directly.
 type Runner interface {
 	// RunKernel runs fn; kind is "compute" for ordinary kernels. It
 	// blocks until fn has run.
 	RunKernel(node string, op string, fn func())
 }
-
-// inlineRunner runs kernels inline on the calling goroutine.
-type inlineRunner struct{}
-
-func (inlineRunner) RunKernel(node, op string, fn func()) { fn() }
-
-// InlineRunner returns a Runner that executes kernels directly on the
-// calling goroutine (the CPU device behavior).
-func InlineRunner() Runner { return inlineRunner{} }
 
 // SendKeyAttr and frame tags compose rendezvous keys.
 const SendKeyAttr = "key"

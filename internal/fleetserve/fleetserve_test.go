@@ -13,7 +13,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -249,9 +248,11 @@ func TestHedgeWinsAndLoserCanceled(t *testing.T) {
 	func() {
 		// Slow replica: two workers, so its step pays the injected fabric
 		// latency on the hop. Fast replica: one worker, no hops, no
-		// latency. Same Config for both — the latency only bites where
-		// messages cross workers.
+		// latency.
 		slowWs, slowAddrs := startDaemons(t, "hs", 2)
+		for _, w := range slowWs {
+			w.Rendezvous().SetFabric(60*time.Millisecond, 0)
+		}
 		fastWs, fastAddrs := startDaemons(t, "hf", 1)
 		defer func() {
 			// Close the daemons before the goroutine bracket below —
@@ -265,7 +266,6 @@ func TestHedgeWinsAndLoserCanceled(t *testing.T) {
 			}
 		}()
 		cfg := addNConfig()
-		cfg.TCP = distrib.TCPOptions{Latency: 60 * time.Millisecond}
 		opts := fastOpts()
 		opts.Hedge = true
 		opts.HedgeMinDelay = 5 * time.Millisecond
@@ -391,14 +391,12 @@ func TestDrainWhileRequestsInFlight(t *testing.T) {
 // the retry path; breaker behavior is pinned by
 // TestBreakerTripRecoverReadmit.)
 func TestFaultInjectedFabricMasksFailures(t *testing.T) {
-	_, addrsA := startDaemons(t, "fa", 2)
-	_, addrsB := startDaemons(t, "fb", 2)
-	cfg := addNConfig()
-	cfg.TCP = distrib.TCPOptions{
-		FaultSeed:      1234,
-		FaultDropProb:  0.08,
-		FaultResetProb: 0.08,
+	wsA, addrsA := startDaemons(t, "fa", 2)
+	wsB, addrsB := startDaemons(t, "fb", 2)
+	for _, w := range append(wsA, wsB...) {
+		w.Rendezvous().SetFaults(1234, 0.08, 0.08)
 	}
+	cfg := addNConfig()
 	opts := fastOpts()
 	opts.StepTimeout = 300 * time.Millisecond // a dropped token fails the step fast
 	opts.BreakerThreshold = 1000

@@ -1,7 +1,6 @@
 // Package metrics is the repository's dependency-free metrics layer: a
 // registry of counters, gauges, and log-bucketed latency histograms with
-// two exporters — Prometheus text exposition (/metrics on the daemons) and
-// an expvar-style JSON snapshot (the legacy /debug/vars surface).
+// one exporter, Prometheus text exposition (/metrics on the daemons).
 //
 // The instruments are built for hot paths. A Counter or Gauge is one
 // atomic word; a Histogram shards its buckets across cache-line-padded
@@ -283,29 +282,6 @@ func bucketUpper(b int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(b) - 1
-}
-
-// Snapshot returns an expvar-style JSON-marshalable view: counters and
-// gauges as int64, histograms as {count, sum, avg}.
-func (r *Registry) Snapshot() map[string]any {
-	names, kinds, ctrs, gauges, hists, _ := r.instruments()
-	out := make(map[string]any, len(names))
-	for _, name := range names {
-		switch kinds[name] {
-		case 'c':
-			out[name] = ctrs[name].Value()
-		case 'g':
-			out[name] = gauges[name].Value()
-		case 'h':
-			_, sum, total := hists[name].snapshot()
-			avg := float64(0)
-			if total > 0 {
-				avg = float64(sum) / float64(total)
-			}
-			out[name] = map[string]any{"count": total, "sum": sum, "avg": avg}
-		}
-	}
-	return out
 }
 
 // Handler serves the given registries (Default() if none) concatenated as

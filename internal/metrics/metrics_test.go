@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"net/http/httptest"
@@ -190,28 +189,6 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 	}
 	if last != 100 {
 		t.Fatalf("+Inf bucket = %d, want 100", last)
-	}
-}
-
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total").Add(2)
-	r.Gauge("b_depth").Set(-1)
-	r.Histogram("c_ns").Observe(10)
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["a_total"].(float64) != 2 || m["b_depth"].(float64) != -1 {
-		t.Fatalf("snapshot = %v", m)
-	}
-	hv := m["c_ns"].(map[string]any)
-	if hv["count"].(float64) != 1 || hv["sum"].(float64) != 10 || hv["avg"].(float64) != 10 {
-		t.Fatalf("histogram snapshot = %v", hv)
 	}
 }
 

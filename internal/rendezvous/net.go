@@ -124,8 +124,8 @@ func (n *Net) AddPeer(worker, addr string) {
 // SetFabric injects simulated network characteristics: latency is added to
 // every delivery and bandwidth (bytes/second, 0 = infinite) adds a
 // size-proportional delay, exactly as in the in-process Local. It applies to
-// scopes created after the call (the cluster worker sets it at graph
-// registration, before any step runs).
+// scopes created after the call (tests set it on a worker's Net before any
+// step runs).
 func (n *Net) SetFabric(latency time.Duration, bandwidth float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package trace records per-stream execution timelines: the
 // instrumentation behind Figure 13 of the paper (compute kernels
 // overlapping D2H/H2D copy kernels) and, since the observability layer,
-// the per-step span recorder behind exec.Config.Trace and the distributed
+// the per-step span recorder behind exec.Binding.Trace and the distributed
 // trace assembly (TraceReq) of the TCP cluster runtime.
 //
 // Events can be rendered as an ASCII timeline, exported as Chrome
