@@ -128,16 +128,22 @@ func TestCancelInsideKeptKernel(t *testing.T) {
 // behind Plan.Run will rest on: one plan, three steps in a row — one canceled
 // from inside a kernel with pool work in flight, one whose kernel returns an
 // error, one clean — and the third fetches what a first step of a fresh plan
-// does, bit for bit, with every goroutine of the failed steps gone.
+// does, bit for bit, with every goroutine of the failed steps gone. The kernel
+// that cancels or fails reads a buffer with three references, the other two
+// held by kernels queued beside it: a failed step recycles nothing it counted,
+// so whichever of them still runs reads what it was handed.
 func TestPlanUsableAfterFailedSteps(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var inKernel func() error // what the hook does in the current step
 	build := func() *Plan {
 		b := newTB(t)
 		fetches := buildWideBody(b, 8, 3)
-		gated := b.hook(func() error { return inKernel() }, fetches[0])
+		shared := b.node("Neg", nil, fetches[0]).Out(0)
+		gated := b.hook(func() error { return inKernel() }, shared)
 		// The hook's chain goes on: kernels are queued behind the failure.
 		fetches[0] = b.node("Add", nil, gated.Out(0), fetches[1]).Out(0)
+		fetches[2] = b.node("Add", nil, shared, fetches[2]).Out(0)
+		fetches[3] = b.node("Mul", nil, shared, fetches[3]).Out(0)
 		return newDear(b, PlanOptions{Fetches: fetches, Workers: 2})
 	}
 	plan := build()

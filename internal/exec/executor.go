@@ -107,6 +107,8 @@ type Binding struct {
 
 // opKind discriminates the ops whose semantics the executor implements
 // itself; every other op is kOther and runs through its registered kernel.
+// StackPush and StackPop run through theirs too: the executor only follows
+// the reference a push moves into the stack to the pop that takes it out.
 type opKind uint8
 
 const (
@@ -118,6 +120,8 @@ const (
 	kNextIteration
 	kSend
 	kRecv
+	kStackPush
+	kStackPop
 )
 
 func kindOf(op string) opKind {
@@ -136,6 +140,10 @@ func kindOf(op string) opKind {
 		return kSend
 	case "Recv":
 		return kRecv
+	case "StackPush":
+		return kStackPush
+	case "StackPop":
+		return kStackPop
 	}
 	return kOther
 }
@@ -155,10 +163,12 @@ type nodeInfo struct {
 	inline bool // control primitive: runs on the dispatcher
 	pass   bool // kernel is a pure pass-through (Identity, LoopCond, ...)
 	fresh  bool // kernel returns exclusively-owned outputs (OpDef.Fresh)
-	// recycle permits the executor to return owned input buffers to the
-	// tensor pool after the node runs (fresh kernels and the control
-	// primitives, which retain nothing; Send publishes its input and is
-	// excluded).
+	// recycle marks the nodes that give their references to input buffers
+	// back when they complete: fresh kernels, the control primitives and the
+	// two stack ops, which retain nothing but the value a push saves. Every
+	// other node is a holder: what it was handed may be aliased or kept (a
+	// variable, a TensorArray, a published Send), so the buffer is the
+	// collector's.
 	recycle bool
 
 	numIn  int32
@@ -175,6 +185,11 @@ type nodeInfo struct {
 	sendKey      string // Send/Recv: static rendezvous key
 
 	def *ops.OpDef // nil for ops unknown at plan time (errors at run time)
+}
+
+// fetched reports whether a step returns the value of the output port.
+func (info *nodeInfo) fetched(port int) bool {
+	return info.fetchSlot != nil && info.fetchSlot[port] >= 0
 }
 
 // frameMeta is the static description of one loop frame (by frame_name).
@@ -276,8 +291,8 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 			info.def = def
 			info.fresh = def.Fresh
 		}
-		info.recycle = info.fresh || info.pass ||
-			(info.kind != kOther && info.kind != kSend && info.kind != kRecv)
+		info.recycle = info.fresh || info.pass || (info.kind >= kMerge && info.kind <= kNextIteration) ||
+			info.kind == kStackPush || info.kind == kStackPop
 		switch info.kind {
 		case kEnter:
 			name := n.AttrString("frame_name")
@@ -335,6 +350,13 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 			}
 		}
 		info.fetchSlot[f.Index] = int32(i)
+	}
+	for i := range p.infos {
+		// A StackPush whose value output is observed hands out an alias of
+		// what it saved: it is an ordinary holder, not a move into the stack.
+		if info := &p.infos[i]; info.kind == kStackPush && (info.numOut != 2 || len(info.consumers[0]) > 0 || info.fetched(0)) {
+			info.kind, info.recycle = kOther, false
+		}
 	}
 
 	defWindow := opts.ParallelIterations
@@ -466,6 +488,18 @@ type executor struct {
 	statInline int
 	statSpawn  int
 	statPooled int
+
+	// refs counts the references to the pool buffers this step delivered to
+	// more than one consumer: a token whose ref is r is one of the refs[r]
+	// references left (slot 0 is never used: a zero ref means "not counted").
+	// A holder that takes a reference for good sets the pinned bit, and a
+	// pinned buffer is never recycled. refFree lists the slots to reuse.
+	refs    []int32
+	refFree []int32
+	// pushed holds the buffers whose reference a StackPush moved into a
+	// stack, with the slot that counts them, until the StackPop that returns
+	// the buffer takes the reference out again.
+	pushed map[*tensor.Tensor]int32
 
 	// iterFree recycles iteration state: a retired iteration's dense node
 	// slice and input arena go back here and are reused (reset lazily via
@@ -839,6 +873,7 @@ func (ex *executor) runHere(item *workItem) {
 	var outs []Token
 	var err error
 	if ex.firstErr == nil {
+		ex.grant(item)
 		outs, err = ex.runItem(&ex.scratch, item, trace.WorkerInline)
 	}
 	ex.complete(idx, fs, iter, outs, err)
@@ -898,7 +933,10 @@ func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, 
 		// kernels of the already-failed step.
 		ex.fail(err)
 	}
+	mit := lookupIter(fs, iter)
 	if ex.firstErr == nil {
+		// A failed step settles nothing: what it counted is the collector's.
+		ex.settle(idx, mit, outs)
 		ex.propagate(idx, fs, iter, outs)
 	}
 	// Retire the execution after propagation so counts never dip
@@ -906,7 +944,7 @@ func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, 
 	// advance runs before the activity decrement so deferred
 	// iterations are released before the frame can finalize.
 	ex.outstanding--
-	if mit := lookupIter(fs, iter); mit != nil {
+	if mit != nil {
 		mit.outstanding--
 	}
 	if ex.firstErr == nil {
@@ -1114,21 +1152,13 @@ func (ex *executor) frameActivityDown(fs *frameState) {
 func (ex *executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok Token) {
 	it := ex.iteration(fs, iter)
 	if it == nil {
-		// Step already failed; drop the token (recycling its buffer if
-		// this delivery exclusively owned it).
-		if tok.Owned && tok.Val.T != nil {
-			tensor.Recycle(tok.Val.T)
-		}
-		return
+		return // step already failed: the token's buffer is the collector's
 	}
 	ns := ex.nstate(it, ce.idx)
 	if ns.scheduled {
-		// e.g. a Merge that already fired on its first live input; the
-		// dropped token's buffer (if exclusively ours) goes back to the
-		// pool.
-		if tok.Owned && tok.Val.T != nil {
-			tensor.Recycle(tok.Val.T)
-		}
+		// e.g. a Merge that already fired on its first live input: the
+		// late arrival gives its reference up.
+		ex.release(&tok)
 		return
 	}
 	info := &ex.plan.infos[ce.idx]
@@ -1214,9 +1244,10 @@ func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 	// device runners or device memory (simulated streams, swaps) — never
 	// enter the pool: a blocked worker would starve every queued kernel
 	// behind it. They keep their own goroutines.
-	if info.kind != kOther || ex.plan.runner(idx) != nil || (ex.plan.mems != nil && ex.plan.mems[idx] != nil) {
+	if info.kind == kSend || info.kind == kRecv || ex.plan.runner(idx) != nil || (ex.plan.mems != nil && ex.plan.mems[idx] != nil) {
 		ex.statSpawn++
 		ex.goOff()
+		ex.grant(&item)
 		go ex.runSpawned(item)
 		return
 	}
@@ -1254,6 +1285,7 @@ func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 		}
 		ex.statPooled++
 		ex.goOff()
+		ex.grant(&item)
 		ex.pool.submit(item)
 	}
 }
@@ -1346,8 +1378,9 @@ var passOps = map[string]bool{
 // executors (the shared-budget distrib case), and it is kept small — every
 // node execution copies one into a queue — by naming the iteration rather
 // than holding what can be read off it: the node's input span of the arena
-// (frozen once scheduled; the iteration cannot be recycled while this
-// execution is outstanding, so whoever runs it reads the span in place), the
+// (frozen once scheduled, but for the dispatcher's grant before it lets go of
+// the item; the iteration cannot be recycled while this execution is
+// outstanding, so whoever runs it reads the span in place), the
 // iteration number and, for Send and Recv, the frame tag.
 type workItem struct {
 	ex      *executor
@@ -1391,40 +1424,132 @@ func (ex *executor) runNode(sc *nodeScratch, idx int32, inputs []Token, tag stri
 			err = fmt.Errorf("exec: %s (%s) panicked: %v", info.node.Name(), info.node.Op(), r)
 		}
 	}()
-	outs, err = ex.runNodeInner(sc, idx, info, inputs, tag, deadCtl)
-	if err == nil {
-		ex.recycleInputs(info, inputs, outs, deadCtl)
-	}
-	return outs, err
+	return ex.runNodeInner(sc, idx, info, inputs, tag, deadCtl)
 }
 
-// recycleInputs returns exclusively-owned input buffers to the tensor pool
-// once no reference can remain: the node was dead-skipped (its kernel never
-// ran), or its op is flagged as neither aliasing nor retaining inputs.
-// Buffers that the kernel forwarded into an output are exempt. This is the
-// only place tokens die — the executor, which knows consumer counts from
-// the plan, is the sole owner-of-record (per-op reference counting stays
-// trivial).
-func (ex *executor) recycleInputs(info *nodeInfo, inputs []Token, outs []Token, deadCtl bool) {
-	dead := deadCtl
-	if !dead {
-		for i := range inputs {
-			if inputs[i].Dead {
-				dead = true
-				break
-			}
+// The ownership rule. A pool buffer returns to the pool when its last
+// reference is released, and the dispatcher, which knows every port's
+// consumers from the plan, is the only one who counts: nothing below runs on
+// any other goroutine, and whoever else runs a node at most copies a token it
+// was handed, ref and all, into the node's output (a pass-through under a
+// device runner) without looking at it. An Owned token is the only reference
+// to its buffer; a token with a ref is one of refs[ref] references; any other
+// token's buffer is the collector's.
+
+// pinned marks a count one of whose references a holder took for good.
+const pinned = 1 << 30
+
+// count turns an owned token into n counted references to its buffer.
+func (ex *executor) count(tok *Token, n int) {
+	var r int32
+	if k := len(ex.refFree); k > 0 {
+		r, ex.refFree = ex.refFree[k-1], ex.refFree[:k-1]
+	} else {
+		if len(ex.refs) == 0 {
+			ex.refs = append(ex.refs, 0)
+		}
+		r = int32(len(ex.refs))
+		ex.refs = append(ex.refs, 0)
+	}
+	ex.refs[r] = int32(n)
+	tok.Owned, tok.ref = false, r
+}
+
+// release gives up the reference tok is; the last one of a buffer no holder
+// pinned recycles it.
+func (ex *executor) release(tok *Token) {
+	t, r := tok.Val.T, tok.ref
+	switch {
+	case t == nil:
+	case tok.Owned:
+		tensor.Recycle(t)
+	case r != 0:
+		ex.refs[r]--
+		if ex.refs[r] == 0 {
+			tensor.Recycle(t)
+		}
+		if ex.refs[r]&^pinned == 0 {
+			ex.refFree = append(ex.refFree, r)
 		}
 	}
-	if !info.recycle && !dead {
+}
+
+// hold makes the reference tok is a permanent one — its holder may alias or
+// keep the buffer — so no later release recycles it.
+func (ex *executor) hold(tok *Token) {
+	if r := tok.ref; r != 0 {
+		ex.refs[r] = (ex.refs[r] - 1) | pinned
+		if ex.refs[r] == pinned {
+			ex.refFree = append(ex.refFree, r)
+		}
+	}
+	tok.Owned, tok.ref = false, 0
+}
+
+// grant makes Owned every input of an execution about to run that is the
+// last reference to its buffer, exactly as if it had been the sole consumer:
+// a fresh kernel may then forward into it. The dispatcher calls it as late as
+// it still can — before running the node itself, before handing it off.
+func (ex *executor) grant(item *workItem) {
+	info := &ex.plan.infos[item.idx]
+	span := item.it.arena[info.inOff : info.inOff+info.numIn]
+	for i := range span {
+		if r := span[i].ref; r != 0 && ex.refs[r] == 1 {
+			ex.refFree = append(ex.refFree, r)
+			span[i].Owned, span[i].ref = true, 0
+		}
+	}
+}
+
+// settle accounts for the input references of a finished execution, after
+// its kernel has returned and before its outputs are delivered. A node of the
+// recycle class, and any dead-skipped one, releases them, except where the
+// buffer lives on in an output (forwarded in place by a kernel, handed on by
+// a control primitive or a pass-through: the reference is that token's now);
+// any other node is a holder. A StackPush moves the reference to the value it
+// saves into the stack, and the StackPop that returns the buffer takes it
+// out: its output is one counted reference again, for the pop's consumers.
+func (ex *executor) settle(idx int32, it *iterState, outs []Token) {
+	info := &ex.plan.infos[idx]
+	ns := &it.nodes[idx]
+	dead := ns.deadCtl > 0 || (ns.deadData > 0 && info.kind != kMerge) // as schedule decided
+	inputs := it.arena[info.inOff : info.inOff+info.numIn]
+	for i := range inputs {
+		in := &inputs[i]
+		switch {
+		case in.Val.T == nil || !(in.Owned || in.ref != 0):
+		case dead:
+			ex.release(in)
+		case info.kind == kStackPush && i == 1:
+			ex.push(in)
+		case !info.recycle:
+			ex.hold(in)
+		case !tensorInTokens(in.Val.T, outs):
+			ex.release(in)
+		}
+	}
+	if info.kind == kStackPop && !dead {
+		if r, ok := ex.pushed[outs[0].Val.T]; ok {
+			delete(ex.pushed, outs[0].Val.T)
+			outs[0].ref = r
+		}
+	}
+}
+
+// push records that the stack now has the reference in is. A buffer already
+// on a stack is held instead: one entry, one pop to find it.
+func (ex *executor) push(in *Token) {
+	if _, dup := ex.pushed[in.Val.T]; dup {
+		ex.hold(in)
 		return
 	}
-	for i := range inputs {
-		t := inputs[i].Val.T
-		if !inputs[i].Owned || t == nil || tensorInTokens(t, outs) {
-			continue
-		}
-		tensor.Recycle(t)
+	if in.Owned {
+		ex.count(in, 1)
 	}
+	if ex.pushed == nil {
+		ex.pushed = map[*tensor.Tensor]int32{}
+	}
+	ex.pushed[in.Val.T] = in.ref
 }
 
 func (ex *executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inputs []Token, tag string, deadCtl bool) ([]Token, error) {
@@ -1487,10 +1612,11 @@ func (ex *executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 		// An owned input keeps its flag: the sole reference moves into the
 		// rendezvous, which hands it to the receiver or recycles it once
 		// the bytes are on the wire. This executor never touches it again
-		// (Send is excluded from input recycling).
+		// (Send is a holder).
 		tok := Token{Dead: anyDeadData}
 		if !anyDeadData {
 			tok = inputs[0]
+			tok.ref = 0 // a count means nothing outside this executor: Send holds
 		}
 		if err := ex.rendezvous.Send(key, tok); err != nil {
 			return nil, fmt.Errorf("exec: Send %s: %w", n.Name(), err)
@@ -1584,8 +1710,8 @@ func (ex *executor) runNodeInner(sc *nodeScratch, idx int32, info *nodeInfo, inp
 	if info.pass && len(outs) == 1 && len(inputs) > 0 && outs[0].Val.T != nil &&
 		outs[0].Val.T == inputs[0].Val.T {
 		// A pass-through kernel that did run (device runner attached)
-		// still hands its input's ownership on.
-		outs[0].Owned = inputs[0].Owned
+		// still hands its input's reference on.
+		outs[0] = inputs[0]
 	}
 	return outs, nil
 }
@@ -1609,9 +1735,9 @@ func (ex *executor) propagate(idx int32, fs *frameState, iter int, outs []Token)
 		child := ex.childFrame(fs, info, iter)
 		child.entersDone++
 		if info.isConstEnter {
-			// The constant is re-delivered into every iteration; the
-			// many references forbid buffer ownership.
-			outs[0].Owned = false
+			// The constant is re-delivered into every iteration: the frame
+			// holds it.
+			ex.hold(&outs[0])
 			child.constants = append(child.constants, constEntry{idx: idx, tok: outs[0]})
 			if child.doneFrontier == 0 && child.ring[0] == nil {
 				ex.iteration(child, 0) // replays constants incl. this one
@@ -1705,14 +1831,15 @@ func (ex *executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token
 	}
 }
 
-// deliverPort delivers one output token to the port's consumers, resolving
-// buffer ownership: a token stays owned only when exactly one consumer will
-// receive it and no fetch can observe it. Ports nobody consumes release
-// their buffer immediately.
+// deliverPort delivers one output token to the port's consumers, which is
+// where references are counted: the one reference that arrives becomes one
+// per consumer. A sole consumer takes it as it is; more than one share a
+// count (a new one for an owned buffer, the old one raised for a buffer
+// already counted, so a value that goes round a loop stays counted); a port
+// nobody consumes releases it at once; a fetch holds it.
 func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter int, tok Token) {
-	fetched := info.fetchSlot != nil && info.fetchSlot[port] >= 0
-	if fetched {
-		tok.Owned = false
+	if info.fetched(port) {
+		ex.hold(&tok)
 		if fs == ex.root {
 			// Fetches observe values as delivered into the root frame
 			// (an Exit's output materializes in its parent frame).
@@ -1725,12 +1852,14 @@ func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter i
 	if port < len(info.consumers) {
 		cs = info.consumers[port]
 	}
-	if tok.Owned && len(cs) != 1 {
-		tok.Owned = false
-		if len(cs) == 0 && tok.Val.T != nil {
-			tensor.Recycle(tok.Val.T)
-			return
-		}
+	switch n := len(cs); {
+	case n == 1 || tok.Val.T == nil:
+	case n == 0:
+		ex.release(&tok)
+	case tok.Owned:
+		ex.count(&tok, n)
+	case tok.ref != 0:
+		ex.refs[tok.ref] += int32(n - 1)
 	}
 	for _, ce := range cs {
 		ex.deliverData(ce, fs, iter, tok)

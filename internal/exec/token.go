@@ -23,11 +23,13 @@
 // recycled through the tensor pool. Executing a node allocates nothing of
 // its own: output tokens, the kernel context and the kernel's result slice
 // all live in scratch the caller supplies (valid until that caller's next
-// node; a kernel must not retain its context). What a loop iteration still
-// allocates is tensor storage for tokens with fan-out, which are never
-// exclusively owned and so never return to the pool. See README.md in this
-// directory for the design, the scratch lifetimes and the buffer-ownership
-// rule.
+// node; a kernel must not retain its context). A pool buffer returns to the
+// pool when its last reference is released: the dispatcher counts the
+// references of every buffer with more than one consumer, follows a buffer
+// saved on a stack to its pop, and leaves to the collector only what a
+// holder (a fetch, a variable, a TensorArray, a kernel that may alias its
+// input) keeps. See README.md in this directory for the design, the scratch
+// lifetimes and the buffer-ownership rule.
 package exec
 
 import (
@@ -49,15 +51,19 @@ import (
 type Token struct {
 	Val  ops.Value
 	Dead bool
-	// Owned marks a token whose tensor buffer has exactly one live
-	// reference (the holder). The executor sets it on fresh kernel
-	// outputs with a single consumer and clears it whenever a reference
-	// escapes (fan-out, fetches, loop constants); an owned buffer may be
-	// forwarded into a kernel's output or recycled into the tensor pool.
-	// Across a Send/Recv pair ownership moves with the token: a rendezvous
-	// must deliver an Owned token only when no reference survives on the
-	// sending side. See internal/exec/README.md for the ownership rule.
+	// Owned marks a token whose holder has the only reference to its tensor
+	// buffer: a fresh kernel output on its way to a sole consumer, or a
+	// counted buffer whose other references have all been released. An owned
+	// buffer may be forwarded into a kernel's output or recycled into the
+	// tensor pool. Across a Send/Recv pair ownership moves with the token: a
+	// rendezvous must deliver an Owned token only when no reference survives
+	// on the sending side. See internal/exec/README.md for the ownership rule.
 	Owned bool
+	// ref, when not zero, makes this token one counted reference to its
+	// buffer: it indexes the count the delivering executor's dispatcher keeps
+	// (executor.refs). Only that dispatcher reads or writes it; a token that
+	// leaves the executor (Send, a fetch) leaves without it.
+	ref int32
 }
 
 // Feeder resolves placeholder feeds by node name: the one way a step is fed.

@@ -50,21 +50,23 @@ func init() {
 		return nil, nil
 	}})
 
-	Register(&OpDef{Name: "Shape", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	// Shape, Size and Rank (and ShapeDim) read their input's shape and none
+	// of its elements.
+	Register(&OpDef{Name: "Shape", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.One(TensorVal(tensor.ShapeTensor(x))), nil
 	}})
-	Register(&OpDef{Name: "Size", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "Size", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.One(TensorVal(tensor.SizeTensor(x))), nil
 	}})
-	Register(&OpDef{Name: "Rank", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "Rank", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -182,7 +184,8 @@ func init() {
 		},
 	})
 
-	Register(&OpDef{Name: "Pack", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	// Pack and Unpack copy every element and keep nothing.
+	Register(&OpDef{Name: "Pack", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		ts := make([]*tensor.Tensor, len(ctx.In))
 		for i := range ctx.In {
 			t, err := ctx.Input(i)
@@ -191,7 +194,7 @@ func init() {
 			}
 			ts[i] = t
 		}
-		r, err := tensor.Stack(ts...)
+		r, err := tensor.Stack(tensor.Alloc, ts...)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +202,8 @@ func init() {
 	}})
 
 	Register(&OpDef{
-		Name: "Unpack",
+		Name:  "Unpack",
+		Fresh: true,
 		VariableOutputs: func(attrs map[string]any) int {
 			if n, ok := attrs["num"].(int); ok {
 				return n
@@ -211,7 +215,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			parts, err := tensor.Unstack(x)
+			parts, err := tensor.Unstack(tensor.Alloc, x)
 			if err != nil {
 				return nil, err
 			}

@@ -65,6 +65,10 @@ func freshSamples() map[string][]freshSample {
 			{attrs: map[string]any{"shape": []int{-1}}, ins: same(bools)},
 			{ins: same(ints, tensor.FromInts([]int64{6, 1}, 2))},
 		},
+		"Shape": un, "Size": un, "Rank": un,
+		"ShapeDim":   {{attrs: map[string]any{"axis": -1}, ins: same(a)}},
+		"Pack":       {{ins: same(a, b, pos)}, {ins: same(ints)}, {ins: same(bools, bools)}},
+		"Unpack":     {{attrs: map[string]any{"num": 2}, ins: same(a)}, {attrs: map[string]any{"num": 2}, ins: same(bools)}},
 		"ExpandDims": {{attrs: map[string]any{"axis": 1}, ins: same(a)}},
 		"Squeeze":    {{ins: same(tensor.FromFloats([]float64{1, 2, 3}, 1, 3, 1))}},
 		"LogicalAnd": logical, "LogicalOr": logical,
@@ -134,17 +138,24 @@ func TestFreshOutputsComeFromPool(t *testing.T) {
 					ctx.In = append(ctx.In, TensorVal(in))
 				}
 				out, err := def.Kernel(ctx)
-				if err != nil || len(out) != 1 || out[0].T == nil {
+				if err != nil || len(out) == 0 {
 					t.Fatalf("%s sample %d: out %v, err %v", name, si, out, err)
+				}
+				forwarded := map[*tensor.Tensor]bool{}
+				for _, o := range out {
+					if o.T == nil {
+						t.Fatalf("%s sample %d: out %v", name, si, out)
+					}
+					forwarded[o.T] = true
+					tensor.Recycle(o.T)
 				}
 				if owned {
 					for _, in := range ctx.In {
-						if in.T != out[0].T {
+						if !forwarded[in.T] {
 							tensor.Recycle(in.T)
 						}
 					}
 				}
-				tensor.Recycle(out[0].T)
 				if got := tensor.PoolLiveBytes(); got != start {
 					t.Errorf("%s sample %d (owned inputs %v): pool live bytes moved by %d", name, si, owned, got-start)
 				}

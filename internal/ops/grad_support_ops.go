@@ -94,7 +94,7 @@ func init() {
 	}})
 
 	// ShapeDim(x) attr axis: one dimension of x's shape as an int scalar.
-	Register(&OpDef{Name: "ShapeDim", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "ShapeDim", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -106,7 +106,7 @@ func init() {
 		if a < 0 || a >= x.Rank() {
 			return nil, fmt.Errorf("ops: ShapeDim axis %d out of range for %v", a, x.Shape())
 		}
-		return ctx.One(TensorVal(tensor.ScalarInt(int64(x.Dim(a))))), nil
+		return ctx.One(TensorVal(tensor.DimTensor(x, a))), nil
 	}})
 
 	// SliceAxis(x, begin, size) attr axis: a contiguous slab along one

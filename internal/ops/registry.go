@@ -26,13 +26,17 @@ type OpDef struct {
 	// deduplicated.
 	Stateful bool
 	// Fresh marks kernels whose outputs alias no memory the kernel does
-	// not exclusively own — each output is either freshly allocated or
-	// forwarded from an input granted via KernelContext.ForwardableInput —
-	// and that retain no reference to their inputs after returning. The
-	// executor uses it to track buffer ownership for output forwarding
-	// and pool recycling. Ops that return feeds, constants, resource
+	// not exclusively own — each output is either freshly allocated from
+	// the tensor pool or forwarded from an input granted via
+	// KernelContext.ForwardableInput — and that retain no reference to
+	// their inputs after returning. It is the executor's ownership rule
+	// seen from a kernel: a Fresh node's outputs enter the ownership
+	// system, and its references to its inputs are released when it
+	// completes, the last release returning the buffer to the pool. A
+	// node that is not Fresh is a holder: whatever it was handed is the
+	// collector's from then on. Ops that return feeds, constants, resource
 	// state, or views of inputs (Const, Placeholder, VarRead, Identity,
-	// stack/TensorArray ops, ...) must leave it unset.
+	// stack and TensorArray ops, ...) must leave it unset.
 	Fresh bool
 }
 

@@ -46,15 +46,7 @@ func (v *VariableRes) AddInPlace(delta *tensor.Tensor, scale float64) (*tensor.T
 	if v.val == nil {
 		return nil, fmt.Errorf("ops: variable %q is uninitialized", v.name)
 	}
-	scaled := delta
-	if scale != 1 {
-		var err error
-		scaled, err = tensor.Mul(delta, tensor.Scalar(scale))
-		if err != nil {
-			return nil, err
-		}
-	}
-	nv, err := tensor.Add(v.val, scaled)
+	nv, err := tensor.AddScaled(v.val, delta, scale)
 	if err != nil {
 		return nil, err
 	}

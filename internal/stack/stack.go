@@ -144,6 +144,12 @@ func (s *Res) Pop(mem ops.DeviceMem) (ops.Value, error) {
 	}
 }
 
+// orderToken is the ordering token every StackPush and StackPop returns: one
+// scalar for the whole process, never written. Both ops are non-Fresh, so the
+// executor never owns or counts it and no kernel is ever granted it to
+// forward into; consumers only wait for it or add it up.
+var orderToken = ops.TensorVal(tensor.ScalarInt(0))
+
 func init() {
 	ops.Register(&ops.OpDef{Name: "Stack", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		res := ctx.Env.StepRes().LookupOrCreate("stack/"+ctx.NodeName, func() ops.Resource {
@@ -166,7 +172,7 @@ func init() {
 		if err := st.Push(ctx.In[1], ctx.Mem); err != nil {
 			return nil, err
 		}
-		return ctx.Two(ctx.In[1], ops.TensorVal(tensor.ScalarInt(0))), nil
+		return ctx.Two(ctx.In[1], orderToken), nil
 	}})
 
 	// StackPop(handle, token) -> (value, token).
@@ -183,6 +189,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return ctx.Two(v, ops.TensorVal(tensor.ScalarInt(0))), nil
+		return ctx.Two(v, orderToken), nil
 	}})
 }

@@ -176,3 +176,29 @@ func TestResourceName(t *testing.T) {
 		t.Fatal("ResourceName")
 	}
 }
+
+// TestPushPopShareOneOrderToken: the ordering token of every StackPush and
+// StackPop is the one process-wide scalar, still 0 after 1 000 of each — none
+// allocates a token, and nothing writes the shared one.
+func TestPushPopShareOneOrderToken(t *testing.T) {
+	push, pop := ops.MustGet("StackPush").Kernel, ops.MustGet("StackPop").Kernel
+	handle := ops.ResourceVal(New("s", false))
+	token := ops.TensorVal(tensor.ScalarInt(0))
+	for _, kernel := range []struct {
+		run ops.Kernel
+		in  []ops.Value
+	}{{push, []ops.Value{handle, val(1), token}}, {pop, []ops.Value{handle, token}}} {
+		for i := 0; i < 1000; i++ {
+			out, err := kernel.run(&ops.KernelContext{NodeName: "n", In: kernel.in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[1].T != orderToken.T {
+				t.Fatalf("execution %d returned a token of its own, %p, not the shared %p", i, out[1].T, orderToken.T)
+			}
+		}
+	}
+	if got := orderToken.T.ScalarIntValue(); got != 0 || orderToken.T.Rank() != 0 {
+		t.Fatalf("the shared token reads %d (rank %d) after 2 000 executions, want scalar 0", got, orderToken.T.Rank())
+	}
+}

@@ -132,13 +132,13 @@ func (a *Res) StackAll() (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("tensorarray %s: stack with unwritten location %d", a.name, i)
 		}
 	}
-	return tensor.Stack(a.elems...)
+	return tensor.Stack(tensor.New, a.elems...)
 }
 
 // UnstackFrom splits v along axis 0 into the array (which must match in
 // size, or be empty-sized in which case it is resized).
 func (a *Res) UnstackFrom(v *tensor.Tensor, mem ops.DeviceMem) error {
-	parts, err := tensor.Unstack(v)
+	parts, err := tensor.Unstack(tensor.New, v)
 	if err != nil {
 		return fmt.Errorf("tensorarray %s: unstack: %w", a.name, err)
 	}

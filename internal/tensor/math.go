@@ -189,6 +189,31 @@ func AddInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Add", dst, a, b, opAdd, nil)
 }
 
+// AddScaled returns a + scale*b — the product first, then the sum, each as
+// Mul and Add compute it — in storage of its own from New: it is the update
+// of a variable, whose value outlives every step, so the pool lends only the
+// temporaries and has them back before the call returns.
+func AddScaled(a, b *Tensor, scale float64) (*Tensor, error) {
+	scaled := b
+	if scale != 1 {
+		var err error
+		if scaled, err = Mul(b, Scalar(scale)); err != nil {
+			return nil, err
+		}
+	}
+	sum, err := Add(a, scaled)
+	if scaled != b {
+		Recycle(scaled)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := New(sum.dtype, sum.shape...)
+	copyElems(out, 0, sum, 0, sum.Size())
+	Recycle(sum)
+	return out, nil
+}
+
 // Sub returns a-b with broadcasting.
 func Sub(a, b *Tensor) (*Tensor, error) { return binaryFloat("Sub", a, b, opSub, nil) }
 

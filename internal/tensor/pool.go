@@ -18,11 +18,16 @@ var (
 	// Recycled, peak is its high-water mark. Payload means requested
 	// element bytes, not the power-of-two class capacity, so the numbers
 	// compare directly against verify.EstimateMemory's static bound
-	// (which sums exact tensor sizes). Buffers that leave the ownership
-	// system — multi-consumer fan-out, fetched values, tensors retained
-	// by resources — are reclaimed by the GC instead of Recycle and stay
-	// counted until ResetPoolWater, so over a long process the live gauge
-	// drifts upward; per-step measurements bracket it with ResetPoolWater.
+	// (which sums exact tensor sizes). A buffer comes back when its last
+	// reference is released, however many consumers it had and whether or
+	// not it waited on a stack for the gradient loop; what stays counted is
+	// what a step left with a holder — a fetched value, a tensor a
+	// variable, a TensorArray or a non-Fresh kernel was handed — which the
+	// GC reclaims. So over a step the gauge moves by exactly those bytes
+	// (dcf.TestPoolGaugeNeverSinks names them for a training step: 194 KB
+	// of gradients handed to ApplyGradientDescent and 120 bytes), and any
+	// other growth is a leaked reference; per-step peak measurements still
+	// bracket it with ResetPoolWater.
 	metricPoolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 	metricPoolPeak = metrics.Default().Gauge("tensor_pool_peak_bytes")
 )
@@ -60,9 +65,12 @@ func ResetPoolWater() {
 //
 // Ownership rule: Recycle may only be called by a holder that is provably
 // the last reference to the tensor. In this repository that holder is the
-// executor, which derives exclusivity from plan consumer counts (see
-// internal/exec), or the rendezvous it moved an owned token into; kernels
-// never call Recycle themselves.
+// executor's dispatcher, which counts the references it hands out from the
+// plan's consumer lists and recycles on the release that reaches zero (see
+// internal/exec), or the rendezvous it moved an owned token into; a kernel
+// recycles only scratch it allocated itself. Under the race detector Recycle
+// poisons the payload first (poison_race.go), so a reference released too
+// early reads NaNs, not a neighbour's plausible numbers.
 
 // poolClasses bounds the largest pooled buffer at 2^(poolClasses-1)
 // elements (~1 GiB of float64); larger tensors fall through to the GC.
@@ -179,6 +187,7 @@ func Recycle(t *Tensor) {
 		return
 	}
 	metricPoolLive.Add(-int64(NumElements(t.shape)) * elemBytes(t.dtype))
+	poison(t)
 	var c int
 	switch t.dtype {
 	case Float:

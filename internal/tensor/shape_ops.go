@@ -149,8 +149,11 @@ func ScatterAddRows(dst, indices, updates *Tensor) error {
 	return nil
 }
 
-// Stack stacks equal-shaped tensors along a new axis 0.
-func Stack(ts ...*Tensor) (*Tensor, error) {
+// Stack stacks equal-shaped tensors along a new axis 0. The caller names the
+// storage of the result, every element of which is written: Alloc for a
+// kernel whose output the executor recycles, New for a holder's (a
+// TensorArray's stacked value is the collector's).
+func Stack(alloc func(DType, ...int) *Tensor, ts ...*Tensor) (*Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("tensor: Stack of nothing")
 	}
@@ -160,7 +163,7 @@ func Stack(ts ...*Tensor) (*Tensor, error) {
 		}
 	}
 	outShape := append([]int{len(ts)}, ts[0].shape...)
-	out := New(ts[0].dtype, outShape...)
+	out := alloc(ts[0].dtype, outShape...)
 	inner := ts[0].Size()
 	for i, t := range ts {
 		copyElems(out, i*inner, t, 0, inner)
@@ -168,8 +171,9 @@ func Stack(ts ...*Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// Unstack splits t along axis 0 into t.Dim(0) tensors.
-func Unstack(t *Tensor) ([]*Tensor, error) {
+// Unstack splits t along axis 0 into t.Dim(0) tensors, each fully written
+// into storage from alloc (see Stack).
+func Unstack(alloc func(DType, ...int) *Tensor, t *Tensor) ([]*Tensor, error) {
 	if t.Rank() == 0 {
 		return nil, fmt.Errorf("tensor: Unstack on scalar")
 	}
@@ -178,7 +182,7 @@ func Unstack(t *Tensor) ([]*Tensor, error) {
 	innerShape := t.shape[1:]
 	out := make([]*Tensor, n)
 	for i := 0; i < n; i++ {
-		out[i] = New(t.dtype, innerShape...)
+		out[i] = alloc(t.dtype, innerShape...)
 		copyElems(out[i], 0, t, i*inner, inner)
 	}
 	return out, nil
@@ -266,9 +270,11 @@ func OneHot(indices *Tensor, depth int) (*Tensor, error) {
 	return out, nil
 }
 
-// ShapeTensor returns t's shape as a 1-D int tensor (the Shape op).
+// ShapeTensor returns t's shape as a 1-D int tensor (the Shape op). Like
+// SizeTensor, RankTensor and DimTensor it reads t's shape only and builds its
+// result in pool storage.
 func ShapeTensor(t *Tensor) *Tensor {
-	out := New(Int, t.Rank())
+	out := Alloc(Int, t.Rank())
 	for i, d := range t.shape {
 		out.I[i] = int64(d)
 	}
@@ -276,10 +282,19 @@ func ShapeTensor(t *Tensor) *Tensor {
 }
 
 // SizeTensor returns t's element count as a scalar int tensor.
-func SizeTensor(t *Tensor) *Tensor { return ScalarInt(int64(t.Size())) }
+func SizeTensor(t *Tensor) *Tensor { return pooledScalarInt(t.Size()) }
 
 // RankTensor returns t's rank as a scalar int tensor.
-func RankTensor(t *Tensor) *Tensor { return ScalarInt(int64(t.Rank())) }
+func RankTensor(t *Tensor) *Tensor { return pooledScalarInt(t.Rank()) }
+
+// DimTensor returns the extent of t's axis as a scalar int tensor.
+func DimTensor(t *Tensor, axis int) *Tensor { return pooledScalarInt(t.shape[axis]) }
+
+func pooledScalarInt(v int) *Tensor {
+	out := Alloc(Int)
+	out.I[0] = int64(v)
+	return out
+}
 
 // BroadcastTo explicitly broadcasts t to shape.
 func BroadcastTo(t *Tensor, shape []int) (*Tensor, error) {

@@ -443,11 +443,11 @@ func TestConcatSplit(t *testing.T) {
 func TestStackUnstack(t *testing.T) {
 	a := FromFloats([]float64{1, 2}, 2)
 	b := FromFloats([]float64{3, 4}, 2)
-	s, err := Stack(a, b)
+	s, err := Stack(New, a, b)
 	if err != nil || !ShapeEq(s.Shape(), []int{2, 2}) {
 		t.Fatal("Stack")
 	}
-	us, err := Unstack(s)
+	us, err := Unstack(Alloc, s)
 	if err != nil || !Equal(us[0], a) || !Equal(us[1], b) {
 		t.Fatal("Unstack roundtrip")
 	}
@@ -680,11 +680,11 @@ func TestPropStackUnstackRoundtrip(t *testing.T) {
 	f := func(xs [6]float64, ys [6]float64) bool {
 		a := FromFloats(xs[:], 2, 3)
 		b := FromFloats(ys[:], 2, 3)
-		s, err := Stack(a, b)
+		s, err := Stack(New, a, b)
 		if err != nil {
 			return false
 		}
-		us, err := Unstack(s)
+		us, err := Unstack(Alloc, s)
 		if err != nil {
 			return false
 		}
