@@ -383,15 +383,6 @@ func (g *Graph) MustGradients(y Tensor, xs ...Tensor) []Tensor {
 type OptimizeStats struct {
 	Folded int // subexpressions replaced by constants
 	CSE    int // duplicate nodes merged
-	Fused  int // elementwise nodes absorbed into fused chains
-}
-
-// OptimizeOptions selects optimization passes for OptimizeOpts.
-type OptimizeOptions struct {
-	// Fuse additionally compiles chains of elementwise ops into single
-	// FusedElementwise nodes (fewer scheduled executions per step). Fused
-	// nodes have no gradient, so fuse only after Gradients.
-	Fuse bool
 }
 
 // Optimize runs the whole-program optimizations of §3 — constant folding
@@ -399,19 +390,8 @@ type OptimizeOptions struct {
 // into the MatMul that reads them — over the graph, in place. Call after
 // construction (including Gradients) and before creating sessions.
 func (g *Graph) Optimize() (OptimizeStats, error) {
-	return g.OptimizeOpts(OptimizeOptions{})
-}
-
-// OptimizeOpts is Optimize with pass selection: folding and CSE always run;
-// Fuse adds elementwise-chain fusion.
-func (g *Graph) OptimizeOpts(opts OptimizeOptions) (OptimizeStats, error) {
 	st, err := optimize.Optimize(g.b.G)
 	out := OptimizeStats{Folded: st.Folded, CSE: st.CSE}
-	if err == nil && opts.Fuse {
-		fs, ferr := optimize.FuseElementwise(g.b.G)
-		out.Fused = fs.Fused
-		err = ferr
-	}
 	if err != nil {
 		return out, err
 	}

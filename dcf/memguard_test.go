@@ -17,7 +17,6 @@ import (
 	"repro/dcf"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -367,14 +366,15 @@ func BenchmarkRNNTrainStep(b *testing.B) {
 // kernelKind is the line of BenchmarkRNNTrainStep's breakdown an op's span
 // time is added to.
 func kernelKind(op string) string {
-	switch {
-	case op == "MatMul":
+	switch op {
+	case "MatMul":
 		return "matmul"
-	case op == "Transpose":
+	case "Transpose":
 		return "transpose"
-	case op == "Sum" || op == "Mean" || op == "Max" || op == "Min" || op == "UnbroadcastTo":
+	case "Sum", "Mean", "Max", "Min", "UnbroadcastTo":
 		return "reduce"
-	case ops.FusableUnary(op) || ops.FusableBinary(op) || op == "FusedElementwise" || op == "AddN":
+	case "Neg", "Abs", "Exp", "Log", "Sqrt", "Square", "Sigmoid", "Tanh", "Relu", "Sign",
+		"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod", "AddN":
 		return "elementwise"
 	}
 	return "other"

@@ -1,9 +1,9 @@
 package dcf_test
 
-// Fusion correctness suite: for each pattern, the fused graph must produce
-// bit-identical outputs to the unfused one (the fused kernel runs the same
-// float operations in the same order, only in place), while scheduling
-// strictly fewer node executions.
+// Optimizer correctness suite: for each pattern, the graph after Optimize
+// must fetch bit-identical values to the graph as built (folding, CSE and
+// transpose folding change where a value is computed, never its arithmetic),
+// and must schedule no more node executions.
 
 import (
 	"context"
@@ -13,29 +13,22 @@ import (
 	"repro/internal/nn"
 )
 
-// runFusedVsUnfused builds the same graph twice via build (which must be
-// deterministic), runs one as constructed and one after elementwise fusion,
-// and requires bit-identical fetches plus a drop in executed nodes.
-func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op)) {
+// runOptimizedVsRaw builds the same graph twice via build (which must be
+// deterministic), runs one as constructed and one after Optimize, and
+// requires bit-identical fetches and no more executed nodes.
+func runOptimizedVsRaw(t *testing.T, name string, build func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op)) {
 	t.Helper()
-	type result struct {
-		vals     []*dcf.Value
-		executed int
-		fused    int
-	}
-	runOne := func(fuse bool) result {
+	runOne := func(optimize bool) ([]*dcf.Value, int) {
 		g := dcf.NewGraph()
 		fetches, feeds, targets := build(g)
 		if err := g.Err(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// Both runs get folding and CSE so the measured execution drop is
-		// attributable to fusion alone.
-		st, err := g.OptimizeOpts(dcf.OptimizeOptions{Fuse: fuse})
-		if err != nil {
-			t.Fatalf("%s: optimize: %v", name, err)
+		if optimize {
+			if _, err := g.Optimize(); err != nil {
+				t.Fatalf("%s: optimize: %v", name, err)
+			}
 		}
-		fused := st.Fused
 		sess := dcf.NewSession(g)
 		if err := sess.InitVariables(); err != nil {
 			t.Fatalf("%s: init: %v", name, err)
@@ -45,25 +38,21 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 		// and update) and the fetched values are pre-update in both runs.
 		vals, md, err := sess.RunCtx(context.Background(), dcf.RunOptions{Feeds: feeds, Fetches: fetches, Targets: targets})
 		if err != nil {
-			t.Fatalf("%s (fuse=%v): %v", name, fuse, err)
+			t.Fatalf("%s (optimize=%v): %v", name, optimize, err)
 		}
-		return result{vals: vals, executed: md.Stats.NodesExecuted, fused: fused}
+		return vals, md.Stats.NodesExecuted
 	}
-	plain := runOne(false)
-	fused := runOne(true)
-	if fused.fused < 2 {
-		t.Fatalf("%s: expected a fusable chain, fused only %d nodes", name, fused.fused)
+	raw, rawExec := runOne(false)
+	opt, optExec := runOne(true)
+	if optExec > rawExec {
+		t.Fatalf("%s: Optimize grew the schedule: %d -> %d executions", name, rawExec, optExec)
 	}
-	if fused.executed >= plain.executed {
-		t.Fatalf("%s: fusion did not shrink the schedule: %d -> %d executions",
-			name, plain.executed, fused.executed)
-	}
-	t.Logf("%s: %d -> %d executions (%d nodes fused)", name, plain.executed, fused.executed, fused.fused)
-	if len(plain.vals) != len(fused.vals) {
+	t.Logf("%s: %d -> %d executions", name, rawExec, optExec)
+	if len(raw) != len(opt) {
 		t.Fatalf("%s: fetch count mismatch", name)
 	}
-	for i := range plain.vals {
-		a, b := plain.vals[i], fused.vals[i]
+	for i := range raw {
+		a, b := raw[i], opt[i]
 		if a.DType() != b.DType() || len(a.F) != len(b.F) || len(a.I) != len(b.I) {
 			t.Fatalf("%s fetch %d: shape/dtype mismatch: %v vs %v", name, i, a, b)
 		}
@@ -80,21 +69,19 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 	}
 }
 
-func TestFusionDenseChain(t *testing.T) {
-	runFusedVsUnfused(t, "dense-chain", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
+func TestOptimizeMatchesRawDenseChain(t *testing.T) {
+	runOptimizedVsRaw(t, "dense-chain", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
 		x := g.Placeholder("x")
 		w := g.Const(dcf.RandNormal(1, 0, 0.5, 8, 8))
 		b := g.Const(dcf.RandNormal(2, 0, 0.1, 8))
 		y := x.MatMul(w).Add(b).Tanh().Mul(g.Scalar(0.5)).Add(g.Scalar(1)).Sigmoid()
-		// Fetch through a non-fusable reduction: fetching the chain tail
-		// itself would pin the original unfused nodes in the fused run.
 		return []dcf.Tensor{y.ReduceSum(), y.ReduceMean([]int{0}, false)},
 			dcf.Feeds{"x": dcf.RandNormal(3, 0, 1, 4, 8)}, nil
 	})
 }
 
-func TestFusionInGraphTrainingLoop(t *testing.T) {
-	runFusedVsUnfused(t, "train-loop", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
+func TestOptimizeMatchesRawInGraphTrainingLoop(t *testing.T) {
+	runOptimizedVsRaw(t, "train-loop", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
 		target := g.Scalar(4)
 		lr := g.Scalar(0.25)
 		outs := g.While(
@@ -111,8 +98,8 @@ func TestFusionInGraphTrainingLoop(t *testing.T) {
 	})
 }
 
-func TestFusionConditional(t *testing.T) {
-	runFusedVsUnfused(t, "cond", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
+func TestOptimizeMatchesRawConditional(t *testing.T) {
+	runOptimizedVsRaw(t, "cond", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
 		x := g.Placeholder("x")
 		p := x.ReduceSum().Greater(g.Scalar(0))
 		outs := g.Cond(p,
@@ -123,11 +110,10 @@ func TestFusionConditional(t *testing.T) {
 	})
 }
 
-// TestFusionRNNGraph asserts fusion shrinks the schedule of the rnn
-// example's graph (LSTM gates are elementwise chains) with identical
-// training behavior.
-func TestFusionRNNGraph(t *testing.T) {
-	runFusedVsUnfused(t, "rnn", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
+// TestOptimizeMatchesRawRNNGraph covers the rnn example's training step:
+// forward loop, gradient loop with its stacks, and the variable updates.
+func TestOptimizeMatchesRawRNNGraph(t *testing.T) {
+	runOptimizedVsRaw(t, "rnn", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
 		const batch, inDim, units = 2, 4, 8
 		cell := nn.NewLSTMCell(g, "lstm", inDim, units, 7)
 		x := g.Placeholder("x")
@@ -148,10 +134,10 @@ func TestFusionRNNGraph(t *testing.T) {
 	})
 }
 
-// TestFusionMoEGraph asserts the same for the moe example's conditional
-// expert graph.
-func TestFusionMoEGraph(t *testing.T) {
-	runFusedVsUnfused(t, "moe", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
+// TestOptimizeMatchesRawMoEGraph does the same for the moe example's
+// conditional expert graph.
+func TestOptimizeMatchesRawMoEGraph(t *testing.T) {
+	runOptimizedVsRaw(t, "moe", func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op) {
 		const in, out, experts, batch = 6, 3, 4, 8
 		moe := nn.NewMoE(g, "moe", in, out, experts, 11)
 		x := g.Placeholder("x")

@@ -25,15 +25,12 @@ type Client struct {
 
 	pmu     sync.Mutex
 	pending map[stepKey]chan *StepResp
-	regCh   chan *RegResp
-	ckptCh  chan *CheckpointResp
-	restCh  chan *RestoreResp
-	traceCh chan *TraceResp
+	callCh  chan *RespEnvelope // reply slot of the call in flight, if any
 	helloCh chan *HelloResp
 	err     error
 	done    chan struct{}
 
-	rpcMu sync.Mutex // one synchronous round trip (register/checkpoint/restore) at a time
+	rpcMu sync.Mutex // one call (register/checkpoint/restore/trace) at a time
 	wg    sync.WaitGroup
 }
 
@@ -59,6 +56,11 @@ func DialWorkerTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial worker %s: %w", addr, err)
 	}
+	return newClient(addr, conn, timeout)
+}
+
+// newClient runs the hello handshake over an open control connection.
+func newClient(addr string, conn net.Conn, timeout time.Duration) (*Client, error) {
 	c := &Client{
 		addr:    addr,
 		conn:    conn,
@@ -156,30 +158,15 @@ func (c *Client) fail(err error) {
 	c.err = err
 	pending := c.pending
 	c.pending = map[stepKey]chan *StepResp{}
-	reg := c.regCh
-	c.regCh = nil
-	ckpt := c.ckptCh
-	c.ckptCh = nil
-	rest := c.restCh
-	c.restCh = nil
-	tr := c.traceCh
-	c.traceCh = nil
+	call := c.callCh
+	c.callCh = nil
 	close(c.done)
 	c.pmu.Unlock()
 	for k, ch := range pending {
 		ch <- &StepResp{GraphID: k.gid, Step: k.step, Err: err.Error()}
 	}
-	if reg != nil {
-		reg <- &RegResp{Err: err.Error()}
-	}
-	if ckpt != nil {
-		ckpt <- &CheckpointResp{Err: err.Error()}
-	}
-	if rest != nil {
-		rest <- &RestoreResp{Err: err.Error()}
-	}
-	if tr != nil {
-		tr <- &TraceResp{Err: err.Error()}
+	if call != nil {
+		call <- nil
 	}
 }
 
@@ -199,38 +186,6 @@ func (c *Client) readLoop() {
 			case c.helloCh <- env.Hello:
 			default:
 			}
-		case env.Reg != nil:
-			c.pmu.Lock()
-			ch := c.regCh
-			c.regCh = nil
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- env.Reg
-			}
-		case env.Ckpt != nil:
-			c.pmu.Lock()
-			ch := c.ckptCh
-			c.ckptCh = nil
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- env.Ckpt
-			}
-		case env.Restore != nil:
-			c.pmu.Lock()
-			ch := c.restCh
-			c.restCh = nil
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- env.Restore
-			}
-		case env.Trace != nil:
-			c.pmu.Lock()
-			ch := c.traceCh
-			c.traceCh = nil
-			c.pmu.Unlock()
-			if ch != nil {
-				ch <- env.Trace
-			}
 		case env.Step != nil:
 			k := stepKey{gid: env.Step.GraphID, step: env.Step.Step}
 			c.pmu.Lock()
@@ -240,29 +195,61 @@ func (c *Client) readLoop() {
 			if ch != nil {
 				ch <- env.Step
 			}
+		default:
+			c.pmu.Lock()
+			ch := c.callCh
+			c.callCh = nil
+			c.pmu.Unlock()
+			if ch != nil {
+				ch <- &env
+			}
 		}
 	}
 }
 
-// Register installs a graph on the worker and waits for its ack.
-func (c *Client) Register(rg *RegisterGraph) error {
+// call sends one register, checkpoint, restore or trace request and waits
+// for the worker's reply. rpcMu admits one call at a time, so any reply
+// that is neither a hello nor a step's belongs to it; the caller checks
+// that the reply is of its own kind. A dead connection fails the call.
+func (c *Client) call(what string, env *Envelope) (*RespEnvelope, error) {
 	c.rpcMu.Lock()
 	defer c.rpcMu.Unlock()
-	ch := make(chan *RegResp, 1)
+	ch := make(chan *RespEnvelope, 1)
 	c.pmu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.pmu.Unlock()
-		return err
+		return nil, err
 	}
-	c.regCh = ch
+	c.callCh = ch
 	c.pmu.Unlock()
-	if err := c.write(&Envelope{Reg: rg}); err != nil {
-		return err
+	if err := c.write(env); err != nil {
+		return nil, err
 	}
-	resp := <-ch
-	if resp.Err != "" {
-		return fmt.Errorf("cluster: register on %s: %s", c.workerLabel(), resp.Err)
+	if resp := <-ch; resp != nil {
+		return resp, nil
+	}
+	return nil, c.callErr(what, c.Err().Error())
+}
+
+// callErr is the error of a call the worker refused or answered wrongly.
+func (c *Client) callErr(what, msg string) error {
+	return fmt.Errorf("cluster: %s on %s: %s", what, c.workerLabel(), msg)
+}
+
+// wrongReply is the message of a call answered with another kind of reply.
+const wrongReply = "worker answered with a reply of another kind"
+
+// Register installs a graph on the worker and waits for its ack.
+func (c *Client) Register(rg *RegisterGraph) error {
+	r, err := c.call("register", &Envelope{Reg: rg})
+	switch {
+	case err != nil:
+		return err
+	case r.Reg == nil:
+		return c.callErr("register", wrongReply)
+	case r.Reg.Err != "":
+		return c.callErr("register", r.Reg.Err)
 	}
 	return nil
 }
@@ -271,47 +258,29 @@ func (c *Client) Register(rg *RegisterGraph) error {
 // the given (quiesced) step boundary: a snapshot of every session variable
 // the graph holds on this worker.
 func (c *Client) Checkpoint(gid, step uint64) ([]VarSnapshot, error) {
-	c.rpcMu.Lock()
-	defer c.rpcMu.Unlock()
-	ch := make(chan *CheckpointResp, 1)
-	c.pmu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.pmu.Unlock()
+	r, err := c.call("checkpoint", &Envelope{Ckpt: &CheckpointReq{GraphID: gid, Step: step}})
+	switch {
+	case err != nil:
 		return nil, err
+	case r.Ckpt == nil:
+		return nil, c.callErr("checkpoint", wrongReply)
+	case r.Ckpt.Err != "":
+		return nil, c.callErr("checkpoint", r.Ckpt.Err)
 	}
-	c.ckptCh = ch
-	c.pmu.Unlock()
-	if err := c.write(&Envelope{Ckpt: &CheckpointReq{GraphID: gid, Step: step}}); err != nil {
-		return nil, err
-	}
-	resp := <-ch
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: checkpoint on %s: %s", c.workerLabel(), resp.Err)
-	}
-	return resp.Vars, nil
+	return r.Ckpt.Vars, nil
 }
 
 // Restore installs variable values into the graph's session container on
 // the worker (resume-from-checkpoint, or seeding initial state).
 func (c *Client) Restore(gid uint64, vars []VarSnapshot) error {
-	c.rpcMu.Lock()
-	defer c.rpcMu.Unlock()
-	ch := make(chan *RestoreResp, 1)
-	c.pmu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.pmu.Unlock()
+	r, err := c.call("restore", &Envelope{Restore: &RestoreReq{GraphID: gid, Vars: vars}})
+	switch {
+	case err != nil:
 		return err
-	}
-	c.restCh = ch
-	c.pmu.Unlock()
-	if err := c.write(&Envelope{Restore: &RestoreReq{GraphID: gid, Vars: vars}}); err != nil {
-		return err
-	}
-	resp := <-ch
-	if resp.Err != "" {
-		return fmt.Errorf("cluster: restore on %s: %s", c.workerLabel(), resp.Err)
+	case r.Restore == nil:
+		return c.callErr("restore", wrongReply)
+	case r.Restore.Err != "":
+		return c.callErr("restore", r.Restore.Err)
 	}
 	return nil
 }
@@ -319,25 +288,16 @@ func (c *Client) Restore(gid uint64, vars []VarSnapshot) error {
 // Trace pulls the worker's span timeline for a traced step (one that ran
 // with StepReq.Trace set). Call it after the step's response has arrived.
 func (c *Client) Trace(gid, step uint64) (*TraceResp, error) {
-	c.rpcMu.Lock()
-	defer c.rpcMu.Unlock()
-	ch := make(chan *TraceResp, 1)
-	c.pmu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.pmu.Unlock()
+	r, err := c.call("trace", &Envelope{Trace: &TraceReq{GraphID: gid, Step: step}})
+	switch {
+	case err != nil:
 		return nil, err
+	case r.Trace == nil:
+		return nil, c.callErr("trace", wrongReply)
+	case r.Trace.Err != "":
+		return nil, c.callErr("trace", r.Trace.Err)
 	}
-	c.traceCh = ch
-	c.pmu.Unlock()
-	if err := c.write(&Envelope{Trace: &TraceReq{GraphID: gid, Step: step}}); err != nil {
-		return nil, err
-	}
-	resp := <-ch
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: trace on %s: %s", c.workerLabel(), resp.Err)
-	}
-	return resp, nil
+	return r.Trace, nil
 }
 
 // StartStep launches a step; the response (values or error) arrives on the

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -93,20 +92,18 @@ const (
 	attrFloat
 	attrInts
 	attrTensor
-	attrSteps
 )
 
 // WireAttr is one node attribute in transportable form.
 type WireAttr struct {
-	Key   string
-	Kind  int
-	I     int64
-	B     bool
-	S     string
-	F     float64
-	Ints  []int
-	T     *WireTensor
-	Steps []ops.FusedStep
+	Key  string
+	Kind int
+	I    int64
+	B    bool
+	S    string
+	F    float64
+	Ints []int
+	T    *WireTensor
 }
 
 func attrToWire(key string, v any) (WireAttr, error) {
@@ -126,8 +123,6 @@ func attrToWire(key string, v any) (WireAttr, error) {
 		a.Kind, a.Ints = attrInts, x
 	case *tensor.Tensor:
 		a.Kind, a.T = attrTensor, TensorToWire(x)
-	case []ops.FusedStep:
-		a.Kind, a.Steps = attrSteps, x
 	default:
 		return a, fmt.Errorf("cluster: attribute %q has unserializable type %T", key, v)
 	}
@@ -148,8 +143,6 @@ func attrFromWire(a WireAttr) (any, error) {
 		return a.Ints, nil
 	case attrTensor:
 		return TensorFromWire(a.T)
-	case attrSteps:
-		return a.Steps, nil
 	}
 	return nil, fmt.Errorf("cluster: attribute %q has unknown wire kind %d", a.Key, a.Kind)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/ops"
 	"repro/internal/partition"
 	"repro/internal/tensor"
 )
@@ -24,7 +23,6 @@ func TestAttrRoundTrip(t *testing.T) {
 		{"f", 2.5},
 		{"ints", []int{3, 1, 4}},
 		{"tensor", tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2)},
-		{"steps", []ops.FusedStep{{Op: "Add", A: 0, B: 1}, {Op: "Tanh", A: ops.FusedRunning, B: ops.FusedNone}}},
 	}
 	for _, c := range cases {
 		w, err := attrToWire(c.key, c.val)
@@ -52,13 +50,6 @@ func TestAttrRoundTrip(t *testing.T) {
 					t.Fatalf("%s: got %v", c.key, g)
 				}
 			}
-		case []ops.FusedStep:
-			g := got.([]ops.FusedStep)
-			for i := range want {
-				if g[i] != want[i] {
-					t.Fatalf("%s: got %v", c.key, g)
-				}
-			}
 		default:
 			if got != c.val {
 				t.Fatalf("%s: got %v want %v", c.key, got, c.val)
@@ -67,6 +58,16 @@ func TestAttrRoundTrip(t *testing.T) {
 	}
 	if _, err := attrToWire("bad", struct{}{}); err == nil {
 		t.Fatal("unserializable attribute accepted")
+	}
+	// Kind 6 carried the retired fused-chain program; a peer that still
+	// sends it is refused at decode and at registration.
+	retired := WireAttr{Key: "steps", Kind: 6}
+	if _, err := attrFromWire(retired); err == nil || !strings.Contains(err.Error(), "unknown wire kind 6") {
+		t.Fatalf("retired kind: err %v, want unknown wire kind", err)
+	}
+	_, _, err := BuildGraph([]WireNode{{Name: "n", Op: "Const", NumOutputs: 1, Attrs: []WireAttr{retired}}})
+	if err == nil || !strings.Contains(err.Error(), "node n: cluster: attribute \"steps\" has unknown wire kind 6") {
+		t.Fatalf("BuildGraph with a retired kind: err %v", err)
 	}
 }
 

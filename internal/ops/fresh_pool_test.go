@@ -89,12 +89,6 @@ func freshSamples() map[string][]freshSample {
 			{attrs: map[string]any{"to": tensor.Float}, ins: same(a)},
 			{attrs: map[string]any{"to": tensor.Bool}, ins: same(a)},
 		},
-		"FusedElementwise": {{
-			attrs: map[string]any{FusedStepsAttr: []FusedStep{
-				{Op: "Mul", A: 0, B: 1}, {Op: "Add", A: FusedRunning, B: 2}, {Op: "Tanh", A: FusedRunning, B: FusedNone},
-			}},
-			ins: same(a, b, tensor.Scalar(1)),
-		}},
 	}
 	for _, op := range []string{"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod",
 		"Greater", "GreaterEqual", "Less", "LessEqual", "Equal", "NotEqual"} {

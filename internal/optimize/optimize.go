@@ -27,7 +27,6 @@ import (
 type Stats struct {
 	Folded     int // nodes replaced by constants
 	CSE        int // nodes deduplicated
-	Fused      int // elementwise nodes absorbed into fused chains
 	Transposes int // Transpose operands folded into MatMul attrs
 }
 
@@ -275,173 +274,4 @@ func Optimize(g *graph.Graph) (Stats, error) {
 	}
 	f.Transposes = foldTransposes(g)
 	return f, nil
-}
-
-// FuseElementwise compiles chains of elementwise ops into single
-// FusedElementwise nodes, shrinking the schedule: a fused chain costs one
-// scheduled execution, one completion round trip, and at most one output
-// allocation (the chain runs in place over the forwarded buffer) instead of
-// one of each per op.
-//
-// A node joins a chain when its op is a Fresh elementwise unary/binary
-// kernel with an in-place form (the tables in internal/ops), it has no
-// control inputs, and — for every node except the last — its single output
-// feeds exactly one consumer (the next node in the chain) through exactly
-// one data edge and no control edges. All nodes of a chain must share one
-// device and one control-flow context. Control-flow primitives (Switch,
-// Merge, Enter, Exit, NextIteration, Send, Recv) never fuse: their
-// semantics live in the executor, not a kernel — a Switch's dead branch or
-// a Recv's rendezvous blocking cannot run inside another node's kernel.
-//
-// The chain's side inputs (the non-chain operand of each binary step)
-// become inputs of the fused node, in first-use order. Consumers of the
-// chain tail are rewired to the fused node; the absorbed nodes stay in the
-// graph, disconnected, exactly like CSE victims — session pruning drops
-// them from execution, and a fetch that names an intermediate directly
-// still works (it executes the original unfused nodes for that run).
-//
-// Run fusion after gradient construction: FusedElementwise has no
-// registered gradient, so differentiating through a fused node fails.
-func FuseElementwise(g *graph.Graph) (Stats, error) {
-	var st Stats
-	order, err := g.TopoSort()
-	if err != nil {
-		return st, err
-	}
-	// Count, per output port, its data consumers — and per node, whether
-	// any control edge or multi-edge fan-out pins it as a chain tail.
-	dataConsumers := map[graph.Output]int{}
-	ctlConsumed := map[int]bool{}
-	for _, n := range g.Nodes() {
-		for _, in := range n.InputsRef() {
-			dataConsumers[in]++
-		}
-		for _, c := range n.ControlInputsRef() {
-			ctlConsumed[c.ID()] = true
-		}
-	}
-	fusable := func(n *graph.Node) bool {
-		if n.NumOutputs() != 1 || n.NumControlInputs() > 0 {
-			return false
-		}
-		op := n.Op()
-		if ops.FusableUnary(op) {
-			return n.NumInputs() == 1
-		}
-		if ops.FusableBinary(op) {
-			return n.NumInputs() == 2
-		}
-		return false
-	}
-	inChain := map[int]bool{}
-	for _, head := range order {
-		if inChain[head.ID()] || !fusable(head) {
-			continue
-		}
-		// Grow the maximal chain forward from head: the current tail
-		// extends into its consumer when the tail's output has exactly
-		// one data edge, no control consumers, and the consumer is a
-		// fusable op in the same device/context that reads the tail once.
-		chain := []*graph.Node{head}
-		for {
-			tail := chain[len(chain)-1]
-			if dataConsumers[tail.Out(0)] != 1 || ctlConsumed[tail.ID()] {
-				break
-			}
-			ces := g.ConsumersOf(tail.Out(0))
-			if len(ces) != 1 {
-				break // one edge consumed twice by the same node
-			}
-			next := ces[0].Node
-			if inChain[next.ID()] || !fusable(next) ||
-				next.Device() != head.Device() || next.Ctx != head.Ctx {
-				break
-			}
-			// The consumer must read the tail through exactly one of its
-			// inputs (Mul(t, t) cannot thread a single running value).
-			uses := 0
-			for _, in := range next.InputsRef() {
-				if in == tail.Out(0) {
-					uses++
-				}
-			}
-			if uses != 1 {
-				break
-			}
-			chain = append(chain, next)
-		}
-		// A tail some node depends on through a control edge stays live
-		// after fusion (control inputs are not rewired), so fusing up to
-		// it would only duplicate the whole chain's work: stop the chain
-		// just before it instead.
-		for len(chain) > 0 && ctlConsumed[chain[len(chain)-1].ID()] {
-			chain = chain[:len(chain)-1]
-		}
-		if len(chain) < 2 {
-			continue
-		}
-		// A tail nothing consumes (e.g. a value only ever fetched) has no
-		// edge to rewire: fusing it would add a dead node, misreport
-		// Stats.Fused, and make the pass non-idempotent.
-		if dataConsumers[chain[len(chain)-1].Out(0)] == 0 {
-			continue
-		}
-		if err := fuseChain(g, chain); err != nil {
-			return st, err
-		}
-		for _, n := range chain {
-			inChain[n.ID()] = true
-		}
-		st.Fused += len(chain)
-	}
-	return st, nil
-}
-
-// fuseChain materializes one chain as a FusedElementwise node and rewires
-// the tail's consumers to it.
-func fuseChain(g *graph.Graph, chain []*graph.Node) error {
-	inChain := make(map[int]int, len(chain)) // node id -> chain position
-	for i, n := range chain {
-		inChain[n.ID()] = i
-	}
-	var inputs []graph.Output
-	inputIdx := map[graph.Output]int{}
-	operand := func(o graph.Output) int {
-		if pos, ok := inChain[o.Node.ID()]; ok && o.Index == 0 && pos >= 0 {
-			return ops.FusedRunning
-		}
-		i, ok := inputIdx[o]
-		if !ok {
-			i = len(inputs)
-			inputIdx[o] = i
-			inputs = append(inputs, o)
-		}
-		return i
-	}
-	steps := make([]ops.FusedStep, len(chain))
-	for i, n := range chain {
-		s := ops.FusedStep{Op: n.Op(), B: ops.FusedNone}
-		s.A = operand(n.Input(0))
-		if n.NumInputs() == 2 {
-			s.B = operand(n.Input(1))
-		}
-		steps[i] = s
-	}
-	tail := chain[len(chain)-1]
-	fused, err := g.AddNode(graph.NodeArgs{
-		Op:         "FusedElementwise",
-		Name:       "fused_" + tail.Name(),
-		Inputs:     inputs,
-		Attrs:      map[string]any{ops.FusedStepsAttr: steps, "ops": ops.FusedOpsLabel(steps)},
-		Device:     tail.Device(),
-		NumOutputs: 1,
-		Ctx:        tail.Ctx,
-	})
-	if err != nil {
-		return err
-	}
-	for _, ce := range g.ConsumersOf(tail.Out(0)) {
-		ce.Node.ReplaceInput(ce.Input, fused.Out(0))
-	}
-	return nil
 }

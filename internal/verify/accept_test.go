@@ -63,7 +63,7 @@ func TestAcceptsOptimizedGraph(t *testing.T) {
 	y := x.Mul(g.Scalar(2)).Add(g.Scalar(1)).Relu()
 	z := x.Mul(g.Scalar(2)).Add(g.Scalar(1)).Relu() // CSE fodder
 	out := y.Add(z).ReduceSum()
-	if _, err := g.OptimizeOpts(dcf.OptimizeOptions{Fuse: true}); err != nil {
+	if _, err := g.Optimize(); err != nil {
 		t.Fatal(err)
 	}
 	mustClean(t, g.Builder().G, verify.Options{
