@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"repro/internal/exec"
@@ -24,9 +23,10 @@ const (
 	maxRank       = 32
 	maxPayloadLen = 1 << 30 // the tensor pool's largest class of float64
 
-	// readBufSize sizes an inbound connection's bufio.Reader (payloads are
-	// decoded out of it in place); keepScratch bounds the encode buffer an
-	// outbound one retains, lest one huge tensor pin its size forever.
+	// readBufSize sizes an inbound connection's bufio.Reader (nothing is
+	// allocated for a frame until this much of it, or all of it, has
+	// arrived); keepScratch bounds the encode buffer an outbound one
+	// retains, lest one huge string tensor pin its size forever.
 	readBufSize = 64 << 10
 	keepScratch = 4 << 20
 	// preface opens every connection; its last byte is frameVersion.
@@ -39,11 +39,15 @@ var (
 	metricBytesSent    = metrics.Default().Counter("rendezvous_bytes_sent_total")
 	metricFramesRecv   = metrics.Default().Counter("rendezvous_frames_received_total")
 	metricDecodeErrors = metrics.Default().Counter("rendezvous_decode_errors_total")
+	metricDialFailures = metrics.Default().Counter("rendezvous_dial_failures_total")
 )
 
 // appendFrame appends the frame of one token (layout: see the package
-// comment) to buf and returns the extended slice. Only Dead and Val.T travel.
-func appendFrame(buf []byte, key string, t exec.Token) ([]byte, error) {
+// comment) to buf. The frame is the extended slice followed by payload:
+// payload is a Float or Int tensor's bytes where they need no encoding
+// (appendNumeric), to be written after the head without a copy, and nil
+// when the head holds the whole frame. Only Dead and Val.T travel.
+func appendFrame(buf []byte, key string, t exec.Token) (head, payload []byte, err error) {
 	var flags, dtype byte
 	var shape []int
 	v := t.Val.T
@@ -53,8 +57,12 @@ func appendFrame(buf []byte, key string, t exec.Token) ([]byte, error) {
 	if v != nil {
 		flags |= flagTensor
 		dtype, shape = byte(v.DType()), v.ShapeRef()
-		buf = slices.Grow(buf, headerLen+8*len(shape)+len(key)+int(v.NumBytes()))
 	}
+	grow := headerLen + 8*len(shape) + len(key)
+	if v != nil && v.DType() > tensor.Int { // Bool and Str are encoded into buf
+		grow += int(v.NumBytes())
+	}
+	buf = slices.Grow(buf, grow)
 	start := len(buf)
 	buf = append(buf, frameVersion, flags, dtype, byte(len(shape)))
 	buf = le.AppendUint32(buf, uint32(len(key)))
@@ -65,36 +73,36 @@ func appendFrame(buf []byte, key string, t exec.Token) ([]byte, error) {
 	buf = append(buf, key...)
 	body := len(buf)
 	if v != nil {
-		for _, x := range v.F {
-			buf = le.AppendUint64(buf, math.Float64bits(x))
-		}
-		for _, x := range v.I {
-			buf = le.AppendUint64(buf, uint64(x))
-		}
-		for _, x := range v.B {
-			buf = append(buf, byte(0))
-			if x {
-				buf[len(buf)-1] = 1
+		switch v.DType() {
+		case tensor.Float, tensor.Int:
+			buf, payload = appendNumeric(buf, v)
+		case tensor.Bool:
+			for _, x := range v.B {
+				buf = append(buf, byte(0))
+				if x {
+					buf[len(buf)-1] = 1
+				}
+			}
+		case tensor.Str:
+			for _, s := range v.S {
+				buf = append(le.AppendUint32(buf, uint32(len(s))), s...)
 			}
 		}
-		for _, s := range v.S {
-			buf = append(le.AppendUint32(buf, uint32(len(s))), s...)
-		}
 	}
-	payload := len(buf) - body
-	if len(key) > maxKeyLen || len(shape) > maxRank || payload > maxPayloadLen || dtype > byte(tensor.Str) {
-		return buf[:start], fmt.Errorf("rendezvous: key %q (%d B): rank %d, %d payload bytes or dtype %d exceeds the wire's limits", key, len(key), len(shape), payload, dtype)
+	size := len(buf) - body + len(payload)
+	if len(key) > maxKeyLen || len(shape) > maxRank || size > maxPayloadLen || dtype > byte(tensor.Str) {
+		return buf[:start], nil, fmt.Errorf("rendezvous: key %q (%d B): rank %d, %d payload bytes or dtype %d exceeds the wire's limits", key, len(key), len(shape), size, dtype)
 	}
-	le.PutUint64(buf[start+8:], uint64(payload))
-	return buf, nil
+	le.PutUint64(buf[start+8:], uint64(size))
+	return buf, payload, nil
 }
 
 // readFrame reads one frame. The header is validated before anything is
-// allocated, and a numeric payload is decoded straight out of r's buffer
-// into a pooled tensor; the token returned is Owned. A frame that lies about
-// its contents while its extent still adds up is skipped and reported as
-// bad: r stands at the next frame and only the key's scope need fail. After
-// err (an untrustworthy header, or the connection's own error) r is unusable.
+// allocated, and a numeric payload is read straight into a pooled tensor
+// (readNumeric); the token returned is Owned. A frame that lies about its
+// contents while its extent still adds up is skipped and reported as bad: r
+// stands at the next frame and only the key's scope need fail. After err
+// (an untrustworthy header, or the connection's own error) r is unusable.
 func readFrame(r *bufio.Reader) (key string, tok exec.Token, bad, err error) {
 	h, err := r.Peek(headerLen)
 	if err != nil {
@@ -168,40 +176,38 @@ func readFrame(r *bufio.Reader) (key string, tok exec.Token, bad, err error) {
 		return skip(rem, err)
 	}
 	t := tensor.Alloc(dtype, dims...)
-	for done := 0; rem > 0; {
-		// Take what is buffered, whole elements only; when less than one
-		// element is, ask for one, which makes the reader fill.
-		n := min(rem, max(r.Buffered()&^(elem-1), elem))
-		b, err := r.Peek(n)
-		if err != nil {
-			tensor.Recycle(t)
-			return "", exec.Token{}, nil, err
-		}
-		switch dtype {
-		case tensor.Float:
-			dst := t.F[done : done+n/8]
-			for ; len(dst) >= 4 && len(b) >= 32; dst, b = dst[4:], b[32:] { // 4 at a time: ~2x
-				dst[0] = math.Float64frombits(le.Uint64(b[0:8]))
-				dst[1] = math.Float64frombits(le.Uint64(b[8:16]))
-				dst[2] = math.Float64frombits(le.Uint64(b[16:24]))
-				dst[3] = math.Float64frombits(le.Uint64(b[24:32]))
-			}
-			for i := range dst {
-				dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-			}
-		case tensor.Int:
-			for i, dst := 0, t.I[done:done+n/8]; i < len(dst); i++ {
-				dst[i] = int64(le.Uint64(b[8*i:]))
-			}
-		case tensor.Bool:
+	if dtype == tensor.Bool {
+		err = readEach(r, rem, 1, func(b []byte, at int) {
 			for i, x := range b {
-				t.B[done+i] = x != 0
+				t.B[at+i] = x != 0
 			}
-		}
-		r.Discard(n)
-		done += n / elem
-		rem -= n
+		})
+	} else {
+		err = readNumeric(r, t)
+	}
+	if err != nil {
+		tensor.Recycle(t)
+		return "", exec.Token{}, nil, err
 	}
 	tok.Val.T, tok.Owned = t, true
 	return key, tok, nil, nil
+}
+
+// readEach hands decode the next rem bytes of r as they arrive, whole
+// elements of elem bytes at a time, with the index of the first: what is
+// buffered, or when less than one element is, one element, which makes the
+// reader fill.
+func readEach(r *bufio.Reader, rem, elem int, decode func(b []byte, at int)) error {
+	for at := 0; rem > 0; {
+		n := min(rem, max(r.Buffered()/elem*elem, elem))
+		b, err := r.Peek(n)
+		if err != nil {
+			return err
+		}
+		decode(b, at)
+		r.Discard(n)
+		at += n / elem
+		rem -= n
+	}
+	return nil
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/exec"
@@ -19,26 +21,163 @@ import (
 // frameSeeds is one token per wire shape: every dtype, a dead token with no
 // payload, and an empty tensor.
 func frameSeeds() []exec.Token {
-	live := func(t *tensor.Tensor) exec.Token { return exec.Token{Val: ops.TensorVal(t)} }
 	return []exec.Token{
-		live(tensor.FromFloats([]float64{1.5, -2.25, math.Inf(1), math.Copysign(0, -1), 1e-310, 99}, 2, 3)),
-		live(tensor.FromInts([]int64{math.MinInt64, 0, 1 << 40}, 3)),
-		live(tensor.FromBools([]bool{true, false, false, true}, 2, 2)),
-		live(tensor.FromStrings([]string{"", "héllo", "wörld;dstw=fake"}, 3)),
-		live(tensor.Scalar(-7.75)),
-		live(tensor.New(tensor.Float, 0, 4)),
+		liveTok(tensor.FromFloats([]float64{1.5, -2.25, math.Inf(1), math.Copysign(0, -1), 1e-310, 99}, 2, 3)),
+		liveTok(tensor.FromInts([]int64{math.MinInt64, 0, 1 << 40}, 3)),
+		liveTok(tensor.FromBools([]bool{true, false, false, true}, 2, 2)),
+		liveTok(tensor.FromStrings([]string{"", "héllo", "wörld;dstw=fake"}, 3)),
+		liveTok(tensor.Scalar(-7.75)),
+		liveTok(tensor.New(tensor.Float, 0, 4)),
 		{Dead: true},
 		{Dead: true, Val: ops.TensorVal(tensor.Scalar(3))},
 	}
 }
 
+// mustFrame is the whole frame of tok: the head appendFrame builds, then
+// the payload it leaves in place.
 func mustFrame(t testing.TB, key string, tok exec.Token) []byte {
 	t.Helper()
-	b, err := appendFrame(nil, key, tok)
+	head, payload, err := appendFrame(nil, key, tok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return append(head, payload...)
+}
+
+// refFrame is the frame of tok built by the per-element little-endian
+// encoder the wire began with: the reference for what a sender writes.
+func refFrame(key string, tok exec.Token) []byte {
+	var flags, dtype byte
+	var shape []int
+	var payload []byte
+	if tok.Dead {
+		flags |= flagDead
+	}
+	if v := tok.Val.T; v != nil {
+		flags |= flagTensor
+		dtype, shape = byte(v.DType()), v.ShapeRef()
+		for _, x := range v.F {
+			payload = le.AppendUint64(payload, math.Float64bits(x))
+		}
+		for _, x := range v.I {
+			payload = le.AppendUint64(payload, uint64(x))
+		}
+		for _, x := range v.B {
+			var b byte
+			if x {
+				b = 1
+			}
+			payload = append(payload, b)
+		}
+		for _, s := range v.S {
+			payload = append(le.AppendUint32(payload, uint32(len(s))), s...)
+		}
+	}
+	b := []byte{frameVersion, flags, dtype, byte(len(shape))}
+	b = le.AppendUint32(b, uint32(len(key)))
+	b = le.AppendUint64(b, uint64(len(payload)))
+	for _, d := range shape {
+		b = le.AppendUint64(b, uint64(d))
+	}
+	return append(append(b, key...), payload...)
+}
+
+func liveTok(t *tensor.Tensor) exec.Token { return exec.Token{Val: ops.TensorVal(t)} }
+
+// wireSeeds are frameSeeds plus the edges of a payload sent as it lies in
+// memory: an empty float, a rank-0 int and the 128 KB hop.
+func wireSeeds() []exec.Token {
+	return append(frameSeeds(),
+		liveTok(tensor.New(tensor.Float, 0, 256)),
+		liveTok(tensor.ScalarInt(-3)),
+		liveTok(hop128K()))
+}
+
+// TestWireBytesMatchReference: what Send puts on a peer's socket — one
+// writev of head and payload — is, byte for byte, the frame the
+// per-element encoder builds, for every dtype and shape.
+func TestWireBytesMatchReference(t *testing.T) {
+	a, _ := netPair(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a.AddPeer("wRaw", ln.Addr().String())
+	var conn net.Conn
+	for i, tok := range wireSeeds() {
+		key := sendKey("wRaw", fmt.Sprint("b", i))
+		sent := make(chan error, 1)
+		go func() { sent <- a.Send(key, tok) }()
+		if conn == nil {
+			if conn, err = ln.Accept(); err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if p := make([]byte, len(preface)); readFull(t, conn, p) != preface {
+				t.Fatalf("preface %q", p)
+			}
+		}
+		want := refFrame(key, tok)
+		if got := readFull(t, conn, make([]byte, len(want))); got != string(want) {
+			t.Fatalf("seed %d: the sender wrote\n% x\nthe reference encodes\n% x", i, clip(got), clip(string(want)))
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func readFull(t *testing.T, r io.Reader, p []byte) string {
+	t.Helper()
+	if _, err := io.ReadFull(r, p); err != nil {
+		t.Fatal(err)
+	}
+	return string(p)
+}
+
+func clip(s string) string { return s[:min(len(s), 96)] }
+
+// TestFrameReadsOfAnySize: a frame decodes to the same token however the
+// connection splits it, one byte per read or half of what was asked.
+func TestFrameReadsOfAnySize(t *testing.T) {
+	for i, tok := range wireSeeds() {
+		key := sendKey("wB", fmt.Sprint("r", i))
+		frame := mustFrame(t, key, tok)
+		for _, split := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{{"OneByteReader", iotest.OneByteReader}, {"HalfReader", iotest.HalfReader}} {
+			gotKey, got, bad, err := readFrame(bufio.NewReaderSize(split.wrap(bytes.NewReader(frame)), readBufSize))
+			if bad != nil || err != nil || gotKey != key || !sameToken(tok, got) {
+				t.Fatalf("seed %d over %s: got %q %+v, bad %v, err %v", i, split.name, gotKey, got, bad, err)
+			}
+			tensor.Recycle(got.Val.T)
+		}
+	}
+}
+
+// TestFrameCutStreamFails: a connection that ends inside a payload — at
+// each of its first and last 64 bytes — fails the read without a panic,
+// and the tensor it was filling goes back to the pool.
+func TestFrameCutStreamFails(t *testing.T) {
+	frame := mustFrame(t, sendKey("wB", "cut"), liveTok(hop128K()))
+	body := len(frame) - 8*64*256
+	live0 := tensor.PoolLiveBytes()
+	for i := 0; i < 128; i++ {
+		cut := body + i
+		if i >= 64 {
+			cut = len(frame) - 128 + i
+		}
+		_, tok, bad, err := readFrame(bufio.NewReaderSize(bytes.NewReader(frame[:cut]), readBufSize))
+		if err == nil || bad != nil || tok.Val.T != nil {
+			t.Fatalf("stream cut %d bytes into the payload: token %+v, bad %v, err %v; want only err", cut-body, tok, bad, err)
+		}
+		if live := tensor.PoolLiveBytes(); live != live0 {
+			t.Fatalf("stream cut %d bytes into the payload: pool live bytes %d, started at %d", cut-body, live, live0)
+		}
+	}
 }
 
 // decode reads one frame from b; a bad frame and a lost stream both come
@@ -161,6 +300,8 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, tok := range frameSeeds() {
 		f.Add(mustFrame(f, sendKey("wB", "t0"), tok))
 	}
+	// A payload larger than the read buffer, which takes several reads.
+	f.Add(mustFrame(f, sendKey("wB", "t0"), liveTok(tensor.Full(0.5, 3, readBufSize/16))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tensor.ResetPoolWater()
 		key, tok, err := decode(data)
@@ -240,16 +381,35 @@ func hop128K() *tensor.Tensor {
 	return t
 }
 
-// TestNetPingPongOwned bounces one Owned 128 KB token between two peers.
-// Ownership moves with it — the sender's buffer is recycled once written,
-// the receiver's comes out of the pool — so a hop allocates nothing large
-// and the pool's live bytes end where they began.
+// TestNetPingPongOwned bounces one Owned token, the 128 KB hop and a
+// scalar, between two peers. Ownership moves with it — the sender's buffer
+// is recycled once written, the receiver's comes out of the pool — so a hop
+// allocates nothing large and the pool's live bytes end where they began.
 func TestNetPingPongOwned(t *testing.T) {
+	scalar := func() *tensor.Tensor {
+		s := tensor.Alloc(tensor.Float)
+		s.F[0] = -7.75
+		return s
+	}
+	for _, c := range []struct {
+		name      string
+		val       func() *tensor.Tensor
+		maxAllocs float64 // as measured
+	}{{"128K", hop128K, 4}, {"scalar", scalar, 3}} {
+		t.Run(c.name, func(t *testing.T) { pingPong(t, c.val, c.maxAllocs+racePoolAllocs) })
+	}
+}
+
+// racePoolAllocs is what a race build adds to a hop's allocations
+// (race_test.go).
+var racePoolAllocs float64
+
+func pingPong(t *testing.T, val func() *tensor.Tensor, maxAllocs float64) {
 	a, b := netPair(t)
 	keyAB, keyBA := sendKey("wB", "pp"), sendKey("wA", "pp")
 	live0 := tensor.PoolLiveBytes()
 	sent0, bytes0, recv0, errs0 := metricFramesSent.Value(), metricBytesSent.Value(), metricFramesRecv.Value(), metricDecodeErrors.Value()
-	tok := exec.Token{Val: ops.TensorVal(hop128K()), Owned: true}
+	tok := exec.Token{Val: ops.TensorVal(val()), Owned: true}
 	want := tok.Val.T.Clone()
 	roundTrip := func() {
 		for _, leg := range []struct {
@@ -272,8 +432,8 @@ func TestNetPingPongOwned(t *testing.T) {
 	const trips = 500
 	perHop := testing.AllocsPerRun(trips, roundTrip) / 2
 	t.Logf("allocs per hop: %.1f", perHop)
-	if perHop > 6 {
-		t.Errorf("a 128 KB hop allocates %.1f objects, want <= 6", perHop)
+	if perHop > maxAllocs {
+		t.Errorf("a %d-byte hop allocates %.1f objects, want <= %.1f", want.NumBytes(), perHop, maxAllocs)
 	}
 	if !tensor.Equal(tok.Val.T, want) {
 		t.Error("payload changed over 1000 hops")
@@ -283,7 +443,8 @@ func TestNetPingPongOwned(t *testing.T) {
 		t.Errorf("pool live bytes %d after the ping-pong, started at %d", live, live0)
 	}
 	const hops = 2 * (trips + 2) // AllocsPerRun adds one warm-up call
-	frame := int64(len(mustFrame(t, keyAB, exec.Token{Val: ops.TensorVal(want)})))
+	// Header + payload per frame (both keys are the same length).
+	frame := int64(len(refFrame(keyAB, exec.Token{Val: ops.TensorVal(want)})))
 	if d := metricFramesSent.Value() - sent0; d != hops {
 		t.Errorf("rendezvous_frames_sent_total moved by %d, want %d", d, hops)
 	}

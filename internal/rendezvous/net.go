@@ -34,6 +34,21 @@ type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	buf  []byte // encode scratch, reused frame after frame
+	// iov is the frame being written, head then payload, and out what of it
+	// is still to go: net.Buffers consumes the slice it writes, and a
+	// pointer to it handed to the connection escapes, so both live here and
+	// a write allocates nothing.
+	iov [2][]byte
+	out net.Buffers
+}
+
+// write writes one frame, head then payload, with a single writev.
+func (pc *peerConn) write(head, payload []byte) error {
+	pc.iov = [2][]byte{head, payload}
+	pc.out = pc.iov[:]
+	_, err := pc.out.WriteTo(pc.conn)
+	pc.iov = [2][]byte{} // an error leaves the payload's reference behind
+	return err
 }
 
 // Net is a TCP rendezvous for multi-process execution: each worker runs a
@@ -391,6 +406,7 @@ func (n *Net) dialLocked(pc *peerConn, dst string, attempts int, cancel <-chan s
 			}
 			conn.Close()
 		}
+		metricDialFailures.Inc()
 		lastErr = err
 	}
 	return fmt.Errorf("rendezvous: dial %s: %w", dst, lastErr)
@@ -457,28 +473,28 @@ func (n *Net) send(key string, t exec.Token, cancel <-chan struct{}) error {
 			return err
 		}
 	}
-	frame, err := appendFrame(pc.buf[:0], key, t)
+	head, payload, err := appendFrame(pc.buf[:0], key, t)
 	if err != nil {
 		return err
 	}
-	if cap(frame) <= keepScratch {
-		pc.buf = frame
+	if cap(head) <= keepScratch {
+		pc.buf = head
 	}
-	// One Write per frame: control tokens are never held back for a batch.
-	if _, err = pc.conn.Write(frame); err != nil {
+	// One writev per frame: control tokens are never held back for a batch.
+	if err = pc.write(head, payload); err != nil {
 		// The stream is broken mid-frame: evict the connection and redial
 		// once (the peer may have restarted; a dead one must fail promptly).
 		n.evictLocked(pc, dst)
 		if n.dialLocked(pc, dst, 1, nil) != nil {
 			return fmt.Errorf("rendezvous: send to %s: %w", dst, err)
 		}
-		if _, err = pc.conn.Write(frame); err != nil {
+		if err = pc.write(head, payload); err != nil {
 			n.evictLocked(pc, dst)
 			return fmt.Errorf("rendezvous: send to %s: %w", dst, err)
 		}
 	}
 	metricFramesSent.Inc()
-	metricBytesSent.Add(int64(len(frame)))
+	metricBytesSent.Add(int64(len(head) + len(payload)))
 	consumed(t)
 	return nil
 }

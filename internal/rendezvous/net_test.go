@@ -73,11 +73,12 @@ func TestSlowPeerDoesNotBlockOthers(t *testing.T) {
 	a.AddPeer("wDown", deadAddr)
 
 	stuck := make(chan error, 1)
+	failed := metricDialFailures.Value()
 	go func() {
 		stuck <- a.Send(sendKey("wDown", "t0"), netTok(1))
 	}()
-	// Give the dial-retry loop time to get into its backoff.
-	time.Sleep(50 * time.Millisecond) // dcfvet:allow testsleep=let the dial retry enter its backoff
+	// A failed attempt is counted before the dial retry backs off.
+	waitUntil(t, "a failed dial", func() bool { return metricDialFailures.Value() > failed })
 
 	start := time.Now()
 	if err := a.Send(sendKey("wB", "t0"), netTok(2)); err != nil {
@@ -116,10 +117,11 @@ func TestScopedAbortReleasesDialRetry(t *testing.T) {
 
 	sc := a.Scope("s1")
 	done := make(chan error, 1)
+	failed := metricDialFailures.Value()
 	go func() {
 		done <- sc.Send(sendKey("wDown", "t0"), netTok(1))
 	}()
-	time.Sleep(30 * time.Millisecond) // dcfvet:allow testsleep=stage the send mid-flight before Abort
+	waitUntil(t, "a failed dial", func() bool { return metricDialFailures.Value() > failed })
 	sc.Abort(errors.New("step canceled"))
 	select {
 	case err := <-done:
@@ -200,10 +202,7 @@ func TestUnknownDTypeAbortsScope(t *testing.T) {
 		_, err := b.Recv(key, nil)
 		recvErr <- err
 	}()
-	frame, err := appendFrame([]byte(preface), key, netTok(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := append([]byte(preface), mustFrame(t, key, netTok(1))...)
 	frame[len(preface)+2] = 99 // the header's dtype byte
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)

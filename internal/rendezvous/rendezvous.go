@@ -26,8 +26,11 @@
 // A connection is one-way: the dialer writes, the acceptor reads. It opens
 // with the 8-byte preface "dcfwire" + version byte (1); an acceptor that
 // reads anything else closes the connection before touching any scope.
-// Then come frames, one token each, written with a single Write, all
-// integers little-endian:
+// Then come frames, one token each, all integers little-endian. A frame is
+// written with one writev: the header (with dims and key), then the
+// payload. On a little-endian host a float or int payload is the tensor's
+// backing array as it lies in memory, sent and received with no pass over
+// its elements (frame_le.go; a big-endian host encodes, frame_be.go).
 //
 //	offset  size     field
 //	0       1        version (1)
@@ -42,8 +45,9 @@
 //	                 bool: 1 B each; string: uint32 length + bytes, each
 //
 // The reader checks the header against these limits, the dims with
-// tensor.CheckShape, and dims x element size against the payload length
-// before it allocates anything. A frame that fails a limit (its lengths
+// tensor.CheckShape, and dims x element size against the payload length,
+// and waits for 64 KiB of the frame (or all of it) before it allocates
+// anything; then it reads a numeric payload straight into the pooled tensor. A frame that fails a limit (its lengths
 // cannot be trusted) costs its connection and nothing else; one whose
 // extent is readable but whose contents lie (unknown dtype, shape/payload
 // mismatch, malformed strings) is skipped and aborts only its key's scope.

@@ -1,6 +1,7 @@
 package rendezvous
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,25 @@ func TestLocalSendThenRecv(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond until it holds, failing t after five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// slots reports how many keys of l a receiver or a sender has touched and
+// no receiver has consumed: a Recv makes its key's slot before it blocks.
+func slots(l *Local) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.slots)
+}
+
 func TestLocalRecvBlocksUntilSend(t *testing.T) {
 	l := NewLocal(0, 0)
 	done := make(chan exec.Token, 1)
@@ -39,7 +59,7 @@ func TestLocalRecvBlocksUntilSend(t *testing.T) {
 		}
 		done <- tk
 	}()
-	time.Sleep(5 * time.Millisecond) // dcfvet:allow testsleep=prove the recv blocks before sending
+	waitUntil(t, "the recv to wait on its slot", func() bool { return slots(l) == 1 })
 	select {
 	case <-done:
 		t.Fatal("recv returned before send")
@@ -103,12 +123,13 @@ func TestLocalAbortUnblocksAll(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := l.Recv("nothing", nil); err == nil {
+			// A key of its own, so the slots count the receivers waiting.
+			if _, err := l.Recv(fmt.Sprint("nothing", i), nil); err == nil {
 				t.Error("expected abort error")
 			}
 		}()
 	}
-	time.Sleep(2 * time.Millisecond) // dcfvet:allow testsleep=stage the recvs mid-flight before Abort
+	waitUntil(t, "four recvs to wait", func() bool { return slots(l) == 4 })
 	l.Abort(nil)
 	wg.Wait()
 	if err := l.Send("later", tok(1)); err == nil {

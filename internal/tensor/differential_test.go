@@ -5,8 +5,9 @@ package tensor
 // seeded random cases — ranks 0–4, extents 0 and 1 included, lengths that
 // are multiples of no unroll width — bit for bit. A tolerance would hide the
 // one thing the rewrite promises: same arithmetic, same operands, same
-// order; only the address computation changed. MatMul has two sets of kernels
-// under the same promise, and every case of its runs on both.
+// order; only the address computation changed. MatMul and the binary
+// arithmetic have two sets of kernels under the same promise, and every case
+// of theirs runs on both.
 //
 // The bits are the same wherever the compiler fuses no multiply-add, which
 // is the default amd64 build (GOAMD64=v1). Only MatMul has a multiply feeding
@@ -69,15 +70,16 @@ func sameProduct(t *testing.T, what string, got, want *Tensor, twoNaNs []bool) {
 	}
 }
 
-// onEachMatMulPath runs f with MatMulT on each set of kernels this host has:
-// the assembly, if package init selected it, and the portable Go loops.
-func onEachMatMulPath(f func(path string)) {
-	nn, nt := kernNN, kernNT
-	defer func() { kernNN, kernNT = nn, nt }()
+// onEachPath runs f with MatMulT and the binary arithmetic on each set of
+// kernels this host has: the assembly, if package init selected it, and the
+// portable Go loops.
+func onEachPath(f func(path string)) {
+	nn, nt, bin := kernNN, kernNT, kernBinary
+	defer func() { kernNN, kernNT, kernBinary = nn, nt, bin }()
 	if metricMatMulAVX2.Value() == 1 {
 		f("avx2")
 	}
-	kernNN, kernNT = matmulNN, matmulNT
+	kernNN, kernNT, kernBinary = matmulNN, matmulNT, binaryGo
 	f("portable")
 }
 
@@ -192,6 +194,12 @@ func TestWalkerMergesAxes(t *testing.T) {
 	}
 }
 
+// TestDifferentialBinary compares the broadcasting binaries with refBinary
+// on each kernel path: on random shapes, and on the runs kernBinary has
+// loops for — both operands contiguous, a one element, b one element — at
+// every length 0–67, across the assembly's cut and unrolled passes, and at
+// 16 384, with values from specials (NaNs of several payloads, infinities,
+// subnormals) and zeros of both signs.
 func TestDifferentialBinary(t *testing.T) {
 	type op struct {
 		name string
@@ -208,18 +216,15 @@ func TestDifferentialBinary(t *testing.T) {
 		{"Minimum", MinimumInto, math.Min},
 		{"Mod", ModInto, math.Mod},
 	}
-	r := rand.New(rand.NewSource(18))
-	for c := 0; c < 400; c++ {
-		as, bs := operandShapes(r)
-		a, b := randFloats(r, as...), randFloats(r, bs...)
-		for _, o := range opsUnderTest {
-			want, err := refBinary(a, b, o.fn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, which := range []string{"nil", "a", "b"} {
-				what := fmt.Sprintf("%s %v,%v dst=%s", o.name, as, bs, which)
-				leveled(t, func() {
+	check := func(o op, a, b *Tensor) {
+		want, err := refBinary(a, b, o.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, which := range []string{"nil", "a", "b"} {
+			leveled(t, func() {
+				onEachPath(func(path string) {
+					what := fmt.Sprintf("%s %s %v,%v dst=%s", path, o.name, a.shape, b.shape, which)
 					// Operands the kernel may overwrite are pooled copies.
 					x, y := pooledCopy(a), pooledCopy(b)
 					dst := map[string]*Tensor{"a": x, "b": y}[which]
@@ -239,6 +244,26 @@ func TestDifferentialBinary(t *testing.T) {
 					}
 					Recycle(got)
 				})
+			})
+		}
+	}
+	r := rand.New(rand.NewSource(18))
+	for c := 0; c < 400; c++ {
+		as, bs := operandShapes(r)
+		a, b := randFloats(r, as...), randFloats(r, bs...)
+		for _, o := range opsUnderTest {
+			check(o, a, b)
+		}
+	}
+	lengths := []int{16384}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, layout := range [][2][]int{{{n}, {n}}, {nil, {n}}, {{n}, nil}} {
+			a, b := randSpecials(r, 3, true, layout[0]...), randSpecials(r, 3, true, layout[1]...)
+			for _, o := range opsUnderTest[:4] {
+				check(o, a, b)
 			}
 		}
 	}
@@ -714,7 +739,7 @@ func TestDifferentialMatMul(t *testing.T) {
 				}
 				leveled(t, func() {
 					var first *Tensor // the first path's product, for the second to match
-					onEachMatMulPath(func(path string) {
+					onEachPath(func(path string) {
 						what := fmt.Sprintf("%s MatMul %v x %v transpose_a %v transpose_b %v", path, x.shape, y.shape, ta, tb)
 						got, err := MatMulT(x, y, ta, tb)
 						if err != nil {
@@ -752,7 +777,7 @@ func TestDifferentialMatMul(t *testing.T) {
 // kernel, whose `if av == 0 { continue }` turned 0·Inf and 0·NaN into 0 and so
 // hid a poisoned weight from the loss.
 func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
-	onEachMatMulPath(func(path string) {
+	onEachPath(func(path string) {
 		zero := FromFloats([]float64{0}, 1, 1)
 		for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 			bad := FromFloats([]float64{poison}, 1, 1)

@@ -1,7 +1,7 @@
 package tensor
 
-// Micro-benchmarks of the kernels an rnn_train step and a serve_http request
-// spend their time in, at those workloads' shapes. Outputs are recycled the
+// Micro-benchmarks of the kernels an rnn_train step, a serve_http request and
+// a cluster_loop iteration spend their time in, at those workloads' shapes. Outputs are recycled the
 // way the executor recycles them, so each iteration runs at the pool's
 // steady state.
 
@@ -53,7 +53,7 @@ func BenchmarkMatMul(b *testing.B) {
 				bs = []int{n, k}
 			}
 			x, y := benchRand(as...), benchRand(bs...)
-			onEachMatMulPath(func(path string) {
+			onEachPath(func(path string) {
 				b.Run(fmt.Sprintf("%s_%dx%dx%d/%s", v.name, m, k, n, path), func(b *testing.B) {
 					benchKernel(b, func() (*Tensor, error) { return MatMulT(x, y, v.ta, v.tb) })
 					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
@@ -74,9 +74,15 @@ func BenchmarkTranspose(b *testing.B) {
 	})
 }
 
+// BenchmarkBroadcastAdd is the LSTM's bias add, [16,256]+[256]: 16 runs of
+// 256 with both operands contiguous.
 func BenchmarkBroadcastAdd(b *testing.B) {
 	z, bias := benchRand(16, 256), benchRand(256)
-	benchKernel(b, func() (*Tensor, error) { return Add(z, bias) })
+	onEachPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			benchKernel(b, func() (*Tensor, error) { return Add(z, bias) })
+		})
+	})
 }
 
 func BenchmarkUnbroadcast(b *testing.B) {
@@ -84,8 +90,25 @@ func BenchmarkUnbroadcast(b *testing.B) {
 	benchKernel(b, func() (*Tensor, error) { return UnbroadcastTo(g, []int{256}) })
 }
 
+// BenchmarkAddSameShape is cluster_loop's body: one run of [64,256] on each
+// side.
 func BenchmarkAddSameShape(b *testing.B) {
 	x, y := benchRand(64, 256), benchRand(64, 256)
-	b.SetBytes(3 * 8 * 64 * 256) // two operands read, one result written
-	benchKernel(b, func() (*Tensor, error) { return Add(x, y) })
+	onEachPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			b.SetBytes(3 * 8 * 64 * 256) // two operands read, one result written
+			benchKernel(b, func() (*Tensor, error) { return Add(x, y) })
+		})
+	})
+}
+
+// BenchmarkScalarMul is the SGD update's gradient × learning rate on the
+// LSTM's [96,256] kernel: one run with b repeated.
+func BenchmarkScalarMul(b *testing.B) {
+	g, lr := benchRand(96, 256), Scalar(0.01)
+	onEachPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			benchKernel(b, func() (*Tensor, error) { return Mul(g, lr) })
+		})
+	})
 }

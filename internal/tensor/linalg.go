@@ -8,8 +8,8 @@ import (
 
 // kernNN and kernNT are the kernels MatMulT runs: the Go loops below, or on
 // an amd64 CPU with AVX2 the assembly behind matmul_amd64.go, chosen once at
-// package init. The gauge says which, so a /metrics reader can tell what
-// produced a number: 1 for the assembly, 0 for the Go loops.
+// package init with kernBinary. The gauge says which, so a /metrics reader
+// can tell what produced a number: 1 for the assembly, 0 for the Go loops.
 var (
 	kernNN, kernNT   = matmulNN, matmulNT
 	metricMatMulAVX2 = metrics.Default().Gauge("tensor_matmul_avx2_count")

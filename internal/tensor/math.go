@@ -49,9 +49,9 @@ func zipBroadcast[A, O any](out []O, a, b []A, shape, ashape, bshape []int, fn f
 }
 
 // elemOp selects an elementwise kernel's inner loop, once per call. The
-// arithmetic the hardware does in a cycle gets a loop of its own; an op whose
-// cost is a math-library call (Tanh, Exp, Pow, ...) is opFn and keeps the
-// function value.
+// arithmetic the hardware does in a cycle gets a loop of its own (the binary
+// ones through kernBinary); an op whose cost is a math-library call (Tanh,
+// Exp, Pow, ...) is opFn and keeps the function value.
 type elemOp uint8
 
 const (
@@ -65,8 +65,14 @@ const (
 	opRelu
 )
 
-// typedBinary holds the binary ops with a loop of their own as functions, for
-// the runs those loops do not cover (an operand broadcast along the run).
+// kernBinary runs binaryRun's Add, Sub, Mul and Div: binaryGo, or on an
+// amd64 CPU with AVX2 binaryAVX2, chosen at package init with the MatMul
+// kernels (matmul_amd64.go).
+var kernBinary = binaryGo
+
+// typedBinary holds the binary ops with a loop of their own as functions,
+// for the runs binaryGo's loops do not cover (an operand repeated along the
+// run).
 var typedBinary = [...]func(x, y float64) float64{
 	opAdd: func(x, y float64) float64 { return x + y },
 	opSub: func(x, y float64) float64 { return x - y },
@@ -78,11 +84,19 @@ var typedBinary = [...]func(x, y float64) float64{
 // contiguous (stride 1) or one repeated element (stride 0). fn is the op
 // when it is opFn.
 func binaryRun(op elemOp, fn func(x, y float64) float64, out, a, b []float64, ia, ib int) {
-	if op != opFn && (ia == 0 || ib == 0) {
-		op, fn = opFn, typedBinary[op]
-	}
 	if op == opFn {
 		zipRun(out, a, b, ia, ib, fn)
+		return
+	}
+	kernBinary(op, out, a, b, ia, ib)
+}
+
+// binaryGo is the portable kernBinary, and the reference of the others: a
+// typed loop where both operands are contiguous, typedBinary's function per
+// element where one is repeated.
+func binaryGo(op elemOp, out, a, b []float64, ia, ib int) {
+	if ia == 0 || ib == 0 {
+		zipRun(out, a, b, ia, ib, typedBinary[op])
 		return
 	}
 	a, b = a[:len(out)], b[:len(out)]

@@ -1,13 +1,14 @@
 package tensor
 
 // The AVX2 MatMul kernels (matmul_amd64.s), selected once at package init when
-// the CPU has AVX2 and the OS saves YMM state. matmulNN and matmulNT stay the
-// kernels of every other CPU and GOARCH, and the reference these are compared
-// against bit for bit (TestDifferentialMatMul).
+// the CPU has AVX2 and the OS saves YMM state, together with the arithmetic
+// kernel of binary_amd64.go. matmulNN, matmulNT and binaryGo stay the kernels
+// of every other CPU and GOARCH, and the references these are compared
+// against bit for bit (TestDifferentialMatMul, TestDifferentialBinary).
 
 func init() {
 	if cpuHasAVX2() {
-		kernNN, kernNT = matmulNNAVX2, matmulNTAVX2
+		kernNN, kernNT, kernBinary = matmulNNAVX2, matmulNTAVX2, binaryAVX2
 		metricMatMulAVX2.Set(1)
 	}
 }
