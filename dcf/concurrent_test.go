@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/dcf"
+	"repro/internal/metrics"
 )
 
 // buildServingGraph returns a session over tanh(x @ W1) @ W2 with x a
@@ -134,13 +135,23 @@ func TestRunCtxCancelPromptAndLeakFree(t *testing.T) {
 	sess, out := longLoopSession(t)
 	before := runtime.NumGoroutine()
 
+	// The loop's kernels draw their outputs from the tensor pool, so once
+	// its allocation count moves the step is mid-flight.
+	reg := metrics.Default()
+	hits, misses := reg.Counter("tensor_pool_hits_total"), reg.Counter("tensor_pool_misses_total")
+	allocs := hits.Value() + misses.Value()
+
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := sess.RunCtx(ctx, dcf.RunOptions{Fetches: []dcf.Tensor{out}})
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // dcfvet:allow testsleep=stage the step mid-flight before cancel
+	for deadline := time.Now().Add(5 * time.Second); hits.Value()+misses.Value() == allocs; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the step never started running kernels")
+		}
+	}
 	start := time.Now()
 	cancel()
 	select {

@@ -3,6 +3,7 @@ package dcf
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,16 @@ func TestServerCancellation(t *testing.T) {
 		_, err := srv.Predict(ctx, Zeros(1, 4))
 		done <- err
 	}()
-	time.Sleep(3 * time.Millisecond) // dcfvet:allow testsleep=riding a 30ms batch window by now
+	// Cancel once the batcher holds the request: queued for its 30ms batch
+	// window, or in the batch it formed.
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		if s := srv.Stats(); s.Queued+s.InFlightBatches > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached the batcher")
+		}
+	}
 	cancel()
 	select {
 	case err := <-done:

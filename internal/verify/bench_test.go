@@ -1,0 +1,38 @@
+package verify_test
+
+import (
+	"testing"
+
+	"repro/dcf"
+	"repro/internal/nn"
+	"repro/internal/verify"
+)
+
+// BenchmarkCheck verifies the repo benchmark's rnn_train training graph —
+// an SGD step through a dynamic LSTM over untyped placeholders, 385 nodes —
+// as a session does once per graph version before it compiles a plan.
+func BenchmarkCheck(b *testing.B) {
+	const batch, in, units = 16, 32, 64
+	g := dcf.NewGraph()
+	cell := nn.NewLSTMCell(g, "lstm", in, units, 7)
+	r := nn.DynamicRNN(g, cell, g.Placeholder("x"), g.Const(dcf.Zeros(batch, units)), g.Const(dcf.Zeros(batch, units)), dcf.WhileOpts{})
+	loss := nn.MSE(r.FinalH, g.Placeholder("y"))
+	if _, err := nn.SGDStep(g, loss, &cell.Vars, 0.05, false); err != nil {
+		b.Fatal(err)
+	}
+	if err := g.Err(); err != nil {
+		b.Fatal(err)
+	}
+	gg := g.Builder().G
+	if n := len(gg.Nodes()); n != 385 {
+		b.Fatalf("rnn_train graph has %d nodes, want 385", n)
+	}
+	opts := verify.Options{Complete: true}
+	if ds := verify.Check(gg, opts); len(ds) != 0 {
+		b.Fatal(ds.Error())
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		verify.Check(gg, opts)
+	}
+}

@@ -11,6 +11,13 @@
 // be in flight at once. At the true peak instant some node is executing,
 // so max-over-nodes of the per-node clique is a sound upper bound.
 //
+// Every shape comes from the same inference pass Check runs (infer.go): one
+// fact per output port, computed to a bounded fixpoint over a lattice in
+// which an absent fact is not reached yet, a zero one is unknown, and a
+// join only widens. So a loop-carried value's shape is the join of every
+// iteration's, and a tensor array's or stack's elements the join of every
+// write. This file adds only liveness and cost.
+//
 // Unknown dimensions do not break the analysis: every cost splits into a
 // statically known factor and symbolic factors — "rows" (the product of
 // unknown dims, typically the batch size) and "iters" (loop trip count,
@@ -18,7 +25,7 @@
 // resolves the symbols with Bound(rows, iters).
 //
 // The pass never runs on the step path: it is invoked from dcfgraph
-// -analyze, tests, and (eventually) the budgeted-allocator planner.
+// -analyze and tests.
 package verify
 
 import (
@@ -51,10 +58,9 @@ type MemEstimate struct {
 	PerIterBytes    int64 // coefficient of loop trip count (stack/TA growth)
 	PerRowIterBytes int64 // coefficient of rows·iters
 
-	// StepBytes of FixedBytes (and StepPerRow/StepPerIter of the matching
-	// coefficients) are resident for the whole step regardless of
-	// schedule: tensor-array element storage and similar per-step
-	// resources. They are included in the totals above.
+	// StepBytes of FixedBytes are resident for the whole step regardless
+	// of schedule: tensor-array element storage. They are included in
+	// FixedBytes.
 	StepBytes int64
 
 	// PeakNode/PeakOp/PeakFrame identify the node whose live set attains
@@ -116,58 +122,26 @@ func (m *MemEstimate) String() string {
 	return s
 }
 
-// EstimateMemory runs the structural prelude (structure, topo, frames,
-// type inference) and the liveness analysis on one node set. A graph that
-// fails structurally (a cycle outside NextIteration) returns a nil
-// estimate with the diagnostics; other diagnostics ride along without
-// blocking estimation.
+// EstimateMemory runs Check on one node set and the liveness analysis over
+// the facts it inferred. A graph that fails structurally (a cycle outside
+// NextIteration) returns a nil estimate with the diagnostics; Check's other
+// diagnostics ride along without blocking estimation.
 func EstimateMemory(g *graph.Graph, opts MemOptions) (*MemEstimate, Diagnostics) {
-	nodes := opts.Check.Nodes
-	if nodes == nil {
-		nodes = g.Nodes()
-	}
-	c := &checker{g: g, nodes: nodes, opts: opts.Check}
-	c.checkStructure()
-	order, ok := c.topo()
+	c, ok := check(g, opts.Check)
 	if !ok {
-		sortDiags(c.diags)
 		return nil, c.diags
 	}
-	c.order = order
-	c.assignFrames()
-	c.checkFrames()
-	c.inferTypes()
-
 	m := &memAnalyzer{c: c, defaultWindow: opts.DefaultWindow}
 	if m.defaultWindow <= 0 {
 		m.defaultWindow = 32
 	}
-	est := m.run()
-	sortDiags(c.diags)
-	return est, c.diags
-}
-
-// EstimateMemoryPartitions estimates each partition of a placed graph
-// independently (the CheckPartitions shape): the result maps partition
-// key (worker name) to its bound. The per-worker bound is what a budgeted
-// allocator on that worker would enforce.
-func EstimateMemoryPartitions(g *graph.Graph, parts map[string][]*graph.Node, opts MemOptions) map[string]*MemEstimate {
-	out := make(map[string]*MemEstimate, len(parts))
-	for key, nodes := range parts {
-		po := opts
-		po.Check.Nodes = nodes
-		po.Check.Complete = false
-		est, _ := EstimateMemory(g, po)
-		out[key] = est
-	}
-	return out
+	return m.run(), c.diags
 }
 
 // cost is one value's memory footprint: fixed bytes plus symbolic factors.
 type cost struct {
 	bytes int64
 	rows  bool // multiplied by the unknown-dimension product
-	iters bool // multiplied by the loop trip count
 }
 
 // memAnalyzer carries the liveness computation for one node set.
@@ -176,24 +150,6 @@ type memAnalyzer struct {
 	defaultWindow int
 
 	idx map[int]int // node id -> topo index
-
-	// Extended inference state (memory-only; Check diagnostics are not
-	// affected): refined output types, constant scalar ints, constant
-	// shape vectors, resource identities, and per-resource element info.
-	xt       map[graph.Output]typeInfo
-	constInt map[graph.Output]int64
-	shapeVal map[graph.Output][]int
-	resOf    map[graph.Output]string
-	tas      map[string]*taState
-	stacks   map[string]*typeInfo // stack id -> joined pushed-value type
-	varShape map[string]typeInfo
-}
-
-// taState is what inference knows about one TensorArray resource.
-type taState struct {
-	node  *graph.Node // creating node (for reporting)
-	elem  typeInfo    // joined element type
-	count int64       // element count; -1 unknown
 }
 
 func (m *memAnalyzer) run() *MemEstimate {
@@ -202,7 +158,6 @@ func (m *memAnalyzer) run() *MemEstimate {
 	for i, n := range c.order {
 		m.idx[n.ID()] = i
 	}
-	m.inferExtended()
 
 	// Strict-ancestor bitsets over the topo order, back edges excluded
 	// (the same edge relation topoNodes used).
@@ -282,22 +237,22 @@ func (m *memAnalyzer) run() *MemEstimate {
 	// stack growth (bytes per push per iteration).
 	var stepFixed, stepPerRow, stepPerIter, stepPerRowIter int64
 	var stepContribs []EdgeMem
-	taIDs := make([]string, 0, len(m.tas))
-	for id := range m.tas {
+	taIDs := make([]string, 0, len(c.counts))
+	for id := range c.counts {
 		taIDs = append(taIDs, id)
 	}
 	sort.Strings(taIDs)
 	for _, id := range taIDs {
-		ta := m.tas[id]
-		ec := m.elemCost(ta.elem)
+		count := int64(c.counts[id])
+		ec := elemCost(c.elems[id])
 		em := EdgeMem{Edge: id, Op: "TensorArray", Window: 1}
 		switch {
-		case ta.count >= 0 && !ec.rows:
-			stepFixed += ta.count * ec.bytes
-			em.Bytes = ta.count * ec.bytes
-		case ta.count >= 0:
-			stepPerRow += ta.count * ec.bytes
-			em.PerRow = ta.count * ec.bytes
+		case count >= 0 && !ec.rows:
+			stepFixed += count * ec.bytes
+			em.Bytes = count * ec.bytes
+		case count >= 0:
+			stepPerRow += count * ec.bytes
+			em.PerRow = count * ec.bytes
 		case !ec.rows:
 			stepPerIter += ec.bytes
 		default:
@@ -333,9 +288,6 @@ func (m *memAnalyzer) run() *MemEstimate {
 		for _, e := range edges {
 			if !m.liveAt(e.producer, e.consumers, e.fetched, i, anc) {
 				continue
-			}
-			if e.cost.iters {
-				continue // accumulated in the step-wide terms
 			}
 			b := e.cost.bytes * e.window
 			if e.cost.rows {
@@ -374,7 +326,7 @@ func (m *memAnalyzer) run() *MemEstimate {
 			est.PeakFrame = f.name
 		}
 		for _, e := range edges {
-			if !m.liveAt(e.producer, e.consumers, e.fetched, peakIdx, anc) || e.cost.iters {
+			if !m.liveAt(e.producer, e.consumers, e.fetched, peakIdx, anc) {
 				continue
 			}
 			em := EdgeMem{
@@ -443,20 +395,16 @@ func (m *memAnalyzer) windowProd(n *graph.Node) int64 {
 	return prod
 }
 
-// elemBytesOf is the storage cost per element for a dtype (unknown dtypes
-// assume 8, the widest pooled element).
-func elemBytesOf(t typeInfo) int64 {
-	if t.dtOK && t.dt == tensor.Bool {
-		return 1
-	}
-	return 8
-}
-
 // elemCost turns a typeInfo into a cost: fully known shapes are fixed
 // bytes; unknown dims contribute their known-dim product as a per-row
-// coefficient; unknown rank costs one element per row.
-func (m *memAnalyzer) elemCost(t typeInfo) cost {
-	eb := elemBytesOf(t)
+// coefficient; unknown rank costs one element per row. An element is 8
+// bytes (the widest pooled one, and what an unknown dtype assumes) or 1 for
+// a bool.
+func elemCost(t typeInfo) cost {
+	eb := int64(8)
+	if t.dtOK && t.dt == tensor.Bool {
+		eb = 1
+	}
 	if !t.rankOK {
 		return cost{bytes: eb, rows: true}
 	}
@@ -471,665 +419,14 @@ func (m *memAnalyzer) elemCost(t typeInfo) cost {
 	return cost{bytes: prod * eb, rows: rows}
 }
 
-// costOf is the footprint of one output port. Resource handles and flow
-// tokens cost nothing; everything else costs its (possibly refined) shape.
+// costOf is the footprint of one output port. Resource handles cost
+// nothing; everything else costs its inferred shape.
 func (m *memAnalyzer) costOf(out graph.Output) cost {
-	if m.resOf[out] != "" {
+	f, _ := m.c.fact(out)
+	if f.res != "" {
 		return cost{}
 	}
-	return m.elemCost(m.xt[out])
-}
-
-// --- extended, memory-only shape inference -------------------------------
-
-// inferExtended refines c.types with rules the step-blocking verifier does
-// not need: variable shapes learned from assignments, tensor-array element
-// propagation through resource handles, constant-shape/size propagation,
-// and the array ops (Reshape, Pack, Concat, ...). It iterates to a
-// practical fixpoint; no diagnostics are emitted.
-func (m *memAnalyzer) inferExtended() {
-	c := m.c
-	m.xt = make(map[graph.Output]typeInfo, len(c.types))
-	for k, v := range c.types {
-		m.xt[k] = v
-	}
-	m.constInt = map[graph.Output]int64{}
-	m.shapeVal = map[graph.Output][]int{}
-	m.resOf = map[graph.Output]string{}
-	m.tas = map[string]*taState{}
-	m.stacks = map[string]*typeInfo{}
-	m.varShape = map[string]typeInfo{}
-
-	// Variable shapes: any shape-preserving write names the var's shape.
-	for _, n := range c.order {
-		switch n.Op() {
-		case "Assign", "AssignAdd", "AssignSub", "ApplyGradientDescent":
-			name := n.AttrString("var")
-			if name == "" {
-				continue
-			}
-			if t := c.types[inOutput(n, 0)]; t.rankOK {
-				if prev, ok := m.varShape[name]; ok {
-					if j, okj := join(prev, t); okj {
-						m.varShape[name] = j
-					}
-				} else {
-					m.varShape[name] = t
-				}
-			}
-		}
-	}
-
-	for round := 0; round < 6; round++ {
-		before := len(m.xt) + len(m.constInt) + len(m.shapeVal) + len(m.resOf)
-		changed := false
-		for _, n := range c.order {
-			if m.inferNodeExtended(n) {
-				changed = true
-			}
-		}
-		if !changed && len(m.xt)+len(m.constInt)+len(m.shapeVal)+len(m.resOf) == before {
-			break
-		}
-	}
-}
-
-func inOutput(n *graph.Node, i int) graph.Output {
-	ins := n.InputsRef()
-	if i < 0 || i >= len(ins) {
-		return graph.Output{}
-	}
-	return ins[i]
-}
-
-// xin is the refined view of data input i.
-func (m *memAnalyzer) xin(n *graph.Node, i int) typeInfo {
-	return m.xt[inOutput(n, i)]
-}
-
-// setX records a refined output type; returns true if it added knowledge.
-func (m *memAnalyzer) setX(n *graph.Node, port int, t typeInfo) bool {
-	out := graph.Output{Node: n, Index: port}
-	old, ok := m.xt[out]
-	if ok && old.rankOK == t.rankOK && old.dtOK == t.dtOK && sameShape(old.shape, t.shape) {
-		return false
-	}
-	// Only overwrite when strictly more is known (monotonic refinement).
-	if ok && old.rankOK && !t.rankOK {
-		return false
-	}
-	if ok && old.rankOK && t.rankOK && knownDims(old.shape) > knownDims(t.shape) {
-		return false
-	}
-	if ok && old.dtOK && !t.dtOK {
-		t.dt, t.dtOK = old.dt, old.dtOK
-	}
-	m.xt[out] = t
-	return true
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func knownDims(s []int) int {
-	k := 0
-	for _, d := range s {
-		if d >= 0 {
-			k++
-		}
-	}
-	return k
-}
-
-func (m *memAnalyzer) setConst(n *graph.Node, port int, v int64) bool {
-	out := graph.Output{Node: n, Index: port}
-	if old, ok := m.constInt[out]; ok && old == v {
-		return false
-	}
-	m.constInt[out] = v
-	return true
-}
-
-func (m *memAnalyzer) setShapeVal(n *graph.Node, port int, s []int) bool {
-	out := graph.Output{Node: n, Index: port}
-	if old, ok := m.shapeVal[out]; ok && sameShape(old, s) {
-		return false
-	}
-	m.shapeVal[out] = s
-	return true
-}
-
-func (m *memAnalyzer) setRes(n *graph.Node, port int, id string) bool {
-	out := graph.Output{Node: n, Index: port}
-	if m.resOf[out] == id {
-		return false
-	}
-	m.resOf[out] = id
-	return true
-}
-
-// ta returns (creating) the state for a tensor-array resource id.
-func (m *memAnalyzer) ta(id string, n *graph.Node) *taState {
-	s := m.tas[id]
-	if s == nil {
-		s = &taState{node: n, count: -1}
-		m.tas[id] = s
-	}
-	return s
-}
-
-// joinTAElem merges a written element type into the array's element type.
-func (s *taState) joinTAElem(t typeInfo) bool {
-	if !t.rankOK {
-		return false
-	}
-	if !s.elem.rankOK {
-		s.elem = t
-		return true
-	}
-	if j, ok := join(s.elem, t); ok && !sameShape(j.shape, s.elem.shape) {
-		s.elem = j
-		return true
-	}
-	return false
-}
-
-var scalarFloat = typeInfo{dt: tensor.Float, dtOK: true, shape: []int{}, rankOK: true}
-
-// inferNodeExtended applies one node's extended rules; reports whether any
-// state changed.
-func (m *memAnalyzer) inferNodeExtended(n *graph.Node) bool {
-	changed := false
-	op := n.Op()
-	switch op {
-	case "Const":
-		t, _ := n.Attr("value").(*tensor.Tensor)
-		if t == nil {
-			break
-		}
-		if t.DType() == tensor.Int {
-			if len(t.ShapeRef()) == 0 && len(t.I) == 1 {
-				changed = m.setConst(n, 0, t.I[0]) || changed
-			}
-			if len(t.ShapeRef()) == 1 {
-				s := make([]int, len(t.I))
-				for i, v := range t.I {
-					s[i] = int(v)
-				}
-				changed = m.setShapeVal(n, 0, s) || changed
-			}
-		}
-	case "Identity", "StopGradient", "Enter", "Exit", "NextIteration":
-		changed = m.passthrough(n, 0, 0) || changed
-	case "Merge":
-		// A Merge over arms that agree on resource identity or constant
-		// propagates it; conservative otherwise.
-		changed = m.passthroughJoin(n) || changed
-	case "Switch":
-		changed = m.passthrough(n, 0, 0) || changed
-		changed = m.passthrough(n, 0, 1) || changed
-	case "Shape":
-		if in := m.xin(n, 0); dimsKnown(in) {
-			changed = m.setShapeVal(n, 0, append([]int(nil), in.shape...)) || changed
-		}
-		// Refine the Shape output itself when only the rank was unknown.
-		if in := m.xin(n, 0); in.rankOK {
-			changed = m.setX(n, 0, typeInfo{dt: tensor.Int, dtOK: true, shape: []int{len(in.shape)}, rankOK: true}) || changed
-		}
-	case "Size":
-		if in := m.xin(n, 0); dimsKnown(in) {
-			total := int64(1)
-			for _, d := range in.shape {
-				total *= int64(d)
-			}
-			changed = m.setConst(n, 0, total) || changed
-		}
-	case "Reshape":
-		changed = m.inferReshape(n) || changed
-	case "Fill":
-		if s, ok := m.shapeVal[inOutput(n, 0)]; ok {
-			t := typeInfo{shape: append([]int(nil), s...), rankOK: true}
-			if v := m.xin(n, 1); v.dtOK {
-				t.dt, t.dtOK = v.dt, true
-			}
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "BroadcastTo", "UnbroadcastTo":
-		if s, ok := m.shapeVal[inOutput(n, 1)]; ok {
-			t := typeInfo{shape: append([]int(nil), s...), rankOK: true}
-			if v := m.xin(n, 0); v.dtOK {
-				t.dt, t.dtOK = v.dt, true
-			}
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "Pack":
-		ins := n.InputsRef()
-		if len(ins) == 0 {
-			break
-		}
-		elem := m.xt[ins[0]]
-		okAll := elem.rankOK
-		for i := 1; i < len(ins) && okAll; i++ {
-			next := m.xt[ins[i]]
-			if !next.rankOK {
-				okAll = false
-				break
-			}
-			if j, ok := join(elem, next); ok {
-				elem = j
-			} else {
-				okAll = false
-			}
-		}
-		if okAll {
-			t := typeInfo{dt: elem.dt, dtOK: elem.dtOK, rankOK: true,
-				shape: append([]int{len(ins)}, elem.shape...)}
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "Unpack":
-		in := m.xin(n, 0)
-		if in.rankOK && len(in.shape) >= 1 {
-			t := typeInfo{dt: in.dt, dtOK: in.dtOK, rankOK: true,
-				shape: append([]int(nil), in.shape[1:]...)}
-			for port := 0; port < n.NumOutputs(); port++ {
-				changed = m.setX(n, port, t) || changed
-			}
-		}
-	case "Split":
-		in := m.xin(n, 0)
-		num, axis := n.AttrInt("num"), n.AttrInt("axis")
-		if in.rankOK && num > 0 && axis >= 0 && axis < len(in.shape) {
-			s := append([]int(nil), in.shape...)
-			if s[axis] >= 0 && s[axis]%num == 0 {
-				s[axis] /= num
-			} else {
-				s[axis] = -1
-			}
-			t := typeInfo{dt: in.dt, dtOK: in.dtOK, shape: s, rankOK: true}
-			for port := 0; port < n.NumOutputs(); port++ {
-				changed = m.setX(n, port, t) || changed
-			}
-		}
-	case "Concat":
-		changed = m.inferConcat(n) || changed
-	case "Gather":
-		x, ix := m.xin(n, 0), m.xin(n, 1)
-		if x.rankOK && len(x.shape) >= 1 && ix.rankOK {
-			s := append(append([]int(nil), ix.shape...), x.shape[1:]...)
-			changed = m.setX(n, 0, typeInfo{dt: x.dt, dtOK: x.dtOK, shape: s, rankOK: true}) || changed
-		}
-	case "SliceRows":
-		x := m.xin(n, 0)
-		if x.rankOK && len(x.shape) >= 1 {
-			s := append([]int{n.AttrInt("size")}, x.shape[1:]...)
-			changed = m.setX(n, 0, typeInfo{dt: x.dt, dtOK: x.dtOK, shape: s, rankOK: true}) || changed
-		}
-	case "ExpandDims":
-		x := m.xin(n, 0)
-		axis := n.AttrInt("axis")
-		if x.rankOK {
-			if axis < 0 {
-				axis += len(x.shape) + 1
-			}
-			if axis >= 0 && axis <= len(x.shape) {
-				s := append([]int(nil), x.shape[:axis]...)
-				s = append(s, 1)
-				s = append(s, x.shape[axis:]...)
-				changed = m.setX(n, 0, typeInfo{dt: x.dt, dtOK: x.dtOK, shape: s, rankOK: true}) || changed
-			}
-		}
-	case "OneHot":
-		ix := m.xin(n, 0)
-		if ix.rankOK {
-			s := append(append([]int(nil), ix.shape...), n.AttrInt("depth"))
-			changed = m.setX(n, 0, typeInfo{dt: tensor.Float, dtOK: true, shape: s, rankOK: true}) || changed
-		}
-	case "SumGrad":
-		// SumGrad(g, shape): broadcast g back to the pre-reduction shape.
-		if s, ok := m.shapeVal[inOutput(n, 1)]; ok {
-			t := typeInfo{shape: append([]int(nil), s...), rankOK: true}
-			if g := m.xin(n, 0); g.dtOK {
-				t.dt, t.dtOK = g.dt, true
-			}
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "GatherGrad":
-		// GatherGrad(ix, g, shape): scatter into a zero tensor of shape.
-		if s, ok := m.shapeVal[inOutput(n, 2)]; ok {
-			t := typeInfo{shape: append([]int(nil), s...), rankOK: true}
-			if g := m.xin(n, 1); g.dtOK {
-				t.dt, t.dtOK = g.dt, true
-			}
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "SliceAxisGrad", "SliceRowsGrad", "TileGrad":
-		// Zeros shaped like x (input 1) with the gradient slab filled in.
-		changed = m.passthrough(n, 1, 0) || changed
-	case "ShapeDim":
-		changed = m.setX(n, 0, scalarOf(tensor.Int)) || changed
-		if x := m.xin(n, 0); x.rankOK {
-			a := n.AttrInt("axis")
-			if a < 0 {
-				a += len(x.shape)
-			}
-			if a >= 0 && a < len(x.shape) && x.shape[a] >= 0 {
-				changed = m.setConst(n, 0, int64(x.shape[a])) || changed
-			}
-		}
-	case "SliceAxis":
-		// SliceAxis(x, begin, size) attr axis: extent known only when the
-		// size operand is a propagated constant.
-		x := m.xin(n, 0)
-		axis := n.AttrInt("axis")
-		if x.rankOK {
-			if axis < 0 {
-				axis += len(x.shape)
-			}
-			if axis >= 0 && axis < len(x.shape) {
-				s := append([]int(nil), x.shape...)
-				if v, ok := m.constInt[inOutput(n, 2)]; ok {
-					s[axis] = int(v)
-				} else {
-					s[axis] = -1
-				}
-				changed = m.setX(n, 0, typeInfo{dt: x.dt, dtOK: x.dtOK, shape: s, rankOK: true}) || changed
-			}
-		}
-	case "VarRead":
-		if t, ok := m.varShape[n.AttrString("var")]; ok {
-			changed = m.setX(n, 0, t) || changed
-		}
-	case "Assign", "AssignAdd", "AssignSub", "ApplyGradientDescent":
-		// All echo the variable's (post-write) value.
-		if t, ok := m.varShape[n.AttrString("var")]; ok {
-			changed = m.setX(n, 0, t) || changed
-		} else {
-			changed = m.passthrough(n, 0, 0) || changed
-		}
-	case "TensorArray":
-		id := "ta/" + n.Name()
-		ta := m.ta(id, n)
-		changed = m.setRes(n, 0, id) || changed
-		changed = m.setX(n, 1, scalarFloat) || changed
-		if v, ok := m.constInt[inOutput(n, 0)]; ok && v > 0 && ta.count < 0 {
-			ta.count = v
-			changed = true
-		}
-	case "TensorArrayGrad":
-		if fwd := m.resOf[inOutput(n, 0)]; fwd != "" {
-			id := fwd + "@grad/" + n.AttrString("source")
-			g := m.ta(id, n)
-			if f := m.tas[fwd]; f != nil {
-				if f.count >= 0 && g.count < 0 {
-					g.count = f.count
-					changed = true
-				}
-				changed = g.joinTAElem(f.elem) || changed
-			}
-			changed = m.setRes(n, 0, id) || changed
-		}
-		changed = m.setX(n, 1, scalarFloat) || changed
-	case "TensorArrayWrite":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			ta := m.ta(id, n)
-			changed = ta.joinTAElem(m.xin(n, 2)) || changed
-		}
-		changed = m.setX(n, 0, scalarFloat) || changed
-	case "TensorArrayUnstack":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			ta := m.ta(id, n)
-			v := m.xin(n, 1)
-			if v.rankOK && len(v.shape) >= 1 {
-				if v.shape[0] >= 0 && ta.count < 0 {
-					ta.count = int64(v.shape[0])
-					changed = true
-				}
-				changed = ta.joinTAElem(typeInfo{dt: v.dt, dtOK: v.dtOK, rankOK: true,
-					shape: append([]int(nil), v.shape[1:]...)}) || changed
-			}
-		}
-		changed = m.setX(n, 0, scalarFloat) || changed
-	case "TensorArrayRead":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			if ta := m.tas[id]; ta != nil && ta.elem.rankOK {
-				changed = m.setX(n, 0, ta.elem) || changed
-			}
-		}
-	case "TensorArrayStack":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			if ta := m.tas[id]; ta != nil && ta.elem.rankOK {
-				count := -1
-				if ta.count >= 0 {
-					count = int(ta.count)
-				}
-				t := typeInfo{dt: ta.elem.dt, dtOK: ta.elem.dtOK, rankOK: true,
-					shape: append([]int{count}, ta.elem.shape...)}
-				changed = m.setX(n, 0, t) || changed
-			}
-		}
-	case "TensorArraySize":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			if ta := m.tas[id]; ta != nil && ta.count >= 0 {
-				changed = m.setConst(n, 0, ta.count) || changed
-			}
-		}
-		changed = m.setX(n, 0, scalarOf(tensor.Int)) || changed
-	case "Stack":
-		changed = m.setRes(n, 0, "stack/"+n.Name()) || changed
-	case "StackPush":
-		changed = m.passthrough(n, 1, 0) || changed
-		changed = m.setX(n, 1, scalarOf(tensor.Int)) || changed
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			v := m.xin(n, 1)
-			if v.rankOK {
-				if prev := m.stacks[id]; prev == nil {
-					cp := v
-					m.stacks[id] = &cp
-					changed = true
-				} else if j, ok := join(*prev, v); ok && !sameShape(j.shape, prev.shape) {
-					*prev = j
-					changed = true
-				}
-			}
-		}
-	case "StackPop":
-		if id := m.resOf[inOutput(n, 0)]; id != "" {
-			if t := m.stacks[id]; t != nil {
-				changed = m.setX(n, 0, *t) || changed
-			}
-		}
-		changed = m.setX(n, 1, scalarOf(tensor.Int)) || changed
-	default:
-		// Re-run the standard rule with refined inputs, quietly: swap the
-		// refined map in, infer, swap back. The standard rules are pure
-		// functions of the input types, so this is a plain fixpoint step.
-		changed = m.reinferStandard(n) || changed
-	}
-	// Propagate constants and shape vectors through value-preserving ops.
-	switch op {
-	case "Identity", "StopGradient", "Enter", "Exit", "NextIteration":
-		changed = m.propagateVals(n, 0, 0) || changed
-	case "Switch":
-		changed = m.propagateVals(n, 0, 0) || changed
-		changed = m.propagateVals(n, 0, 1) || changed
-	}
-	return changed
-}
-
-// passthrough copies the refined type of input i to output port.
-func (m *memAnalyzer) passthrough(n *graph.Node, i, port int) bool {
-	t := m.xin(n, i)
-	if !t.rankOK && !t.dtOK {
-		return false
-	}
-	return m.setX(n, port, t)
-}
-
-// propagateVals forwards constInt/shapeVal/resOf from input i to output
-// port for ops that forward their value unchanged.
-func (m *memAnalyzer) propagateVals(n *graph.Node, i, port int) bool {
-	in := inOutput(n, i)
-	changed := false
-	if v, ok := m.constInt[in]; ok {
-		changed = m.setConst(n, port, v) || changed
-	}
-	if s, ok := m.shapeVal[in]; ok {
-		changed = m.setShapeVal(n, port, s) || changed
-	}
-	if id := m.resOf[in]; id != "" {
-		changed = m.setRes(n, port, id) || changed
-	}
-	return changed
-}
-
-// passthroughJoin handles Merge: arms that agree propagate their resource
-// identity (a loop-carried tensor-array handle) and joined type.
-func (m *memAnalyzer) passthroughJoin(n *graph.Node) bool {
-	ins := n.InputsRef()
-	if len(ins) == 0 {
-		return false
-	}
-	changed := false
-	id := m.resOf[ins[0]]
-	agree := id != ""
-	for _, in := range ins[1:] {
-		other := m.resOf[in]
-		// A not-yet-resolved arm (back edge on the first rounds) does not
-		// veto; a resolved, different resource does.
-		if other != "" && other != id {
-			agree = false
-		}
-	}
-	if agree {
-		changed = m.setRes(n, 0, id) || changed
-	}
-	acc := m.xt[ins[0]]
-	okAll := acc.rankOK
-	for _, in := range ins[1:] {
-		next := m.xt[in]
-		if !next.rankOK {
-			continue // back edge not resolved yet; join what we have
-		}
-		if j, ok := join(acc, next); ok {
-			acc = j
-		} else {
-			okAll = false
-		}
-	}
-	if okAll && acc.rankOK {
-		changed = m.setX(n, 0, acc) || changed
-	}
-	return changed
-}
-
-// inferReshape resolves the static or constant-propagated target shape,
-// filling a single -1 from the input's total size when known.
-func (m *memAnalyzer) inferReshape(n *graph.Node) bool {
-	var target []int
-	if s, ok := n.Attr("shape").([]int); ok && len(n.InputsRef()) == 1 {
-		target = append([]int(nil), s...)
-	} else if s, ok := m.shapeVal[inOutput(n, 1)]; ok {
-		target = append([]int(nil), s...)
-	} else {
-		return false
-	}
-	in := m.xin(n, 0)
-	wild := -1
-	for i, d := range target {
-		if d < 0 {
-			if wild >= 0 {
-				return false // two unknowns: unresolvable
-			}
-			wild = i
-		}
-	}
-	if wild >= 0 && dimsKnown(in) {
-		total, rest := 1, 1
-		for _, d := range in.shape {
-			total *= d
-		}
-		for i, d := range target {
-			if i != wild {
-				rest *= d
-			}
-		}
-		if rest > 0 && total%rest == 0 {
-			target[wild] = total / rest
-		}
-	}
-	t := typeInfo{shape: target, rankOK: true}
-	if in.dtOK {
-		t.dt, t.dtOK = in.dt, true
-	}
-	return m.setX(n, 0, t)
-}
-
-// inferConcat sums the concat axis over known input shapes.
-func (m *memAnalyzer) inferConcat(n *graph.Node) bool {
-	ins := n.InputsRef()
-	if len(ins) == 0 {
-		return false
-	}
-	axis := n.AttrInt("axis")
-	first := m.xt[ins[0]]
-	if !first.rankOK || axis < 0 || axis >= len(first.shape) {
-		return false
-	}
-	out := append([]int(nil), first.shape...)
-	sum := first.shape[axis]
-	for _, in := range ins[1:] {
-		t := m.xt[in]
-		if !t.rankOK || len(t.shape) != len(out) {
-			return false
-		}
-		for i, d := range t.shape {
-			if i == axis {
-				if sum >= 0 && d >= 0 {
-					sum += d
-				} else {
-					sum = -1
-				}
-				continue
-			}
-			if out[i] != d {
-				out[i] = -1
-			}
-		}
-	}
-	out[axis] = sum
-	ti := typeInfo{shape: out, rankOK: true, dt: first.dt, dtOK: first.dtOK}
-	return m.setX(n, 0, ti)
-}
-
-// reinferStandard runs the verifier's standard per-op rule against the
-// refined type map (diagnostics are discarded — the blocking Check run
-// already reported them against the unrefined types).
-func (m *memAnalyzer) reinferStandard(n *graph.Node) bool {
-	c := m.c
-	olds := make([]typeInfo, n.NumOutputs())
-	for port := range olds {
-		olds[port] = m.xt[graph.Output{Node: n, Index: port}]
-	}
-	savedTypes, savedDiags := c.types, c.diags
-	c.types = m.xt
-	c.inferNode(n)
-	c.types, c.diags = savedTypes, savedDiags
-	for port := range olds {
-		nt := m.xt[graph.Output{Node: n, Index: port}]
-		if nt.rankOK != olds[port].rankOK || nt.dtOK != olds[port].dtOK || !sameShape(nt.shape, olds[port].shape) {
-			return true
-		}
-	}
-	return false
+	return elemCost(f.typeInfo)
 }
 
 // --- small dense bitset ---------------------------------------------------

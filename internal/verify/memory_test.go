@@ -137,25 +137,27 @@ func TestEstimateMemoryTensorArray(t *testing.T) {
 	}
 }
 
-// Partition estimation bounds each worker's slice independently.
-func TestEstimateMemoryPartitions(t *testing.T) {
+// A loop-carried value that grows each iteration has no static size: the
+// Merge joins its [4] entry with the [8] the first iteration feeds back, so
+// the carried value and everything in the loop costs per row, not the 32 B
+// of its first iteration.
+func TestEstimateMemoryGrowingLoopIsNotFinite(t *testing.T) {
 	b := newGB(t)
-	bigC := b.constF("big", make([]float64, 64), 8, 8)
-	bigSq := b.node("Square", "bigsq", 1, nil, bigC.Out(0))
-	smallC := b.constF("small", make([]float64, 4), 2, 2)
-	smallSq := b.node("Square", "smallsq", 1, nil, smallC.Out(0))
+	init := b.constF("init", make([]float64, 4), 4)
+	enter := b.node("Enter", "enter", 1, map[string]any{"frame_name": "f"}, init.Out(0))
+	merge := b.node("Merge", "merge", 1, nil, enter.Out(0), enter.Out(0))
+	pred := b.constB("pred", true)
+	lc := b.node("LoopCond", "lc", 1, nil, pred.Out(0))
+	sw := b.node("Switch", "sw", 2, nil, merge.Out(0), lc.Out(0))
+	tail := b.constF("tail", make([]float64, 4), 4)
+	grown := b.node("Concat", "grown", 1, map[string]any{"axis": 0}, sw.Out(1), tail.Out(0))
+	ni := b.node("NextIteration", "ni", 1, nil, grown.Out(0))
+	merge.ReplaceInput(1, ni.Out(0))
+	b.node("Exit", "exit", 1, nil, sw.Out(0))
 
-	parts := map[string][]*graph.Node{
-		"w1": {bigC, bigSq},
-		"w2": {smallC, smallSq},
-	}
-	ests := verify.EstimateMemoryPartitions(b.g, parts, verify.MemOptions{})
-	if ests["w1"] == nil || ests["w2"] == nil {
-		t.Fatalf("missing partition estimate: %v", ests)
-	}
-	if ests["w1"].FixedBytes != 1024 || ests["w2"].FixedBytes != 64 {
-		t.Fatalf("partition peaks = %d/%d, want 1024/64",
-			ests["w1"].FixedBytes, ests["w2"].FixedBytes)
+	est := estimate(t, b.g, verify.MemOptions{DefaultWindow: 1})
+	if est.Finite() {
+		t.Fatalf("a loop whose carried value grows each iteration must not bound finitely: %s", est)
 	}
 }
 

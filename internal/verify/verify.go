@@ -119,6 +119,14 @@ type Options struct {
 // (empty when the graph is well-formed). Use Diagnostics.Err to convert the
 // result to an error.
 func Check(g *graph.Graph, opts Options) Diagnostics {
+	c, _ := check(g, opts)
+	return c.diags
+}
+
+// check runs every pass and returns the checker, whose facts EstimateMemory
+// reads; false when the node set has no topological order, so nothing past
+// the structure was checked.
+func check(g *graph.Graph, opts Options) (*checker, bool) {
 	nodes := opts.Nodes
 	if nodes == nil {
 		nodes = g.Nodes()
@@ -130,7 +138,8 @@ func Check(g *graph.Graph, opts Options) Diagnostics {
 		// Everything below needs a topological order; the cycle diagnostic
 		// has already been recorded.
 		c.checkSignature()
-		return c.diags
+		sortDiags(c.diags)
+		return c, false
 	}
 	c.order = order
 	c.assignFrames()
@@ -140,7 +149,7 @@ func Check(g *graph.Graph, opts Options) Diagnostics {
 	c.checkSignature()
 	c.checkSendRecv()
 	sortDiags(c.diags)
-	return c.diags
+	return c, true
 }
 
 // sortDiags pins the diagnostic order to (node, port, code, message) so
@@ -180,8 +189,23 @@ type checker struct {
 	byName  map[string]*frameInfo
 	// fire maps node id -> "can ever produce a token" (see checkLiveness).
 	fire map[int]bool
-	// types maps output ports to inferred dtype/shape (see infer.go).
-	types map[graph.Output]typeInfo
+
+	// Inference state (see infer.go): what is known about every node
+	// reached, by node id; the joined element type of every tensor array,
+	// stack and variable ("var/<name>"); every tensor array's element count.
+	facts  []nodeFacts
+	elems  map[string]typeInfo
+	counts map[string]int
+	// out holds the outputs of the node being inferred until run publishes
+	// them; readsRes records that it read resource state. tick counts runs;
+	// resAt is the tick of the last change to resource state. changed
+	// records that a sweep moved a fact, waited that a node waited on one
+	// not reached; closed reads what is not reached as unknown.
+	out             []fact
+	readsRes        bool
+	tick, resAt     int
+	changed, waited bool
+	closed          bool
 }
 
 // frameInfo is one control-flow frame discovered from Enter structure.
