@@ -125,7 +125,7 @@ type model struct {
 // buildModel constructs score = softmax(tanh(x@W1 + b1)@W2) over a typed
 // [-1, dim] placeholder, with the weights as session variables so a
 // checkpoint (-checkpoint) can replace them.
-func buildModel(dim, classes int, opts dcf.BatchOptions, workers int) (*model, error) {
+func buildModel(dim, classes int, opts dcf.BatchOptions) (*model, error) {
 	g := dcf.NewGraph()
 	x := g.PlaceholderTyped("x", dcf.Float, -1, dim)
 	w1 := g.Variable("w1", dcf.GlorotUniform(1, dim, dim))
@@ -135,7 +135,7 @@ func buildModel(dim, classes int, opts dcf.BatchOptions, workers int) (*model, e
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{Workers: workers})
+	sess := dcf.NewSession(g)
 	if err := sess.InitVariables(); err != nil {
 		return nil, err
 	}
@@ -266,7 +266,6 @@ func main() {
 	delay := flag.Duration("delay", 2*time.Millisecond, "max time a request waits for batch-mates")
 	inflight := flag.Int("inflight", 2, "max concurrently executing batches")
 	queue := flag.Int("queue", 1024, "max queued requests before backpressure (429)")
-	workers := flag.Int("workers", 0, "kernel worker pool size per step (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown bound for in-flight HTTP requests")
 	drainNotice := flag.Duration("drain-notice", time.Second, "how long to answer 503 + Retry-After before the listener stops (lets load balancers reroute)")
 	replicas := flag.String("replicas", "", "fleet mode: comma-separated replica daemon addresses (join several with '+' for one multi-worker replica)")
@@ -356,7 +355,7 @@ func main() {
 		}
 		log.Printf("dcfserve: fleet mode over %d replicas (%s)", len(groups), *replicas)
 	} else {
-		m, err := buildModel(*dim, *classes, bopts, *workers)
+		m, err := buildModel(*dim, *classes, bopts)
 		if err != nil {
 			log.Fatalf("build model: %v", err)
 		}

@@ -37,7 +37,7 @@ type served struct {
 
 func newServed(t testing.TB, dim, classes int) *served {
 	t.Helper()
-	m, err := buildModel(dim, classes, dcf.BatchOptions{MaxBatchSize: testBatch}, 0)
+	m, err := buildModel(dim, classes, dcf.BatchOptions{MaxBatchSize: testBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func replay(t testing.TB, h http.Handler, body []byte) func() {
 // handler down. Measured: 39 — the executor step ≈ 25 (plan instance,
 // frames, the dispatcher's queues, pool misses for what is fetched; the
 // model is a chain of kernels, so the dispatcher keeps every one and the
-// step builds neither a worker pool nor a completion channel, which were 15
+// step makes no completion channel; a worker pool and the channel were 15
 // more), the batcher's request bookkeeping 8, and the handler's own 6
 // (MaxBytesReader, two header values, the feed's shape); body, feed and
 // answer bytes come from their pools. The decoder this one replaced took

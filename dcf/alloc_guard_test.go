@@ -17,7 +17,7 @@ import (
 // up here as a budget break.
 func TestCallableCallAllocBudget(t *testing.T) {
 	// Measured 22: node execution itself allocates nothing, and a chain of
-	// kernels builds neither a worker pool nor a completion channel.
+	// kernels makes no hand-off and no completion channel.
 	const budget = 24
 
 	sess, y, x := buildServingGraph(t)

@@ -13,8 +13,8 @@ import (
 // inner While, over a matrix state large enough (128x128: a MatMul or a Tanh
 // of it costs over 100 us, three hand-offs' worth) that where the graph
 // forks — the two products of a MatMul's gradient, the backward loops beside
-// the sums — its dear kernels leave the dispatcher for the worker pool, while
-// the counters, the predicates and the chains stay on it:
+// the sums — its dear kernels leave the dispatcher for goroutines of their
+// own, while the counters, the predicates and the chains stay on it:
 //
 //	i, m, s = 0, x, 0
 //	while i < 5:
@@ -64,21 +64,24 @@ func nestedControlFlow(t *testing.T, window int) (*dcf.Graph, []dcf.Tensor) {
 
 // TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers runs the same
 // nested cond/while graph (forward and gradient) at every combination of
-// loop window and pool width and requires bit-identical results: neither
-// how many iterations are in flight nor which goroutine's scratch a node's
-// outputs pass through may change a value. CI runs it under -race at
-// GOMAXPROCS 1, 2 and 4.
+// loop window and GOMAXPROCS (one P, or the process's own) and requires
+// bit-identical results: neither how many iterations are in flight nor which
+// goroutine's scratch a node's outputs pass through may change a value. CI
+// runs it under -race at GOMAXPROCS 1, 2 and 4.
 func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
 	x := dcf.RandNormal(3, 0, 1, nestedDim, nestedDim)
 	var ref []*dcf.Value
 	var refName string
-	pooled := metrics.Default().Counter("exec_dispatch_pool_total")
-	pooledBefore := pooled.Value()
+	handed := metrics.Default().Counter("exec_dispatch_handoff_total")
+	handedBefore := handed.Value()
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, window := range []int{1, 4, 32} {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			name := fmt.Sprintf("parallel_iterations=%d workers=%d", window, workers)
+		for _, p := range []int{1, procs} {
+			runtime.GOMAXPROCS(p)
+			name := fmt.Sprintf("parallel_iterations=%d GOMAXPROCS=%d", window, p)
 			g, fetches := nestedControlFlow(t, window)
-			sess := dcf.NewSessionOpts(g, dcf.SessionOptions{Workers: workers})
+			sess := dcf.NewSession(g)
 			if err := sess.InitVariables(); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +106,7 @@ func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
 			}
 		}
 	}
-	if pooled.Value() == pooledBefore {
-		t.Fatal("exec_dispatch_pool_total did not move: no run of the matrix reached the worker pool, so the pool-width axis compared nothing")
+	if handed.Value() == handedBefore {
+		t.Fatal("exec_dispatch_handoff_total did not move: no run of the matrix handed a kernel off, so it compared the dispatcher with itself")
 	}
 }

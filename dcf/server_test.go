@@ -11,20 +11,28 @@ import (
 )
 
 // serverModel builds score = tanh(x@W1)@W2 over a typed [batch, in]
-// placeholder and returns the session plus the fetch. A nonzero
-// runOverhead slows every step, deterministically saturating the batcher's
-// execution slots so requests visibly coalesce.
-func serverModel(t *testing.T, in, out int, runOverhead time.Duration) (*Session, Tensor) {
+// placeholder and returns the session plus the fetch. The Tanh runs on a
+// simulated device whose compute stream charges stepCost per kernel, so a
+// nonzero stepCost slows every step, deterministically saturating the
+// batcher's execution slots so requests visibly coalesce.
+func serverModel(t *testing.T, in, out int, stepCost time.Duration) (*Session, Tensor) {
 	t.Helper()
 	g := NewGraph()
 	x := g.PlaceholderTyped("x", Float, -1, in)
 	w1 := g.Const(GlorotUniform(1, in, in))
 	w2 := g.Const(GlorotUniform(2, in, out))
-	y := x.MatMul(w1).Tanh().MatMul(w2)
+	h := x.MatMul(w1)
+	g.WithDevice("slow", func() { h = h.Tanh() })
+	y := h.MatMul(w2)
 	if err := g.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return NewSessionOpts(g, SessionOptions{RunOverhead: runOverhead}), y
+	sess := NewSessionOpts(g, SessionOptions{Devices: []DeviceConfig{{
+		Name:       "slow",
+		KernelCost: func(string) time.Duration { return stepCost },
+	}}})
+	t.Cleanup(sess.Close)
+	return sess, y
 }
 
 func TestServerMatchesUnbatchedCallable(t *testing.T) {

@@ -23,8 +23,6 @@ type DeviceConfig struct {
 	// CopyBandwidth is the simulated host↔device bandwidth, bytes/second
 	// (0 = instantaneous transfers).
 	CopyBandwidth float64
-	// KernelLaunchOverhead adds fixed per-kernel latency.
-	KernelLaunchOverhead time.Duration
 	// KernelCost, if set, charges a simulated per-op execution time on
 	// the device's compute stream (see internal/device.Config).
 	KernelCost func(op string) time.Duration
@@ -37,19 +35,9 @@ type SessionOptions struct {
 	Devices []DeviceConfig
 	// ParallelIterations overrides the default loop window (0 = 32).
 	ParallelIterations int
-	// Workers sizes each step's kernel worker pool: N > 0 fixes N
-	// workers, anything else picks min(GOMAXPROCS, plan kernel nodes).
-	Workers int
 	// Trace enables per-stream kernel timeline recording on the
 	// simulated devices.
 	Trace bool
-	// RunOverhead models the client↔runtime boundary cost each
-	// Session.Run pays in the paper's deployment (a Python client
-	// driving the runtime over an RPC session). In-process Go calls make
-	// that boundary nearly free, so experiments comparing in-graph
-	// against client-driven control flow (§6.5) charge it explicitly —
-	// to every Run, in both styles.
-	RunOverhead time.Duration
 }
 
 // Session executes a graph. Close it when done if devices were configured.
@@ -61,11 +49,10 @@ type SessionOptions struct {
 // shared across runs, and concurrent writes to the same variable have
 // last-writer-wins semantics exactly as in TensorFlow.
 type Session struct {
-	g           *Graph
-	s           *core.Session
-	cluster     *device.Cluster
-	tracer      *trace.Tracer
-	runOverhead time.Duration
+	g       *Graph
+	s       *core.Session
+	cluster *device.Cluster
+	tracer  *trace.Tracer
 }
 
 // NewSession creates a session with default options.
@@ -75,8 +62,7 @@ func NewSession(g *Graph) *Session { return NewSessionOpts(g, SessionOptions{}) 
 func NewSessionOpts(g *Graph, opts SessionOptions) *Session {
 	s := core.NewSession(g.b)
 	s.ParallelIterations = opts.ParallelIterations
-	s.Workers = opts.Workers
-	sess := &Session{g: g, s: s, runOverhead: opts.RunOverhead}
+	sess := &Session{g: g, s: s}
 	if len(opts.Devices) > 0 {
 		if opts.Trace {
 			sess.tracer = trace.New()
@@ -84,12 +70,11 @@ func NewSessionOpts(g *Graph, opts SessionOptions) *Session {
 		cfgs := make([]device.Config, len(opts.Devices))
 		for i, d := range opts.Devices {
 			cfgs[i] = device.Config{
-				Name:                 d.Name,
-				MemoryBytes:          d.MemoryBytes,
-				CopyBandwidth:        d.CopyBandwidth,
-				KernelLaunchOverhead: d.KernelLaunchOverhead,
-				KernelCost:           d.KernelCost,
-				Tracer:               sess.tracer,
+				Name:          d.Name,
+				MemoryBytes:   d.MemoryBytes,
+				CopyBandwidth: d.CopyBandwidth,
+				KernelCost:    d.KernelCost,
+				Tracer:        sess.tracer,
 			}
 		}
 		sess.cluster = device.NewCluster(cfgs...)
@@ -171,9 +156,6 @@ type RunOptions struct {
 // signature hashing too. See internal/exec/README.md for the fast-path
 // design.
 func (s *Session) RunCtx(ctx context.Context, opts RunOptions) ([]*Value, RunMetadata, error) {
-	if err := s.sleepOverhead(ctx); err != nil {
-		return nil, RunMetadata{}, err
-	}
 	return s.s.RunCtx(ctx, core.RunOptions{Feeds: opts.Feeds, Fetches: unwrap(opts.Fetches), Targets: opNodes(opts.Targets), Trace: opts.Trace})
 }
 
@@ -188,33 +170,10 @@ func opNodes(targets []Op) []*graph.Node {
 	return nodes
 }
 
-// sleepOverhead charges the modeled client↔runtime boundary cost,
-// honoring cancellation.
-func (s *Session) sleepOverhead(ctx context.Context) error {
-	if s.runOverhead <= 0 {
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(s.runOverhead)
-		return nil
-	}
-	t := time.NewTimer(s.runOverhead)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Run executes the subgraph needed for the fetches and targets, returning
 // fetched values in order: a thin shim over the RunCtx path with a
 // background context.
 func (s *Session) Run(feeds Feeds, fetches []Tensor, targets ...Op) ([]*Value, error) {
-	if err := s.sleepOverhead(context.Background()); err != nil {
-		return nil, err
-	}
 	return s.s.Run(feeds, unwrap(fetches), opNodes(targets))
 }
 
@@ -278,8 +237,5 @@ func (c *Callable) Call(ctx context.Context, args ...*Value) ([]*Value, error) {
 
 // CallCtx is Call returning the run's metadata as well.
 func (c *Callable) CallCtx(ctx context.Context, args ...*Value) ([]*Value, RunMetadata, error) {
-	if err := c.s.sleepOverhead(ctx); err != nil {
-		return nil, RunMetadata{}, err
-	}
 	return c.c.CallCtx(ctx, args...)
 }

@@ -206,6 +206,9 @@
 //     frame's iteration ring (default 32).
 //   - exec.DefaultParallelIterations, exec.PlanOptions.ParallelIterations:
 //     the same knob at the executor layer, fixed when a plan is compiled.
+//   - GOMAXPROCS: how many kernels run at once. A kernel measured dearer
+//     than a hand-off runs on a goroutine of its own and the Go scheduler
+//     spreads those over the Ps; there is no worker pool to size.
 //   - tensor.Alloc / tensor.Recycle / tensor.NewFromPool: the size-classed
 //     tensor buffer pool backing kernel outputs and executor recycling.
 //   - cmd/dcfbench -cpuprofile/-memprofile: pprof profiles over any figure

@@ -37,10 +37,9 @@ type RegisterGraph struct {
 	Parts   []WirePartition
 	// Peers maps every participating worker to its rendezvous address.
 	Peers map[string]string
-	// ParallelIterations / Workers carry distrib.TCPOptions' fields of the
-	// same names: the loop window and the per-step kernel pool size.
+	// ParallelIterations carries distrib.TCPOptions' field of the same name:
+	// the loop window.
 	ParallelIterations int
-	Workers            int
 }
 
 // RegResp acknowledges a registration.

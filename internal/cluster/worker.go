@@ -72,10 +72,9 @@ type tracedStep struct {
 // plan per hosted device, and the per-step bookkeeping that cancellation and
 // scope release need.
 type workerGraph struct {
-	g       *graph.Graph
-	parts   []WirePartition
-	plans   map[string]*exec.Plan
-	workers int
+	g     *graph.Graph
+	parts []WirePartition
+	plans map[string]*exec.Plan
 	// sessRes persists across the graph's steps (session-lifetime
 	// resources); it is lost if the worker restarts — the coarse-grained
 	// checkpoint failure model of §3.
@@ -506,7 +505,6 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 		g:       g,
 		parts:   rg.Parts,
 		plans:   plans,
-		workers: rg.Workers,
 		sessRes: ops.NewResources(),
 		owner:   owner,
 		steps:   map[uint64]context.CancelFunc{},
@@ -580,8 +578,8 @@ func (w *Worker) abortGraphSteps(gid uint64, g *workerGraph, cause error) {
 }
 
 // runStep executes one step across the worker's device partitions: one
-// executor per device, one kernel pool and one set of step resources shared
-// by all of them, coordination only through the (step-scoped) rendezvous.
+// executor per device, one set of step resources shared by all of them,
+// coordination only through the (step-scoped) rendezvous.
 // The first partition failure aborts the scope so sibling partitions drain.
 func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *StepResp {
 	stepStart := time.Now()
@@ -620,8 +618,6 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 		}()
 	}
 
-	pool := exec.NewPool(g.workers)
-	defer pool.Close()
 	stepRes := ops.NewResources()
 	type devResult struct {
 		dev  string
@@ -643,7 +639,6 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 				// reproduces an uninterrupted run bit for bit.
 				RNG:        tensor.NewRNG(req.Step*1000003 + 17),
 				Rendezvous: rv,
-				Pool:       pool,
 				Trace:      tracer,
 			})
 			results <- devResult{dev: dev, vals: vals, err: err}

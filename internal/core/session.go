@@ -32,7 +32,7 @@ type Session struct {
 
 	// SessRes holds variables across runs.
 	SessRes *ops.Resources
-	// The four fields below are read when a run signature is compiled (the
+	// The three fields below are read when a run signature is compiled (the
 	// first Run of the signature, or MakeCallable) and fixed in its plan: set
 	// them before the session runs anything.
 	//
@@ -43,9 +43,6 @@ type Session struct {
 	// ParallelIterations is the default loop window (0 = executor
 	// default of 32).
 	ParallelIterations int
-	// Workers sizes each step's kernel worker pool (<= 0 = min(GOMAXPROCS,
-	// plan kernel nodes)).
-	Workers int
 
 	// baseSeed and runSeq derive a private RNG stream per run, so
 	// concurrent runs never contend on (or race over) one generator.
@@ -266,7 +263,6 @@ func (s *Session) compile(fetches []graph.Output, targets []*graph.Node) (*exec.
 		Nodes:              Prune(s.B.G, fetches, targets),
 		Fetches:            fetches,
 		ParallelIterations: s.ParallelIterations,
-		Workers:            s.Workers,
 		Mem:                s.Mem,
 		Runner:             s.Runner,
 	})

@@ -43,9 +43,6 @@ type Config struct {
 	// CopyBandwidth is the simulated PCIe bandwidth in bytes/second for
 	// H2D/D2H transfers; 0 disables transfer-time simulation.
 	CopyBandwidth float64
-	// KernelLaunchOverhead adds a fixed delay per compute kernel,
-	// modeling launch cost; usually 0 (real compute time dominates).
-	KernelLaunchOverhead time.Duration
 	// KernelCost, if set, returns a simulated execution time per op
 	// type, charged on the compute stream in addition to the real
 	// kernel. It models accelerator compute on hosts whose CPU cannot
@@ -187,9 +184,9 @@ func (d *Device) transferTime(bytes int64) time.Duration {
 // goroutine blocks until this kernel retires, as its outputs feed
 // propagation).
 func (d *Device) RunKernel(node, op string, fn func()) {
-	delay := d.cfg.KernelLaunchOverhead
+	var delay time.Duration
 	if d.cfg.KernelCost != nil {
-		delay += d.cfg.KernelCost(op)
+		delay = d.cfg.KernelCost(op)
 	}
 	doneCh := make(chan struct{})
 	d.compute.enqueueFn(op, delay, fn, func() { close(doneCh) })

@@ -16,7 +16,7 @@ import (
 // finish: every partition must stop promptly (the loop driver via the
 // dispatcher's cancel poll, the body partition via the rendezvous abort),
 // the step must report the context's error, and no goroutine the step
-// started — executors, pool workers, the driver's response forwarders — may
+// started — executors, handed-off kernels, the driver's response forwarders — may
 // outlive it, whether the partitions share a worker or meet over TCP.
 func TestClusterRunCtxCancel(t *testing.T) {
 	t.Run("oneWorker", func(t *testing.T) { cancelMidStep(t, false) })
@@ -41,7 +41,7 @@ func cancelMidStep(t *testing.T, perDevice bool) {
 			core.WhileOpts{},
 		)
 	})
-	c, err := newTestCluster(t, perDevice, b, outs[:1], nil, TCPOptions{})
+	c, workers, err := newTestClusterWorkers(t, perDevice, b, outs[:1], nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,10 @@ func cancelMidStep(t *testing.T, perDevice bool) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() {
+	midStep(t, workers, func() {
 		_, err := c.RunCtx(ctx, map[string]*tensor.Tensor{"limit": tensor.Scalar(1e12)})
 		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // dcfvet:allow testsleep=stage the step mid-flight before cancel
+	})
 	cancel()
 	select {
 	case err := <-errc:

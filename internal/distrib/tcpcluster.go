@@ -199,9 +199,6 @@ type TCPOptions struct {
 	WorkerOf partition.WorkerOf
 	// ParallelIterations overrides the loop window on every worker.
 	ParallelIterations int
-	// Workers sizes each worker daemon's per-step kernel pool
-	// (<= 0 = GOMAXPROCS there).
-	Workers int
 	// CheckpointDir, when set, is where distributed checkpoints of this
 	// cluster's session variables are written (see internal/checkpoint's
 	// manifest layout). Required for Checkpoint/Resume.
@@ -369,7 +366,6 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 			Parts:              parts,
 			Peers:              nil, // filled by registerAll
 			ParallelIterations: opts.ParallelIterations,
-			Workers:            opts.Workers,
 		}
 	}
 	// Map each worker's session variables (nodes carrying a "var" attr in

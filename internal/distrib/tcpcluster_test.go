@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,13 @@ func startNamedWorkers(t testing.TB, names ...string) ([]*cluster.Worker, []stri
 // device some other node names explicitly.
 func newTestCluster(t testing.TB, perDevice bool, b *core.Builder, fetches []graph.Output, targets []*graph.Node, opts TCPOptions) (*TCPCluster, error) {
 	t.Helper()
+	tc, _, err := newTestClusterWorkers(t, perDevice, b, fetches, targets, opts)
+	return tc, err
+}
+
+// newTestClusterWorkers is newTestCluster returning the workers it started.
+func newTestClusterWorkers(t testing.TB, perDevice bool, b *core.Builder, fetches []graph.Output, targets []*graph.Node, opts TCPOptions) (*TCPCluster, []*cluster.Worker, error) {
+	t.Helper()
 	names := []string{"w"}
 	if perDevice {
 		names = nil
@@ -68,7 +76,7 @@ func newTestCluster(t testing.TB, perDevice bool, b *core.Builder, fetches []gra
 	} else {
 		opts.WorkerOf = func(string) string { return "w" }
 	}
-	_, addrs := startNamedWorkers(t, names...)
+	workers, addrs := startNamedWorkers(t, names...)
 	fleet, err := Dial(addrs...)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +86,30 @@ func newTestCluster(t testing.TB, perDevice bool, b *core.Builder, fetches []gra
 	if err == nil {
 		t.Cleanup(tc.Close)
 	}
-	return tc, err
+	return tc, workers, err
+}
+
+// midStep starts run, which runs one step, on a goroutine of its own and
+// returns once the step is under way: once a worker holds a rendezvous scope
+// table again, which the step's first Send or Recv creates. A finished
+// step's tables live on until the driver releases them with the next step,
+// so they are dropped first.
+func midStep(t *testing.T, workers []*cluster.Worker, run func()) {
+	t.Helper()
+	for _, w := range workers {
+		w.Rendezvous().ReleaseScopesIf(func(string) bool { return true })
+	}
+	go run()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		for _, w := range workers {
+			if w.ScopeCount() > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the step never reached a Send or Recv")
+		}
+	}
 }
 
 // sameBits fails unless two fetches agree in dtype, shape and every bit.
@@ -231,7 +262,7 @@ func TestTCPClusterFourWorkers(t *testing.T) {
 // the cancellation cause, blocked Recvs drain (the step actually returns),
 // and the next step runs clean.
 func TestTCPClusterCancellation(t *testing.T) {
-	_, addrs := startWorkers(t, 2)
+	workers, addrs := startWorkers(t, 2)
 	fleet, err := Dial(addrs...)
 	if err != nil {
 		t.Fatal(err)
@@ -246,12 +277,11 @@ func TestTCPClusterCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
+	midStep(t, workers, func() {
 		// Effectively unbounded loop: only cancellation ends this step.
 		_, err := tc.RunCtx(ctx, map[string]*tensor.Tensor{"limit": tensor.Scalar(1e12)})
 		done <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // dcfvet:allow testsleep=stage the step mid-flight before cancel
+	})
 	cancel()
 	select {
 	case err := <-done:
@@ -298,11 +328,10 @@ func TestTCPClusterWorkerKilledMidStep(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() {
+	midStep(t, workers, func() {
 		_, err := tc.RunCtx(context.Background(), map[string]*tensor.Tensor{"limit": tensor.Scalar(1e12)})
 		done <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // dcfvet:allow testsleep=stage the step mid-flight before kill
+	})
 	ctrlAddr := workers[1].Addr()
 	workers[1].Close() // kill wB mid-step
 

@@ -117,9 +117,9 @@ func buildTwoChains(tb testing.TB, g *graph.Graph, n, depth int) graph.Output {
 // eight n x n MatMuls, a kernel of about 3 / 8 / 17 / 57 / 135 us at n = 32 /
 // 48 / 64 / 96 / 128. Up to n = 64 every kernel is cheaper than a hand-off and
 // runs on the dispatcher; from n = 96 the dispatcher keeps one kernel and
-// hands the rest to the pool (pooled/step says which happened), so -cpu 2
-// against -cpu 1 shows what the hand-off buys. The sizes are handoffCost's
-// sweep. ns/op is per step.
+// hands the rest off (handed/step says which happened), so -cpu 2 against
+// -cpu 1 shows what the hand-off buys. The sizes are handoffCost's sweep.
+// ns/op is per step.
 func BenchmarkTwoChains(b *testing.B) {
 	for _, n := range []int{32, 48, 64, 96, 128} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
@@ -131,14 +131,14 @@ func BenchmarkTwoChains(b *testing.B) {
 			for i := 0; i < 20; i++ {
 				callPlan(b, plan) // the first step times every kernel on the dispatcher
 			}
-			pooled := metricPooled.Value()
+			handed := metricHandoff.Value()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				callPlan(b, plan)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(metricPooled.Value()-pooled)/float64(b.N), "pooled/step")
+			b.ReportMetric(float64(metricHandoff.Value()-handed)/float64(b.N), "handed/step")
 		})
 	}
 }

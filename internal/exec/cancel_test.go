@@ -115,8 +115,8 @@ func TestCancelInsideKeptKernel(t *testing.T) {
 	if !errors.Is(err, ctx.Err()) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want an error wrapping %v, got %v", ctx.Err(), err)
 	}
-	if ex.pool != nil || ex.events != nil {
-		t.Fatalf("the chain left the dispatcher (pool %v, channel %v): the deadline did not pass inside a kept kernel", ex.pool, ex.events)
+	if ex.events != nil {
+		t.Fatalf("the chain left the dispatcher (channel %v): the deadline did not pass inside a kept kernel", ex.events)
 	}
 	if ran := ex.numKernels; ran >= 401 {
 		t.Fatalf("all %d nodes were scheduled: the deadline never stopped the step", ran)
@@ -126,8 +126,8 @@ func TestCancelInsideKeptKernel(t *testing.T) {
 
 // TestPlanUsableAfterFailedSteps is the contract a free list of executors
 // behind Plan.Run will rest on: one plan, three steps in a row — one canceled
-// from inside a kernel with pool work in flight, one whose kernel returns an
-// error, one clean — and the third fetches what a first step of a fresh plan
+// from inside a kernel with handed-off work in flight, one whose kernel
+// returns an error, one clean — and the third fetches what a first step of a fresh plan
 // does, bit for bit, with every goroutine of the failed steps gone. The kernel
 // that cancels or fails reads a buffer with three references, the other two
 // held by kernels queued beside it: a failed step recycles nothing it counted,
@@ -144,27 +144,27 @@ func TestPlanUsableAfterFailedSteps(t *testing.T) {
 		fetches[0] = b.node("Add", nil, gated.Out(0), fetches[1]).Out(0)
 		fetches[2] = b.node("Add", nil, shared, fetches[2]).Out(0)
 		fetches[3] = b.node("Mul", nil, shared, fetches[3]).Out(0)
-		return newDear(b, PlanOptions{Fetches: fetches, Workers: 2})
+		return newDear(b, PlanOptions{Fetches: fetches})
 	}
 	plan := build()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	inKernel = func() error { cancel(); return nil }
-	if _, err := runPooled(t, plan, Binding{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := runHandedOff(t, plan, Binding{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("step canceled inside a kernel: want context.Canceled, got %v", err)
 	}
 
 	inKernel = func() error { return errors.New("kernel gave up") }
-	if _, err := runPooled(t, plan, Binding{}); err == nil || !strings.Contains(err.Error(), "kernel gave up") {
+	if _, err := runHandedOff(t, plan, Binding{}); err == nil || !strings.Contains(err.Error(), "kernel gave up") {
 		t.Fatalf("step with a failing kernel: got %v", err)
 	}
 
 	inKernel = func() error { return nil }
-	got, err := runPooled(t, plan, Binding{})
+	got, err := runHandedOff(t, plan, Binding{})
 	if err != nil {
 		t.Fatalf("clean step after two failed ones: %v", err)
 	}
-	want, err := runPooled(t, build(), Binding{})
+	want, err := runHandedOff(t, build(), Binding{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,15 +42,15 @@ func callPlan(t testing.TB, plan *Plan) {
 // on every node that ran a kernel, and none was handed off to get it.
 func TestCostFirstExecutionIsTimed(t *testing.T) {
 	plan, _ := buildServingPlan(t)
-	pooled := metricPooled.Value()
+	handed := metricHandoff.Value()
 	callPlan(t, plan)
 	for i := range plan.cost {
 		if plan.cost[i].Load() <= 0 {
 			t.Errorf("%s has no estimate after its first execution", plan.infos[i].node.Name())
 		}
 	}
-	if metricPooled.Value() != pooled {
-		t.Error("a first execution was handed to the pool")
+	if metricHandoff.Value() != handed {
+		t.Error("a first execution was handed off")
 	}
 }
 
@@ -79,7 +79,7 @@ func TestCostColdSampleRecovers(t *testing.T) {
 // TestCostOutlierDoesNotMoveDispatch: one sample 1000x a warm node's estimate
 // (a preemption inside the timed kernel) raises the estimate by an eighth and
 // no more, so the node's next 64 executions run where they ran before — here
-// two independent cheap branches, none of which may reach the pool.
+// two independent cheap branches, none of which may be handed off.
 func TestCostOutlierDoesNotMoveDispatch(t *testing.T) {
 	b := newTB(t)
 	x := vecConst(b, 16, 0.5)
@@ -95,11 +95,11 @@ func TestCostOutlierDoesNotMoveDispatch(t *testing.T) {
 	if got := plan.cost[idx].Load(); got != warm+warm/8 {
 		t.Fatalf("a 1000x sample moved the estimate %v to %v, want %v", time.Duration(warm), time.Duration(got), time.Duration(warm+warm/8))
 	}
-	pooled := metricPooled.Value()
+	handed := metricHandoff.Value()
 	for i := 0; i < 64; i++ {
 		callPlan(t, plan)
 	}
-	if d := metricPooled.Value() - pooled; d != 0 {
+	if d := metricHandoff.Value() - handed; d != 0 {
 		t.Fatalf("after one outlier sample %d of the next 64 steps' kernels were handed off", d)
 	}
 }
@@ -130,18 +130,18 @@ func TestCostConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestTwoChainsOverlapOnPool is the parallel side of dispatch-by-cost: two
-// independent chains of 128x128 MatMuls, each far dearer than a hand-off. Once
-// the plan has estimates the dispatcher keeps one kernel and hands the other
-// chain to the pool, so a traced step has spans on the dispatcher's stream and
-// on a pool worker's that overlap in time, and the fetch is bit-equal at one
-// worker, at the default width and with nothing handed off (a plan's first
-// step: every kernel timed, on the dispatcher). No wall-clock ratio is
-// asserted; on a loaded host a worker may wake too late to overlap the one
-// kept kernel, so a few steps may be needed to see it.
-func TestTwoChainsOverlapOnPool(t *testing.T) {
+// TestTwoChainsOverlapOffDispatcher is the parallel side of dispatch-by-cost:
+// two independent chains of 128x128 MatMuls, each far dearer than a hand-off.
+// Once the plan has estimates the dispatcher keeps one kernel and hands the
+// other chain's off, so a traced step has spans on the dispatcher's stream and
+// on the hand-off stream that overlap in time, and the fetch is bit-equal to a
+// step with nothing handed off (a plan's first step: every kernel timed, on
+// the dispatcher). No wall-clock ratio is asserted; on a loaded host a
+// handed-off kernel may start too late to overlap the one kept kernel, so a
+// few steps may be needed to see it.
+func TestTwoChainsOverlapOffDispatcher(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
-		// One P never runs the dispatcher and a worker at once.
+		// One P never runs the dispatcher and a handed-off kernel at once.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	b := newTB(t)
@@ -153,24 +153,17 @@ func TestTwoChainsOverlapOnPool(t *testing.T) {
 		}
 		return out[0].T
 	}
-	var plan *Plan
-	var want *tensor.Tensor
-	for _, workers := range []int{1, 0} {
-		plan = b.plan(PlanOptions{Fetches: fetches, Workers: workers})
-		pooled := metricPooled.Value()
-		first := run(plan, nil)
-		if metricPooled.Value() != pooled {
-			t.Fatalf("Workers: %d: a first execution was handed to the pool", workers)
-		}
-		if want == nil {
-			want = first
-		}
-		if got := run(plan, nil); !tensor.Equal(first, want) || !tensor.Equal(got, want) {
-			t.Fatalf("Workers: %d: fetch differs from the all-dispatcher first step", workers)
-		}
-		if metricPooled.Value() == pooled {
-			t.Fatalf("Workers: %d: exec_dispatch_pool_total did not move: 140 us kernels on two independent chains stayed on the dispatcher", workers)
-		}
+	plan := b.plan(PlanOptions{Fetches: fetches})
+	handed := metricHandoff.Value()
+	want := run(plan, nil)
+	if metricHandoff.Value() != handed {
+		t.Fatal("a first execution was handed off")
+	}
+	if got := run(plan, nil); !tensor.Equal(got, want) {
+		t.Fatal("fetch differs from the all-dispatcher first step")
+	}
+	if metricHandoff.Value() == handed {
+		t.Fatal("exec_dispatch_handoff_total did not move: 140 us kernels on two independent chains stayed on the dispatcher")
 	}
 	for attempt := 1; ; attempt++ {
 		tr := trace.New()
@@ -184,11 +177,11 @@ func TestTwoChainsOverlapOnPool(t *testing.T) {
 			}
 		}
 		if overlap > 0 {
-			t.Logf("attempt %d: dispatcher and pool spans overlap for %v over streams %v", attempt, overlap, tr.Streams())
+			t.Logf("attempt %d: dispatcher and hand-off spans overlap for %v over streams %v", attempt, overlap, tr.Streams())
 			return
 		}
 		if attempt == 50 {
-			t.Fatalf("no traced step in 50 had a dispatcher span overlapping a pool span (streams %v)", tr.Streams())
+			t.Fatalf("no traced step in 50 had a dispatcher span overlapping a hand-off span (streams %v)", tr.Streams())
 		}
 	}
 }

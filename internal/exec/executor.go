@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -17,20 +16,19 @@ import (
 )
 
 // Executor-level metrics on the process registry: step, kernel and loop
-// iteration volume, the inline/spawn/pool dispatch split (spawn counts the
-// blocking ops that run on their own goroutine), and pool pressure. Per-step
-// tallies accumulate in plain executor fields and flush once when the step
-// returns, so the per-node hot path pays no atomics for them.
+// iteration volume, and where node executions ran — on the dispatcher
+// (inline), on a goroutine of their own because they may block (spawn), or on
+// a goroutine of their own because they cost more than the hand-off
+// (handoff). Per-step tallies accumulate in plain executor fields and flush
+// once when the step returns, so the per-node hot path pays no atomics for
+// them.
 var (
-	metricSteps     = metrics.Default().Counter("exec_steps_total")
-	metricKernels   = metrics.Default().Counter("exec_kernels_total")
-	metricIters     = metrics.Default().Counter("exec_iterations_total")
-	metricInline    = metrics.Default().Counter("exec_dispatch_inline_total")
-	metricSpawn     = metrics.Default().Counter("exec_dispatch_spawn_total")
-	metricPooled    = metrics.Default().Counter("exec_dispatch_pool_total")
-	metricSteals    = metrics.Default().Counter("exec_pool_steals_total")
-	metricQueueCur  = metrics.Default().Gauge("exec_pool_queue_depth")
-	metricQueuePeak = metrics.Default().Gauge("exec_pool_queue_peak_depth")
+	metricSteps   = metrics.Default().Counter("exec_steps_total")
+	metricKernels = metrics.Default().Counter("exec_kernels_total")
+	metricIters   = metrics.Default().Counter("exec_iterations_total")
+	metricInline  = metrics.Default().Counter("exec_dispatch_inline_total")
+	metricSpawn   = metrics.Default().Counter("exec_dispatch_spawn_total")
+	metricHandoff = metrics.Default().Counter("exec_dispatch_handoff_total")
 )
 
 // DefaultParallelIterations bounds how many iterations of one loop may be
@@ -55,11 +53,6 @@ type PlanOptions struct {
 	// none (0 means the default, 32). A frame whose Enters declare
 	// parallel_iterations runs at what they declare.
 	ParallelIterations int
-	// Workers is the width of the private kernel pool a step creates when it
-	// hands kernels off and its Binding shares no Pool: N > 0 asks for N
-	// workers, anything else for GOMAXPROCS, and no plan gets more workers
-	// than it has kernel nodes.
-	Workers int
 	// Mem returns the memory system for a device name (may return nil).
 	// Called once per plan node, by NewPlan.
 	Mem func(device string) ops.DeviceMem
@@ -93,15 +86,10 @@ type Binding struct {
 	// Rendezvous connects Send/Recv ops; required only if the partition
 	// contains them.
 	Rendezvous Rendezvous
-	// Pool, if set, is a shared worker pool (see NewPool) the step submits
-	// kernel work to in place of a private one. The distributed runtime
-	// shares one pool across a step's partitions so they draw from a single
-	// worker budget. The caller owns the pool's lifecycle.
-	Pool *Pool
 	// Trace, if set, receives one span per node execution (node, op,
-	// frame/iteration, queue-wait vs run time, worker id, Send/Recv flow
-	// ids). Off (nil) by default; the tracing-off path is zero-alloc and
-	// guarded by the alloc-budget test in dcf.
+	// frame/iteration, queue-wait vs run time, the stream it ran on,
+	// Send/Recv flow ids). Off (nil) by default; the tracing-off path is
+	// zero-alloc and guarded by the alloc-budget test in dcf.
 	Trace *trace.Tracer
 }
 
@@ -219,24 +207,21 @@ type Plan struct {
 	sources  []int32
 	arenaLen int32 // total data-input slots across all nodes
 
-	// poolWidth is the worker count of a step's private pool: the Workers
-	// option (GOMAXPROCS when unset), capped at the plan's real-kernel nodes
-	// (not control primitives or pass-throughs), which bound the useful width.
-	poolWidth int
 	// eventsCap sizes a step's completion channel from the plan's live-frame
 	// bound, nodes x the widest frame window (acyclic plans execute each node
 	// exactly once), so a window-1 loop is provisioned at one slot per node
-	// and a huge partition stops at maxEventsBuffer.
+	// and a huge partition stops at maxEventsBuffer. The same bound caps the
+	// executions a step has off the dispatcher at once, and so its hand-off
+	// goroutines.
 	eventsCap int
 	// runners/mems are the per-plan-index device bindings (nil slices when
 	// the options have no provider).
 	runners []Runner
 	mems    []ops.DeviceMem
-	// The span stream names of a traced step: the dispatcher's, the blocking
-	// ops', and the prefix a pool worker's id is appended to.
+	// The span stream names of a traced step: the dispatcher's, and that of
+	// the executions it hands to goroutines of their own.
 	streamInline string
 	streamSpawn  string
-	streamPool   string
 
 	// cost[i] is the measured kernel time of plan node i in ns — 0 until its
 	// first execution, which is always timed — and untilSample counts the
@@ -272,7 +257,6 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 	}
 	frameIDs := map[string]int32{}
 	var arena int32
-	kernelNodes := 0
 	for i, n := range nodes {
 		info := &p.infos[i]
 		op := n.Op()
@@ -308,9 +292,6 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 			p.frames[id].parallel = max(p.frames[id].parallel, n.AttrInt("parallel_iterations"))
 		case kSend, kRecv:
 			info.sendKey = n.AttrString(SendKeyAttr)
-		}
-		if info.kind == kOther && !info.inline && !info.pass {
-			kernelNodes++
 		}
 		if info.numIn == 0 && info.numCtl == 0 {
 			p.sources = append(p.sources, int32(i))
@@ -371,13 +352,6 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 		window = max(window, p.frames[i].parallel)
 	}
 	p.eventsCap = min(max(len(nodes)*window, 1), maxEventsBuffer)
-	p.poolWidth = opts.Workers
-	if p.poolWidth <= 0 {
-		p.poolWidth = runtime.GOMAXPROCS(0)
-	}
-	if kernelNodes > 0 {
-		p.poolWidth = min(p.poolWidth, kernelNodes)
-	}
 	if opts.Runner != nil {
 		p.runners = make([]Runner, len(nodes))
 		for i, n := range nodes {
@@ -394,7 +368,7 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 	if stream == "" {
 		stream = "cpu"
 	}
-	p.streamInline, p.streamSpawn, p.streamPool = stream+"/inline", stream+"/spawn", stream+"/pool-"
+	p.streamInline, p.streamSpawn = stream+"/inline", stream+"/spawn"
 	return p, nil
 }
 
@@ -430,13 +404,12 @@ type executor struct {
 
 	root *frameState
 
-	// events carries batched completions: workers (and the goroutines of
-	// blocking ops) deliver slices of doneMsg; the dispatcher drains each
-	// batch through doneQ before blocking on the channel again. It is nil
-	// until the first execution leaves the dispatcher (goOff), so a step
-	// that never hands off allocates no channel; inFlight counts the
-	// executions currently off the dispatcher, pooled or spawned.
-	events   chan []doneMsg
+	// events carries completions: the goroutine of every execution off the
+	// dispatcher sends one doneMsg. It is nil until the first execution
+	// leaves the dispatcher (goOff), so a step that never hands off allocates
+	// no channel; inFlight counts the executions currently off the
+	// dispatcher.
+	events   chan *doneMsg
 	inFlight int
 	quit     chan struct{}
 	// done is the step's cancellation signal (nil when ctx is nil);
@@ -444,18 +417,9 @@ type executor struct {
 	// observed exactly once.
 	done <-chan struct{}
 
-	// doneQ is the dispatcher-side buffer of received, unprocessed
-	// completions (doneQ[doneHead:] are pending).
-	doneQ    []doneMsg
-	doneHead int
-
-	// pool runs real kernels: the binding's shared pool, else nil until the
-	// first pooled execution (or forever, for all-inline steps). ownPool
-	// marks a pool created by this executor, closed when run returns.
-	pool    *Pool
-	ownPool bool
-	// aborted mirrors firstErr != nil for pool workers (which must not
-	// touch dispatcher-owned state): once set, queued kernels are skipped.
+	// aborted mirrors firstErr != nil for the goroutines off the dispatcher
+	// (which must not touch dispatcher-owned state): once set, a kernel not
+	// yet started is skipped.
 	aborted atomic.Bool
 
 	outstanding int
@@ -464,7 +428,7 @@ type executor struct {
 	// The dispatcher's own work, in the order a turn takes it (see Run):
 	// inlineQ holds control primitives and dead skips, cheapQ the kernels
 	// estimated below handoffCost, kept the one dear kernel the dispatcher
-	// runs itself rather than wait for (kept.ex is nil when the slot is
+	// runs itself rather than wait for (kept.it is nil when the slot is
 	// free). Both queues are LIFO: the newest item's inputs are warm.
 	inlineQ []workItem
 	cheapQ  []workItem
@@ -484,10 +448,10 @@ type executor struct {
 	numKernels int
 	// Per-step tallies, flushed to the process metrics registry when Run
 	// returns (plain ints: no hot-path atomics).
-	statIters  int // loop body passes: iterations past a frame's 0th retired by advanceFrontier
-	statInline int
-	statSpawn  int
-	statPooled int
+	statIters   int // loop body passes: iterations past a frame's 0th retired by advanceFrontier
+	statInline  int
+	statSpawn   int
+	statHandoff int
 
 	// refs counts the references to the pool buffers this step delivered to
 	// more than one consumer: a token whose ref is r is one of the refs[r]
@@ -508,9 +472,9 @@ type executor struct {
 	iterGen  uint32
 }
 
-// doneMsg reports a finished node execution back to the dispatcher. It
-// carries up to two output tokens by value, so a completion crossing from a
-// worker costs no allocation; wider nodes (Split, Unpack) spill to more.
+// doneMsg reports a node execution that ran off the dispatcher back to it,
+// one allocation per execution. It carries up to two output tokens inline;
+// wider nodes (Split, Unpack) spill to more.
 type doneMsg struct {
 	idx  int32
 	n    int32 // output count
@@ -540,8 +504,8 @@ func (m *doneMsg) outs() []Token {
 
 // nodeScratch is the storage one node execution borrows from its caller,
 // so that running a node allocates nothing of its own. Every runNode caller
-// supplies one: the dispatcher the executor's, a pool worker its own, the
-// goroutine of a blocking op a fresh one.
+// supplies one: the dispatcher the executor's, the goroutine of an execution
+// off the dispatcher a fresh one.
 //
 // Lifetimes: the tokens runNode returns alias outs and are valid until the
 // same scratch's next runNode; kctx, kctx.In and the slice a kernel returns
@@ -692,7 +656,6 @@ func (p *Plan) newExecutor(b Binding) *executor {
 		ctx:         b.Ctx,
 		rendezvous:  b.Rendezvous,
 		tracer:      b.Trace,
-		pool:        b.Pool,
 		quit:        make(chan struct{}),
 		untilSample: p.untilSample.Load(),
 		fetched:     make([]Token, len(p.fetches)),
@@ -725,13 +688,13 @@ func (p *Plan) newExecutor(b Binding) *executor {
 }
 
 // goOff accounts for one execution leaving the dispatcher, creating the
-// completion channel on the first. The write happens before the `go` or the
-// pool submit that lets another goroutine read ex.events, and the dispatcher
-// only blocks on the channel with something in flight, so it never selects
-// on the nil one with nothing else to wake it.
+// completion channel on the first. The write happens before the `go` that
+// lets another goroutine read ex.events, and the dispatcher only blocks on
+// the channel with something in flight, so it never selects on the nil one
+// with nothing else to wake it.
 func (ex *executor) goOff() {
 	if ex.events == nil {
-		ex.events = make(chan []doneMsg, ex.plan.eventsCap)
+		ex.events = make(chan *doneMsg, ex.plan.eventsCap)
 	}
 	ex.inFlight++
 }
@@ -772,19 +735,13 @@ func (ex *executor) run() ([]ops.Value, error) {
 		return nil, fmt.Errorf("exec: step canceled: %w", context.Cause(ex.ctx))
 	}
 	defer func() {
-		// A pool this executor created drains with the step (outstanding
-		// hit zero, so every submitted item was executed and consumed);
-		// shared pools belong to the caller.
-		if ex.ownPool && ex.pool != nil {
-			ex.pool.Close()
-		}
 		ex.plan.untilSample.Store(ex.untilSample)
 		metricSteps.Inc()
 		metricKernels.Add(int64(ex.numKernels))
 		metricIters.Add(int64(ex.statIters))
 		metricInline.Add(int64(ex.statInline))
 		metricSpawn.Add(int64(ex.statSpawn))
-		metricPooled.Add(int64(ex.statPooled))
+		metricHandoff.Add(int64(ex.statHandoff))
 	}()
 	it := ex.iteration(ex.root, 0)
 	if it == nil {
@@ -796,39 +753,27 @@ func (ex *executor) run() ([]ops.Value, error) {
 	// The dispatcher is the only goroutine that advances control flow, so
 	// whatever it runs itself delays every Send, Recv and loop-control token
 	// that was ready. A turn therefore takes communication before compute:
-	// control primitives and dead skips (pure token bookkeeping), then
-	// completions already received, then one non-blocking look at the
-	// channel, and only then a kernel — a cheap one first, the kept dear one
-	// last, since by then every hand-off this turn could make is made and
-	// the pool works while the dispatcher computes.
+	// control primitives and dead skips (pure token bookkeeping), then one
+	// non-blocking look at the completion channel, and only then a kernel —
+	// a cheap one first, the kept dear one last, since by then every hand-off
+	// this turn could make is made and runs while the dispatcher computes.
 	for ex.outstanding > 0 {
 		ex.pollCancel()
 		switch {
 		case len(ex.inlineQ) > 0:
 			ex.runHere(popItem(&ex.inlineQ))
-		case ex.doneHead < len(ex.doneQ):
-			// complete never appends to doneQ, so msg stays addressable.
-			msg := &ex.doneQ[ex.doneHead]
-			ex.inFlight--
-			ex.complete(msg.idx, msg.fs, msg.iter, msg.outs(), msg.err)
-			*msg = doneMsg{}
-			ex.doneHead++
-			if ex.doneHead == len(ex.doneQ) {
-				ex.doneQ = ex.doneQ[:0]
-				ex.doneHead = 0
-			}
 		case ex.inFlight > 0 && ex.pollEvents():
 		case len(ex.cheapQ) > 0:
 			ex.runHere(popItem(&ex.cheapQ))
-		case ex.kept.ex != nil:
+		case ex.kept.it != nil:
 			item := ex.kept
-			ex.kept.ex = nil
+			ex.kept = workItem{}
 			ex.runHere(&item)
 		default:
 			// Everything outstanding is in flight, so events is non-nil.
 			select {
-			case batch := <-ex.events:
-				ex.receive(batch)
+			case msg := <-ex.events:
+				ex.finish(msg)
 			case <-ex.done:
 				// done is nil unless a cancelable context was given, and
 				// is nilled once it fires, so this arm triggers at most
@@ -874,16 +819,16 @@ func (ex *executor) runHere(item *workItem) {
 	var err error
 	if ex.firstErr == nil {
 		ex.grant(item)
-		outs, err = ex.runItem(&ex.scratch, item, trace.WorkerInline)
+		outs, err = ex.runItem(&ex.scratch, item, ex.plan.streamInline)
 	}
 	ex.complete(idx, fs, iter, outs, err)
 }
 
-// runItem runs one queued execution on the calling goroutine (the
-// dispatcher, a pool worker, the goroutine of a blocking op) with that
-// caller's scratch. It reads the clock only for an execution picked as a
-// cost sample or under a tracer.
-func (ex *executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Token, error) {
+// runItem runs one queued execution on the calling goroutine (the dispatcher,
+// or the goroutine of an execution off it) with that caller's scratch, and
+// traces it on that caller's stream. It reads the clock only for an execution
+// picked as a cost sample or under a tracer.
+func (ex *executor) runItem(sc *nodeScratch, item *workItem, stream string) ([]Token, error) {
 	info := &ex.plan.infos[item.idx]
 	end := info.inOff + info.numIn
 	inputs := item.it.arena[info.inOff:end:end]
@@ -901,27 +846,26 @@ func (ex *executor) runItem(sc *nodeScratch, item *workItem, worker int) ([]Toke
 		ex.plan.observe(item.idx, done.Sub(start))
 	}
 	if ex.tracer != nil {
-		ex.recordSpan(item, tag, worker, start, done)
+		ex.recordSpan(item, tag, stream, start, done)
 	}
 	return outs, err
 }
 
-// receive moves one batch of completions into doneQ and recycles the batch.
-func (ex *executor) receive(batch []doneMsg) {
-	ex.doneQ = append(ex.doneQ, batch...)
-	clear(batch)
-	batchPool.Put(batch[:0])
-}
-
-// pollEvents takes one batch off the completion channel if one is waiting.
+// pollEvents retires one completion if one is waiting on the channel.
 func (ex *executor) pollEvents() bool {
 	select {
-	case batch := <-ex.events:
-		ex.receive(batch)
+	case msg := <-ex.events:
+		ex.finish(msg)
 		return true
 	default:
 		return false
 	}
+}
+
+// finish retires one execution that ran off the dispatcher.
+func (ex *executor) finish(msg *doneMsg) {
+	ex.inFlight--
+	ex.complete(msg.idx, msg.fs, msg.iter, msg.outs(), msg.err)
 }
 
 // complete retires one finished node execution: it fails the step on err,
@@ -929,8 +873,8 @@ func (ex *executor) pollEvents() bool {
 // token is copied by value on delivery), then settles the accounting.
 func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, err error) {
 	if err != nil {
-		// fail also flips the aborted flag so pool workers skip the
-		// kernels of the already-failed step.
+		// fail also flips the aborted flag so the goroutines off the
+		// dispatcher skip the kernels of the already-failed step.
 		ex.fail(err)
 	}
 	mit := lookupIter(fs, iter)
@@ -956,23 +900,15 @@ func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, 
 // recordSpan emits one node-execution span to the step tracer. Callers
 // guarantee ex.tracer != nil; everything here may allocate freely because
 // the tracing-off path never reaches it.
-func (ex *executor) recordSpan(item *workItem, tag string, worker int, start, end time.Time) {
+func (ex *executor) recordSpan(item *workItem, tag, stream string, start, end time.Time) {
 	info := &ex.plan.infos[item.idx]
 	ev := trace.Event{
+		Stream: stream,
 		Name:   info.node.Name(),
 		Op:     info.node.Op(),
 		Frame:  item.fs.tag(item.it.iter),
 		Iter:   item.it.iter,
-		Worker: worker,
 		Queue:  start.Sub(item.enq),
-	}
-	switch worker {
-	case trace.WorkerInline:
-		ev.Stream = ex.plan.streamInline
-	case trace.WorkerSpawn:
-		ev.Stream = ex.plan.streamSpawn
-	default:
-		ev.Stream = ex.plan.streamPool + strconv.Itoa(worker)
 	}
 	if tag != "" {
 		// Both sides of a hop derive the same id from (static key, frame
@@ -1210,10 +1146,10 @@ func (ex *executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 	ex.schedule(idx, fs, it)
 }
 
-// schedule queues a node execution: with the dispatcher (control primitives,
+// schedule queues a node execution with the dispatcher (control primitives,
 // dead skips, kernels cheaper than a hand-off, one dear kernel when nothing
-// else is in flight), on its own goroutine (ops that may block), or on the
-// worker pool (every other kernel).
+// else is in flight) or starts it on a goroutine of its own (ops that may
+// block, every other kernel).
 func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 	info := &ex.plan.infos[idx]
 	ns := ex.nstate(it, idx)
@@ -1222,7 +1158,7 @@ func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 	it.outstanding++
 	ex.frameActivityUp(fs)
 	ex.numKernels++
-	item := workItem{ex: ex, fs: fs, it: it, idx: idx, deadCtl: ns.deadCtl > 0}
+	item := workItem{fs: fs, it: it, idx: idx, deadCtl: ns.deadCtl > 0}
 	if info.kind == kSend || info.kind == kRecv {
 		ex.iterTag(fs, it) // memoized on the iteration before its goroutine starts
 	}
@@ -1241,69 +1177,65 @@ func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 		return
 	}
 	// Ops that may block — Send and Recv (network), kernels on custom
-	// device runners or device memory (simulated streams, swaps) — never
-	// enter the pool: a blocked worker would starve every queued kernel
-	// behind it. They keep their own goroutines.
+	// device runners or device memory (simulated streams, swaps) — always
+	// leave the dispatcher, which must stay free to move tokens.
 	if info.kind == kSend || info.kind == kRecv || ex.plan.runner(idx) != nil || (ex.plan.mems != nil && ex.plan.mems[idx] != nil) {
 		ex.statSpawn++
-		ex.goOff()
-		ex.grant(&item)
-		go ex.runSpawned(item)
-		return
-	}
-	// An ordinary kernel goes where its measured cost says. The decision
-	// reads one atomic and no clock. A first execution (no estimate yet) is
-	// timed and stays here; after that about one execution in sampleEvery is
-	// timed wherever it runs, the gap drawn afresh each time so that a plan
-	// whose kernel count shares a factor with the period still has every
-	// node re-sampled.
-	cost := ex.plan.cost[idx].Load()
-	item.timed = cost == 0
-	if ex.untilSample--; ex.untilSample <= 0 {
-		item.timed = true
-		ex.untilSample = sampleEvery/2 + rand.Int64N(sampleEvery)
-	}
-	switch {
-	case cost < int64(handoffCost):
-		ex.statInline++
-		ex.cheapQ = append(ex.cheapQ, item)
-	case ex.inFlight == 0 && ex.kept.ex == nil:
-		// Nothing is off the dispatcher, so it would push this kernel, wake
-		// a worker and sleep until that very kernel came back: it runs it
-		// itself. A serial chain of any size thus makes no hand-off and
-		// builds no pool; a fork hands off all but one branch; a partition
-		// with a Recv pending hands off everything, staying free to answer
-		// it.
-		ex.statInline++
-		ex.kept = item
-	default:
-		if ex.pool == nil {
-			// Plan-sized private pool, created lazily so steps that hand
-			// nothing off never pay for it.
-			ex.pool = NewPool(ex.plan.poolWidth)
-			ex.ownPool = true
+	} else {
+		// An ordinary kernel goes where its measured cost says. The decision
+		// reads one atomic and no clock. A first execution (no estimate yet)
+		// is timed and stays here; after that about one execution in
+		// sampleEvery is timed wherever it runs, the gap drawn afresh each
+		// time so that a plan whose kernel count shares a factor with the
+		// period still has every node re-sampled.
+		cost := ex.plan.cost[idx].Load()
+		item.timed = cost == 0
+		if ex.untilSample--; ex.untilSample <= 0 {
+			item.timed = true
+			ex.untilSample = sampleEvery/2 + rand.Int64N(sampleEvery)
 		}
-		ex.statPooled++
-		ex.goOff()
-		ex.grant(&item)
-		ex.pool.submit(item)
+		switch {
+		case cost < int64(handoffCost):
+			ex.statInline++
+			ex.cheapQ = append(ex.cheapQ, item)
+			return
+		case ex.inFlight == 0 && ex.kept.it == nil:
+			// Nothing is off the dispatcher, so it would hand this kernel off
+			// and sleep until that very kernel came back: it runs it itself.
+			// A serial chain of any size thus makes no hand-off and no
+			// completion channel; a fork hands off all but one branch; a
+			// partition with a Recv pending hands off everything, staying
+			// free to answer it.
+			ex.statInline++
+			ex.kept = item
+			return
+		}
+		ex.statHandoff++
 	}
+	ex.goOff()
+	ex.grant(&item)
+	go ex.runSpawned(item)
 }
 
-// runSpawned is the goroutine of one op that may block. The item arrives by
-// value so that schedule's copy never escapes to the heap.
+// runSpawned is the goroutine of one execution off the dispatcher. The item
+// arrives by value so that schedule's copy never escapes to the heap. After
+// the step has failed (error or cancel) the dispatcher only counts
+// completions, so the kernel is skipped, as runHere skips it.
 func (ex *executor) runSpawned(item workItem) {
-	var sc nodeScratch
-	outs, err := ex.runItem(&sc, &item, trace.WorkerSpawn)
-	batch := append(batchPool.Get().([]doneMsg)[:0], doneMsg{idx: item.idx, fs: item.fs, iter: item.it.iter, err: err})
-	batch[0].setOuts(outs)
-	ex.events <- batch
+	msg := &doneMsg{idx: item.idx, fs: item.fs, iter: item.it.iter}
+	if !ex.aborted.Load() {
+		var sc nodeScratch
+		outs, err := ex.runItem(&sc, &item, ex.plan.streamSpawn)
+		msg.setOuts(outs)
+		msg.err = err
+	}
+	ex.events <- msg
 }
 
-// handoffCost is what handing a kernel to the pool costs the step: a queue
-// push, a futex wake of a parked worker, the kernel's buffers crossing to
-// another P and a batched completion coming back. A kernel measured below it
-// runs on the dispatcher.
+// handoffCost is what handing a kernel to a goroutine of its own costs the
+// step: starting the goroutine, waking an idle P to run it, the kernel's
+// buffers crossing to that P and its completion coming back over the events
+// channel. A kernel measured below it runs on the dispatcher.
 //
 // The sweep, on 2 vCPUs whose speed drifts by a quarter (three rounds per
 // cell, so read ranges): the constant against BenchmarkRNNTrainStep -cpu 2
@@ -1333,6 +1265,12 @@ func (ex *executor) runSpawned(item workItem) {
 // or 50. 40 us is clear of the smallest kernel measured to gain (57 us) and
 // of every fork kernel of that step (its dearest MatMul reads 23 us) on a
 // host running half as fast again.
+//
+// The sweep handed off to a worker pool. A goroutine per hand-off reads the
+// same where it matters, six alternating rounds of BenchmarkTwoChains -cpu 2
+// (median us per call, pool -> goroutine): n=96 1005 -> 1042, n=128
+// 2275 -> 2239, both inside the pool's own spread (940-1158, 2101-2306), so
+// the break-even did not move and the constant stands.
 const handoffCost = 40 * time.Microsecond
 
 // sampleEvery is the mean number of kernel executions between two timed ones
@@ -1373,17 +1311,15 @@ var passOps = map[string]bool{
 	"Identity": true, "LoopCond": true, "StopGradient": true,
 }
 
-// workItem is one ready node execution, queued with the dispatcher or in the
-// pool. It carries its executor so one pool can serve many concurrent
-// executors (the shared-budget distrib case), and it is kept small — every
-// node execution copies one into a queue — by naming the iteration rather
-// than holding what can be read off it: the node's input span of the arena
-// (frozen once scheduled, but for the dispatcher's grant before it lets go of
-// the item; the iteration cannot be recycled while this execution is
-// outstanding, so whoever runs it reads the span in place), the
-// iteration number and, for Send and Recv, the frame tag.
+// workItem is one ready node execution, queued with the dispatcher or handed
+// to a goroutine. It is kept small — every node execution copies one into a
+// queue — by naming the iteration rather than holding what can be read off
+// it: the node's input span of the arena (frozen once scheduled, but for the
+// dispatcher's grant before it lets go of the item; the iteration cannot be
+// recycled while this execution is outstanding, so whoever runs it reads the
+// span in place), the iteration number and, for Send and Recv, the frame
+// tag.
 type workItem struct {
-	ex      *executor
 	fs      *frameState
 	it      *iterState
 	idx     int32

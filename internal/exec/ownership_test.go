@@ -11,8 +11,8 @@ import (
 
 // The tests below hold the ownership rule to its arithmetic: each builds a
 // graph in which a pool buffer has more than one reference, runs it at
-// windows 1 and 32 with pools of 1 and 4 workers, with the kernels on the
-// dispatcher and estimated dear, and requires the fetched values and the
+// windows 1 and 32, with the kernels on the dispatcher and estimated dear
+// (handed off), and requires the fetched values and the
 // exact change in tensor.PoolLiveBytes() the rule predicts — the bytes the
 // case names as held (a fetch, a variable) and nothing else. A buffer that is
 // never released reads as growth; one released early reads as a wrong value
@@ -84,36 +84,34 @@ type ruleCase struct {
 	check func(out []ops.Value) error
 	held  int64
 	bind  Binding
-	// forks: with every kernel estimated dear, some must reach the pool.
+	// forks: with every kernel estimated dear, some must be handed off.
 	forks bool
 }
 
 func runRule(t *testing.T, c ruleCase) {
 	t.Helper()
 	for _, window := range []int{1, 32} {
-		for _, workers := range []int{1, 4} {
-			for _, dear := range []bool{false, true} {
-				name := fmt.Sprintf("window %d, workers %d, dear %v", window, workers, dear)
-				b := newTB(t)
-				opts := PlanOptions{Fetches: c.build(b), ParallelIterations: window, Workers: workers}
-				plan := b.plan(opts)
-				if dear {
-					plan = newDear(b, opts)
-				}
-				pooled, start := metricPooled.Value(), tensor.PoolLiveBytes()
-				out, _, err := plan.Run(c.bind)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if grew := tensor.PoolLiveBytes() - start; grew != c.held {
-					t.Errorf("%s: the pool's live bytes moved by %d, the rule predicts %d", name, grew, c.held)
-				}
-				if err := c.check(out); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-				if dear && c.forks && metricPooled.Value() == pooled {
-					t.Errorf("%s: no kernel reached the pool", name)
-				}
+		for _, dear := range []bool{false, true} {
+			name := fmt.Sprintf("window %d, dear %v", window, dear)
+			b := newTB(t)
+			opts := PlanOptions{Fetches: c.build(b), ParallelIterations: window}
+			plan := b.plan(opts)
+			if dear {
+				plan = newDear(b, opts)
+			}
+			handed, start := metricHandoff.Value(), tensor.PoolLiveBytes()
+			out, _, err := plan.Run(c.bind)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if grew := tensor.PoolLiveBytes() - start; grew != c.held {
+				t.Errorf("%s: the pool's live bytes moved by %d, the rule predicts %d", name, grew, c.held)
+			}
+			if err := c.check(out); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if dear && c.forks && metricHandoff.Value() == handed {
+				t.Errorf("%s: no kernel was handed off", name)
 			}
 		}
 	}

@@ -13,14 +13,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// poolVecElems is the length of the vectors the pool tests add: a kernel of
-// about a microsecond, which only reaches the pool because runDear says it
-// costs a second.
+// The hand-off tests. A kernel that leaves the dispatcher runs on a goroutine
+// of its own, so the pool these tests load is the Go scheduler's: it spreads
+// the goroutines over the Ps and steals between them.
+
+// poolVecElems is the length of the vectors the hand-off tests add: a kernel
+// of about a microsecond, which only leaves the dispatcher because newDear
+// says it costs a second.
 const poolVecElems = 1024
 
 // newDear compiles b's graph into a plan that already estimates every node at
-// a second, far above handoffCost: each kernel is handed to the pool unless
-// the dispatcher keeps it, whatever it really costs. (One execution in
+// a second, far above handoffCost: each kernel is handed off unless the
+// dispatcher keeps it, whatever it really costs. (One execution in
 // sampleEvery halves an estimate; none gets near the constant in a test.)
 func newDear(b *tb, opts PlanOptions) *Plan {
 	b.t.Helper()
@@ -31,15 +35,15 @@ func newDear(b *tb, opts PlanOptions) *Plan {
 	return plan
 }
 
-// runPooled runs one step and fails the test unless it handed kernels to the
-// pool: a pool test that passes with exec_dispatch_pool_total standing still
-// tested the dispatcher.
-func runPooled(t *testing.T, plan *Plan, bind Binding) ([]ops.Value, error) {
+// runHandedOff runs one step and fails the test unless it handed kernels off
+// the dispatcher: a hand-off test that passes with exec_dispatch_handoff_total
+// standing still tested the dispatcher.
+func runHandedOff(t *testing.T, plan *Plan, bind Binding) ([]ops.Value, error) {
 	t.Helper()
-	before := metricPooled.Value()
+	before := metricHandoff.Value()
 	out, _, err := plan.Run(bind)
-	if metricPooled.Value() == before {
-		t.Fatal("exec_dispatch_pool_total did not move: no kernel of this step reached the pool")
+	if metricHandoff.Value() == before {
+		t.Fatal("exec_dispatch_handoff_total did not move: no kernel of this step left the dispatcher")
 	}
 	return out, err
 }
@@ -53,9 +57,8 @@ func vecConst(b *tb, n int, v float64) graph.Output {
 }
 
 // buildWideBody builds `width` independent chains of `depth` Add kernels over
-// one shared input, fetching each chain's tail: a
-// steal-heavy workload (one dispatcher floods the queues; idle workers must
-// steal to help).
+// one shared input, fetching each chain's tail: with every kernel dear, the
+// dispatcher keeps one chain's link and hands the others off at once.
 func buildWideBody(b *tb, width, depth int) []graph.Output {
 	x := vecConst(b, poolVecElems, 1)
 	one := vecConst(b, poolVecElems, 1)
@@ -71,69 +74,47 @@ func buildWideBody(b *tb, width, depth int) []graph.Output {
 }
 
 func TestPoolStealHeavyWideBody(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		b := newTB(t)
-		fetches := buildWideBody(b, 16, 4)
-		out, err := runPooled(t, newDear(b, PlanOptions{Fetches: fetches, Workers: workers}), Binding{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if got := v.T.F[0]; got != 5 {
-				t.Fatalf("workers=%d chain %d: got %v want 5", workers, i, got)
-			}
+	b := newTB(t)
+	fetches := buildWideBody(b, 16, 4)
+	out, err := runHandedOff(t, newDear(b, PlanOptions{Fetches: fetches}), Binding{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if got := v.T.F[0]; got != 5 {
+			t.Fatalf("chain %d: got %v want 5", i, got)
 		}
 	}
 }
 
-func TestPoolSharedAcrossExecutors(t *testing.T) {
-	// One pool, several executors drawing from the same worker budget
-	// (the distributed runtime's per-step sharing).
-	pool := NewPool(2)
-	defer pool.Close()
-	for i := 0; i < 3; i++ {
-		b := newTB(t)
-		fetches := buildWideBody(b, 8, 3)
-		out, err := runPooled(t, newDear(b, PlanOptions{Fetches: fetches}), Binding{Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out[0].T.F[0]; got != 4 {
-			t.Fatalf("run %d: got %v want 4", i, got)
-		}
-	}
-}
-
-// TestPoolDrainOnFailure fails one kernel among many queued ones: the step
-// must surface the error, drain every in-flight execution, and leave no
-// worker goroutines behind.
+// TestPoolDrainOnFailure fails one kernel among many handed-off ones: the
+// step must surface the error, drain every execution in flight, and leave no
+// goroutine behind.
 func TestPoolDrainOnFailure(t *testing.T) {
 	before := runtime.NumGoroutine()
 	b := newTB(t)
 	fetches := buildWideBody(b, 16, 4)
-	// A shape-mismatched Add fails inside its kernel — on a pool worker,
-	// unless it is the one kernel the dispatcher keeps — with the chains
-	// queued behind it.
+	// A shape-mismatched Add fails inside its kernel — on a goroutine of its
+	// own, unless it is the one kernel the dispatcher keeps — with the chains
+	// in flight beside it.
 	bad := b.node("Add", nil, vecConst(b, poolVecElems, 1), vecConst(b, poolVecElems-1, 1))
 	fetches = append(fetches, bad.Out(0))
-	plan := newDear(b, PlanOptions{Fetches: fetches, Workers: 4})
-	if _, err := runPooled(t, plan, Binding{}); err == nil || !strings.Contains(err.Error(), "Add") {
+	if _, err := runHandedOff(t, newDear(b, PlanOptions{Fetches: fetches}), Binding{}); err == nil || !strings.Contains(err.Error(), "Add") {
 		t.Fatalf("want Add kernel error, got %v", err)
 	}
 	awaitGoroutines(t, before)
 }
 
-// TestPoolCancelMidSteal cancels a step while pool workers are busy and
-// queues are non-empty: Run must return the cancellation error and the
-// pool's workers must exit with the step.
+// TestPoolCancelMidSteal cancels a step while handed-off kernels are in
+// flight: Run must return the cancellation error and every goroutine the step
+// started must exit with it.
 func TestPoolCancelMidSteal(t *testing.T) {
 	before := runtime.NumGoroutine()
 	b := newTB(t)
-	// A long loop whose body holds enough parallel kernel work to keep
-	// queues populated while the cancel lands: per-iteration real kernels
-	// ride on the counter via control dependencies, so every iteration
-	// pushes pool items. The hook runs after an iteration's four, so the
-	// pool has been used by the time it fires.
+	// A long loop whose body holds parallel kernel work: per-iteration real
+	// kernels ride on the counter via control dependencies, so every
+	// iteration hands kernels off. The hook runs after an iteration's four,
+	// so kernels have been handed off by the time it fires.
 	fired, started := signalOnce()
 	exit := buildCounterLoopBody(b, 1e9, 1, 1, func(next graph.Output, constant func(graph.Output) graph.Output) graph.Output {
 		vec := constant(vecConst(b, poolVecElems, 1))
@@ -145,8 +126,8 @@ func TestPoolCancelMidSteal(t *testing.T) {
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	plan := newDear(b, PlanOptions{Fetches: []graph.Output{exit}, Workers: 2})
-	pooledBefore := metricPooled.Value()
+	plan := newDear(b, PlanOptions{Fetches: []graph.Output{exit}})
+	handedBefore := metricHandoff.Value()
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := plan.Run(Binding{Ctx: ctx})
@@ -162,14 +143,14 @@ func TestPoolCancelMidSteal(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after cancel")
 	}
-	if metricPooled.Value() == pooledBefore {
-		t.Fatal("exec_dispatch_pool_total did not move: the canceled step never used the pool")
+	if metricHandoff.Value() == handedBefore {
+		t.Fatal("exec_dispatch_handoff_total did not move: the canceled step never handed a kernel off")
 	}
 	awaitGoroutines(t, before)
 }
 
 // awaitGoroutines waits for the goroutine count to return to (near) the
-// baseline; pool workers and spawned kernels must all have exited.
+// baseline; handed-off and spawned executions must all have exited.
 func awaitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -182,34 +163,10 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestNegativeWorkersMeansDefault: a negative Workers (once the selector of
-// a goroutine-per-kernel mode) sizes the pool like zero does, and the step's
-// pool is that wide.
-func TestNegativeWorkersMeansDefault(t *testing.T) {
-	b := newTB(t)
-	fetches := buildWideBody(b, 8, 3)
-	plan := newDear(b, PlanOptions{Fetches: fetches, Workers: -1})
-	// Every node of this graph is a kernel node.
-	if want := min(runtime.GOMAXPROCS(0), len(plan.infos)); plan.poolWidth != want || b.plan(PlanOptions{Fetches: fetches}).poolWidth != want {
-		t.Fatalf("Workers -1 must size the pool like 0 does (%d workers), got %d", want, plan.poolWidth)
-	}
-	ex := plan.newExecutor(Binding{})
-	out, err := ex.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out[0].T.F[0]; got != 4 {
-		t.Fatalf("got %v want 4", got)
-	}
-	if ex.pool == nil || ex.pool.Size() != plan.poolWidth {
-		t.Fatalf("the step's pool is %v, want %d workers", ex.pool, plan.poolWidth)
-	}
-}
-
-// TestAllInlineStepSpawnsNoPool: a step that hands nothing off pays for
-// neither a pool nor a completion channel. Two ways to be one: every kernel is
-// cheaper than a hand-off (a scalar counter loop), or the kernels are dear but
-// form a serial chain, which the dispatcher keeps link by link.
+// TestAllInlineStepSpawnsNoPool: a step that hands nothing off starts no
+// goroutine and pays for no completion channel. Two ways to be one: every
+// kernel is cheaper than a hand-off (a scalar counter loop), or the kernels
+// are dear but form a serial chain, which the dispatcher keeps link by link.
 func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 50, 1, 0)
@@ -217,8 +174,8 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	if _, err := ex.run(); err != nil {
 		t.Fatal(err)
 	}
-	if ex.pool != nil || ex.events != nil {
-		t.Fatalf("all-inline step created pool %v, completion channel %v", ex.pool, ex.events)
+	if ex.events != nil {
+		t.Fatalf("all-inline step created completion channel %v", ex.events)
 	}
 
 	c := newTB(t)
@@ -227,7 +184,7 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 		cur = c.node("Neg", nil, cur).Out(0)
 	}
 	chain := newDear(c, PlanOptions{Fetches: []graph.Output{cur}}).newExecutor(Binding{})
-	pooled, spawned := metricPooled.Value(), metricSpawn.Value()
+	handed, spawned := metricHandoff.Value(), metricSpawn.Value()
 	out, err := chain.run()
 	if err != nil {
 		t.Fatal(err)
@@ -235,9 +192,9 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 	if got := out[0].T.F[0]; got != -1 {
 		t.Fatalf("chain: got %v want -1", got)
 	}
-	if chain.pool != nil || chain.events != nil || metricPooled.Value() != pooled || metricSpawn.Value() != spawned {
-		t.Fatalf("serial chain of dear kernels left the dispatcher: pool %v, channel %v, %d pooled, %d spawned",
-			chain.pool, chain.events, metricPooled.Value()-pooled, metricSpawn.Value()-spawned)
+	if chain.events != nil || metricHandoff.Value() != handed || metricSpawn.Value() != spawned {
+		t.Fatalf("serial chain of dear kernels left the dispatcher: channel %v, %d handed off, %d spawned",
+			chain.events, metricHandoff.Value()-handed, metricSpawn.Value()-spawned)
 	}
 }
 

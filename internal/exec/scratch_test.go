@@ -87,12 +87,10 @@ func TestIterationsCounter(t *testing.T) {
 }
 
 // The scratch-aliasing tests below build graphs in which a node's output
-// tokens sit in the dispatcher's (or a worker's) scratch while other nodes
-// run, and check that every consumer still sees the right value. Each graph
-// runs with its kernels on the dispatcher (fresh estimates) and with every
-// kernel estimated dear (the pool path, completions crossing in doneMsg), at
-// the default pool width and at Workers: 1, and the results must be
-// identical.
+// tokens sit in the dispatcher's scratch while other nodes run, and check that
+// every consumer still sees the right value. Each graph runs with its kernels
+// on the dispatcher (fresh estimates) and with every kernel estimated dear
+// (handed off, completions crossing in doneMsg).
 
 // filled returns a [rows, cols] float tensor with element k = base + k.
 func filled(base float64, rows, cols int) *tensor.Tensor {
@@ -114,31 +112,23 @@ func delayChain(b *tb, n int) *graph.Node {
 	return cur
 }
 
-// runBothWidths runs the graph at the default pool width and at one worker
-// and requires bit-identical fetches; it returns them. With dear set the
-// kernels are estimated far above handoffCost and the runs must reach the
-// pool.
-func runBothWidths(t *testing.T, b *tb, fetches []graph.Output, runner func(string) Runner, dear bool) []ops.Value {
+// runScratch runs one step of the graph and returns its fetches. With dear
+// set the kernels are estimated far above handoffCost and the step must hand
+// kernels off.
+func runScratch(t *testing.T, b *tb, fetches []graph.Output, runner func(string) Runner, dear bool) []ops.Value {
 	t.Helper()
-	var outs [2][]ops.Value
-	for k, workers := range []int{0, 1} {
-		opts := PlanOptions{Fetches: fetches, Workers: workers, Runner: runner}
-		var err error
-		if dear {
-			outs[k], err = runPooled(t, newDear(b, opts), Binding{})
-		} else {
-			outs[k], _, err = b.plan(opts).Run(Binding{})
-		}
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+	opts := PlanOptions{Fetches: fetches, Runner: runner}
+	var out []ops.Value
+	var err error
+	if dear {
+		out, err = runHandedOff(t, newDear(b, opts), Binding{})
+	} else {
+		out, _, err = b.plan(opts).Run(Binding{})
 	}
-	for i := range fetches {
-		if !tensor.Equal(outs[0][i].T, outs[1][i].T) {
-			t.Fatalf("fetch %d differs between the default pool width and Workers: 1: %v vs %v", i, outs[0][i].T, outs[1][i].T)
-		}
+	if err != nil {
+		t.Fatalf("dear=%v: %v", dear, err)
 	}
-	return outs[0]
+	return out
 }
 
 // scratchCols is the width of the scratch tests' 4-row inputs.
@@ -158,7 +148,7 @@ func TestScratchMultiOutputKernels(t *testing.T) {
 		sp := b.node("Split", map[string]any{"num": 2, "axis": 0}, b.constT(x))
 		diff := b.node("Sub", nil, sp.Out(1), sp.Out(0))
 		diff.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, nil, dear)
+		out := runScratch(t, b, []graph.Output{sum.Out(0), diff.Out(0)}, nil, dear)
 		const cols = scratchCols
 		for j := 0; j < cols; j++ {
 			want := x.F[j] + x.F[cols+j] + x.F[2*cols+j] + x.F[3*cols+j]
@@ -188,7 +178,7 @@ func TestScratchTwoOutputStackOps(t *testing.T) {
 		neg.AddControlInput(late)
 		sum := b.node("Add", nil, pop.Out(0), pop.Out(0))
 		sum.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, nil, dear)
+		out := runScratch(t, b, []graph.Output{neg.Out(0), sum.Out(0)}, nil, dear)
 		for k := range x.F {
 			if out[0].T.F[k] != -x.F[k] || out[1].T.F[k] != 2*x.F[k] {
 				t.Fatalf("dear=%v elem %d: pushed %v popped-twice %v, want %v and %v",
@@ -216,7 +206,7 @@ func TestScratchSwitchBothOutputsConsumed(t *testing.T) {
 			}
 			m1 := b.node("Merge", nil, onTrue.Out(0), onFalse.Out(0))
 			m2 := b.node("Merge", nil, onTrue2.Out(0), onFalse2.Out(0))
-			out := runBothWidths(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, nil, dear)
+			out := runScratch(t, b, []graph.Output{m1.Out(0), m2.Out(0)}, nil, dear)
 			for k, v := range x.F {
 				want1 := v // Abs on the false side (inputs are positive)
 				if pred {
@@ -258,7 +248,7 @@ func TestScratchKernelReturnsItsInput(t *testing.T) {
 		neg.AddControlInput(late)
 		sq := b.node("Square", nil, id.Out(0))
 		sq.AddControlInput(late)
-		out := runBothWidths(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, onDev, dear)
+		out := runScratch(t, b, []graph.Output{neg.Out(0), sq.Out(0), id.Out(0)}, onDev, dear)
 		for k, v := range x.F {
 			if out[0].T.F[k] != -v || out[1].T.F[k] != v*v || out[2].T.F[k] != v {
 				t.Fatalf("dear=%v elem %d: got %v, %v, %v from input %v", dear, k, out[0].T.F[k], out[1].T.F[k], out[2].T.F[k], v)

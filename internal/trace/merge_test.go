@@ -41,8 +41,8 @@ func TestRecordSpanMetadata(t *testing.T) {
 	tr := New()
 	start := tr.Base().Add(time.Millisecond)
 	tr.RecordSpan(Event{
-		Stream: "cpu/pool-2", Name: "mm", Op: "MatMul", Frame: "/while:3",
-		Iter: 3, Worker: 2, Queue: 50 * time.Microsecond,
+		Stream: "cpu/spawn", Name: "mm", Op: "MatMul", Frame: "/while:3",
+		Iter: 3, Queue: 50 * time.Microsecond,
 	}, start, start.Add(2*time.Millisecond))
 	evs := tr.Events()
 	if len(evs) != 1 {
@@ -52,14 +52,14 @@ func TestRecordSpanMetadata(t *testing.T) {
 	if e.Start != time.Millisecond || e.End != 3*time.Millisecond {
 		t.Fatalf("span interval [%v, %v]", e.Start, e.End)
 	}
-	if e.Op != "MatMul" || e.Frame != "/while:3" || e.Iter != 3 || e.Worker != 2 || e.Queue != 50*time.Microsecond {
+	if e.Op != "MatMul" || e.Frame != "/while:3" || e.Iter != 3 || e.Queue != 50*time.Microsecond {
 		t.Fatalf("metadata lost: %+v", e)
 	}
 	js, err := tr.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"op": "MatMul"`, `"frame": "/while:3"`, `"queue_ns": 50000`, `"worker": 2`} {
+	for _, want := range []string{`"op": "MatMul"`, `"frame": "/while:3"`, `"queue_ns": 50000`, `"tid": "cpu/spawn"`} {
 		if !strings.Contains(string(js), want) {
 			t.Errorf("chrome args missing %s:\n%s", want, js)
 		}
@@ -85,11 +85,11 @@ func TestMergeChromeAlignsAndLinksFlows(t *testing.T) {
 	// processes, and emit one matched s/f flow pair.
 	flow := FlowID("step7|wA->wB", "/while:1")
 	a := Part{PID: 1, Name: "wA", Base: 1_000_000_000, Events: []Event{
-		{Stream: "cpu/inline", Name: "send", Op: "Send", Worker: WorkerInline,
+		{Stream: "cpu/inline", Name: "send", Op: "Send",
 			Start: 2 * time.Millisecond, End: 3 * time.Millisecond, Flow: flow, IsSend: true},
 	}}
 	b := Part{PID: 2, Name: "wB", Base: 1_005_000_000, Events: []Event{
-		{Stream: "cpu/spawn", Name: "recv", Op: "Recv", Worker: WorkerSpawn,
+		{Stream: "cpu/spawn", Name: "recv", Op: "Recv",
 			Start: 1 * time.Millisecond, End: 4 * time.Millisecond, Flow: flow},
 	}}
 	js, err := MergeChrome([]Part{a, b})

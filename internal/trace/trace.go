@@ -21,26 +21,18 @@ import (
 	"time"
 )
 
-// Worker-id sentinels for Event.Worker: spans that did not run on a pool
-// worker record where they ran instead.
-const (
-	WorkerInline = -1 // executed inline on the executor's own goroutine
-	WorkerSpawn  = -2 // executed on the own goroutine of an op that may block
-)
-
 // Event is one execution span on one stream. Plain kernel events (Record)
 // fill only Stream/Name/Start/End; executor node spans (RecordSpan) carry
 // the full metadata. All fields are exported and gob-encodable: events
 // travel over the cluster control plane in TraceResp.
 type Event struct {
-	Stream string        // timeline row: device/stream, e.g. "wA/cpu/pool-3"
+	Stream string        // timeline row: device/stream, e.g. "wA/cpu/spawn"
 	Name   string        // node or kernel name
 	Start  time.Duration // since tracer start
 	End    time.Duration
 	Op     string        // graph op, e.g. "MatMul" (spans only)
 	Frame  string        // frame tag incl. iteration path, e.g. "/while:3"
 	Iter   int           // iteration within the innermost frame
-	Worker int           // pool worker id, or WorkerInline / WorkerSpawn
 	Queue  time.Duration // dispatch-queue wait before the span started
 	Flow   uint64        // nonzero: Send/Recv rendezvous correlation id
 	IsSend bool          // true on the producing (Send) side of a flow
@@ -286,21 +278,13 @@ func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecon
 // spanArgs builds the args payload for a node span; plain kernel events
 // (no metadata) get none.
 func spanArgs(e Event) map[string]any {
-	if e.Op == "" && e.Frame == "" && e.Worker == 0 && e.Queue == 0 {
+	if e.Op == "" && e.Frame == "" && e.Queue == 0 {
 		return nil
 	}
 	args := map[string]any{"op": e.Op, "queue_ns": int64(e.Queue)}
 	if e.Frame != "" {
 		args["frame"] = e.Frame
 		args["iter"] = e.Iter
-	}
-	switch e.Worker {
-	case WorkerInline:
-		args["worker"] = "inline"
-	case WorkerSpawn:
-		args["worker"] = "spawn"
-	default:
-		args["worker"] = e.Worker
 	}
 	return args
 }
