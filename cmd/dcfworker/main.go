@@ -141,7 +141,8 @@ func runDriver(addrs []string, steps, iters int, traceOut string) int {
 		var vals []*tensor.Tensor
 		if s == 1 && traceOut != "" {
 			// Trace the first step end to end: every worker records its
-			// spans, the driver pulls them back and merges one timeline.
+			// spans and returns them with the step's reply, and the driver
+			// merges one timeline.
 			var js []byte
 			vals, js, err = tc.RunTraced(context.Background(), map[string]*tensor.Tensor{"limit": limit})
 			if err == nil {

@@ -12,6 +12,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// raceBuild is set by race_test.go in a race build.
+var raceBuild bool
+
 // TestDispatchCounts pins where a step's node executions run and what a step
 // takes from the heap, as counts off the process metrics registry and the
 // runtime's allocation statistics: counts repeat exactly, or nearly, where
@@ -82,8 +85,9 @@ func TestDispatchCounts(t *testing.T) {
 	// The split follows measured kernel time, so the hand-off pins hold for
 	// kernels at the speed they were set at: the spans of a traced training
 	// step summing to under 15 ms (3.6 to 6.4 ms at PR 22, the best of three
-	// steps here). Under the race detector they sum to 50 ms, a Sigmoid
-	// costs 90 us, and handing it off is the right decision.
+	// steps here). Under the race detector a Sigmoid can cost 90 us, and
+	// handing it off is the right decision; how far the race build slows the
+	// kernels depends on the host, so it is asked, not guessed from the spans.
 	spans := time.Duration(1 << 62)
 	for i := 0; i < 3; i++ {
 		var sum time.Duration
@@ -92,7 +96,7 @@ func TestDispatchCounts(t *testing.T) {
 		}
 		spans = min(spans, sum)
 	}
-	atSpeed := spans < 15*time.Millisecond
+	atSpeed := !raceBuild && spans < 15*time.Millisecond
 	if !atSpeed {
 		t.Logf("a training step's spans sum to %v: kernels are not at production speed, hand-off pins not checked", spans)
 	}
@@ -162,8 +166,8 @@ func TestDispatchCounts(t *testing.T) {
 		bytes, objects := int64(after.TotalAlloc-before.TotalAlloc)/steps, int64(after.Mallocs-before.Mallocs)/steps
 		miss, grew := (misses.Value()-m0)/steps, (tensor.PoolLiveBytes()-g0)/steps
 		t.Logf("%s: %d heap bytes, %d heap objects, %d pool misses, %d bytes of gauge growth per step", row.name, bytes, objects, miss, grew)
-		// Not at speed means the race detector, under which sync.Pool drops a
-		// quarter of what is put back: misses, and the heap behind them, say
+		// Not at speed includes the race detector, under which sync.Pool drops
+		// a quarter of what is put back: misses, and the heap behind them, say
 		// nothing about the rule there. The gauge does.
 		if grew != row.gaugeGrowth || (atSpeed && (bytes > row.bytesMax || objects > row.objectsMax || miss > row.missesMax)) {
 			t.Errorf("%s: per step %d heap bytes (ceiling %d), %d heap objects (ceiling %d), %d pool misses (ceiling %d), %d bytes of gauge growth (want %d) — set by %s",

@@ -184,7 +184,8 @@
 //     opt-in per step, zero-overhead when off (the alloc-budget test
 //     pins this). Render with ChromeTrace (Perfetto-loadable) or ASCII.
 //   - Distributed tracing: TCPCluster.RunTraced runs one step with
-//     tracing on every worker and merges the per-worker timelines into a
+//     tracing on every worker, each worker returns its spans on the step's
+//     own reply, and the driver merges the per-worker timelines into a
 //     single Chrome trace — each worker on its own process track, with
 //     flow arrows linking every cross-worker Send to its Recv
 //     (rendezvous-key-derived correlation ids, no clock agreement

@@ -179,35 +179,12 @@ func Decode(r io.Reader) (map[string]*tensor.Tensor, error) {
 	}
 	vars := make(map[string]*tensor.Tensor, len(f.Vars))
 	for _, s := range f.Vars {
-		// The decoded shape is untrusted even after the CRC passes (the
-		// file may have been *encoded* corrupt): validate dimensions and
-		// element counts before the panicking tensor constructors run.
-		var elems int
-		switch tensor.DType(s.DType) {
-		case tensor.Float:
-			elems = len(s.F)
-		case tensor.Int:
-			elems = len(s.I)
-		case tensor.Bool:
-			elems = len(s.B)
-		case tensor.Str:
-			elems = len(s.S)
-		default:
-			return nil, fmt.Errorf("checkpoint: variable %s: unknown dtype %d", s.Name, s.DType)
-		}
-		if err := tensor.CheckShape(s.Shape, elems); err != nil {
+		// The decoded tensor is untrusted even after the CRC passes (the
+		// file may have been *encoded* corrupt): tensor.Decoded validates
+		// it.
+		val, err := tensor.Decoded(s.DType, s.Shape, s.F, s.I, s.B, s.S)
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint: variable %s: %w", s.Name, err)
-		}
-		var val *tensor.Tensor
-		switch tensor.DType(s.DType) {
-		case tensor.Int:
-			val = tensor.FromInts(s.I, s.Shape...)
-		case tensor.Bool:
-			val = tensor.FromBools(s.B, s.Shape...)
-		case tensor.Str:
-			val = tensor.FromStrings(s.S, s.Shape...)
-		default:
-			val = tensor.FromFloats(s.F, s.Shape...)
 		}
 		vars[s.Name] = val
 	}

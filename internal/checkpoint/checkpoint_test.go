@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -306,5 +307,47 @@ func TestGraphSigOrderInsensitive(t *testing.T) {
 	}
 	if GraphSig([]string{"xy", "z"}) == GraphSig([]string{"x", "yz"}) {
 		t.Fatal("sig is delimiter-blind")
+	}
+}
+
+// TestDecodeCommittedCheckpoint pins the on-disk format: testdata holds a
+// checkpoint of every dtype, empty tensors included, written before the
+// decoder's validation moved into tensor.Decoded. It must still decode to
+// the same values, and encoding those values must give back its bytes.
+func TestDecodeCommittedCheckpoint(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "every_dtype.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]*tensor.Tensor{
+		"f":       tensor.FromFloats([]float64{1.5, -2.25, 0, 1e300}, 2, 2),
+		"f_empty": tensor.FromFloats(nil, 0),
+		"i":       tensor.FromInts([]int64{-9223372036854775808, 9223372036854775807, 0}, 3),
+		"i_empty": tensor.FromInts(nil, 0, 3),
+		"b":       tensor.FromBools([]bool{true, false, true}, 3),
+		"b_empty": tensor.FromBools(nil, 0),
+		"s":       tensor.FromStrings([]string{"", "héllo", "a\x00b"}, 3),
+		"s_empty": tensor.FromStrings(nil, 0),
+		"scalar":  tensor.Scalar(-0.5),
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d variables, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil || g.DType() != w.DType() || !slices.Equal(g.Shape(), w.Shape()) || !tensor.Equal(g, w) {
+			t.Fatalf("%s: got %v, want %v", name, g, w)
+		}
+	}
+	var again bytes.Buffer
+	if err := Encode(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), file) {
+		t.Fatal("re-encoding the committed checkpoint changed its bytes")
 	}
 }

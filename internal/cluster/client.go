@@ -24,13 +24,13 @@ type Client struct {
 	enc  *gob.Encoder
 
 	pmu     sync.Mutex
-	pending map[stepKey]chan *StepResp
-	callCh  chan *RespEnvelope // reply slot of the call in flight, if any
+	pending map[stepKey]chan<- *StepResp // each launched step's caller channel
+	callCh  chan *RespEnvelope           // reply slot of the call in flight, if any
 	helloCh chan *HelloResp
 	err     error
 	done    chan struct{}
 
-	rpcMu sync.Mutex // one call (register/checkpoint/restore/trace) at a time
+	rpcMu sync.Mutex // one call (register/checkpoint/restore) at a time
 	wg    sync.WaitGroup
 }
 
@@ -39,13 +39,13 @@ type stepKey struct {
 	step uint64
 }
 
-// DialTimeout bounds the control-connection handshake.
-const helloTimeout = 10 * time.Second
+// HelloTimeout is DialWorker's bound on the control-connection handshake.
+const HelloTimeout = 10 * time.Second
 
 // DialWorker connects to a worker daemon's control address and performs the
 // hello handshake, learning the worker's name and data-plane address.
 func DialWorker(addr string) (*Client, error) {
-	return DialWorkerTimeout(addr, helloTimeout)
+	return DialWorkerTimeout(addr, HelloTimeout)
 }
 
 // DialWorkerTimeout is DialWorker with a caller-chosen connect/handshake
@@ -65,7 +65,7 @@ func newClient(addr string, conn net.Conn, timeout time.Duration) (*Client, erro
 		addr:    addr,
 		conn:    conn,
 		enc:     gob.NewEncoder(conn),
-		pending: map[stepKey]chan *StepResp{},
+		pending: map[stepKey]chan<- *StepResp{},
 		helloCh: make(chan *HelloResp, 1),
 		done:    make(chan struct{}),
 	}
@@ -148,7 +148,8 @@ func (c *Client) workerLabel() string {
 	return c.addr
 }
 
-// fail marks the client dead and delivers the error to every waiter.
+// fail marks the client dead and delivers the error to every waiter: each
+// pending step gets its one reply, a synthetic one carrying the error.
 func (c *Client) fail(err error) {
 	c.pmu.Lock()
 	if c.err != nil {
@@ -157,13 +158,14 @@ func (c *Client) fail(err error) {
 	}
 	c.err = err
 	pending := c.pending
-	c.pending = map[stepKey]chan *StepResp{}
+	c.pending = map[stepKey]chan<- *StepResp{}
 	call := c.callCh
 	c.callCh = nil
+	name := c.name
 	close(c.done)
 	c.pmu.Unlock()
 	for k, ch := range pending {
-		ch <- &StepResp{GraphID: k.gid, Step: k.step, Err: err.Error()}
+		ch <- &StepResp{GraphID: k.gid, Step: k.step, Worker: name, Err: err.Error()}
 	}
 	if call != nil {
 		call <- nil
@@ -191,6 +193,7 @@ func (c *Client) readLoop() {
 			c.pmu.Lock()
 			ch := c.pending[k]
 			delete(c.pending, k)
+			env.Step.Worker = c.name
 			c.pmu.Unlock()
 			if ch != nil {
 				ch <- env.Step
@@ -207,7 +210,7 @@ func (c *Client) readLoop() {
 	}
 }
 
-// call sends one register, checkpoint, restore or trace request and waits
+// call sends one register, checkpoint or restore request and waits
 // for the worker's reply. rpcMu admits one call at a time, so any reply
 // that is neither a hello nor a step's belongs to it; the caller checks
 // that the reply is of its own kind. A dead connection fails the call.
@@ -285,47 +288,24 @@ func (c *Client) Restore(gid uint64, vars []VarSnapshot) error {
 	return nil
 }
 
-// Trace pulls the worker's span timeline for a traced step (one that ran
-// with StepReq.Trace set). Call it after the step's response has arrived.
-func (c *Client) Trace(gid, step uint64) (*TraceResp, error) {
-	r, err := c.call("trace", &Envelope{Trace: &TraceReq{GraphID: gid, Step: step}})
-	switch {
-	case err != nil:
-		return nil, err
-	case r.Trace == nil:
-		return nil, c.callErr("trace", wrongReply)
-	case r.Trace.Err != "":
-		return nil, c.callErr("trace", r.Trace.Err)
-	}
-	return r.Trace, nil
-}
-
-// StartStep launches a step; the response (values or error) arrives on the
-// returned channel. A dead transport fails the step immediately.
-func (c *Client) StartStep(req *StepReq) <-chan *StepResp {
-	ch := make(chan *StepResp, 1)
+// StartStep launches a step. Its one reply — the worker's StepResp, or a
+// synthetic one carrying the error if the transport is or goes dead — is
+// sent on ch, which the caller sizes so that the send never blocks: one
+// slot per step it launches on ch is enough.
+func (c *Client) StartStep(req *StepReq, ch chan<- *StepResp) {
 	k := stepKey{gid: req.GraphID, step: req.Step}
 	c.pmu.Lock()
 	if c.err != nil {
-		err := c.err
+		err, name := c.err, c.name
 		c.pmu.Unlock()
-		ch <- &StepResp{GraphID: req.GraphID, Step: req.Step, Err: err.Error()}
-		return ch
+		ch <- &StepResp{GraphID: req.GraphID, Step: req.Step, Worker: name, Err: err.Error()}
+		return
 	}
 	c.pending[k] = ch
 	c.pmu.Unlock()
-	if err := c.write(&Envelope{Step: req}); err != nil {
-		// fail() already delivered the error to ch via pending.
-		c.pmu.Lock()
-		if _, still := c.pending[k]; still {
-			delete(c.pending, k)
-			c.pmu.Unlock()
-			ch <- &StepResp{GraphID: req.GraphID, Step: req.Step, Err: err.Error()}
-		} else {
-			c.pmu.Unlock()
-		}
-	}
-	return ch
+	// A failed write goes through fail(), which answers every pending step,
+	// this one included.
+	_ = c.write(&Envelope{Step: req})
 }
 
 // Abort asks the worker to cancel a running step (best effort).

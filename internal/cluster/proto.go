@@ -59,19 +59,28 @@ type StepReq struct {
 	// step instead of its own round trip.
 	ReleaseThrough uint64
 	// Trace asks the worker to record a per-node execution trace of this
-	// step; the driver pulls it afterwards with TraceReq and merges the
+	// step and return it on the step's StepResp; the driver merges the
 	// per-worker timelines into one Chrome trace file.
 	Trace bool
 }
 
 // StepResp reports one step's outcome: the worker's fetch values in
 // registration order (concatenated over its partitions), or the first
-// partition error.
+// partition error — the step's only reply. Worker names the worker that
+// answered; the driver's Client fills it in from the hello handshake as it
+// delivers the reply, so a driver fanning several workers' replies into one
+// channel can tell them apart. A traced step (StepReq.Trace) also carries
+// the worker's spans and their clock base: the worker-local wall-clock
+// origin of the spans (UnixNano), which the merger aligns onto the earliest
+// base.
 type StepResp struct {
 	GraphID uint64
 	Step    uint64
+	Worker  string
 	Vals    []*WireTensor
 	Err     string
+	Base    int64
+	Spans   []trace.Event
 }
 
 // AbortReq propagates driver-side cancellation (or a sibling worker's
@@ -133,26 +142,6 @@ type RestoreResp struct {
 	Err     string
 }
 
-// TraceReq pulls the per-node execution trace a worker recorded for one
-// traced step (StepReq.Trace). Legal only after the step's StepResp has
-// arrived; workers keep only a bounded window of recent step traces.
-type TraceReq struct {
-	GraphID uint64
-	Step    uint64
-}
-
-// TraceResp carries one worker's span timeline for a traced step. Base is
-// the worker-local wall-clock origin of the spans (UnixNano); the merger
-// aligns all workers onto the earliest base.
-type TraceResp struct {
-	GraphID uint64
-	Step    uint64
-	Worker  string
-	Base    int64
-	Spans   []trace.Event
-	Err     string
-}
-
 // Envelope is one driver -> worker request.
 type Envelope struct {
 	Hello   *HelloReq
@@ -162,7 +151,6 @@ type Envelope struct {
 	Release *ReleaseReq
 	Ckpt    *CheckpointReq
 	Restore *RestoreReq
-	Trace   *TraceReq
 }
 
 // RespEnvelope is one worker -> driver response.
@@ -172,7 +160,6 @@ type RespEnvelope struct {
 	Step    *StepResp
 	Ckpt    *CheckpointResp
 	Restore *RestoreResp
-	Trace   *TraceResp
 }
 
 // ScopeName is the rendezvous scope of one (graph, step): the per-step

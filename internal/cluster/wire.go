@@ -47,40 +47,18 @@ func TensorToWire(t *tensor.Tensor) *WireTensor {
 	}
 }
 
-// TensorFromWire rebuilds a tensor. The wire shape is untrusted: dtype,
-// dimension signs, and the shape/payload element count are all validated
-// before the panicking tensor constructors run, so a malformed or hostile
-// envelope yields a diagnosed error, never a panic in the worker.
+// TensorFromWire rebuilds a tensor. The wire tensor is untrusted:
+// tensor.Decoded validates it, so a malformed or hostile envelope yields a
+// diagnosed error, never a panic in the worker.
 func TensorFromWire(w *WireTensor) (*tensor.Tensor, error) {
 	if w == nil {
 		return nil, nil
 	}
-	var elems int
-	switch tensor.DType(w.DType) {
-	case tensor.Float:
-		elems = len(w.F)
-	case tensor.Int:
-		elems = len(w.I)
-	case tensor.Bool:
-		elems = len(w.B)
-	case tensor.Str:
-		elems = len(w.S)
-	default:
-		return nil, fmt.Errorf("cluster: unknown wire dtype %d", w.DType)
-	}
-	if err := tensor.CheckShape(w.Shape, elems); err != nil {
+	t, err := tensor.Decoded(w.DType, w.Shape, w.F, w.I, w.B, w.S)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: malformed wire tensor: %w", err)
 	}
-	switch tensor.DType(w.DType) {
-	case tensor.Int:
-		return tensor.FromInts(w.I, w.Shape...), nil
-	case tensor.Bool:
-		return tensor.FromBools(w.B, w.Shape...), nil
-	case tensor.Str:
-		return tensor.FromStrings(w.S, w.Shape...), nil
-	default:
-		return tensor.FromFloats(w.F, w.Shape...), nil
-	}
+	return t, nil
 }
 
 // Attribute kinds of WireAttr (an explicit tagged union: gob needs no

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,6 @@ import (
 	"repro/internal/verify"
 )
 
-var debugCluster = os.Getenv("CLUSTER_DEBUG") != ""
-
 // Worker-daemon step metrics on the process registry (exported by the
 // health server's /metrics endpoint).
 var (
@@ -34,10 +31,9 @@ var (
 	metricStepDuration  = metrics.Default().Histogram("cluster_step_duration_ns")
 )
 
-// traceWindow bounds how many recent step traces a registration retains for
-// TraceReq pulls (a driver asks right after the step; anything older is a
-// leak, not a debugging aid).
-const traceWindow = 8
+// maxArmed bounds /debug/trace?steps=N: how many armed steps one request
+// collects, and how many finished tracers wait for it.
+const maxArmed = 8
 
 // Worker is the generic cluster daemon: one OS process hosting any number of
 // registered graphs, executing its partitions step by step against cached
@@ -84,7 +80,6 @@ type workerGraph struct {
 	mu       sync.Mutex
 	steps    map[uint64]context.CancelFunc // in-flight steps
 	released uint64                        // scopes of steps <= released are dropped
-	traces   map[uint64]*trace.Tracer      // recent traced steps (traceWindow)
 }
 
 // NewWorker starts a worker daemon: a control listener on ctrlAddr and a
@@ -106,7 +101,7 @@ func NewWorker(name, ctrlAddr, dataAddr string) (*Worker, error) {
 		rv:      rv,
 		graphs:  map[uint64]*workerGraph{},
 		conns:   map[net.Conn]struct{}{},
-		traceCh: make(chan tracedStep, traceWindow),
+		traceCh: make(chan tracedStep, maxArmed),
 	}
 	// Deliveries addressed to released steps (or released graphs) are
 	// stragglers: drop them instead of resurrecting their scope tables.
@@ -285,9 +280,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 		case env.Hello != nil:
 			send(&RespEnvelope{Hello: &HelloResp{Worker: w.name, DataAddr: w.rv.Addr()}})
 		case env.Reg != nil:
-			if debugCluster {
-				fmt.Printf("[%s] register g%d\n", w.name, env.Reg.GraphID)
-			}
 			err := w.register(env.Reg, conn)
 			if err == nil {
 				registered = append(registered, env.Reg.GraphID)
@@ -295,9 +287,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 			send(&RespEnvelope{Reg: &RegResp{GraphID: env.Reg.GraphID, Err: wrapErr(err)}})
 		case env.Step != nil:
 			req := env.Step
-			if debugCluster {
-				fmt.Printf("[%s] step req g%d s%d\n", w.name, req.GraphID, req.Step)
-			}
 			w.mu.Lock()
 			g := w.graphs[req.GraphID]
 			w.mu.Unlock()
@@ -333,9 +322,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 			go func() {
 				defer w.wg.Done()
 				resp := w.runStep(g, req, ctx)
-				if debugCluster {
-					fmt.Printf("[%s] step resp g%d s%d err=%q\n", w.name, resp.GraphID, resp.Step, resp.Err)
-				}
 				g.mu.Lock()
 				delete(g.steps, req.Step)
 				g.mu.Unlock()
@@ -343,9 +329,6 @@ func (w *Worker) handleConn(conn net.Conn) {
 				send(&RespEnvelope{Step: resp})
 			}()
 		case env.Abort != nil:
-			if debugCluster {
-				fmt.Printf("[%s] abort req g%d s%d: %s\n", w.name, env.Abort.GraphID, env.Abort.Step, env.Abort.Reason)
-			}
 			w.mu.Lock()
 			g := w.graphs[env.Abort.GraphID]
 			w.mu.Unlock()
@@ -367,20 +350,9 @@ func (w *Worker) handleConn(conn net.Conn) {
 				cancel()
 			}
 		case env.Ckpt != nil:
-			if debugCluster {
-				fmt.Printf("[%s] checkpoint req g%d s%d\n", w.name, env.Ckpt.GraphID, env.Ckpt.Step)
-			}
 			send(&RespEnvelope{Ckpt: w.checkpointGraph(env.Ckpt)})
 		case env.Restore != nil:
-			if debugCluster {
-				fmt.Printf("[%s] restore req g%d (%d vars)\n", w.name, env.Restore.GraphID, len(env.Restore.Vars))
-			}
 			send(&RespEnvelope{Restore: w.restoreGraph(env.Restore)})
-		case env.Trace != nil:
-			if debugCluster {
-				fmt.Printf("[%s] trace req g%d s%d\n", w.name, env.Trace.GraphID, env.Trace.Step)
-			}
-			send(&RespEnvelope{Trace: w.traceGraph(env.Trace)})
 		case env.Release != nil:
 			w.releaseGraph(env.Release.GraphID, fmt.Errorf("cluster: graph released"))
 		}
@@ -508,7 +480,6 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 		sessRes: ops.NewResources(),
 		owner:   owner,
 		steps:   map[uint64]context.CancelFunc{},
-		traces:  map[uint64]*trace.Tracer{},
 	}
 	w.mu.Lock()
 	old := w.graphs[rg.GraphID]
@@ -598,7 +569,9 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 
 	// Trace when the driver asked (StepReq.Trace) or the /debug/trace
 	// endpoint armed forced tracing. One tracer spans every partition of the
-	// step; partitions write to distinct streams (TraceStream = device).
+	// step; partitions write to distinct streams (TraceStream = device). The
+	// driver's trace goes home on the step's own reply; an armed one goes to
+	// the /debug/trace request waiting for it.
 	armed := false
 	var tracer *trace.Tracer
 	if !req.Trace {
@@ -608,12 +581,14 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 		tracer = trace.New()
 		metricClusterTraces.Inc()
 		defer func() {
-			w.storeTrace(g, req.Step, tracer)
-			if armed {
-				select {
-				case w.traceCh <- tracedStep{step: req.Step, tr: tracer}:
-				default: // nobody is waiting anymore; drop
-				}
+			if req.Trace {
+				resp.Base = tracer.Base().UnixNano()
+				resp.Spans = tracer.Events()
+				return
+			}
+			select {
+			case w.traceCh <- tracedStep{step: req.Step, tr: tracer}:
+			default: // nobody is waiting anymore; drop
 			}
 		}()
 	}
@@ -687,46 +662,6 @@ func (w *Worker) armTraced() bool {
 	}
 }
 
-// storeTrace retains one step's tracer for TraceReq pulls, evicting the
-// oldest entries beyond traceWindow.
-func (w *Worker) storeTrace(g *workerGraph, step uint64, tr *trace.Tracer) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.traces[step] = tr
-	for len(g.traces) > traceWindow {
-		oldest := step
-		for s := range g.traces {
-			if s < oldest {
-				oldest = s
-			}
-		}
-		delete(g.traces, oldest)
-	}
-}
-
-// traceGraph answers a TraceReq: this worker's span timeline for one traced
-// step, or an error naming what is missing.
-func (w *Worker) traceGraph(req *TraceReq) *TraceResp {
-	resp := &TraceResp{GraphID: req.GraphID, Step: req.Step, Worker: w.name}
-	w.mu.Lock()
-	g := w.graphs[req.GraphID]
-	w.mu.Unlock()
-	if g == nil {
-		resp.Err = fmt.Sprintf("cluster: worker %s: graph %d not registered", w.name, req.GraphID)
-		return resp
-	}
-	g.mu.Lock()
-	tr := g.traces[req.Step]
-	g.mu.Unlock()
-	if tr == nil {
-		resp.Err = fmt.Sprintf("cluster: worker %s: no trace recorded for graph %d step %d (was the step run with StepReq.Trace?)", w.name, req.GraphID, req.Step)
-		return resp
-	}
-	resp.Base = tr.Base().UnixNano()
-	resp.Spans = tr.Events()
-	return resp
-}
-
 // handleDebugTrace serves GET /debug/trace?steps=N: arm forced tracing of
 // the next N steps this daemon executes (any graph, any driver), wait for
 // them to finish, and return the merged Chrome trace-event JSON. Pair it
@@ -736,8 +671,8 @@ func (w *Worker) handleDebugTrace(rw http.ResponseWriter, r *http.Request) {
 	n := 1
 	if s := r.URL.Query().Get("steps"); s != "" {
 		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 || v > traceWindow {
-			http.Error(rw, fmt.Sprintf("steps must be in [1, %d]", traceWindow), http.StatusBadRequest)
+		if err != nil || v < 1 || v > maxArmed {
+			http.Error(rw, fmt.Sprintf("steps must be in [1, %d]", maxArmed), http.StatusBadRequest)
 			return
 		}
 		n = v

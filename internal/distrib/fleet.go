@@ -70,9 +70,7 @@ func (f *Fleet) Remove(name string) error {
 		return fmt.Errorf("distrib: unknown worker %q", name)
 	}
 	w.mu.Lock()
-	if w.client != nil {
-		w.client.Close()
-	}
+	w.client.Close()
 	w.mu.Unlock()
 	return nil
 }
@@ -91,32 +89,7 @@ func (f *Fleet) Live(name string) bool {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.client != nil && w.client.Alive() {
-		return true
-	}
-	fresh, err := cluster.DialWorkerTimeout(w.addr, probeTimeout)
-	if err != nil {
-		return false
-	}
-	if fresh.Name() != name {
-		fresh.Close()
-		return false
-	}
-	// Same closed-race discipline as Fleet.client: never install a fresh
-	// connection into a fleet that closed underneath the probe.
-	f.mu.Lock()
-	closed = f.closed
-	f.mu.Unlock()
-	if closed {
-		fresh.Close()
-		return false
-	}
-	if w.client != nil {
-		w.client.Close()
-	}
-	w.client = fresh
-	w.epoch++
-	return true
+	return w.client.Alive() || f.redial(w, name, probeTimeout) == nil
 }
 
 // LiveWorkers returns the sorted names of every worker that answers a

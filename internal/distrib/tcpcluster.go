@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -59,8 +60,8 @@ type fleetWorker struct {
 	addr string
 
 	mu     sync.Mutex
-	client *cluster.Client
-	epoch  int // bumped on every successful redial
+	client *cluster.Client // never nil; replaced only by redial
+	epoch  int             // bumped on every successful redial
 }
 
 // Dial connects to worker daemons at the given control addresses and
@@ -111,9 +112,7 @@ func (f *Fleet) Close() {
 	f.mu.Unlock()
 	for _, w := range workers {
 		w.mu.Lock()
-		if w.client != nil {
-			w.client.Close()
-		}
+		w.client.Close()
 		w.mu.Unlock()
 	}
 }
@@ -136,32 +135,41 @@ func (f *Fleet) client(name string) (*cluster.Client, int, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.client.Alive() {
-		return w.client, w.epoch, nil
+	if !w.client.Alive() {
+		if err := f.redial(w, name, cluster.HelloTimeout); err != nil {
+			return nil, 0, err
+		}
 	}
+	return w.client, w.epoch, nil
+}
+
+// redial replaces the slot's dead client with a fresh connection to the
+// same address, dialed and handshaken within timeout, and bumps the epoch.
+// The caller holds w.mu.
+func (f *Fleet) redial(w *fleetWorker, name string, timeout time.Duration) error {
 	w.client.Close()
-	fresh, err := cluster.DialWorker(w.addr)
+	fresh, err := cluster.DialWorkerTimeout(w.addr, timeout)
 	if err != nil {
-		return nil, 0, fmt.Errorf("distrib: worker %q is down: %w", name, err)
+		return fmt.Errorf("distrib: worker %q is down: %w", name, err)
 	}
 	if fresh.Name() != name {
 		fresh.Close()
-		return nil, 0, fmt.Errorf("distrib: worker at %s now reports name %q, want %q", w.addr, fresh.Name(), name)
+		return fmt.Errorf("distrib: worker at %s now reports name %q, want %q", w.addr, fresh.Name(), name)
 	}
 	// Re-check closed while holding the slot: a Close that ran between the
-	// first check and the redial must not be undone by installing a fresh
-	// client nothing would ever close. (A Close that starts after this
-	// check blocks on w.mu and will close the fresh client itself.)
+	// caller's check and the redial must not be undone by installing a
+	// fresh client nothing would ever close. (A Close that starts after
+	// this check blocks on w.mu and will close the fresh client itself.)
 	f.mu.Lock()
-	closed = f.closed
+	closed := f.closed
 	f.mu.Unlock()
 	if closed {
 		fresh.Close()
-		return nil, 0, fmt.Errorf("distrib: fleet closed")
+		return fmt.Errorf("distrib: fleet closed")
 	}
 	w.client = fresh
 	w.epoch++
-	return fresh, w.epoch, nil
+	return nil
 }
 
 // liveClient returns the worker's current client if it is alive, without
@@ -175,7 +183,7 @@ func (f *Fleet) liveClient(name string) *cluster.Client {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.client != nil && w.client.Alive() {
+	if w.client.Alive() {
 		return w.client
 	}
 	return nil
@@ -461,7 +469,7 @@ func (c *TCPCluster) Run(feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, err
 // step (the values are discarded) — callers recover the same way they would
 // from a step failure.
 func (c *TCPCluster) RunCtx(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	out, step, err := c.runStep(ctx, feeds, false)
+	out, _, step, err := c.runStep(ctx, feeds, false)
 	if err != nil {
 		return nil, err
 	}
@@ -473,52 +481,38 @@ func (c *TCPCluster) RunCtx(ctx context.Context, feeds map[string]*tensor.Tensor
 	return out, nil
 }
 
-// runStep is RunCtx without the checkpoint policy; it holds the read side
-// of ckptGate for its entire duration so checkpoints only ever observe
-// step boundaries.
 // RunTraced executes one step with per-node tracing enabled on every
-// worker, pulls each worker's span timeline over the control plane, and
-// merges them into one Chrome trace-event file (pid = worker, tid =
-// device/stream, flow events linking Send->Recv across partitions) loadable
-// in Perfetto or chrome://tracing. Returns the step's fetches and the
-// merged JSON.
+// worker and merges the span timelines the workers' replies carry into one
+// Chrome trace-event file (pid = worker, tid = device/stream, flow events
+// linking Send->Recv across partitions) loadable in Perfetto or
+// chrome://tracing. Returns the step's fetches and the merged JSON.
 func (c *TCPCluster) RunTraced(ctx context.Context, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, []byte, error) {
-	out, step, err := c.runStep(ctx, feeds, true)
+	out, resps, _, err := c.runStep(ctx, feeds, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	js, err := c.CollectTrace(step)
+	parts := make([]trace.Part, len(c.workers))
+	for i, w := range c.workers {
+		parts[i] = trace.Part{PID: i + 1, Name: w, Base: resps[w].Base, Events: resps[w].Spans}
+	}
+	js, err := trace.MergeChrome(parts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, js, nil
 }
 
-// CollectTrace pulls every worker's recorded spans for a traced step and
-// merges the per-worker timelines onto one clock.
-func (c *TCPCluster) CollectTrace(step uint64) ([]byte, error) {
-	parts := make([]trace.Part, 0, len(c.workers))
-	for i, w := range c.workers {
-		cl, _, err := c.fleet.client(w)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: trace step %d: %w", step, err)
-		}
-		resp, err := cl.Trace(c.gid, step)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: trace step %d: %w", step, err)
-		}
-		parts = append(parts, trace.Part{PID: i + 1, Name: w, Base: resp.Base, Events: resp.Spans})
-	}
-	return trace.MergeChrome(parts)
-}
-
-func (c *TCPCluster) runStep(ctx context.Context, feeds map[string]*tensor.Tensor, traced bool) ([]*tensor.Tensor, uint64, error) {
+// runStep is RunCtx without the checkpoint policy; it holds the read side
+// of ckptGate for its entire duration so checkpoints only ever observe
+// step boundaries. It returns the fetches, every worker's reply by name,
+// and the step number.
+func (c *TCPCluster) runStep(ctx context.Context, feeds map[string]*tensor.Tensor, traced bool) ([]*tensor.Tensor, map[string]*cluster.StepResp, uint64, error) {
 	c.ckptGate.RLock()
 	defer c.ckptGate.RUnlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("distrib: cluster closed")
+		return nil, nil, 0, fmt.Errorf("distrib: cluster closed")
 	}
 	c.step++
 	step := c.step
@@ -530,16 +524,21 @@ func (c *TCPCluster) runStep(ctx context.Context, feeds map[string]*tensor.Tenso
 	// Reconnect path: if any worker's control conn died (daemon restart),
 	// redial and re-register everywhere — peer data addresses changed.
 	if err := c.EnsureRegistered(); err != nil {
-		return nil, step, fmt.Errorf("distrib: step %d: %w", step, err)
+		return nil, nil, step, fmt.Errorf("distrib: step %d: %w", step, err)
 	}
 
 	wireFeeds := cluster.FeedsToWire(feeds)
-	type workerChan struct {
-		name string
-		cl   *cluster.Client
-		ch   <-chan *cluster.StepResp
+	// Every launched client answers exactly once on replies — the worker's
+	// StepResp, or a synthetic one when its connection dies — so a slot per
+	// worker means no client ever blocks on it, even after a canceled step
+	// has stopped reading.
+	replies := make(chan *cluster.StepResp, len(c.workers))
+	launched := make([]*cluster.Client, 0, len(c.workers))
+	abortAll := func(reason string) {
+		for _, cl := range launched {
+			cl.Abort(c.gid, step, reason)
+		}
 	}
-	launched := make([]workerChan, 0, len(c.workers))
 	for _, w := range c.workers {
 		cl, _, err := c.fleet.client(w)
 		if err != nil {
@@ -547,65 +546,45 @@ func (c *TCPCluster) runStep(ctx context.Context, feeds map[string]*tensor.Tenso
 			// step on every worker already launched, or their executors
 			// would block in cross-worker Recvs for tokens that will never
 			// arrive.
-			for _, wc := range launched {
-				wc.cl.Abort(c.gid, step, err.Error())
-			}
-			return nil, step, fmt.Errorf("distrib: step %d: %w", step, err)
+			abortAll(err.Error())
+			return nil, nil, step, fmt.Errorf("distrib: step %d: %w", step, err)
 		}
-		ch := cl.StartStep(&cluster.StepReq{
+		cl.StartStep(&cluster.StepReq{
 			GraphID:        c.gid,
 			Step:           step,
 			Feeds:          wireFeeds,
 			ReleaseThrough: released,
 			Trace:          traced,
-		})
-		launched = append(launched, workerChan{name: w, cl: cl, ch: ch})
+		}, replies)
+		launched = append(launched, cl)
 	}
 
-	abortAll := func(reason string) {
-		for _, wc := range launched {
-			wc.cl.Abort(c.gid, step, reason)
-		}
-	}
-	// Fan the responses in as they arrive: the first failure (or the
-	// context firing) must abort the other workers immediately — waiting
-	// on workers in a fixed order would let a healthy-but-blocked worker
-	// delay the fan-out.
-	type namedResp struct {
-		name string
-		r    *cluster.StepResp
-	}
-	agg := make(chan namedResp, len(launched))
-	for _, wc := range launched {
-		wc := wc
-		go func() { agg <- namedResp{name: wc.name, r: <-wc.ch} }() // dcfvet:allow goroleak=wc.ch is cap-1 and always answered exactly once: readLoop delivers the response or fail() drains pending on connection loss
-	}
+	// Take the replies as they arrive: the first failure (or the context
+	// firing) must abort the other workers immediately — waiting on workers
+	// in a fixed order would let a healthy-but-blocked worker delay the
+	// fan-out.
 	var firstErr error
-	aborted := false
-	resps := map[string]*cluster.StepResp{}
-	for len(resps) < len(launched) {
+	resps := make(map[string]*cluster.StepResp, len(launched))
+	for range launched {
 		select {
-		case nr := <-agg:
-			if nr.r.Err != "" && firstErr == nil {
-				firstErr = fmt.Errorf("distrib: step %d: worker %q: %s", step, nr.name, nr.r.Err)
-				if !aborted {
-					aborted = true
-					abortAll(nr.r.Err)
-				}
+		case r := <-replies:
+			if r.Err != "" && firstErr == nil {
+				firstErr = fmt.Errorf("distrib: step %d: worker %q: %s", step, r.Worker, r.Err)
+				abortAll(r.Err)
 			}
-			resps[nr.name] = nr.r
+			resps[r.Worker] = r
 		case <-ctx.Done():
 			// Fan the abort out and return promptly — blocking here until
 			// every worker answers would let one wedged-but-connected
-			// daemon defeat cancellation. The forwarder goroutines drain
-			// into the buffered agg channel (no leak), and the canceled
-			// step's scopes are reclaimed by the release watermark.
+			// daemon defeat cancellation. The late replies land in the
+			// buffered channel (no leak), and the canceled step's scopes
+			// are reclaimed by the release watermark.
 			abortAll(context.Cause(ctx).Error())
-			return nil, step, fmt.Errorf("distrib: step %d canceled: %w", step, context.Cause(ctx))
+			return nil, nil, step, fmt.Errorf("distrib: step %d canceled: %w", step, context.Cause(ctx))
 		}
 	}
 	if firstErr != nil {
-		return nil, step, firstErr
+		return nil, nil, step, firstErr
 	}
 
 	// Reassemble fetches in caller order.
@@ -613,19 +592,19 @@ func (c *TCPCluster) runStep(ctx context.Context, feeds map[string]*tensor.Tenso
 	for i := range c.fetches {
 		r := resps[c.fetchWorker[i]]
 		if r == nil {
-			return nil, step, fmt.Errorf("distrib: step %d: no response from worker %q for fetch %d", step, c.fetchWorker[i], i)
+			return nil, nil, step, fmt.Errorf("distrib: step %d: no response from worker %q for fetch %d", step, c.fetchWorker[i], i)
 		}
 		if c.fetchSlot[i] >= len(r.Vals) {
-			return nil, step, fmt.Errorf("distrib: step %d: worker %q returned %d values, fetch %d needs slot %d",
+			return nil, nil, step, fmt.Errorf("distrib: step %d: worker %q returned %d values, fetch %d needs slot %d",
 				step, c.fetchWorker[i], len(r.Vals), i, c.fetchSlot[i])
 		}
 		t, err := cluster.TensorFromWire(r.Vals[c.fetchSlot[i]])
 		if err != nil {
-			return nil, step, fmt.Errorf("distrib: fetch %d: %w", i, err)
+			return nil, nil, step, fmt.Errorf("distrib: fetch %d: %w", i, err)
 		}
 		out[i] = t
 	}
-	return out, step, nil
+	return out, resps, step, nil
 }
 
 // finishStep retires a step and advances the completed-through watermark

@@ -118,17 +118,11 @@ type Options struct {
 	// partitioned fabric eating tokens — into a prompt, retriable
 	// failure. Default 10s.
 	StepTimeout time.Duration
-	// AttemptTimeout, when > 0, additionally bounds one router attempt
-	// (queueing included) from the caller's side.
-	AttemptTimeout time.Duration
 	// Hedge enables hedged requests: if the primary attempt has not
 	// answered within the hedge delay — the observed p99 attempt latency,
-	// floored at HedgeMinDelay — one extra attempt launches on a
+	// floored at hedgeMinDelay — one extra attempt launches on a
 	// different replica and the first response wins.
 	Hedge bool
-	// HedgeMinDelay floors the p99-derived hedge delay (and stands in for
-	// it until enough samples accumulate). Default 5ms.
-	HedgeMinDelay time.Duration
 	// Batch is each replica's micro-batching policy (serve.Options).
 	Batch serve.Options
 }
@@ -151,9 +145,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StepTimeout <= 0 {
 		o.StepTimeout = 10 * time.Second
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = 5 * time.Millisecond
 	}
 	return o
 }
@@ -625,14 +616,8 @@ func (r *Router) attemptHedged(ctx context.Context, rep *replica, tried map[*rep
 func (r *Router) callReplica(ctx context.Context, rep *replica, args []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	actx := ctx
-	if r.opts.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, r.opts.AttemptTimeout)
-		defer cancel()
-	}
 	start := time.Now()
-	outs, err := rep.b.Do(actx, args...)
+	outs, err := rep.b.Do(ctx, args...)
 	switch {
 	case err == nil:
 		r.lat.add(time.Since(start))
@@ -778,16 +763,16 @@ func (r *Router) readmit(rep *replica) error {
 	return nil
 }
 
+// hedgeMinDelay floors the p99-derived hedge delay, and stands in for it
+// while samples are scarce.
+const hedgeMinDelay = 5 * time.Millisecond
+
 // hedgeDelay derives the hedge trigger from observed latency: the p99 of
-// recent successful attempts, floored at HedgeMinDelay (which also stands
-// in while samples are scarce). Deriving from p99 keeps hedges rare by
-// construction — ~1% of requests — so the extra load cannot run away.
+// recent successful attempts, floored at hedgeMinDelay. Deriving from p99
+// keeps hedges rare by construction — ~1% of requests — so the extra load
+// cannot run away.
 func (r *Router) hedgeDelay() time.Duration {
-	d := r.lat.p99()
-	if d < r.opts.HedgeMinDelay {
-		d = r.opts.HedgeMinDelay
-	}
-	return d
+	return max(r.lat.p99(), hedgeMinDelay)
 }
 
 // latRing holds recent attempt latencies for the p99 estimate.

@@ -268,7 +268,6 @@ func TestHedgeWinsAndLoserCanceled(t *testing.T) {
 		cfg := addNConfig()
 		opts := fastOpts()
 		opts.Hedge = true
-		opts.HedgeMinDelay = 5 * time.Millisecond
 		r, err := New(context.Background(), cfg, opts, slowAddrs, fastAddrs)
 		if err != nil {
 			t.Fatal(err)
@@ -554,6 +553,7 @@ func TestConcurrentPredictCloseMembershipStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined := r.Snapshot().Joins
 
 	var wrong atomic.Int64
 	var wg sync.WaitGroup
@@ -593,7 +593,16 @@ func TestConcurrentPredictCloseMembershipStress(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(300 * time.Millisecond) // dcfvet:allow testsleep=let the stress mixture run before teardown
+	// Tear down once the mixture has made progress on both sides: predicts
+	// through the pool, and the churned replica joined at least twice.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := r.Snapshot(); st.Requests < 200 || st.Joins < joined+2; st = r.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Errorf("stress mixture stalled at %d requests, %d joins", st.Requests, st.Joins-joined)
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	r.Close()
 	close(stop)
 	wg.Wait()

@@ -251,18 +251,11 @@ func (n *Net) AbortScope(scope string, err error) {
 	}
 }
 
-// ReleaseScope drops a scope's key table, reclaiming tokens that were
-// published but never consumed (e.g. by an aborted step).
-func (n *Net) ReleaseScope(scope string) {
-	n.mu.Lock()
-	delete(n.scopes, scope)
-	n.mu.Unlock()
-}
-
-// ReleaseScopesIf drops every live scope the predicate selects — O(live
-// tables), not O(name space), so callers can retire "everything at or below
-// a watermark" without replaying step history. The predicate must not call
-// back into Net (n.mu is held).
+// ReleaseScopesIf drops every live scope table the predicate selects,
+// reclaiming tokens that were published but never consumed (e.g. by an
+// aborted step) — O(live tables), not O(name space), so callers can retire
+// "everything at or below a watermark" without replaying step history. The
+// predicate must not call back into Net (n.mu is held).
 func (n *Net) ReleaseScopesIf(pred func(scope string) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

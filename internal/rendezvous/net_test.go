@@ -246,8 +246,7 @@ func TestScopeIsolation(t *testing.T) {
 	if _, err := b.Scope("g1.s2").Recv(sendKey("wB", "t1"), nil); err != nil {
 		t.Fatalf("healthy scope failed after sibling abort: %v", err)
 	}
-	b.ReleaseScope("g1.s1")
-	b.ReleaseScope("g1.s2")
+	b.ReleaseScopesIf(func(scope string) bool { return scope == "g1.s1" || scope == "g1.s2" })
 	if c := b.ScopeCount(); c != 0 {
 		t.Fatalf("scope tables leaked: %d", c)
 	}
@@ -267,7 +266,7 @@ func TestScopeFilterDropsStragglers(t *testing.T) {
 	if _, err := b.Scope("g1.s2").Recv(sendKey("wB", "t0"), nil); err != nil {
 		t.Fatal(err)
 	}
-	b.ReleaseScope("g1.s2")
+	b.ReleaseScopesIf(func(scope string) bool { return scope == "g1.s2" })
 	if c := b.ScopeCount(); c != 0 {
 		t.Fatalf("filtered scope was resurrected: %d live tables", c)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -453,34 +454,44 @@ func TestMaxBatchSizeSplitsLongQueue(t *testing.T) {
 		mu.Unlock()
 		return []*tensor.Tensor{args[0]}, nil
 	}
-	// One execution slot, held busy, so requests pile up and must come
-	// out in batches of at most 3 rows.
-	b := New(call, Options{MaxBatchSize: 3, MaxQueueDelay: time.Millisecond, MaxInFlight: 1})
+	// One execution slot, held busy by a first request, so the five behind
+	// it pile up and must come out in batches of at most 3 rows. No timer
+	// cuts the pile early (the delay is an hour), so it settles exactly:
+	// one full batch formed behind the busy one, and 2 requests queued.
+	b := New(call, Options{MaxBatchSize: 3, MaxQueueDelay: time.Hour, MaxInFlight: 1})
 	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
+	do := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if _, err := b.Do(context.Background(), row(float64(i))); err != nil {
 				t.Errorf("req %d: %v", i, err)
 			}
-		}(i)
+		}()
 	}
-	time.Sleep(10 * time.Millisecond) // dcfvet:allow testsleep=let requests pile into the queue
+	do(0)
+	waitFormed(t, b, 1)
+	for i := 1; i < 6; i++ {
+		do(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for q, f := b.Load(); q != 2 || f != 2; q, f = b.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("never 2 requests queued behind 2 formed batches (at %d queued, %d formed)", q, f)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	close(block)
 	wg.Wait()
 	b.Close()
 	mu.Lock()
 	defer mu.Unlock()
-	total := 0
+	var rows []int
 	for _, sh := range batches {
-		if sh[0] > 3 {
-			t.Fatalf("batch exceeded MaxBatchSize: %v", batches)
-		}
-		total += sh[0]
+		rows = append(rows, sh[0])
 	}
-	if total != 6 {
-		t.Fatalf("lost rows: %v", batches)
+	if !slices.Equal(rows, []int{1, 3, 2}) {
+		t.Fatalf("batch rows %v, want [1 3 2]: the busy one, one split at MaxBatchSize, the rest", rows)
 	}
 }
 

@@ -172,6 +172,40 @@ func CheckShape(shape []int, elems int) error {
 	return nil
 }
 
+// Decoded rebuilds a tensor from the fields a decoder of input from outside
+// the process (a wire envelope, a checkpoint file) read: dtype picks the
+// payload among f, i, b and s, and dtype and shape are validated against it
+// before the panicking From* constructors run, so malformed input is an
+// error, never a panic. The payload is copied.
+func Decoded(dtype int, shape []int, f []float64, i []int64, b []bool, s []string) (*Tensor, error) {
+	var elems int
+	switch DType(dtype) {
+	case Float:
+		elems = len(f)
+	case Int:
+		elems = len(i)
+	case Bool:
+		elems = len(b)
+	case Str:
+		elems = len(s)
+	default:
+		return nil, fmt.Errorf("tensor: unknown dtype %d", dtype)
+	}
+	if err := CheckShape(shape, elems); err != nil {
+		return nil, err
+	}
+	switch DType(dtype) {
+	case Int:
+		return FromInts(i, shape...), nil
+	case Bool:
+		return FromBools(b, shape...), nil
+	case Str:
+		return FromStrings(s, shape...), nil
+	default:
+		return FromFloats(f, shape...), nil
+	}
+}
+
 func cloneShape(s []int) []int {
 	out := make([]int, len(s))
 	copy(out, s)

@@ -147,29 +147,3 @@ func TestFlowID(t *testing.T) {
 		t.Fatal("flow id must separate key and tag")
 	}
 }
-
-func TestSampler(t *testing.T) {
-	var off *Sampler
-	if off.Sample() {
-		t.Fatal("nil sampler sampled")
-	}
-	zero := &Sampler{}
-	if zero.Sample() {
-		t.Fatal("zero sampler sampled")
-	}
-	every3 := &Sampler{Every: 3}
-	var got []bool
-	for i := 0; i < 7; i++ {
-		got = append(got, every3.Sample())
-	}
-	want := []bool{true, false, false, true, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample pattern %v, want %v", got, want)
-		}
-	}
-	always := &Sampler{Every: 1}
-	if !always.Sample() || !always.Sample() {
-		t.Fatal("Every=1 must sample every step")
-	}
-}

@@ -2,7 +2,8 @@
 // instrumentation behind Figure 13 of the paper (compute kernels
 // overlapping D2H/H2D copy kernels) and, since the observability layer,
 // the per-step span recorder behind exec.Binding.Trace and the distributed
-// trace assembly (TraceReq) of the TCP cluster runtime.
+// trace assembly of the TCP cluster runtime, whose workers return a traced
+// step's spans on the step's reply.
 //
 // Events can be rendered as an ASCII timeline, exported as Chrome
 // trace-event JSON (ChromeTrace), or merged across processes into one
@@ -17,14 +18,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Event is one execution span on one stream. Plain kernel events (Record)
 // fill only Stream/Name/Start/End; executor node spans (RecordSpan) carry
 // the full metadata. All fields are exported and gob-encodable: events
-// travel over the cluster control plane in TraceResp.
+// travel over the cluster control plane in a traced step's StepResp.
 type Event struct {
 	Stream string        // timeline row: device/stream, e.g. "wA/cpu/spawn"
 	Name   string        // node or kernel name
@@ -407,21 +407,4 @@ func FlowID(key, tag string) uint64 {
 		h = 1 // 0 means "no flow"
 	}
 	return h
-}
-
-// Sampler selects every Nth step for tracing. The zero value (and a nil
-// Sampler) never samples; Every=1 samples every step.
-type Sampler struct {
-	Every uint64
-	n     atomic.Uint64
-}
-
-// Sample reports whether this occurrence is selected. Safe for concurrent
-// use; the first occurrence is always selected when sampling is on, so a
-// short run still yields a trace.
-func (s *Sampler) Sample() bool {
-	if s == nil || s.Every == 0 {
-		return false
-	}
-	return (s.n.Add(1)-1)%s.Every == 0
 }
