@@ -72,7 +72,6 @@ func main() {
 	dot := flag.Bool("dot", false, "print Graphviz DOT instead of stats")
 	lint := flag.Bool("lint", false, "run the static graph verifier and exit 1 on findings")
 	analyze := flag.Bool("analyze", false, "print the static peak-memory bound with a per-node residency table")
-	window := flag.Int("window", 32, "assumed loop iteration window (parallel_iterations) for -analyze")
 	flag.Parse()
 
 	g, err := buildModel(*model, *withGrad)
@@ -93,7 +92,7 @@ func main() {
 		return
 	}
 	if *analyze {
-		est, ds := verify.EstimateMemory(g.Builder().G, verify.MemOptions{DefaultWindow: *window})
+		est, ds := verify.EstimateMemory(g.Builder().G, verify.Options{})
 		if est == nil {
 			for _, d := range ds {
 				fmt.Println(d)

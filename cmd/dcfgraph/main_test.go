@@ -30,7 +30,7 @@ func TestAnalyzeHeadlines(t *testing.T) {
 		if ds := verify.Check(g.Builder().G, verify.Options{Complete: true}); len(ds) > 0 {
 			t.Errorf("%s grad=%v: lint findings: %v", c.model, c.grad, ds)
 		}
-		est, ds := verify.EstimateMemory(g.Builder().G, verify.MemOptions{DefaultWindow: 32})
+		est, ds := verify.EstimateMemory(g.Builder().G, verify.Options{})
 		if est == nil {
 			t.Fatalf("%s grad=%v: no estimate: %v", c.model, c.grad, ds)
 		}

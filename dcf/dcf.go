@@ -279,7 +279,9 @@ func (g *Graph) Cond(pred Tensor, trueFn, falseFn func() []Tensor) []Tensor {
 }
 
 // While builds an iterative computation (§4.2); iterations may execute in
-// parallel up to opts.ParallelIterations (default 32).
+// parallel up to opts.ParallelIterations, the loop's own window (§4.3).
+// That is the only place a window is set: a loop that declares none runs at
+// the executor's default of 32.
 func (g *Graph) While(inits []Tensor, pred func([]Tensor) Tensor, body func([]Tensor) []Tensor, opts WhileOpts) []Tensor {
 	outs := g.b.While(unwrap(inits),
 		func(vars []graph.Output) graph.Output { return pred(g.wrapAll(vars)).o },

@@ -278,16 +278,15 @@ func TestStickyErrorSurfacedAtRun(t *testing.T) {
 }
 
 func TestParallelIterationsOption(t *testing.T) {
-	g := dcf.NewGraph()
-	outs := g.While(
-		[]dcf.Tensor{g.Scalar(0)},
-		func(v []dcf.Tensor) dcf.Tensor { return v[0].Less(g.Scalar(100)) },
-		func(v []dcf.Tensor) []dcf.Tensor { return []dcf.Tensor{v[0].Add(g.Scalar(1))} },
-		dcf.WhileOpts{},
-	)
 	for _, p := range []int{1, 4, 32} {
-		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{ParallelIterations: p})
-		got, err := sess.Run1(nil, outs[0])
+		g := dcf.NewGraph()
+		outs := g.While(
+			[]dcf.Tensor{g.Scalar(0)},
+			func(v []dcf.Tensor) dcf.Tensor { return v[0].Less(g.Scalar(100)) },
+			func(v []dcf.Tensor) []dcf.Tensor { return []dcf.Tensor{v[0].Add(g.Scalar(1))} },
+			dcf.WhileOpts{ParallelIterations: p},
+		)
+		got, err := dcf.NewSession(g).Run1(nil, outs[0])
 		if err != nil || got.ScalarValue() != 100 {
 			t.Fatalf("p=%d: %v %v", p, got, err)
 		}

@@ -41,8 +41,8 @@ func measurePeak(t *testing.T, steps int, step func()) int64 {
 // the guard is only meaningful over graphs that verify clean.
 func boundFor(t *testing.T, g *dcf.Graph, fetches []graph.Output, targets []*graph.Node) *verify.MemEstimate {
 	t.Helper()
-	est, ds := verify.EstimateMemory(g.Builder().G, verify.MemOptions{
-		Check: verify.Options{Complete: true, Fetches: fetches, Targets: targets},
+	est, ds := verify.EstimateMemory(g.Builder().G, verify.Options{
+		Complete: true, Fetches: fetches, Targets: targets,
 	})
 	if err := ds.Err(); err != nil {
 		t.Fatalf("graph does not verify: %v", err)

@@ -31,11 +31,6 @@ type BatchOptions struct {
 	// Predict fails fast with serve.ErrQueueFull (backpressure to the
 	// caller instead of unbounded queue growth).
 	MaxQueuedRequests int
-	// BucketBy overrides the batching compatibility key (default: each
-	// feed's dtype plus trailing dims, so ragged sequence lengths batch
-	// with their own kind and nothing ever pays padding). Requests that
-	// share a key must be stackable along axis 0.
-	BucketBy func(args []*Value) string
 }
 
 // ServeStats is a snapshot of a Server's batching activity (occupancy,
@@ -111,7 +106,6 @@ func NewServer(s *Session, spec CallableSpec, opts BatchOptions) (*Server, error
 		MaxQueueDelay:     opts.MaxQueueDelay,
 		MaxInFlight:       opts.MaxInFlight,
 		MaxQueuedRequests: opts.MaxQueuedRequests,
-		BucketBy:          opts.BucketBy,
 		// Enqueue-time rejection: a malformed request never joins (and
 		// never poisons) a batch. Value = tensor.Tensor, so the compiled
 		// signature's validator applies directly.

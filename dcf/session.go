@@ -33,8 +33,6 @@ type SessionOptions struct {
 	// Devices lists simulated accelerators; ops on other device names
 	// (including "") run on the unconstrained CPU.
 	Devices []DeviceConfig
-	// ParallelIterations overrides the default loop window (0 = 32).
-	ParallelIterations int
 	// Trace enables per-stream kernel timeline recording on the
 	// simulated devices.
 	Trace bool
@@ -61,7 +59,6 @@ func NewSession(g *Graph) *Session { return NewSessionOpts(g, SessionOptions{}) 
 // NewSessionOpts creates a session with explicit options.
 func NewSessionOpts(g *Graph, opts SessionOptions) *Session {
 	s := core.NewSession(g.b)
-	s.ParallelIterations = opts.ParallelIterations
 	sess := &Session{g: g, s: s}
 	if len(opts.Devices) > 0 {
 		if opts.Trace {

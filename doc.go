@@ -142,8 +142,9 @@
 //     anything executes. The bound is symbolic in the unknowns — a base
 //     plus per-unknown-row and per-loop-iteration terms — and collapses
 //     to a finite byte count when shapes are closed, as every forward
-//     model here is; while-loop windows multiply residency by
-//     min(parallel_iterations, window). `cmd/dcfgraph -analyze` prints
+//     model here is; while-loop windows multiply residency by each
+//     loop's parallel_iterations (exec.DefaultParallelIterations where a
+//     loop declares none). `cmd/dcfgraph -analyze` prints
 //     the bound, the peak node, top contributors, and per-node residency,
 //     and CI asserts the forward models stay finite. Like verification,
 //     estimation runs at plan-compile and lint time — never on the step
@@ -202,11 +203,11 @@
 // The executor hot path (internal/exec, see its README.md) is dense-indexed
 // and buffer-pooled. The knobs that matter when tuning throughput:
 //
-//   - SessionOptions.ParallelIterations (dcf) / per-loop
-//     parallel_iterations: the while-loop window, which also sizes each
-//     frame's iteration ring (default 32).
-//   - exec.DefaultParallelIterations, exec.PlanOptions.ParallelIterations:
-//     the same knob at the executor layer, fixed when a plan is compiled.
+//   - WhileOpts.ParallelIterations: the window of one while loop, written
+//     as parallel_iterations on the loop's Enters and fixed when a plan is
+//     compiled. It also sizes the frame's iteration ring. A loop that
+//     declares none runs at exec.DefaultParallelIterations (32), and the
+//     static memory bound assumes the same.
 //   - GOMAXPROCS: how many kernels run at once. A kernel measured dearer
 //     than a hand-off runs on a goroutine of its own and the Go scheduler
 //     spreads those over the Ps; there is no worker pool to size.

@@ -46,10 +46,10 @@ func DefaultFig12(quick bool) Fig12Config {
 	return cfg
 }
 
-// buildFig12Graph: one while-loop; GPU d computes a matmul of its state
-// with the previous GPU's output; the loop condition depends only on the
-// counter, so iterations can be enqueued ahead (§6.1).
-func buildFig12Graph(gpus, iterations, dim int) (*dcf.Graph, []dcf.Tensor) {
+// buildFig12Graph: one while-loop of window parallel; GPU d computes a
+// matmul of its state with the previous GPU's output; the loop condition
+// depends only on the counter, so iterations can be enqueued ahead (§6.1).
+func buildFig12Graph(gpus, iterations, dim, parallel int) (*dcf.Graph, []dcf.Tensor) {
 	g := dcf.NewGraph()
 	dev := func(d int) string { return fmt.Sprintf("gpu:%d", d) }
 	inits := []dcf.Tensor{g.Scalar(0)}
@@ -78,7 +78,7 @@ func buildFig12Graph(gpus, iterations, dim int) (*dcf.Graph, []dcf.Tensor) {
 			}
 			return next
 		},
-		dcf.WhileOpts{Name: "pipeline"},
+		dcf.WhileOpts{Name: "pipeline", ParallelIterations: parallel},
 	)
 	// Fetch every GPU's state exit so no chain is pruned from the step.
 	return g, outs[1:]
@@ -86,7 +86,7 @@ func buildFig12Graph(gpus, iterations, dim int) (*dcf.Graph, []dcf.Tensor) {
 
 // Fig12 runs the parallel-iterations sweep on simulated GPUs within one
 // local executor (device runners serialize kernels per GPU, as a GPU
-// compute stream does). ParallelIterations=1 is the out-of-graph-equivalent
+// compute stream does). A window of 1 is the out-of-graph-equivalent
 // serial execution the paper compares against in §6.1.
 func Fig12(cfg Fig12Config, w io.Writer) ([]Fig12Row, error) {
 	fprintf(w, "Figure 12: parallel-iterations knob, %d simulated GPUs, %dx%d matmul per layer\n",
@@ -95,7 +95,7 @@ func Fig12(cfg Fig12Config, w io.Writer) ([]Fig12Row, error) {
 	var rows []Fig12Row
 	var serial float64
 	for _, p := range cfg.Parallel {
-		g, fetches := buildFig12Graph(cfg.GPUs, cfg.Iterations, cfg.MatrixDim)
+		g, fetches := buildFig12Graph(cfg.GPUs, cfg.Iterations, cfg.MatrixDim, p)
 		if err := g.Err(); err != nil {
 			return nil, err
 		}
@@ -111,10 +111,7 @@ func Fig12(cfg Fig12Config, w io.Writer) ([]Fig12Row, error) {
 				},
 			})
 		}
-		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
-			Devices:            devs,
-			ParallelIterations: p,
-		})
+		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{Devices: devs})
 		if _, err := sess.Run(nil, fetches); err != nil { // warm-up
 			sess.Close()
 			return nil, fmt.Errorf("fig12 p=%d: %w", p, err)

@@ -37,9 +37,6 @@ type RegisterGraph struct {
 	Parts   []WirePartition
 	// Peers maps every participating worker to its rendezvous address.
 	Peers map[string]string
-	// ParallelIterations carries distrib.TCPOptions' field of the same name:
-	// the loop window.
-	ParallelIterations int
 }
 
 // RegResp acknowledges a registration.

@@ -458,10 +458,9 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 			return fmt.Errorf("cluster: partition %q failed verification: %w", part.Device, ds.Err())
 		}
 		p, err := exec.NewPlan(g, exec.PlanOptions{
-			Nodes:              nodes,
-			Fetches:            fetches,
-			ParallelIterations: rg.ParallelIterations,
-			TraceStream:        part.Device,
+			Nodes:       nodes,
+			Fetches:     fetches,
+			TraceStream: part.Device,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: partition %q: %w", part.Device, err)

@@ -142,24 +142,22 @@ func TestPropResultInvariantToParallelWindow(t *testing.T) {
 	// trades memory for parallelism only).
 	f := func(limit8 uint8, seed uint8) bool {
 		limit := float64(limit8%40) + 1
-		b := NewBuilder()
 		init := tensor.RandNormal(tensor.NewRNG(uint64(seed)+1), 0, 1, 3, 3)
-		outs := b.While(
-			[]graph.Output{b.Scalar(0), b.Const(init)},
-			func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(limit)) },
-			func(v []graph.Output) []graph.Output {
-				return []graph.Output{
-					b.Add(v[0], b.Scalar(1)),
-					b.Tanh(b.MatMul(v[1], v[1])),
-				}
-			},
-			WhileOpts{},
-		)
 		var ref *tensor.Tensor
 		for _, par := range []int{1, 3, 32} {
-			s := NewSession(b)
-			s.ParallelIterations = par
-			got, err := s.Run1(nil, outs[1])
+			b := NewBuilder()
+			outs := b.While(
+				[]graph.Output{b.Scalar(0), b.Const(init)},
+				func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(limit)) },
+				func(v []graph.Output) []graph.Output {
+					return []graph.Output{
+						b.Add(v[0], b.Scalar(1)),
+						b.Tanh(b.MatMul(v[1], v[1])),
+					}
+				},
+				WhileOpts{ParallelIterations: par},
+			)
+			got, err := NewSession(b).Run1(nil, outs[1])
 			if err != nil {
 				return false
 			}

@@ -32,7 +32,7 @@ type Session struct {
 
 	// SessRes holds variables across runs.
 	SessRes *ops.Resources
-	// The three fields below are read when a run signature is compiled (the
+	// The two fields below are read when a run signature is compiled (the
 	// first Run of the signature, or MakeCallable) and fixed in its plan: set
 	// them before the session runs anything.
 	//
@@ -40,9 +40,6 @@ type Session struct {
 	// runners (both may be nil).
 	Mem    func(device string) ops.DeviceMem
 	Runner func(device string) exec.Runner
-	// ParallelIterations is the default loop window (0 = executor
-	// default of 32).
-	ParallelIterations int
 
 	// baseSeed and runSeq derive a private RNG stream per run, so
 	// concurrent runs never contend on (or race over) one generator.
@@ -260,11 +257,10 @@ func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.
 // the session's executor options in it.
 func (s *Session) compile(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, error) {
 	return exec.NewPlan(s.B.G, exec.PlanOptions{
-		Nodes:              Prune(s.B.G, fetches, targets),
-		Fetches:            fetches,
-		ParallelIterations: s.ParallelIterations,
-		Mem:                s.Mem,
-		Runner:             s.Runner,
+		Nodes:   Prune(s.B.G, fetches, targets),
+		Fetches: fetches,
+		Mem:     s.Mem,
+		Runner:  s.Runner,
 	})
 }
 

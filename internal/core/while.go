@@ -10,8 +10,10 @@ import (
 type WhileOpts struct {
 	// Name labels the loop frame (uniquified); defaults to "while".
 	Name string
-	// ParallelIterations bounds concurrent in-flight iterations;
-	// 0 means the executor default (32).
+	// ParallelIterations is the loop's window (§4.3): how many of its
+	// iterations may be in flight at once. It is written as
+	// parallel_iterations on the loop's Enters and is the only way to set
+	// the window; 0 means exec.DefaultParallelIterations (32).
 	ParallelIterations int
 }
 

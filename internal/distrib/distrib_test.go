@@ -60,6 +60,42 @@ func TestDistributedWhileLoop(t *testing.T) {
 	}
 }
 
+// TestDistributedLoopDeclaredWindow runs a loop whose body crosses workers
+// at the two ends of the window it declares: one iteration in flight, and
+// the default's 32. The window trades memory for parallelism only (§4.3),
+// so every layout at every window fetches the same bits.
+func TestDistributedLoopDeclaredWindow(t *testing.T) {
+	init := tensor.RandNormal(tensor.NewRNG(7), 0, 1, 3, 3)
+	var ref *tensor.Tensor
+	for _, window := range []int{1, 32} {
+		out := runBothLayouts(t, scenario{
+			build: func() (*core.Builder, []graph.Output, []*graph.Node) {
+				b := core.NewBuilder()
+				var outs []graph.Output
+				b.WithDevice("dev:0", func() {
+					outs = b.While(
+						[]graph.Output{b.Scalar(0), b.Const(init)},
+						func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(12)) },
+						func(v []graph.Output) []graph.Output {
+							var m graph.Output
+							b.WithDevice("dev:1", func() { m = b.Tanh(b.MatMul(v[1], v[1])) })
+							return []graph.Output{b.Add(v[0], b.Scalar(1)), m}
+						},
+						core.WhileOpts{ParallelIterations: window},
+					)
+				})
+				return b, outs[1:], nil
+			},
+			steps: []map[string]*tensor.Tensor{nil},
+		})
+		if ref == nil {
+			ref = out[0][0]
+			continue
+		}
+		sameBits(t, fmt.Sprintf("window %d vs window 1", window), out[0][0], ref)
+	}
+}
+
 func TestDistributedLoopManyDevices(t *testing.T) {
 	// A chain of ops across 4 devices inside one loop.
 	devs := []string{"dev:0", "dev:1", "dev:2", "dev:3"}

@@ -276,7 +276,12 @@ func TestRunJobKillRestart(t *testing.T) {
 		t.Logf("rebuilt over %v from step %d", ws, from)
 	}
 
+	// restarted closes once wB is back (or failed to come back): the job can
+	// finish on wA alone first, and the cleanup that closes workers must not
+	// run while this goroutine still writes workers[1].
+	restarted := make(chan struct{})
 	go func() {
+		defer close(restarted)
 		<-killed
 		ctrlAddr := workers[1].Addr()
 		workers[1].Close()
@@ -295,7 +300,6 @@ func TestRunJobKillRestart(t *testing.T) {
 		Steps:          steps,
 		TCP:            TCPOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 10},
 		MaxStepRetries: 8,
-		RetryBackoff:   100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
@@ -303,6 +307,7 @@ func TestRunJobKillRestart(t *testing.T) {
 	if got := final[0].ScalarValue(); got != float64(steps*limit) {
 		t.Fatalf("final fetch %v, want %v", got, steps*limit)
 	}
+	<-restarted // the job ran past step steps/2, so wB was killed
 	mu.Lock()
 	defer mu.Unlock()
 	for step, want := range baseline {

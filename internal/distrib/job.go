@@ -59,11 +59,12 @@ type JobOptions struct {
 	// successfully replayed step, so a long job survives many separated
 	// failures but not a persistent one.
 	MaxStepRetries int
-	// RetryBackoff scales the pause before the n-th consecutive rollback
-	// (default 250ms): attempt n sleeps n*RetryBackoff, giving a
-	// restarting daemon time to come back before the probe writes it off.
-	RetryBackoff time.Duration
 }
+
+// retryBackoff scales the pause before the n-th consecutive rollback:
+// attempt n sleeps n*retryBackoff, giving a restarting daemon time to come
+// back before the probe writes it off.
+const retryBackoff = 250 * time.Millisecond
 
 // Resume builds a cluster for the job over the fleet's live workers and
 // restores the most recent checkpoint in opts.CheckpointDir: the graph is
@@ -159,9 +160,6 @@ func RunJob(ctx context.Context, f *Fleet, spec JobSpec, opts JobOptions) ([]*te
 	if opts.MaxStepRetries == 0 {
 		opts.MaxStepRetries = 3
 	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = 250 * time.Millisecond
-	}
 
 	c, err := f.startJobCluster(spec, opts.TCP)
 	if err != nil {
@@ -207,7 +205,7 @@ func RunJob(ctx context.Context, f *Fleet, spec JobSpec, opts JobOptions) ([]*te
 			}
 			// Give a crashed-but-restarting daemon a beat to come back;
 			// the probe in LiveWorkers writes off whoever is still down.
-			time.Sleep(time.Duration(retries) * opts.RetryBackoff)
+			time.Sleep(time.Duration(retries) * retryBackoff)
 			if rerr := rebuild(); rerr != nil {
 				return nil, fmt.Errorf("distrib: rollback after step %d failure: %w (step error: %v)", step, rerr, err)
 			}

@@ -205,8 +205,6 @@ type TCPOptions struct {
 	// prefix before '/' ("wA/cpu" -> "wA", "w1" -> "w1"). Every worker it
 	// names must be in the fleet.
 	WorkerOf partition.WorkerOf
-	// ParallelIterations overrides the loop window on every worker.
-	ParallelIterations int
 	// CheckpointDir, when set, is where distributed checkpoints of this
 	// cluster's session variables are written (see internal/checkpoint's
 	// manifest layout). Required for Checkpoint/Resume.
@@ -369,11 +367,10 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 			return nil, fmt.Errorf("distrib: worker %q: %w", w, err)
 		}
 		c.regs[w] = &cluster.RegisterGraph{
-			GraphID:            c.gid,
-			Nodes:              wireNodes,
-			Parts:              parts,
-			Peers:              nil, // filled by registerAll
-			ParallelIterations: opts.ParallelIterations,
+			GraphID: c.gid,
+			Nodes:   wireNodes,
+			Parts:   parts,
+			Peers:   nil, // filled by registerAll
 		}
 	}
 	// Map each worker's session variables (nodes carrying a "var" attr in

@@ -32,7 +32,9 @@ var (
 )
 
 // DefaultParallelIterations bounds how many iterations of one loop may be
-// in flight concurrently. The paper reports 32 as a generally good limit.
+// in flight concurrently when none of the loop's Enter ops declares
+// parallel_iterations. The paper reports 32 as a generally good limit.
+// verify's memory bound reads the same constant.
 const DefaultParallelIterations = 32
 
 // maxEventsBuffer caps the completion-channel buffer. The buffer is sized
@@ -49,10 +51,6 @@ type PlanOptions struct {
 	Nodes []*graph.Node
 	// Fetches are the outputs whose root-frame values a step returns.
 	Fetches []graph.Output
-	// ParallelIterations is the window of the frames whose Enter ops declare
-	// none (0 means the default, 32). A frame whose Enters declare
-	// parallel_iterations runs at what they declare.
-	ParallelIterations int
 	// Mem returns the memory system for a device name (may return nil).
 	// Called once per plan node, by NewPlan.
 	Mem func(device string) ops.DeviceMem
@@ -185,8 +183,7 @@ type frameMeta struct {
 	name       string
 	enterCount int
 	// parallel is the frame's window: the largest parallel_iterations any of
-	// its Enter ops declares, else the plan's ParallelIterations option, else
-	// the default. What an Enter declares wins over the option.
+	// its Enter ops declares, else DefaultParallelIterations.
 	parallel int
 }
 
@@ -340,14 +337,10 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 		}
 	}
 
-	defWindow := opts.ParallelIterations
-	if defWindow <= 0 {
-		defWindow = DefaultParallelIterations
-	}
 	window := 1
 	for i := range p.frames {
 		if p.frames[i].parallel <= 0 {
-			p.frames[i].parallel = defWindow
+			p.frames[i].parallel = DefaultParallelIterations
 		}
 		window = max(window, p.frames[i].parallel)
 	}

@@ -15,6 +15,9 @@ import (
 type tb struct {
 	t *testing.T
 	g *graph.Graph
+	// window is the parallel_iterations loopOf declares on its Enters
+	// (0: none, so the frame runs at DefaultParallelIterations).
+	window int
 }
 
 func newTB(t *testing.T) *tb { return &tb{t: t, g: graph.New()} }

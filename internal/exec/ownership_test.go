@@ -32,13 +32,13 @@ func init() {
 }
 
 // loopOf hand-builds `for k := 0; k < n; k++ { vars = body(vars, consts) }`
-// in a frame of its own and returns the exits of vars. The window is the
-// plan's.
+// in a frame of its own and returns the exits of vars. Its Enters declare
+// b.window.
 func loopOf(b *tb, name string, n int, vars, consts []graph.Output,
 	body func(vars, consts []graph.Output) []graph.Output) []graph.Output {
-	frame := map[string]any{"frame_name": name}
+	frame := map[string]any{"frame_name": name, "parallel_iterations": b.window}
 	constant := func(v graph.Output) graph.Output {
-		return b.node("Enter", map[string]any{"frame_name": name, "is_constant": true}, v).Out(0)
+		return b.node("Enter", map[string]any{"frame_name": name, "parallel_iterations": b.window, "is_constant": true}, v).Out(0)
 	}
 	lim, one := constant(b.scalar(float64(n))), constant(b.scalar(1))
 	cs := make([]graph.Output, len(consts))
@@ -94,7 +94,8 @@ func runRule(t *testing.T, c ruleCase) {
 		for _, dear := range []bool{false, true} {
 			name := fmt.Sprintf("window %d, dear %v", window, dear)
 			b := newTB(t)
-			opts := PlanOptions{Fetches: c.build(b), ParallelIterations: window}
+			b.window = window
+			opts := PlanOptions{Fetches: c.build(b)}
 			plan := b.plan(opts)
 			if dear {
 				plan = newDear(b, opts)

@@ -206,8 +206,7 @@ func TestAllInlineStepSpawnsNoPool(t *testing.T) {
 func TestEventsBufferUsesFrameWindow(t *testing.T) {
 	b := newTB(t)
 	exit := buildCounterLoop(b, 10, 1, 1) // window 1
-	// The plan option is not the frame's window: the Enter's declaration wins.
-	ex := newDear(b, PlanOptions{Fetches: []graph.Output{exit}, ParallelIterations: 16}).newExecutor(Binding{})
+	ex := newDear(b, PlanOptions{Fetches: []graph.Output{exit}}).newExecutor(Binding{})
 	if ex.events != nil {
 		t.Fatal("completion channel exists before anything was handed off")
 	}

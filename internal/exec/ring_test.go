@@ -145,9 +145,11 @@ func TestEventsChannelSizedFromPlan(t *testing.T) {
 	if got, want := lb.plan(PlanOptions{Fetches: exit}).eventsCap, lb.g.NumNodes()*DefaultParallelIterations; got != want {
 		t.Fatalf("loop events buffer %d, want nodes*window = %d", got, want)
 	}
-	// The window option moves the frames that declare none.
-	if got, want := lb.plan(PlanOptions{Fetches: exit, ParallelIterations: 3}).eventsCap, lb.g.NumNodes()*3; got != want {
-		t.Fatalf("loop events buffer at ParallelIterations 3: %d, want %d", got, want)
+	// A declared window moves it.
+	db := newTB(t)
+	exit = []graph.Output{buildCounterLoop(db, 5, 1, 3)}
+	if got, want := db.plan(PlanOptions{Fetches: exit}).eventsCap, db.g.NumNodes()*3; got != want {
+		t.Fatalf("loop events buffer at a declared window of 3: %d, want %d", got, want)
 	}
 }
 

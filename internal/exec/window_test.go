@@ -33,10 +33,10 @@ func (r *slowRunner) RunKernel(node, op string, fn func()) {
 // stage A's same-iteration output). With window=1, iteration k+1 cannot
 // start until k retires, so at most one slow kernel runs at a time; with a
 // larger window, A(k+1) overlaps B(k). The window is what the frame's Enters
-// declare; the plan's ParallelIterations option is the window only of a frame
-// whose Enters declare none.
+// declare; a frame whose Enters declare none runs at
+// DefaultParallelIterations.
 func TestParallelWindowEnforced(t *testing.T) {
-	run := func(declared, option int) (int32, time.Duration) {
+	run := func(declared int) (int32, time.Duration) {
 		b := newTB(t)
 		frame := map[string]any{"frame_name": "w", "parallel_iterations": declared}
 		frameConst := map[string]any{"frame_name": "w", "parallel_iterations": declared, "is_constant": true}
@@ -65,25 +65,25 @@ func TestParallelWindowEnforced(t *testing.T) {
 		exB := b.node("Exit", nil, swB.Out(0))
 		_ = exI
 		r := &slowRunner{}
-		plan := b.plan(PlanOptions{Fetches: []graph.Output{exB.Out(0)}, ParallelIterations: option,
-			Runner: func(string) Runner { return r }})
+		plan := b.plan(PlanOptions{Fetches: []graph.Output{exB.Out(0)}, Runner: func(string) Runner { return r }})
+		want := declared
+		if want == 0 {
+			want = DefaultParallelIterations
+		}
+		if got := plan.frames[0].parallel; got != want {
+			t.Fatalf("Enters declare %d: plan resolved window %d, want %d", declared, got, want)
+		}
 		start := time.Now()
 		if _, _, err := plan.Run(Binding{}); err != nil {
 			t.Fatal(err)
 		}
 		return r.maxSeen, time.Since(start)
 	}
-	if got, _ := run(1, 8); got != 1 {
-		t.Fatalf("Enters declare window 1, the plan option says 8: the Enters win, saw %d slow kernels at once", got)
+	if got, _ := run(0); got < 2 {
+		t.Fatalf("Enters declare no window, so it is DefaultParallelIterations: stages should overlap, saw %d", got)
 	}
-	if got, _ := run(0, 1); got != 1 {
-		t.Fatalf("Enters declare no window, the plan option says 1: saw %d slow kernels at once", got)
-	}
-	if got, _ := run(0, 8); got < 2 {
-		t.Fatalf("Enters declare no window, the plan option says 8: stages should overlap, saw %d", got)
-	}
-	max1, d1 := run(1, 0)
-	max8, d8 := run(8, 0)
+	max1, d1 := run(1)
+	max8, d8 := run(8)
 	t.Logf("par=1: maxConcurrent=%d dur=%v; par=8: maxConcurrent=%d dur=%v", max1, d1, max8, d8)
 	if max1 != 1 {
 		t.Fatalf("window=1 must serialize slow kernels, saw %d concurrent", max1)

@@ -93,8 +93,6 @@ type Config struct {
 	// Warmup, when non-nil, is one request's args used to warm a replica
 	// (compile paths, fault in pools) before it receives traffic.
 	Warmup []*tensor.Tensor
-	// TCP configures each replica's cluster (placement, fabric, faults).
-	TCP distrib.TCPOptions
 }
 
 // Options is the routing policy.
@@ -335,7 +333,7 @@ func (r *Router) Join(ctx context.Context, addrs ...string) (string, error) {
 		fl.Close()
 		return "", fmt.Errorf("fleetserve: join %s: build: %w", name, err)
 	}
-	tc, err := fl.NewCluster(b, fetches, nil, r.cfg.TCP)
+	tc, err := fl.NewCluster(b, fetches, nil, distrib.TCPOptions{})
 	if err != nil {
 		fl.Close()
 		return "", fmt.Errorf("fleetserve: join %s: register: %w", name, err)
@@ -367,15 +365,9 @@ func (r *Router) Join(ctx context.Context, addrs ...string) (string, error) {
 		tc.Close()
 		fl.Close()
 	}
-	if len(r.cfg.Init) > 0 {
-		if err := tc.RestoreState(r.cfg.Init); err != nil {
-			teardown()
-			return "", fmt.Errorf("fleetserve: join %s: restore: %w", name, err)
-		}
-	}
-	if err := r.warmup(ctx, rep); err != nil {
+	if err := r.qualify(ctx, rep); err != nil {
 		teardown()
-		return "", fmt.Errorf("fleetserve: join %s: warmup: %w", name, err)
+		return "", fmt.Errorf("fleetserve: join %s: %w", name, err)
 	}
 	for _, w := range workers {
 		if !fl.Live(w) {
@@ -400,12 +392,21 @@ func (r *Router) Join(ctx context.Context, addrs ...string) (string, error) {
 	return name, nil
 }
 
-func (r *Router) warmup(ctx context.Context, rep *replica) error {
-	if len(r.cfg.Warmup) == 0 {
-		return nil
+// qualify restores Init into a replica and round-trips the warmup call
+// under ctx: what a replica passes before it takes traffic, on Join and on
+// readmission alike.
+func (r *Router) qualify(ctx context.Context, rep *replica) error {
+	if len(r.cfg.Init) > 0 {
+		if err := rep.tc.RestoreState(r.cfg.Init); err != nil {
+			return fmt.Errorf("restore: %w", err)
+		}
 	}
-	_, err := rep.b.Do(ctx, r.cfg.Warmup...)
-	return err
+	if len(r.cfg.Warmup) > 0 {
+		if _, err := rep.b.Do(ctx, r.cfg.Warmup...); err != nil {
+			return fmt.Errorf("warmup: %w", err)
+		}
+	}
+	return nil
 }
 
 // Drain gracefully removes one replica: it stops receiving new dispatches
@@ -748,17 +749,10 @@ func (r *Router) readmit(rep *replica) error {
 	if err := rep.tc.EnsureRegistered(); err != nil {
 		return fmt.Errorf("fleetserve: %s: re-register: %w", rep.name, err)
 	}
-	if len(r.cfg.Init) > 0 {
-		if err := rep.tc.RestoreState(r.cfg.Init); err != nil {
-			return fmt.Errorf("fleetserve: %s: restore: %w", rep.name, err)
-		}
-	}
-	if len(r.cfg.Warmup) > 0 {
-		wctx, cancel := context.WithTimeout(context.Background(), r.opts.StepTimeout)
-		defer cancel()
-		if _, err := rep.b.Do(wctx, r.cfg.Warmup...); err != nil {
-			return fmt.Errorf("fleetserve: %s: warmup: %w", rep.name, err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), r.opts.StepTimeout)
+	defer cancel()
+	if err := r.qualify(ctx, rep); err != nil {
+		return fmt.Errorf("fleetserve: %s: %w", rep.name, err)
 	}
 	return nil
 }

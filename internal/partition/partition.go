@@ -329,9 +329,6 @@ func Validate(res *Result) error {
 // the multi-process cluster runtime registers and routes by), preserving
 // res.Devices first-seen order within groups and across the worker list.
 func ByWorker(res *Result, workerOf WorkerOf) (map[string][]string, []string) {
-	if workerOf == nil {
-		workerOf = func(string) string { return "w0" }
-	}
 	devs := map[string][]string{}
 	var order []string
 	for _, dev := range res.Devices {

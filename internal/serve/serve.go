@@ -74,11 +74,6 @@ type Options struct {
 	// Do fails fast with ErrQueueFull instead of growing without bound).
 	// Default 1024.
 	MaxQueuedRequests int
-	// BucketBy overrides the bucketing key. The default keys on each
-	// feed's dtype plus trailing (non-batch) dimensions, so only
-	// stack-compatible requests share a micro-batch. Requests mapped to
-	// the same key MUST be concatenable along axis 0.
-	BucketBy func(args []*tensor.Tensor) string
 	// Validate, if set, vets each request's args at enqueue time (the dcf
 	// layer installs per-feed dtype/rank checks from the callable spec).
 	// A validation error rejects the request before it joins a batch.
@@ -227,7 +222,7 @@ func New(call CallFunc, opts Options) *Batcher {
 // process-wide metrics.Default() registry.
 func (b *Batcher) Metrics() *metrics.Registry { return b.reg }
 
-// bucketKey derives the default bucket key: dtype + trailing dims per feed.
+// bucketKey derives a request's bucket key: dtype + trailing dims per feed.
 // Rows (axis 0) are excluded so requests of different row counts stack.
 func bucketKey(args []*tensor.Tensor) string {
 	var sb strings.Builder
@@ -316,9 +311,6 @@ func (b *Batcher) enqueue(ctx context.Context, args []*tensor.Tensor) (*request,
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	key := bucketKey(args)
-	if b.opts.BucketBy != nil {
-		key = b.opts.BucketBy(args)
-	}
 	req := &request{args: args, rows: rows, ctx: ctx, enq: time.Now(), done: make(chan result, 1)}
 
 	b.mu.Lock()
@@ -684,30 +676,6 @@ func (s Stats) AvgBatchRows() float64 {
 		return 0
 	}
 	return float64(s.Rows) / float64(s.Batches)
-}
-
-// AvgQueueDelay is the mean per-request queue delay.
-func (s Stats) AvgQueueDelay() time.Duration {
-	if s.BatchedRequests == 0 {
-		return 0
-	}
-	return s.QueueDelayTotal / time.Duration(s.BatchedRequests)
-}
-
-// StepsPerSec is the lifetime batched-step rate.
-func (s Stats) StepsPerSec() float64 {
-	if s.Uptime <= 0 {
-		return 0
-	}
-	return float64(s.Batches) / s.Uptime.Seconds()
-}
-
-// RequestsPerSec is the lifetime served-request rate.
-func (s Stats) RequestsPerSec() float64 {
-	if s.Uptime <= 0 {
-		return 0
-	}
-	return float64(s.BatchedRequests) / s.Uptime.Seconds()
 }
 
 // Snapshot returns the current stats, folded back from the batcher's

@@ -43,7 +43,7 @@ func TestMatMulAttrsInStaticLayer(t *testing.T) {
 					}
 					// At sq the product and sq's own output are resident,
 					// both of the inferred output shape.
-					est := estimate(t, b.g, verify.MemOptions{Check: verify.Options{Fetches: []graph.Output{sq.Out(0)}}})
+					est := estimate(t, b.g, verify.Options{Fetches: []graph.Output{sq.Out(0)}})
 					for _, nm := range est.Nodes {
 						if nm.Node == "sq" && nm.FixedBytes != int64(2*elems*8) {
 							t.Errorf("residency at sq is %d B, want %d (output shape mis-inferred)", nm.FixedBytes, 2*elems*8)

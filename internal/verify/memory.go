@@ -32,21 +32,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
-
-// MemOptions configures one EstimateMemory run.
-type MemOptions struct {
-	// Check selects the node set / run signature exactly like Check.
-	// Fetched outputs are kept live to the end of the step.
-	Check Options
-
-	// DefaultWindow is the loop iteration window assumed for frames whose
-	// Enters carry no parallel_iterations attribute; 0 means 32, the
-	// executor's own default.
-	DefaultWindow int
-}
 
 // MemEstimate is the static peak-resident-bytes bound for one node set.
 // The total bound is FixedBytes + rows·PerRowBytes + iters·PerIterBytes +
@@ -122,20 +111,18 @@ func (m *MemEstimate) String() string {
 	return s
 }
 
-// EstimateMemory runs Check on one node set and the liveness analysis over
-// the facts it inferred. A graph that fails structurally (a cycle outside
-// NextIteration) returns a nil estimate with the diagnostics; Check's other
-// diagnostics ride along without blocking estimation.
-func EstimateMemory(g *graph.Graph, opts MemOptions) (*MemEstimate, Diagnostics) {
-	c, ok := check(g, opts.Check)
+// EstimateMemory runs Check on one node set (opts selects it exactly as for
+// Check; fetched outputs are kept live to the end of the step) and the
+// liveness analysis over the facts it inferred. A graph that fails
+// structurally (a cycle outside NextIteration) returns a nil estimate with
+// the diagnostics; Check's other diagnostics ride along without blocking
+// estimation.
+func EstimateMemory(g *graph.Graph, opts Options) (*MemEstimate, Diagnostics) {
+	c, ok := check(g, opts)
 	if !ok {
 		return nil, c.diags
 	}
-	m := &memAnalyzer{c: c, defaultWindow: opts.DefaultWindow}
-	if m.defaultWindow <= 0 {
-		m.defaultWindow = 32
-	}
-	return m.run(), c.diags
+	return (&memAnalyzer{c: c}).run(), c.diags
 }
 
 // cost is one value's memory footprint: fixed bytes plus symbolic factors.
@@ -146,8 +133,7 @@ type cost struct {
 
 // memAnalyzer carries the liveness computation for one node set.
 type memAnalyzer struct {
-	c             *checker
-	defaultWindow int
+	c *checker
 
 	idx map[int]int // node id -> topo index
 }
@@ -375,7 +361,8 @@ func (m *memAnalyzer) liveAt(p int, consumers []int, fetched bool, n int, anc []
 }
 
 // windowProd is the product of iteration windows along the node's frame
-// chain: how many copies of a per-iteration value can be in flight.
+// chain: how many copies of a per-iteration value can be in flight. A frame
+// whose Enters declare no window runs at the executor's default.
 func (m *memAnalyzer) windowProd(n *graph.Node) int64 {
 	prod := int64(1)
 	f := m.c.frameOf[n.ID()]
@@ -387,7 +374,7 @@ func (m *memAnalyzer) windowProd(n *graph.Node) int64 {
 			}
 		}
 		if w <= 0 {
-			w = m.defaultWindow
+			w = exec.DefaultParallelIterations
 		}
 		prod *= int64(w)
 		f = f.parent

@@ -1,15 +1,17 @@
 package verify_test
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 	"repro/internal/verify"
 )
 
-func estimate(t *testing.T, g *graph.Graph, opts verify.MemOptions) *verify.MemEstimate {
+func estimate(t *testing.T, g *graph.Graph, opts verify.Options) *verify.MemEstimate {
 	t.Helper()
 	est, ds := verify.EstimateMemory(g, opts)
 	if est == nil {
@@ -27,7 +29,7 @@ func TestEstimateMemoryLinearChain(t *testing.T) {
 	sq := b.node("Square", "sq", 1, nil, c.Out(0))
 	b.node("Sum", "sum", 1, nil, sq.Out(0))
 
-	est := estimate(t, b.g, verify.MemOptions{})
+	est := estimate(t, b.g, verify.Options{})
 	if est.FixedBytes != 256 {
 		t.Fatalf("peak = %d, want 256 (%+v)", est.FixedBytes, est.Nodes)
 	}
@@ -47,10 +49,8 @@ func TestEstimateMemoryFetchPinned(t *testing.T) {
 	sq := b.node("Square", "sq", 1, nil, c.Out(0))
 	sum := b.node("Sum", "sum", 1, nil, sq.Out(0))
 
-	base := estimate(t, b.g, verify.MemOptions{})
-	pinned := estimate(t, b.g, verify.MemOptions{
-		Check: verify.Options{Fetches: []graph.Output{c.Out(0), sum.Out(0)}},
-	})
+	base := estimate(t, b.g, verify.Options{})
+	pinned := estimate(t, b.g, verify.Options{Fetches: []graph.Output{c.Out(0), sum.Out(0)}})
 	if pinned.FixedBytes <= base.FixedBytes {
 		t.Fatalf("fetch-pinned peak %d should exceed base peak %d", pinned.FixedBytes, base.FixedBytes)
 	}
@@ -66,7 +66,7 @@ func TestEstimateMemoryPerRow(t *testing.T) {
 	})
 	b.node("Square", "sq", 1, nil, ph.Out(0))
 
-	est := estimate(t, b.g, verify.MemOptions{})
+	est := estimate(t, b.g, verify.Options{})
 	if est.Finite() {
 		t.Fatalf("unknown dim must yield a symbolic bound: %s", est)
 	}
@@ -103,10 +103,10 @@ func buildLoop(t *testing.T, parallel int) *graph.Graph {
 
 // The frame's iteration window multiplies in-frame residency: the same
 // loop with parallel_iterations=4 must bound strictly higher than with a
-// window of 1, and the Enter's attribute must override the default.
+// window of 1, and the Enter's attribute must be the window.
 func TestEstimateMemoryLoopWindow(t *testing.T) {
-	serial := estimate(t, buildLoop(t, 0), verify.MemOptions{DefaultWindow: 1})
-	wide := estimate(t, buildLoop(t, 4), verify.MemOptions{DefaultWindow: 1})
+	serial := estimate(t, buildLoop(t, 1), verify.Options{})
+	wide := estimate(t, buildLoop(t, 4), verify.Options{})
 	if wide.FixedBytes <= serial.FixedBytes {
 		t.Fatalf("window-4 peak %d should exceed window-1 peak %d", wide.FixedBytes, serial.FixedBytes)
 	}
@@ -121,6 +121,22 @@ func TestEstimateMemoryLoopWindow(t *testing.T) {
 	}
 }
 
+// A loop that declares no window is bounded at the window the executor
+// runs it at: the same bound, table included, as the loop declaring
+// exec.DefaultParallelIterations.
+func TestEstimateMemoryUndeclaredWindowIsExecutors(t *testing.T) {
+	undeclared := estimate(t, buildLoop(t, 0), verify.Options{})
+	declared := estimate(t, buildLoop(t, exec.DefaultParallelIterations), verify.Options{})
+	if !reflect.DeepEqual(undeclared, declared) {
+		t.Fatalf("undeclared window bounds %s, declared %d bounds %s", undeclared, exec.DefaultParallelIterations, declared)
+	}
+	for _, nm := range undeclared.Nodes {
+		if nm.Op == "Merge" && nm.Window != exec.DefaultParallelIterations {
+			t.Fatalf("in-frame window = %d, want exec.DefaultParallelIterations = %d", nm.Window, exec.DefaultParallelIterations)
+		}
+	}
+}
+
 // Tensor-array element storage is step-resident: size 4 of [2,2] float
 // elements is 4*4*8 = 128 B on top of every node's transient residency.
 func TestEstimateMemoryTensorArray(t *testing.T) {
@@ -131,7 +147,7 @@ func TestEstimateMemoryTensorArray(t *testing.T) {
 	val := b.constF("val", make([]float64, 4), 2, 2)
 	b.node("TensorArrayWrite", "w", 1, nil, ta.Out(0), ix.Out(0), val.Out(0), ta.Out(1))
 
-	est := estimate(t, b.g, verify.MemOptions{})
+	est := estimate(t, b.g, verify.Options{})
 	if est.StepBytes != 128 {
 		t.Fatalf("step-resident = %d, want 128 (%s)", est.StepBytes, est)
 	}
@@ -155,7 +171,7 @@ func TestEstimateMemoryGrowingLoopIsNotFinite(t *testing.T) {
 	merge.ReplaceInput(1, ni.Out(0))
 	b.node("Exit", "exit", 1, nil, sw.Out(0))
 
-	est := estimate(t, b.g, verify.MemOptions{DefaultWindow: 1})
+	est := estimate(t, b.g, verify.Options{})
 	if est.Finite() {
 		t.Fatalf("a loop whose carried value grows each iteration must not bound finitely: %s", est)
 	}

@@ -108,10 +108,13 @@ func (c *checker) checkRendezvousCycles(sends, recvs map[string][]*graph.Node) {
 	}
 }
 
-// CheckPartitions verifies a partitioned program as a whole: every
-// partition's slice individually (partial mode), then Send/Recv pairing and
-// rendezvous-cycle analysis over the union (complete mode). The parts map
-// is keyed by device, as produced by partition.Partition.
+// CheckPartitions verifies a partitioned program as a whole: one Check of
+// the union of every partition's nodes in complete mode, which adds
+// Send/Recv pairing and rendezvous-cycle analysis to the per-node checks.
+// It does not check each slice on its own: partition.Validate does that on
+// the driver (every input lies in its node's partition), and each worker
+// checks its own slice in partial mode when it registers the graph. The
+// parts map is keyed by device, as produced by partition.Partition.
 func CheckPartitions(g *graph.Graph, parts map[string][]*graph.Node) Diagnostics {
 	var all []*graph.Node
 	devs := make([]string, 0, len(parts))
