@@ -82,7 +82,7 @@ func diffDecode(t testing.TB, body []byte, dim, maxRows int) {
 		}
 		tensor.Recycle(feed)
 	}
-	if live := tensor.PoolLiveBytes(); live != 0 {
+	if live := poolLive.Value(); live != 0 {
 		t.Fatalf("decode left %d tensor bytes checked out of the pool:\n%.300q", live, body)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,9 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 const (
 	testDim     = 8
@@ -332,11 +336,23 @@ func commonPrefix(a, b []byte) int {
 // /metrics already exports.
 func TestPredictPhaseMetrics(t *testing.T) {
 	s := newServed(t, testDim, testClasses)
-	hists := []*metrics.Histogram{hPredictRead, hPredictDecode, hPredictWait, hPredictEncode, hPredictBody}
-	before := make([]int64, len(hists))
-	for i, h := range hists {
-		before[i] = h.Count()
+	names := []string{"dcfserve_predict_read_ns", "dcfserve_predict_decode_ns", "dcfserve_predict_wait_ns", "dcfserve_predict_encode_ns", "dcfserve_predict_body_bytes"}
+	// counts scrapes /metrics for each histogram's _count sample.
+	counts := func() []int64 {
+		rec := httptest.NewRecorder()
+		metrics.Handler(metrics.Default(), s.m.srv.Metrics()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		out := make([]int64, len(names))
+		for i, name := range names {
+			_, rest, ok := strings.Cut(rec.Body.String(), "\n"+name+"_count ")
+			if !ok {
+				t.Fatalf("/metrics has no %s", name)
+			}
+			line, _, _ := strings.Cut(rest, "\n")
+			out[i], _ = strconv.ParseInt(line, 10, 64)
+		}
+		return out
 	}
+	before := counts()
 	bodyBytes := hPredictBody.Sum()
 	body := instancesJSON(2, testDim)
 	for i := 0; i < 3; i++ {
@@ -345,20 +361,13 @@ func TestPredictPhaseMetrics(t *testing.T) {
 		}
 	}
 	post(s, "POST", `{"x":[1]}`) // a refused request is not a sample
-	for i, h := range hists {
-		if got := h.Count() - before[i]; got != 3 {
-			t.Errorf("histogram %d took %d samples for 3 answered requests", i, got)
+	for i, n := range counts() {
+		if got := n - before[i]; got != 3 {
+			t.Errorf("%s took %d samples for 3 answered requests", names[i], got)
 		}
 	}
 	if got := hPredictBody.Sum() - bodyBytes; got != int64(3*len(body)) {
 		t.Errorf("body-bytes histogram grew by %d over three %d-byte bodies", got, len(body))
-	}
-	rec := httptest.NewRecorder()
-	metrics.Handler(metrics.Default(), s.m.srv.Metrics()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	for _, name := range []string{"dcfserve_predict_read_ns", "dcfserve_predict_decode_ns", "dcfserve_predict_wait_ns", "dcfserve_predict_encode_ns", "dcfserve_predict_body_bytes"} {
-		if !strings.Contains(rec.Body.String(), name+"_count") {
-			t.Errorf("/metrics has no %s", name)
-		}
 	}
 }
 
@@ -430,13 +439,13 @@ func TestPredictLeavesPoolLevel(t *testing.T) {
 		}
 		return []*tensor.Tensor{answer}, nil
 	})
-	start := tensor.PoolLiveBytes()
+	start := poolLive.Value()
 	for i := 0; i < 200; i++ {
 		for _, body := range []string{good, wide, both, `{"x":[1,`, `{"x":` + rowJSON(testDim, 0) + `}`} {
 			post(h, "POST", body)
 		}
 	}
-	if live := tensor.PoolLiveBytes() - start; live != 0 {
+	if live := poolLive.Value() - start; live != 0 {
 		t.Fatalf("1000 requests left %+d tensor bytes checked out", live)
 	}
 
@@ -445,13 +454,13 @@ func TestPredictLeavesPoolLevel(t *testing.T) {
 	// system for the GC (see the tensor pool's accounting rule).
 	s := newServed(t, testDim, testClasses)
 	post(s, "POST", good)
-	start = tensor.PoolLiveBytes()
+	start = poolLive.Value()
 	for i := 0; i < 200; i++ {
 		if rec := post(s, "POST", good); rec.Code != 200 {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if live, scores := tensor.PoolLiveBytes()-start, int64(200*5*testClasses*8); live != scores {
+	if live, scores := poolLive.Value()-start, int64(200*5*testClasses*8); live != scores {
 		t.Fatalf("200 requests moved the gauge by %d bytes; their fetched scores alone are %d", live, scores)
 	}
 
@@ -463,10 +472,10 @@ func TestPredictLeavesPoolLevel(t *testing.T) {
 		<-ctx.Done()
 		return nil, fmt.Errorf("serve: request canceled while batching: %w", ctx.Err())
 	})
-	start = tensor.PoolLiveBytes()
+	start = poolLive.Value()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/predict", strings.NewReader(good)).WithContext(ctx))
-	if live := tensor.PoolLiveBytes() - start; live != 5*testDim*8 {
+	if live := poolLive.Value() - start; live != 5*testDim*8 {
 		t.Fatalf("after a canceled request the gauge moved by %d bytes, want the abandoned feed's %d", live, 5*testDim*8)
 	}
 	if rec.Body.Len() != 0 {
@@ -477,9 +486,9 @@ func TestPredictLeavesPoolLevel(t *testing.T) {
 	h = stubbed(false, func(context.Context, ...*tensor.Tensor) ([]*tensor.Tensor, error) {
 		return []*tensor.Tensor{answer}, nil
 	})
-	start = tensor.PoolLiveBytes()
+	start = poolLive.Value()
 	post(h, "POST", good)
-	if live := tensor.PoolLiveBytes() - start; live != 5*testDim*8 {
+	if live := poolLive.Value() - start; live != 5*testDim*8 {
 		t.Fatalf("fleet mode moved the gauge by %d bytes, want the feed's %d left to the GC", live, 5*testDim*8)
 	}
 }

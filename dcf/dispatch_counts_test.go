@@ -9,8 +9,10 @@ import (
 
 	"repro/dcf"
 	"repro/internal/metrics"
-	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 // raceBuild is set by race_test.go in a race build.
 var raceBuild bool
@@ -91,8 +93,8 @@ func TestDispatchCounts(t *testing.T) {
 	spans := time.Duration(1 << 62)
 	for i := 0; i < 3; i++ {
 		var sum time.Duration
-		for _, op := range rnn.traced().ByOp() {
-			sum += op.Total
+		for _, e := range rnn.traced().Events() {
+			sum += e.End - e.Start
 		}
 		spans = min(spans, sum)
 	}
@@ -158,13 +160,13 @@ func TestDispatchCounts(t *testing.T) {
 		const steps = 50
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m0, g0 := misses.Value(), tensor.PoolLiveBytes()
+		m0, g0 := misses.Value(), poolLive.Value()
 		for i := 0; i < steps; i++ {
 			row.step()
 		}
 		runtime.ReadMemStats(&after)
 		bytes, objects := int64(after.TotalAlloc-before.TotalAlloc)/steps, int64(after.Mallocs-before.Mallocs)/steps
-		miss, grew := (misses.Value()-m0)/steps, (tensor.PoolLiveBytes()-g0)/steps
+		miss, grew := (misses.Value()-m0)/steps, (poolLive.Value()-g0)/steps
 		t.Logf("%s: %d heap bytes, %d heap objects, %d pool misses, %d bytes of gauge growth per step", row.name, bytes, objects, miss, grew)
 		// Not at speed includes the race detector, under which sync.Pool drops
 		// a quarter of what is put back: misses, and the heap behind them, say

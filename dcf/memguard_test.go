@@ -13,9 +13,9 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/dcf"
-	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -39,11 +39,9 @@ func measurePeak(t *testing.T, steps int, step func()) int64 {
 
 // boundFor estimates the graph and fails the test on verifier findings —
 // the guard is only meaningful over graphs that verify clean.
-func boundFor(t *testing.T, g *dcf.Graph, fetches []graph.Output, targets []*graph.Node) *verify.MemEstimate {
+func boundFor(t *testing.T, g *dcf.Graph) *verify.MemEstimate {
 	t.Helper()
-	est, ds := verify.EstimateMemory(g.Builder().G, verify.Options{
-		Complete: true, Fetches: fetches, Targets: targets,
-	})
+	est, ds := verify.EstimateMemory(g.Builder().G, verify.Options{Complete: true})
 	if err := ds.Err(); err != nil {
 		t.Fatalf("graph does not verify: %v", err)
 	}
@@ -82,8 +80,8 @@ func TestMemoryBoundWhileLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est := boundFor(t, g, []graph.Output{loss.Output()}, nil)
-	wantBound(t, est, boundTerms{Fixed: 31824})
+	est := boundFor(t, g)
+	wantBound(t, est, boundTerms{Fixed: 31816})
 
 	sess := dcf.NewSession(g)
 	if err := sess.InitVariables(); err != nil {
@@ -95,7 +93,7 @@ func TestMemoryBoundWhileLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	bound := est.Bound(0, 8)
+	bound := resolve(est, 0, 8)
 	t.Logf("while-loop: bound %d B, observed pool peak %d B", bound, observed)
 	if observed > bound {
 		t.Fatalf("observed pool high-water %d B exceeds static bound %d B", observed, bound)
@@ -116,8 +114,8 @@ func TestMemoryBoundDynamicRNN(t *testing.T) {
 	}
 
 	// Static shapes bound finitely; Step is the tensor arrays' storage.
-	est := boundFor(t, g, []graph.Output{loss.Output()}, nil)
-	wantBound(t, est, boundTerms{Fixed: 1239168, Step: 4608})
+	est := boundFor(t, g)
+	wantBound(t, est, boundTerms{Fixed: 1239160, Step: 4608})
 
 	sess := dcf.NewSession(g)
 	if err := sess.InitVariables(); err != nil {
@@ -129,7 +127,7 @@ func TestMemoryBoundDynamicRNN(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	bound := est.Bound(0, steps)
+	bound := resolve(est, 0, steps)
 	t.Logf("rnn: bound %d B, observed pool peak %d B", bound, observed)
 	if observed > bound {
 		t.Fatalf("observed pool high-water %d B exceeds static bound %d B", observed, bound)
@@ -152,7 +150,7 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est := boundFor(t, g, []graph.Output{loss.Output()}, []*graph.Node{step.Node()})
+	est := boundFor(t, g)
 	wantBound(t, est, boundTerms{Fixed: 24948, PerRow: 992})
 
 	sess := dcf.NewSession(g)
@@ -175,7 +173,7 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 	})
 	// The MoE step has no while loop; iters only matters if inference
 	// left a symbolic per-iteration term (it should not).
-	bound := est.Bound(batch, 1)
+	bound := resolve(est, batch, 1)
 	t.Logf("moe: bound %d B (%s), observed pool peak %d B", bound, est, observed)
 	if observed > bound {
 		t.Fatalf("observed pool high-water %d B exceeds static bound %d B", observed, bound)
@@ -324,9 +322,9 @@ func TestPoolGaugeNeverSinks(t *testing.T) {
 		}
 		c.step() // the first call compiles the plan
 		for i := 0; i < 100; i++ {
-			start := tensor.PoolLiveBytes()
+			start := poolLive.Value()
 			c.step()
-			if grew := tensor.PoolLiveBytes() - start; grew != want {
+			if grew := poolLive.Value() - start; grew != want {
 				t.Fatalf("%s: call %d moved the pool's live bytes by %d, the holders named account for %d (%v)", c.name, i, grew, want, c.residue)
 			}
 		}
@@ -355,13 +353,13 @@ func BenchmarkRNNTrainStep(b *testing.B) {
 	const tracedSteps = 7
 	samples := map[string][]float64{}
 	for s := 0; s < tracedSteps; s++ {
-		us := map[string]float64{}
-		for _, row := range rnn.traced().ByOp() {
-			us[kernelKind(row.Op)] += float64(row.Total.Microseconds())
-			us["kernel"] += float64(row.Total.Microseconds())
+		spent := map[string]time.Duration{}
+		for _, e := range rnn.traced().Events() {
+			spent[kernelKind(e.Op)] += e.End - e.Start
+			spent["kernel"] += e.End - e.Start
 		}
 		for _, kind := range kinds {
-			samples[kind] = append(samples[kind], us[kind])
+			samples[kind] = append(samples[kind], float64(spent[kind].Microseconds()))
 		}
 	}
 	for _, kind := range kinds {
@@ -385,4 +383,10 @@ func kernelKind(op string) string {
 		return "elementwise"
 	}
 	return "other"
+}
+
+// resolve resolves an estimate's symbolic factors: rows is the product of the
+// unknown dimensions, iters the loop trip count.
+func resolve(est *verify.MemEstimate, rows, iters int64) int64 {
+	return est.FixedBytes + rows*est.PerRowBytes + iters*est.PerIterBytes + rows*iters*est.PerRowIterBytes
 }

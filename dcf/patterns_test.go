@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/dcf"
-	"repro/internal/nn"
 )
 
 func TestSelectiveUpdatePattern(t *testing.T) {
@@ -111,42 +110,6 @@ func TestCheckpointSaveRestore(t *testing.T) {
 	}
 	if v.ScalarValue() != 3 {
 		t.Fatalf("restored %v, want 3", v)
-	}
-}
-
-func TestMomentumOptimizer(t *testing.T) {
-	g := dcf.NewGraph()
-	d := nn.NewDense(g, "fc", 3, 1, nil, 1)
-	x := g.Placeholder("x")
-	y := g.Placeholder("y")
-	loss := nn.MSE(d.Apply(x), y)
-	step, err := nn.MomentumStep(g, loss, &d.Vars, 0.05, 0.9, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := dcf.NewSession(g)
-	if err := sess.InitVariables(); err != nil {
-		t.Fatal(err)
-	}
-	feeds := dcf.Feeds{
-		"x": dcf.RandNormal(1, 0, 1, 8, 3),
-		"y": dcf.RandNormal(2, 0, 0.5, 8, 1),
-	}
-	first, err := sess.Run1(feeds, loss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := sess.RunTargets(feeds, step); err != nil {
-			t.Fatal(err)
-		}
-	}
-	last, err := sess.Run1(feeds, loss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.ScalarValue() >= first.ScalarValue()*0.5 {
-		t.Fatalf("momentum training ineffective: %v -> %v", first, last)
 	}
 }
 

@@ -201,10 +201,10 @@ func TestServerMultiFeedMultiFetch(t *testing.T) {
 				t.Errorf("req %d: %v", i, err)
 				return
 			}
-			if out[0].At(0, 0) != v+1 || out[0].At(0, 1) != v+2 {
+			if out[0].F[0] != v+1 || out[0].F[1] != v+2 {
 				t.Errorf("req %d: sum wrong: %v", i, out[0])
 			}
-			if out[1].At(0, 0) != v-1 || out[1].At(0, 1) != v-2 {
+			if out[1].F[0] != v-1 || out[1].F[1] != v-2 {
 				t.Errorf("req %d: diff wrong: %v", i, out[1])
 			}
 		}(i)

@@ -111,12 +111,11 @@
 //     daemon plus a restart yields fetches bit-identical to an
 //     uninterrupted run (worker RNG streams are a pure function of the
 //     step number, so replayed steps redraw the same randomness).
-//   - Elastic membership: a Fleet learns joins and leaves (Add/Remove,
-//     liveness probes). distrib.RunJob drives a JobSpec — a graph built as
-//     a function of the live worker set — absorbing membership changes at
-//     checkpoint boundaries and rolling back on step failures under a
-//     bounded retry budget, so a dead daemon's shards are reassigned to
-//     survivors instead of failing the job.
+//   - Rebuild over live workers: a Fleet learns which daemons are gone
+//     from liveness probes. distrib.RunJob drives a JobSpec — a graph built
+//     as a function of the live worker set — rolling back on step failures
+//     under a bounded retry budget, so a dead daemon's shards are
+//     reassigned to survivors instead of failing the job.
 //
 // The chaos CI job exercises the whole stack: a 1000-step two-daemon run
 // with one daemon kill -9'd and restarted mid-run must produce exactly the

@@ -4,7 +4,8 @@
 // the spirit of go/analysis, and the custom analyzers behind cmd/dcfvet
 // that machine-check invariants which previously lived only in READMEs and
 // review memory (buffer-ownership Fresh marking, gob wire safety, test
-// hygiene, context threading, panic-free hot paths).
+// hygiene, context threading, panic-free hot paths, surface only tests
+// reach).
 //
 // Suppressing a finding: add a comment on the flagged line (or the line
 // directly above it) of the form
@@ -68,21 +69,13 @@ type ProgramPass struct {
 	diags    *[]Diagnostic
 }
 
-// Reportf records a finding at pos, resolved through the file set of the
-// package that owns fn.
-func (p *ProgramPass) Reportf(fn *Function, pos token.Pos, format string, args ...any) {
+// Reportf records a finding at pos, resolved through pkg's file set.
+func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      fn.Pkg.Fset.Position(pos),
+		Pos:      pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Run applies the analyzers to the packages and returns the surviving
-// findings (allow-annotated ones are dropped), sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunDetail(pkgs, analyzers)
-	return diags
 }
 
 // Allow is one parsed "dcfvet:allow" annotation.
@@ -92,12 +85,13 @@ type Allow struct {
 	Reason   string
 }
 
-// RunDetail is Run plus staleness accounting: the second result lists
-// allow annotations that suppressed nothing in this run (only annotations
-// naming one of the selected analyzers are considered — an allow for an
-// analyzer that did not run cannot be judged). cmd/dcfvet surfaces these
-// under -unused-allows so suppressions cannot outlive the code they
-// excused.
+// RunDetail applies the analyzers to the packages and returns the surviving
+// findings (allow-annotated ones are dropped), sorted by position. The
+// second result lists the allow annotations that suppressed nothing in this
+// run (only annotations naming one of the selected analyzers are considered
+// — an allow for an analyzer that did not run cannot be judged).
+// cmd/dcfvet surfaces these under -unused-allows so suppressions cannot
+// outlive the code they excused.
 func RunDetail(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Allow) {
 	var diags []Diagnostic
 	needProgram := false
@@ -258,5 +252,6 @@ func All() []*Analyzer {
 		LockOrder,
 		GoroLeak,
 		UnsafeSend,
+		DeadAPI,
 	}
 }

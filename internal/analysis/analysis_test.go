@@ -136,6 +136,10 @@ func TestLockOrderFixture(t *testing.T)  { checkAnalyzer(t, "lockorder") }
 func TestGoroLeakFixture(t *testing.T)   { checkAnalyzer(t, "goroleak") }
 func TestUnsafeSendFixture(t *testing.T) { checkAnalyzer(t, "unsafesend") }
 
+// The deadapi fixture pins the interface rule too: square.Area is reached
+// only through Shape and must not be reported.
+func TestDeadAPIFixture(t *testing.T) { checkAnalyzer(t, "deadapi") }
+
 // TestUnusedAllows pins the staleness accounting: the fixture seeds
 // exactly one allow annotation that suppresses nothing.
 func TestUnusedAllows(t *testing.T) {
@@ -175,7 +179,7 @@ func TestFindingsDeterministicOrder(t *testing.T) {
 	}) {
 		t.Fatalf("findings not sorted by (file, line, column, analyzer, message):\n%v", diags)
 	}
-	again := analysis.Run(fixture.pkgs, analysis.All())
+	again, _ := analysis.RunDetail(fixture.pkgs, analysis.All())
 	if len(again) != len(diags) {
 		t.Fatalf("re-run produced %d findings, first run %d", len(again), len(diags))
 	}
@@ -209,7 +213,7 @@ func TestRepoIsVetClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags := analysis.Run(pkgs, analysis.All())
+	diags, _ := analysis.RunDetail(pkgs, analysis.All())
 	for _, d := range diags {
 		t.Errorf("finding: %s", d)
 	}

@@ -21,7 +21,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -45,14 +44,6 @@ func (f *Function) Body() *ast.BlockStmt {
 		return f.Decl.Body
 	}
 	return f.Lit.Body
-}
-
-// Pos is the function's declaration position.
-func (f *Function) Pos() token.Pos {
-	if f.Decl != nil {
-		return f.Decl.Pos()
-	}
-	return f.Lit.Pos()
 }
 
 // Name is a short human-readable label for diagnostics: the FullName with

@@ -88,7 +88,7 @@ func checkSpawned(pass *ProgramPass, g *Function) {
 				}
 			}
 			if !escapes {
-				pass.Reportf(g, st.Select,
+				pass.Reportf(g.Pkg, st.Select,
 					"goroutine spawned as %s can block forever in select: no default and no ctx/quit/closed-channel case", g.Name())
 			}
 		case *ast.SendStmt:
@@ -96,7 +96,7 @@ func checkSpawned(pass *ProgramPass, g *Function) {
 				return true
 			}
 			if !chanEscapes(prog, pkg, g, st.Chan, true) {
-				pass.Reportf(g, st.Arrow,
+				pass.Reportf(g.Pkg, st.Arrow,
 					"goroutine spawned as %s can block forever sending on %s: nothing outside it receives and no escape path exists", g.Name(), render(st.Chan))
 			}
 		case *ast.UnaryExpr:
@@ -104,7 +104,7 @@ func checkSpawned(pass *ProgramPass, g *Function) {
 				return true
 			}
 			if !chanEscapes(prog, pkg, g, st.X, false) {
-				pass.Reportf(g, st.OpPos,
+				pass.Reportf(g.Pkg, st.OpPos,
 					"goroutine spawned as %s can block forever receiving from %s: the channel is never closed and is not a shutdown signal", g.Name(), render(st.X))
 			}
 		case *ast.RangeStmt:
@@ -116,7 +116,7 @@ func checkSpawned(pass *ProgramPass, g *Function) {
 				return true
 			}
 			if !chanEscapes(prog, pkg, g, st.X, false) {
-				pass.Reportf(g, st.For,
+				pass.Reportf(g.Pkg, st.For,
 					"goroutine spawned as %s ranges over %s which is never closed: the loop can never terminate", g.Name(), render(st.X))
 			}
 		}

@@ -85,7 +85,7 @@ func runLockOrder(pass *ProgramPass) {
 		if witness.via != "" {
 			via = fmt.Sprintf(" via %s", witness.via)
 		}
-		pass.Reportf(witness.fn, witness.pos,
+		pass.Reportf(witness.fn.Pkg, witness.pos,
 			"lock-order cycle {%s}: %s acquired%s while %s is held; pick one acquisition order",
 			strings.Join(short, ", "), trimModule(witness.to), via, trimModule(witness.from))
 	}

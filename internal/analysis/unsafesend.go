@@ -33,7 +33,7 @@ func runUnsafeSend(pass *ProgramPass) {
 			if closer == nil {
 				continue
 			}
-			pass.Reportf(fn, send.Pos,
+			pass.Reportf(fn.Pkg, send.Pos,
 				"send on %s which %s closes; a close racing this send panics — serialize them or document the protocol with an allow",
 				trimModule(send.Key), closer.Name())
 		}

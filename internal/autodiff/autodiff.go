@@ -211,9 +211,6 @@ func (e *engine) takeGrad(v graph.Output) graph.Output {
 	return sum
 }
 
-// hasGrad reports whether v has any accumulated gradient.
-func (e *engine) hasGrad(v graph.Output) bool { return len(e.grads[v]) > 0 }
-
 // unitOf determines the processing unit of node n within blockCtx:
 //   - (n, true, false): ordinary node belonging to the block
 //   - (construct, true, true): a nested construct (super-node) in the block

@@ -23,7 +23,7 @@ func numericGrad(t *testing.T, b *core.Builder, y graph.Output, feedName string,
 				f[k] = vv
 			}
 			s := core.NewSession(b)
-			r, err := s.Run1(f, y)
+			r, err := run1(s, f, y)
 			if err != nil {
 				t.Fatalf("numericGrad run: %v", err)
 			}
@@ -46,7 +46,7 @@ func checkGrad(t *testing.T, b *core.Builder, y, x graph.Output, feedName string
 		f[k] = v
 	}
 	s := core.NewSession(b)
-	got, err := s.Run1(f, grads[0])
+	got, err := run1(s, f, grads[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func checkGrad(t *testing.T, b *core.Builder, y, x graph.Output, feedName string
 func TestGradSimpleChain(t *testing.T) {
 	b := core.NewBuilder()
 	x := b.Placeholder("x")
-	y := b.ReduceSum(b.Square(b.Sigmoid(x)), nil, false)
+	y := b.ReduceSum(b.Op("Square", nil, b.Op("Sigmoid", nil, x)), nil, false)
 	checkGrad(t, b, y, x, "x", tensor.FromFloats([]float64{0.3, -1.2, 2.0}, 3), nil, 1e-6)
 }
 
@@ -75,7 +75,7 @@ func TestGradBroadcastBias(t *testing.T) {
 	b := core.NewBuilder()
 	bias := b.Placeholder("b")
 	m := b.Const(tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3))
-	y := b.ReduceSum(b.Square(b.Add(m, bias)), nil, false)
+	y := b.ReduceSum(b.Op("Square", nil, b.Add(m, bias)), nil, false)
 	checkGrad(t, b, y, bias, "b", tensor.FromFloats([]float64{0.1, -0.5, 1}, 3), nil, 1e-5)
 }
 
@@ -96,7 +96,7 @@ func TestGradDisconnectedIsZeros(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSession(b)
-	got, err := s.Run1(map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, grads[0])
+	got, err := run1(s, map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, grads[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestGradCondTrueAndFalse(t *testing.T) {
 		x := b.Placeholder("x")
 		p := b.Placeholder("p")
 		outs := b.Cond(p,
-			func() []graph.Output { return []graph.Output{b.Square(x)} },
+			func() []graph.Output { return []graph.Output{b.Op("Square", nil, x)} },
 			func() []graph.Output { return []graph.Output{b.Mul(x, b.Scalar(3))} },
 		)
 		y := b.ReduceSum(outs[0], nil, false)
@@ -138,7 +138,7 @@ func TestGradCondOneSidedUse(t *testing.T) {
 	x := b.Placeholder("x")
 	p := b.Placeholder("p")
 	outs := b.Cond(p,
-		func() []graph.Output { return []graph.Output{b.Square(x)} },
+		func() []graph.Output { return []graph.Output{b.Op("Square", nil, x)} },
 		func() []graph.Output { return []graph.Output{b.Scalar(7)} },
 	)
 	y := b.ReduceSum(outs[0], nil, false)
@@ -147,7 +147,7 @@ func TestGradCondOneSidedUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSession(b)
-	got, err := s.Run1(map[string]*tensor.Tensor{
+	got, err := run1(s, map[string]*tensor.Tensor{
 		"x": tensor.Scalar(3), "p": tensor.ScalarBool(false),
 	}, grads[0])
 	if err != nil {
@@ -156,7 +156,7 @@ func TestGradCondOneSidedUse(t *testing.T) {
 	if got.ScalarValue() != 0 {
 		t.Fatalf("untaken-branch grad = %v, want 0", got)
 	}
-	got2, err := core.NewSession(b).Run1(map[string]*tensor.Tensor{
+	got2, err := run1(core.NewSession(b), map[string]*tensor.Tensor{
 		"x": tensor.Scalar(3), "p": tensor.ScalarBool(true),
 	}, grads[0])
 	if err != nil {
@@ -176,7 +176,7 @@ func TestGradNestedCond(t *testing.T) {
 		outs := b.Cond(p,
 			func() []graph.Output {
 				inner := b.Cond(q,
-					func() []graph.Output { return []graph.Output{b.Square(x)} },
+					func() []graph.Output { return []graph.Output{b.Op("Square", nil, x)} },
 					func() []graph.Output { return []graph.Output{b.Op("Exp", nil, x)} },
 				)
 				return []graph.Output{inner[0]}
@@ -313,7 +313,9 @@ func TestGradFoldL(t *testing.T) {
 	b := core.NewBuilder()
 	elems := b.Placeholder("e")
 	y := b.FoldL(
-		func(acc, v graph.Output) graph.Output { return b.Add(b.Mul(acc, b.Scalar(0.5)), b.Square(v)) },
+		func(acc, v graph.Output) graph.Output {
+			return b.Add(b.Mul(acc, b.Scalar(0.5)), b.Op("Square", nil, v))
+		},
 		elems, b.Scalar(0), core.WhileOpts{},
 	)
 	checkGrad(t, b, y, elems, "e", tensor.FromFloats([]float64{1, 2, 3}, 3), nil, 1e-4)
@@ -323,7 +325,7 @@ func TestGradTensorArrayReadWrite(t *testing.T) {
 	b := core.NewBuilder()
 	x := b.Placeholder("x")
 	ta := b.TensorArray(b.ScalarInt(2))
-	ta = b.TAWrite(ta, b.ScalarInt(0), b.Square(x))
+	ta = b.TAWrite(ta, b.ScalarInt(0), b.Op("Square", nil, x))
 	ta = b.TAWrite(ta, b.ScalarInt(1), b.Mul(x, b.Scalar(3)))
 	// Read location 0 twice: gradient array must sum the partials.
 	r0a := b.TARead(ta, b.ScalarInt(0))
@@ -336,7 +338,7 @@ func TestGradTensorArrayReadWrite(t *testing.T) {
 func TestGradThroughVariableRead(t *testing.T) {
 	b := core.NewBuilder()
 	w := b.Variable("w", tensor.FromFloats([]float64{1, 2}, 2))
-	y := b.ReduceSum(b.Square(w), nil, false)
+	y := b.ReduceSum(b.Op("Square", nil, w), nil, false)
 	grads, err := Gradients(b, y, []graph.Output{w}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +347,7 @@ func TestGradThroughVariableRead(t *testing.T) {
 	if err := s.InitVariables(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Run1(nil, grads[0])
+	got, err := run1(s, nil, grads[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +362,7 @@ func TestGradLossAfterLoopMixture(t *testing.T) {
 	x := b.Placeholder("x")
 	w := b.Const(tensor.FromFloats([]float64{0.3, -0.4, 0.7, 0.2}, 2, 2))
 	loop := paperLoop(b, x, w, 2)
-	direct := b.ReduceSum(b.Square(x), nil, false)
+	direct := b.ReduceSum(b.Op("Square", nil, x), nil, false)
 	y := b.Add(loop, direct)
 	checkGrad(t, b, y, x, "x", tensor.FromFloats([]float64{1, -2, 0.5, 3}, 2, 2), nil, 1e-4)
 }
@@ -398,7 +400,7 @@ func TestGradErrorsOnYInsideContext(t *testing.T) {
 		[]graph.Output{x},
 		func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(1)) },
 		func(v []graph.Output) []graph.Output {
-			inner = b.Square(v[0])
+			inner = b.Op("Square", nil, v[0])
 			return []graph.Output{inner}
 		},
 		core.WhileOpts{},
@@ -406,4 +408,13 @@ func TestGradErrorsOnYInsideContext(t *testing.T) {
 	if _, err := Gradients(b, inner, []graph.Output{x}, Options{}); err == nil {
 		t.Fatal("expected error for y inside a loop")
 	}
+}
+
+// run1 runs the step that fetches one output.
+func run1(s *core.Session, feeds map[string]*tensor.Tensor, fetch graph.Output) (*tensor.Tensor, error) {
+	out, err := s.Run(feeds, []graph.Output{fetch}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

@@ -48,7 +48,7 @@ func TestMatMulGradientAttrTable(t *testing.T) {
 							xShape = bs
 							c = b.Op("MatMul", attrs, b.Const(tensor.RandNormal(rng, 0, 1, as...)), x)
 						}
-						y := b.ReduceSum(b.Square(c), nil, false)
+						y := b.ReduceSum(b.Op("Square", nil, c), nil, false)
 						if b.Err() != nil {
 							t.Fatal(b.Err())
 						}

@@ -27,7 +27,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				other := b.Const(tensor.FromFloats([]float64{5, 6, 7, 8, 9, 10}, 2, 3))
 				c := b.Op("Concat", map[string]any{"axis": 1}, x, other)
-				return b.ReduceSum(b.Square(c), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, c), nil, false)
 			},
 		},
 		{
@@ -36,7 +36,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				p := b.Op("Pack", nil, x, b.Neg(x))
 				parts := b.OpNode("Unpack", "", map[string]any{"num": 2}, p)
-				return b.ReduceSum(b.Square(parts.Out(0)), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, parts.Out(0)), nil, false)
 			},
 		},
 		{
@@ -45,7 +45,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				ix := b.Const(tensor.FromInts([]int64{2, 0, 2}, 3))
 				g := b.Op("Gather", nil, x, ix)
-				return b.ReduceSum(b.Square(g), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, g), nil, false)
 			},
 		},
 		{
@@ -53,7 +53,7 @@ func TestArrayOpGradients(t *testing.T) {
 			x:    tensor.FromFloats([]float64{1, -2, 3, -4}, 4),
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				cond := b.Const(tensor.FromBools([]bool{true, false, true, false}, 4))
-				s := b.Op("Select", nil, cond, b.Square(x), b.Neg(x))
+				s := b.Op("Select", nil, cond, b.Op("Square", nil, x), b.Neg(x))
 				return b.ReduceSum(s, nil, false)
 			},
 		},
@@ -83,7 +83,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				tr := b.Transpose(x)
 				w := b.Const(tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2))
-				return b.ReduceSum(b.Square(b.Mul(tr, w)), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, b.Mul(tr, w)), nil, false)
 			},
 		},
 		{
@@ -93,7 +93,7 @@ func TestArrayOpGradients(t *testing.T) {
 				r := b.Op("Reshape", map[string]any{"shape": []int{2, 2}}, x)
 				e := b.Op("ExpandDims", map[string]any{"axis": 0}, r)
 				s := b.Op("Squeeze", map[string]any{"axes": []int{0}}, e)
-				return b.ReduceSum(b.Square(s), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, s), nil, false)
 			},
 		},
 		{
@@ -110,7 +110,7 @@ func TestArrayOpGradients(t *testing.T) {
 			x:    tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2),
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				s := b.Op("SliceRows", map[string]any{"size": 2}, x, b.ScalarInt(1))
-				return b.ReduceSum(b.Square(s), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, s), nil, false)
 			},
 		},
 		{
@@ -118,7 +118,7 @@ func TestArrayOpGradients(t *testing.T) {
 			x:    tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3),
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				s := b.Op("SliceAxis", map[string]any{"axis": 1}, x, b.ScalarInt(1), b.ScalarInt(2))
-				return b.ReduceSum(b.Square(s), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, s), nil, false)
 			},
 		},
 		{
@@ -126,7 +126,7 @@ func TestArrayOpGradients(t *testing.T) {
 			x:    tensor.FromFloats([]float64{1, 5, 3, 2, 8, 4}, 2, 3),
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				m := b.Op("Max", map[string]any{"axes": []int{1}}, x)
-				return b.ReduceSum(b.Square(m), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, m), nil, false)
 			},
 		},
 		{
@@ -134,7 +134,7 @@ func TestArrayOpGradients(t *testing.T) {
 			x:    tensor.FromFloats([]float64{1, 5, 3, 2}, 2, 2),
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				m := b.Op("Mean", map[string]any{"axes": []int{0}}, x)
-				return b.ReduceSum(b.Square(m), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, m), nil, false)
 			},
 		},
 		{
@@ -144,7 +144,7 @@ func TestArrayOpGradients(t *testing.T) {
 				other := b.Const(tensor.FromFloats([]float64{0.5, 0.5, 0.5}, 3))
 				mx := b.Op("Maximum", nil, x, other)
 				mn := b.Op("Minimum", nil, x, other)
-				return b.ReduceSum(b.Add(b.Square(mx), b.Square(mn)), nil, false)
+				return b.ReduceSum(b.Add(b.Op("Square", nil, mx), b.Op("Square", nil, mn)), nil, false)
 			},
 		},
 		{
@@ -153,7 +153,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				parts := b.OpNode("Split", "", map[string]any{"num": 2, "axis": 0}, x)
 				c := b.Op("Concat", map[string]any{"axis": 0}, parts.Out(1), parts.Out(0))
-				return b.ReduceSum(b.Square(c), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, c), nil, false)
 			},
 		},
 		{
@@ -173,7 +173,7 @@ func TestArrayOpGradients(t *testing.T) {
 			build: func(b *core.Builder, x graph.Output) graph.Output {
 				shape := b.Const(tensor.FromInts([]int64{2, 3}, 2))
 				bc := b.Op("BroadcastTo", nil, x, shape)
-				return b.ReduceSum(b.Square(bc), nil, false)
+				return b.ReduceSum(b.Op("Square", nil, bc), nil, false)
 			},
 		},
 	}

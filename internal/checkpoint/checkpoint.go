@@ -191,15 +191,6 @@ func Decode(r io.Reader) (map[string]*tensor.Tensor, error) {
 	return vars, nil
 }
 
-// Save writes all variables in the session container to w.
-func Save(w io.Writer, sess *ops.Resources) error {
-	vars, err := Capture(sess)
-	if err != nil {
-		return err
-	}
-	return Encode(w, vars)
-}
-
 // Restore reads a checkpoint and assigns every variable into the session
 // container (creating missing variables).
 func Restore(r io.Reader, sess *ops.Resources) error {

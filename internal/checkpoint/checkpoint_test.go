@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,7 +39,7 @@ func TestSaveRestoreRoundtrip(t *testing.T) {
 	setVar(t, src, "mask", tensor.FromBools([]bool{true, false}, 2))
 
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := ops.NewResources()
@@ -60,7 +61,7 @@ func TestRestoreOverwritesExisting(t *testing.T) {
 	src := ops.NewResources()
 	setVar(t, src, "w", tensor.Scalar(1))
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := ops.NewResources()
@@ -100,7 +101,7 @@ func TestSaveSkipsUninitialized(t *testing.T) {
 	src := ops.NewResources()
 	src.LookupOrCreate("var/empty", func() ops.Resource { return ops.NewVariable("empty") })
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err == nil {
+	if err := save(&buf, src); err == nil {
 		t.Fatal("expected error for uninitialized variable")
 	}
 }
@@ -124,7 +125,7 @@ func TestRoundtripEveryDType(t *testing.T) {
 		setVar(t, src, name, v)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := ops.NewResources()
@@ -152,7 +153,7 @@ func TestRestoreTruncated(t *testing.T) {
 	setVar(t, src, "w", tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3))
 	setVar(t, src, "name", tensor.FromStrings([]string{"x"}, 1))
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -177,7 +178,7 @@ func TestRestoreCorrupt(t *testing.T) {
 	src := ops.NewResources()
 	setVar(t, src, "w", tensor.FromFloats([]float64{7, 8, 9}, 3))
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -350,4 +351,14 @@ func TestDecodeCommittedCheckpoint(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), file) {
 		t.Fatal("re-encoding the committed checkpoint changed its bytes")
 	}
+}
+
+// save writes all variables in the session container to w, as a driver
+// checkpointing a session does: Capture, then Encode.
+func save(w io.Writer, sess *ops.Resources) error {
+	vars, err := Capture(sess)
+	if err != nil {
+		return err
+	}
+	return Encode(w, vars)
 }

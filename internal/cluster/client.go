@@ -99,9 +99,6 @@ func (c *Client) Name() string {
 	return c.name
 }
 
-// Addr returns the control address this client dialed.
-func (c *Client) Addr() string { return c.addr }
-
 // DataAddr returns the worker's rendezvous data-plane address.
 func (c *Client) DataAddr() string {
 	c.pmu.Lock()

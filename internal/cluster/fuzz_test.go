@@ -56,7 +56,11 @@ func FuzzWireDecode(f *testing.F) {
 	if err := b.Err(); err != nil {
 		f.Fatal(err)
 	}
-	res, err := partition.Partition(b.G, core.Prune(b.G, outs, nil), func(dev string) string {
+	nodes, err := core.Prune(b.G, outs, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := partition.Partition(b.G, nodes, func(dev string) string {
 		return strings.SplitN(dev, "/", 2)[0]
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/tensor"
+	"repro/internal/verify"
 )
 
 // TestAttrRoundTrip covers every attribute kind the wire format carries.
@@ -95,7 +96,11 @@ func TestGraphRoundTripWhileLoopPartition(t *testing.T) {
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := partition.Partition(b.G, core.Prune(b.G, outs, nil), func(dev string) string {
+	nodes, err := core.Prune(b.G, outs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.Partition(b.G, nodes, func(dev string) string {
 		return strings.SplitN(dev, "/", 2)[0]
 	})
 	if err != nil {
@@ -137,7 +142,7 @@ func TestGraphRoundTripWhileLoopPartition(t *testing.T) {
 				t.Fatalf("%s: node %s frame diverged", dev, n.Name())
 			}
 		}
-		if err := g2.Validate(); err != nil {
+		if err := verify.Check(g2, verify.Options{}).Err(); err != nil {
 			t.Fatalf("%s: rebuilt graph invalid: %v", dev, err)
 		}
 	}

@@ -120,12 +120,10 @@ func (w *Worker) Addr() string { return w.ctrl.Addr().String() }
 // DataAddr returns the rendezvous data-plane address peers dial.
 func (w *Worker) DataAddr() string { return w.rv.Addr() }
 
-// ScopeCount exposes the live rendezvous scope tables (leak tests).
-func (w *Worker) ScopeCount() int { return w.rv.ScopeCount() }
-
 // Rendezvous returns the worker's data plane, for a test holding the worker
 // to shape or fault-inject its fabric (Net.SetFabric, Net.SetFaults):
 // nothing a client can send reaches those.
+// dcfvet:allow deadapi=the only path from a held worker to its Net's SetFabric and SetFaults fault hooks
 func (w *Worker) Rendezvous() *rendezvous.Net { return w.rv }
 
 // ServeHealth starts an HTTP readiness endpoint on addr and returns the

@@ -51,9 +51,6 @@ func (b *Builder) fail(format string, args ...any) graph.Output {
 	return graph.Output{}
 }
 
-// Ctx returns the current control-flow context (nil at root).
-func (b *Builder) Ctx() Context { return b.ctx }
-
 // pushCtx/popCtx manage the context stack.
 func (b *Builder) pushCtx(c Context) { b.ctx = c }
 func (b *Builder) popCtx() {
@@ -155,8 +152,9 @@ func (b *Builder) rawOp(op, name string, ctx Context, attrs map[string]any, ins 
 
 // Op adds a node in the current context, capturing each input across
 // context boundaries, and returns its first output. Ops with no data
-// inputs inside a context receive a control dependency on the context
-// pivot (so, e.g., a constant in a loop body is re-executed per iteration).
+// inputs inside a context, and ops fed only by loop constants, receive a
+// control dependency on the context pivot (so, e.g., a constant in a loop
+// body is re-executed per iteration, and only in iterations that run).
 func (b *Builder) Op(op string, attrs map[string]any, ins ...graph.Output) graph.Output {
 	n := b.OpNode(op, "", attrs, ins...)
 	if n == nil {
@@ -200,10 +198,24 @@ func (b *Builder) OpNode(op, name string, attrs map[string]any, ins ...graph.Out
 		b.fail("core: %v", err)
 		return nil
 	}
-	if len(captured) == 0 && b.ctx != nil && b.ctx.Pivot() != nil {
+	if b.ctx != nil && b.ctx.Pivot() != nil && loopInvariant(captured) {
 		n.AddControlInput(b.ctx.Pivot())
 	}
 	return n
+}
+
+// loopInvariant reports whether every input (vacuously, for none) is a
+// loop constant. A constant Enter delivers its value to every iteration,
+// taken or not, so an op fed only by such values would fire in an
+// iteration the predicate ends, and a NextIteration behind it would start
+// the next one: only the pivot makes it wait for the iteration to run.
+func loopInvariant(ins []graph.Output) bool {
+	for _, in := range ins {
+		if in.Node.Op() != "Enter" || !in.Node.AttrBool("is_constant") {
+			return false
+		}
+	}
+	return true
 }
 
 // --- Convenience constructors -------------------------------------------
@@ -211,11 +223,6 @@ func (b *Builder) OpNode(op, name string, attrs map[string]any, ins ...graph.Out
 // Const adds a constant tensor.
 func (b *Builder) Const(t *tensor.Tensor) graph.Output {
 	return b.Op("Const", map[string]any{"value": t})
-}
-
-// ConstNamed adds a named constant tensor.
-func (b *Builder) ConstNamed(name string, t *tensor.Tensor) graph.Output {
-	return b.OpNamed("Const", name, map[string]any{"value": t})
 }
 
 // Scalar adds a scalar float constant.
@@ -271,9 +278,6 @@ func ValidateFeed(n *graph.Node, t *tensor.Tensor) error {
 	return nil
 }
 
-// Identity adds an identity op.
-func (b *Builder) Identity(v graph.Output) graph.Output { return b.Op("Identity", nil, v) }
-
 // Binary helpers.
 func (b *Builder) Add(x, y graph.Output) graph.Output     { return b.Op("Add", nil, x, y) }
 func (b *Builder) Sub(x, y graph.Output) graph.Output     { return b.Op("Sub", nil, x, y) }
@@ -284,12 +288,11 @@ func (b *Builder) Greater(x, y graph.Output) graph.Output { return b.Op("Greater
 func (b *Builder) Less(x, y graph.Output) graph.Output    { return b.Op("Less", nil, x, y) }
 
 // Unary helpers.
-func (b *Builder) Neg(x graph.Output) graph.Output     { return b.Op("Neg", nil, x) }
-func (b *Builder) Square(x graph.Output) graph.Output  { return b.Op("Square", nil, x) }
-func (b *Builder) Sigmoid(x graph.Output) graph.Output { return b.Op("Sigmoid", nil, x) }
-func (b *Builder) Tanh(x graph.Output) graph.Output    { return b.Op("Tanh", nil, x) }
+func (b *Builder) Neg(x graph.Output) graph.Output  { return b.Op("Neg", nil, x) }
+func (b *Builder) Tanh(x graph.Output) graph.Output { return b.Op("Tanh", nil, x) }
 
 // ReduceSum sums over axes (nil = all).
+// dcfvet:allow deadapi=benchmark/ builds the cluster_loop workload with it
 func (b *Builder) ReduceSum(x graph.Output, axes []int, keep bool) graph.Output {
 	return b.Op("Sum", map[string]any{"axes": axes, "keep_dims": keep}, x)
 }

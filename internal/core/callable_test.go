@@ -56,7 +56,7 @@ func TestCallableTargetsMutateVariables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Run1(nil, read)
+	got, err := fetch1(s, nil, read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCallableBadFeedName(t *testing.T) {
 	if _, err := s.MakeCallable(CallableSpec{Feeds: []string{"nope"}, Fetches: []graph.Output{x}}); err == nil {
 		t.Fatal("want error for unknown feed name")
 	}
-	if _, err := s.MakeCallable(CallableSpec{Feeds: []string{"Square"}, Fetches: []graph.Output{b.Square(x)}}); err == nil {
+	if _, err := s.MakeCallable(CallableSpec{Feeds: []string{"Square"}, Fetches: []graph.Output{b.Op("Square", nil, x)}}); err == nil {
 		t.Fatal("want error for non-placeholder feed name")
 	}
 	if _, err := s.MakeCallable(CallableSpec{Feeds: []string{"x", "x"}, Fetches: []graph.Output{x}}); err == nil {
@@ -105,7 +105,7 @@ func TestCallableStaleAfterGraphMutation(t *testing.T) {
 func TestCallableConcurrentCalls(t *testing.T) {
 	b := NewBuilder()
 	x := b.Placeholder("x")
-	y := b.Square(x)
+	y := b.Op("Square", nil, x)
 	s := NewSession(b)
 	c, err := s.MakeCallable(CallableSpec{Feeds: []string{"x"}, Fetches: []graph.Output{y}})
 	if err != nil {
@@ -149,15 +149,15 @@ func TestPerRunRNGStreams(t *testing.T) {
 	}
 	s1, r1 := build()
 	s2, r2 := build()
-	a1, err := s1.Run1(nil, r1)
+	a1, err := fetch1(s1, nil, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := s1.Run1(nil, r1)
+	b1, err := fetch1(s1, nil, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s2.Run1(nil, r2)
+	a2, err := fetch1(s2, nil, r2)
 	if err != nil {
 		t.Fatal(err)
 	}

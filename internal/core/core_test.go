@@ -1,17 +1,21 @@
 package core
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
+	"repro/internal/verify"
 )
 
 func run1(t *testing.T, b *Builder, fetch graph.Output, feeds map[string]*tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	s := NewSession(b)
-	out, err := s.Run1(feeds, fetch)
+	out, err := fetch1(s, feeds, fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +26,7 @@ func TestBuilderArithmetic(t *testing.T) {
 	b := NewBuilder()
 	x := b.Scalar(3)
 	y := b.Scalar(4)
-	z := b.Add(b.Square(x), b.Square(y))
+	z := b.Add(b.Op("Square", nil, x), b.Op("Square", nil, y))
 	if got := run1(t, b, z, nil).ScalarValue(); got != 25 {
 		t.Fatalf("got %v", got)
 	}
@@ -53,7 +57,7 @@ func TestCondBothBranches(t *testing.T) {
 		x := b.Scalar(10)
 		outs := b.Cond(p,
 			func() []graph.Output { return []graph.Output{b.Neg(x)} },
-			func() []graph.Output { return []graph.Output{b.Square(x)} },
+			func() []graph.Output { return []graph.Output{b.Op("Square", nil, x)} },
 		)
 		return b, p, outs[0]
 	}
@@ -92,7 +96,7 @@ func TestCondConstInBranchRunsOnlyWhenTaken(t *testing.T) {
 		func() []graph.Output { return []graph.Output{b.Scalar(2)} },
 	)
 	s := NewSession(b)
-	got, err := s.Run1(map[string]*tensor.Tensor{"p": tensor.ScalarBool(false)}, outs[0])
+	got, err := fetch1(s, map[string]*tensor.Tensor{"p": tensor.ScalarBool(false)}, outs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestNestedCond(t *testing.T) {
 		want float64
 	}{{true, true, 4}, {true, false, 5}, {false, true, 0}, {false, false, 0}} {
 		b2 := b // same graph, fresh session
-		got, err := NewSession(b2).Run1(map[string]*tensor.Tensor{
+		got, err := fetch1(NewSession(b2), map[string]*tensor.Tensor{
 			"p": tensor.ScalarBool(tc.p), "q": tensor.ScalarBool(tc.q),
 		}, outs[0])
 		if err != nil {
@@ -161,6 +165,48 @@ func TestWhileCapturesExternalAsLoopConstant(t *testing.T) {
 	)
 	if got := run1(t, b, outs[0], nil).ScalarValue(); got != 10 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestWhileNextFromLoopConstantsOnly: a loop variable whose next value
+// reads nothing but loop constants — computed from them, or one of them
+// returned as is — must wait for its iteration to run. Ungated, it fired
+// in the iteration the predicate ended and started one more, and the step
+// never finished, at any trip count and window.
+func TestWhileNextFromLoopConstantsOnly(t *testing.T) {
+	for _, window := range []int{1, 32} {
+		for _, trips := range []float64{0, 1, 3} {
+			for _, next := range []string{"computed", "passed through"} {
+				b := NewBuilder()
+				k := b.Scalar(1.5) // outside the loop
+				outs := b.While(
+					[]graph.Output{b.Scalar(0), b.Scalar(-1)},
+					func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(trips)) },
+					func(v []graph.Output) []graph.Output {
+						if next == "computed" {
+							return []graph.Output{b.Add(v[0], b.Scalar(1)), b.Tanh(k)}
+						}
+						return []graph.Output{b.Add(v[0], b.Scalar(1)), k}
+					},
+					WhileOpts{ParallelIterations: window},
+				)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				got, _, err := NewSession(b).RunCtx(ctx, RunOptions{Fetches: []graph.Output{outs[0], outs[1]}})
+				cancel()
+				if err != nil {
+					t.Fatalf("window %d, %v trips, %s: %v", window, trips, next, err)
+				}
+				want := -1.0
+				if trips > 0 && next == "computed" {
+					want = math.Tanh(1.5)
+				} else if trips > 0 {
+					want = 1.5
+				}
+				if got[0].ScalarValue() != trips || got[1].ScalarValue() != want {
+					t.Fatalf("window %d, %v trips, %s: got %v, %v; want %v, %v", window, trips, next, got[0], got[1], trips, want)
+				}
+			}
+		}
 	}
 }
 
@@ -255,7 +301,7 @@ func TestWhileInsideCond(t *testing.T) {
 	if got.ScalarValue() != 5 {
 		t.Fatalf("taken loop: got %v", got)
 	}
-	got2, err := NewSession(b).Run1(map[string]*tensor.Tensor{"p": tensor.ScalarBool(false)}, outs[0])
+	got2, err := fetch1(NewSession(b), map[string]*tensor.Tensor{"p": tensor.ScalarBool(false)}, outs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +383,7 @@ func TestScan(t *testing.T) {
 func TestMapFn(t *testing.T) {
 	b := NewBuilder()
 	elems := b.Const(tensor.FromFloats([]float64{1, 2, 3}, 3))
-	out := b.MapFn(func(x graph.Output) graph.Output { return b.Square(x) }, elems, WhileOpts{})
+	out := b.MapFn(func(x graph.Output) graph.Output { return b.Op("Square", nil, x) }, elems, WhileOpts{})
 	got := run1(t, b, out, nil)
 	if !tensor.Equal(got, tensor.FromFloats([]float64{1, 4, 9}, 3)) {
 		t.Fatalf("got %v", got)
@@ -386,7 +432,7 @@ func TestVariablesAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Run1(nil, read)
+	got, err := fetch1(s, nil, read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +508,16 @@ func TestWhileGraphStructure(t *testing.T) {
 	if wc.LoopCondNode == nil {
 		t.Fatal("no LoopCond")
 	}
-	if err := b.G.Validate(); err != nil {
+	if err := verify.Check(b.G, verify.Options{Complete: true}).Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fetch1 runs the step that fetches one output.
+func fetch1(s *Session, feeds map[string]*tensor.Tensor, fetch graph.Output) (*tensor.Tensor, error) {
+	out, err := s.Run(feeds, []graph.Output{fetch}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

@@ -13,7 +13,7 @@ import (
 func TestPlanCacheReusedAcrossRuns(t *testing.T) {
 	b := NewBuilder()
 	x := b.Placeholder("x")
-	y := b.Square(x)
+	y := b.Op("Square", nil, x)
 	z := b.Neg(x)
 	fetches := []graph.Output{y}
 
@@ -57,7 +57,7 @@ func TestPlanCacheReusedAcrossRuns(t *testing.T) {
 func TestPlanCacheEvictsStaleGenerations(t *testing.T) {
 	b := NewBuilder()
 	x := b.Const(tensor.Scalar(2))
-	y := b.Square(x)
+	y := b.Op("Square", nil, x)
 	z := b.Neg(x)
 	s := NewSession(b)
 	for _, f := range []graph.Output{y, z} {
@@ -68,7 +68,7 @@ func TestPlanCacheEvictsStaleGenerations(t *testing.T) {
 	if len(s.plans) != 2 {
 		t.Fatalf("plan cache holds %d entries, want 2", len(s.plans))
 	}
-	w := b.Square(y) // mutate: bumps the graph version
+	w := b.Op("Square", nil, y) // mutate: bumps the graph version
 	if _, err := s.planFor([]graph.Output{w}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPlanCacheEvictsStaleGenerations(t *testing.T) {
 func TestPlanCacheInvalidatedByGraphGrowth(t *testing.T) {
 	b := NewBuilder()
 	x := b.Const(tensor.Scalar(2))
-	y := b.Square(x)
+	y := b.Op("Square", nil, x)
 	s := NewSession(b)
 	p1, err := s.planFor([]graph.Output{y}, nil)
 	if err != nil {

@@ -35,7 +35,7 @@ func TestPropWhileMatchesGoLoop(t *testing.T) {
 			},
 			WhileOpts{},
 		)
-		got, err := NewSession(b).Run1(nil, outs[1])
+		got, err := fetch1(NewSession(b), nil, outs[1])
 		if err != nil {
 			t.Logf("run error: %v", err)
 			return false
@@ -61,10 +61,10 @@ func TestPropCondMatchesSelect(t *testing.T) {
 		xc := b.Scalar(x)
 		pc := b.Const(tensor.ScalarBool(p))
 		outs := b.Cond(pc,
-			func() []graph.Output { return []graph.Output{b.Square(xc)} },
+			func() []graph.Output { return []graph.Output{b.Op("Square", nil, xc)} },
 			func() []graph.Output { return []graph.Output{b.Neg(xc)} },
 		)
-		got, err := NewSession(b).Run1(nil, outs[0])
+		got, err := fetch1(NewSession(b), nil, outs[0])
 		if err != nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestPropScanMatchesPrefix(t *testing.T) {
 		out := b.Scan(func(acc, x graph.Output) graph.Output {
 			return b.Add(acc, x)
 		}, elems, b.Scalar(0), WhileOpts{})
-		got, err := NewSession(b).Run1(nil, out)
+		got, err := fetch1(NewSession(b), nil, out)
 		if err != nil {
 			return false
 		}
@@ -157,7 +157,7 @@ func TestPropResultInvariantToParallelWindow(t *testing.T) {
 				},
 				WhileOpts{ParallelIterations: par},
 			)
-			got, err := NewSession(b).Run1(nil, outs[1])
+			got, err := fetch1(NewSession(b), nil, outs[1])
 			if err != nil {
 				return false
 			}
@@ -195,7 +195,7 @@ func TestPropNestedLoopMatchesNestedGoLoop(t *testing.T) {
 			},
 			WhileOpts{Name: "outer"},
 		)
-		got, err := NewSession(b).Run1(nil, outs[1])
+		got, err := fetch1(NewSession(b), nil, outs[1])
 		if err != nil {
 			return false
 		}

@@ -136,7 +136,11 @@ func (s *Session) RunCtx(ctx context.Context, opts RunOptions) ([]*tensor.Tensor
 		return nil, md, fmt.Errorf("core: graph has a construction error: %w", err)
 	}
 	for name, t := range opts.Feeds {
-		if err := ValidateFeed(s.B.G.ByName(name), t); err != nil {
+		n, err := s.placeholder(name)
+		if err != nil {
+			return nil, md, err
+		}
+		if err := ValidateFeed(n, t); err != nil {
 			return nil, md, err
 		}
 	}
@@ -145,6 +149,17 @@ func (s *Session) RunCtx(ctx context.Context, opts RunOptions) ([]*tensor.Tensor
 		return nil, md, err
 	}
 	return s.runPlan(ctx, plan, exec.MapFeeder(opts.Feeds), opts.Trace)
+}
+
+// placeholder returns the node a feed names: a Placeholder, or an error.
+// Run and MakeCallable share the rule; a placeholder outside the pruned
+// subgraph is legal and its feed is ignored.
+func (s *Session) placeholder(name string) (*graph.Node, error) {
+	n := s.B.G.ByName(name)
+	if n == nil || n.Op() != "Placeholder" {
+		return nil, fmt.Errorf("core: feed %q is not a placeholder", name)
+	}
+	return n, nil
 }
 
 // runPlan is the shared executor-driving tail of RunCtx and
@@ -204,12 +219,14 @@ func (s *Session) verifyGraph() error {
 // for a run signature. The fast path takes only a read lock, so concurrent
 // steady-state runs do not serialize on the cache.
 func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, error) {
+	// Keyed by node identity, not id: a node of another graph with an id
+	// of this one must miss the cache and reach Prune, which rejects it.
 	var sig strings.Builder
 	for _, f := range fetches {
-		fmt.Fprintf(&sig, "f:%d:%d;", f.Node.ID(), f.Index)
+		fmt.Fprintf(&sig, "f:%p:%d;", f.Node, f.Index)
 	}
 	for _, t := range targets {
-		fmt.Fprintf(&sig, "t:%d;", t.ID())
+		fmt.Fprintf(&sig, "t:%p;", t)
 	}
 	// Include the graph version: any mutation — growth (e.g. a later
 	// Gradients call) or an in-place rewrite (Optimize's CSE/folding) —
@@ -256,21 +273,16 @@ func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.
 // compile prunes the graph to a run signature and builds its plan, fixing
 // the session's executor options in it.
 func (s *Session) compile(fetches []graph.Output, targets []*graph.Node) (*exec.Plan, error) {
+	nodes, err := Prune(s.B.G, fetches, targets)
+	if err != nil {
+		return nil, err
+	}
 	return exec.NewPlan(s.B.G, exec.PlanOptions{
-		Nodes:   Prune(s.B.G, fetches, targets),
+		Nodes:   nodes,
 		Fetches: fetches,
 		Mem:     s.Mem,
 		Runner:  s.Runner,
 	})
-}
-
-// Run1 fetches a single output.
-func (s *Session) Run1(feeds map[string]*tensor.Tensor, fetch graph.Output) (*tensor.Tensor, error) {
-	out, err := s.Run(feeds, []graph.Output{fetch}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // CallableSpec fixes one run signature for MakeCallable: feeds are named
@@ -312,16 +324,14 @@ func (s *Session) MakeCallable(spec CallableSpec) (*Callable, error) {
 	if err := s.verifyGraph(); err != nil {
 		return nil, err
 	}
-	// Feeds outside the pruned subgraph are legal (ignored), as in
-	// Session.Run, but a name that is not a placeholder — or appears
-	// twice, which would silently drop all but the first bound arg — is
-	// a spec bug worth failing fast on.
+	// A name that appears twice would silently drop all but the first
+	// bound arg: a spec bug worth failing fast on.
 	seen := make(map[string]bool, len(spec.Feeds))
 	feedNodes := make([]*graph.Node, len(spec.Feeds))
 	for i, name := range spec.Feeds {
-		n := s.B.G.ByName(name)
-		if n == nil || n.Op() != "Placeholder" {
-			return nil, fmt.Errorf("core: callable feed %q is not a placeholder", name)
+		n, err := s.placeholder(name)
+		if err != nil {
+			return nil, err
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("core: callable feed %q appears twice", name)
@@ -380,9 +390,6 @@ func (c *Callable) ValidateArgs(args []*tensor.Tensor) error {
 	return nil
 }
 
-// FeedNames returns the compiled feed signature, in positional order.
-func (c *Callable) FeedNames() []string { return append([]string(nil), c.feedNames...) }
-
 // CallCtx executes the compiled signature with args bound positionally to
 // the spec's feed names, returning fetched tensors in fetch order.
 func (c *Callable) CallCtx(ctx context.Context, args ...*tensor.Tensor) ([]*tensor.Tensor, RunMetadata, error) {
@@ -399,8 +406,23 @@ func (c *Callable) CallCtx(ctx context.Context, args ...*tensor.Tensor) ([]*tens
 // Prune returns the nodes transitively required by fetches and targets
 // (following data and control edges backward), in graph insertion order.
 // Like TensorFlow's session pruning, unreachable nodes — stateful or not —
-// are dropped from the step.
-func Prune(g *graph.Graph, fetches []graph.Output, targets []*graph.Node) []*graph.Node {
+// are dropped from the step. A fetch or target that is not a node of g, or
+// a fetch of an output its node does not have, is an error: every run
+// signature — a Session run, a Callable, a cluster — is checked here.
+func Prune(g *graph.Graph, fetches []graph.Output, targets []*graph.Node) ([]*graph.Node, error) {
+	for i, f := range fetches {
+		if f.Node == nil || f.Node.Graph() != g {
+			return nil, fmt.Errorf("core: fetch %d is not a node of this graph", i)
+		}
+		if !f.Valid() {
+			return nil, fmt.Errorf("core: fetch %d names output %d of %s, which has %d", i, f.Index, f.Node.Name(), f.Node.NumOutputs())
+		}
+	}
+	for i, t := range targets {
+		if t == nil || t.Graph() != g {
+			return nil, fmt.Errorf("core: target %d is not a node of this graph", i)
+		}
+	}
 	needed := map[int]bool{}
 	var stack []*graph.Node
 	push := func(n *graph.Node) {
@@ -431,5 +453,5 @@ func Prune(g *graph.Graph, fetches []graph.Output, targets []*graph.Node) []*gra
 			out = append(out, n)
 		}
 	}
-	return out
+	return out, nil
 }

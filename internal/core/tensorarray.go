@@ -48,13 +48,3 @@ func (b *Builder) TAUnstack(ta TA, v graph.Output) TA {
 	f := b.Op("TensorArrayUnstack", nil, ta.Handle, v, ta.Flow)
 	return TA{Handle: ta.Handle, Flow: f}
 }
-
-// TAGrad returns the gradient TensorArray for source (§5.2); it shares the
-// forward array's size and accumulates multiple writes to one location.
-func (b *Builder) TAGrad(ta TA, source string) TA {
-	n := b.OpNode("TensorArrayGrad", "", map[string]any{"source": source}, ta.Handle, ta.Flow)
-	if n == nil {
-		return TA{}
-	}
-	return TA{Handle: n.Out(0), Flow: n.Out(1)}
-}

@@ -13,7 +13,7 @@ import (
 func TestSessionRefusesIllFormedGraph(t *testing.T) {
 	b := NewBuilder()
 	x := b.Scalar(2)
-	y := b.Square(x)
+	y := b.Op("Square", nil, x)
 	// Corrupt the graph behind the builder's back: an Enter with no
 	// frame name is structurally invalid.
 	if _, err := b.G.AddNode(graph.NodeArgs{Op: "Enter", Name: "bad_enter", NumOutputs: 1,
@@ -36,7 +36,7 @@ func TestSessionRefusesIllFormedGraph(t *testing.T) {
 // mutates.
 func TestSessionVerifiesOncePerVersion(t *testing.T) {
 	b := NewBuilder()
-	y := b.Square(b.Scalar(3))
+	y := b.Op("Square", nil, b.Scalar(3))
 	s := NewSession(b)
 	if _, err := s.Run(nil, []graph.Output{y}, nil); err != nil {
 		t.Fatal(err)

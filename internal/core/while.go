@@ -168,6 +168,12 @@ func (b *Builder) WhileCtx(inits []graph.Output, pred func(vars []graph.Output) 
 			b.fail("core: While body output %d: %v", i, err)
 			return nil, nil
 		}
+		if loopInvariant([]graph.Output{boc}) {
+			// A loop constant handed straight to NextIteration would
+			// start an iteration the predicate ended; the Identity
+			// waits for the pivot.
+			boc = b.Op("Identity", nil, boc)
+		}
 		wc.BodyOuts = append(wc.BodyOuts, boc)
 		ni, err := b.rawOp("NextIteration", fmt.Sprintf("%s/next_%d", frameName, i), wc, nil, boc)
 		if err != nil {

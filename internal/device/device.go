@@ -89,13 +89,7 @@ func (d *Device) Close() {
 	d.d2h.close()
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // --- ops.DeviceMem ---------------------------------------------------------
-
-// MemName implements ops.DeviceMem.
-func (d *Device) MemName() string { return d.cfg.Name }
 
 // Allocate reserves bytes. A request that does not fit waits while a
 // swap-out is in flight — its bytes are on their way out — and retries as

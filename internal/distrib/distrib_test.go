@@ -21,7 +21,7 @@ func TestSimpleCrossDeviceEdge(t *testing.T) {
 			b := core.NewBuilder()
 			var x, y graph.Output
 			b.WithDevice("dev:0", func() { x = b.Scalar(3) })
-			b.WithDevice("dev:1", func() { y = b.Square(x) }) // crosses dev0 -> dev1
+			b.WithDevice("dev:1", func() { y = b.Op("Square", nil, x) }) // crosses dev0 -> dev1
 			return b, []graph.Output{y}, nil
 		},
 		steps: []map[string]*tensor.Tensor{nil},
@@ -144,10 +144,10 @@ func TestDistributedCondDeadnessPropagation(t *testing.T) {
 				outs = b.Cond(p,
 					func() []graph.Output {
 						var r graph.Output
-						b.WithDevice("dev:1", func() { r = b.Square(x) })
+						b.WithDevice("dev:1", func() { r = b.Op("Square", nil, x) })
 						// Bring it back to dev:0.
 						var back graph.Output
-						b.WithDevice("dev:0", func() { back = b.Identity(r) })
+						b.WithDevice("dev:0", func() { back = b.Op("Identity", nil, r) })
 						return []graph.Output{back}
 					},
 					func() []graph.Output { return []graph.Output{b.Neg(x)} },
@@ -172,7 +172,7 @@ func TestMultipleStepsReuseCluster(t *testing.T) {
 			var y graph.Output
 			b.WithDevice("dev:0", func() {
 				x := b.Placeholder("x")
-				b.WithDevice("dev:1", func() { y = b.Square(x) })
+				b.WithDevice("dev:1", func() { y = b.Op("Square", nil, x) })
 			})
 			return b, []graph.Output{y}, nil
 		},
@@ -204,7 +204,7 @@ func TestVariablesAcrossDistributedSteps(t *testing.T) {
 				read = b.ReadVariable("w")
 				read.Node.AddControlInput(inc)
 			})
-			b.WithDevice("dev:1", func() { read = b.Identity(read) })
+			b.WithDevice("dev:1", func() { read = b.Op("Identity", nil, read) })
 			return b, []graph.Output{read}, []*graph.Node{inc}
 		},
 		state: map[string]*tensor.Tensor{"w": tensor.Scalar(10)},
@@ -303,7 +303,7 @@ func TestUnpairedRecvRejectedBeforeRegistration(t *testing.T) {
 	b.WithDevice("wA/cpu", func() { y = b.Scalar(3) })
 	b.WithDevice("wB/cpu", func() {
 		orphan := b.OpNode("Recv", "", map[string]any{"key": "e=nothing:0;dstd=wB/cpu;dstw=wB"})
-		y = b.Add(b.Square(y), orphan.Out(0))
+		y = b.Add(b.Op("Square", nil, y), orphan.Out(0))
 	})
 	if err := b.Err(); err != nil {
 		t.Fatal(err)

@@ -319,59 +319,3 @@ func TestRunJobKillRestart(t *testing.T) {
 		t.Fatal("the kill never triggered a rebuild — chaos scenario did not exercise recovery")
 	}
 }
-
-// TestRunJobAbsorbsJoin starts a job on one worker, admits a second daemon
-// mid-run via Fleet.Add, and verifies the job re-partitions onto the grown
-// worker set at a checkpoint boundary and still produces correct values.
-func TestRunJobAbsorbsJoin(t *testing.T) {
-	const steps, limit = 30, 2
-	_, addrs := startWorkers(t, 1)
-	fleet, err := Dial(addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	// The joiner daemon, not yet in the fleet.
-	joiner, err := cluster.NewWorker("wB", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(joiner.Close)
-
-	var mu sync.Mutex
-	var rebuiltOver []string
-	spec := counterSpec(limit)
-	spec.OnStep = func(step uint64, vals []*tensor.Tensor) error {
-		if want := float64(step * limit); vals[0].ScalarValue() != want {
-			t.Errorf("step %d: %v, want %v", step, vals[0].ScalarValue(), want)
-		}
-		if step == steps/2 {
-			if err := fleet.Add(joiner.Addr()); err != nil {
-				t.Errorf("join: %v", err)
-			}
-		}
-		return nil
-	}
-	spec.OnRebuild = func(ws []string, from uint64) {
-		mu.Lock()
-		rebuiltOver = append([]string(nil), ws...)
-		mu.Unlock()
-	}
-
-	final, err := RunJob(context.Background(), fleet, spec, JobOptions{
-		Steps: steps,
-		TCP:   TCPOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 5},
-	})
-	if err != nil {
-		t.Fatalf("job with join: %v", err)
-	}
-	if got := final[0].ScalarValue(); got != float64(steps*limit) {
-		t.Fatalf("final fetch %v, want %v", got, steps*limit)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(rebuiltOver) != 2 {
-		t.Fatalf("job never re-partitioned onto the joined worker (last rebuild over %v)", rebuiltOver)
-	}
-}

@@ -57,7 +57,7 @@ func TestDistributedGradientLoop(t *testing.T) {
 
 	// Reference: everything on one device, in one session.
 	bRef, gRef := build("dev:0")
-	ref, err := core.NewSession(bRef).Run1(feed, gRef)
+	ref, err := run1(core.NewSession(bRef), feed, gRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,4 +91,13 @@ func TestDistributedGradientLoop(t *testing.T) {
 			t.Fatalf("step %d, a stack handle crossing workers: want the step to fail saying so, got %v", step, err)
 		}
 	}
+}
+
+// run1 runs the step that fetches one output.
+func run1(s *core.Session, feeds map[string]*tensor.Tensor, fetch graph.Output) (*tensor.Tensor, error) {
+	out, err := s.Run(feeds, []graph.Output{fetch}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

@@ -147,9 +147,7 @@ func (f *Fleet) startJobCluster(spec JobSpec, opts TCPOptions) (*TCPCluster, err
 // RunJob drives a job to completion with fault tolerance: steps run until
 // opts.Steps, checkpoints land every CheckpointEvery steps, and any step
 // failure triggers rollback-restore-replay over whatever workers are live.
-// Membership changes (Fleet.Add/Remove) are absorbed at the next
-// checkpoint boundary: the job checkpoints, rebuilds over the new worker
-// set, and continues. RunJob returns the final step's fetch values.
+// RunJob returns the final step's fetch values.
 func RunJob(ctx context.Context, f *Fleet, spec JobSpec, opts JobOptions) ([]*tensor.Tensor, error) {
 	if opts.TCP.CheckpointDir == "" {
 		return nil, fmt.Errorf("distrib: RunJob needs TCPOptions.CheckpointDir")
@@ -182,7 +180,6 @@ func RunJob(ctx context.Context, f *Fleet, spec JobSpec, opts JobOptions) ([]*te
 		return nil
 	}
 
-	gen := f.Generation()
 	retries := 0
 	var last []*tensor.Tensor
 	for c.Step() < opts.Steps {
@@ -216,17 +213,6 @@ func RunJob(ctx context.Context, f *Fleet, spec JobSpec, opts JobOptions) ([]*te
 		if spec.OnStep != nil {
 			if err := spec.OnStep(step, vals); err != nil {
 				return nil, err
-			}
-		}
-		// Absorb joins/leaves at checkpoint boundaries: force a checkpoint
-		// of the current state, then rebuild over the new membership.
-		if g := f.Generation(); g != gen {
-			gen = g
-			if _, err := c.Checkpoint(); err != nil {
-				return nil, fmt.Errorf("distrib: checkpoint before membership change: %w", err)
-			}
-			if err := rebuild(); err != nil {
-				return nil, fmt.Errorf("distrib: rebuild for membership change: %w", err)
 			}
 		}
 	}

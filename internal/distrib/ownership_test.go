@@ -6,8 +6,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 // buildTensorHopLoop is a While whose tensor loop variable crosses from
 // workers[0] to workers[1] and back every iteration, through an owned-
@@ -105,10 +109,10 @@ func TestTensorHopStepsLeavePoolLevel(t *testing.T) {
 	}
 	run(10)
 	const fetchedPerStep = 64*256*8 + 8 // the final tensor and the counter
-	before := tensor.PoolLiveBytes()
+	before := poolLive.Value()
 	const steps = 40
 	run(steps)
-	perStep := (tensor.PoolLiveBytes()-before)/steps - fetchedPerStep
+	perStep := (poolLive.Value()-before)/steps - fetchedPerStep
 	if perStep < 0 || perStep > 1024 {
 		t.Fatalf("pool live bytes move by %d a step beyond the fetches: a hop buffer is being dropped or recycled twice", perStep)
 	}

@@ -42,7 +42,11 @@ func TestTCPDistributedLoop(t *testing.T) {
 		}
 		return dev
 	}
-	res, err := partition.Partition(b.G, core.Prune(b.G, outs, nil), workerOf)
+	nodes, err := core.Prune(b.G, outs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.Partition(b.G, nodes, workerOf)
 	if err != nil {
 		t.Fatal(err)
 	}

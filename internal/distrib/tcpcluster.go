@@ -48,9 +48,6 @@ type Fleet struct {
 	workers map[string]*fleetWorker
 	closed  bool
 	nextGID uint64
-	// generation counts explicit membership changes (Add/Remove). Job
-	// runners compare it across checkpoint boundaries to absorb joins.
-	generation uint64
 }
 
 // fleetWorker is one daemon's slot in the fleet. Redials happen under the
@@ -283,7 +280,10 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 		opts.WorkerOf = DeviceWorker
 	}
 	partition.Place(b.G, opts.DefaultDevice)
-	nodes := core.Prune(b.G, fetches, targets)
+	nodes, err := core.Prune(b.G, fetches, targets)
+	if err != nil {
+		return nil, err
+	}
 	res, err := partition.Partition(b.G, nodes, opts.WorkerOf)
 	if err != nil {
 		return nil, err
@@ -417,9 +417,6 @@ func (c *TCPCluster) registerAll() error {
 	}
 	return nil
 }
-
-// Workers returns the participating worker names in registration order.
-func (c *TCPCluster) Workers() []string { return append([]string(nil), c.workers...) }
 
 // EnsureRegistered verifies every participating worker is reachable and
 // still holds a current registration, re-registering the graph everywhere

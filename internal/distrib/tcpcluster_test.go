@@ -102,7 +102,7 @@ func midStep(t *testing.T, workers []*cluster.Worker, run func()) {
 	go run()
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 		for _, w := range workers {
-			if w.ScopeCount() > 0 {
+			if w.Rendezvous().ScopeCount() > 0 {
 				return
 			}
 		}
@@ -200,7 +200,7 @@ func TestTCPCluster100Steps(t *testing.T) {
 	// Scopes of completed steps are released as the watermark advances
 	// (lag <= the in-flight window, not O(steps)).
 	for i, w := range workers {
-		if c := w.ScopeCount(); c > 4 {
+		if c := w.Rendezvous().ScopeCount(); c > 4 {
 			t.Fatalf("worker %d holds %d scope tables after %d steps (leak)", i, c, steps)
 		}
 	}

@@ -5,15 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 // The tests below hold the ownership rule to its arithmetic: each builds a
 // graph in which a pool buffer has more than one reference, runs it at
 // windows 1 and 32, with the kernels on the dispatcher and estimated dear
 // (handed off), and requires the fetched values and the
-// exact change in tensor.PoolLiveBytes() the rule predicts — the bytes the
+// exact change in the pool's live-bytes gauge the rule predicts — the bytes the
 // case names as held (a fetch, a variable) and nothing else. A buffer that is
 // never released reads as growth; one released early reads as a wrong value
 // (the very pattern, under -race, where Recycle poisons the payload).
@@ -100,12 +104,12 @@ func runRule(t *testing.T, c ruleCase) {
 			if dear {
 				plan = newDear(b, opts)
 			}
-			handed, start := metricHandoff.Value(), tensor.PoolLiveBytes()
+			handed, start := metricHandoff.Value(), poolLive.Value()
 			out, _, err := plan.Run(c.bind)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if grew := tensor.PoolLiveBytes() - start; grew != c.held {
+			if grew := poolLive.Value() - start; grew != c.held {
 				t.Errorf("%s: the pool's live bytes moved by %d, the rule predicts %d", name, grew, c.held)
 			}
 			if err := c.check(out); err != nil {

@@ -34,10 +34,8 @@
 //     different replica; first response wins and the loser's attempt is
 //     canceled (the batcher drops it from its micro-batch), so hedges are
 //     bounded to at most one extra attempt and never leak work.
-//   - Graceful drain/join: Drain finishes a replica's in-flight batches
-//     and removes it (new work sees the retriable ErrClosed and reroutes);
-//     Join builds, registers, restores, warms up, and health-checks a new
-//     replica before it receives any traffic.
+//   - Graceful join: Join builds, registers, restores, warms up, and
+//     health-checks a new replica before it receives any traffic.
 //
 // Replicas are stateless by contract: any session state must be fully
 // described by Config.Init, which is (re)applied whenever a replica joins
@@ -155,9 +153,6 @@ const (
 	StateJoining State = iota
 	// StateActive: in the dispatch pool.
 	StateActive
-	// StateDraining: finishing in-flight batches; rejects new work with a
-	// retriable error and leaves the pool when drained.
-	StateDraining
 	// StateOpen: breaker tripped; no traffic, awaiting its next
 	// readmission probe.
 	StateOpen
@@ -171,8 +166,6 @@ func (s State) String() string {
 		return "joining"
 	case StateActive:
 		return "active"
-	case StateDraining:
-		return "draining"
 	case StateOpen:
 		return "open"
 	case StateHalfOpen:
@@ -242,7 +235,6 @@ type Router struct {
 	hedgeWins    *metrics.Counter
 	ejections    *metrics.Counter
 	readmissions *metrics.Counter
-	drains       *metrics.Counter
 	joins        *metrics.Counter
 }
 
@@ -272,7 +264,6 @@ func New(ctx context.Context, cfg Config, opts Options, replicas ...[]string) (*
 	r.hedgeWins = r.reg.Counter("fleet_hedge_wins_total")
 	r.ejections = r.reg.Counter("fleet_ejections_total")
 	r.readmissions = r.reg.Counter("fleet_readmissions_total")
-	r.drains = r.reg.Counter("fleet_drains_total")
 	r.joins = r.reg.Counter("fleet_joins_total")
 	for _, addrs := range replicas {
 		if _, err := r.Join(ctx, addrs...); err != nil {
@@ -406,41 +397,6 @@ func (r *Router) qualify(ctx context.Context, rep *replica) error {
 			return fmt.Errorf("warmup: %w", err)
 		}
 	}
-	return nil
-}
-
-// Drain gracefully removes one replica: it stops receiving new dispatches
-// immediately, its queued and in-flight batches run to completion (every
-// accepted request is answered), and only then is it torn down. A request
-// that races the state flip and still reaches the closing batcher gets the
-// retriable ErrClosed and reroutes. Blocks until the drain completes.
-func (r *Router) Drain(name string) error {
-	r.mu.Lock()
-	rep := r.reps[name]
-	r.mu.Unlock()
-	if rep == nil {
-		return fmt.Errorf("fleetserve: unknown replica %q", name)
-	}
-	rep.mu.Lock()
-	if rep.state == StateDraining {
-		rep.mu.Unlock()
-		return nil // another drain is already running this teardown
-	}
-	rep.state = StateDraining
-	rep.mu.Unlock()
-	rep.b.Close() // flushes queued work, waits for in-flight batches
-	rep.tc.Close()
-	rep.fleet.Close()
-	r.mu.Lock()
-	delete(r.reps, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.mu.Unlock()
-	r.drains.Add(1)
 	return nil
 }
 
@@ -730,7 +686,7 @@ func (r *Router) probe(rep *replica) {
 				return
 			}
 		}
-	default: // joining, draining, half-open: nothing to do this tick
+	default: // joining, half-open: nothing to do this tick
 		rep.mu.Unlock()
 	}
 }
@@ -835,7 +791,6 @@ type Status struct {
 	HedgeWins    int64 `json:"hedge_wins"`
 	Ejections    int64 `json:"ejections"`
 	Readmissions int64 `json:"readmissions"`
-	Drains       int64 `json:"drains"`
 	Joins        int64 `json:"joins"`
 
 	// HedgeDelayMs is the current p99-derived hedge trigger.
@@ -861,7 +816,6 @@ func (r *Router) Snapshot() Status {
 		HedgeWins:    r.hedgeWins.Value(),
 		Ejections:    r.ejections.Value(),
 		Readmissions: r.readmissions.Value(),
-		Drains:       r.drains.Value(),
 		Joins:        r.joins.Value(),
 		HedgeDelayMs: float64(r.hedgeDelay()) / 1e6,
 	}
@@ -892,10 +846,3 @@ func (r *Router) Snapshot() Status {
 // Metrics returns the router's metrics registry, for export alongside the
 // process-wide metrics.Default() registry.
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
-
-// Replicas returns the current replica names in join order.
-func (r *Router) Replicas() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}

@@ -330,58 +330,6 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestDrainWhileRequestsInFlight: draining a replica under load never
-// fails a request — in-flight work completes on the draining replica,
-// racing work reroutes to the survivor, and the drained replica leaves the
-// pool.
-func TestDrainWhileRequestsInFlight(t *testing.T) {
-	_, addrsA := startDaemons(t, "da", 1)
-	_, addrsB := startDaemons(t, "db", 1)
-	r, err := New(context.Background(), addNConfig(), fastOpts(), addrsA, addrsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	drainName := r.Replicas()[0]
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 128)
-	start := make(chan struct{})
-	for i := 0; i < 64; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			outs, err := r.Predict(context.Background(), in(float64(i)))
-			if err != nil {
-				errs <- fmt.Errorf("request %d during drain: %w", i, err)
-				return
-			}
-			if got, want := outs[0].F[0], float64(i)+1; got != want {
-				errs <- fmt.Errorf("request %d: got %v, want %v", i, got, want)
-			}
-		}()
-	}
-	close(start)
-	if err := r.Drain(drainName); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for _, name := range r.Replicas() {
-		if name == drainName {
-			t.Fatalf("drained replica %q still in the pool", drainName)
-		}
-	}
-	if st := r.Snapshot(); st.Drains != 1 {
-		t.Fatalf("drains = %d, want 1", st.Drains)
-	}
-}
-
 // TestFaultInjectedFabricMasksFailures is the in-process chaos invariant:
 // with seeded conn-reset and send-drop injection eating rendezvous
 // messages inside two 2-worker replicas, every client predict still
@@ -446,10 +394,7 @@ func TestPredictErrorTaxonomy(t *testing.T) {
 	}
 
 	// Empty pool → ErrUnavailable (the 503 signal).
-	name := r.Replicas()[0]
-	if err := r.Drain(name); err != nil {
-		t.Fatal(err)
-	}
+	r.Close()
 	if _, err := r.Predict(context.Background(), in(1)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("empty-pool predict: got %v, want ErrUnavailable", err)
 	}
@@ -461,7 +406,7 @@ func TestPredictErrorTaxonomy(t *testing.T) {
 // the restarted daemon came back blank.
 func TestStatefulReadmissionRestoresInit(t *testing.T) {
 	victims, addrsA := startDaemons(t, "sa", 1)
-	_, addrsB := startDaemons(t, "sb", 1)
+	survivors, addrsB := startDaemons(t, "sb", 1)
 	build := func(workers []string) (*core.Builder, []graph.Output, error) {
 		b := core.NewBuilder()
 		var out graph.Output
@@ -528,27 +473,27 @@ func TestStatefulReadmissionRestoresInit(t *testing.T) {
 	if st := r.Snapshot(); st.Readmissions == 0 {
 		t.Fatalf("victim never readmitted: %+v", st.Replicas)
 	}
-	// Force traffic through the restarted replica by draining the
-	// survivor: if readmission had skipped the state restore, this
-	// predict would fail on an uninitialized variable.
-	for _, name := range r.Replicas() {
-		if name != victimName {
-			if err := r.Drain(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	// Force traffic through the restarted replica by stopping the
+	// survivor's daemon: if readmission had skipped the state restore,
+	// this predict would fail on an uninitialized variable.
+	survivors[0].Close()
+	survivors[0] = nil
 	check(7)
 }
 
-// TestConcurrentPredictCloseMembershipStress races Predict against Close,
-// Drain, and Join (run under -race at GOMAXPROCS 1/2/4 in CI): results
+// TestConcurrentPredictCloseMembershipStress races Predict against Close
+// and Join (run under -race at GOMAXPROCS 1/2/4 in CI): results
 // that arrive must be correct, errors after teardown must be the graceful
 // sentinels, and nothing deadlocks or panics.
 func TestConcurrentPredictCloseMembershipStress(t *testing.T) {
 	_, addrsA := startDaemons(t, "xa", 1)
 	_, addrsB := startDaemons(t, "xb", 1)
-	_, addrsC := startDaemons(t, "xc", 1)
+	// A replica's name is its daemons', so each join takes daemons of its own.
+	var joiners [][]string
+	for i := 0; i < 5; i++ {
+		_, addrs := startDaemons(t, fmt.Sprintf("xc%d-", i), 1)
+		joiners = append(joiners, addrs)
+	}
 	r, err := New(context.Background(), addNConfig(), fastOpts(), addrsA, addrsB)
 	if err != nil {
 		t.Fatal(err)
@@ -578,17 +523,13 @@ func TestConcurrentPredictCloseMembershipStress(t *testing.T) {
 			}
 		}()
 	}
-	// Membership churn: repeatedly join and drain a third replica.
+	// Membership churn: replicas join while predicts run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			name, err := r.Join(context.Background(), addrsC...)
-			if err != nil {
+		for _, addrs := range joiners {
+			if _, err := r.Join(context.Background(), addrs...); err != nil {
 				return // router closed underneath the join
-			}
-			if err := r.Drain(name); err != nil {
-				return
 			}
 		}
 	}()
@@ -613,7 +554,7 @@ func TestConcurrentPredictCloseMembershipStress(t *testing.T) {
 	if _, err := r.Predict(context.Background(), in(1)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("predict after close: %v, want ErrUnavailable", err)
 	}
-	if _, err := r.Join(context.Background(), addrsC...); !errors.Is(err, ErrClosed) {
+	if _, err := r.Join(context.Background(), joiners[0]...); !errors.Is(err, ErrClosed) {
 		t.Fatalf("join after close: %v, want ErrClosed", err)
 	}
 }

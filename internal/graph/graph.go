@@ -297,16 +297,6 @@ func (g *Graph) AddNode(args NodeArgs) (*Node, error) {
 	return n, nil
 }
 
-// MustAddNode is AddNode, panicking on error. The graph builders validate
-// their inputs, so errors indicate programming bugs.
-func (g *Graph) MustAddNode(args NodeArgs) *Node {
-	n, err := g.AddNode(args)
-	if err != nil {
-		panic(err) // dcfvet:allow panicpath=builder Must* API, construction-time only
-	}
-	return n
-}
-
 // Nodes returns a snapshot of all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
 	g.mu.Lock()
@@ -427,30 +417,6 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 		return nil, fmt.Errorf("graph: cycle not through NextIteration involving %v", stuck)
 	}
 	return order, nil
-}
-
-// Validate performs structural sanity checks: valid input ports, Merge
-// arity, and that every cycle passes through NextIteration.
-func (g *Graph) Validate() error {
-	for _, n := range g.Nodes() {
-		for i, in := range n.inputs {
-			if !in.Valid() {
-				return fmt.Errorf("graph: %s input %d invalid: %v", n.name, i, in)
-			}
-		}
-		switch n.op {
-		case "Merge":
-			if len(n.inputs) < 1 {
-				return fmt.Errorf("graph: Merge %s needs at least one input", n.name)
-			}
-		case "Switch":
-			if len(n.inputs) != 2 {
-				return fmt.Errorf("graph: Switch %s needs exactly 2 inputs", n.name)
-			}
-		}
-	}
-	_, err := g.TopoSort()
-	return err
 }
 
 // DOT renders the graph in Graphviz format for debugging and docs.

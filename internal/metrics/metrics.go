@@ -114,12 +114,6 @@ func (h *Histogram) snapshot() (counts [histBuckets]int64, sum, total int64) {
 	return counts, sum, total
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	_, _, n := h.snapshot()
-	return n
-}
-
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 {
 	_, s, _ := h.snapshot()
@@ -136,7 +130,6 @@ type Registry struct {
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	labels string // Prometheus const labels, e.g. `replica="r0"`
 }
 
 // NewRegistry creates an empty registry.
@@ -155,15 +148,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// SetConstLabels attaches a fixed Prometheus label set (without braces,
-// e.g. `replica="r0"`) to every sample exported from this registry, so
-// several registries can share one scrape page without name collisions.
-func (r *Registry) SetConstLabels(labels string) {
-	r.mu.Lock()
-	r.labels = labels
-	r.mu.Unlock()
-}
 
 func (r *Registry) register(name string, kind byte) {
 	if k, ok := r.kinds[name]; ok {
@@ -217,37 +201,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // instruments snapshots the registry's instrument tables under the lock,
 // so exporters iterate without holding it.
-func (r *Registry) instruments() (names []string, kinds map[string]byte, ctrs map[string]*Counter, gauges map[string]*Gauge, hists map[string]*Histogram, labels string) {
+func (r *Registry) instruments() (names []string, kinds map[string]byte, ctrs map[string]*Counter, gauges map[string]*Gauge, hists map[string]*Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names = append([]string(nil), r.order...)
-	return names, r.kinds, r.ctrs, r.gauges, r.hists, r.labels
+	return names, r.kinds, r.ctrs, r.gauges, r.hists
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
 // format (version 0.0.4): one # TYPE line per family, cumulative le
 // buckets plus _sum and _count for histograms.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	names, kinds, ctrs, gauges, hists, labels := r.instruments()
-	lbl := func(extra string) string {
-		switch {
-		case labels == "" && extra == "":
-			return ""
-		case labels == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + labels + "}"
-		}
-		return "{" + labels + "," + extra + "}"
-	}
+	names, kinds, ctrs, gauges, hists := r.instruments()
 	for _, name := range names {
 		switch kinds[name] {
 		case 'c':
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", name, name, lbl(""), ctrs[name].Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, ctrs[name].Value()); err != nil {
 				return err
 			}
 		case 'g':
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", name, name, lbl(""), gauges[name].Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, gauges[name].Value()); err != nil {
 				return err
 			}
 		case 'h':
@@ -261,12 +234,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					continue // sparse: emit only occupied buckets (+Inf always)
 				}
 				cum += counts[b]
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, lbl(fmt.Sprintf(`le="%d"`, bucketUpper(b))), cum); err != nil {
+				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, bucketUpper(b), cum); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %d\n%s_count%s %d\n",
-				name, lbl(`le="+Inf"`), total, name, lbl(""), sum, name, lbl(""), total); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+				name, total, name, sum, name, total); err != nil {
 				return err
 			}
 		}
@@ -285,8 +258,7 @@ func bucketUpper(b int) uint64 {
 }
 
 // Handler serves the given registries (Default() if none) concatenated as
-// one Prometheus text page. Give secondary registries distinct const
-// labels (SetConstLabels) if their names can collide.
+// one Prometheus text page.
 func Handler(regs ...*Registry) http.Handler {
 	if len(regs) == 0 {
 		regs = []*Registry{Default()}

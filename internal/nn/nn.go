@@ -161,57 +161,6 @@ func StaticRNN(g *dcf.Graph, cell *LSTMCell, inputs dcf.Tensor, T int, h0, c0 dc
 	return RNNResult{Outputs: dcf.Pack(outs...), FinalH: h, FinalC: cst}
 }
 
-// MultiLayerDynamicRNN stacks layers of LSTMs, optionally placing layer l
-// on devices[l] — the §6.4 model-parallel configuration where one loop is
-// partitioned across GPUs.
-func MultiLayerDynamicRNN(g *dcf.Graph, cells []*LSTMCell, inputs dcf.Tensor, batch int, devices []string, opts dcf.WhileOpts) RNNResult {
-	if opts.Name == "" {
-		opts.Name = "stacked_rnn"
-	}
-	dev := func(l int) string {
-		if l < len(devices) {
-			return devices[l]
-		}
-		return ""
-	}
-	inputTA := g.TensorArray(g.Int(0)).Unstack(inputs)
-	n := inputTA.Size()
-	outputTA := g.TensorArray(n)
-	inits := []dcf.Tensor{g.Int(0)}
-	for l, c := range cells {
-		g.WithDevice(dev(l), func() {
-			inits = append(inits,
-				g.Const(dcf.Zeros(batch, c.Units)),
-				g.Const(dcf.Zeros(batch, c.Units)))
-		})
-	}
-	inits = append(inits, outputTA.Flow())
-	outs := g.While(
-		inits,
-		func(v []dcf.Tensor) dcf.Tensor { return v[0].Less(n) },
-		func(v []dcf.Tensor) []dcf.Tensor {
-			i := v[0]
-			x := inputTA.Read(i)
-			next := []dcf.Tensor{i.Add(g.Int(1))}
-			for l, c := range cells {
-				h, cst := v[1+2*l], v[2+2*l]
-				g.WithDevice(dev(l), func() {
-					h, cst = c.Step(x, h, cst)
-				})
-				x = h
-				next = append(next, h, cst)
-			}
-			w := outputTA.WithFlow(v[len(v)-1]).Write(i, x)
-			next = append(next, w.Flow())
-			return next
-		},
-		opts,
-	)
-	stacked := outputTA.WithFlow(outs[len(outs)-1]).Stack()
-	last := len(cells)
-	return RNNResult{Outputs: stacked, FinalH: outs[1+2*(last-1)], FinalC: outs[2+2*(last-1)]}
-}
-
 // MoE is a sparsely gated mixture-of-experts layer (§2.2): a gating network
 // picks one expert per batch; only the selected expert's subgraph executes,
 // via in-graph conditionals — the conditional-computation pattern the paper

@@ -143,25 +143,6 @@ func TestLSTMTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestMultiLayerDynamicRNN(t *testing.T) {
-	const T, batch, in, units = 4, 2, 3, 3
-	g := dcf.NewGraph()
-	cells := []*LSTMCell{
-		NewLSTMCell(g, "l0", in, units, 1),
-		NewLSTMCell(g, "l1", units, units, 2),
-	}
-	x := g.Placeholder("x")
-	r := MultiLayerDynamicRNN(g, cells, x, batch, nil, dcf.WhileOpts{})
-	s := sess(t, g)
-	out, err := s.Run1(dcf.Feeds{"x": dcf.RandNormal(3, 0, 1, T, batch, in)}, r.Outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh := out.Shape(); sh[0] != T || sh[1] != batch || sh[2] != units {
-		t.Fatalf("shape %v", sh)
-	}
-}
-
 func TestMoEExecutesOnlySelectedExpert(t *testing.T) {
 	g := dcf.NewGraph()
 	m := NewMoE(g, "moe", 4, 3, 4, 7)
@@ -307,14 +288,14 @@ func TestEmbeddingLookupAndGradient(t *testing.T) {
 	// Rows 0,1,3 unused -> zero grads; row 2 used twice -> accumulated.
 	for _, row := range []int{0, 1, 3} {
 		for c := 0; c < 3; c++ {
-			if gr.At(row, c) != 0 {
+			if gr.F[row*gr.Dim(1)+c] != 0 {
 				t.Fatalf("unused row %d has gradient", row)
 			}
 		}
 	}
 	nonzero := false
 	for c := 0; c < 3; c++ {
-		if gr.At(2, c) != 0 {
+		if gr.F[2*gr.Dim(1)+c] != 0 {
 			nonzero = true
 		}
 	}

@@ -1,10 +1,16 @@
 package ops
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 // freshSample is one invocation of a Fresh op: tensors for its inputs (a
 // func, so every run gets its own) and the node attributes.
@@ -109,8 +115,8 @@ func freshSamples() map[string][]freshSample {
 // added, and the gauge (and the peak derived from it) drifts low.
 func TestFreshOutputsComeFromPool(t *testing.T) {
 	samples := freshSamples()
-	for _, name := range Names() {
-		def := MustGet(name)
+	for _, name := range slices.Sorted(maps.Keys(registry)) {
+		def := registry[name]
 		if !def.Fresh {
 			continue
 		}
@@ -122,7 +128,7 @@ func TestFreshOutputsComeFromPool(t *testing.T) {
 			// Once with borrowed inputs (nothing forwardable), once with
 			// pool-allocated inputs the kernel may take as its output.
 			for _, owned := range []bool{false, true} {
-				start := tensor.PoolLiveBytes()
+				start := poolLive.Value()
 				ctx := &KernelContext{OpName: name, NodeName: name, Attrs: s.attrs, Env: newFakeEnv()}
 				for i, in := range s.ins() {
 					if owned {
@@ -150,7 +156,7 @@ func TestFreshOutputsComeFromPool(t *testing.T) {
 						}
 					}
 				}
-				if got := tensor.PoolLiveBytes(); got != start {
+				if got := poolLive.Value(); got != start {
 					t.Errorf("%s sample %d (owned inputs %v): pool live bytes moved by %d", name, si, owned, got-start)
 				}
 			}

@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -70,15 +69,6 @@ func Get(name string) (*OpDef, error) {
 	return def, nil
 }
 
-// MustGet returns the op definition, panicking if unknown.
-func MustGet(name string) *OpDef {
-	def, err := Get(name)
-	if err != nil {
-		panic(err) // dcfvet:allow panicpath=Must* API, callers opt into the panic
-	}
-	return def
-}
-
 // OutputArity returns the number of outputs a node of this op with these
 // attributes produces.
 func OutputArity(name string, attrs map[string]any) (int, error) {
@@ -90,16 +80,4 @@ func OutputArity(name string, attrs map[string]any) (int, error) {
 		return def.VariableOutputs(attrs), nil
 	}
 	return def.NumOutputs, nil
-}
-
-// Names returns all registered op names, sorted (for docs/tests).
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

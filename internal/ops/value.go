@@ -24,9 +24,6 @@ func TensorVal(t *tensor.Tensor) Value { return Value{T: t} }
 // ResourceVal wraps a resource in a Value.
 func ResourceVal(r Resource) Value { return Value{R: r} }
 
-// IsTensor reports whether the value holds a tensor.
-func (v Value) IsTensor() bool { return v.T != nil }
-
 // String describes the value.
 func (v Value) String() string {
 	if v.T != nil {
@@ -84,13 +81,6 @@ func (r *Resources) Lookup(name string) (Resource, bool) {
 	return got, ok
 }
 
-// Delete removes a resource.
-func (r *Resources) Delete(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.m, name)
-}
-
 // Names returns the resource names (for tests/debugging).
 func (r *Resources) Names() []string {
 	r.mu.Lock()
@@ -107,8 +97,6 @@ func (r *Resources) Names() []string {
 // instantaneous transfers; simulated accelerators enforce a capacity and
 // charge transfer time on copy streams (see internal/device).
 type DeviceMem interface {
-	// MemName identifies the device for error messages.
-	MemName() string
 	// Allocate reserves bytes. A request that does not fit waits while
 	// a SwapOut is in flight and fails with an OOM error only when
 	// nothing is on its way out that could make room.

@@ -10,7 +10,7 @@ import (
 
 func run1(t *testing.T, b *core.Builder, out graph.Output) *tensor.Tensor {
 	t.Helper()
-	v, err := core.NewSession(b).Run1(nil, out)
+	v, err := fetch1(core.NewSession(b), nil, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFoldConstantChain(t *testing.T) {
 	if op := out.Node.Input(1).Node.Op(); op != "Const" {
 		t.Fatalf("consumer input is %s, want Const", op)
 	}
-	v, err := core.NewSession(b).Run1(map[string]*tensor.Tensor{"x": tensor.Scalar(1)}, out)
+	v, err := fetch1(core.NewSession(b), map[string]*tensor.Tensor{"x": tensor.Scalar(1)}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestFoldInsideLoopBodyIsSkipped(t *testing.T) {
 func TestCSEDeduplicates(t *testing.T) {
 	b := core.NewBuilder()
 	x := b.Placeholder("x")
-	a1 := b.Square(x)
-	a2 := b.Square(x) // identical
+	a1 := b.Op("Square", nil, x)
+	a2 := b.Op("Square", nil, x) // identical
 	out := b.Add(a1, a2)
 	st, err := CSE(b.G)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestCSEDeduplicates(t *testing.T) {
 	if out.Node.Input(0) != out.Node.Input(1) {
 		t.Fatal("consumers not rewired to one node")
 	}
-	v, err := core.NewSession(b).Run1(map[string]*tensor.Tensor{"x": tensor.Scalar(3)}, out)
+	v, err := fetch1(core.NewSession(b), map[string]*tensor.Tensor{"x": tensor.Scalar(3)}, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestOptimizePreservesGradientResults(t *testing.T) {
 		b := core.NewBuilder()
 		x := b.Placeholder("x")
 		w := b.Mul(b.Scalar(2), b.Scalar(3)) // foldable
-		y := b.ReduceSum(b.Mul(b.Square(x), w), nil, false)
+		y := b.ReduceSum(b.Mul(b.Op("Square", nil, x), w), nil, false)
 		return b, x, y
 	}
 	b1, _, y1 := build()
-	v1, err := core.NewSession(b1).Run1(map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, y1)
+	v1, err := fetch1(core.NewSession(b1), map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, y1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOptimizePreservesGradientResults(t *testing.T) {
 	if _, err := Optimize(b2.G); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := core.NewSession(b2).Run1(map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, y2)
+	v2, err := fetch1(core.NewSession(b2), map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2}, 2)}, y2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestOptimizeWholeLSTMGraphStaysCorrect(t *testing.T) {
 	}
 	feed := map[string]*tensor.Tensor{"x": tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2)}
 	b1, y1 := build()
-	v1, err := core.NewSession(b1).Run1(feed, y1)
+	v1, err := fetch1(core.NewSession(b1), feed, y1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestOptimizeWholeLSTMGraphStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := core.NewSession(b2).Run1(feed, y2)
+	v2, err := fetch1(core.NewSession(b2), feed, y2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestOptimizeFoldsTransposesIntoMatMul(t *testing.T) {
 	sess := core.NewSession(b)
 	var before []*tensor.Tensor
 	for _, o := range outs {
-		v, err := sess.Run1(feeds, o)
+		v, err := fetch1(sess, feeds, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestOptimizeFoldsTransposesIntoMatMul(t *testing.T) {
 	}
 	sess = core.NewSession(b)
 	for i, o := range outs {
-		v, err := sess.Run1(feeds, o)
+		v, err := fetch1(sess, feeds, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestFoldTransposesLeavesWhatItCannotRead(t *testing.T) {
 		"x": tensor.Ones(2, 3, 3), "w": tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2),
 		"h": tensor.FromFloats([]float64{.1, .2, .3, .4}, 2, 2),
 	}
-	want, err := core.NewSession(b).Run1(feeds, outs[1])
+	want, err := fetch1(core.NewSession(b), feeds, outs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +320,20 @@ func TestFoldTransposesLeavesWhatItCannotRead(t *testing.T) {
 	if batched.Node.Input(0).Node.Op() != "Transpose" {
 		t.Error("a perm (0,2,1) Transpose was folded")
 	}
-	got, err := core.NewSession(b).Run1(feeds, outs[1])
+	got, err := fetch1(core.NewSession(b), feeds, outs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(got, want) {
 		t.Errorf("loop result changed: %v, was %v", got, want)
 	}
+}
+
+// fetch1 runs the step that fetches one output.
+func fetch1(s *core.Session, feeds map[string]*tensor.Tensor, fetch graph.Output) (*tensor.Tensor, error) {
+	out, err := s.Run(feeds, []graph.Output{fetch}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

@@ -24,7 +24,7 @@ func TestPartitionInsertsSendRecvPairs(t *testing.T) {
 	b := core.NewBuilder()
 	var x, y graph.Output
 	b.WithDevice("d0", func() { x = b.Scalar(2) })
-	b.WithDevice("d1", func() { y = b.Square(x) })
+	b.WithDevice("d1", func() { y = b.Op("Square", nil, x) })
 	_ = y
 	res, err := Partition(b.G, b.G.Nodes(), nil)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestPartitionDeduplicatesPairs(t *testing.T) {
 	var x graph.Output
 	b.WithDevice("d0", func() { x = b.Scalar(2) })
 	b.WithDevice("d1", func() {
-		b.Add(b.Square(x), b.Neg(x))
+		b.Add(b.Op("Square", nil, x), b.Neg(x))
 	})
 	res, err := Partition(b.G, b.G.Nodes(), nil)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestPartitionKeysCarryWorker(t *testing.T) {
 	b := core.NewBuilder()
 	var x graph.Output
 	b.WithDevice("d0", func() { x = b.Scalar(2) })
-	b.WithDevice("d1", func() { b.Square(x) })
+	b.WithDevice("d1", func() { b.Op("Square", nil, x) })
 	workerOf := func(dev string) string { return "worker_" + dev }
 	res, err := Partition(b.G, b.G.Nodes(), workerOf)
 	if err != nil {

@@ -14,9 +14,13 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
+
+// poolLive is the buffer pool's live-bytes gauge, as /metrics exports it.
+var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 
 // frameSeeds is one token per wire shape: every dtype, a dead token with no
 // payload, and an empty tensor.
@@ -164,7 +168,7 @@ func TestFrameReadsOfAnySize(t *testing.T) {
 func TestFrameCutStreamFails(t *testing.T) {
 	frame := mustFrame(t, sendKey("wB", "cut"), liveTok(hop128K()))
 	body := len(frame) - 8*64*256
-	live0 := tensor.PoolLiveBytes()
+	live0 := poolLive.Value()
 	for i := 0; i < 128; i++ {
 		cut := body + i
 		if i >= 64 {
@@ -174,7 +178,7 @@ func TestFrameCutStreamFails(t *testing.T) {
 		if err == nil || bad != nil || tok.Val.T != nil {
 			t.Fatalf("stream cut %d bytes into the payload: token %+v, bad %v, err %v; want only err", cut-body, tok, bad, err)
 		}
-		if live := tensor.PoolLiveBytes(); live != live0 {
+		if live := poolLive.Value(); live != live0 {
 			t.Fatalf("stream cut %d bytes into the payload: pool live bytes %d, started at %d", cut-body, live, live0)
 		}
 	}
@@ -407,7 +411,7 @@ var racePoolAllocs float64
 func pingPong(t *testing.T, val func() *tensor.Tensor, maxAllocs float64) {
 	a, b := netPair(t)
 	keyAB, keyBA := sendKey("wB", "pp"), sendKey("wA", "pp")
-	live0 := tensor.PoolLiveBytes()
+	live0 := poolLive.Value()
 	sent0, bytes0, recv0, errs0 := metricFramesSent.Value(), metricBytesSent.Value(), metricFramesRecv.Value(), metricDecodeErrors.Value()
 	tok := exec.Token{Val: ops.TensorVal(val()), Owned: true}
 	want := tok.Val.T.Clone()
@@ -439,7 +443,7 @@ func pingPong(t *testing.T, val func() *tensor.Tensor, maxAllocs float64) {
 		t.Error("payload changed over 1000 hops")
 	}
 	tensor.Recycle(tok.Val.T)
-	if live := tensor.PoolLiveBytes(); live != live0 {
+	if live := poolLive.Value(); live != live0 {
 		t.Errorf("pool live bytes %d after the ping-pong, started at %d", live, live0)
 	}
 	const hops = 2 * (trips + 2) // AllocsPerRun adds one warm-up call

@@ -141,6 +141,7 @@ func (n *Net) AddPeer(worker, addr string) {
 // size-proportional delay, exactly as in the in-process Local. It applies to
 // scopes created after the call (tests set it on a worker's Net before any
 // step runs).
+// dcfvet:allow deadapi=latency and bandwidth hook that schedule-perturbation testing builds on; nothing a client sends reaches it
 func (n *Net) SetFabric(latency time.Duration, bandwidth float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -159,6 +160,7 @@ func (n *Net) SetFabric(latency time.Duration, bandwidth float64) {
 // given (seed, probs) config yields the same drop/reset decision sequence
 // on every run — fleet tests assert router behavior against it without
 // real process kills. Both probs zero disarms injection.
+// dcfvet:allow deadapi=fault-injection hook that schedule-perturbation testing builds on; nothing a client sends reaches it
 func (n *Net) SetFaults(seed int64, resetProb, dropProb float64) {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
@@ -535,9 +537,6 @@ type NetScope struct {
 	n    *Net
 	name string
 }
-
-// Name returns the scope name.
-func (s *NetScope) Name() string { return s.name }
 
 // Send publishes under the scoped key; if the destination is remote and
 // down, the dial retry aborts as soon as the scope does.

@@ -118,7 +118,7 @@ func TestEagerFlushWhenExecutorIdle(t *testing.T) {
 	if e := time.Since(start); e > time.Second {
 		t.Fatalf("lone request with an idle executor took %v; should flush immediately", e)
 	}
-	if out[0].At(0, 0) != 7 {
+	if out[0].F[0] != 7 {
 		t.Fatalf("wrong result %v", out[0])
 	}
 	if info.BatchRequests != 1 || info.BatchRows != 1 {
@@ -162,7 +162,7 @@ func TestFullBatchFlushUnderSaturation(t *testing.T) {
 		t.Fatalf("want the 4 queued requests in one size-triggered batch, got %v", batches)
 	}
 	for i, o := range outs {
-		if o == nil || o.Dim(0) != 1 || o.At(0, 0) != float64(i) {
+		if o == nil || o.Dim(0) != 1 || o.F[0] != float64(i) {
 			t.Fatalf("req %d got wrong slice back: %v", i, o)
 		}
 	}
@@ -243,7 +243,7 @@ func TestCancellationMidQueueDoesNotPoisonBatch(t *testing.T) {
 	if liveErr != nil {
 		t.Fatalf("neighbor poisoned by cancellation: %v", liveErr)
 	}
-	if liveOut.At(0, 0) != 2 {
+	if liveOut.F[0] != 2 {
 		t.Fatalf("neighbor got wrong rows back: %v", liveOut)
 	}
 	mu.Lock()
@@ -282,7 +282,7 @@ func TestMixedShapeBucketing(t *testing.T) {
 				t.Errorf("req %d: %v", i, err)
 				return
 			}
-			if res[0].Dim(1) != n || res[0].At(0, 0) != float64(i) {
+			if res[0].Dim(1) != n || res[0].F[0] != float64(i) {
 				t.Errorf("req %d: wrong slice %v", i, res[0])
 			}
 		}(i)
@@ -368,7 +368,7 @@ func TestFailureIsolationAcrossBatches(t *testing.T) {
 	// batches still succeed afterward.
 	poison := func(ctx context.Context, args []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		for i := 0; i < args[0].Dim(0); i++ {
-			if args[0].At(i, 0) < 0 {
+			if args[0].F[i*args[0].Dim(1)] < 0 {
 				return nil, fmt.Errorf("poison row")
 			}
 		}
@@ -384,7 +384,7 @@ func TestFailureIsolationAcrossBatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy batch after a failed one: %v", err)
 	}
-	if out[0].At(0, 0) != 3 {
+	if out[0].F[0] != 3 {
 		t.Fatalf("wrong result %v", out[0])
 	}
 	if s := b.Snapshot(); s.Errors != 1 {
@@ -419,7 +419,7 @@ func TestMultiRowRequestsAndSplit(t *testing.T) {
 			return
 		}
 		for r := 0; r < rows; r++ {
-			if out[0].At(r, 0) != base+float64(r) {
+			if out[0].F[r*out[0].Dim(1)] != base+float64(r) {
 				t.Errorf("rows=%d: row %d corrupted: %v", rows, r, out[0])
 				return
 			}

@@ -61,13 +61,6 @@ func New(name string, swap bool) *Res {
 // ResourceName implements ops.Resource.
 func (s *Res) ResourceName() string { return "stack/" + s.name }
 
-// Len returns the current depth.
-func (s *Res) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.elems)
-}
-
 // Push appends v, charging mem and possibly initiating an asynchronous
 // swap-out. It returns an OOM error if the device cannot hold the value.
 func (s *Res) Push(v ops.Value, mem ops.DeviceMem) error {

@@ -19,7 +19,6 @@ type memStub struct {
 	swapIns  int
 }
 
-func (m *memStub) MemName() string { return "stub" }
 func (m *memStub) Allocate(b int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -62,8 +61,8 @@ func TestPushPopLIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len %d", s.Len())
+	if len(s.elems) != 3 {
+		t.Fatalf("len %d", len(s.elems))
 	}
 	for i := 3; i >= 1; i-- {
 		v, err := s.Pop(nil)
@@ -181,7 +180,15 @@ func TestResourceName(t *testing.T) {
 // StackPop is the one process-wide scalar, still 0 after 1 000 of each — none
 // allocates a token, and nothing writes the shared one.
 func TestPushPopShareOneOrderToken(t *testing.T) {
-	push, pop := ops.MustGet("StackPush").Kernel, ops.MustGet("StackPop").Kernel
+	pushDef, err := ops.Get("StackPush")
+	if err != nil {
+		t.Fatal(err)
+	}
+	popDef, err := ops.Get("StackPop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	push, pop := pushDef.Kernel, popDef.Kernel
 	handle := ops.ResourceVal(New("s", false))
 	token := ops.TensorVal(tensor.ScalarInt(0))
 	for _, kernel := range []struct {

@@ -88,9 +88,9 @@ func onEachPath(f func(path string)) {
 // caller, who recycles it inside f.
 func leveled(t *testing.T, f func()) {
 	t.Helper()
-	start := PoolLiveBytes()
+	start := metricPoolLive.Value()
 	f()
-	if got := PoolLiveBytes(); got != start {
+	if got := metricPoolLive.Value(); got != start {
 		t.Fatalf("pool live bytes moved by %d: a kernel left a buffer checked out", got-start)
 	}
 }
@@ -281,9 +281,6 @@ func TestDifferentialBinaryInt(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := Cast(wantF, Int)
-		shape, _ := refBroadcastShapes(as, bs)
-		wantAdd := New(Int, shape...)
-		refZip(wantAdd.I, a.I, b.I, shape, as, bs, func(x, y int64) int64 { return x + y })
 		Recycle(af)
 		Recycle(bf)
 		leveled(t, func() {
@@ -292,12 +289,6 @@ func TestDifferentialBinaryInt(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, fmt.Sprintf("int Mul %v,%v", as, bs), got, want)
-			Recycle(got)
-			got, err = AddInt(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBits(t, fmt.Sprintf("AddInt %v,%v", as, bs), got, wantAdd)
 			Recycle(got)
 		})
 		Recycle(want)

@@ -17,6 +17,7 @@ var (
 
 // MatMul multiplies two rank-2 float tensors: [m,k] x [k,n] -> [m,n].
 // It also accepts batched rank-3 inputs [b,m,k] x [b,k,n] -> [b,m,n].
+// dcfvet:allow deadapi=benchmark/ times it for tensor.matmul_train_us and tensor.matmul_infer_us
 func MatMul(a, b *Tensor) (*Tensor, error) { return MatMulT(a, b, false, false) }
 
 // MatMulT is MatMul reading either operand transposed over its last two
@@ -180,38 +181,4 @@ func Transpose(t *Tensor, perm ...int) (*Tensor, error) {
 	w := newWalker(wbuf[:0], newShape, srcSt, nil)
 	gather(out, t, &w)
 	return out, nil
-}
-
-// MatVec multiplies [m,k] x [k] -> [m].
-func MatVec(a, v *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || v.Rank() != 1 || a.shape[1] != v.shape[0] {
-		return nil, fmt.Errorf("tensor: MatVec shapes %v x %v", a.shape, v.shape)
-	}
-	vm := v.MustReshape(v.shape[0], 1)
-	r, err := MatMul(a, vm)
-	Recycle(vm)
-	if err != nil {
-		return nil, err
-	}
-	return ReshapeInto(r, r, a.shape[:1])
-}
-
-// Dot computes the inner product of two equal-length vectors.
-func Dot(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 1 || b.Rank() != 1 || a.shape[0] != b.shape[0] {
-		return nil, fmt.Errorf("tensor: Dot shapes %v . %v", a.shape, b.shape)
-	}
-	var s float64
-	for i := range a.F {
-		s += a.F[i] * b.F[i]
-	}
-	return Scalar(s), nil
-}
-
-// OuterAddBias adds a bias vector [n] to each row of a matrix [m,n].
-func OuterAddBias(m, bias *Tensor) (*Tensor, error) {
-	if m.Rank() != 2 || bias.Rank() != 1 || m.shape[1] != bias.shape[0] {
-		return nil, fmt.Errorf("tensor: OuterAddBias shapes %v + %v", m.shape, bias.shape)
-	}
-	return Add(m, bias)
 }

@@ -228,9 +228,6 @@ func AddScaled(a, b *Tensor, scale float64) (*Tensor, error) {
 	return out, nil
 }
 
-// Sub returns a-b with broadcasting.
-func Sub(a, b *Tensor) (*Tensor, error) { return binaryFloat("Sub", a, b, opSub, nil) }
-
 // SubInto is Sub writing into dst when permitted.
 func SubInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Sub", dst, a, b, opSub, nil)
@@ -244,59 +241,29 @@ func MulInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Mul", dst, a, b, opMul, nil)
 }
 
-// Div returns a/b elementwise with broadcasting.
-func Div(a, b *Tensor) (*Tensor, error) { return binaryFloat("Div", a, b, opDiv, nil) }
-
 // DivInto is Div writing into dst when permitted.
 func DivInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Div", dst, a, b, opDiv, nil)
 }
-
-// Pow returns a**b elementwise with broadcasting.
-func Pow(a, b *Tensor) (*Tensor, error) { return binaryFloat("Pow", a, b, opFn, math.Pow) }
 
 // PowInto is Pow writing into dst when permitted.
 func PowInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Pow", dst, a, b, opFn, math.Pow)
 }
 
-// Maximum returns elementwise max with broadcasting.
-func Maximum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Maximum", a, b, opFn, math.Max) }
-
 // MaximumInto is Maximum writing into dst when permitted.
 func MaximumInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Maximum", dst, a, b, opFn, math.Max)
 }
-
-// Minimum returns elementwise min with broadcasting.
-func Minimum(a, b *Tensor) (*Tensor, error) { return binaryFloat("Minimum", a, b, opFn, math.Min) }
 
 // MinimumInto is Minimum writing into dst when permitted.
 func MinimumInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Minimum", dst, a, b, opFn, math.Min)
 }
 
-// Mod returns elementwise floating-point remainder with broadcasting.
-func Mod(a, b *Tensor) (*Tensor, error) { return binaryFloat("Mod", a, b, opFn, math.Mod) }
-
 // ModInto is Mod writing into dst when permitted.
 func ModInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Mod", dst, a, b, opFn, math.Mod)
-}
-
-// AddInt adds int tensors with broadcasting, staying in int64.
-func AddInt(a, b *Tensor) (*Tensor, error) {
-	if a.dtype != Int || b.dtype != Int {
-		return nil, fmt.Errorf("tensor: AddInt requires int operands")
-	}
-	var sbuf [walkInline]int
-	shape, err := broadcastShape(sbuf[:0], a.shape, b.shape)
-	if err != nil {
-		return nil, err
-	}
-	out := Alloc(Int, shape...)
-	zipBroadcast(out.I, a.I, b.I, shape, a.shape, b.shape, func(x, y int64) int64 { return x + y })
-	return out, nil
 }
 
 // unaryRun computes one elementwise unary op over in.
@@ -324,11 +291,6 @@ func unaryRun(op elemOp, fn func(float64) float64, out, in []float64) {
 			out[i] = fn(v)
 		}
 	}
-}
-
-// unaryFloat applies an elementwise unary op to a float tensor.
-func unaryFloat(name string, t *Tensor, op elemOp, fn func(float64) float64) (*Tensor, error) {
-	return unaryFloatInto(name, nil, t, op, fn)
 }
 
 // unaryFloatInto is unaryFloat writing into dst when dst aliases t (the
@@ -366,70 +328,40 @@ func signFn(x float64) float64 {
 	return 0
 }
 
-// Neg returns -t.
-func Neg(t *Tensor) (*Tensor, error) { return unaryFloat("Neg", t, opNeg, nil) }
-
 // NegInto is Neg writing into dst when permitted (dst may alias t).
 func NegInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Neg", dst, t, opNeg, nil) }
-
-// Abs returns |t|.
-func Abs(t *Tensor) (*Tensor, error) { return unaryFloat("Abs", t, opFn, math.Abs) }
 
 // AbsInto is Abs writing into dst when permitted.
 func AbsInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Abs", dst, t, opFn, math.Abs) }
 
-// Exp returns e**t elementwise.
-func Exp(t *Tensor) (*Tensor, error) { return unaryFloat("Exp", t, opFn, math.Exp) }
-
 // ExpInto is Exp writing into dst when permitted.
 func ExpInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Exp", dst, t, opFn, math.Exp) }
 
-// Log returns ln(t) elementwise.
-func Log(t *Tensor) (*Tensor, error) { return unaryFloat("Log", t, opFn, math.Log) }
-
 // LogInto is Log writing into dst when permitted.
 func LogInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Log", dst, t, opFn, math.Log) }
-
-// Sqrt returns sqrt(t) elementwise.
-func Sqrt(t *Tensor) (*Tensor, error) { return unaryFloat("Sqrt", t, opFn, math.Sqrt) }
 
 // SqrtInto is Sqrt writing into dst when permitted.
 func SqrtInto(dst, t *Tensor) (*Tensor, error) {
 	return unaryFloatInto("Sqrt", dst, t, opFn, math.Sqrt)
 }
 
-// Square returns t*t elementwise.
-func Square(t *Tensor) (*Tensor, error) { return unaryFloat("Square", t, opSquare, nil) }
-
 // SquareInto is Square writing into dst when permitted.
 func SquareInto(dst, t *Tensor) (*Tensor, error) {
 	return unaryFloatInto("Square", dst, t, opSquare, nil)
 }
-
-// Sigmoid returns 1/(1+e^-t) elementwise.
-func Sigmoid(t *Tensor) (*Tensor, error) { return unaryFloat("Sigmoid", t, opFn, sigFn) }
 
 // SigmoidInto is Sigmoid writing into dst when permitted.
 func SigmoidInto(dst, t *Tensor) (*Tensor, error) {
 	return unaryFloatInto("Sigmoid", dst, t, opFn, sigFn)
 }
 
-// Tanh returns tanh(t) elementwise.
-func Tanh(t *Tensor) (*Tensor, error) { return unaryFloat("Tanh", t, opFn, math.Tanh) }
-
 // TanhInto is Tanh writing into dst when permitted.
 func TanhInto(dst, t *Tensor) (*Tensor, error) {
 	return unaryFloatInto("Tanh", dst, t, opFn, math.Tanh)
 }
 
-// Relu returns max(t, 0) elementwise.
-func Relu(t *Tensor) (*Tensor, error) { return unaryFloat("Relu", t, opRelu, nil) }
-
 // ReluInto is Relu writing into dst when permitted.
 func ReluInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Relu", dst, t, opRelu, nil) }
-
-// Sign returns -1, 0, or 1 elementwise.
-func Sign(t *Tensor) (*Tensor, error) { return unaryFloat("Sign", t, opFn, signFn) }
 
 // SignInto is Sign writing into dst when permitted.
 func SignInto(dst, t *Tensor) (*Tensor, error) { return unaryFloatInto("Sign", dst, t, opFn, signFn) }

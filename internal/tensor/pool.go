@@ -40,17 +40,15 @@ func elemBytes(dtype DType) int64 {
 	return 8 // float64 / int64
 }
 
-// PoolLiveBytes reports the pool's outstanding payload bytes (Alloc minus
-// Recycle since process start or the last ResetPoolWater).
-func PoolLiveBytes() int64 { return metricPoolLive.Value() }
-
-// PoolPeakBytes reports the high-water mark of PoolLiveBytes.
+// PoolPeakBytes reports the high-water mark of the pool's live payload bytes.
+// dcfvet:allow deadapi=benchmark/ reads it for tensor.pool_peak_bytes
 func PoolPeakBytes() int64 { return metricPoolPeak.Value() }
 
 // ResetPoolWater zeroes the live/peak payload accounting. Tests bracket a
 // measured region with it; buffers allocated before the reset that are
 // recycled inside the region drive the live gauge negative, which only
 // lowers the observed peak (the conservative direction for bound checks).
+// dcfvet:allow deadapi=benchmark/ brackets its tensor.pool_peak_bytes probe with it
 func ResetPoolWater() {
 	metricPoolLive.Set(0)
 	metricPoolPeak.Set(0)

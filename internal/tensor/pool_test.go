@@ -128,7 +128,7 @@ func BenchmarkTensorNewGC(b *testing.B) {
 }
 
 func TestShrinkRowsKeepsClassAndBalancesGauge(t *testing.T) {
-	start := PoolLiveBytes()
+	start := metricPoolLive.Value()
 	a := Alloc(Float, 32, 8)
 	for i := range a.F {
 		a.F[i] = float64(i)
@@ -137,11 +137,11 @@ func TestShrinkRowsKeepsClassAndBalancesGauge(t *testing.T) {
 	if !ShapeEq(a.ShapeRef(), []int{5, 8}) || len(a.F) != 40 || cap(a.F) != 256 || a.F[39] != 39 {
 		t.Fatalf("shrunk to shape %v len %d cap %d", a.ShapeRef(), len(a.F), cap(a.F))
 	}
-	if live := PoolLiveBytes() - start; live != 5*8*8 {
+	if live := metricPoolLive.Value() - start; live != 5*8*8 {
 		t.Fatalf("live gauge holds %d bytes for a [5,8] float tensor", live)
 	}
 	Recycle(a)
-	if live := PoolLiveBytes() - start; live != 0 {
+	if live := metricPoolLive.Value() - start; live != 0 {
 		t.Fatalf("Alloc → ShrinkRows → Recycle left the gauge at %+d", live)
 	}
 	ShrinkRows(Alloc(Float, 0, 8), 0) // zero rows of capacity is not a division by zero

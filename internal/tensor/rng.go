@@ -40,14 +40,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0,n).
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("tensor: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // NormFloat64 returns a standard normal sample (Box–Muller).
 func (r *RNG) NormFloat64() float64 {
 	u1 := r.Float64()

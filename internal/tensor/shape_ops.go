@@ -312,6 +312,7 @@ func BroadcastTo(t *Tensor, shape []int) (*Tensor, error) {
 
 // UnbroadcastTo reduces (sums) g down to shape, inverting an implicit
 // broadcast — the standard gradient helper for broadcasting binary ops.
+// dcfvet:allow deadapi=benchmark/ times it for tensor.unbroadcast_us
 func UnbroadcastTo(g *Tensor, shape []int) (*Tensor, error) {
 	return UnbroadcastInto(nil, g, shape)
 }

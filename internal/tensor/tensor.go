@@ -276,15 +276,6 @@ func Full(v float64, shape ...int) *Tensor {
 	return t
 }
 
-// FullInt returns an int tensor filled with v.
-func FullInt(v int64, shape ...int) *Tensor {
-	t := New(Int, shape...)
-	for i := range t.I {
-		t.I[i] = v
-	}
-	return t
-}
-
 // ZerosLike returns a zero tensor with t's dtype and shape. Bool tensors get
 // all-false; string tensors get empty strings.
 func ZerosLike(t *Tensor) *Tensor { return New(t.dtype, t.shape...) }
@@ -434,42 +425,6 @@ func ReshapeInto(dst, t *Tensor, shape []int) (*Tensor, error) {
 	}
 	return out, nil
 }
-
-// MustReshape is Reshape, panicking on error (for statically-valid shapes).
-func (t *Tensor) MustReshape(shape ...int) *Tensor {
-	out, err := t.Reshape(shape...)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// offset converts multi-dim index to flat offset.
-func (t *Tensor) offset(idx ...int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d vs shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, ix := range idx {
-		if ix < 0 || ix >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + ix
-	}
-	return off
-}
-
-// At returns the float element at idx.
-func (t *Tensor) At(idx ...int) float64 { return t.F[t.offset(idx...)] }
-
-// SetAt sets the float element at idx.
-func (t *Tensor) SetAt(v float64, idx ...int) { t.F[t.offset(idx...)] = v }
-
-// IntAt returns the int element at idx.
-func (t *Tensor) IntAt(idx ...int) int64 { return t.I[t.offset(idx...)] }
-
-// BoolAt returns the bool element at idx.
-func (t *Tensor) BoolAt(idx ...int) bool { return t.B[t.offset(idx...)] }
 
 // ScalarValue returns the single float value of a size-1 tensor.
 func (t *Tensor) ScalarValue() float64 {

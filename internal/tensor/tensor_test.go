@@ -41,17 +41,6 @@ func TestFromFloatsPanicsOnBadShape(t *testing.T) {
 	FromFloats([]float64{1, 2, 3}, 2, 2)
 }
 
-func TestAtSetAt(t *testing.T) {
-	x := Zeros(2, 3)
-	x.SetAt(5, 1, 2)
-	if x.At(1, 2) != 5 {
-		t.Fatal("At/SetAt roundtrip")
-	}
-	if x.F[5] != 5 {
-		t.Fatal("row-major layout")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	x := FromFloats([]float64{1, 2}, 2)
 	y := x.Clone()
@@ -120,10 +109,10 @@ func TestBroadcastSingleElement(t *testing.T) {
 		got  func() (*Tensor, error)
 		want *Tensor
 	}{
-		{"matrix-scalar", func() (*Tensor, error) { return Sub(m(), Scalar(2)) }, FromFloats([]float64{-1, 0, 1, 2, 3, 4}, 2, 3)},
-		{"scalar-matrix", func() (*Tensor, error) { return Sub(Scalar(2), m()) }, FromFloats([]float64{1, 0, -1, -2, -3, -4}, 2, 3)},
-		{"matrix/[1,1,1]", func() (*Tensor, error) { return Div(m(), one) }, FromFloats([]float64{0.5, 1, 1.5, 2, 2.5, 3}, 1, 2, 3)},
-		{"[1,1,1]/scalar", func() (*Tensor, error) { return Div(one, Scalar(4)) }, FromFloats([]float64{0.5}, 1, 1, 1)},
+		{"matrix-scalar", func() (*Tensor, error) { return SubInto(nil, m(), Scalar(2)) }, FromFloats([]float64{-1, 0, 1, 2, 3, 4}, 2, 3)},
+		{"scalar-matrix", func() (*Tensor, error) { return SubInto(nil, Scalar(2), m()) }, FromFloats([]float64{1, 0, -1, -2, -3, -4}, 2, 3)},
+		{"matrix/[1,1,1]", func() (*Tensor, error) { return DivInto(nil, m(), one) }, FromFloats([]float64{0.5, 1, 1.5, 2, 2.5, 3}, 1, 2, 3)},
+		{"[1,1,1]/scalar", func() (*Tensor, error) { return DivInto(nil, one, Scalar(4)) }, FromFloats([]float64{0.5}, 1, 1, 1)},
 		{"empty*scalar", func() (*Tensor, error) { return Mul(Zeros(0, 3), Scalar(2)) }, Zeros(0, 3)},
 		{"in place", func() (*Tensor, error) { a := m(); return MulInto(a, a, Scalar(2)) }, FromFloats([]float64{2, 4, 6, 8, 10, 12}, 2, 3)},
 	}
@@ -169,55 +158,51 @@ func TestIntArithmetic(t *testing.T) {
 	if c.DType() != Int || c.I[0] != 11 || c.I[1] != 22 {
 		t.Fatalf("int add got %v", c)
 	}
-	d, err := AddInt(a, b)
-	if err != nil || d.I[1] != 22 {
-		t.Fatalf("AddInt got %v err %v", d, err)
-	}
 }
 
 func TestSubMulDivPow(t *testing.T) {
 	a := FromFloats([]float64{4, 9}, 2)
 	b := FromFloats([]float64{2, 3}, 2)
-	if r, _ := Sub(a, b); !Equal(r, FromFloats([]float64{2, 6}, 2)) {
+	if r, _ := SubInto(nil, a, b); !Equal(r, FromFloats([]float64{2, 6}, 2)) {
 		t.Fatal("Sub")
 	}
 	if r, _ := Mul(a, b); !Equal(r, FromFloats([]float64{8, 27}, 2)) {
 		t.Fatal("Mul")
 	}
-	if r, _ := Div(a, b); !Equal(r, FromFloats([]float64{2, 3}, 2)) {
+	if r, _ := DivInto(nil, a, b); !Equal(r, FromFloats([]float64{2, 3}, 2)) {
 		t.Fatal("Div")
 	}
-	if r, _ := Pow(a, b); !Equal(r, FromFloats([]float64{16, 729}, 2)) {
+	if r, _ := PowInto(nil, a, b); !Equal(r, FromFloats([]float64{16, 729}, 2)) {
 		t.Fatal("Pow")
 	}
 }
 
 func TestUnaryOps(t *testing.T) {
 	x := FromFloats([]float64{-1, 0, 2}, 3)
-	if r, _ := Neg(x); !Equal(r, FromFloats([]float64{1, 0, -2}, 3)) {
+	if r, _ := NegInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, -2}, 3)) {
 		t.Fatal("Neg")
 	}
-	if r, _ := Abs(x); !Equal(r, FromFloats([]float64{1, 0, 2}, 3)) {
+	if r, _ := AbsInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, 2}, 3)) {
 		t.Fatal("Abs")
 	}
-	if r, _ := Relu(x); !Equal(r, FromFloats([]float64{0, 0, 2}, 3)) {
+	if r, _ := ReluInto(nil, x); !Equal(r, FromFloats([]float64{0, 0, 2}, 3)) {
 		t.Fatal("Relu")
 	}
-	if r, _ := Sign(x); !Equal(r, FromFloats([]float64{-1, 0, 1}, 3)) {
+	if r, _ := SignInto(nil, x); !Equal(r, FromFloats([]float64{-1, 0, 1}, 3)) {
 		t.Fatal("Sign")
 	}
-	if r, _ := Square(x); !Equal(r, FromFloats([]float64{1, 0, 4}, 3)) {
+	if r, _ := SquareInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, 4}, 3)) {
 		t.Fatal("Square")
 	}
 }
 
 func TestSigmoidTanhRange(t *testing.T) {
 	x := FromFloats([]float64{-100, 0, 100}, 3)
-	s, _ := Sigmoid(x)
+	s, _ := SigmoidInto(nil, x)
 	if s.F[0] > 1e-10 || s.F[1] != 0.5 || s.F[2] < 1-1e-10 {
 		t.Fatalf("Sigmoid got %v", s)
 	}
-	th, _ := Tanh(x)
+	th, _ := TanhInto(nil, x)
 	if th.F[0] != -1 || th.F[1] != 0 || th.F[2] != 1 {
 		t.Fatalf("Tanh got %v", th)
 	}
@@ -331,7 +316,7 @@ func TestTranspose(t *testing.T) {
 
 func TestTransposePerm(t *testing.T) {
 	a := Arange(0, 24)
-	a3 := a.MustReshape(2, 3, 4)
+	a3, _ := a.Reshape(2, 3, 4)
 	p, err := Transpose(a3, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +325,7 @@ func TestTransposePerm(t *testing.T) {
 		t.Fatalf("shape %v", p.Shape())
 	}
 	// element (i,j,k) of p equals element (j,k,i) of a3
-	if p.IntAt(1, 0, 2) != a3.IntAt(0, 2, 1) {
+	if p.I[1*6+0*3+2] != a3.I[0*12+2*4+1] {
 		t.Fatal("perm values wrong")
 	}
 }
@@ -420,7 +405,7 @@ func TestConcatSplit(t *testing.T) {
 	if err != nil || !ShapeEq(c0.Shape(), []int{4, 2}) {
 		t.Fatalf("concat0 %v err %v", c0, err)
 	}
-	if c0.At(2, 0) != 5 {
+	if c0.F[2*2+0] != 5 {
 		t.Fatal("concat0 values")
 	}
 	c1, err := Concat(1, a, b)
@@ -476,15 +461,15 @@ func TestScatterAddRows(t *testing.T) {
 	if err := ScatterAddRows(dst, ix, up); err != nil {
 		t.Fatal(err)
 	}
-	if dst.At(1, 0) != 11 || dst.At(1, 1) != 22 || dst.At(0, 0) != 0 {
+	if dst.F[2] != 11 || dst.F[3] != 22 || dst.F[0] != 0 {
 		t.Fatalf("got %v", dst)
 	}
 }
 
 func TestSliceRows(t *testing.T) {
-	a := Arange(0, 6).MustReshape(3, 2)
+	a, _ := Arange(0, 6).Reshape(3, 2)
 	s, err := SliceRows(a, 1, 2)
-	if err != nil || !ShapeEq(s.Shape(), []int{2, 2}) || s.IntAt(0, 0) != 2 {
+	if err != nil || !ShapeEq(s.Shape(), []int{2, 2}) || s.I[0] != 2 {
 		t.Fatalf("SliceRows got %v err %v", s, err)
 	}
 	if _, err := SliceRows(a, 2, 2); err == nil {
@@ -561,7 +546,7 @@ func TestBroadcastToUnbroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.At(1, 2) != 3 {
+	if b.F[1*3+2] != 3 {
 		t.Fatalf("BroadcastTo got %v", b)
 	}
 	back, err := UnbroadcastTo(b, []int{3})

@@ -92,13 +92,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // Streams returns the distinct stream names, sorted.
 func (t *Tracer) Streams() []string {
 	seen := map[string]bool{}
@@ -119,39 +112,6 @@ func (t *Tracer) BusyTime() map[string]time.Duration {
 	for _, e := range t.snapshot() {
 		out[e.Stream] += e.End - e.Start
 	}
-	return out
-}
-
-// OpTime is one row of ByOp: what a step spent in one graph op type.
-type OpTime struct {
-	Op    string        // Event.Op; "" gathers plain kernel events (Record)
-	Count int           // executions
-	Total time.Duration // summed span time
-}
-
-// ByOp sums span time and executions per Event.Op — where a step's time
-// went, by op type — sorted by descending total (ties by name). Spans on
-// different workers overlap in wall-clock time, so the totals add up to busy
-// time, not to the step's duration.
-func (t *Tracer) ByOp() []OpTime {
-	at := map[string]int{}
-	var out []OpTime
-	for _, e := range t.snapshot() {
-		i, ok := at[e.Op]
-		if !ok {
-			i = len(out)
-			at[e.Op] = i
-			out = append(out, OpTime{Op: e.Op})
-		}
-		out[i].Count++
-		out[i].Total += e.End - e.Start
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Op < out[j].Op
-	})
 	return out
 }
 

@@ -45,37 +45,6 @@ func TestBusyTime(t *testing.T) {
 	}
 }
 
-func TestByOp(t *testing.T) {
-	tr := New()
-	base := time.Now()
-	span := func(op string, from, to time.Duration) {
-		tr.RecordSpan(Event{Stream: "cpu", Name: op + "_node", Op: op}, base.Add(from), base.Add(to))
-	}
-	span("MatMul", 0, 5*time.Millisecond)
-	span("Add", 5*time.Millisecond, 6*time.Millisecond)
-	span("MatMul", 6*time.Millisecond, 9*time.Millisecond)
-	span("Tanh", 9*time.Millisecond, 10*time.Millisecond)
-	tr.Record("d2h", "swap_out", base, base.Add(2*time.Millisecond)) // a plain event: no op
-	want := []OpTime{
-		{"MatMul", 2, 8 * time.Millisecond},
-		{"", 1, 2 * time.Millisecond},
-		{"Add", 1, time.Millisecond}, // ties order by name
-		{"Tanh", 1, time.Millisecond},
-	}
-	got := tr.ByOp()
-	if len(got) != len(want) {
-		t.Fatalf("ByOp = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if rows := New().ByOp(); len(rows) != 0 {
-		t.Errorf("empty tracer: %v", rows)
-	}
-}
-
 func TestOverlapTime(t *testing.T) {
 	tr := New()
 	recordSeq(tr)

@@ -84,13 +84,6 @@ type EdgeMem struct {
 	Window int
 }
 
-// Bound resolves the symbolic factors: rows is the runtime product of the
-// unknown dimensions (batch size for a [-1, d] placeholder), iters the
-// loop trip count. Either may be 0 when the graph has no such symbol.
-func (m *MemEstimate) Bound(rows, iters int64) int64 {
-	return m.FixedBytes + rows*m.PerRowBytes + iters*m.PerIterBytes + rows*iters*m.PerRowIterBytes
-}
-
 // Finite reports whether the bound is fully static: no symbolic per-row or
 // per-iteration component survives shape inference.
 func (m *MemEstimate) Finite() bool {
@@ -112,8 +105,8 @@ func (m *MemEstimate) String() string {
 }
 
 // EstimateMemory runs Check on one node set (opts selects it exactly as for
-// Check; fetched outputs are kept live to the end of the step) and the
-// liveness analysis over the facts it inferred. A graph that fails
+// Check) and the liveness analysis over the facts it inferred; a fetched
+// value counts until its last consumer, like any other. A graph that fails
 // structurally (a cycle outside NextIteration) returns a nil estimate with
 // the diagnostics; Check's other diagnostics ride along without blocking
 // estimation.
@@ -167,13 +160,6 @@ func (m *memAnalyzer) run() *MemEstimate {
 		anc[i] = b
 	}
 
-	fetched := map[graph.Output]bool{}
-	for _, f := range c.opts.Fetches {
-		if f.Node != nil {
-			fetched[graph.Output{Node: f.Node, Index: f.Index}] = true
-		}
-	}
-
 	// Edge list: every produced output with its consumer set.
 	type edge struct {
 		out       graph.Output
@@ -181,7 +167,6 @@ func (m *memAnalyzer) run() *MemEstimate {
 		window    int64
 		producer  int   // topo index
 		consumers []int // topo indices, deduped
-		fetched   bool
 	}
 	var edges []edge
 	consumersOf := map[graph.Output]map[int]bool{}
@@ -214,7 +199,7 @@ func (m *memAnalyzer) run() *MemEstimate {
 			sort.Ints(cons)
 			edges = append(edges, edge{
 				out: out, cost: co, window: m.windowProd(n),
-				producer: i, consumers: cons, fetched: fetched[out],
+				producer: i, consumers: cons,
 			})
 		}
 	}
@@ -272,7 +257,7 @@ func (m *memAnalyzer) run() *MemEstimate {
 	for i, n := range c.order {
 		var fixed, perRow int64
 		for _, e := range edges {
-			if !m.liveAt(e.producer, e.consumers, e.fetched, i, anc) {
+			if !m.liveAt(e.producer, e.consumers, i, anc) {
 				continue
 			}
 			b := e.cost.bytes * e.window
@@ -312,7 +297,7 @@ func (m *memAnalyzer) run() *MemEstimate {
 			est.PeakFrame = f.name
 		}
 		for _, e := range edges {
-			if !m.liveAt(e.producer, e.consumers, e.fetched, peakIdx, anc) {
+			if !m.liveAt(e.producer, e.consumers, peakIdx, anc) {
 				continue
 			}
 			em := EdgeMem{
@@ -339,15 +324,12 @@ func (m *memAnalyzer) run() *MemEstimate {
 
 // liveAt decides whether the edge produced at topo index p with the given
 // consumer indices can be resident while node n executes.
-func (m *memAnalyzer) liveAt(p int, consumers []int, fetched bool, n int, anc []bitset) bool {
+func (m *memAnalyzer) liveAt(p int, consumers []int, n int, anc []bitset) bool {
 	if p == n {
 		return true // being produced right now
 	}
 	if anc[p].has(n) {
 		return false // producer strictly after n: not yet produced
-	}
-	if fetched {
-		return true // pinned to the end of the step
 	}
 	if len(consumers) == 0 {
 		return false // dropped immediately after production

@@ -16,12 +16,9 @@
 //     NextIteration back edges stay within their frame, Exit leaves one,
 //     and (whole programs only) every frame has a firable Exit
 //   - liveness: a can-fire fixpoint over the dataflow relation finds Merge
-//     inputs that can never produce a token and fetches/targets that can
-//     never complete
+//     inputs that can never produce a token
 //   - types: dtype inference and shape propagation along edges, with
 //     -1/unknown joins; only definite conflicts are reported (see infer.go)
-//   - run signature: fetches/feeds/targets must reference existing nodes,
-//     valid ports, and (feeds) Placeholder ops
 //   - communication: Send/Recv rendezvous keys pair exactly once in a
 //     complete program, never collide in a partial one, and the
 //     cross-partition dependency relation is acyclic (see sendrecv.go)
@@ -101,12 +98,6 @@ type Options struct {
 	// The subset must be closed under data and control edges.
 	Nodes []*graph.Node
 
-	// Fetches, Targets, and Feeds are the run signature to validate against
-	// the graph (all optional).
-	Fetches []graph.Output
-	Targets []*graph.Node
-	Feeds   []string
-
 	// Complete marks the node set as a whole program: every frame must
 	// have a firable Exit and every Send/Recv key must pair within the
 	// set. A single worker's slice of a partitioned program sets it false
@@ -137,7 +128,6 @@ func check(g *graph.Graph, opts Options) (*checker, bool) {
 	if !ok {
 		// Everything below needs a topological order; the cycle diagnostic
 		// has already been recorded.
-		c.checkSignature()
 		sortDiags(c.diags)
 		return c, false
 	}
@@ -146,7 +136,6 @@ func check(g *graph.Graph, opts Options) (*checker, bool) {
 	c.checkFrames()
 	c.checkLiveness()
 	c.inferTypes()
-	c.checkSignature()
 	c.checkSendRecv()
 	sortDiags(c.diags)
 	return c, true
@@ -187,8 +176,6 @@ type checker struct {
 	// frames maps node id -> frame (nil = root).
 	frameOf map[int]*frameInfo
 	byName  map[string]*frameInfo
-	// fire maps node id -> "can ever produce a token" (see checkLiveness).
-	fire map[int]bool
 
 	// Inference state (see infer.go): what is known about every node
 	// reached, by node id; the joined element type of every tensor array,
@@ -536,18 +523,18 @@ func (c *checker) checkFrames() {
 // can ever deliver tokens (Merge needs any one data input; NextIteration
 // propagates within the loop; Recv tokens arrive from outside the analyzed
 // set). A Merge input that can never fire means the graph wired a dead
-// branch into a loop; a fetch that cannot fire hangs its step forever.
+// branch into a loop.
 func (c *checker) checkLiveness() {
-	c.fire = make(map[int]bool, len(c.nodes))
+	fire := make(map[int]bool, len(c.nodes))
 	for changed := true; changed; {
 		changed = false
 		for _, n := range c.order {
-			if c.fire[n.ID()] {
+			if fire[n.ID()] {
 				continue
 			}
 			ok := true
 			for _, ctl := range n.ControlInputsRef() {
-				if !c.fire[ctl.ID()] {
+				if !fire[ctl.ID()] {
 					ok = false
 					break
 				}
@@ -557,7 +544,7 @@ func (c *checker) checkLiveness() {
 				case "Merge":
 					any := false
 					for _, in := range n.InputsRef() {
-						if c.fire[in.Node.ID()] {
+						if fire[in.Node.ID()] {
 							any = true
 							break
 						}
@@ -568,7 +555,7 @@ func (c *checker) checkLiveness() {
 					// checked separately.
 				default:
 					for _, in := range n.InputsRef() {
-						if !c.fire[in.Node.ID()] {
+						if !fire[in.Node.ID()] {
 							ok = false
 							break
 						}
@@ -576,7 +563,7 @@ func (c *checker) checkLiveness() {
 				}
 			}
 			if ok {
-				c.fire[n.ID()] = true
+				fire[n.ID()] = true
 				changed = true
 			}
 		}
@@ -586,58 +573,9 @@ func (c *checker) checkLiveness() {
 			continue
 		}
 		for i, in := range n.InputsRef() {
-			if !c.fire[in.Node.ID()] {
+			if !fire[in.Node.ID()] {
 				c.addf(n, i, "merge-dead-input", "input %s can never produce a token", in)
 			}
-		}
-	}
-}
-
-// checkSignature validates the run signature (fetches, targets, feeds)
-// against the graph.
-func (c *checker) checkSignature() {
-	for i, f := range c.opts.Fetches {
-		if f.Node == nil {
-			c.diags = append(c.diags, Diagnostic{Port: i, Code: "fetch-nil",
-				Msg: fmt.Sprintf("fetch %d references no node", i)})
-			continue
-		}
-		if f.Node.Graph() != c.g {
-			c.addf(f.Node, -1, "fetch-foreign", "fetch %d belongs to a different graph", i)
-			continue
-		}
-		if !f.Valid() {
-			c.addf(f.Node, f.Index, "fetch-invalid-port", "fetch %d references output %d of an op with %d output(s)",
-				i, f.Index, f.Node.NumOutputs())
-			continue
-		}
-		if c.fire != nil && c.inSet[f.Node.ID()] && !c.fire[f.Node.ID()] {
-			c.addf(f.Node, f.Index, "fetch-dead", "fetch %d can never produce a value; the step would hang", i)
-		}
-	}
-	for i, t := range c.opts.Targets {
-		if t == nil {
-			c.diags = append(c.diags, Diagnostic{Port: i, Code: "target-nil",
-				Msg: fmt.Sprintf("target %d references no node", i)})
-			continue
-		}
-		if t.Graph() != c.g {
-			c.addf(t, -1, "target-foreign", "target %d belongs to a different graph", i)
-			continue
-		}
-		if c.fire != nil && c.inSet[t.ID()] && !c.fire[t.ID()] {
-			c.addf(t, -1, "target-dead", "target %d can never execute; the step would hang", i)
-		}
-	}
-	for _, name := range c.opts.Feeds {
-		n := c.g.ByName(name)
-		if n == nil {
-			c.diags = append(c.diags, Diagnostic{Node: name, Port: -1, Code: "feed-missing",
-				Msg: fmt.Sprintf("feed %q does not name a node in the graph", name)})
-			continue
-		}
-		if n.Op() != "Placeholder" {
-			c.addf(n, -1, "feed-not-placeholder", "feed %q is a %s node; only Placeholder may be fed", name, n.Op())
 		}
 	}
 }

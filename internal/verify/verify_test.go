@@ -157,38 +157,6 @@ func illFixtures() []illFormed {
 			},
 		},
 		{
-			name: "fetch that can never produce a value", wantCode: "fetch-dead", wantNode: "m", wantPort: -2,
-			build: func(b *gb, opts *verify.Options) {
-				c := b.constF("c", []float64{1})
-				m := b.node("Merge", "m", 1, nil, c.Out(0))
-				ni := b.node("NextIteration", "ni", 1, nil, m.Out(0))
-				m.ReplaceInput(0, ni.Out(0))
-				opts.Fetches = []graph.Output{m.Out(0)}
-			},
-		},
-		{
-			name: "feed naming a missing node", wantCode: "feed-missing", wantPort: -2,
-			build: func(b *gb, opts *verify.Options) {
-				b.constF("c", []float64{1})
-				opts.Feeds = []string{"no_such_node"}
-			},
-		},
-		{
-			name: "feed naming a non-placeholder", wantCode: "feed-not-placeholder", wantNode: "c", wantPort: -2,
-			build: func(b *gb, opts *verify.Options) {
-				b.constF("c", []float64{1})
-				opts.Feeds = []string{"c"}
-			},
-		},
-		{
-			name: "fetch of a nonexistent output port", wantCode: "fetch-invalid-port", wantNode: "add", wantPort: 1,
-			build: func(b *gb, opts *verify.Options) {
-				c := b.constF("c", []float64{1})
-				add := b.node("Add", "add", 1, nil, c.Out(0), c.Out(0))
-				opts.Fetches = []graph.Output{{Node: add, Index: 1}}
-			},
-		},
-		{
 			name: "switch predicate is not a bool", wantCode: "switch-pred-dtype", wantNode: "sw", wantPort: 1,
 			build: func(b *gb, opts *verify.Options) {
 				d := b.constF("d", []float64{1})
