@@ -19,9 +19,9 @@ func TestAnalyzeHeadlines(t *testing.T) {
 		{"loop", false, "peak 31816 B", 0},
 		{"loop", true, "peak 102624 B + 128 B/iter", 0},
 		{"cond", false, "peak 3076 B", 0},
-		{"cond", true, "peak 7724 B", 0},
+		{"cond", true, "peak 6188 B", 0},
 		{"rnn", false, "peak 1239160 B", 4608},
-		{"rnn", true, "peak 6184864 B + 13072 B/iter", 7680},
+		{"rnn", true, "peak 5939104 B + 13072 B/iter", 7680},
 	} {
 		g, err := buildModel(c.model, c.grad)
 		if err != nil {

@@ -124,7 +124,7 @@ func TestDispatchCounts(t *testing.T) {
 		bytesMax, objectsMax, missesMax, gaugeGrowth int64
 		heapSetBy                                    string
 	}{
-		{"rnn_train step", func() { rnn.step() }, 40, 2924, 0, 12, "PR 29 (0 handed off quiet, 1 under a parallel go test ./...; ceiling 100 before it, 974 handed off before PR 22)",
+		{"rnn_train step", func() { rnn.step() }, 40, 2729, 0, 12, "the one-node Sigmoid and Tanh gradients (2 924 nodes when each was four) and the kernel hand-off by cost (0 handed off quiet, 1 under a parallel go test ./...; ceiling 100 before it, 974 handed off before the dispatcher ran cheap kernels inline)",
 			1_500_000, 800, 40, 198_776, "PR 24 (7.1 MB, 2 975 objects, 379 misses and 5.43 MB of gauge growth before it)"},
 		{"dcfserve model, 32 rows", func() {
 			if _, err := predict.Call(ctx, batch); err != nil {

@@ -151,7 +151,7 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 	}
 
 	est := boundFor(t, g)
-	wantBound(t, est, boundTerms{Fixed: 24948, PerRow: 992})
+	wantBound(t, est, boundTerms{Fixed: 22644, PerRow: 992})
 
 	sess := dcf.NewSession(g)
 	if err := sess.InitVariables(); err != nil {
@@ -379,7 +379,7 @@ func kernelKind(op string) string {
 	case "Sum", "Mean", "Max", "Min", "UnbroadcastTo":
 		return "reduce"
 	case "Neg", "Abs", "Exp", "Log", "Sqrt", "Square", "Sigmoid", "Tanh", "Relu", "Sign",
-		"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod", "AddN":
+		"SigmoidGrad", "TanhGrad", "Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod", "AddN":
 		return "elementwise"
 	}
 	return "other"

@@ -147,14 +147,27 @@ func init() {
 		return []graph.Output{b.Mul(og[0], b.Mul(two, gc.In(0)))}
 	})
 	RegisterGrad("Sigmoid", func(gc *GradCtx, og []graph.Output) []graph.Output {
-		b := gc.B()
-		y := gc.Out(0)
-		return []graph.Output{b.Mul(og[0], b.Mul(y, b.Sub(b.OnesLike(y), y)))}
+		return []graph.Output{gc.B().Op("SigmoidGrad", nil, gc.Out(0), og[0])}
 	})
 	RegisterGrad("Tanh", func(gc *GradCtx, og []graph.Output) []graph.Output {
+		return []graph.Output{gc.B().Op("TanhGrad", nil, gc.Out(0), og[0])}
+	})
+	// SigmoidGrad(y, dy) = dy·y·(1−y) and TanhGrad(y, dy) = dy·(1−y²), each
+	// differentiated with respect to both operands as TensorFlow's
+	// _SigmoidGradGrad and _TanhGradGrad do: the dy side is the same op
+	// applied to the incoming gradient g.
+	RegisterGrad("SigmoidGrad", func(gc *GradCtx, og []graph.Output) []graph.Output {
 		b := gc.B()
-		y := gc.Out(0)
-		return []graph.Output{b.Mul(og[0], b.Sub(b.OnesLike(y), b.Mul(y, y)))}
+		y, dy, g := gc.In(0), gc.In(1), og[0]
+		gdy := b.Mul(g, dy)
+		two := b.Const(tensor.Scalar(2))
+		return []graph.Output{b.Sub(gdy, b.Mul(b.Mul(two, gdy), y)), b.Op("SigmoidGrad", nil, y, g)}
+	})
+	RegisterGrad("TanhGrad", func(gc *GradCtx, og []graph.Output) []graph.Output {
+		b := gc.B()
+		y, dy, g := gc.In(0), gc.In(1), og[0]
+		minus2 := b.Const(tensor.Scalar(-2))
+		return []graph.Output{b.Mul(b.Mul(b.Mul(g, minus2), dy), y), b.Op("TanhGrad", nil, y, g)}
 	})
 	RegisterGrad("Relu", func(gc *GradCtx, og []graph.Output) []graph.Output {
 		b := gc.B()

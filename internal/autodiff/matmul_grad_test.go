@@ -111,3 +111,42 @@ func TestMatMulSecondOrderGradient(t *testing.T) {
 	}
 	checkGrad(t, b, z, x, "x", tensor.RandNormal(rng, 0, 0.5, 2, 3), nil, 1e-4)
 }
+
+// TestActivationSecondOrderGradient differentiates the gradients of Sigmoid
+// and Tanh, one SigmoidGrad or TanhGrad node each, against central
+// differences. Squaring the activation makes the gradient flowing into it
+// depend on x too, so the second order runs through both operands of the
+// node.
+func TestActivationSecondOrderGradient(t *testing.T) {
+	for _, act := range []string{"Sigmoid", "Tanh"} {
+		t.Run(act, func(t *testing.T) {
+			rng := tensor.NewRNG(7)
+			b := core.NewBuilder()
+			x := b.Placeholder("x")
+			rnd := func(shape ...int) graph.Output { return b.Const(tensor.RandNormal(rng, 0, 1, shape...)) }
+			scalar := func(v graph.Output, rows, cols int) graph.Output {
+				return b.MatMul(b.MatMul(rnd(1, rows), v), rnd(cols, 1))
+			}
+			y := scalar(b.Op("Square", nil, b.Op(act, nil, b.MatMul(x, rnd(3, 4)))), 2, 4)
+			before := b.G.NumNodes()
+			dx, err := Gradients(b, y, []graph.Output{x}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			grads := 0
+			for _, n := range b.G.Nodes()[before:] {
+				if n.Op() == act+"Grad" {
+					grads++
+				}
+			}
+			if grads != 1 {
+				t.Fatalf("the gradient built %d %sGrad nodes, want 1", grads, act)
+			}
+			z := scalar(dx[0], 2, 3)
+			if b.Err() != nil {
+				t.Fatal(b.Err())
+			}
+			checkGrad(t, b, z, x, "x", tensor.RandNormal(rng, 0, 0.5, 2, 3), nil, 1e-4)
+		})
+	}
+}

@@ -104,6 +104,8 @@ func freshSamples() map[string][]freshSample {
 		m[op] = un
 	}
 	m["Softmax"], m["LogSoftmax"] = un[:1], un[:1] // float only
+	m["SigmoidGrad"] = []freshSample{{ins: same(pos, a)}}
+	m["TanhGrad"] = m["SigmoidGrad"]
 	return m
 }
 

@@ -93,6 +93,10 @@ func init() {
 	binaryFwd("Maximum", tensor.MaximumInto)
 	binaryFwd("Minimum", tensor.MinimumInto)
 	binaryFwd("Mod", tensor.ModInto)
+	// The gradients of Sigmoid and Tanh from their output y and the
+	// incoming gradient dy, TensorFlow's names and operand order.
+	binaryFwd("SigmoidGrad", tensor.SigmoidGradInto)
+	binaryFwd("TanhGrad", tensor.TanhGradInto)
 	// MatMul reads either operand transposed over its last two axes when
 	// the node says so (transpose_a / transpose_b, set by the MatMul
 	// gradient and by optimize's transpose folding), so no Transpose node

@@ -5,9 +5,9 @@ package tensor
 // seeded random cases — ranks 0–4, extents 0 and 1 included, lengths that
 // are multiples of no unroll width — bit for bit. A tolerance would hide the
 // one thing the rewrite promises: same arithmetic, same operands, same
-// order; only the address computation changed. MatMul and the binary
-// arithmetic have two sets of kernels under the same promise, and every case
-// of theirs runs on both.
+// order; only the address computation changed. MatMul, the binary
+// arithmetic and Sigmoid/Tanh have two sets of kernels under the same
+// promise, and every case of theirs runs on both.
 //
 // The bits are the same wherever the compiler fuses no multiply-add, which
 // is the default amd64 build (GOAMD64=v1). Only MatMul has a multiply feeding
@@ -70,16 +70,16 @@ func sameProduct(t *testing.T, what string, got, want *Tensor, twoNaNs []bool) {
 	}
 }
 
-// onEachPath runs f with MatMulT and the binary arithmetic on each set of
-// kernels this host has: the assembly, if package init selected it, and the
-// portable Go loops.
+// onEachPath runs f with MatMulT, the binary arithmetic, Sigmoid and Tanh on
+// each set of kernels this host has: the assembly, if package init
+// selected it, and the portable Go loops.
 func onEachPath(f func(path string)) {
-	nn, nt, bin := kernNN, kernNT, kernBinary
-	defer func() { kernNN, kernNT, kernBinary = nn, nt, bin }()
+	nn, nt, bin, tr := kernNN, kernNT, kernBinary, kernTransc
+	defer func() { kernNN, kernNT, kernBinary, kernTransc = nn, nt, bin, tr }()
 	if metricMatMulAVX2.Value() == 1 {
 		f("avx2")
 	}
-	kernNN, kernNT, kernBinary = matmulNN, matmulNT, binaryGo
+	kernNN, kernNT, kernBinary, kernTransc = matmulNN, matmulNT, binaryGo, transcGo
 	f("portable")
 }
 
@@ -819,4 +819,172 @@ func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
 			}
 		}
 	})
+}
+
+// transcEdges are the inputs on both sides of every threshold the lane
+// kernels hand a block to the Go loop at, and the values no threshold names
+// but a lane must still get right: archExp's overflow cut, the x·log2(e)
+// that round to the first and last normal exponents and to the edge of
+// underflow, Tanh's two branch points, zeros, infinities and NaNs. Each comes
+// with its negation (Sigmoid exponentiates -x) and its nearest neighbours.
+func transcEdges() []float64 {
+	var xs []float64
+	near := func(v float64) {
+		for _, w := range []float64{v, -v} {
+			lo, hi := w, w
+			for i := 0; i < 3; i++ {
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+				xs = append(xs, lo, hi)
+			}
+			xs = append(xs, w)
+		}
+	}
+	const overflow, maxLog = 7.09782712893384e+02, 8.8029691931113054295988e+01
+	near(overflow)
+	// k = round(x·log2(e)); the fast path needs 0 < k+1023 < 2047, and the
+	// Go loop's denormal results end where k+1023 < -52.
+	for _, k := range []float64{-1076, -1075, -1024, -1023, -1022, 1022, 1023, 1024} {
+		near((k + 0.5) * math.Ln2)
+	}
+	near(0.625)
+	near(0.5 * maxLog)
+	near(0)
+	near(math.SmallestNonzeroFloat64)
+	near(math.MaxFloat64)
+	near(1e-300)
+	xs = append(xs, math.Inf(1), math.Inf(-1))
+	xs = append(xs, specials...)
+	return xs
+}
+
+// TestDifferentialTransc runs Sigmoid and Tanh on each path and requires,
+// element by element, the bits of sigFn and math.Tanh: every lane of the
+// assembly does those functions' operations, and a block with a lane they
+// would take off the fast path goes to the Go loop whole. The inputs are
+// seeded normal, wide and random-bit values, and transcEdges one to a block
+// of ordinary values and all together; every input starts at each offset
+// within a block of four, runs at lengths 0–9 too, and is computed in place
+// and not.
+func TestDifferentialTransc(t *testing.T) {
+	ops := []struct {
+		name string
+		into func(dst, t *Tensor) (*Tensor, error)
+		fn   func(float64) float64
+	}{
+		{"Sigmoid", SigmoidInto, sigFn},
+		{"Tanh", TanhInto, math.Tanh},
+	}
+	r := rand.New(rand.NewSource(38))
+	const n = 1 << 13
+	sets := map[string][]float64{}
+	for i := 0; i < n; i++ {
+		sets["normal"] = append(sets["normal"], r.NormFloat64())
+		sets["wide"] = append(sets["wide"], (r.Float64()-0.5)*1600)
+		sets["bits"] = append(sets["bits"], math.Float64frombits(r.Uint64()))
+	}
+	edges := transcEdges()
+	for _, e := range edges {
+		sets["edge in a block"] = append(sets["edge in a block"], e, r.NormFloat64(), r.NormFloat64(), r.NormFloat64())
+	}
+	sets["edges"] = edges
+
+	check := func(what string, x []float64) {
+		for _, o := range ops {
+			want := New(Float, len(x))
+			for i, v := range x {
+				want.F[i] = o.fn(v)
+			}
+			for _, inPlace := range []bool{false, true} {
+				leveled(t, func() {
+					in := pooledCopy(FromFloats(x, len(x)))
+					var dst *Tensor
+					if inPlace {
+						dst = in
+					}
+					got, err := o.into(dst, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, fmt.Sprintf("%s %s in place %v", what, o.name, inPlace), got, want)
+					if got != in {
+						Recycle(in)
+					}
+					Recycle(got)
+				})
+			}
+		}
+	}
+	onEachPath(func(path string) {
+		for name, xs := range sets {
+			for off := 0; off < 4; off++ {
+				check(fmt.Sprintf("%s %s from %d", path, name, off), xs[off:])
+			}
+			for l := 0; l <= 9; l++ {
+				check(fmt.Sprintf("%s %s length %d", path, name, l), xs[:l])
+			}
+		}
+	})
+}
+
+// TestDifferentialActivationGrad compares SigmoidGrad and TanhGrad with the
+// chains of ops the gradients of Sigmoid and Tanh used to build, bit for bit
+// but for the NaN rule of sameProduct: where dy and the factor it multiplies
+// are both NaN, which payload survives is the compiler's choice.
+func TestDifferentialActivationGrad(t *testing.T) {
+	must := func(r *Tensor, err error) *Tensor {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	grads := []struct {
+		name  string
+		into  func(dst, y, dy *Tensor) (*Tensor, error)
+		chain func(y, dy *Tensor) (factor, grad *Tensor)
+	}{
+		{"SigmoidGrad", SigmoidGradInto, func(y, dy *Tensor) (*Tensor, *Tensor) {
+			f := must(Mul(y, must(SubInto(nil, OnesLike(y), y))))
+			return f, must(Mul(dy, f))
+		}},
+		{"TanhGrad", TanhGradInto, func(y, dy *Tensor) (*Tensor, *Tensor) {
+			f := must(SubInto(nil, OnesLike(y), must(Mul(y, y))))
+			return f, must(Mul(dy, f))
+		}},
+	}
+	r := rand.New(rand.NewSource(39))
+	for c := 0; c < 200; c++ {
+		shape := randShape(r, r.Intn(4))
+		y, dy := randSpecials(r, 6, true, shape...), randSpecials(r, 6, true, shape...)
+		for _, g := range grads {
+			factor, want := g.chain(y, dy)
+			twoNaNs := make([]bool, len(want.F))
+			for i, f := range factor.F {
+				twoNaNs[i] = math.IsNaN(f) && math.IsNaN(dy.F[i])
+			}
+			for _, which := range []string{"", "y", "dy"} {
+				leveled(t, func() {
+					yy, dd := pooledCopy(y), pooledCopy(dy)
+					dst := map[string]*Tensor{"y": yy, "dy": dd}[which]
+					got := must(g.into(dst, yy, dd))
+					sameProduct(t, fmt.Sprintf("%s %v dst=%s", g.name, shape, which), got, want, twoNaNs)
+					if (got == dst) != (dst != nil) {
+						t.Fatalf("%s: dst %s not written in place", g.name, which)
+					}
+					for _, x := range []*Tensor{yy, dd} {
+						if x != got {
+							Recycle(x)
+						}
+					}
+					Recycle(got)
+				})
+			}
+		}
+	}
+	if _, err := SigmoidGradInto(nil, FromFloats([]float64{1, 2}, 2), FromFloats([]float64{1}, 1)); err == nil {
+		t.Error("SigmoidGrad of shapes [2] and [1]: no error")
+	}
+	if _, err := TanhGradInto(nil, FromInts([]int64{1}, 1), FromFloats([]float64{1}, 1)); err == nil {
+		t.Error("TanhGrad of an int operand: no error")
+	}
 }

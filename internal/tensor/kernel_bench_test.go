@@ -112,3 +112,19 @@ func BenchmarkScalarMul(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkTransc is the LSTM's gate activations, [16,64] each, on each
+// path.
+func BenchmarkTransc(b *testing.B) {
+	x := benchRand(16, 64)
+	for _, o := range []struct {
+		name string
+		into func(dst, t *Tensor) (*Tensor, error)
+	}{{"Sigmoid", SigmoidInto}, {"Tanh", TanhInto}} {
+		onEachPath(func(path string) {
+			b.Run(o.name+"/"+path, func(b *testing.B) {
+				benchKernel(b, func() (*Tensor, error) { return o.into(nil, x) })
+			})
+		})
+	}
+}

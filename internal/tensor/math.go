@@ -50,8 +50,9 @@ func zipBroadcast[A, O any](out []O, a, b []A, shape, ashape, bshape []int, fn f
 
 // elemOp selects an elementwise kernel's inner loop, once per call. The
 // arithmetic the hardware does in a cycle gets a loop of its own (the binary
-// ones through kernBinary); an op whose cost is a math-library call (Tanh,
-// Exp, Pow, ...) is opFn and keeps the function value.
+// ones through kernBinary), and so do Sigmoid and Tanh (through kernTransc);
+// any other op whose cost is a math-library call (Exp, Pow, ...) is opFn and
+// keeps the function value.
 type elemOp uint8
 
 const (
@@ -63,6 +64,8 @@ const (
 	opNeg
 	opSquare
 	opRelu
+	opSigmoid
+	opTanh
 )
 
 // kernBinary runs binaryRun's Add, Sub, Mul and Div: binaryGo, or on an
@@ -266,6 +269,22 @@ func ModInto(dst, a, b *Tensor) (*Tensor, error) {
 	return binaryFloatInto("Mod", dst, a, b, opFn, math.Mod)
 }
 
+// kernTransc runs unaryRun's Sigmoid and Tanh: transcGo, or on an amd64
+// CPU with AVX2 and FMA transcAVX2, chosen at package init with the MatMul
+// kernels (matmul_amd64.go).
+var kernTransc = transcGo
+
+// transcFns holds the ops kernTransc runs as the functions they compute.
+var transcFns = [...]func(float64) float64{opSigmoid: sigFn, opTanh: math.Tanh}
+
+// transcGo is the portable kernTransc, and the reference of the others.
+func transcGo(op elemOp, out, in []float64) {
+	fn := transcFns[op]
+	for i, v := range in[:len(out)] {
+		out[i] = fn(v)
+	}
+}
+
 // unaryRun computes one elementwise unary op over in.
 func unaryRun(op elemOp, fn func(float64) float64, out, in []float64) {
 	in = in[:len(out)]
@@ -286,6 +305,8 @@ func unaryRun(op elemOp, fn func(float64) float64, out, in []float64) {
 				out[i] = 0
 			}
 		}
+	case opSigmoid, opTanh:
+		kernTransc(op, out, in)
 	default:
 		for i, v := range in {
 			out[i] = fn(v)
@@ -352,12 +373,51 @@ func SquareInto(dst, t *Tensor) (*Tensor, error) {
 
 // SigmoidInto is Sigmoid writing into dst when permitted.
 func SigmoidInto(dst, t *Tensor) (*Tensor, error) {
-	return unaryFloatInto("Sigmoid", dst, t, opFn, sigFn)
+	return unaryFloatInto("Sigmoid", dst, t, opSigmoid, nil)
 }
 
 // TanhInto is Tanh writing into dst when permitted.
 func TanhInto(dst, t *Tensor) (*Tensor, error) {
-	return unaryFloatInto("Tanh", dst, t, opFn, math.Tanh)
+	return unaryFloatInto("Tanh", dst, t, opTanh, nil)
+}
+
+// SigmoidGradInto is SigmoidGrad(y, dy) = dy·(y·(1−y)), the gradient through
+// y = Sigmoid(x), writing into dst when permitted (dst may alias y or dy).
+// It is the chain the gradient used to build — OnesLike, Sub, Mul, Mul — in
+// one pass, with the same operations in the same order.
+func SigmoidGradInto(dst, y, dy *Tensor) (*Tensor, error) {
+	return activationGradInto("SigmoidGrad", dst, y, dy, opSigmoid)
+}
+
+// TanhGradInto is TanhGrad(y, dy) = dy·(1−y·y), the gradient through
+// y = Tanh(x), as SigmoidGradInto is Sigmoid's.
+func TanhGradInto(dst, y, dy *Tensor) (*Tensor, error) {
+	return activationGradInto("TanhGrad", dst, y, dy, opTanh)
+}
+
+// activationGradInto computes op's gradient over two float operands of one
+// shape, into dst when it aliases either (the forwarding contract), else into
+// a pooled buffer.
+func activationGradInto(name string, dst, y, dy *Tensor, op elemOp) (*Tensor, error) {
+	if y.dtype != Float || dy.dtype != Float || !SameShape(y, dy) {
+		return nil, fmt.Errorf("tensor: %s requires float operands of one shape, got %v and %v", name, y, dy)
+	}
+	out := dst
+	if out == nil || out != y && out != dy {
+		out = Alloc(Float, y.shape...)
+	}
+	o := out.F
+	yf, dyf := y.F[:len(o)], dy.F[:len(o)]
+	if op == opSigmoid {
+		for i, v := range yf {
+			o[i] = dyf[i] * (v * (1 - v))
+		}
+	} else {
+		for i, v := range yf {
+			o[i] = dyf[i] * (1 - float64(v*v)) // the conversion forbids a fused multiply-add
+		}
+	}
+	return out, nil
 }
 
 // ReluInto is Relu writing into dst when permitted.

@@ -1,14 +1,17 @@
 package tensor
 
 // The AVX2 MatMul kernels (matmul_amd64.s), selected once at package init when
-// the CPU has AVX2 and the OS saves YMM state, together with the arithmetic
-// kernel of binary_amd64.go. matmulNN, matmulNT and binaryGo stay the kernels
-// of every other CPU and GOARCH, and the references these are compared
-// against bit for bit (TestDifferentialMatMul, TestDifferentialBinary).
+// the CPU has AVX2 and FMA and the OS saves YMM state, together with the
+// arithmetic kernel of binary_amd64.go and the Sigmoid/Tanh kernel of
+// transc_amd64.go. FMA is asked for because math.Exp takes its FMA path on
+// exactly such CPUs, and transc_amd64.s mirrors that path. matmulNN,
+// matmulNT, binaryGo and transcGo stay the kernels of every other CPU and
+// GOARCH, and the references these are compared against bit for bit
+// (TestDifferentialMatMul, TestDifferentialBinary, TestDifferentialTransc).
 
 func init() {
 	if cpuHasAVX2() {
-		kernNN, kernNT, kernBinary = matmulNNAVX2, matmulNTAVX2, binaryAVX2
+		kernNN, kernNT, kernBinary, kernTransc = matmulNNAVX2, matmulNTAVX2, binaryAVX2, transcAVX2
 		metricMatMulAVX2.Set(1)
 	}
 }

@@ -7,7 +7,8 @@
 #include "textflag.h"
 
 // func cpuHasAVX2() bool
-// AVX2 in CPUID, and the OS saving YMM state (OSXSAVE, XCR0 bits 1 and 2).
+// AVX2 and FMA in CPUID, and the OS saving YMM state (OSXSAVE, XCR0 bits 1
+// and 2).
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB $0, ret+0(FP)
 	XORL AX, AX
@@ -16,8 +17,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JLT  nocpu
 	MOVL $1, AX
 	CPUID
-	ANDL $(1<<27 | 1<<28), CX // OSXSAVE, AVX
-	CMPL CX, $(1<<27 | 1<<28)
+	ANDL $(1<<12 | 1<<27 | 1<<28), CX // FMA, OSXSAVE, AVX
+	CMPL CX, $(1<<12 | 1<<27 | 1<<28)
 	JNE  nocpu
 	MOVL $7, AX
 	XORL CX, CX

@@ -467,6 +467,35 @@ func (c *checker) inferNode(n *graph.Node) bool {
 			c.addf(n, 0, "arith-dtype", "operand is %s; %s requires a numeric operand", in.dt, op)
 		}
 		c.set(0, in)
+	case "SigmoidGrad", "TanhGrad":
+		y, dy := c.in(n, 0), c.in(n, 1)
+		for i, t := range []typeInfo{y, dy} {
+			if t.dtOK && t.dt != tensor.Float {
+				c.addf(n, i, "arith-dtype", "operand %s is %s; %s requires a float operand", inName(n, i), t.dt, op)
+			}
+		}
+		// Equal shapes: a dim either operand knows is the output's, and
+		// two known dims that differ are an error.
+		out := typeInfo{dt: tensor.Float, dtOK: true}
+		switch {
+		case !y.rankOK:
+			out.shape, out.rankOK = dy.shape, dy.rankOK
+		case !dy.rankOK:
+			out.shape, out.rankOK = y.shape, true
+		case len(y.shape) != len(dy.shape):
+			c.addf(n, 1, "shape-mismatch", "operand shapes %v and %v differ; %s requires equal shapes", y.shape, dy.shape, op)
+		default:
+			out.shape, out.rankOK = slices.Clone(y.shape), true
+			for i, d := range dy.shape {
+				if d >= 0 && out.shape[i] >= 0 && d != out.shape[i] {
+					c.addf(n, 1, "shape-mismatch", "operand shapes %v and %v differ; %s requires equal shapes", y.shape, dy.shape, op)
+					out = typeInfo{dt: tensor.Float, dtOK: true}
+					break
+				}
+				out.shape[i] = max(out.shape[i], d)
+			}
+		}
+		c.set(0, out)
 	case "ZerosLike", "OnesLike":
 		c.set(0, c.in(n, 0))
 	case "MatMul":

@@ -230,6 +230,7 @@ var opArity = map[string][2]int{
 	"Equal": {2, 2}, "NotEqual": {2, 2}, "LogicalAnd": {2, 2}, "LogicalOr": {2, 2},
 	"Neg": {1, 1}, "Abs": {1, 1}, "Exp": {1, 1}, "Log": {1, 1}, "Sqrt": {1, 1},
 	"Square": {1, 1}, "Sigmoid": {1, 1}, "Tanh": {1, 1}, "Relu": {1, 1},
+	"SigmoidGrad": {2, 2}, "TanhGrad": {2, 2},
 	"Sign": {1, 1}, "LogicalNot": {1, 1}, "Softmax": {1, 1}, "LogSoftmax": {1, 1},
 	"ZerosLike": {1, 1}, "OnesLike": {1, 1},
 	"AddN": {1, -1}, "Select": {3, 3},

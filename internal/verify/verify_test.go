@@ -196,6 +196,22 @@ func illFixtures() []illFormed {
 			},
 		},
 		{
+			name: "activation gradient of unequal shapes", wantCode: "shape-mismatch", wantNode: "sg", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) {
+				y := b.constF("y", []float64{1, 2}, 2)
+				dy := b.constF("dy", []float64{1}, 1)
+				b.node("SigmoidGrad", "sg", 1, nil, y.Out(0), dy.Out(0))
+			},
+		},
+		{
+			name: "activation gradient of an int", wantCode: "arith-dtype", wantNode: "tg", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) {
+				y := b.constF("y", []float64{1})
+				dy := b.constI("dy", 1)
+				b.node("TanhGrad", "tg", 1, nil, y.Out(0), dy.Out(0))
+			},
+		},
+		{
 			name: "matmul inner dimensions disagree", wantCode: "matmul-inner", wantNode: "mm", wantPort: 1,
 			build: func(b *gb, opts *verify.Options) {
 				a := b.constF("a", make([]float64, 6), 2, 3)
