@@ -137,7 +137,7 @@ func TestDispatchCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 3, 75_025, 0, 0, "PR 29 (the same three columns at its parent)",
-			250_000, 400, 4, 16, "PR 29 (208 KB, 324 objects, 2 misses measured; the two fetched scalars stay on the gauge)"},
+			65_000, 200, 4, 16, "routing nodes and dead exits recorded once per frame (59 KB, 152 objects, 2 misses measured; 208 KB and 324 objects before, 140 KB of it one dead-exit entry per continuing iteration; the two fetched scalars stay on the gauge)"},
 	} {
 		for i := 0; i < row.warm; i++ {
 			row.step()

@@ -48,36 +48,23 @@ func buildBenchLoop(b *testing.B, g *graph.Graph, limit float64, par int) graph.
 // a tight while-loop: one Add kernel per iteration plus the full
 // Merge/Less/LoopCond/Switch/NextIteration token cycle. ns/op and allocs/op
 // are per loop iteration (the whole run executes b.N iterations), so this
-// is the regression guard for the dynamic-dataflow hot path.
-func BenchmarkLoopTokenOverhead(b *testing.B) {
-	g := graph.New()
-	exit := buildBenchLoop(b, g, float64(b.N), DefaultParallelIterations)
-	plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{exit}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	out, _, err := plan.Run(Binding{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if got := out[0].T.ScalarValue(); got != float64(b.N) {
-		b.Fatalf("loop result %v, want %v", got, b.N)
-	}
-}
+// is the regression guard for the dynamic-dataflow hot path; ns/node is per
+// node execution.
+func BenchmarkLoopTokenOverhead(b *testing.B) { benchLoop(b, DefaultParallelIterations) }
 
 // BenchmarkLoopTokenOverheadWindow1 is the same loop with a serialized
 // window (parallel_iterations=1), exercising the deferred-NextIteration and
 // iteration-recycling paths every single iteration.
-func BenchmarkLoopTokenOverheadWindow1(b *testing.B) {
+func BenchmarkLoopTokenOverheadWindow1(b *testing.B) { benchLoop(b, 1) }
+
+func benchLoop(b *testing.B, par int) {
 	g := graph.New()
-	exit := buildBenchLoop(b, g, float64(b.N), 1)
+	exit := buildBenchLoop(b, g, float64(b.N), par)
 	plan, err := NewPlan(g, PlanOptions{Fetches: []graph.Output{exit}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	nodes := metricKernels.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	out, _, err := plan.Run(Binding{})
@@ -85,6 +72,7 @@ func BenchmarkLoopTokenOverheadWindow1(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(metricKernels.Value()-nodes, 1)), "ns/node")
 	if got := out[0].T.ScalarValue(); got != float64(b.N) {
 		b.Fatalf("loop result %v, want %v", got, b.N)
 	}

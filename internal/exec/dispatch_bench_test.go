@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"repro/dcf"
+	"repro/internal/metrics"
 )
 
 // BenchmarkLoopDispatch is the repo benchmark's loop_dispatch workload as a
 // go-test benchmark (in the external test package, because dcf imports exec): one Callable.Call of a 5000-iteration two-variable
 // While (i+1; acc*a+b — three scalar kernels per iteration), so ns/op,
 // B/op and allocs/op are per 5000-iteration call and nearly all of it is
-// the executor moving tokens through Merge/Switch/NextIteration.
+// the executor moving tokens through Merge/Switch/NextIteration; ns/node is
+// per node execution (15 an iteration).
 func BenchmarkLoopDispatch(b *testing.B) {
 	const iters = 5000
 	g := dcf.NewGraph()
@@ -35,6 +37,8 @@ func BenchmarkLoopDispatch(b *testing.B) {
 	}
 	ctx := context.Background()
 	feed := dcf.ScalarVal(1.25)
+	kernels := metrics.Default().Counter("exec_kernels_total")
+	nodes := kernels.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,4 +50,6 @@ func BenchmarkLoopDispatch(b *testing.B) {
 			b.Fatalf("count %v, want %d", got, iters)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(kernels.Value()-nodes, 1)), "ns/node")
 }

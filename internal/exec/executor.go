@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -156,6 +158,11 @@ type nodeInfo struct {
 	// variable, a TensorArray, a published Send), so the buffer is the
 	// collector's.
 	recycle bool
+	// route marks a routing node: one data input, no control inputs, and an
+	// execution that only forwards that token (Enter, Exit, NextIteration,
+	// and a pass-through with no device runner and no device memory). It
+	// runs where its token is delivered instead of being scheduled.
+	route bool
 
 	numIn  int32
 	numCtl int32
@@ -357,6 +364,12 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 			p.mems[i] = opts.Mem(n.Device())
 		}
 	}
+	for i := range p.infos {
+		info := &p.infos[i]
+		info.route = info.numIn == 1 && info.numCtl == 0 &&
+			(info.kind == kEnter || info.kind == kExit || info.kind == kNextIteration ||
+				info.pass && p.runner(int32(i)) == nil && (p.mems == nil || p.mems[i] == nil))
+	}
 	stream := opts.TraceStream
 	if stream == "" {
 		stream = "cpu"
@@ -369,8 +382,8 @@ func NewPlan(g *graph.Graph, opts PlanOptions) (*Plan, error) {
 func (p *Plan) Nodes() []*graph.Node { return p.nodes }
 
 // Run executes one step of the plan to completion and returns the fetched
-// values and how many node executions the step scheduled (dead skips
-// included). If the binding's context is canceled mid-step, no further
+// values and how many node executions the step made (dead skips and routed
+// nodes included). If the binding's context is canceled mid-step, no further
 // kernels launch, pending rendezvous operations fail, in-flight kernels
 // drain, and Run returns an error wrapping the context's error. Concurrent
 // Runs of one plan are independent.
@@ -472,7 +485,7 @@ type doneMsg struct {
 	idx  int32
 	n    int32 // output count
 	fs   *frameState
-	iter int
+	it   *iterState
 	out  [2]Token // the outputs when n <= 2
 	more []Token  // all n outputs when n > 2
 	err  error
@@ -558,8 +571,9 @@ type frameState struct {
 	parallel   int
 	tagPrefix  string
 
-	// ring holds the live iterations: iteration i is at ring[i%parallel].
-	// The parallel-iterations window bounds deliveries to
+	// ring holds the live iterations: iteration i is at ring[i&(len-1)],
+	// its length the window rounded up to a power of two. The
+	// parallel-iterations window bounds deliveries to
 	// [doneFrontier, doneFrontier+parallel), so the ring is exact.
 	ring []*iterState
 
@@ -569,8 +583,10 @@ type frameState struct {
 	// doneFrontier is the lowest iteration not yet retired.
 	doneFrontier int
 	maxActivated int
-	// deferred holds NextIteration deliveries beyond the parallel window.
+	// deferred holds NextIteration deliveries beyond the parallel window;
+	// spare is the storage of the last bucket released, for the next one.
 	deferred []deferredBucket
+	spare    []deferredDelivery
 	children map[childKey]*frameState
 	// activity counts executions in flight in this frame plus active
 	// child frames; used to retire iterations of the parent.
@@ -578,10 +594,10 @@ type frameState struct {
 	// entersDone counts Enter executions that have targeted this frame;
 	// iteration 0 cannot retire until all of the frame's Enters ran.
 	entersDone int
-	// deadExits remembers Exit nodes whose input was dead. Dead exit
-	// tokens are not propagated eagerly (a later iteration may produce
-	// the live exit); when the frame finishes, exits that never fired
-	// live propagate a single dead token to the parent — mirroring
+	// deadExits remembers, once each, the Exit nodes whose input was dead.
+	// Dead exit tokens are not propagated eagerly (a later iteration may
+	// produce the live exit); when the frame finishes, exits that never
+	// fired live propagate a single dead token to the parent — mirroring
 	// TensorFlow's dead_exits handling.
 	deadExits []int32
 	liveExits map[int32]bool
@@ -701,7 +717,7 @@ func newFrame(name string, frameID int32, parent *frameState, parentIter, parall
 		parent:     parent,
 		parentIter: parentIter,
 		parallel:   parallel,
-		ring:       make([]*iterState, parallel),
+		ring:       make([]*iterState, 1<<bits.Len(uint(parallel-1))),
 	}
 	if parent != nil {
 		f.tagPrefix = parent.tag(parentIter)
@@ -741,7 +757,7 @@ func (ex *executor) run() ([]ops.Value, error) {
 		return nil, ex.firstErr
 	}
 	for _, idx := range ex.plan.sources {
-		ex.schedule(idx, ex.root, it)
+		ex.schedule(idx, &ex.plan.infos[idx], ex.root, it, ex.nstate(it, idx))
 	}
 	// The dispatcher is the only goroutine that advances control flow, so
 	// whatever it runs itself delays every Send, Recv and loop-control token
@@ -754,14 +770,14 @@ func (ex *executor) run() ([]ops.Value, error) {
 		ex.pollCancel()
 		switch {
 		case len(ex.inlineQ) > 0:
-			ex.runHere(popItem(&ex.inlineQ))
+			ex.runHere(popItem(&ex.inlineQ), false)
 		case ex.inFlight > 0 && ex.pollEvents():
 		case len(ex.cheapQ) > 0:
-			ex.runHere(popItem(&ex.cheapQ))
+			ex.runHere(popItem(&ex.cheapQ), true)
 		case ex.kept.it != nil:
 			item := ex.kept
 			ex.kept = workItem{}
-			ex.runHere(&item)
+			ex.runHere(&item, true)
 		default:
 			// Everything outstanding is in flight, so events is non-nil.
 			select {
@@ -802,19 +818,23 @@ func popItem(q *[]workItem) *workItem {
 	return item
 }
 
-// runHere executes one of the dispatcher's own items and retires it. After
-// the step has failed (error or cancel) the queued execution is accounted
-// for without running. item may point into a dispatcher queue: it is not
-// read once complete, which can push onto that queue, has begun.
-func (ex *executor) runHere(item *workItem) {
-	idx, fs, iter := item.idx, item.fs, item.it.iter
+// runHere executes one of the dispatcher's own items and retires it; only a
+// kernel is granted its inputs first (a control primitive or a dead skip
+// forwards or releases them as they are). After the step has failed (error
+// or cancel) the queued execution is accounted for without running. item
+// may point into a dispatcher queue: it is not read once complete, which can
+// push onto that queue, has begun.
+func (ex *executor) runHere(item *workItem, kernel bool) {
+	idx, fs, it := item.idx, item.fs, item.it
 	var outs []Token
 	var err error
 	if ex.firstErr == nil {
-		ex.grant(item)
+		if kernel {
+			ex.grant(item)
+		}
 		outs, err = ex.runItem(&ex.scratch, item, ex.plan.streamInline)
 	}
-	ex.complete(idx, fs, iter, outs, err)
+	ex.complete(idx, fs, it, outs, err)
 }
 
 // runItem runs one queued execution on the calling goroutine (the dispatcher,
@@ -839,7 +859,7 @@ func (ex *executor) runItem(sc *nodeScratch, item *workItem, stream string) ([]T
 		ex.plan.observe(item.idx, done.Sub(start))
 	}
 	if ex.tracer != nil {
-		ex.recordSpan(item, tag, stream, start, done)
+		ex.recordSpan(item.idx, item.fs, item.it, tag, stream, item.enq, start, done)
 	}
 	return outs, err
 }
@@ -858,50 +878,50 @@ func (ex *executor) pollEvents() bool {
 // finish retires one execution that ran off the dispatcher.
 func (ex *executor) finish(msg *doneMsg) {
 	ex.inFlight--
-	ex.complete(msg.idx, msg.fs, msg.iter, msg.outs(), msg.err)
+	ex.complete(msg.idx, msg.fs, msg.it, msg.outs(), msg.err)
 }
 
-// complete retires one finished node execution: it fails the step on err,
-// otherwise propagates outs (which may alias the producer's scratch — every
-// token is copied by value on delivery), then settles the accounting.
-func (ex *executor) complete(idx int32, fs *frameState, iter int, outs []Token, err error) {
+// complete retires one finished node execution of iteration it (live: it
+// cannot retire while the execution is outstanding): it fails the step on
+// err, otherwise propagates outs (which may alias the producer's scratch —
+// every token is copied by value on delivery), then settles the accounting.
+func (ex *executor) complete(idx int32, fs *frameState, it *iterState, outs []Token, err error) {
 	if err != nil {
 		// fail also flips the aborted flag so the goroutines off the
 		// dispatcher skip the kernels of the already-failed step.
 		ex.fail(err)
 	}
-	mit := lookupIter(fs, iter)
 	if ex.firstErr == nil {
 		// A failed step settles nothing: what it counted is the collector's.
-		ex.settle(idx, mit, outs)
-		ex.propagate(idx, fs, iter, outs)
+		ex.settle(idx, it, outs)
+		ex.propagate(idx, fs, it, outs)
 	}
 	// Retire the execution after propagation so counts never dip
-	// to zero while successors are being scheduled. Frontier
-	// advance runs before the activity decrement so deferred
+	// to zero while successors are being scheduled — routing nodes run
+	// inside propagate, so this is also what keeps every frame and
+	// iteration a routed token passes through from retiring under it.
+	// Frontier advance runs before the activity decrement so deferred
 	// iterations are released before the frame can finalize.
 	ex.outstanding--
-	if mit != nil {
-		mit.outstanding--
-	}
+	it.outstanding--
 	if ex.firstErr == nil {
 		ex.advanceFrontier(fs)
 	}
 	ex.frameActivityDown(fs)
 }
 
-// recordSpan emits one node-execution span to the step tracer. Callers
-// guarantee ex.tracer != nil; everything here may allocate freely because
-// the tracing-off path never reaches it.
-func (ex *executor) recordSpan(item *workItem, tag, stream string, start, end time.Time) {
-	info := &ex.plan.infos[item.idx]
+// recordSpan emits one node-execution span to the step tracer: queued at
+// enq, run from start to end. Callers guarantee ex.tracer != nil; everything
+// here may allocate freely because the tracing-off path never reaches it.
+func (ex *executor) recordSpan(idx int32, fs *frameState, it *iterState, tag, stream string, enq, start, end time.Time) {
+	info := &ex.plan.infos[idx]
 	ev := trace.Event{
 		Stream: stream,
 		Name:   info.node.Name(),
 		Op:     info.node.Op(),
-		Frame:  item.fs.tag(item.it.iter),
-		Iter:   item.it.iter,
-		Queue:  start.Sub(item.enq),
+		Frame:  fs.tag(it.iter),
+		Iter:   it.iter,
+		Queue:  start.Sub(enq),
 	}
 	if tag != "" {
 		// Both sides of a hop derive the same id from (static key, frame
@@ -935,7 +955,7 @@ func (ex *executor) cancelStep() {
 
 // lookupIter returns iteration i of the frame if it is live, else nil.
 func lookupIter(f *frameState, i int) *iterState {
-	it := f.ring[i%len(f.ring)]
+	it := f.ring[i&(len(f.ring)-1)]
 	if it != nil && it.iter == i {
 		return it
 	}
@@ -970,7 +990,7 @@ func (ex *executor) newIterState(i int) *iterState {
 // or out-of-window iteration — fails the step and returns nil; callers
 // must tolerate a nil iteration on the abort path.
 func (ex *executor) iteration(f *frameState, i int) *iterState {
-	slot := i % len(f.ring)
+	slot := i & (len(f.ring) - 1)
 	if it := f.ring[slot]; it != nil {
 		if it.iter == i {
 			return it
@@ -1019,15 +1039,16 @@ func (ex *executor) childFrame(f *frameState, info *nodeInfo, iter int) *frameSt
 }
 
 // nstate returns node idx's state in the iteration, lazily resetting state
-// left over from a previous occupant of the recycled slot.
+// left over from a previous occupant of the recycled slot. Only a Merge has
+// its input span cleared: it is the one node that runs, and settles, with a
+// slot this iteration may never write; every other node runs only after each
+// of its slots has had its one delivery.
 func (ex *executor) nstate(it *iterState, idx int32) *nodeState {
 	ns := &it.nodes[idx]
 	if ns.gen != it.gen {
 		*ns = nodeState{gen: it.gen}
-		info := &ex.plan.infos[idx]
-		span := it.arena[info.inOff : info.inOff+info.numIn]
-		for j := range span {
-			span[j] = Token{}
+		if info := &ex.plan.infos[idx]; info.kind == kMerge {
+			clear(it.arena[info.inOff : info.inOff+info.numIn])
 		}
 	}
 	return ns
@@ -1076,12 +1097,17 @@ func (ex *executor) frameActivityDown(fs *frameState) {
 	ex.frameActivityDown(fs.parent)
 }
 
-// deliverData records a data token arrival and schedules the consumer if
-// ready.
-func (ex *executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok Token) {
-	it := ex.iteration(fs, iter)
-	if it == nil {
-		return // step already failed: the token's buffer is the collector's
+// deliverData records a data token arrival in iteration it and schedules
+// the consumer if ready. A routing node runs on the spot instead (route),
+// provided its frame has an execution outstanding: a frame a routed Enter
+// has just entered, with nothing scheduled in it yet, queues the node, so
+// that the frame's drain — the frontier advance and the dead exits of its
+// finalization — still follows an execution of its own.
+func (ex *executor) deliverData(ce consumerEdge, fs *frameState, it *iterState, tok Token) {
+	info := &ex.plan.infos[ce.idx]
+	if info.route && fs.activity > 0 {
+		ex.route(ce.idx, info, fs, it, tok)
+		return
 	}
 	ns := ex.nstate(it, ce.idx)
 	if ns.scheduled {
@@ -1090,7 +1116,6 @@ func (ex *executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok T
 		ex.release(&tok)
 		return
 	}
-	info := &ex.plan.infos[ce.idx]
 	it.arena[info.inOff+ce.input] = tok
 	ns.arrivedData++
 	if tok.Dead {
@@ -1098,15 +1123,11 @@ func (ex *executor) deliverData(ce consumerEdge, fs *frameState, iter int, tok T
 	} else {
 		ns.liveData = true
 	}
-	ex.maybeSchedule(ce.idx, fs, it)
+	ex.maybeSchedule(ce.idx, info, fs, it, ns)
 }
 
 // deliverControl records a control-edge arrival.
-func (ex *executor) deliverControl(idx int32, fs *frameState, iter int, dead bool) {
-	it := ex.iteration(fs, iter)
-	if it == nil {
-		return // step already failed
-	}
+func (ex *executor) deliverControl(idx int32, fs *frameState, it *iterState, dead bool) {
 	ns := ex.nstate(it, idx)
 	if ns.scheduled {
 		return
@@ -1115,17 +1136,42 @@ func (ex *executor) deliverControl(idx int32, fs *frameState, iter int, dead boo
 	if dead {
 		ns.deadCtl++
 	}
-	ex.maybeSchedule(idx, fs, it)
+	ex.maybeSchedule(idx, &ex.plan.infos[idx], fs, it, ns)
+}
+
+// route executes a routing node (nodeInfo.route) where its token lands, on
+// the dispatcher, inside the propagate of the execution that produced the
+// token: a dead token is released and forwarded as Token{Dead: true}, as
+// settle does for a dead skip, and a live one is forwarded reference and all.
+// The node takes no nodeState, arena slot, queue entry or outstanding count.
+// That is safe because the producer is still outstanding: no frame or
+// iteration the routed token passes through can retire until that
+// producer's complete, which then advances the frontiers and retires the
+// activity as it would have for the routed node. It counts and traces as a
+// node execution (with no queue wait), so a traced step routes too.
+func (ex *executor) route(idx int32, info *nodeInfo, fs *frameState, it *iterState, tok Token) {
+	if ex.firstErr != nil {
+		return // a failed step drops the token, as it drops a queued one
+	}
+	ex.numKernels++
+	ex.statInline++
+	var start time.Time
+	if ex.tracer != nil {
+		start = time.Now()
+	}
+	if tok.Dead {
+		ex.release(&tok)
+		tok = Token{Dead: true}
+	}
+	if ex.tracer != nil {
+		ex.recordSpan(idx, fs, it, "", ex.plan.streamInline, start, start, time.Now())
+	}
+	ex.forward(idx, info, fs, it, tok)
 }
 
 // maybeSchedule applies the readiness rules: Merge is ready on its first
 // live data input (or all-dead); every other op waits for all inputs.
-func (ex *executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
-	ns := ex.nstate(it, idx)
-	if ns.scheduled {
-		return
-	}
-	info := &ex.plan.infos[idx]
+func (ex *executor) maybeSchedule(idx int32, info *nodeInfo, fs *frameState, it *iterState, ns *nodeState) {
 	if ns.arrivedCtl < info.numCtl {
 		return
 	}
@@ -1136,16 +1182,14 @@ func (ex *executor) maybeSchedule(idx int32, fs *frameState, it *iterState) {
 	} else if ns.arrivedData < info.numIn {
 		return
 	}
-	ex.schedule(idx, fs, it)
+	ex.schedule(idx, info, fs, it, ns)
 }
 
 // schedule queues a node execution with the dispatcher (control primitives,
 // dead skips, kernels cheaper than a hand-off, one dear kernel when nothing
 // else is in flight) or starts it on a goroutine of its own (ops that may
 // block, every other kernel).
-func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
-	info := &ex.plan.infos[idx]
-	ns := ex.nstate(it, idx)
+func (ex *executor) schedule(idx int32, info *nodeInfo, fs *frameState, it *iterState, ns *nodeState) {
 	ns.scheduled = true
 	ex.outstanding++
 	it.outstanding++
@@ -1215,7 +1259,7 @@ func (ex *executor) schedule(idx int32, fs *frameState, it *iterState) {
 // the step has failed (error or cancel) the dispatcher only counts
 // completions, so the kernel is skipped, as runHere skips it.
 func (ex *executor) runSpawned(item workItem) {
-	msg := &doneMsg{idx: item.idx, fs: item.fs, iter: item.it.iter}
+	msg := &doneMsg{idx: item.idx, fs: item.fs, it: item.it}
 	if !ex.aborted.Load() {
 		var sc nodeScratch
 		outs, err := ex.runItem(&sc, &item, ex.plan.streamSpawn)
@@ -1653,66 +1697,79 @@ func runOn(r Runner, n *graph.Node, kernel ops.Kernel, kctx *ops.KernelContext) 
 	return vals, err
 }
 
-// propagate delivers a finished node's outputs per the frame rules: Enter
-// into the child frame's iteration 0 (or as a loop constant), Exit into the
-// parent frame, NextIteration into the next iteration (deferred if beyond
-// the parallel window), everything else within the same (frame, iteration).
-func (ex *executor) propagate(idx int32, fs *frameState, iter int, outs []Token) {
+// propagate delivers a finished node's outputs per the frame rules.
+func (ex *executor) propagate(idx int32, fs *frameState, it *iterState, outs []Token) {
 	info := &ex.plan.infos[idx]
 	switch info.kind {
+	case kEnter, kExit, kNextIteration:
+		ex.forward(idx, info, fs, it, outs[0])
+	default:
+		ex.deliverOutputs(info, fs, it, outs)
+	}
+}
+
+// forward delivers the one output token of a node in (fs, it) per the frame
+// rules: Enter into the child frame's iteration 0 (or as a loop constant),
+// Exit into the parent frame, NextIteration into the next iteration
+// (deferred if beyond the parallel window), anything else within the same
+// (frame, iteration).
+func (ex *executor) forward(idx int32, info *nodeInfo, fs *frameState, it *iterState, tok Token) {
+	switch info.kind {
 	case kEnter:
-		child := ex.childFrame(fs, info, iter)
+		child := ex.childFrame(fs, info, it.iter)
 		child.entersDone++
 		if info.isConstEnter {
 			// The constant is re-delivered into every iteration: the frame
 			// holds it.
-			ex.hold(&outs[0])
-			child.constants = append(child.constants, constEntry{idx: idx, tok: outs[0]})
+			ex.hold(&tok)
+			child.constants = append(child.constants, constEntry{idx: idx, tok: tok})
 			if child.doneFrontier == 0 && child.ring[0] == nil {
 				ex.iteration(child, 0) // replays constants incl. this one
 				return
 			}
 			for i := child.doneFrontier; i <= child.maxActivated; i++ {
-				if lookupIter(child, i) != nil {
-					ex.deliverSingle(idx, child, i, outs[0])
+				if cit := lookupIter(child, i); cit != nil {
+					ex.deliverOne(info, child, cit, tok)
 				}
 			}
 			return
 		}
-		ex.iteration(child, 0)
-		ex.deliverSingle(idx, child, 0, outs[0])
+		ex.deliverSingle(idx, child, 0, tok)
 	case kExit:
 		if fs.parent == nil {
 			ex.fail(fmt.Errorf("exec: Exit %s executed in the root frame", info.node.Name()))
 			return
 		}
-		if outs[0].Dead {
+		if tok.Dead {
 			// Suppressed: a later iteration may exit live; if none
 			// does, frame finalization delivers one dead token.
-			fs.deadExits = append(fs.deadExits, idx)
+			if !slices.Contains(fs.deadExits, idx) {
+				fs.deadExits = append(fs.deadExits, idx)
+			}
 			return
 		}
 		if fs.liveExits == nil {
 			fs.liveExits = map[int32]bool{}
 		}
 		fs.liveExits[idx] = true
-		ex.deliverSingle(idx, fs.parent, fs.parentIter, outs[0])
+		ex.deliverSingle(idx, fs.parent, fs.parentIter, tok)
 	case kNextIteration:
-		if outs[0].Dead {
+		if tok.Dead {
 			return // deadness stops at the end of an iteration
 		}
-		next := iter + 1
+		next := it.iter + 1
 		if next >= fs.doneFrontier+fs.parallel {
-			fs.addDeferred(next, deferredDelivery{from: idx, tok: outs[0]})
+			fs.addDeferred(next, deferredDelivery{from: idx, tok: tok})
 			return
 		}
-		ex.iteration(fs, next)
-		ex.deliverSingle(idx, fs, next, outs[0])
+		ex.deliverSingle(idx, fs, next, tok)
 	default:
-		ex.deliverOutputs(idx, fs, iter, outs)
+		ex.deliverOne(info, fs, it, tok)
 	}
 }
 
+// addDeferred parks a NextIteration delivery for an iteration beyond the
+// window. A new bucket takes the storage of the last one released.
 func (fs *frameState) addDeferred(iter int, d deferredDelivery) {
 	for i := range fs.deferred {
 		if fs.deferred[i].iter == iter {
@@ -1720,7 +1777,8 @@ func (fs *frameState) addDeferred(iter int, d deferredDelivery) {
 			return
 		}
 	}
-	fs.deferred = append(fs.deferred, deferredBucket{iter: iter, items: []deferredDelivery{d}})
+	fs.deferred = append(fs.deferred, deferredBucket{iter: iter, items: append(fs.spare, d)})
+	fs.spare = nil
 }
 
 func (ex *executor) fail(err error) {
@@ -1733,8 +1791,7 @@ func (ex *executor) fail(err error) {
 
 // deliverOutputs fans tokens out to data and control consumers within one
 // (frame, iteration).
-func (ex *executor) deliverOutputs(idx int32, fs *frameState, iter int, outs []Token) {
-	info := &ex.plan.infos[idx]
+func (ex *executor) deliverOutputs(info *nodeInfo, fs *frameState, it *iterState, outs []Token) {
 	dead := len(outs) > 0
 	for i := range outs {
 		if !outs[i].Dead {
@@ -1743,20 +1800,29 @@ func (ex *executor) deliverOutputs(idx int32, fs *frameState, iter int, outs []T
 		}
 	}
 	for port := range outs {
-		ex.deliverPort(info, port, fs, iter, outs[port])
+		ex.deliverPort(info, port, fs, it, outs[port])
 	}
 	for _, c := range info.ctlConsumers {
-		ex.deliverControl(c, fs, iter, dead)
+		ex.deliverControl(c, fs, it, dead)
 	}
 }
 
-// deliverSingle is deliverOutputs for a single-output node, avoiding the
-// slice for the replay/deferred/dead-exit paths.
-func (ex *executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token) {
-	info := &ex.plan.infos[idx]
-	ex.deliverPort(info, 0, fs, iter, tok)
+// deliverOne is deliverOutputs for a single-output node, without the slice.
+func (ex *executor) deliverOne(info *nodeInfo, fs *frameState, it *iterState, tok Token) {
+	ex.deliverPort(info, 0, fs, it, tok)
 	for _, c := range info.ctlConsumers {
-		ex.deliverControl(c, fs, iter, tok.Dead)
+		ex.deliverControl(c, fs, it, tok.Dead)
+	}
+}
+
+// deliverSingle is deliverOne into iteration iter of fs, creating it if
+// needed: the one delivery that looks its iteration up, because it crosses
+// to another iteration or frame (an Enter, an Exit, a NextIteration, a
+// loop constant's replay, a dead exit's finalization). A ring collision has
+// failed the step, and the token is dropped.
+func (ex *executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token) {
+	if it := ex.iteration(fs, iter); it != nil {
+		ex.deliverOne(&ex.plan.infos[idx], fs, it, tok)
 	}
 }
 
@@ -1766,7 +1832,7 @@ func (ex *executor) deliverSingle(idx int32, fs *frameState, iter int, tok Token
 // count (a new one for an owned buffer, the old one raised for a buffer
 // already counted, so a value that goes round a loop stays counted); a port
 // nobody consumes releases it at once; a fetch holds it.
-func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter int, tok Token) {
+func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, it *iterState, tok Token) {
 	if info.fetched(port) {
 		ex.hold(&tok)
 		if fs == ex.root {
@@ -1791,7 +1857,7 @@ func (ex *executor) deliverPort(info *nodeInfo, port int, fs *frameState, iter i
 		ex.refs[tok.ref] += int32(n - 1)
 	}
 	for _, ce := range cs {
-		ex.deliverData(ce, fs, iter, tok)
+		ex.deliverData(ce, fs, it, tok)
 	}
 }
 
@@ -1812,10 +1878,13 @@ func (ex *executor) advanceFrontier(fs *frameState) {
 				fs.deferred[bi] = fs.deferred[last]
 				fs.deferred[last] = deferredBucket{}
 				fs.deferred = fs.deferred[:last]
-				ex.iteration(fs, tgt)
-				for _, d := range items {
-					ex.deliverSingle(d.from, fs, tgt, d.tok)
+				if it := ex.iteration(fs, tgt); it != nil {
+					for _, d := range items {
+						ex.deliverOne(&ex.plan.infos[d.from], fs, it, d.tok)
+					}
 				}
+				clear(items)
+				fs.spare = items[:0]
 				progress = true
 				continue // re-examine the swapped-in bucket at bi
 			}
@@ -1823,7 +1892,7 @@ func (ex *executor) advanceFrontier(fs *frameState) {
 		}
 		if cur := lookupIter(fs, fs.doneFrontier); cur != nil &&
 			cur.outstanding == 0 && cur.childrenActive == 0 && ex.retirable(fs, cur) {
-			fs.ring[fs.doneFrontier%fs.parallel] = nil
+			fs.ring[fs.doneFrontier&(len(fs.ring)-1)] = nil
 			ex.iterFree = append(ex.iterFree, cur)
 			fs.doneFrontier++
 			if cur.iter > 0 {

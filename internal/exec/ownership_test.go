@@ -36,26 +36,37 @@ func init() {
 }
 
 // loopOf hand-builds `for k := 0; k < n; k++ { vars = body(vars, consts) }`
-// in a frame of its own and returns the exits of vars. Its Enters declare
-// b.window.
+// in a frame of its own (nestLoop, entered from the root frame) and returns
+// the exits of vars.
 func loopOf(b *tb, name string, n int, vars, consts []graph.Output,
 	body func(vars, consts []graph.Output) []graph.Output) []graph.Output {
+	return nestLoop(b, name, b.scalar(float64(n)), b.scalar(0), b.scalar(1), vars,
+		func(vars []graph.Output, in func(graph.Output) graph.Output) []graph.Output {
+			cs := make([]graph.Output, len(consts))
+			for i, c := range consts {
+				cs[i] = in(c)
+			}
+			return body(vars, cs)
+		})
+}
+
+// nestLoop hand-builds `for k := 0; k < lim; k++ { vars = body(vars, in) }`
+// in frame name, whose Enters declare b.window. lim, zero and one are values
+// of the enclosing frame; in brings any other enclosing value into the frame
+// as a loop constant. It returns the exits of vars.
+func nestLoop(b *tb, name string, lim, zero, one graph.Output, vars []graph.Output,
+	body func(vars []graph.Output, in func(graph.Output) graph.Output) []graph.Output) []graph.Output {
 	frame := map[string]any{"frame_name": name, "parallel_iterations": b.window}
-	constant := func(v graph.Output) graph.Output {
+	in := func(v graph.Output) graph.Output {
 		return b.node("Enter", map[string]any{"frame_name": name, "parallel_iterations": b.window, "is_constant": true}, v).Out(0)
 	}
-	lim, one := constant(b.scalar(float64(n))), constant(b.scalar(1))
-	cs := make([]graph.Output, len(consts))
-	for i, c := range consts {
-		cs[i] = constant(c)
-	}
-	all := append([]graph.Output{b.scalar(0)}, vars...)
+	all := append([]graph.Output{zero}, vars...)
 	merges := make([]*graph.Node, len(all))
 	for i, v := range all {
 		e := b.node("Enter", frame, v)
 		merges[i] = b.node("Merge", nil, e.Out(0), e.Out(0))
 	}
-	cond := b.node("LoopCond", nil, b.node("Less", nil, merges[0].Out(0), lim).Out(0))
+	cond := b.node("LoopCond", nil, b.node("Less", nil, merges[0].Out(0), in(lim)).Out(0))
 	inBody := make([]graph.Output, len(all))
 	exits := make([]graph.Output, len(vars))
 	for i, m := range merges {
@@ -65,7 +76,7 @@ func loopOf(b *tb, name string, n int, vars, consts []graph.Output,
 			exits[i-1] = b.node("Exit", nil, sw.Out(0)).Out(0)
 		}
 	}
-	next := append([]graph.Output{b.node("Add", nil, inBody[0], one).Out(0)}, body(inBody[1:], cs)...)
+	next := append([]graph.Output{b.node("Add", nil, inBody[0], in(one)).Out(0)}, body(inBody[1:], in)...)
 	for i, m := range merges {
 		m.ReplaceInput(1, b.node("NextIteration", nil, next[i]).Out(0))
 	}
@@ -207,6 +218,32 @@ func TestRuleCountedValueRoundALoop(t *testing.T) {
 				func(vars, _ []graph.Output) []graph.Output {
 					v, acc := vars[0], vars[1]
 					return []graph.Output{v, b.node("Add", nil, acc, v).Out(0)}
+				})
+			return []graph.Output{sumOf(b, exits[0]), exits[1]}
+		},
+		check: func(out []ops.Value) error {
+			const n = 4 * scratchCols
+			if got, want := out[0].T.ScalarValue(), float64(n*(n+1)/2); got != want {
+				return fmt.Errorf("sum of v after the loop = %v, want %v", got, want)
+			}
+			return wantElems(out[1], "acc", func(k int) float64 { return float64(k) + iters*(1+float64(k)) })
+		},
+		held: 8 + ruleBytes, // the fetched sum, the fetched accumulator
+	})
+}
+
+// A routing node forwards the reference it is handed: an Identity whose two
+// consumers are an Add and the NextIteration that carries its value round
+// runs where its token lands, as does that NextIteration, and neither gives
+// the reference up. The counted value is recycled once, after the loop.
+func TestRuleCountedValueRoutedThroughIdentity(t *testing.T) {
+	const iters = 200
+	runRule(t, ruleCase{
+		build: func(b *tb) []graph.Output {
+			exits := loopOf(b, "routed", iters, []graph.Output{fresh(b, 1), fresh(b, 0)}, nil,
+				func(vars, _ []graph.Output) []graph.Output {
+					v := b.node("Identity", nil, vars[0]).Out(0)
+					return []graph.Output{v, b.node("Add", nil, vars[1], v).Out(0)}
 				})
 			return []graph.Output{sumOf(b, exits[0]), exits[1]}
 		},

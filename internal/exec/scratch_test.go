@@ -10,11 +10,11 @@ import (
 )
 
 // buildAffineLoop hand-builds the loop_dispatch graph — two loop variables,
-// i = 0, acc = 1; while i < iters { i += 1; acc = acc*a + c } — and returns
-// both exits.
+// i = 0, acc = 1; while i < iters { i += 1; acc = acc*a + c } — in a frame
+// whose Enters declare b.window, and returns both exits.
 func buildAffineLoop(b *tb, iters float64) []graph.Output {
-	frame := map[string]any{"frame_name": "affine"}
-	frameConst := map[string]any{"frame_name": "affine", "is_constant": true}
+	frame := map[string]any{"frame_name": "affine", "parallel_iterations": b.window}
+	frameConst := map[string]any{"frame_name": "affine", "parallel_iterations": b.window, "is_constant": true}
 	enterI := b.node("Enter", frame, b.scalar(0))
 	enterA := b.node("Enter", frame, b.scalar(1))
 	lim := b.node("Enter", frameConst, b.scalar(iters))
@@ -35,34 +35,50 @@ func buildAffineLoop(b *tb, iters float64) []graph.Output {
 	return []graph.Output{b.node("Exit", nil, swI.Out(0)).Out(0), b.node("Exit", nil, swA.Out(0)).Out(0)}
 }
 
+// raceBuild is set by race_test.go in a race build.
+var raceBuild bool
+
 // TestLoopIterationAllocBudget pins what one loop iteration takes from the
 // heap: the same two-variable While at 200 and at 2200 iterations, the
 // difference spread over the 2000 extra iterations. Node execution itself
 // allocates nothing (output tokens, kernel context and result slice are
 // scratch) and every buffer of the body goes back to the pool when its last
 // reference is released — the counter and the predicate each have two
-// consumers — so an iteration takes nothing: 0.03 objects measured, 4 while
-// fan-out sent a buffer to the collector, 48 before the scratch.
+// consumers — so an iteration takes nothing: 0.00 objects measured, 0.03
+// before routing nodes stopped being scheduled, 4 while fan-out sent a buffer
+// to the collector, 48 before the scratch. At window 1 every NextIteration
+// delivery is deferred, and a deferred bucket reuses the storage of the one
+// released before it: 0.00 measured, 2 while each bucket allocated its own.
+// A race build misses the pool (about half an object per iteration) and is
+// held to 1 object at both windows.
 func TestLoopIterationAllocBudget(t *testing.T) {
-	const budget = 1.0
-	perRun := func(iters float64) float64 {
-		b := newTB(t)
-		plan := b.plan(PlanOptions{Fetches: buildAffineLoop(b, iters)})
-		return testing.AllocsPerRun(5, func() {
-			out, _, err := plan.Run(Binding{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := out[0].T.ScalarValue(); got != iters {
-				t.Fatalf("count %v, want %v", got, iters)
-			}
-		})
-	}
-	short, long := perRun(200), perRun(2200)
-	perIter := (long - short) / 2000
-	t.Logf("allocs: %.0f at 200 iterations, %.0f at 2200: %.2f per iteration", short, long, perIter)
-	if perIter > budget {
-		t.Fatalf("a loop iteration allocates %.2f objects, budget %.0f: something on the node-execution path allocates again", perIter, budget)
+	for _, c := range []struct {
+		window int // 0: the frame's default
+		budget float64
+	}{{0, 1.0}, {1, 0.05}} {
+		perRun := func(iters float64) float64 {
+			b := newTB(t)
+			b.window = c.window
+			plan := b.plan(PlanOptions{Fetches: buildAffineLoop(b, iters)})
+			return testing.AllocsPerRun(5, func() {
+				out, _, err := plan.Run(Binding{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := out[0].T.ScalarValue(); got != iters {
+					t.Fatalf("count %v, want %v", got, iters)
+				}
+			})
+		}
+		if raceBuild {
+			c.budget = 1.0
+		}
+		short, long := perRun(200), perRun(2200)
+		perIter := (long - short) / 2000
+		t.Logf("window %d: allocs: %.0f at 200 iterations, %.0f at 2200: %.2f per iteration", c.window, short, long, perIter)
+		if perIter > c.budget {
+			t.Errorf("window %d: a loop iteration allocates %.2f objects, budget %.2f: something on the node-execution path allocates again", c.window, perIter, c.budget)
+		}
 	}
 }
 
