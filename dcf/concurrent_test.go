@@ -64,7 +64,7 @@ func TestConcurrentRunAndCallable(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !dcf.AllClose(got[0], want, 1e-12) {
+				if !allClose(got[0], want, 1e-12) {
 					errs <- fmt.Errorf("goroutine %d step %d: wrong value", i, j)
 					return
 				}

@@ -45,14 +45,10 @@
 package dcf
 
 import (
-	"fmt"
-
 	"repro/internal/autodiff"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/optimize"
 	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // Value is a concrete dense tensor (the data that flows at run time).
@@ -63,28 +59,19 @@ type DType = tensor.DType
 
 // Element types.
 const (
-	Float  = tensor.Float
-	Int    = tensor.Int
-	Bool   = tensor.Bool
-	String = tensor.Str
+	Float = tensor.Float
+	Int   = tensor.Int
+	Bool  = tensor.Bool
 )
 
-// Value constructors re-exported for API completeness.
+// Value constructors.
 var (
-	NewValue    = tensor.New
-	FromFloats  = tensor.FromFloats
-	FromInts    = tensor.FromInts
-	FromBools   = tensor.FromBools
-	ScalarVal   = tensor.Scalar
-	ScalarInt   = tensor.ScalarInt
-	ScalarBool  = tensor.ScalarBool
-	Zeros       = tensor.Zeros
-	Ones        = tensor.Ones
-	Full        = tensor.Full
-	Eye         = tensor.Eye
-	Arange      = tensor.Arange
-	ValuesEqual = tensor.Equal
-	AllClose    = tensor.AllClose
+	FromFloats = tensor.FromFloats
+	FromInts   = tensor.FromInts
+	ScalarVal  = tensor.Scalar
+	ScalarBool = tensor.ScalarBool
+	Zeros      = tensor.Zeros
+	Eye        = tensor.Eye
 )
 
 // RandNormal returns a Value with N(mean, std²) entries, seeded
@@ -94,6 +81,7 @@ func RandNormal(seed uint64, mean, std float64, shape ...int) *Value {
 }
 
 // RandUniform returns a Value with uniform entries in [lo, hi).
+// dcfvet:allow deadapi=benchmark/ draws the loop_dispatch and cluster_loop inputs with it
 func RandUniform(seed uint64, lo, hi float64, shape ...int) *Value {
 	return tensor.RandUniform(tensor.NewRNG(seed), lo, hi, shape...)
 }
@@ -113,27 +101,11 @@ type Tensor struct {
 // packages and the distributed runtime).
 func (t Tensor) Output() graph.Output { return t.o }
 
-// Graph returns the graph the tensor belongs to.
-func (t Tensor) Graph() *Graph { return t.g }
-
-// Wrap adopts a raw graph output into the public API (interop helper).
-func (g *Graph) Wrap(o graph.Output) Tensor { return g.wrap(o) }
-
-// Valid reports whether the tensor refers to a real graph output (builders
-// return invalid tensors after a sticky error).
-func (t Tensor) Valid() bool { return t.o.Node != nil }
-
 // Op is a graph node handle used as a Session run target (e.g. an assign or
 // a training step).
 type Op struct {
 	n *graph.Node
 }
-
-// Node exposes the underlying graph node.
-func (o Op) Node() *graph.Node { return o.n }
-
-// Op returns the tensor's producing node as a run target.
-func (t Tensor) Op() Op { return Op{t.o.Node} }
 
 // After adds control dependencies on the given ops to the tensor's
 // producing node (ordering stateful computations), returning t.
@@ -213,9 +185,6 @@ func (g *Graph) Variable(name string, init *Value) Tensor {
 // ReadVariable reads a session variable.
 func (g *Graph) ReadVariable(name string) Tensor { return g.wrap(g.b.ReadVariable(name)) }
 
-// Assign sets a session variable to v; returns the op to run.
-func (g *Graph) Assign(name string, v Tensor) Op { return Op{g.b.AssignVariable(name, v.o)} }
-
 // AssignAdd adds v into a session variable; returns the op to run.
 func (g *Graph) AssignAdd(name string, v Tensor) Op {
 	return Op{g.b.OpNode("AssignAdd", "", map[string]any{"var": name}, v.o)}
@@ -230,17 +199,6 @@ func (g *Graph) ApplySGD(name string, grad, lr Tensor) Op {
 // returns the op to run.
 func (g *Graph) ScatterUpdate(name string, ix, rows Tensor) Op {
 	return Op{g.b.OpNode("ScatterUpdateVar", "", map[string]any{"var": name}, ix.o, rows.o)}
-}
-
-// AssignT sets a session variable and returns the assigned value as a
-// tensor (usable inside conditional branches, where the assignment then
-// executes only when the branch is taken).
-func (g *Graph) AssignT(name string, v Tensor) Tensor {
-	n := g.b.OpNode("Assign", "", map[string]any{"var": name}, v.o)
-	if n == nil {
-		return Tensor{}
-	}
-	return g.wrap(n.Out(0))
 }
 
 // Group bundles ops into a single target.
@@ -259,11 +217,6 @@ func (g *Graph) WithDevice(dev string, fn func()) { g.b.WithDevice(dev, fn) }
 // execution (shaped statically).
 func (g *Graph) RandomUniformOp(shape ...int) Tensor {
 	return g.wrap(g.b.Op("RandomUniform", map[string]any{"shape": shape}))
-}
-
-// RandomNormalOp adds an op producing fresh standard-normal values.
-func (g *Graph) RandomNormalOp(shape ...int) Tensor {
-	return g.wrap(g.b.Op("RandomNormal", map[string]any{"shape": shape}))
 }
 
 // --- Control flow ---------------------------------------------------------
@@ -379,29 +332,4 @@ func (g *Graph) MustGradients(y Tensor, xs ...Tensor) []Tensor {
 		panic(err)
 	}
 	return outs
-}
-
-// OptimizeStats reports what graph optimization did.
-type OptimizeStats struct {
-	Folded int // subexpressions replaced by constants
-	CSE    int // duplicate nodes merged
-}
-
-// Optimize runs the whole-program optimizations of §3 — constant folding
-// and common-subexpression elimination, then folding of matrix transposes
-// into the MatMul that reads them — over the graph, in place. Call after
-// construction (including Gradients) and before creating sessions.
-func (g *Graph) Optimize() (OptimizeStats, error) {
-	st, err := optimize.Optimize(g.b.G)
-	out := OptimizeStats{Folded: st.Folded, CSE: st.CSE}
-	if err != nil {
-		return out, err
-	}
-	// Post-pass assertion: an optimizer rewrite that breaks the graph
-	// (dangling port, broken frame, dtype clash) is a bug in the rewrite,
-	// best caught here rather than as a step-time hang.
-	if ds := verify.Check(g.b.G, verify.Options{Complete: true}); len(ds) != 0 {
-		return out, fmt.Errorf("dcf: graph invalid after optimization (optimizer bug): %w", ds.Err())
-	}
-	return out, nil
 }

@@ -44,7 +44,7 @@ func TestFluentOpsAndGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dcf.ValuesEqual(got, dcf.FromFloats([]float64{2, 4, 6}, 3)) {
+	if !equal(got, dcf.FromFloats([]float64{2, 4, 6}, 3)) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestTensorArrayAPI(t *testing.T) {
 	if out[0].ScalarValue() != 4 {
 		t.Fatalf("size %v", out[0])
 	}
-	if !dcf.ValuesEqual(out[1], dcf.FromFloats([]float64{2, 4, 6, 8}, 4, 1)) {
+	if !equal(out[1], dcf.FromFloats([]float64{2, 4, 6, 8}, 4, 1)) {
 		t.Fatalf("mapfn %v", out[1])
 	}
 }
@@ -120,7 +120,7 @@ func TestScanAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dcf.ValuesEqual(got, dcf.FromFloats([]float64{1, 3, 6, 10}, 4)) {
+	if !equal(got, dcf.FromFloats([]float64{1, 3, 6, 10}, 4)) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -216,7 +216,7 @@ func TestSwappingAvoidsOOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dcf.AllClose(withSwap, want, 1e-9) {
+	if !allClose(withSwap, want, 1e-9) {
 		t.Fatal("swapping changed the numeric result")
 	}
 }

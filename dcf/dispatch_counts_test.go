@@ -17,8 +17,8 @@ var poolLive = metrics.Default().Gauge("tensor_pool_live_bytes")
 // raceBuild is set by race_test.go in a race build.
 var raceBuild bool
 
-// TestDispatchCounts pins where a step's node executions run and what a step
-// takes from the heap, as counts off the process metrics registry and the
+// TestDispatchCounts pins how many nodes the benchmark's graphs have, where a
+// step's node executions run and what a step takes from the heap, as counts off the process metrics registry and the
 // runtime's allocation statistics: counts repeat exactly, or nearly, where
 // wall-clock on this host drifts by a quarter, so they are what a regression
 // gate can hold. A row's numbers are what the named PR left; a change that
@@ -48,6 +48,7 @@ func TestDispatchCounts(t *testing.T) {
 	if err := g.Err(); err != nil {
 		t.Fatal(err)
 	}
+	serveNodes := g.Builder().G.NumNodes()
 	sess := dcf.NewSession(g)
 	defer sess.Close()
 	if err := sess.InitVariables(); err != nil {
@@ -76,6 +77,7 @@ func TestDispatchCounts(t *testing.T) {
 	if err := lg.Err(); err != nil {
 		t.Fatal(err)
 	}
+	loopNodes := lg.Builder().G.NumNodes()
 	lsess := dcf.NewSession(lg)
 	defer lsess.Close()
 	loop, err := lsess.MakeCallable(dcf.CallableSpec{Feeds: []string{"b"}, Fetches: loopOuts})
@@ -83,6 +85,24 @@ func TestDispatchCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := dcf.ScalarVal(1.25)
+
+	// Graph sizes, exact: the nodes the builders and autodiff emit for the
+	// three graphs, so a change that adds nodes to any of them fails here
+	// and says why in the diff that moves the pin.
+	for _, row := range []struct {
+		name       string
+		nodes, pin int
+		setBy      string
+	}{
+		{"rnn_train forward model", rnn.forwardNodes, 74, "nn's LSTM cell and DynamicRNN as built; no pass rewrites a graph after construction"},
+		{"rnn_train after Gradients and SGD updates", rnn.trainNodes, 370, "autodiff with one-node Sigmoid and Tanh gradients; the 19 duplicates a CSE pass could merge are kept, no pass runs"},
+		{"dcfserve model", serveNodes, 15, "the two-layer scorer as built"},
+		{"loop_dispatch graph", loopNodes, 26, "one While of three scalar body kernels as core.Builder emits it"},
+	} {
+		if row.nodes != row.pin {
+			t.Errorf("%s: %d graph nodes (want %d) — set by %s", row.name, row.nodes, row.pin, row.setBy)
+		}
+	}
 
 	// The split follows measured kernel time, so the hand-off pins hold for
 	// kernels at the speed they were set at: the spans of a traced training

@@ -50,7 +50,7 @@ func TestBatchedMatMulGradient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gradient of a[2,3,4].MatMul(w[2,4,5]): %v", err)
 	}
-	if want := numericGradient(t, sess, loss, x); !dcf.AllClose(got[0], want, 1e-4) {
+	if want := numericGradient(t, sess, loss, x); !allClose(got[0], want, 1e-4) {
 		t.Fatalf("d loss / d a = %v, numeric %v", got[0], want)
 	}
 	if s := got[1].Shape(); len(s) != 3 || s[0] != 2 || s[1] != 4 || s[2] != 5 {
@@ -82,7 +82,7 @@ func TestSecondOrderGradientThroughMatMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := numericGradient(t, sess, z, xv); !dcf.AllClose(got, want, 1e-4) {
+	if want := numericGradient(t, sess, z, xv); !allClose(got, want, 1e-4) {
 		t.Fatalf("second-order gradient %v, numeric %v", got, want)
 	}
 }

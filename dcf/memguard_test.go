@@ -185,6 +185,9 @@ func TestMemoryBoundMoETrainStep(t *testing.T) {
 type rnnTrainer struct {
 	step   func() float64       // one step through a pre-compiled Callable; the loss
 	traced func() *trace.Tracer // one step with a span recorded per node execution
+	// The graph's node count once the forward model is built, and once
+	// Gradients and the SGD updates are added to it.
+	forwardNodes, trainNodes int
 }
 
 func rnnTrainStep(tb testing.TB) rnnTrainer {
@@ -198,6 +201,7 @@ func rnnTrainStep(tb testing.TB) rnnTrainer {
 	c0 := g.Const(dcf.Zeros(batch, units))
 	r := nn.DynamicRNN(g, cell, x, h0, c0, dcf.WhileOpts{})
 	loss := nn.MSE(r.FinalH, y)
+	forwardNodes := g.Builder().G.NumNodes()
 	step, err := nn.SGDStep(g, loss, &cell.Vars, 0.05, false)
 	if err != nil {
 		tb.Fatal(err)
@@ -205,6 +209,7 @@ func rnnTrainStep(tb testing.TB) rnnTrainer {
 	if err := g.Err(); err != nil {
 		tb.Fatal(err)
 	}
+	trainNodes := g.Builder().G.NumNodes()
 	sess := dcf.NewSession(g)
 	tb.Cleanup(sess.Close)
 	if err := sess.InitVariables(); err != nil {
@@ -236,6 +241,8 @@ func rnnTrainStep(tb testing.TB) rnnTrainer {
 			}
 			return md.StepTrace
 		},
+		forwardNodes: forwardNodes,
+		trainNodes:   trainNodes,
 	}
 }
 
@@ -349,7 +356,7 @@ func BenchmarkRNNTrainStep(b *testing.B) {
 		rnn.step()
 	}
 	b.StopTimer()
-	kinds := []string{"matmul", "transpose", "elementwise", "reduce", "kernel"}
+	kinds := []string{"matmul", "transpose", "elementwise", "reduce", "other", "kernel"}
 	const tracedSteps = 7
 	samples := map[string][]float64{}
 	for s := 0; s < tracedSteps; s++ {

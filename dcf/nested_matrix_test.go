@@ -100,7 +100,7 @@ func TestNestedControlFlowBitIdenticalAcrossWindowsAndWorkers(t *testing.T) {
 				continue
 			}
 			for k := range out {
-				if !dcf.ValuesEqual(out[k], ref[k]) {
+				if !equal(out[k], ref[k]) {
 					t.Fatalf("fetch %d differs between %s and %s", k, name, refName)
 				}
 			}

@@ -37,18 +37,6 @@ type BatchOptions struct {
 // queue delay, execution latency, throughput). See serve.Stats.
 type ServeStats = serve.Stats
 
-// Batching errors a Predict caller can match with errors.Is.
-var (
-	// ErrServerClosed reports a Predict after Close.
-	ErrServerClosed = serve.ErrClosed
-	// ErrQueueFull reports MaxQueuedRequests backpressure.
-	ErrQueueFull = serve.ErrQueueFull
-	// ErrInvalidRequest wraps enqueue-time validation failures (bad
-	// arity, dtype, rank, rows) — the request's fault, not the server's,
-	// so HTTP front ends should map it to a 4xx status.
-	ErrInvalidRequest = serve.ErrInvalidRequest
-)
-
 // ReqInfo is one request's batching metrics (queue delay, the batch it
 // rode in), returned by PredictDetailed.
 type ReqInfo = serve.ReqInfo
@@ -77,7 +65,7 @@ type Server struct {
 
 // NewServer compiles spec into a Callable and wraps it in an adaptive
 // request batcher. Like MakeCallable, create servers after graph
-// construction (including Gradients and Optimize) is complete.
+// construction (including Gradients) is complete.
 func NewServer(s *Session, spec CallableSpec, opts BatchOptions) (*Server, error) {
 	if len(spec.Feeds) == 0 {
 		return nil, fmt.Errorf("dcf: a batched server needs at least one feed to stack")
@@ -117,12 +105,6 @@ func NewServer(s *Session, spec CallableSpec, opts BatchOptions) (*Server, error
 	return &Server{c: c, b: serve.New(call, sopts)}, nil
 }
 
-// MakeBatchedCallable is NewServer on the session receiver: the batched
-// sibling of MakeCallable.
-func (s *Session) MakeBatchedCallable(spec CallableSpec, opts BatchOptions) (*Server, error) {
-	return NewServer(s, spec, opts)
-}
-
 // Predict enqueues one request (args bound positionally to the spec's
 // feeds, each shaped [rows, ...]) and blocks until its micro-batch has
 // executed, returning the request's own rows of each fetch. Canceling ctx
@@ -133,6 +115,7 @@ func (sv *Server) Predict(ctx context.Context, args ...*Value) ([]*Value, error)
 }
 
 // PredictDetailed is Predict returning the request's batching metrics.
+// dcfvet:allow deadapi=benchmark/ reads each request's queue delay with it for serve.queue_wait_us_p50
 func (sv *Server) PredictDetailed(ctx context.Context, args ...*Value) ([]*Value, ReqInfo, error) {
 	return sv.b.DoDetailed(ctx, args...)
 }
@@ -147,6 +130,7 @@ func (sv *Server) Metrics() *metrics.Registry { return sv.b.Metrics() }
 
 // Callable returns the underlying compiled signature (the unbatched
 // direct path, useful for comparison and for single-shot warmup).
+// dcfvet:allow deadapi=benchmark/ times the unbatched call with it for serve.predict_direct_us
 func (sv *Server) Callable() *Callable { return sv.c }
 
 // Close stops accepting requests, flushes the queue into final

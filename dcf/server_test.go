@@ -3,11 +3,15 @@ package dcf
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // serverModel builds score = tanh(x@W1)@W2 over a typed [batch, in]
@@ -81,7 +85,8 @@ func TestServerMatchesUnbatchedCallable(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if !AllClose(want[i], got[i], 1e-12) {
+		if !slices.Equal(want[i].Shape(), got[i].Shape()) ||
+			!slices.EqualFunc(want[i].F, got[i].F, func(x, y float64) bool { return math.Abs(x-y) <= 1e-12 }) {
 			t.Fatalf("request %d: batched result differs from unbatched:\n%v\nvs\n%v", i, got[i], want[i])
 		}
 	}
@@ -96,7 +101,7 @@ func TestServerMatchesUnbatchedCallable(t *testing.T) {
 
 func TestServerRejectsBadFeedAtEnqueue(t *testing.T) {
 	sess, y := serverModel(t, 4, 2, 0)
-	srv, err := sess.MakeBatchedCallable(CallableSpec{Feeds: []string{"x"}, Fetches: []Tensor{y}},
+	srv, err := NewServer(sess, CallableSpec{Feeds: []string{"x"}, Fetches: []Tensor{y}},
 		BatchOptions{MaxQueueDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +114,8 @@ func TestServerRejectsBadFeedAtEnqueue(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `placeholder "x"`) {
 		t.Fatalf("want enqueue-time rejection naming the placeholder, got %v", err)
 	}
-	if !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("validation failure should wrap ErrInvalidRequest, got %v", err)
+	if !errors.Is(err, serve.ErrInvalidRequest) {
+		t.Fatalf("validation failure should wrap serve.ErrInvalidRequest, got %v", err)
 	}
 	// Wrong dtype.
 	_, err = srv.Predict(context.Background(), FromInts([]int64{1, 2, 3, 4}, 1, 4))
@@ -219,8 +224,8 @@ func TestServerClosePredictFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := srv.Predict(context.Background(), Zeros(1, 4)); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("want ErrServerClosed, got %v", err)
+	if _, err := srv.Predict(context.Background(), Zeros(1, 4)); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("want serve.ErrClosed, got %v", err)
 	}
 }
 

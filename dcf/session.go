@@ -118,9 +118,6 @@ func (s *Session) RestoreVariables(path string) error {
 	return checkpoint.RestoreFile(path, s.s.SessRes)
 }
 
-// RunStats reports one run's executor activity.
-type RunStats = core.RunStats
-
 // RunMetadata is per-run result metadata, returned by RunCtx and
 // Callable.CallCtx and private to that call.
 type RunMetadata = core.RunMetadata
@@ -132,6 +129,7 @@ type RunOptions struct {
 	// Fetches are the tensors whose values to return, in order.
 	Fetches []Tensor
 	// Targets are ops to execute without fetching (e.g. train steps).
+	// dcfvet:allow deadapi=benchmark/ sets it for the traced rnn_train step behind the span probes
 	Targets []Op
 	// Trace records one span per node execution into the returned
 	// RunMetadata's StepTrace (render with its ChromeTrace or ASCII
@@ -210,7 +208,7 @@ type Callable struct {
 }
 
 // MakeCallable compiles the spec's run signature once. Create callables
-// after graph construction (including Gradients and Optimize) is complete:
+// after graph construction (including Gradients) is complete:
 // a Call made after any later graph mutation fails fast rather than
 // silently executing the stale compiled plan.
 func (s *Session) MakeCallable(spec CallableSpec) (*Callable, error) {

@@ -23,17 +23,8 @@ func (t Tensor) Sub(u Tensor) Tensor { return t.bin("Sub", u) }
 // Mul returns t*u elementwise with broadcasting.
 func (t Tensor) Mul(u Tensor) Tensor { return t.bin("Mul", u) }
 
-// Div returns t/u elementwise with broadcasting.
-func (t Tensor) Div(u Tensor) Tensor { return t.bin("Div", u) }
-
-// Pow returns t**u elementwise.
-func (t Tensor) Pow(u Tensor) Tensor { return t.bin("Pow", u) }
-
 // Mod returns the elementwise remainder.
 func (t Tensor) Mod(u Tensor) Tensor { return t.bin("Mod", u) }
-
-// Maximum returns the elementwise max.
-func (t Tensor) Maximum(u Tensor) Tensor { return t.bin("Maximum", u) }
 
 // Minimum returns the elementwise min.
 func (t Tensor) Minimum(u Tensor) Tensor { return t.bin("Minimum", u) }
@@ -42,21 +33,11 @@ func (t Tensor) Minimum(u Tensor) Tensor { return t.bin("Minimum", u) }
 // batches of matrices with the same leading dimension. The MatMul node reads
 // an operand transposed over its last two axes when its transpose_a /
 // transpose_b attribute is set: the gradient sets them instead of building
-// Transpose nodes, and Optimize folds t.Transpose().MatMul(u) and
-// t.MatMul(u.Transpose()) into them, so neither copies a matrix.
+// Transpose nodes, so it copies no matrix.
 func (t Tensor) MatMul(u Tensor) Tensor { return t.bin("MatMul", u) }
-
-// Greater returns t>u elementwise (bool).
-func (t Tensor) Greater(u Tensor) Tensor { return t.bin("Greater", u) }
-
-// GreaterEqual returns t>=u elementwise (bool).
-func (t Tensor) GreaterEqual(u Tensor) Tensor { return t.bin("GreaterEqual", u) }
 
 // Less returns t<u elementwise (bool).
 func (t Tensor) Less(u Tensor) Tensor { return t.bin("Less", u) }
-
-// LessEqual returns t<=u elementwise (bool).
-func (t Tensor) LessEqual(u Tensor) Tensor { return t.bin("LessEqual", u) }
 
 // Equal returns t==u elementwise (bool).
 func (t Tensor) Equal(u Tensor) Tensor { return t.bin("Equal", u) }
@@ -67,26 +48,8 @@ func (t Tensor) NotEqual(u Tensor) Tensor { return t.bin("NotEqual", u) }
 // And returns t&&u elementwise over bools.
 func (t Tensor) And(u Tensor) Tensor { return t.bin("LogicalAnd", u) }
 
-// Or returns t||u elementwise over bools.
-func (t Tensor) Or(u Tensor) Tensor { return t.bin("LogicalOr", u) }
-
-// Not returns !t elementwise over bools.
-func (t Tensor) Not() Tensor { return t.un("LogicalNot") }
-
 // Neg returns -t.
 func (t Tensor) Neg() Tensor { return t.un("Neg") }
-
-// Abs returns |t|.
-func (t Tensor) Abs() Tensor { return t.un("Abs") }
-
-// Exp returns e**t elementwise.
-func (t Tensor) Exp() Tensor { return t.un("Exp") }
-
-// Log returns ln(t) elementwise.
-func (t Tensor) Log() Tensor { return t.un("Log") }
-
-// Sqrt returns sqrt(t) elementwise.
-func (t Tensor) Sqrt() Tensor { return t.un("Sqrt") }
 
 // Square returns t² elementwise.
 func (t Tensor) Square() Tensor { return t.un("Square") }
@@ -97,17 +60,11 @@ func (t Tensor) Sigmoid() Tensor { return t.un("Sigmoid") }
 // Tanh returns tanh(t).
 func (t Tensor) Tanh() Tensor { return t.un("Tanh") }
 
-// Relu returns max(t, 0).
-func (t Tensor) Relu() Tensor { return t.un("Relu") }
-
 // Softmax returns softmax along the last axis.
 func (t Tensor) Softmax() Tensor { return t.un("Softmax") }
 
 // LogSoftmax returns log-softmax along the last axis.
 func (t Tensor) LogSoftmax() Tensor { return t.un("LogSoftmax") }
-
-// Identity returns a pass-through copy.
-func (t Tensor) Identity() Tensor { return t.un("Identity") }
 
 // StopGradient passes the value through but blocks gradient flow.
 func (t Tensor) StopGradient() Tensor { return t.un("StopGradient") }
@@ -145,12 +102,6 @@ func (t Tensor) Reshape(shape ...int) Tensor {
 	return t.g.wrap(t.g.b.Op("Reshape", map[string]any{"shape": shape}, t.o))
 }
 
-// Shape returns the dynamic shape as a 1-D int tensor.
-func (t Tensor) Shape() Tensor { return t.un("Shape") }
-
-// Size returns the dynamic element count.
-func (t Tensor) SizeT() Tensor { return t.un("Size") }
-
 // Cast converts the element type.
 func (t Tensor) Cast(to DType) Tensor {
 	return t.g.wrap(t.g.b.Op("Cast", map[string]any{"to": to}, t.o))
@@ -158,9 +109,6 @@ func (t Tensor) Cast(to DType) Tensor {
 
 // ZerosLike returns zeros shaped like t.
 func (t Tensor) ZerosLike() Tensor { return t.un("ZerosLike") }
-
-// OnesLike returns ones shaped like t.
-func (t Tensor) OnesLike() Tensor { return t.un("OnesLike") }
 
 // Gather selects rows of t by int indices.
 func (t Tensor) Gather(ix Tensor) Tensor { return t.bin("Gather", ix) }
@@ -187,19 +135,9 @@ func (t Tensor) Squeeze(axes ...int) Tensor {
 	return t.g.wrap(t.g.b.Op("Squeeze", map[string]any{"axes": axes}, t.o))
 }
 
-// Tile repeats t along axis 0.
-func (t Tensor) Tile(reps int) Tensor {
-	return t.g.wrap(t.g.b.Op("Tile", map[string]any{"reps": reps}, t.o))
-}
-
 // OneHot encodes int indices as one-hot float rows.
 func (t Tensor) OneHot(depth int) Tensor {
 	return t.g.wrap(t.g.b.Op("OneHot", map[string]any{"depth": depth}, t.o))
-}
-
-// Select returns elementwise t ? a : b (t is bool).
-func (t Tensor) Select(a, b Tensor) Tensor {
-	return t.g.wrap(t.g.b.Op("Select", nil, t.o, a.o, b.o))
 }
 
 // Concat concatenates tensors along axis.

@@ -1,9 +1,13 @@
 package dcf_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/dcf"
+	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // evalT builds a one-op expression and evaluates it.
@@ -21,27 +25,44 @@ func evalT(t *testing.T, build func(g *dcf.Graph) dcf.Tensor) *dcf.Value {
 	return v
 }
 
+// evalOp builds an expression on g's builder, for the ops dcf.Tensor has
+// no method for, and evaluates it.
+func evalOp(t *testing.T, build func(b *core.Builder) graph.Output) *dcf.Value {
+	t.Helper()
+	b := dcf.NewGraph().Builder()
+	out := build(b)
+	if b.Err() != nil {
+		t.Fatal(b.Err())
+	}
+	v, err := core.NewSession(b).Run(nil, []graph.Output{out}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v[0]
+}
+
 func TestFluentMathOps(t *testing.T) {
-	v := evalT(t, func(g *dcf.Graph) dcf.Tensor {
-		a := g.Const(dcf.FromFloats([]float64{4, 9}, 2))
-		b := g.Const(dcf.FromFloats([]float64{2, 3}, 2))
-		return a.Div(b).Pow(b).Mod(g.Scalar(5)) // (2,3)->(4,27)->(4,2)
+	v := evalOp(t, func(b *core.Builder) graph.Output {
+		x := b.Const(dcf.FromFloats([]float64{4, 9}, 2))
+		y := b.Const(dcf.FromFloats([]float64{2, 3}, 2))
+		return b.Op("Mod", nil, b.Op("Pow", nil, b.Op("Div", nil, x, y), y), b.Scalar(5)) // (2,3)->(4,27)->(4,2)
 	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{4, 2}, 2)) {
+	if !equal(v, dcf.FromFloats([]float64{4, 2}, 2)) {
 		t.Fatalf("got %v", v)
 	}
 }
 
 func TestFluentComparisonAndLogic(t *testing.T) {
-	v := evalT(t, func(g *dcf.Graph) dcf.Tensor {
-		a := g.Const(dcf.FromFloats([]float64{1, 2, 3}, 3))
-		b := g.Const(dcf.FromFloats([]float64{2, 2, 2}, 3))
-		ge := a.GreaterEqual(b)
-		ne := a.NotEqual(b)
-		return ge.And(ne).Or(a.LessEqual(g.Scalar(1))).Not().Cast(dcf.Float)
+	v := evalOp(t, func(b *core.Builder) graph.Output {
+		x := b.Const(dcf.FromFloats([]float64{1, 2, 3}, 3))
+		y := b.Const(dcf.FromFloats([]float64{2, 2, 2}, 3))
+		ge := b.Op("GreaterEqual", nil, x, y)
+		ne := b.Op("NotEqual", nil, x, y)
+		or := b.Op("LogicalOr", nil, b.Op("LogicalAnd", nil, ge, ne), b.Op("LessEqual", nil, x, b.Scalar(1)))
+		return b.Op("Cast", map[string]any{"to": dcf.Float}, b.Op("LogicalNot", nil, or))
 	})
 	// ge: F,T,T; ne: T,F,T; and: F,F,T; le1: T,F,F; or: T,F,T; not: F,T,F
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{0, 1, 0}, 3)) {
+	if !equal(v, dcf.FromFloats([]float64{0, 1, 0}, 3)) {
 		t.Fatalf("got %v", v)
 	}
 }
@@ -52,20 +73,20 @@ func TestFluentArrayOps(t *testing.T) {
 		ix := g.Const(dcf.FromInts([]int64{2, 0}, 2))
 		return a.Gather(ix).Reshape(4).ExpandDims(0).Squeeze()
 	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{5, 6, 1, 2}, 4)) {
+	if !equal(v, dcf.FromFloats([]float64{5, 6, 1, 2}, 4)) {
 		t.Fatalf("got %v", v)
 	}
 }
 
 func TestFluentSelectMaximumMinimum(t *testing.T) {
-	v := evalT(t, func(g *dcf.Graph) dcf.Tensor {
-		a := g.Const(dcf.FromFloats([]float64{1, -5, 3}, 3))
-		clipped := a.Maximum(g.Scalar(-1)).Minimum(g.Scalar(2))
-		pos := a.Greater(g.Scalar(0))
-		return pos.Select(clipped, clipped.Neg())
+	v := evalOp(t, func(b *core.Builder) graph.Output {
+		x := b.Const(dcf.FromFloats([]float64{1, -5, 3}, 3))
+		clipped := b.Op("Minimum", nil, b.Op("Maximum", nil, x, b.Scalar(-1)), b.Scalar(2))
+		pos := b.Op("Greater", nil, x, b.Scalar(0))
+		return b.Op("Select", nil, pos, clipped, b.Neg(clipped))
 	})
 	// clipped: 1,-1,2; pos: T,F,T; select: 1, 1, 2
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{1, 1, 2}, 3)) {
+	if !equal(v, dcf.FromFloats([]float64{1, 1, 2}, 3)) {
 		t.Fatalf("got %v", v)
 	}
 }
@@ -79,15 +100,16 @@ func TestConcatPackUnpackAddN(t *testing.T) {
 		summed := dcf.AddN(parts[0], parts[1]) // [4,6]
 		return dcf.Concat(0, summed, a)        // [4,6,1,2]
 	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{4, 6, 1, 2}, 4)) {
+	if !equal(v, dcf.FromFloats([]float64{4, 6, 1, 2}, 4)) {
 		t.Fatalf("got %v", v)
 	}
 }
 
 func TestShapeIntrospectionOps(t *testing.T) {
-	v := evalT(t, func(g *dcf.Graph) dcf.Tensor {
-		a := g.Const(dcf.Zeros(3, 5))
-		return a.Shape().Cast(dcf.Float).ReduceSum().Add(a.SizeT().Cast(dcf.Float))
+	v := evalOp(t, func(b *core.Builder) graph.Output {
+		x := b.Const(dcf.Zeros(3, 5))
+		float := func(y graph.Output) graph.Output { return b.Op("Cast", map[string]any{"to": dcf.Float}, y) }
+		return b.Add(b.Op("Sum", nil, float(b.Op("Shape", nil, x))), float(b.Op("Size", nil, x)))
 	})
 	if v.ScalarValue() != 3+5+15 {
 		t.Fatalf("got %v", v)
@@ -101,17 +123,21 @@ func TestReduceVariants(t *testing.T) {
 		mean := a.ReduceMean([]int{0}, false) // [2,3.5]
 		return dcf.Concat(0, mx, mean)
 	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{5, 3, 2, 3.5}, 4)) {
+	if !equal(v, dcf.FromFloats([]float64{5, 3, 2, 3.5}, 4)) {
 		t.Fatalf("got %v", v)
 	}
 }
 
 func TestArgMaxOneHotTile(t *testing.T) {
-	v := evalT(t, func(g *dcf.Graph) dcf.Tensor {
-		a := g.Const(dcf.FromFloats([]float64{1, 9, 3}, 1, 3))
-		return a.ArgMax(1).OneHot(3).Tile(2)
-	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{0, 1, 0, 0, 1, 0}, 2, 3)) {
+	g := dcf.NewGraph()
+	oneHot := g.Const(dcf.FromFloats([]float64{1, 9, 3}, 1, 3)).ArgMax(1).OneHot(3)
+	b := g.Builder()
+	vs, err := core.NewSession(b).Run(nil, []graph.Output{b.Op("Tile", map[string]any{"reps": 2}, oneHot.Output())}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vs[0]
+	if !equal(v, dcf.FromFloats([]float64{0, 1, 0, 0, 1, 0}, 2, 3)) {
 		t.Fatalf("got %v", v)
 	}
 }
@@ -121,7 +147,7 @@ func TestSliceColsAndRows(t *testing.T) {
 		a := g.Const(dcf.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 2, 3))
 		return a.SliceCols(1, 2).SliceRows(g.Int(1), 1)
 	})
-	if !dcf.ValuesEqual(v, dcf.FromFloats([]float64{5, 6}, 1, 2)) {
+	if !equal(v, dcf.FromFloats([]float64{5, 6}, 1, 2)) {
 		t.Fatalf("got %v", v)
 	}
 }
@@ -144,9 +170,8 @@ func TestStopGradientBlocksFlow(t *testing.T) {
 func TestRandomOps(t *testing.T) {
 	g := dcf.NewGraph()
 	u := g.RandomUniformOp(100)
-	n := g.RandomNormalOp(100)
-	s := dcf.NewSession(g)
-	out, err := s.Run(nil, []dcf.Tensor{u, n})
+	n := g.Builder().Op("RandomNormal", map[string]any{"shape": []int{100}})
+	out, err := core.NewSession(g.Builder()).Run(nil, []graph.Output{u.Output(), n}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,4 +188,18 @@ func TestRandomOps(t *testing.T) {
 	if mean > 0.8 || mean < -0.8 {
 		t.Fatalf("normal mean suspicious: %v", mean)
 	}
+}
+
+// equal reports whether a and b have one dtype, one shape and the same
+// elements.
+func equal(a, b *dcf.Value) bool {
+	return a.DType() == b.DType() && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.Equal(a.F, b.F) && slices.Equal(a.I, b.I) && slices.Equal(a.B, b.B) && slices.Equal(a.S, b.S)
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by at most tol in every element.
+func allClose(a, b *dcf.Value, tol float64) bool {
+	return a.DType() == dcf.Float && b.DType() == dcf.Float && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }

@@ -4,9 +4,22 @@
 // differentiation through control flow, multi-device execution with memory
 // swapping, and a distributed runtime.
 //
-// The public API is package repro/dcf. cmd/dcfbench prints the paper figures
-// that internal/bench still drives (Figures 11, 12, 14, Table 1 with
-// Figure 13); benchmark/ is the repo benchmark whose numbers gate a PR.
+// The public API is package repro/dcf: the paper's programming model (§3) and
+// what examples/, cmd/ and benchmark/ run with it. A Graph builds
+// placeholders, variables and their updates (AssignAdd, ApplySGD,
+// ScatterUpdate), math on Tensor values, Cond and While, the higher-order
+// functions built on them (Scan, MapFn, FoldL, FoldR; Figure 2),
+// TensorArrays, and Gradients, whose GradOptions.SwapMemory moves
+// loop-saved values to the host; WithDevice places ops on the simulated
+// devices of SessionOptions.Devices. A Session runs it (Run, RunCtx,
+// MakeCallable), checkpoints its variables (SaveVariables,
+// RestoreVariables), and NewServer batches requests over one Callable. The
+// repository's deadapi check holds the API to that: an exported name only
+// tests call is reported in dcf as anywhere else.
+//
+// cmd/dcfbench prints the paper figures that internal/bench still drives
+// (Figures 11, 12, 14, Table 1 with Figure 13); benchmark/ is the repo
+// benchmark whose numbers gate a PR.
 //
 // # Serving
 //
@@ -19,7 +32,7 @@
 // the paper's per-signature executors.
 //
 // On top of the Callable sits dynamic request batching (internal/serve,
-// surfaced as dcf.NewServer / Session.MakeBatchedCallable): concurrent
+// surfaced as dcf.NewServer): concurrent
 // single-request Predict calls are coalesced into one batched executor
 // step — feeds stacked along axis 0, fetches sliced back per request —
 // under an adaptive policy (flush at once while an execution slot is
@@ -133,8 +146,8 @@
 //     cross-partition rendezvous-cycle check. It runs once per graph
 //     version when a session compiles a plan (never per step), at worker
 //     graph registration (diagnostics travel back in the registration
-//     reply), after partitioning, and as a post-pass after graph
-//     optimization. `cmd/dcfgraph -lint` runs it from the command line.
+//     reply), and after partitioning. `cmd/dcfgraph -lint` runs it from the
+//     command line.
 //     Details: internal/verify/README.md.
 //   - Static memory bounds (verify.EstimateMemory): a liveness analysis
 //     over the verified graph that bounds peak tensor residency before

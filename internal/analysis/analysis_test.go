@@ -136,8 +136,10 @@ func TestLockOrderFixture(t *testing.T)  { checkAnalyzer(t, "lockorder") }
 func TestGoroLeakFixture(t *testing.T)   { checkAnalyzer(t, "goroleak") }
 func TestUnsafeSendFixture(t *testing.T) { checkAnalyzer(t, "unsafesend") }
 
-// The deadapi fixture pins the interface rule too: square.Area is reached
-// only through Shape and must not be reported.
+// The deadapi fixture pins its scope, every package (api.Helper is
+// reported outside internal/), and its dynamic rules: square.Area is
+// reached only through Shape, and api's handler only through net/http;
+// neither must be reported.
 func TestDeadAPIFixture(t *testing.T) { checkAnalyzer(t, "deadapi") }
 
 // TestUnusedAllows pins the staleness accounting: the fixture seeds

@@ -1,11 +1,12 @@
-// DeadAPI reports surface under internal/ that only tests reach: an
-// exported identifier no non-test file of the module uses (a reference
-// from its own declaration does not count), and a field of an options or
-// config struct no non-test code writes (by composite literal, assignment,
-// inc/dec or &). A method is also live when a non-test call through an
-// interface could reach it — same name and signature, and its receiver
-// type implements the interface — or when it satisfies error or
-// fmt.Stringer, which the standard library calls dynamically.
+// DeadAPI reports surface that only tests reach, in every package of the
+// module, the public dcf API included: an exported identifier no non-test
+// file of the module uses (a reference from its own declaration does not
+// count), and a field of an options or config struct no non-test code
+// writes (by composite literal, assignment, inc/dec or &). A method is also
+// live when a non-test call through an interface could reach it — same
+// name and signature, and its receiver type implements the interface — or
+// when it satisfies error, fmt.Stringer or http.Handler, which the
+// standard library calls dynamically.
 package analysis
 
 import (
@@ -18,7 +19,7 @@ import (
 
 var DeadAPI = &Analyzer{
 	Name:       "deadapi",
-	Doc:        "no exported identifier under internal/ that only tests use, and no options field that only tests set",
+	Doc:        "no exported identifier that only tests use, and no options field that only tests set",
 	RunProgram: runDeadAPI,
 }
 
@@ -68,9 +69,6 @@ func runDeadAPI(pass *ProgramPass) {
 		}
 	}
 	for _, pkg := range pass.Prog.Pkgs {
-		if !strings.Contains(pkg.Path+"/", "/internal/") {
-			continue
-		}
 		for _, f := range pkg.Files {
 			if !isTestFile(pkg.Fset, f) {
 				u.report(pass, pkg, f)
@@ -137,10 +135,10 @@ func (u *deadUses) collect(pkg *Package, f *ast.File) {
 }
 
 // dynamic reports whether a call through an interface could reach method
-// fn, or fn satisfies error or fmt.Stringer.
+// fn, or fn satisfies error, fmt.Stringer or http.Handler.
 func (u *deadUses) dynamic(fn *types.Func) bool {
 	k := fn.Name() + "|" + sigKey(fn.Signature())
-	if k == "Error|()(string)" || k == "String|()(string)" {
+	if k == "Error|()(string)" || k == "String|()(string)" || k == "ServeHTTP|(net/http.ResponseWriter,*net/http.Request)()" {
 		return true
 	}
 	has := methodKeys(types.NewPointer(deref(fn.Signature().Recv().Type())))

@@ -98,8 +98,8 @@ func (p *pump) loop() {
 	}
 }
 
-// Start spawns the method — the callgraph resolves `go p.loop()` to the
+// start spawns the method — the callgraph resolves `go p.loop()` to the
 // declared method body.
-func (p *pump) Start() {
+func (p *pump) start() {
 	go p.loop()
 }

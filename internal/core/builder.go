@@ -328,11 +328,6 @@ func (b *Builder) ReadVariable(name string) graph.Output {
 	return b.Op("VarRead", map[string]any{"var": name})
 }
 
-// AssignVariable adds an assignment of value to a session variable.
-func (b *Builder) AssignVariable(name string, v graph.Output) *graph.Node {
-	return b.OpNode("Assign", "", map[string]any{"var": name}, v)
-}
-
 // ApplySGD adds `var -= lr*grad`.
 func (b *Builder) ApplySGD(name string, grad, lr graph.Output) *graph.Node {
 	return b.OpNode("ApplyGradientDescent", "", map[string]any{"var": name}, grad, lr)

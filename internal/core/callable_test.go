@@ -161,10 +161,10 @@ func TestPerRunRNGStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(a1, a2) {
+	if !equal(a1, a2) {
 		t.Fatal("first runs of identical sessions must match")
 	}
-	if tensor.Equal(a1, b1) {
+	if equal(a1, b1) {
 		t.Fatal("successive runs must draw from distinct streams")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestWhileMatMulPower(t *testing.T) {
 	)
 	got := run1(t, b, outs[1], nil)
 	want := tensor.FromFloats([]float64{8, 16, 24, 32}, 2, 2)
-	if !tensor.Equal(got, want) {
+	if !equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 }
@@ -361,7 +362,7 @@ func TestTensorArrayStackUnstack(t *testing.T) {
 	ta := b.TAUnstack(b.TensorArray(b.ScalarInt(0)), x)
 	back := b.TAStack(ta)
 	got := run1(t, b, back, nil)
-	if !tensor.Equal(got, tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2)) {
+	if !equal(got, tensor.FromFloats([]float64{1, 2, 3, 4, 5, 6}, 3, 2)) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -375,7 +376,7 @@ func TestScan(t *testing.T) {
 	)
 	got := run1(t, b, out, nil)
 	want := tensor.FromFloats([]float64{1, 3, 6, 10}, 4)
-	if !tensor.Equal(got, want) {
+	if !equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 }
@@ -385,7 +386,7 @@ func TestMapFn(t *testing.T) {
 	elems := b.Const(tensor.FromFloats([]float64{1, 2, 3}, 3))
 	out := b.MapFn(func(x graph.Output) graph.Output { return b.Op("Square", nil, x) }, elems, WhileOpts{})
 	got := run1(t, b, out, nil)
-	if !tensor.Equal(got, tensor.FromFloats([]float64{1, 4, 9}, 3)) {
+	if !equal(got, tensor.FromFloats([]float64{1, 4, 9}, 3)) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -520,4 +521,18 @@ func fetch1(s *Session, feeds map[string]*tensor.Tensor, fetch graph.Output) (*t
 		return nil, err
 	}
 	return out[0], nil
+}
+
+// equal reports whether a and b have one dtype, one shape and the same
+// elements.
+func equal(a, b *tensor.Tensor) bool {
+	return a.DType() == b.DType() && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.Equal(a.F, b.F) && slices.Equal(a.I, b.I) && slices.Equal(a.B, b.B) && slices.Equal(a.S, b.S)
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by at most tol in every element.
+func allClose(a, b *tensor.Tensor, tol float64) bool {
+	return a.DType() == tensor.Float && b.DType() == tensor.Float && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }

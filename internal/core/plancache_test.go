@@ -99,7 +99,7 @@ func TestPlanCacheInvalidatedByGraphGrowth(t *testing.T) {
 }
 
 // TestPlanCacheInvalidatedByInPlaceRewrite asserts the satellite fix for
-// the versioned cache key: an optimizer-style rewrite that redirects an
+// the versioned cache key: an in-place rewrite that redirects an
 // edge WITHOUT changing the node count must not serve the stale plan (the
 // old NumNodes()-based signature could not see it).
 func TestPlanCacheInvalidatedByInPlaceRewrite(t *testing.T) {

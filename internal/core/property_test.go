@@ -163,7 +163,7 @@ func TestPropResultInvariantToParallelWindow(t *testing.T) {
 			}
 			if ref == nil {
 				ref = got
-			} else if !tensor.AllClose(ref, got, 1e-12) {
+			} else if !allClose(ref, got, 1e-12) {
 				return false
 			}
 		}

@@ -51,7 +51,7 @@ type Session struct {
 	// plans caches pruned subgraphs and executor plans per run signature
 	// (fetches + targets + graph version), like TensorFlow's
 	// per-signature executors. The graph version component invalidates
-	// entries on any mutation, including in-place optimizer rewrites;
+	// entries on any mutation, including in-place edge rewrites;
 	// plansVersion tracks which version the cache holds so stale
 	// generations are dropped rather than accreted.
 	plans        map[string]*exec.Plan
@@ -229,8 +229,8 @@ func (s *Session) planFor(fetches []graph.Output, targets []*graph.Node) (*exec.
 		fmt.Fprintf(&sig, "t:%p;", t)
 	}
 	// Include the graph version: any mutation — growth (e.g. a later
-	// Gradients call) or an in-place rewrite (Optimize's CSE/folding) —
-	// invalidates prior prunes.
+	// Gradients call) or an in-place rewrite (a control edge added by
+	// Tensor.After) — invalidates prior prunes.
 	v := s.B.G.Version()
 	fmt.Fprintf(&sig, "v:%d", v)
 	key := sig.String()

@@ -73,7 +73,7 @@ func TestDistributedGradientLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllClose(got[0], ref, 1e-9) {
+	if !allClose(got[0], ref, 1e-9) {
 		t.Fatalf("distributed gradient differs:\n got %v\nwant %v", got[0], ref)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func midStep(t *testing.T, workers []*cluster.Worker, run func()) {
 // sameBits fails unless two fetches agree in dtype, shape and every bit.
 func sameBits(t testing.TB, what string, got, want *tensor.Tensor) {
 	t.Helper()
-	if got.DType() != want.DType() || !tensor.SameShape(got, want) || (want.DType() != tensor.Float && !tensor.Equal(got, want)) {
+	if got.DType() != want.DType() || !tensor.SameShape(got, want) || (want.DType() != tensor.Float && !equal(got, want)) {
 		t.Fatalf("%s: got %v, want %v", what, got, want)
 	}
 	for i := range want.F {
@@ -433,4 +434,18 @@ func TestTCPClusterInjectedLatency(t *testing.T) {
 	if d := time.Since(start); d < 10*time.Millisecond {
 		t.Fatalf("step took %v; injected latency not applied", d)
 	}
+}
+
+// equal reports whether a and b have one dtype, one shape and the same
+// elements.
+func equal(a, b *tensor.Tensor) bool {
+	return a.DType() == b.DType() && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.Equal(a.F, b.F) && slices.Equal(a.I, b.I) && slices.Equal(a.B, b.B) && slices.Equal(a.S, b.S)
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by at most tol in every element.
+func allClose(a, b *tensor.Tensor, tol float64) bool {
+	return a.DType() == tensor.Float && b.DType() == tensor.Float && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }

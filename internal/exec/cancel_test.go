@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/tensor"
 )
 
 func TestRunCanceledBeforeStart(t *testing.T) {
@@ -169,7 +168,7 @@ func TestPlanUsableAfterFailedSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if !tensor.Equal(got[i].T, want[i].T) {
+		if !equal(got[i].T, want[i].T) {
 			t.Fatalf("fetch %d after two failed steps differs from a fresh plan's first step: %v vs %v", i, got[i].T, want[i].T)
 		}
 	}

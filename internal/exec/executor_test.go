@@ -421,7 +421,7 @@ func TestRandomOpsUseSeededRNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(out1[0].T, out2[0].T) {
+	if !equal(out1[0].T, out2[0].T) {
 		t.Fatal("same seed should reproduce")
 	}
 }

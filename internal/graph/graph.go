@@ -1,7 +1,7 @@
 // Package graph defines the dataflow graph intermediate representation used
 // throughout the system: operations (nodes) connected by tensor-carrying
 // data edges and by control edges that impose execution order. The graph is
-// the unit the runtime optimizes, partitions across devices, and executes —
+// the unit the runtime verifies, partitions across devices, and executes —
 // the "in-graph" approach the paper advocates.
 //
 // Graphs may be cyclic, but only through the control-flow primitive
@@ -174,7 +174,7 @@ func (n *Node) AddControlInput(c *Node) {
 }
 
 // ReplaceInput redirects the i-th data input to a new source (used by
-// partition rewriting and the optimizer's CSE/folding rewrites).
+// partition rewriting).
 func (n *Node) ReplaceInput(i int, src Output) {
 	n.inputs[i] = src
 	n.graph.bumpVersion()
@@ -201,8 +201,8 @@ type Graph struct {
 	nameCounts map[string]int
 
 	// version counts structural mutations: node additions and in-place
-	// edge/attribute rewrites (the optimizer's CSE and constant folding
-	// rewire inputs without changing the node count). Caches keyed on
+	// edge/attribute rewrites (an added control edge or a rewired input
+	// changes no node count). Caches keyed on
 	// graph identity — notably the session plan cache — fold it into
 	// their keys so a rewrite can never serve a stale plan.
 	version atomic.Uint64
@@ -328,26 +328,6 @@ func (g *Graph) Consumers() map[int][]*Node {
 		}
 		for _, c := range n.controlIn {
 			out[c.id] = append(out[c.id], n)
-		}
-	}
-	return out
-}
-
-// OutputConsumers returns the consumers of one specific output port, with
-// the input index at which they consume it.
-type ConsumerEdge struct {
-	Node  *Node
-	Input int
-}
-
-// ConsumersOf returns all (node, input-index) pairs consuming the output.
-func (g *Graph) ConsumersOf(o Output) []ConsumerEdge {
-	var out []ConsumerEdge
-	for _, n := range g.Nodes() {
-		for i, in := range n.inputs {
-			if in == o {
-				out = append(out, ConsumerEdge{n, i})
-			}
 		}
 	}
 	return out

@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/dcf"
+	"repro/internal/tensor"
 )
 
 func sess(t *testing.T, g *dcf.Graph) *dcf.Session {
@@ -21,7 +24,7 @@ func TestDenseForward(t *testing.T) {
 	x := g.Placeholder("x")
 	y := d.Apply(x)
 	s := sess(t, g)
-	out, err := s.Run1(dcf.Feeds{"x": dcf.Ones(4, 3)}, y)
+	out, err := s.Run1(dcf.Feeds{"x": tensor.Full(1, 4, 3)}, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +79,10 @@ func TestDynamicRNNMatchesStaticRNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dcf.AllClose(out[0], out[1], 1e-12) {
+	if !allClose(out[0], out[1], 1e-12) {
 		t.Fatal("dynamic and static RNN outputs differ")
 	}
-	if !dcf.AllClose(out[2], out[3], 1e-12) {
+	if !allClose(out[2], out[3], 1e-12) {
 		t.Fatal("final states differ")
 	}
 }
@@ -171,7 +174,7 @@ func TestMoEExecutesOnlySelectedExpert(t *testing.T) {
 		t.Fatal(err)
 	}
 	chosen := int(outAll[1].ScalarValue())
-	if !dcf.AllClose(outAll[0], outAll[2+chosen], 1e-9) {
+	if !allClose(outAll[0], outAll[2+chosen], 1e-9) {
 		t.Fatalf("MoE output does not match expert %d's gated output", chosen)
 	}
 }
@@ -302,4 +305,11 @@ func TestEmbeddingLookupAndGradient(t *testing.T) {
 	if !nonzero {
 		t.Fatal("used row has no gradient")
 	}
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by at most tol in every element.
+func allClose(a, b *dcf.Value, tol float64) bool {
+	return a.DType() == dcf.Float && b.DType() == dcf.Float && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }

@@ -99,7 +99,7 @@ func init() {
 	binaryFwd("TanhGrad", tensor.TanhGradInto)
 	// MatMul reads either operand transposed over its last two axes when
 	// the node says so (transpose_a / transpose_b, set by the MatMul
-	// gradient and by optimize's transpose folding), so no Transpose node
+	// gradient), so no Transpose node
 	// has to materialise what the kernel can read in place.
 	Register(&OpDef{Name: "MatMul", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		a, err := ctx.Input(0)

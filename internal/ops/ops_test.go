@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -72,11 +73,11 @@ func TestMathKernels(t *testing.T) {
 	}
 	out = runKernel(t, "MatMul", nil,
 		TV(tensor.Eye(2)), TV(tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2)))
-	if !tensor.Equal(out[0].T, tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2)) {
+	if !equal(out[0].T, tensor.FromFloats([]float64{1, 2, 3, 4}, 2, 2)) {
 		t.Fatal("MatMul kernel")
 	}
-	out = runKernel(t, "Sum", map[string]any{"axes": []int{0}}, TV(tensor.Ones(3, 2)))
-	if !tensor.Equal(out[0].T, tensor.FromFloats([]float64{3, 3}, 2)) {
+	out = runKernel(t, "Sum", map[string]any{"axes": []int{0}}, TV(tensor.Full(1, 3, 2)))
+	if !equal(out[0].T, tensor.FromFloats([]float64{3, 3}, 2)) {
 		t.Fatal("Sum kernel")
 	}
 }
@@ -161,7 +162,7 @@ func TestApplyGradientDescentKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(out[0].T, tensor.FromFloats([]float64{0.5, 1.5}, 2)) {
+	if !equal(out[0].T, tensor.FromFloats([]float64{0.5, 1.5}, 2)) {
 		t.Fatalf("got %v", out[0].T)
 	}
 }
@@ -209,7 +210,7 @@ func TestSumGradKernel(t *testing.T) {
 		TV(tensor.FromFloats([]float64{10, 20}, 2)),
 		TV(tensor.FromInts([]int64{2, 3}, 2)))
 	want := tensor.FromFloats([]float64{10, 10, 10, 20, 20, 20}, 2, 3)
-	if !tensor.Equal(out[0].T, want) {
+	if !equal(out[0].T, want) {
 		t.Fatalf("got %v want %v", out[0].T, want)
 	}
 }
@@ -219,13 +220,13 @@ func TestSliceAxisAndGradKernels(t *testing.T) {
 	out := runKernel(t, "SliceAxis", map[string]any{"axis": 1},
 		TV(x), TV(tensor.ScalarInt(1)), TV(tensor.ScalarInt(2)))
 	want := tensor.FromFloats([]float64{2, 3, 5, 6}, 2, 2)
-	if !tensor.Equal(out[0].T, want) {
+	if !equal(out[0].T, want) {
 		t.Fatalf("SliceAxis got %v", out[0].T)
 	}
 	back := runKernel(t, "SliceAxisGrad", map[string]any{"axis": 1},
 		TV(want), TV(x), TV(tensor.ScalarInt(1)))
 	wantG := tensor.FromFloats([]float64{0, 2, 3, 0, 5, 6}, 2, 3)
-	if !tensor.Equal(back[0].T, wantG) {
+	if !equal(back[0].T, wantG) {
 		t.Fatalf("SliceAxisGrad got %v", back[0].T)
 	}
 }
@@ -319,7 +320,7 @@ func TestMatMulHonoursTransposeAttrs(t *testing.T) {
 					y = bt
 				}
 				out := runKernel(t, "MatMul", map[string]any{"transpose_a": ta, "transpose_b": tb}, TV(x), TV(y))
-				if !tensor.AllClose(out[0].T, want, 1e-12) {
+				if !allClose(out[0].T, want, 1e-12) {
 					t.Errorf("MatMul %v x %v (transpose_a %v, transpose_b %v) = %v, want %v",
 						x.Shape(), y.Shape(), ta, tb, out[0].T, want)
 				}
@@ -370,10 +371,10 @@ func TestReshapeAndUnbroadcastForward(t *testing.T) {
 	}
 	// A sum cannot be forwarded: the owned input stays the executor's to
 	// recycle and the result is a tensor of its own.
-	x := tensor.Ones(2, 3)
+	x := tensor.Full(1, 2, 3)
 	ctx := &KernelContext{OpName: "UnbroadcastTo", In: []Value{TV(x), TV(tensor.FromInts([]int64{3}, 1))}, FwdMask: 1, Env: newFakeEnv()}
 	out, err := mustGet("UnbroadcastTo").Kernel(ctx)
-	if err != nil || out[0].T == x || !tensor.Equal(out[0].T, tensor.FromFloats([]float64{2, 2, 2}, 3)) {
+	if err != nil || out[0].T == x || !equal(out[0].T, tensor.FromFloats([]float64{2, 2, 2}, 3)) {
 		t.Errorf("UnbroadcastTo [2,3] -> [3]: %v, %v", out, err)
 	}
 }
@@ -385,4 +386,18 @@ func mustGet(name string) *OpDef {
 		panic(err)
 	}
 	return def
+}
+
+// equal reports whether a and b have one dtype, one shape and the same
+// elements.
+func equal(a, b *tensor.Tensor) bool {
+	return a.DType() == b.DType() && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.Equal(a.F, b.F) && slices.Equal(a.I, b.I) && slices.Equal(a.B, b.B) && slices.Equal(a.S, b.S)
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by at most tol in every element.
+func allClose(a, b *tensor.Tensor, tol float64) bool {
+	return a.DType() == tensor.Float && b.DType() == tensor.Float && slices.Equal(a.Shape(), b.Shape()) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }

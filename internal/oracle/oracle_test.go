@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/optimize"
 	"repro/internal/tensor"
 )
 
@@ -167,20 +166,17 @@ func program(seed int64, window int) (*core.Builder, []graph.Output, string) {
 // config is one executor setting the reference must agree with.
 type config struct {
 	window, procs int
-	optimized     bool
 }
 
 func (c config) String() string {
-	return fmt.Sprintf("parallel_iterations=%d GOMAXPROCS=%d optimized=%v", c.window, c.procs, c.optimized)
+	return fmt.Sprintf("parallel_iterations=%d GOMAXPROCS=%d", c.window, c.procs)
 }
 
 func configs() []config {
 	var out []config
 	for _, w := range []int{1, 4, 32} {
 		for _, p := range []int{1, 2} {
-			for _, o := range []bool{false, true} {
-				out = append(out, config{w, p, o})
-			}
+			out = append(out, config{w, p})
 		}
 	}
 	return out
@@ -217,11 +213,6 @@ func TestExecutorMatchesReference(t *testing.T) {
 func check(seed int64, c config, feeds map[string]*tensor.Tensor, want []*tensor.Tensor) error {
 	runtime.GOMAXPROCS(c.procs)
 	b, fetches, _ := program(seed, c.window)
-	if c.optimized {
-		if _, err := optimize.Optimize(b.G); err != nil {
-			return fmt.Errorf("optimize: %w", err)
-		}
-	}
 	// A step that hangs fails with the seed and program like any other.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

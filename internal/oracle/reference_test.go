@@ -1,8 +1,8 @@
 // Package oracle holds the control-flow core's independent reference: a
 // sequential interpreter for what core.Builder builds, and a seeded
 // generator of nested cond/while programs whose every fetch the executor
-// must reproduce bit for bit under every window, GOMAXPROCS and
-// optimization setting. It has no non-test code.
+// must reproduce bit for bit under every window and GOMAXPROCS setting. It
+// has no non-test code.
 package oracle
 
 import (

@@ -75,7 +75,7 @@ func TestWireRoundTripEveryDType(t *testing.T) {
 			if !tensor.ShapeEq(rt.Shape(), c.val.Shape()) {
 				t.Fatalf("shape: sent %v, got %v", c.val.Shape(), rt.Shape())
 			}
-			if c.val.Size() > 0 && !tensor.Equal(rt, c.val) {
+			if c.val.Size() > 0 && !equal(rt, c.val) {
 				t.Fatalf("values: sent %v, got %v", c.val, rt)
 			}
 		})

@@ -38,7 +38,7 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 				got.F[i], math.Float64bits(got.F[i]), want.F[i], math.Float64bits(want.F[i]))
 		}
 	}
-	if !Equal(got, want) && want.dtype != Float {
+	if !equal(got, want) && want.dtype != Float {
 		t.Fatalf("%s: got %v, reference %v", what, got, want)
 	}
 }
@@ -790,7 +790,7 @@ func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
 		const n = 9
 		for k := 1; k <= 9; k++ {
 			for at := 0; at < k; at++ {
-				a, b := Ones(2, k), Ones(k, n)
+				a, b := Full(1, 2, k), Full(1, k, n)
 				a.F[at], b.F[at*n+1], b.F[at*n+8] = 0, math.Inf(1), math.Inf(-1)
 				aT, _ := Transpose(a)
 				bT, _ := Transpose(b)

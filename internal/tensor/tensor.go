@@ -266,9 +266,6 @@ func ScalarBool(v bool) *Tensor { return FromBools([]bool{v}) }
 // Zeros returns a float tensor of zeros.
 func Zeros(shape ...int) *Tensor { return New(Float, shape...) }
 
-// Ones returns a float tensor of ones.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
 // Full returns a float tensor filled with v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(Float, shape...)
@@ -303,19 +300,6 @@ func OnesLike(t *Tensor) *Tensor {
 		panic("tensor: OnesLike on string tensor")
 	}
 	return out
-}
-
-// Arange returns a 1-D int tensor [start, stop) step 1.
-func Arange(start, stop int64) *Tensor {
-	if stop < start {
-		stop = start
-	}
-	n := int(stop - start)
-	t := New(Int, n)
-	for i := 0; i < n; i++ {
-		t.I[i] = start + int64(i)
-	}
-	return t
 }
 
 // Eye returns the n×n identity matrix.
@@ -479,57 +463,6 @@ func ShapeEq(a, b []int) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports exact element-wise equality (shape, dtype, and values).
-func Equal(a, b *Tensor) bool {
-	if a.dtype != b.dtype || !SameShape(a, b) {
-		return false
-	}
-	switch a.dtype {
-	case Float:
-		for i := range a.F {
-			if a.F[i] != b.F[i] {
-				return false
-			}
-		}
-	case Int:
-		for i := range a.I {
-			if a.I[i] != b.I[i] {
-				return false
-			}
-		}
-	case Bool:
-		for i := range a.B {
-			if a.B[i] != b.B[i] {
-				return false
-			}
-		}
-	case Str:
-		for i := range a.S {
-			if a.S[i] != b.S[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// AllClose reports whether float tensors match within tol (abs difference).
-func AllClose(a, b *Tensor, tol float64) bool {
-	if a.dtype != Float || b.dtype != Float || !SameShape(a, b) {
-		return false
-	}
-	for i := range a.F {
-		d := a.F[i] - b.F[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
 			return false
 		}
 	}

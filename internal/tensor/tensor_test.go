@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,7 +53,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestReshape(t *testing.T) {
-	x := Arange(0, 12)
+	x := arange(0, 12)
 	y, err := x.Reshape(3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func TestAddBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{11, 22, 33, 14, 25, 36}, 2, 3)
-	if !Equal(c, want) {
+	if !equal(c, want) {
 		t.Fatalf("got %v want %v", c, want)
 	}
 }
@@ -93,7 +95,7 @@ func TestBroadcastScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(c, FromFloats([]float64{2, 4, 6}, 3)) {
+	if !equal(c, FromFloats([]float64{2, 4, 6}, 3)) {
 		t.Fatalf("got %v", c)
 	}
 }
@@ -121,7 +123,7 @@ func TestBroadcastSingleElement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !ShapeEq(got.Shape(), c.want.Shape()) || (got.Size() > 0 && !Equal(got, c.want)) {
+		if !ShapeEq(got.Shape(), c.want.Shape()) || (got.Size() > 0 && !equal(got, c.want)) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -143,7 +145,7 @@ func TestBroadcastColumnVsRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{11, 21, 31, 12, 22, 32}, 2, 3)
-	if !Equal(c, want) {
+	if !equal(c, want) {
 		t.Fatalf("got %v want %v", c, want)
 	}
 }
@@ -163,35 +165,35 @@ func TestIntArithmetic(t *testing.T) {
 func TestSubMulDivPow(t *testing.T) {
 	a := FromFloats([]float64{4, 9}, 2)
 	b := FromFloats([]float64{2, 3}, 2)
-	if r, _ := SubInto(nil, a, b); !Equal(r, FromFloats([]float64{2, 6}, 2)) {
+	if r, _ := SubInto(nil, a, b); !equal(r, FromFloats([]float64{2, 6}, 2)) {
 		t.Fatal("Sub")
 	}
-	if r, _ := Mul(a, b); !Equal(r, FromFloats([]float64{8, 27}, 2)) {
+	if r, _ := Mul(a, b); !equal(r, FromFloats([]float64{8, 27}, 2)) {
 		t.Fatal("Mul")
 	}
-	if r, _ := DivInto(nil, a, b); !Equal(r, FromFloats([]float64{2, 3}, 2)) {
+	if r, _ := DivInto(nil, a, b); !equal(r, FromFloats([]float64{2, 3}, 2)) {
 		t.Fatal("Div")
 	}
-	if r, _ := PowInto(nil, a, b); !Equal(r, FromFloats([]float64{16, 729}, 2)) {
+	if r, _ := PowInto(nil, a, b); !equal(r, FromFloats([]float64{16, 729}, 2)) {
 		t.Fatal("Pow")
 	}
 }
 
 func TestUnaryOps(t *testing.T) {
 	x := FromFloats([]float64{-1, 0, 2}, 3)
-	if r, _ := NegInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, -2}, 3)) {
+	if r, _ := NegInto(nil, x); !equal(r, FromFloats([]float64{1, 0, -2}, 3)) {
 		t.Fatal("Neg")
 	}
-	if r, _ := AbsInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, 2}, 3)) {
+	if r, _ := AbsInto(nil, x); !equal(r, FromFloats([]float64{1, 0, 2}, 3)) {
 		t.Fatal("Abs")
 	}
-	if r, _ := ReluInto(nil, x); !Equal(r, FromFloats([]float64{0, 0, 2}, 3)) {
+	if r, _ := ReluInto(nil, x); !equal(r, FromFloats([]float64{0, 0, 2}, 3)) {
 		t.Fatal("Relu")
 	}
-	if r, _ := SignInto(nil, x); !Equal(r, FromFloats([]float64{-1, 0, 1}, 3)) {
+	if r, _ := SignInto(nil, x); !equal(r, FromFloats([]float64{-1, 0, 1}, 3)) {
 		t.Fatal("Sign")
 	}
-	if r, _ := SquareInto(nil, x); !Equal(r, FromFloats([]float64{1, 0, 4}, 3)) {
+	if r, _ := SquareInto(nil, x); !equal(r, FromFloats([]float64{1, 0, 4}, 3)) {
 		t.Fatal("Square")
 	}
 }
@@ -251,15 +253,15 @@ func TestSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{1, 2, 30, 40}, 2, 2)
-	if !Equal(r, want) {
+	if !equal(r, want) {
 		t.Fatalf("got %v want %v", r, want)
 	}
 }
 
 func TestAddN(t *testing.T) {
-	a := Ones(2)
+	a := Full(1, 2)
 	r, err := AddN(a, a, a)
-	if err != nil || !Equal(r, FromFloats([]float64{3, 3}, 2)) {
+	if err != nil || !equal(r, FromFloats([]float64{3, 3}, 2)) {
 		t.Fatalf("AddN got %v err %v", r, err)
 	}
 }
@@ -272,7 +274,7 @@ func TestMatMul(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{58, 64, 139, 154}, 2, 2)
-	if !Equal(c, want) {
+	if !equal(c, want) {
 		t.Fatalf("got %v want %v", c, want)
 	}
 	if _, err := MatMul(a, a); err == nil {
@@ -284,7 +286,7 @@ func TestMatMulIdentity(t *testing.T) {
 	r := NewRNG(1)
 	a := RandNormal(r, 0, 1, 4, 4)
 	c, err := MatMul(a, Eye(4))
-	if err != nil || !AllClose(a, c, 1e-12) {
+	if err != nil || !allClose(a, c, 1e-12) {
 		t.Fatalf("A*I != A")
 	}
 }
@@ -297,7 +299,7 @@ func TestBatchedMatMul(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{1, 2, 3, 4, 2, 4, 6, 8}, 2, 2, 2)
-	if !Equal(c, want) {
+	if !equal(c, want) {
 		t.Fatalf("got %v", c)
 	}
 }
@@ -309,13 +311,13 @@ func TestTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	if !Equal(at, want) {
+	if !equal(at, want) {
 		t.Fatalf("got %v want %v", at, want)
 	}
 }
 
 func TestTransposePerm(t *testing.T) {
-	a := Arange(0, 24)
+	a := arange(0, 24)
 	a3, _ := a.Reshape(2, 3, 4)
 	p, err := Transpose(a3, 2, 0, 1)
 	if err != nil {
@@ -337,15 +339,15 @@ func TestReduceSum(t *testing.T) {
 		t.Fatalf("sum-all got %v", all)
 	}
 	ax0, _ := ReduceSum(a, []int{0}, false)
-	if !Equal(ax0, FromFloats([]float64{5, 7, 9}, 3)) {
+	if !equal(ax0, FromFloats([]float64{5, 7, 9}, 3)) {
 		t.Fatalf("axis0 got %v", ax0)
 	}
 	ax1k, _ := ReduceSum(a, []int{1}, true)
-	if !Equal(ax1k, FromFloats([]float64{6, 15}, 2, 1)) {
+	if !equal(ax1k, FromFloats([]float64{6, 15}, 2, 1)) {
 		t.Fatalf("axis1 keep got %v", ax1k)
 	}
 	neg, _ := ReduceSum(a, []int{-1}, false)
-	if !Equal(neg, FromFloats([]float64{6, 15}, 2)) {
+	if !equal(neg, FromFloats([]float64{6, 15}, 2)) {
 		t.Fatalf("negative axis got %v", neg)
 	}
 }
@@ -393,7 +395,7 @@ func TestSoftmax(t *testing.T) {
 	}
 	// Rows sum to 1.
 	sum, _ := ReduceSum(s, []int{1}, false)
-	if !AllClose(sum, Ones(2), 1e-12) {
+	if !allClose(sum, Full(1, 2), 1e-12) {
 		t.Fatalf("rows don't sum to 1: %v", sum)
 	}
 }
@@ -413,14 +415,14 @@ func TestConcatSplit(t *testing.T) {
 		t.Fatalf("concat1 %v err %v", c1, err)
 	}
 	want := FromFloats([]float64{1, 2, 5, 6, 3, 4, 7, 8}, 2, 4)
-	if !Equal(c1, want) {
+	if !equal(c1, want) {
 		t.Fatalf("concat1 got %v want %v", c1, want)
 	}
 	parts, err := Split(c1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(parts[0], a) || !Equal(parts[1], b) {
+	if !equal(parts[0], a) || !equal(parts[1], b) {
 		t.Fatalf("split roundtrip got %v %v", parts[0], parts[1])
 	}
 }
@@ -433,7 +435,7 @@ func TestStackUnstack(t *testing.T) {
 		t.Fatal("Stack")
 	}
 	us, err := Unstack(Alloc, s)
-	if err != nil || !Equal(us[0], a) || !Equal(us[1], b) {
+	if err != nil || !equal(us[0], a) || !equal(us[1], b) {
 		t.Fatal("Unstack roundtrip")
 	}
 }
@@ -446,7 +448,7 @@ func TestGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{2, 2, 0, 0}, 2, 2)
-	if !Equal(g, want) {
+	if !equal(g, want) {
 		t.Fatalf("got %v", g)
 	}
 	if _, err := Gather(tbl, FromInts([]int64{5}, 1)); err == nil {
@@ -467,7 +469,7 @@ func TestScatterAddRows(t *testing.T) {
 }
 
 func TestSliceRows(t *testing.T) {
-	a, _ := Arange(0, 6).Reshape(3, 2)
+	a, _ := arange(0, 6).Reshape(3, 2)
 	s, err := SliceRows(a, 1, 2)
 	if err != nil || !ShapeEq(s.Shape(), []int{2, 2}) || s.I[0] != 2 {
 		t.Fatalf("SliceRows got %v err %v", s, err)
@@ -503,7 +505,7 @@ func TestTileOneHot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FromFloats([]float64{0, 1, 0, 1, 0, 0}, 2, 3)
-	if !Equal(oh, want) {
+	if !equal(oh, want) {
 		t.Fatalf("OneHot got %v", oh)
 	}
 }
@@ -553,7 +555,7 @@ func TestBroadcastToUnbroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(back, FromFloats([]float64{2, 4, 6}, 3)) {
+	if !equal(back, FromFloats([]float64{2, 4, 6}, 3)) {
 		t.Fatalf("UnbroadcastTo got %v", back)
 	}
 	if _, err := BroadcastTo(Zeros(3), []int{4}); err == nil {
@@ -564,11 +566,11 @@ func TestBroadcastToUnbroadcast(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a := RandNormal(NewRNG(42), 0, 1, 10)
 	b := RandNormal(NewRNG(42), 0, 1, 10)
-	if !Equal(a, b) {
+	if !equal(a, b) {
 		t.Fatal("RNG not deterministic")
 	}
 	c := RandNormal(NewRNG(43), 0, 1, 10)
-	if Equal(a, c) {
+	if equal(a, c) {
 		t.Fatal("different seeds should differ")
 	}
 }
@@ -601,7 +603,7 @@ func TestPropAddCommutative(t *testing.T) {
 		b := FromFloats(ys[:], 2, 3)
 		ab, _ := Add(a, b)
 		ba, _ := Add(b, a)
-		return Equal(ab, ba)
+		return equal(ab, ba)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -612,7 +614,7 @@ func TestPropAddZeroIdentity(t *testing.T) {
 	f := func(xs [8]float64) bool {
 		a := FromFloats(xs[:], 2, 4)
 		r, _ := Add(a, ZerosLike(a))
-		return Equal(r, a)
+		return equal(r, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -624,7 +626,7 @@ func TestPropTransposeInvolution(t *testing.T) {
 		a := FromFloats(xs[:], 3, 4)
 		at, _ := Transpose(a)
 		att, _ := Transpose(at)
-		return Equal(att, a)
+		return equal(att, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -641,7 +643,7 @@ func TestPropMatMulDistributes(t *testing.T) {
 		ab, _ := MatMul(a, b)
 		ac, _ := MatMul(a, c)
 		r, _ := Add(ab, ac)
-		return AllClose(l, r, 1e-6*(1+absMax(l)))
+		return allClose(l, r, 1e-6*(1+absMax(l)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -673,7 +675,7 @@ func TestPropStackUnstackRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equal(us[0], a) && Equal(us[1], b)
+		return equal(us[0], a) && equal(us[1], b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -693,7 +695,7 @@ func TestPropUnbroadcastInvertsBroadcastShape(t *testing.T) {
 			return false
 		}
 		scaled, _ := Mul(a, Scalar(float64(n)))
-		return AllClose(back, scaled, 1e-9)
+		return allClose(back, scaled, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -716,9 +718,33 @@ func TestPropSoftmaxRowsSumToOne(t *testing.T) {
 			return false
 		}
 		sum, _ := ReduceSum(s, []int{1}, false)
-		return AllClose(sum, Ones(2), 1e-9)
+		return allClose(sum, Full(1, 2), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// equal reports whether a and b have one dtype, one shape and the same
+// elements.
+func equal(a, b *Tensor) bool {
+	return a.dtype == b.dtype && slices.Equal(a.shape, b.shape) &&
+		slices.Equal(a.F, b.F) && slices.Equal(a.I, b.I) && slices.Equal(a.B, b.B) && slices.Equal(a.S, b.S)
+}
+
+// allClose reports whether float tensors a and b have one shape and differ
+// by no more than tol in any element. A NaN difference, as the property
+// tests' overflowing inputs produce, is not more than tol.
+func allClose(a, b *Tensor, tol float64) bool {
+	return a.dtype == Float && b.dtype == Float && slices.Equal(a.shape, b.shape) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return !(math.Abs(x-y) > tol) })
+}
+
+// arange returns the 1-D int tensor [start, stop).
+func arange(start, stop int64) *Tensor {
+	t := New(Int, int(stop-start))
+	for i := range t.I {
+		t.I[i] = start + int64(i)
+	}
+	return t
 }

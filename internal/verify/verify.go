@@ -3,8 +3,8 @@
 // NextIteration) and the partition-time communication ops (Send, Recv) have
 // strict well-formedness rules; a graph that violates them does not fail
 // cleanly at step time — it hangs an executor, deadlocks a rendezvous, or
-// fetches the wrong value. This package finds those violations at graph
-// construction, registration, and optimization boundaries and reports them
+// fetches the wrong value. This package finds those violations at plan
+// compile, graph registration, and partitioning, and reports them
 // as collected diagnostics (never first-error-only), each naming the node,
 // op, port, and frame involved.
 //
