@@ -63,7 +63,7 @@ func (b *tb) run(fetches []graph.Output, feeds map[string]*tensor.Tensor) ([]ops
 // ordinary kernel to the executor, so a test learns from it that a step is
 // inside a kernel, and can cancel or fail the step from there.
 func init() {
-	ops.Register(&ops.OpDef{Name: "TestHook", NumOutputs: 1, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TestHook", NumOutputs: 1, Inputs: ops.Exactly(1), Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		if err := ctx.Attrs["hook"].(func() error)(); err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ const ruleBytes = 4 * scratchCols * 8
 // tensor to the func in its "peek" attr, keeps nothing, and returns a scalar
 // of its own from the pool.
 func init() {
-	ops.Register(&ops.OpDef{Name: "TestPeek", NumOutputs: 1, Fresh: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TestPeek", NumOutputs: 1, Inputs: ops.Exactly(1), Fresh: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ctx.Attrs["peek"].(func(*tensor.Tensor))(ctx.In[0].T)
 		return ctx.One(ops.TensorVal(tensor.NewFromPool(tensor.Float))), nil
 	}})

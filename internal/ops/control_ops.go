@@ -15,14 +15,14 @@ package ops
 //	Recv()              -> t        (attr key; blocks until published)
 
 func init() {
-	Register(&OpDef{Name: "Switch", NumOutputs: 2})
-	Register(&OpDef{Name: "Merge", NumOutputs: 1})
-	Register(&OpDef{Name: "Enter", NumOutputs: 1})
-	Register(&OpDef{Name: "Exit", NumOutputs: 1})
-	Register(&OpDef{Name: "NextIteration", NumOutputs: 1})
-	Register(&OpDef{Name: "LoopCond", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "Switch", NumOutputs: 2, Inputs: Exactly(2)})
+	Register(&OpDef{Name: "Merge", NumOutputs: 1, Inputs: AtLeast(1)})
+	Register(&OpDef{Name: "Enter", NumOutputs: 1, Inputs: Exactly(1)})
+	Register(&OpDef{Name: "Exit", NumOutputs: 1, Inputs: Exactly(1)})
+	Register(&OpDef{Name: "NextIteration", NumOutputs: 1, Inputs: Exactly(1)})
+	Register(&OpDef{Name: "LoopCond", NumOutputs: 1, Inputs: Exactly(1), Kernel: func(ctx *KernelContext) ([]Value, error) {
 		return ctx.One(ctx.In[0]), nil
 	}})
-	Register(&OpDef{Name: "Send", NumOutputs: 0, Stateful: true})
-	Register(&OpDef{Name: "Recv", NumOutputs: 1, Stateful: true})
+	Register(&OpDef{Name: "Send", NumOutputs: 0, Inputs: Exactly(1), Stateful: true})
+	Register(&OpDef{Name: "Recv", NumOutputs: 1, Inputs: Exactly(0), Stateful: true})
 }

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -13,7 +14,7 @@ func init() {
 	// SumGrad(g, shape) with attrs axes/keep_dims: gradient of a Sum
 	// reduction — reshape g to the keep-dims form and broadcast to the
 	// input shape.
-	Register(&OpDef{Name: "SumGrad", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "SumGrad", NumOutputs: 1, Inputs: Exactly(2), Infer: inferToShape, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		g, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -60,15 +61,16 @@ func init() {
 		if gk != g {
 			tensor.Recycle(gk) // the re-shaped copy was this call's own
 		}
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(r)), nil
+		return ctx.Result(r, err)
 	}})
 
 	// GatherGrad(indices, g, shape) scatters g rows into a zero tensor of
 	// the given shape (the gradient of Gather along axis 0).
-	Register(&OpDef{Name: "GatherGrad", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "GatherGrad", NumOutputs: 1, Inputs: Exactly(3), Infer: func(c *InferCtx) {
+		if s, ok := c.InInts(2, 1); ok {
+			c.Out[0] = shaped(s, c.In(1))
+		}
+	}, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		ix, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -94,7 +96,17 @@ func init() {
 	}})
 
 	// ShapeDim(x) attr axis: one dimension of x's shape as an int scalar.
-	Register(&OpDef{Name: "ShapeDim", NumOutputs: 1, Fresh: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "ShapeDim", NumOutputs: 1, Inputs: Exactly(1), Fresh: true, Infer: func(c *InferCtx) {
+		c.Out[0] = ScalarFact(tensor.Int)
+		if x, a := c.In(0), c.AttrInt("axis"); x.RankOK {
+			if a < 0 {
+				a += len(x.Shape)
+			}
+			if a >= 0 && a < len(x.Shape) && x.Shape[a] >= 0 {
+				c.Out[0].Val = []int{x.Shape[a]}
+			}
+		}
+	}, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -111,7 +123,21 @@ func init() {
 
 	// SliceAxis(x, begin, size) attr axis: a contiguous slab along one
 	// axis with runtime offset/extent (used by Concat's gradient).
-	Register(&OpDef{Name: "SliceAxis", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "SliceAxis", NumOutputs: 1, Inputs: Exactly(3), Infer: func(c *InferCtx) {
+		// The extent along axis is known when size is a constant.
+		x, axis := c.In(0), c.AttrInt("axis")
+		if x.RankOK && axis < 0 {
+			axis += len(x.Shape)
+		}
+		if x.RankOK && axis >= 0 && axis < len(x.Shape) {
+			s := slices.Clone(x.Shape)
+			s[axis] = -1
+			if v, ok := c.InInts(2, 0); ok {
+				s[axis] = v[0]
+			}
+			c.Out[0] = Fact{DType: x.DType, DTypeOK: x.DTypeOK, Shape: s, RankOK: true}
+		}
+	}, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		x, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -134,22 +160,10 @@ func init() {
 		begin := int(beginT.ScalarIntValue())
 		size := int(sizeT.ScalarIntValue())
 		if axis == 0 {
-			r, err := tensor.SliceRows(x, begin, size)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.One(TensorVal(r)), nil
+			return ctx.Result(tensor.SliceRows(x, begin, size))
 		}
 		// Transpose axis to the front, slice, transpose back.
-		perm := make([]int, x.Rank())
-		perm[0] = axis
-		p := 1
-		for i := 0; i < x.Rank(); i++ {
-			if i != axis {
-				perm[p] = i
-				p++
-			}
-		}
+		perm, inv := axisFirst(x.Rank(), axis)
 		xt, err := tensor.Transpose(x, perm...)
 		if err != nil {
 			return nil, err
@@ -158,21 +172,13 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		inv := make([]int, len(perm))
-		for i, pp := range perm {
-			inv[pp] = i
-		}
-		r, err := tensor.Transpose(st, inv...)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(r)), nil
+		return ctx.Result(tensor.Transpose(st, inv...))
 	}})
 
 	// SliceAxisGrad(g, x, begin) attr axis: zeros like x with the slab
 	// [begin, begin+extent(g)) along axis set to g (gradient of
 	// SliceAxis).
-	Register(&OpDef{Name: "SliceAxisGrad", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "SliceAxisGrad", NumOutputs: 1, Inputs: Exactly(3), Infer: inferLikeInput(1), Kernel: func(ctx *KernelContext) ([]Value, error) {
 		g, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -191,19 +197,7 @@ func init() {
 		}
 		begin := int(beginT.ScalarIntValue())
 		// Move axis to front on both, scatter rows, move back.
-		perm := make([]int, x.Rank())
-		perm[0] = axis
-		p := 1
-		for i := 0; i < x.Rank(); i++ {
-			if i != axis {
-				perm[p] = i
-				p++
-			}
-		}
-		inv := make([]int, len(perm))
-		for i, pp := range perm {
-			inv[pp] = i
-		}
+		perm, inv := axisFirst(x.Rank(), axis)
 		xt, err := tensor.Transpose(x, perm...)
 		if err != nil {
 			return nil, err
@@ -215,16 +209,12 @@ func init() {
 		out := tensor.ZerosLike(xt)
 		inner := xt.Size() / xt.Dim(0)
 		copy(out.F[begin*inner:], gt.F)
-		r, err := tensor.Transpose(out, inv...)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(r)), nil
+		return ctx.Result(tensor.Transpose(out, inv...))
 	}})
 
 	// SliceRowsGrad(g, x, begin): zeros like x with rows [begin,
 	// begin+rows(g)) set to g (gradient of SliceRows).
-	Register(&OpDef{Name: "SliceRowsGrad", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "SliceRowsGrad", NumOutputs: 1, Inputs: Exactly(3), Infer: inferLikeInput(1), Kernel: func(ctx *KernelContext) ([]Value, error) {
 		g, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -246,7 +236,7 @@ func init() {
 
 	// TileGrad(g, x) attr reps: sums the reps copies (gradient of Tile
 	// along axis 0).
-	Register(&OpDef{Name: "TileGrad", NumOutputs: 1, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "TileGrad", NumOutputs: 1, Inputs: Exactly(2), Infer: inferLikeInput(1), Kernel: func(ctx *KernelContext) ([]Value, error) {
 		g, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -268,4 +258,19 @@ func init() {
 		}
 		return ctx.One(TensorVal(out)), nil
 	}})
+}
+
+// axisFirst is the permutation that moves axis to the front of a rank-r
+// tensor, and its inverse.
+func axisFirst(r, axis int) (perm, inv []int) {
+	perm, inv = append(make([]int, 0, r), axis), make([]int, r)
+	for i := range r {
+		if i != axis {
+			perm = append(perm, i)
+		}
+	}
+	for i, p := range perm {
+		inv[p] = i
+	}
+	return perm, inv
 }

@@ -269,13 +269,27 @@ func TestValueAccessors(t *testing.T) {
 	}
 }
 
+// registerPanic is what Register panics with for def, "" if it does not.
+func registerPanic(def *OpDef) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	Register(def)
+	return ""
+}
+
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Register(&OpDef{Name: "Add"})
+	if msg := registerPanic(&OpDef{Name: "Add", Inputs: Exactly(2)}); !strings.Contains(msg, "duplicate") {
+		t.Fatalf("re-registering Add: panic %q, want a duplicate-registration panic", msg)
+	}
+}
+
+// An op must state its input arity, so the verifier checks every node's.
+func TestRegistrationWithoutArityPanics(t *testing.T) {
+	if msg := registerPanic(&OpDef{Name: "NoArity", NumOutputs: 1}); !strings.Contains(msg, "input arity") {
+		t.Fatalf("registering an op without Inputs: panic %q, want one naming the input arity", msg)
+	}
+	if _, err := Get("NoArity"); err == nil {
+		t.Fatal("an op without an arity was registered")
+	}
 }
 
 func TestRandomKernelsRespectShape(t *testing.T) {

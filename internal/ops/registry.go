@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -17,6 +18,12 @@ type OpDef struct {
 	NumOutputs int
 	// VariableOutputs, when non-nil, computes arity from attributes.
 	VariableOutputs func(attrs map[string]any) int
+	// Inputs is the data-input arity; Register rejects an op without one.
+	Inputs Arity
+	// Infer derives the node's output facts from its inputs' facts and its
+	// attributes (see InferCtx). Ops whose facts come from elsewhere in
+	// the graph (control flow, resources, Recv) leave it nil.
+	Infer func(c *InferCtx)
 	// Kernel executes the op. Control-flow primitives (Switch, Merge,
 	// Enter, Exit, NextIteration) and communication ops (Send, Recv)
 	// have nil kernels: the executor implements their semantics.
@@ -49,8 +56,8 @@ var (
 func Register(def *OpDef) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if def.Name == "" {
-		panic("ops: empty op name") // dcfvet:allow panicpath=init-time registration
+	if def.Name == "" || !def.Inputs.set {
+		panic("ops: op " + strconv.Quote(def.Name) + " needs a name and an input arity") // dcfvet:allow panicpath=init-time registration
 	}
 	if _, dup := registry[def.Name]; dup {
 		panic("ops: duplicate registration of " + def.Name) // dcfvet:allow panicpath=init-time registration
@@ -80,4 +87,34 @@ func OutputArity(name string, attrs map[string]any) (int, error) {
 		return def.VariableOutputs(attrs), nil
 	}
 	return def.NumOutputs, nil
+}
+
+// Arity is how many data inputs an op takes: Exactly(n), AtLeast(n) or
+// Between(min, max). The zero Arity is unset.
+type Arity struct {
+	min, max int // max -1: unbounded
+	set      bool
+}
+
+// Exactly is an arity of n inputs.
+func Exactly(n int) Arity { return Arity{n, n, true} }
+
+// AtLeast is an arity of n or more inputs.
+func AtLeast(n int) Arity { return Arity{n, -1, true} }
+
+// Between is an arity of lo to hi inputs.
+func Between(lo, hi int) Arity { return Arity{lo, hi, true} }
+
+// Allows reports whether a node with n data inputs has this arity.
+func (a Arity) Allows(n int) bool { return n >= a.min && (a.max < 0 || n <= a.max) }
+
+// String renders the arity as the verifier's input-arity finding states it.
+func (a Arity) String() string {
+	switch a.max {
+	case -1:
+		return fmt.Sprintf(">= %d", a.min)
+	case a.min:
+		return strconv.Itoa(a.min)
+	}
+	return fmt.Sprintf("%d..%d", a.min, a.max)
 }

@@ -64,14 +64,10 @@ func lookupVar(ctx *KernelContext) *VariableRes {
 }
 
 func init() {
-	Register(&OpDef{Name: "VarRead", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
-		v, err := lookupVar(ctx).Value()
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(v)), nil
+	Register(&OpDef{Name: "VarRead", NumOutputs: 1, Inputs: Exactly(0), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+		return ctx.Result(lookupVar(ctx).Value())
 	}})
-	Register(&OpDef{Name: "Assign", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "Assign", NumOutputs: 1, Inputs: Exactly(1), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -79,30 +75,22 @@ func init() {
 		lookupVar(ctx).Set(t)
 		return ctx.One(TensorVal(t)), nil
 	}})
-	Register(&OpDef{Name: "AssignAdd", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "AssignAdd", NumOutputs: 1, Inputs: Exactly(1), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		nv, err := lookupVar(ctx).AddInPlace(t, 1)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(nv)), nil
+		return ctx.Result(lookupVar(ctx).AddInPlace(t, 1))
 	}})
-	Register(&OpDef{Name: "AssignSub", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "AssignSub", NumOutputs: 1, Inputs: Exactly(1), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		t, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
 		}
-		nv, err := lookupVar(ctx).AddInPlace(t, -1)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(nv)), nil
+		return ctx.Result(lookupVar(ctx).AddInPlace(t, -1))
 	}})
 	// ApplyGradientDescent: var -= lr * grad, the atomic SGD update.
-	Register(&OpDef{Name: "ApplyGradientDescent", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "ApplyGradientDescent", NumOutputs: 1, Inputs: Exactly(2), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		grad, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -111,15 +99,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		nv, err := lookupVar(ctx).AddInPlace(grad, -lr.ScalarValue())
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(TensorVal(nv)), nil
+		return ctx.Result(lookupVar(ctx).AddInPlace(grad, -lr.ScalarValue()))
 	}})
 	// ScatterUpdateVar replaces variable rows at indices with update rows
 	// (the in-graph replay-database write of §6.5).
-	Register(&OpDef{Name: "ScatterUpdateVar", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "ScatterUpdateVar", NumOutputs: 1, Inputs: Exactly(2), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		ix, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -148,7 +132,7 @@ func init() {
 	}})
 
 	// ScatterAddVar adds update rows into the variable at indices.
-	Register(&OpDef{Name: "ScatterAddVar", NumOutputs: 1, Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
+	Register(&OpDef{Name: "ScatterAddVar", NumOutputs: 1, Inputs: Exactly(2), Stateful: true, Kernel: func(ctx *KernelContext) ([]Value, error) {
 		ix, err := ctx.Input(0)
 		if err != nil {
 			return nil, err

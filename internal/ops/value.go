@@ -1,7 +1,18 @@
 // Package ops defines the operation registry and the kernels that implement
 // each operation, the equivalent of TensorFlow's op/kernel layer. The
 // executor looks kernels up by op name; the graph builders consult op
-// definitions for output arity.
+// definitions for output arity, and the verifier for input arity and for
+// the rule that infers each op's output dtypes and shapes.
+//
+// Adding an op takes its registration and its gradient, nothing else:
+//   - Register (or a group helper such as unary or binaryFwd) with its
+//     kernel, its input arity and its Infer rule, plus a sample in the
+//     package tests' opSamples, which holds the rule to the kernel;
+//   - RegisterGrad or RegisterNoGrad in internal/autodiff.
+//
+// Infer is nil only where there is no output, or where the facts come from
+// elsewhere in the graph: Recv, control flow, and the variable, stack and
+// TensorArray ops, whose facts internal/verify joins.
 package ops
 
 import (
@@ -140,7 +151,7 @@ type KernelContext struct {
 	OpName   string
 	NodeName string
 	// Attrs are the node's attributes.
-	Attrs map[string]any
+	Attrs
 	// In holds the input values in port order.
 	In []Value
 	// FwdMask marks inputs whose tensor buffers the executor owns
@@ -171,6 +182,14 @@ func (c *KernelContext) One(v Value) []Value {
 func (c *KernelContext) Two(a, b Value) []Value {
 	c.out[0], c.out[1] = a, b
 	return c.out[:2]
+}
+
+// Result returns t as a single-output kernel result, or err.
+func (c *KernelContext) Result(t *tensor.Tensor, err error) ([]Value, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.One(TensorVal(t)), nil
 }
 
 // Reset zeroes the context for reuse by another kernel call, keeping only
@@ -214,17 +233,21 @@ func (c *KernelContext) InputResource(i int) (Resource, error) {
 	return c.In[i].R, nil
 }
 
+// Attrs are a node's attributes. KernelContext and InferCtx embed them, so
+// a kernel and its op's inference rule read attributes the same way.
+type Attrs map[string]any
+
 // AttrString returns a string attribute.
-func (c *KernelContext) AttrString(key string) string {
-	if v, ok := c.Attrs[key].(string); ok {
+func (a Attrs) AttrString(key string) string {
+	if v, ok := a[key].(string); ok {
 		return v
 	}
 	return ""
 }
 
 // AttrInt returns an int attribute.
-func (c *KernelContext) AttrInt(key string) int {
-	switch v := c.Attrs[key].(type) {
+func (a Attrs) AttrInt(key string) int {
+	switch v := a[key].(type) {
 	case int:
 		return v
 	case int64:
@@ -234,24 +257,24 @@ func (c *KernelContext) AttrInt(key string) int {
 }
 
 // AttrBool returns a bool attribute.
-func (c *KernelContext) AttrBool(key string) bool {
-	if v, ok := c.Attrs[key].(bool); ok {
+func (a Attrs) AttrBool(key string) bool {
+	if v, ok := a[key].(bool); ok {
 		return v
 	}
 	return false
 }
 
 // AttrInts returns an []int attribute.
-func (c *KernelContext) AttrInts(key string) []int {
-	if v, ok := c.Attrs[key].([]int); ok {
+func (a Attrs) AttrInts(key string) []int {
+	if v, ok := a[key].([]int); ok {
 		return v
 	}
 	return nil
 }
 
 // AttrTensor returns a tensor attribute (e.g. a Const's value).
-func (c *KernelContext) AttrTensor(key string) *tensor.Tensor {
-	if v, ok := c.Attrs[key].(*tensor.Tensor); ok {
+func (a Attrs) AttrTensor(key string) *tensor.Tensor {
+	if v, ok := a[key].(*tensor.Tensor); ok {
 		return v
 	}
 	return nil

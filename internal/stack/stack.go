@@ -144,7 +144,7 @@ func (s *Res) Pop(mem ops.DeviceMem) (ops.Value, error) {
 var orderToken = ops.TensorVal(tensor.ScalarInt(0))
 
 func init() {
-	ops.Register(&ops.OpDef{Name: "Stack", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "Stack", Inputs: ops.Exactly(0), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		res := ctx.Env.StepRes().LookupOrCreate("stack/"+ctx.NodeName, func() ops.Resource {
 			return New(ctx.NodeName, ctx.AttrBool("swap"))
 		})
@@ -153,7 +153,7 @@ func init() {
 
 	// StackPush(handle, value, token) -> (value, token). The token input
 	// and output serialize pushes from consecutive loop iterations.
-	ops.Register(&ops.OpDef{Name: "StackPush", NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "StackPush", Inputs: ops.Exactly(3), NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		h, err := ctx.InputResource(0)
 		if err != nil {
 			return nil, err
@@ -169,7 +169,7 @@ func init() {
 	}})
 
 	// StackPop(handle, token) -> (value, token).
-	ops.Register(&ops.OpDef{Name: "StackPop", NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "StackPop", Inputs: ops.Exactly(2), NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		h, err := ctx.InputResource(0)
 		if err != nil {
 			return nil, err

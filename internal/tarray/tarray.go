@@ -192,7 +192,7 @@ func flowOut() ops.Value { return ops.TensorVal(tensor.Scalar(0)) }
 func init() {
 	// TensorArray(size) -> (handle, flow). Keyed by node name in the
 	// per-step container.
-	ops.Register(&ops.OpDef{Name: "TensorArray", NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArray", Inputs: ops.Exactly(1), NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		sizeT, err := ctx.Input(0)
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func init() {
 	}})
 
 	// TensorArrayWrite(handle, index, value, flow) -> flow.
-	ops.Register(&ops.OpDef{Name: "TensorArrayWrite", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArrayWrite", Inputs: ops.Exactly(4), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ func init() {
 	}})
 
 	// TensorArrayRead(handle, index, flow) -> value.
-	ops.Register(&ops.OpDef{Name: "TensorArrayRead", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArrayRead", Inputs: ops.Exactly(3), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err
@@ -237,28 +237,20 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		v, err := ta.Read(int(ixT.ScalarIntValue()))
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(ops.TensorVal(v)), nil
+		return ctx.Result(ta.Read(int(ixT.ScalarIntValue())))
 	}})
 
 	// TensorArrayStack(handle, flow) -> value.
-	ops.Register(&ops.OpDef{Name: "TensorArrayStack", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArrayStack", Inputs: ops.Exactly(2), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err
 		}
-		v, err := ta.StackAll()
-		if err != nil {
-			return nil, err
-		}
-		return ctx.One(ops.TensorVal(v)), nil
+		return ctx.Result(ta.StackAll())
 	}})
 
 	// TensorArrayUnstack(handle, value, flow) -> flow.
-	ops.Register(&ops.OpDef{Name: "TensorArrayUnstack", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArrayUnstack", Inputs: ops.Exactly(3), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err
@@ -274,7 +266,7 @@ func init() {
 	}})
 
 	// TensorArraySize(handle, flow) -> size.
-	ops.Register(&ops.OpDef{Name: "TensorArraySize", NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArraySize", Inputs: ops.Exactly(2), NumOutputs: 1, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err
@@ -285,7 +277,7 @@ func init() {
 	// TensorArrayGrad(handle, flow) -> (grad handle, flow). The "source"
 	// attr distinguishes gradient arrays arising from different
 	// gradient subgraphs over the same forward array.
-	ops.Register(&ops.OpDef{Name: "TensorArrayGrad", NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
+	ops.Register(&ops.OpDef{Name: "TensorArrayGrad", Inputs: ops.Exactly(2), NumOutputs: 2, Stateful: true, Kernel: func(ctx *ops.KernelContext) ([]ops.Value, error) {
 		ta, err := taFromCtx(ctx, 0)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -645,9 +647,29 @@ func TestPropMatMulDistributes(t *testing.T) {
 		r, _ := Add(ab, ac)
 		return allClose(l, r, 1e-6*(1+absMax(l)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, bounded(f, 50)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bounded is a quick.Config for f that draws every float64 of an array
+// argument from [-100, 100), where sums and products stay finite, and every
+// other argument as quick.Check would.
+func bounded(f any, maxCount int) *quick.Config {
+	ft := reflect.TypeOf(f)
+	return &quick.Config{MaxCount: maxCount, Values: func(args []reflect.Value, r *rand.Rand) {
+		for i := range args {
+			t := ft.In(i)
+			if t.Kind() != reflect.Array || t.Elem().Kind() != reflect.Float64 {
+				args[i], _ = quick.Value(t, r)
+				continue
+			}
+			args[i] = reflect.New(t).Elem()
+			for j := range t.Len() {
+				args[i].Index(j).SetFloat(r.Float64()*200 - 100)
+			}
+		}
+	}}
 }
 
 func absMax(t *Tensor) float64 {
@@ -697,7 +719,7 @@ func TestPropUnbroadcastInvertsBroadcastShape(t *testing.T) {
 		scaled, _ := Mul(a, Scalar(float64(n)))
 		return allClose(back, scaled, 1e-9)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, bounded(f, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -733,11 +755,10 @@ func equal(a, b *Tensor) bool {
 }
 
 // allClose reports whether float tensors a and b have one shape and differ
-// by no more than tol in any element. A NaN difference, as the property
-// tests' overflowing inputs produce, is not more than tol.
+// by no more than tol in any element. A NaN anywhere is a difference.
 func allClose(a, b *Tensor, tol float64) bool {
 	return a.dtype == Float && b.dtype == Float && slices.Equal(a.shape, b.shape) &&
-		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return !(math.Abs(x-y) > tol) })
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }
 
 // arange returns the 1-D int tensor [start, stop).

@@ -86,3 +86,9 @@ func TestAcceptsPartitionedWhileLoop(t *testing.T) {
 		}
 	}
 }
+
+// The repo benchmark's rnn_train graph is the size BenchmarkCheck times and
+// verifies clean.
+func TestAcceptsRNNTrainGraph(t *testing.T) {
+	mustClean(t, rnnTrainGraph(t), verify.Options{Complete: true})
+}

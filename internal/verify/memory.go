@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -364,21 +365,21 @@ func (m *memAnalyzer) windowProd(n *graph.Node) int64 {
 	return prod
 }
 
-// elemCost turns a typeInfo into a cost: fully known shapes are fixed
+// elemCost turns a fact into a cost: fully known shapes are fixed
 // bytes; unknown dims contribute their known-dim product as a per-row
 // coefficient; unknown rank costs one element per row. An element is 8
 // bytes (the widest pooled one, and what an unknown dtype assumes) or 1 for
 // a bool.
-func elemCost(t typeInfo) cost {
+func elemCost(t ops.Fact) cost {
 	eb := int64(8)
-	if t.dtOK && t.dt == tensor.Bool {
+	if t.DTypeOK && t.DType == tensor.Bool {
 		eb = 1
 	}
-	if !t.rankOK {
+	if !t.RankOK {
 		return cost{bytes: eb, rows: true}
 	}
 	prod, rows := int64(1), false
-	for _, d := range t.shape {
+	for _, d := range t.Shape {
 		if d < 0 {
 			rows = true
 		} else {
@@ -392,10 +393,10 @@ func elemCost(t typeInfo) cost {
 // nothing; everything else costs its inferred shape.
 func (m *memAnalyzer) costOf(out graph.Output) cost {
 	f, _ := m.c.fact(out)
-	if f.res != "" {
+	if f.Res != "" {
 		return cost{}
 	}
-	return elemCost(f.typeInfo)
+	return elemCost(f)
 }
 
 // --- small dense bitset ---------------------------------------------------

@@ -181,16 +181,19 @@ type checker struct {
 	// reached, by node id; the joined element type of every tensor array,
 	// stack and variable ("var/<name>"); every tensor array's element count.
 	facts  []nodeFacts
-	elems  map[string]typeInfo
+	elems  map[string]ops.Fact
 	counts map[string]int
 	// out holds the outputs of the node being inferred until run publishes
-	// them; readsRes records that it read resource state. tick counts runs;
+	// them; ictx is what its op's rule sees, cur the node it reports on.
+	// readsRes records that it read resource state. tick counts runs;
 	// resAt is the tick of the last change to resource state. changed
 	// records that a sweep moved a fact, waited that a node waited on one
 	// not reached; closed reads what is not reached as unknown.
-	out             []fact
+	out             []ops.Fact
+	ictx            ops.InferCtx
+	cur             *graph.Node
 	readsRes        bool
-	tick, resAt     int
+	tick, resAt     int32
 	changed, waited bool
 	closed          bool
 }
@@ -217,28 +220,6 @@ func (c *checker) addf(n *graph.Node, port int, code, format string, args ...any
 	c.diags = append(c.diags, d)
 }
 
-// opArity lists the data-input arity of ops the verifier knows exactly
-// ({min, max}; max -1 = unbounded). Ops not listed are not arity-checked.
-var opArity = map[string][2]int{
-	"Switch": {2, 2}, "Merge": {1, -1}, "Enter": {1, 1}, "Exit": {1, 1},
-	"NextIteration": {1, 1}, "LoopCond": {1, 1}, "Send": {1, 1}, "Recv": {0, 0},
-	"Const": {0, 0}, "Placeholder": {0, 0}, "NoOp": {0, 0},
-	"Identity": {1, 1}, "StopGradient": {1, 1},
-	"Add": {2, 2}, "Sub": {2, 2}, "Mul": {2, 2}, "Div": {2, 2}, "Pow": {2, 2},
-	"Maximum": {2, 2}, "Minimum": {2, 2}, "Mod": {2, 2}, "MatMul": {2, 2},
-	"Greater": {2, 2}, "GreaterEqual": {2, 2}, "Less": {2, 2}, "LessEqual": {2, 2},
-	"Equal": {2, 2}, "NotEqual": {2, 2}, "LogicalAnd": {2, 2}, "LogicalOr": {2, 2},
-	"Neg": {1, 1}, "Abs": {1, 1}, "Exp": {1, 1}, "Log": {1, 1}, "Sqrt": {1, 1},
-	"Square": {1, 1}, "Sigmoid": {1, 1}, "Tanh": {1, 1}, "Relu": {1, 1},
-	"SigmoidGrad": {2, 2}, "TanhGrad": {2, 2},
-	"Sign": {1, 1}, "LogicalNot": {1, 1}, "Softmax": {1, 1}, "LogSoftmax": {1, 1},
-	"ZerosLike": {1, 1}, "OnesLike": {1, 1},
-	"AddN": {1, -1}, "Select": {3, 3},
-	"Sum": {1, 1}, "Mean": {1, 1}, "Max": {1, 1}, "Min": {1, 1},
-	"ArgMax": {1, 1}, "Transpose": {1, 1}, "Cast": {1, 1},
-	"Shape": {1, 1}, "Size": {1, 1}, "Rank": {1, 1},
-}
-
 // checkStructure verifies registry membership, arities, and port validity.
 func (c *checker) checkStructure() {
 	c.inSet = make(map[int]bool, len(c.nodes))
@@ -249,19 +230,13 @@ func (c *checker) checkStructure() {
 		def, err := ops.Get(n.Op())
 		if err != nil {
 			c.addf(n, -1, "unknown-op", "op %q is not registered", n.Op())
-		} else if def.VariableOutputs == nil && def.NumOutputs != n.NumOutputs() {
-			c.addf(n, -1, "output-arity", "node declares %d outputs but op %q has %d",
-				n.NumOutputs(), n.Op(), def.NumOutputs)
-		}
-		if a, ok := opArity[n.Op()]; ok {
-			if got := n.NumInputs(); got < a[0] || (a[1] >= 0 && got > a[1]) {
-				want := fmt.Sprintf("%d", a[0])
-				if a[1] < 0 {
-					want = fmt.Sprintf(">= %d", a[0])
-				} else if a[1] != a[0] {
-					want = fmt.Sprintf("%d..%d", a[0], a[1])
-				}
-				c.addf(n, -1, "input-arity", "op %q takes %s data input(s), got %d", n.Op(), want, got)
+		} else {
+			if def.VariableOutputs == nil && def.NumOutputs != n.NumOutputs() {
+				c.addf(n, -1, "output-arity", "node declares %d outputs but op %q has %d",
+					n.NumOutputs(), n.Op(), def.NumOutputs)
+			}
+			if got := n.NumInputs(); !def.Inputs.Allows(got) {
+				c.addf(n, -1, "input-arity", "op %q takes %s data input(s), got %d", n.Op(), def.Inputs, got)
 			}
 		}
 		for i, in := range n.InputsRef() {
@@ -467,10 +442,12 @@ func (c *checker) assignFrames() {
 func (c *checker) checkFrames() {
 	// NextIteration adopts the frame of its consuming Merges, which must
 	// agree; the back edge must not escape its frame.
-	consumers := map[int][]*graph.Node{} // producer id -> consuming nodes
+	consumers := map[int][]*graph.Node{} // NextIteration id -> consuming nodes
 	for _, n := range c.nodes {
 		for _, in := range n.InputsRef() {
-			consumers[in.Node.ID()] = append(consumers[in.Node.ID()], n)
+			if in.Node.Op() == "NextIteration" {
+				consumers[in.Node.ID()] = append(consumers[in.Node.ID()], n)
+			}
 		}
 	}
 	for _, n := range c.nodes {

@@ -78,6 +78,27 @@ func illFixtures() []illFormed {
 			},
 		},
 		{
+			name: "gather with one input", wantCode: "input-arity", wantNode: "g", wantPort: -2,
+			build: func(b *gb, opts *verify.Options) {
+				c := b.constF("c", []float64{1, 2}, 2)
+				b.node("Gather", "g", 1, nil, c.Out(0))
+			},
+		},
+		{
+			name: "concat of nothing", wantCode: "input-arity", wantNode: "cat", wantPort: -2,
+			build: func(b *gb, opts *verify.Options) {
+				b.node("Concat", "cat", 1, map[string]any{"axis": 0})
+			},
+		},
+		{
+			name: "stack push without its token", wantCode: "input-arity", wantNode: "push", wantPort: -2,
+			build: func(b *gb, opts *verify.Options) {
+				st := b.node("Stack", "st", 1, nil)
+				c := b.constF("c", []float64{1})
+				b.node("StackPush", "push", 2, nil, st.Out(0), c.Out(0))
+			},
+		},
+		{
 			name: "cycle not through NextIteration", wantCode: "cycle", wantPort: -2,
 			build: func(b *gb, opts *verify.Options) {
 				c := b.constF("c", []float64{1})
@@ -195,6 +216,34 @@ func illFixtures() []illFormed {
 				b.node("Add", "add", 1, nil, a.Out(0), c.Out(0))
 			},
 		},
+		// Squeeze, Tile and the two variable scatters have exact facts: a
+		// shape conflict downstream of each is definite.
+		{
+			name: "squeezed operand does not broadcast", wantCode: "shape-mismatch", wantNode: "add", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) {
+				x := b.constF("x", []float64{1, 2, 3}, 1, 3, 1)
+				sq := b.node("Squeeze", "sq", 1, nil, x.Out(0))
+				c := b.constF("c", []float64{1, 2}, 2)
+				b.node("Add", "add", 1, nil, sq.Out(0), c.Out(0))
+			},
+		},
+		{
+			name: "tiled operand does not broadcast", wantCode: "shape-mismatch", wantNode: "add", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) {
+				x := b.constF("x", make([]float64, 6), 2, 3)
+				tl := b.node("Tile", "tile", 1, map[string]any{"reps": 2}, x.Out(0))
+				c := b.constF("c", make([]float64, 9), 3, 3)
+				b.node("Add", "add", 1, nil, tl.Out(0), c.Out(0))
+			},
+		},
+		{
+			name: "scatter-added variable does not broadcast", wantCode: "shape-mismatch", wantNode: "add", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) { scatterThenAdd(b, "ScatterAddVar") },
+		},
+		{
+			name: "scatter-updated variable does not broadcast", wantCode: "shape-mismatch", wantNode: "add", wantPort: 1,
+			build: func(b *gb, opts *verify.Options) { scatterThenAdd(b, "ScatterUpdateVar") },
+		},
 		{
 			name: "activation gradient of unequal shapes", wantCode: "shape-mismatch", wantNode: "sg", wantPort: 1,
 			build: func(b *gb, opts *verify.Options) {
@@ -273,6 +322,16 @@ func illFixtures() []illFormed {
 			},
 		},
 	}
+}
+
+// scatterThenAdd assigns a [2, 3] variable, scatters one row into it with
+// op, and adds the result to a [4] operand.
+func scatterThenAdd(b *gb, op string) {
+	v := map[string]any{"var": "v"}
+	b.node("Assign", "init_v", 1, v, b.constF("init", make([]float64, 6), 2, 3).Out(0))
+	ix := b.node("Const", "ix", 1, map[string]any{"value": tensor.FromInts([]int64{1}, 1)})
+	sc := b.node(op, "scatter", 1, v, ix.Out(0), b.constF("row", make([]float64, 3), 1, 3).Out(0))
+	b.node("Add", "add", 1, nil, sc.Out(0), b.constF("c", make([]float64, 4), 4).Out(0))
 }
 
 func TestRejectsIllFormedGraphs(t *testing.T) {
