@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -386,41 +387,45 @@ func (s *bodyScanner) row(k *rowSink) error {
 }
 
 // scanNumber scans the JSON number starting at b[i] (a '-' or a digit) and
-// returns its value and the offset just past it. The literal is delimited
-// by the JSON grammar alone; its value comes from exactFloat where exact
-// arithmetic settles the rounding and from strconv.ParseFloat everywhere
-// else, so it is always the correctly rounded one the standard library
-// gives. With errFloatRange, end is still valid.
+// returns its value and the offset just past it. Each byte is read once:
+// the digit runs that delimit the integer and fraction parts also build the
+// mantissa (digitRun), and the exponent is summed as it is checked. A
+// literal of at most 19 digits — its mantissa then fits a uint64 exactly —
+// takes its value from exactFloat where one of its arms settles the
+// rounding; every other literal, and every one exactFloat declines, from
+// strconv.ParseFloat. Either way the value is the correctly rounded one the
+// standard library gives. With errFloatRange, end is still valid.
 func scanNumber(b []byte, i int) (f float64, end int, err error) {
 	start := i
 	if b[i] == '-' {
 		i++
 	}
-	// Integer part: a lone 0, or digits that do not start with one.
+	// Integer part: a lone 0, or digits that do not start with one. Most
+	// are one digit, which needs no run.
 	intStart := i
-	if i < len(b) && b[i] == '0' {
+	var mant uint64
+	switch {
+	case i+1 < len(b) && b[i]-'0' < 10 && b[i+1]-'0' >= 10:
+		mant = uint64(b[i] - '0')
 		i++
-	} else {
-		for i < len(b) && b[i]-'0' < 10 {
-			i++
-		}
-		if i == intStart {
+	case i < len(b) && b[i] == '0':
+		i++
+	default:
+		if mant, i = digitRun(b, i, 0); i == intStart {
 			return 0, 0, bad(b, i, "a digit")
 		}
 	}
-	intEnd, fracStart := i, i
+	digits, exp10 := i-intStart, 0
 	if i < len(b) && b[i] == '.' {
 		i++
-		fracStart = i
-		for i < len(b) && b[i]-'0' < 10 {
-			i++
-		}
-		if i == fracStart {
+		fracStart := i
+		if mant, i = digitRun(b, i, mant); i == fracStart {
 			return 0, 0, bad(b, i, "a digit after the decimal point")
 		}
+		digits += i - fracStart
+		exp10 = fracStart - i
 	}
-	fracEnd := i
-	exp10, small := 0, true // small: the written exponent is below 1000
+	small := true // the written exponent is below 1000
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
 		negExp := false
@@ -428,28 +433,22 @@ func scanNumber(b []byte, i int) (f float64, end int, err error) {
 			negExp = b[i] == '-'
 			i++
 		}
-		expStart := i
+		expStart, e := i, 0
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
-			if small = small && exp10 < 100; small {
-				exp10 = exp10*10 + int(b[i]-'0')
+			if small = small && e < 100; small {
+				e = e*10 + int(b[i]-'0')
 			}
 		}
 		if i == expStart {
 			return 0, 0, bad(b, i, "a digit in the exponent")
 		}
 		if negExp {
-			exp10 = -exp10
+			e = -e
 		}
+		exp10 += e
 	}
-	if digits := intEnd - intStart + fracEnd - fracStart; digits <= 19 && small { // 19 digits fit a uint64
-		var mant uint64
-		for _, c := range b[intStart:intEnd] {
-			mant = mant*10 + uint64(c-'0')
-		}
-		for _, c := range b[fracStart:fracEnd] {
-			mant = mant*10 + uint64(c-'0')
-		}
-		if f, ok := exactFloat(mant, digits, exp10-(fracEnd-fracStart)); ok {
+	if digits <= 19 && small {
+		if f, ok := exactFloat(mant, digits, exp10); ok {
 			if b[start] == '-' {
 				f = -f
 			}
@@ -463,54 +462,142 @@ func scanNumber(b []byte, i int) (f float64, end int, err error) {
 	return f, i, nil
 }
 
-// The powers of ten a float64 holds exactly, and those a uint64 holds.
+// digitRun folds the run of decimal digits at b[i:] into mant and returns
+// the result with the offset just past the run. While eight bytes remain it
+// takes them as one little-endian word: one test finds how many of the
+// eight lead with digits, and three multiplies turn those into their value.
+// The body's last few bytes go one at a time. Past 19 digits mant wraps,
+// which is harmless: scanNumber then reads the literal with strconv.
+func digitRun(b []byte, i int, mant uint64) (uint64, int) {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		// A byte is a digit when its top bit is clear and its low seven
+		// bits reach '0' but not ':'. Adding 0x80-'0' and 0x80-':' to the
+		// low seven bits sets bit 7 exactly for those that reach each, and
+		// carries into no other byte.
+		low := w & 0x7F7F7F7F7F7F7F7F
+		notDigit := (w | ^(low + 0x5050505050505050) | (low + 0x4646464646464646)) & 0x8080808080808080
+		n := bits.TrailingZeros64(notDigit) / 8 // the first byte is the lowest
+		// The n digits go to the top of the word, zeros below them (ahead
+		// of them as a number; with n = 0 the word is all zeros), then
+		// adjacent digits fold into pairs, pairs into fours, fours into
+		// the eight.
+		w = (w & 0x0F0F0F0F0F0F0F0F) << uint(64-8*n)
+		w = (w * (1 + 10<<8)) >> 8 & 0x00FF00FF00FF00FF
+		w = (w * (1 + 100<<16)) >> 16 & 0x0000FFFF0000FFFF
+		w = (w * (1 + 10000<<32)) >> 32
+		mant = mant*pow10u[n] + w
+		if n < 8 {
+			return mant, i + n
+		}
+	}
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	return mant, i
+}
+
+// The powers of ten a float64 holds exactly, and those digitRun scales by.
 var (
 	pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+	pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 )
 
-// exactFloat returns mant × 10^exp10, correctly rounded, where that takes
-// no approximation; mant was written with the given number of digits.
+// exactFloat returns mant × 10^exp10 correctly rounded, as
+// strconv.ParseFloat does, or declines (ok false) and leaves the literal to
+// it; mant is exact, written with the given number of digits (at most 19).
+// No arm divides one integer by another:
 //   - Up to 15 digits and |exp10| ≤ 22: an integer below 2^53 times or over
 //     an exact power of ten is one IEEE operation, hence correctly rounded
-//     (Clinger's fast path, strconv's too).
-//   - Up to 19 digits and -19 ≤ exp10 ≤ 0 — what a float64 printed in
-//     shortest form looks like: a 128-by-64-bit integer division yields the
-//     quotient's first 64 bits and whether anything nonzero follows, which
-//     is all that rounding to 53 bits, ties to even, needs.
+//     (Clinger's fast path, strconv's too). With exp10 = 0 any mant is one
+//     conversion, one rounding.
+//   - -19 ≤ exp10 < 0, what a float64 printed in shortest form looks like:
+//     eiselLemire, which declines the few literals lying too close to a
+//     tie for 128 bits of 10^exp10 to settle.
+//   - Anything else: declined.
 func exactFloat(mant uint64, digits, exp10 int) (f float64, ok bool) {
 	switch {
 	case mant == 0:
 		return 0, true
+	case exp10 == 0:
+		return float64(mant), true
 	case digits <= 15 && -22 <= exp10 && exp10 < 0:
 		return float64(mant) / pow10f[-exp10], true
-	case digits <= 15 && 0 <= exp10 && exp10 <= 22:
+	case digits <= 15 && 0 < exp10 && exp10 <= 22:
 		return float64(mant) * pow10f[exp10], true
-	case exp10 < -19 || exp10 > 0:
-		return 0, false
+	case -19 <= exp10 && exp10 < 0:
+		return eiselLemire(mant, -exp10)
 	}
-	// Line both operands up on bit 63; the quotient of the aligned values
-	// then lies in [1/2, 2), so q below has its top bit set either way.
-	d := pow10u[-exp10]
-	lm, ld := bits.LeadingZeros64(mant), bits.LeadingZeros64(d)
-	m, d := mant<<lm, d<<ld
-	exp2 := ld - lm - 64 // mant/10^k = (q + r/d) × 2^exp2
-	hi, lo := m, uint64(0)
-	if m >= d {
-		hi, lo = m>>1, m<<63
+	return 0, false
+}
+
+// pow10neg[q-1] is 10^-q's binary mantissa to 128 bits, rounded down:
+// 10^-q = (hi·2^64 + lo + δ)·2^(p-127) with 0 ≤ δ < 1, p = ⌊log2 10^-q⌋ and
+// hi's top bit set. TestPow10NegTable recomputes every entry.
+var pow10neg = [19][2]uint64{
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}, // 1e-1
+	{0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A3}, // 1e-2
+	{0x83126E978D4FDF3B, 0x645A1CAC083126E9}, // 1e-3
+	{0xD1B71758E219652B, 0xD3C36113404EA4A8}, // 1e-4
+	{0xA7C5AC471B478423, 0x0FCF80DC33721D53}, // 1e-5
+	{0x8637BD05AF6C69B5, 0xA63F9A49C2C1B10F}, // 1e-6
+	{0xD6BF94D5E57A42BC, 0x3D32907604691B4C}, // 1e-7
+	{0xABCC77118461CEFC, 0xFDC20D2B36BA7C3D}, // 1e-8
+	{0x89705F4136B4A597, 0x31680A88F8953030}, // 1e-9
+	{0xDBE6FECEBDEDD5BE, 0xB573440E5A884D1B}, // 1e-10
+	{0xAFEBFF0BCB24AAFE, 0xF78F69A51539D748}, // 1e-11
+	{0x8CBCCC096F5088CB, 0xF93F87B7442E45D3}, // 1e-12
+	{0xE12E13424BB40E13, 0x2865A5F206B06FB9}, // 1e-13
+	{0xB424DC35095CD80F, 0x538484C19EF38C94}, // 1e-14
+	{0x901D7CF73AB0ACD9, 0x0F9D37014BF60A10}, // 1e-15
+	{0xE69594BEC44DE15B, 0x4C2EBE687989A9B3}, // 1e-16
+	{0xB877AA3236A4B449, 0x09BEFEB9FAD487C2}, // 1e-17
+	{0x9392EE8E921D5D07, 0x3AFF322E62439FCF}, // 1e-18
+	{0xEC1E4A7DB69561A5, 0x2B31E9E3D06C32E5}, // 1e-19
+}
+
+// floorLog2Pow10 is ⌊log2 10^e⌋: 217706/2^16 is log2 10 to within 2e-6,
+// which holds the floor for every e the table has (TestPow10NegTable).
+func floorLog2Pow10(e int) int { return 217706 * e >> 16 }
+
+// eiselLemire returns mant × 10^-q (mant > 0, 1 ≤ q ≤ 19) by Lemire's
+// algorithm ("Number Parsing at a Gigabyte per Second", SPE 2021), the one
+// strconv.ParseFloat runs on such literals before any slower path. The
+// product of mant and pow10neg[q-1], cut to 128 bits, falls short of the
+// exact one and never over, so its top 54 bits round to the exact value's
+// 53 unless a carry from what was cut could reach them, which needs every
+// bit below them to be one. There it brings in the table's second word,
+// and declines if the doubt remains — which is where an exact tie lands,
+// since the product reads just below it. A product that reads as an exact
+// tie is in truth above one, so rounding half up is right for it.
+func eiselLemire(mant uint64, q int) (float64, bool) {
+	pow := &pow10neg[q-1]
+	lz := bits.LeadingZeros64(mant)
+	m := mant << lz
+	hi, lo := bits.Mul64(m, pow[0])
+	if hi&0x1FF == 0x1FF && lo+m < m {
+		// The table's second word can still carry into the rounding bits:
+		// add its product, then decline if the doubt remains.
+		hi2, lo2 := bits.Mul64(m, pow[1])
+		var carry uint64
+		lo, carry = bits.Add64(lo, hi2, 0)
+		hi += carry
+		if hi&0x1FF == 0x1FF && lo+1 == 0 && lo2+m < m {
+			return 0, false
+		}
+	}
+	top := hi >> 63 // the product's leading bit is bit 127 (1) or 126 (0)
+	m54 := hi >> (top + 9)
+	// Round the 54 bits to 53, half up; a carry out adds one bit.
+	m53 := (m54 + m54&1) >> 1
+	exp2 := uint64(floorLog2Pow10(-q)+64+1023-lz) - (1 - top)
+	if m53>>53 != 0 {
+		m53 >>= 1
 		exp2++
 	}
-	q, r := bits.Div64(hi, lo, d)
-	below := q & (1<<11 - 1) // the 11 bits that do not fit a float64
-	q >>= 11
-	if below > 1<<10 || below == 1<<10 && (r != 0 || q&1 == 1) {
-		q++ // may reach 2^53, which float64 still holds exactly
-	}
-	// The result is between 1e-19 and 1e19, far from either end of the
-	// range, so scaling by a power of two is exact.
-	return float64(q) * math.Float64frombits(uint64(1023+exp2+11)<<52), true
+	// mant × 10^-q lies between 1e-19 and 1e18: the exponent is normal.
+	return math.Float64frombits(exp2<<52 | m53&(1<<52-1)), true
 }
 
 // skipValue checks and steps over one value of any type — what an unknown

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -579,15 +581,219 @@ func FuzzPredictDecode(f *testing.F) {
 	})
 }
 
+// BenchmarkPredictDecode decodes the benchmark's body; ns/number is the
+// time per literal, which compares across hosts that differ in speed.
 func BenchmarkPredictDecode(b *testing.B) {
-	body := benchBody(16, 256, 1)
+	const rows, dim = 16, 256
+	body := benchBody(rows, dim, 1)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	for b.Loop() {
-		feed, _, err := decodePredict(body, 256, 32)
+		feed, _, err := decodePredict(body, dim, 32)
 		if err != nil {
 			b.Fatal(err)
 		}
 		tensor.Recycle(feed)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*dim), "ns/number")
+}
+
+// checkNumber holds scanNumber at b[i] to strconv.ParseFloat of lit, the
+// literal that starts there: the same bits and end, or both out of range.
+func checkNumber(t *testing.T, b []byte, i int, lit string) {
+	t.Helper()
+	want, werr := strconv.ParseFloat(lit, 64)
+	got, end, err := scanNumber(b, i)
+	switch {
+	case werr != nil:
+		if !errors.Is(err, errFloatRange) || end != i+len(lit) {
+			t.Fatalf("%q at %d: got end %d err %v; strconv: %v", b, i, end, err, werr)
+		}
+	case err != nil || end != i+len(lit) || math.Float64bits(got) != math.Float64bits(want):
+		t.Fatalf("%q at %d: got %v (%#x) end %d err %v; strconv reads %q as %v (%#x)",
+			b, i, got, math.Float64bits(got), end, err, lit, want, math.Float64bits(want))
+	}
+}
+
+// numberEnds is what may follow a number in a body: nothing (the body's
+// last byte), whitespace, or a separator.
+var numberEnds = []string{"", ",", "]", "}", " ", "\t", "\n", "\r"}
+
+// TestScanNumberDigitRuns walks digit runs across every split the
+// eight-byte words make: runs of 1 to 21 digits as the integer part, the
+// fraction or both, each run ending before '.', 'e' or 'E', or ending the
+// literal at the body's last byte or before any byte that may follow a
+// number, with 0 to 8 bytes after that so the run's last word is full,
+// partial or missing.
+func TestScanNumberDigitRuns(t *testing.T) {
+	rng := newRand(8)
+	digits := func(n int, lead bool) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "0123456789"[rng.Intn(10)]
+		}
+		if lead {
+			b[0] = "123456789"[rng.Intn(9)]
+		}
+		return string(b)
+	}
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 19, 20, 21} {
+		run, frac := digits(n, true), digits(n, false)
+		for _, lit := range []string{
+			run, "-" + run, "0." + frac, "-0." + frac, "7." + frac, // the run ends the literal
+			run + ".5", run + "." + frac, // an integer run before '.'
+			run + "e3", run + "E-2", "0." + frac + "e-7", "1." + frac + "E+11", // before 'e' or 'E'
+		} {
+			for _, delim := range numberEnds {
+				for pad := 0; pad <= 8; pad++ {
+					if delim == "" && pad > 0 {
+						break
+					}
+					body := []byte("[" + lit + delim + strings.Repeat("]", pad))
+					checkNumber(t, body, 1, lit)
+				}
+			}
+		}
+	}
+}
+
+// TestScanNumberStopsAtNonDigits puts the bytes on either side of '0'..'9'
+// — '/' and ':' — and the digits' own bytes with the top bit set at every
+// place of an eight-byte word, in the integer part and in the fraction:
+// the number must end just before them.
+func TestScanNumberStopsAtNonDigits(t *testing.T) {
+	const run = "1234567890123456789012"
+	for _, c := range []byte{'/', ':', '/' | 0x80, '0' | 0x80, '9' | 0x80, ':' | 0x80, 0, 0xFF} {
+		for k := 1; k < len(run); k++ {
+			body := []byte(run + "]")
+			body[k] = c
+			checkNumber(t, body, 0, run[:k])
+			body = []byte("0." + run + "]")
+			body[2+k] = c
+			checkNumber(t, body, 0, "0."+run[:k])
+		}
+	}
+}
+
+// TestPow10NegTable recomputes every entry of pow10neg with math/big:
+// 10^-q·2^(127-p), rounded down, where p = floorLog2Pow10(-q), must be the
+// entry and have exactly 128 bits — which also holds p to ⌊log2 10^-q⌋.
+func TestPow10NegTable(t *testing.T) {
+	for q := 1; q <= len(pow10neg); q++ {
+		p := floorLog2Pow10(-q)
+		want := new(big.Int).Lsh(big.NewInt(1), uint(127-p))
+		want.Quo(want, new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(q)), nil))
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(pow10neg[q-1][0]), 64)
+		got.Or(got, new(big.Int).SetUint64(pow10neg[q-1][1]))
+		if want.BitLen() != 128 {
+			t.Errorf("1e-%d: floorLog2Pow10 gives %d, not ⌊log2 10^-%d⌋", q, p, q)
+		}
+		if got.Cmp(want) != 0 {
+			t.Errorf("1e-%d: table holds %#x, want %#x", q, got, want)
+		}
+	}
+}
+
+// splitLiteral reads a plain decimal literal (no exponent) as scanNumber
+// hands it to exactFloat.
+func splitLiteral(lit string) (mant uint64, digits, exp10 int) {
+	lit = strings.TrimPrefix(lit, "-")
+	if p := strings.IndexByte(lit, '.'); p >= 0 {
+		exp10 = p + 1 - len(lit)
+		lit = lit[:p] + lit[p+1:]
+	}
+	mant, err := strconv.ParseUint(lit, 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return mant, len(lit), exp10
+}
+
+// TestEiselLemireDeclinesTies: a literal exactly halfway between two
+// float64s, with a point and at most 19 digits, is one that 128 bits of
+// 10^exp10 cannot settle. exactFloat must decline it, so that it reaches
+// strconv.ParseFloat, and the scanner must still read strconv's bits.
+func TestEiselLemireDeclinesTies(t *testing.T) {
+	declined := func(lit string) {
+		t.Helper()
+		if mant, digits, exp10 := splitLiteral(lit); digits <= 19 {
+			if f, ok := exactFloat(mant, digits, exp10); ok {
+				t.Fatalf("%s: exactFloat settles it as %v; a tie must go to strconv", lit, f)
+			}
+		}
+		checkNumber(t, []byte(lit+","), 0, lit)
+	}
+	for _, lit := range []string{"4503599627370497.5", "-4503599627370497.5", "4503599627370496.5",
+		"1125899906842624.125", "1125899906842624.375", "900719925474099.5"} {
+		declined(lit)
+	}
+	// The constructed ties of TestScanNumberMatchesParseFloat: an odd 54-bit
+	// integer times 5^k, over 10^k.
+	rng, reached := newRand(53), 0
+	for i := 0; i < 20000; i++ {
+		k := 1 + rng.Intn(4)
+		n := (uint64(1)<<53 | rng.Uint64()>>11 | 1) * []uint64{1, 5, 25, 125, 625}[k]
+		lit := strconv.FormatUint(n, 10)
+		lit = lit[:len(lit)-k] + "." + lit[len(lit)-k:]
+		if len(lit) <= 20 {
+			reached++
+		}
+		declined(lit)
+	}
+	if reached < 1000 {
+		t.Fatalf("only %d of the constructed ties have at most 19 digits", reached)
+	}
+}
+
+// numberGrammar is JSON's number (RFC 8259, section 6), the whole string.
+var numberGrammar = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// FuzzScanNumber: a literal the JSON grammar accepts, followed by what may
+// follow a number, is read to its end with strconv.ParseFloat's bits (or
+// both find it out of range); one the grammar refuses is refused or read
+// only in part.
+func FuzzScanNumber(f *testing.F) {
+	for i, lit := range []string{"0", "-0", "7", "-1.5", "0.1", "1e5", "1E-5", "-0.30000000000000004",
+		"4503599627370497.5", "12345678901234567890", "9999999999999999999", "1.7976931348623159e308",
+		"5e-324", "1e-400", "01", "1.", "-", "1e", "1.2.3", "12345678/", "1234567:", "0.12345678\xb0"} {
+		f.Add(lit, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, lit string, end uint8) {
+		if lit == "" || lit[0] != '-' && lit[0]-'0' >= 10 {
+			return // scanNumber starts only at a '-' or a digit
+		}
+		body := []byte(lit + numberEnds[int(end)%len(numberEnds)])
+		if numberGrammar.MatchString(lit) {
+			checkNumber(t, body, 0, lit)
+			return
+		}
+		if _, n, err := scanNumber(body, 0); err == nil && n >= len(lit) {
+			t.Fatalf("%q is no JSON number, yet the scanner reads all of it", lit)
+		}
+	})
+}
+
+// raceBuild is set by race_test.go in a race build.
+var raceBuild bool
+
+// TestPredictDecodeAllocFree: once the tensor pool holds a feed, decoding
+// the benchmark's body takes nothing from the heap (in a race build, only
+// what the pool dropped).
+func TestPredictDecodeAllocFree(t *testing.T) {
+	body := benchBody(16, 256, 1)
+	decode := func() {
+		feed, _, err := decodePredict(body, 256, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.Recycle(feed)
+	}
+	decode()
+	budget := 0.0
+	if raceBuild {
+		budget = 2
+	}
+	if got := testing.AllocsPerRun(50, decode); got > budget {
+		t.Fatalf("a warmed decode allocates %.0f objects, budget %.0f", got, budget)
 	}
 }

@@ -104,8 +104,11 @@ func init() {
 		return ctx.Result(tensor.ReshapeInto(ctx.ForwardableInput(0), x, shape))
 	}})
 
-	// Fill(shape, value).
+	// Fill(shape, value): the scalar value, of any dtype, in every element.
 	Register(&OpDef{Name: "Fill", NumOutputs: 1, Inputs: Exactly(2), Infer: func(c *InferCtx) {
+		if v := c.In(1); v.RankOK && len(v.Shape) != 0 {
+			c.Node.Addf(1, "fill-value-rank", "value has shape %v; Fill requires a scalar", v.Shape)
+		}
 		if s, ok := c.InInts(0, 1); ok {
 			c.Out[0] = shaped(s, c.In(1))
 		}
@@ -119,7 +122,10 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return ctx.One(TensorVal(tensor.Full(v.ScalarValue(), shape...))), nil
+		if v.Rank() != 0 {
+			return nil, fmt.Errorf("Fill: value has shape %v, want a scalar", v.Shape())
+		}
+		return ctx.Result(tensor.BroadcastTo(v, shape))
 	}})
 
 	Register(&OpDef{Name: "BroadcastTo", NumOutputs: 1, Inputs: Exactly(2), Infer: inferToShape, Kernel: func(ctx *KernelContext) ([]Value, error) {

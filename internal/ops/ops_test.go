@@ -415,3 +415,24 @@ func allClose(a, b *tensor.Tensor, tol float64) bool {
 	return a.DType() == tensor.Float && b.DType() == tensor.Float && slices.Equal(a.Shape(), b.Shape()) &&
 		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Abs(x-y) <= tol })
 }
+
+// TestFillKeepsValueDType: Fill writes its value in the value's own dtype,
+// and a value that is not a scalar is an error from the kernel and a
+// finding from the rule, never a panic.
+func TestFillKeepsValueDType(t *testing.T) {
+	out := runKernel(t, "Fill", nil, TV(tensor.FromInts([]int64{2, 2}, 2)), TV(tensor.ScalarInt(7)))
+	if !equal(out[0].T, tensor.FromInts([]int64{7, 7, 7, 7}, 2, 2)) {
+		t.Fatalf("Fill with an int value gives %v", out[0].T)
+	}
+	shape, vec := tensor.FromInts([]int64{3}, 1), tensor.FromFloats([]float64{1, 2}, 2)
+	_, err := mustGet("Fill").Kernel(&KernelContext{OpName: "Fill", NodeName: "fill", In: []Value{TV(shape), TV(vec)}, Env: newFakeEnv()})
+	if err == nil || !strings.Contains(err.Error(), "scalar") {
+		t.Fatalf("Fill with a vector value: err = %v, want a scalar error", err)
+	}
+	var fs findings
+	c := &InferCtx{Op: "Fill", Ins: []Fact{known(shape), known(vec)}, Out: make([]Fact, 1), Node: &fs}
+	mustGet("Fill").Infer(c)
+	if len(fs) != 1 || !strings.Contains(fs[0], "fill-value-rank") {
+		t.Fatalf("Fill's rule on a vector value reports %v", fs)
+	}
+}

@@ -96,7 +96,10 @@ func opSamples() map[string][]sample {
 		"Const":       {{attrs: map[string]any{"value": a}}, {attrs: map[string]any{"value": ivec(2, 3)}}},
 		"Placeholder": {{attrs: map[string]any{"dtype": int(tensor.Float), "shape": []int{2, 3}}}},
 		"Identity":    {{ins: same(a)}, {ins: same(ivec(2, 3))}},
-		"Fill":        {{ins: same(ivec(2, 3), tensor.Scalar(1.5))}, {ins: same(ivec(3), tensor.Scalar(2))}},
+		"Fill": {
+			{ins: same(ivec(2, 3), tensor.Scalar(1.5))}, {ins: same(ivec(3), tensor.Scalar(2))},
+			{ins: same(ivec(2, 2), tensor.ScalarInt(7))}, {ins: same(ivec(3), tensor.ScalarBool(true))},
+		},
 		"BroadcastTo": {{ins: same(tensor.FromFloats([]float64{1, 2, 3}, 3), ivec(2, 3))}, {ins: same(ints, ivec(2, 2, 3))}},
 		"Concat": {
 			{attrs: map[string]any{"axis": 0}, ins: same(a, b)},

@@ -267,6 +267,7 @@ func ScalarBool(v bool) *Tensor { return FromBools([]bool{v}) }
 func Zeros(shape ...int) *Tensor { return New(Float, shape...) }
 
 // Full returns a float tensor filled with v.
+// dcfvet:allow deadapi=benchmark/ builds cluster_loop's constant hop tensors with it
 func Full(v float64, shape ...int) *Tensor {
 	t := New(Float, shape...)
 	for i := range t.F {
